@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race bench bench-offline bench-netsim bench-pr3 bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-scaling scale-smoke crash-smoke
+.PHONY: check vet staticcheck build test race bench benchmark bench-offline bench-netsim bench-pr3 bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-scaling scale-smoke crash-smoke
 
 check: vet staticcheck build test race
 
@@ -46,8 +46,20 @@ race:
 # refreshes the tracked record in place.
 bench: bench-offline bench-netsim
 
+# The 16-ToR builds are the numbers results/BENCH_seed.json tracks; the
+# paper-size pair covers what they cannot — fabrics whose N is not a power
+# of two and that take the brute-force build ((108,6) whole, one (324,12)
+# source row).
 bench-offline:
-	$(GO) test -run '^$$' -bench 'BenchmarkOffline_PathSetBuild' -benchmem -benchtime 200x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOffline_PathSetBuild(Serial)?$$' -benchmem -benchtime 200x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOffline_(PathSetBuild108|ComputeRow324)$$' -benchmem -benchtime 20x .
+
+# benchmark runs the repository's benchmark (BENCHMARK.json): every
+# paper-scale workload end to end, five interleaved rounds, the record in
+# benchmark/out/<rev>.json; compare records with
+# `go run ./benchmark -compare benchmark/results/baseline.json benchmark/out/<rev>.json`.
+benchmark:
+	$(GO) run ./benchmark
 
 bench-netsim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$' -benchmem ./internal/netsim | $(GO) run ./cmd/benchjson

@@ -293,11 +293,39 @@ func BenchmarkOffline_PathSetBuildSerial(b *testing.B) {
 }
 
 func BenchmarkOffline_ComputeRow(b *testing.B) {
-	cfg := topo.PaperDefault()
+	benchComputeRow(b, topo.PaperDefault())
+}
+
+func benchComputeRow(b *testing.B, cfg topo.Config) {
 	fab := topo.MustFabric(cfg, "round-robin", 1)
 	calc := core.NewCalculator(fab)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		calc.ComputeRow(i%fab.Sched.S, i%cfg.NumToRs)
 	}
+}
+
+// Paper-size offline benchmarks: the 16-ToR builds above say nothing about
+// fabrics whose N is not a power of two and that therefore take the brute
+// O(S·N²)-group build — the paper's own (108,6) and the Table 2 row
+// (324,12). Skipped under -short.
+
+func BenchmarkOffline_PathSetBuild108(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-size fabric")
+	}
+	fab := topo.MustFabric(topo.PaperDefault(), "round-robin", 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.BuildPathSet(fab, 0.5)
+	}
+}
+
+func BenchmarkOffline_ComputeRow324(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-size fabric")
+	}
+	cfg := topo.PaperDefault()
+	cfg.NumToRs, cfg.Uplinks = 324, 12
+	benchComputeRow(b, cfg)
 }

@@ -30,8 +30,8 @@ func (a *arena[T]) take(n int) []T {
 // one returns a pointer to a single zeroed element.
 func (a *arena[T]) one() *T { return &a.take(1)[0] }
 
-// groupArena pools every allocation made while extracting the UCMP groups
-// of one starting slice (one per worker invocation of groupRow).
+// groupArena pools every allocation made while extracting UCMP groups from
+// DP tables.
 type groupArena struct {
 	groups  arena[Group]
 	entries arena[Entry]
@@ -40,30 +40,59 @@ type groupArena struct {
 	hops    arena[Hop]
 	ints    arena[int]
 	floats  arena[float64]
+
+	levels []int // groupFromRow scratch: the hop counts of the group at hand
 }
 
-// newGroupArena sizes the chunks for a fabric with n ToRs: one chunk of
-// each kind roughly covers a full n² group row at the paper's typical ~3
-// paths and ~2.5 entries per group, so a row costs O(1) chunk allocations.
-func newGroupArena(n int) *groupArena {
-	return newScaledArena(n * n)
-}
-
-// newRowArena sizes the chunks for a single source row (n destinations):
-// the unit of the symmetric canonical build, which extracts O(S·N) groups
-// instead of O(S·N²).
-func newRowArena(n int) *groupArena {
-	return newScaledArena(n)
-}
-
-func newScaledArena(units int) *groupArena {
+// newGroupArena sizes the chunks to hold exactly the groups of every pair
+// of the finished tables, from a counting pass over them: the N² groups of
+// a starting slice stay resident in the PathSet, so a chunk sized by guess
+// — and a second one when the guess falls short — is memory the build
+// never gives back.
+func newGroupArena(t *Tables) *groupArena {
+	var groups, entries, paths, hops int
+	var levels []int
+	for src := range t.rows {
+		r := &t.rows[src]
+		for dst := 0; dst < t.N; dst++ {
+			if dst == src {
+				continue
+			}
+			levels = r.entryLevels(levels[:0], dst)
+			groups++
+			entries += len(levels)
+			for _, n := range levels {
+				p := 1 + len(r.par[n][dst])
+				paths += p
+				hops += p * n
+			}
+		}
+	}
 	return &groupArena{
-		groups:  arena[Group]{size: units},
-		entries: arena[Entry]{size: 3 * units},
-		paths:   arena[Path]{size: 4 * units},
-		ptrs:    arena[*Path]{size: 4 * units},
-		hops:    arena[Hop]{size: 8 * units},
-		ints:    arena[int]{size: 3 * units},
-		floats:  arena[float64]{size: 2 * units},
+		groups:  arena[Group]{size: groups},
+		entries: arena[Entry]{size: entries},
+		paths:   arena[Path]{size: paths},
+		ptrs:    arena[*Path]{size: paths},
+		hops:    arena[Hop]{size: hops},
+		ints:    arena[int]{size: entries},
+		floats:  arena[float64]{size: entries - groups}, // one per consecutive entry pair
+		levels:  levels,
+	}
+}
+
+// newArenaFor sizes the chunks for about `groups` groups at the paper's
+// typical ~3 paths and ~2.5 entries per group. It serves arenas that outlive
+// one unit of extraction — a worker's canonical source rows in the symmetric
+// build, the interned store, a decoded fabric file — where the tail of a
+// chunk is used by the next unit instead of being stranded.
+func newArenaFor(groups int) *groupArena {
+	return &groupArena{
+		groups:  arena[Group]{size: groups},
+		entries: arena[Entry]{size: 3 * groups},
+		paths:   arena[Path]{size: 4 * groups},
+		ptrs:    arena[*Path]{size: 4 * groups},
+		hops:    arena[Hop]{size: 8 * groups},
+		ints:    arena[int]{size: 3 * groups},
+		floats:  arena[float64]{size: 2 * groups},
 	}
 }

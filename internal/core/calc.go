@@ -19,6 +19,11 @@ type Calculator struct {
 	MaxParallel int
 
 	Bound HmaxBound
+
+	// peers is the schedule's flat peer table (topo.Schedule.PeerTable):
+	// the d circuit ends of every (cyclic slice, ToR), which is all the DP's
+	// extension step ever looks at.
+	peers []int32
 }
 
 // DefaultMaxParallel is the parallel-path retention NewCalculator starts
@@ -29,25 +34,19 @@ const DefaultMaxParallel = 4
 // a calculator with default parallel retention of DefaultMaxParallel paths.
 func NewCalculator(f *topo.Fabric) *Calculator {
 	b := BoundHmax(f.Config, f.Sched)
-	return &Calculator{F: f, HMax: b.Q, HSlice: b.HSlice, MaxParallel: DefaultMaxParallel, Bound: b}
+	return &Calculator{F: f, HMax: b.Q, HSlice: b.HSlice, MaxParallel: DefaultMaxParallel, Bound: b,
+		peers: f.Sched.PeerTable()}
 }
 
 // Tables holds the DP results of Alg. 1 for one starting slice: for every
-// hop count n in [1, HMax] and every ToR pair, the minimum-latency n-hop
-// path encoded as (end slice, last intermediate ToR, hops within the final
-// slice, tied alternatives).
+// source ToR the single-source RowTables — the recursion p^n(src, ·) only
+// consults p^(n-1)(src, ·), so the full table is N independent rows.
 type Tables struct {
 	N          int
 	HMax       int
 	StartSlice int64 // absolute == cyclic t_start
 
-	end   [][]int64   // [n][src*N+dst]; -1 where no path
-	last  [][]int32   // last intermediate ToR of the primary solution
-	hLast [][]int8    // hops taken within the final slice
-	par   [][][]int32 // tied alternative last hops (excluding primary)
-	cyc   [][]int32   // end modulo the cycle length (DP-internal scratch:
-	// keeps the dense next-direct lookups division-free; only valid where
-	// end >= 0)
+	rows []RowTables // [src]
 }
 
 // Compute runs the n-hop minimum-latency path algorithm (§4.1, Alg. 1) for
@@ -78,254 +77,23 @@ func (c *Calculator) Compute(tstart int) *Tables {
 func (c *Calculator) ComputeInto(tstart int, t *Tables) *Tables {
 	n := c.F.Sched.N
 	if t == nil || t.N != n || t.HMax != c.HMax {
-		t = &Tables{N: n, HMax: c.HMax}
-		t.end = make([][]int64, c.HMax+1)
-		t.last = make([][]int32, c.HMax+1)
-		t.hLast = make([][]int8, c.HMax+1)
-		t.par = make([][][]int32, c.HMax+1)
-		t.cyc = make([][]int32, c.HMax+1)
-		for h := 1; h <= c.HMax; h++ {
-			t.end[h] = make([]int64, n*n)
-			t.last[h] = make([]int32, n*n)
-			t.hLast[h] = make([]int8, n*n)
-			t.par[h] = make([][]int32, n*n)
-			t.cyc[h] = make([]int32, n*n)
-		}
+		t = &Tables{N: n, HMax: c.HMax, rows: make([]RowTables, n)}
 	}
 	t.StartSlice = int64(tstart)
-	sched := c.F.Sched
-
-	for h := 1; h <= c.HMax; h++ {
-		for i := range t.end[h] {
-			t.end[h][i] = -1
-			t.last[h][i] = -1
-		}
-	}
-
-	// n = 1: direct circuits (Fig 3b).
-	s := sched.S
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			idx := src*n + dst
-			e := sched.NextDirect(src, dst, t.StartSlice)
-			t.end[1][idx] = e
-			t.cyc[1][idx] = int32(e % int64(s))
-			t.hLast[1][idx] = 1
-		}
-	}
-
-	// n >= 2: extend the (n-1)-hop minimum-latency paths by one hop.
-	nxt := sched.DenseNext()
-	for h := 2; h <= c.HMax; h++ {
-		if nxt != nil {
-			c.extendDense(t, h, nxt)
-		} else {
-			c.extend(t, h)
-		}
+	for src := range t.rows {
+		c.ComputeRowInto(tstart, src, &t.rows[src])
 	}
 	return t
 }
 
-// extend computes DP level h from level h-1 through NextDirect — the
-// fallback for schedules past the dense next-table memory budget.
-func (c *Calculator) extend(t *Tables, h int) {
-	n := t.N
-	sched := c.F.Sched
-	prevEnd := t.end[h-1]
-	prevHL := t.hLast[h-1]
-	curEnd := t.end[h]
-	curLast := t.last[h]
-	curHL := t.hLast[h]
-	for src := 0; src < n; src++ {
-		row := src * n
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			bestEnd := int64(-1)
-			var bestLast int32 = -1
-			var bestHL int8
-			// Reuse the tie list's backing array from the previous
-			// starting slice computed on this scratch.
-			ties := t.par[h][row+dst][:0]
-			// Intermediates are scanned in source-relative order
-			// (src+1, src+2, ... mod n) so that tie selection — both the
-			// primary pick and which ties survive the MaxParallel cap —
-			// is equivariant under ToR rotation: on a rotation-symmetric
-			// schedule the DP row of src is then exactly the rotated row
-			// of ToR 0, which the symmetric PathSet build relies on.
-			for k := 1; k < n; k++ {
-				mid := src + k
-				if mid >= n {
-					mid -= n
-				}
-				if mid == dst {
-					continue
-				}
-				e1 := prevEnd[row+mid]
-				if e1 < 0 {
-					continue
-				}
-				// Earliest last-hop circuit at or after arrival.
-				e2 := sched.NextDirect(mid, dst, e1)
-				hl := int8(1)
-				if e2 == e1 {
-					if int(prevHL[row+mid]) >= c.HSlice {
-						// Slice hop budget exhausted: wait for the next
-						// appearance of the circuit.
-						e2 = sched.NextDirect(mid, dst, e1+1)
-					} else {
-						hl = prevHL[row+mid] + 1
-					}
-				}
-				switch {
-				case bestEnd < 0 || e2 < bestEnd:
-					bestEnd, bestLast, bestHL = e2, int32(mid), hl
-					ties = ties[:0]
-				case e2 == bestEnd:
-					if hl < bestHL {
-						// Prefer the variant leaving slack in the final
-						// slice; demote the old primary to a tie.
-						ties = appendTie(ties, bestLast, c.MaxParallel-1)
-						bestLast, bestHL = int32(mid), hl
-					} else {
-						ties = appendTie(ties, int32(mid), c.MaxParallel-1)
-					}
-				}
-			}
-			idx := row + dst
-			curEnd[idx] = bestEnd
-			curLast[idx] = bestLast
-			curHL[idx] = bestHL
-			t.par[h][idx] = ties
-		}
-	}
-}
-
-// extendDense is extend with the dense next-direct table indexed directly
-// and the mid/dst loops interchanged: arrival slices are tracked in cyclic
-// space (t.cyc), so the innermost loop — executed O(HMax·N³) times per
-// starting slice — performs no integer division and no function call, and
-// the per-intermediate arrival state (e1, its cycle position, the
-// slice-budget test) is hoisted out of it. Minimization state lives in the
-// cur* output rows; for every dst the intermediates arrive in the same
-// source-relative order as in extend, so ties break identically.
-func (c *Calculator) extendDense(t *Tables, h int, nxt []int32) {
-	n := t.N
-	s := c.F.Sched.S
-	prevEnd := t.end[h-1]
-	prevCyc := t.cyc[h-1]
-	prevHL := t.hLast[h-1]
-	curEnd := t.end[h]
-	curCyc := t.cyc[h]
-	curLast := t.last[h]
-	curHL := t.hLast[h]
-	ns := n * s
-	parH := t.par[h]
-	maxTies := c.MaxParallel - 1
-	for src := 0; src < n; src++ {
-		row := src * n
-		// Reuse the tie lists' backing arrays from the previous starting
-		// slice computed on this scratch.
-		for dst := 0; dst < n; dst++ {
-			parH[row+dst] = parH[row+dst][:0]
-		}
-		// Source-relative intermediate order, as in extend: rotation
-		// equivariance of tie selection.
-		for k := 1; k < n; k++ {
-			mid := src + k
-			if mid >= n {
-				mid -= n
-			}
-			e1 := prevEnd[row+mid]
-			if e1 < 0 {
-				continue
-			}
-			c1 := int(prevCyc[row+mid])
-			e1base := e1 - int64(c1)
-			hlSame := prevHL[row+mid] + 1
-			exhausted := int(prevHL[row+mid]) >= c.HSlice
-			// Coordinates of "strictly after e1" for the exhausted case.
-			c2 := c1 + 1
-			b2 := e1base
-			if c2 == s {
-				c2 = 0
-				b2 = e1 + 1
-			}
-			base := mid * ns
-			for dst, off := 0, base+c1; dst < n; dst, off = dst+1, off+s {
-				if dst == src || dst == mid {
-					continue
-				}
-				// Earliest last-hop circuit at or after arrival: one load
-				// from the dense table, in cyclic coordinates.
-				nx := int64(nxt[off])
-				if nx < 0 {
-					panic("core: pair never connected in schedule")
-				}
-				e2 := e1base + nx
-				hl := int8(1)
-				if e2 == e1 {
-					if exhausted {
-						// Slice hop budget exhausted: wait for the next
-						// appearance of the circuit, strictly after e1.
-						e2 = b2 + int64(nxt[base+dst*s+c2])
-					} else {
-						hl = hlSame
-					}
-				}
-				idx := row + dst
-				be := curEnd[idx]
-				switch {
-				case be < 0 || e2 < be:
-					curEnd[idx] = e2
-					curLast[idx] = int32(mid)
-					curHL[idx] = hl
-					parH[idx] = parH[idx][:0]
-				case e2 == be:
-					if hl < curHL[idx] {
-						// Prefer the variant leaving slack in the final
-						// slice; demote the old primary to a tie.
-						parH[idx] = appendTie(parH[idx], curLast[idx], maxTies)
-						curLast[idx] = int32(mid)
-						curHL[idx] = hl
-					} else {
-						parH[idx] = appendTie(parH[idx], int32(mid), maxTies)
-					}
-				}
-			}
-		}
-		for dst := 0; dst < n; dst++ {
-			if e := curEnd[row+dst]; e >= 0 {
-				curCyc[row+dst] = int32(e % int64(s))
-			}
-		}
-	}
-}
-
-func appendTie(ties []int32, v int32, max int) []int32 {
-	if len(ties) >= max {
-		return ties
-	}
-	for _, x := range ties {
-		if x == v {
-			return ties
-		}
-	}
-	return append(ties, v)
-}
-
 // EndSlice returns the absolute end slice of the n-hop minimum-latency path
 // src->dst, or -1 if none exists.
-func (t *Tables) EndSlice(n, src, dst int) int64 { return t.end[n][src*t.N+dst] }
+func (t *Tables) EndSlice(n, src, dst int) int64 { return t.rows[src].end[n][dst] }
 
 // LatencySlices returns the Eqn. 1 latency of the n-hop minimum-latency
 // path, or -1 if none exists.
 func (t *Tables) LatencySlices(n, src, dst int) int64 {
-	e := t.end[n][src*t.N+dst]
+	e := t.EndSlice(n, src, dst)
 	if e < 0 {
 		return -1
 	}
@@ -335,78 +103,20 @@ func (t *Tables) LatencySlices(n, src, dst int) int64 {
 // Path reconstructs the n-hop minimum-latency path src->dst, or nil if none
 // exists.
 func (t *Tables) Path(n, src, dst int) *Path {
-	if n < 1 || n > t.HMax || t.end[n][src*t.N+dst] < 0 {
+	if n < 1 || n > t.HMax || t.EndSlice(n, src, dst) < 0 {
 		return nil
 	}
 	p := &Path{Src: src, Dst: dst, StartSlice: t.StartSlice, Hops: make([]Hop, n)}
-	if !t.fill(p.Hops, n, src, dst) {
+	if !t.rows[src].fill(p.Hops, n, dst) {
 		return nil
 	}
 	return p
 }
 
-// fill writes the hops of the n-hop primary path into hops[0:n], walking
-// the `last` links back from dst (iterative: reconstruction runs once per
-// retained path, so it must not pay call overhead per hop).
-func (t *Tables) fill(hops []Hop, n, src, dst int) bool {
-	for ; n >= 1; n-- {
-		idx := src*t.N + dst
-		e := t.end[n][idx]
-		if e < 0 {
-			return false
-		}
-		hops[n-1] = Hop{To: dst, Slice: e}
-		if n == 1 {
-			return true
-		}
-		mid := int(t.last[n][idx])
-		if mid < 0 {
-			return false
-		}
-		dst = mid
-	}
-	return false
-}
-
 // ParallelPaths returns every retained n-hop minimum-latency path (the
 // primary plus ties) for src->dst.
 func (t *Tables) ParallelPaths(n, src, dst int) []*Path {
-	return t.parallelPathsInto(&groupArena{}, n, src, dst)
-}
-
-// parallelPathsInto is ParallelPaths with paths, hop arrays, and the
-// pointer slice carved from the arena.
-func (t *Tables) parallelPathsInto(a *groupArena, n, src, dst int) []*Path {
-	if n < 1 || n > t.HMax {
-		return nil
-	}
-	idx := src*t.N + dst
-	e := t.end[n][idx]
-	if e < 0 {
-		return nil
-	}
-	var ties []int32
-	if n >= 2 {
-		ties = t.par[n][idx]
-	}
-	out := a.ptrs.take(1 + len(ties))[:0]
-	p := a.paths.one()
-	p.Src, p.Dst, p.StartSlice = src, dst, t.StartSlice
-	p.Hops = a.hops.take(n)
-	if !t.fill(p.Hops, n, src, dst) {
-		return nil
-	}
-	out = append(out, p)
-	for _, alt := range ties {
-		q := a.paths.one()
-		q.Src, q.Dst, q.StartSlice = src, dst, t.StartSlice
-		q.Hops = a.hops.take(n)
-		q.Hops[n-1] = Hop{To: dst, Slice: e}
-		if t.fill(q.Hops[:n-1], n-1, src, int(alt)) {
-			out = append(out, q)
-		}
-	}
-	return out
+	return t.rows[src].parallelPathsInto(&groupArena{}, n, dst)
 }
 
 // sanity check used by tests: the DP tables must describe valid paths.

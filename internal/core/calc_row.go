@@ -1,22 +1,25 @@
 package core
 
-// RowTables is the single-source variant of the Alg. 1 DP: the recursion
-// p^n(src, dst) only consults p^(n-1)(src, ·), so one source's row can be
-// computed in O(h_max · N²) without materializing the full N² table. This
-// is what makes switch-resource estimation (Table 2) tractable at 1024
-// ToRs — and, with tie lists retained, what the rotation-symmetric PathSet
-// build runs per starting slice: one canonical source row stands in for all
-// N rotated sources.
+import "math"
+
+// RowTables holds the Alg. 1 DP of a single source ToR: the recursion
+// p^n(src, dst) only consults p^(n-1)(src, ·), so one source's row is
+// computed without materializing the full N² table. A full Tables is N of
+// these; switch-resource estimation (Table 2) samples a few; the
+// rotation-symmetric PathSet build runs one canonical source row per
+// starting slice, standing in for all N rotated sources.
 type RowTables struct {
 	N          int
 	HMax       int
 	Src        int
 	StartSlice int64
 
-	end   [][]int64 // [n][dst]
-	last  [][]int32
-	hLast [][]int8
+	end   [][]int64   // [n][dst] absolute end slice; -1 where no path
+	last  [][]int32   // last intermediate ToR of the primary solution
+	hLast [][]int8    // hops taken within the final slice
 	par   [][][]int32 // tied alternative last hops (excluding primary)
+
+	cand []int // extendRow scratch: eligible neighbours of one slice
 }
 
 // ComputeRow runs the DP for a single source ToR and starting slice.
@@ -25,20 +28,19 @@ func (c *Calculator) ComputeRow(tstart, src int) *RowTables {
 }
 
 // ComputeRowInto is ComputeRow reusing a scratch RowTables from a previous
-// call, mirroring ComputeInto: the DP arrays and tie-list backing arrays
-// are recycled across starting slices. Passing nil allocates fresh tables.
-// The returned tables alias the scratch; callers must extract what they
-// need before the next ComputeRowInto on the same scratch.
-//
-// The intermediate scan order, the slice hop budget, and the tie selection
-// (primary pick, demotions, MaxParallel cap) replicate extend exactly, so a
-// row's paths — parallels included — are identical to the corresponding row
-// of the full Tables.
+// call: the DP arrays and tie-list backing arrays are recycled across
+// starting slices, which is what makes the PathSet build allocation-lean.
+// Passing nil allocates fresh tables. The returned tables alias the
+// scratch; callers must extract what they need before the next
+// ComputeRowInto on the same scratch.
 func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
-	n := c.F.Sched.N
 	sched := c.F.Sched
-	if t == nil || t.N != n || t.HMax != c.HMax {
-		t = &RowTables{N: n, HMax: c.HMax}
+	n := sched.N
+	if t == nil {
+		t = &RowTables{}
+	}
+	if t.N != n || t.HMax != c.HMax {
+		*t = RowTables{N: n, HMax: c.HMax, cand: make([]int, 0, sched.D)}
 		t.end = make([][]int64, c.HMax+1)
 		t.last = make([][]int32, c.HMax+1)
 		t.hLast = make([][]int8, c.HMax+1)
@@ -52,81 +54,148 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 	}
 	t.Src = src
 	t.StartSlice = int64(tstart)
+	// Every other column is rewritten below; the source's own stays -1 at
+	// every level, which is also what keeps src out of the intermediates in
+	// extendRow.
 	for h := 1; h <= c.HMax; h++ {
-		for i := range t.end[h] {
-			t.end[h][i] = -1
-			t.last[h][i] = -1
-			t.hLast[h][i] = 0
-		}
+		t.end[h][src] = -1
+		t.last[h][src] = -1
 	}
+	// n = 1: direct circuits (Fig 3b).
 	for dst := 0; dst < n; dst++ {
 		if dst == src {
 			continue
 		}
 		t.end[1][dst] = sched.NextDirect(src, dst, t.StartSlice)
+		t.last[1][dst] = -1
 		t.hLast[1][dst] = 1
 	}
+	// n >= 2: extend the (n-1)-hop minimum-latency paths by one hop.
 	for h := 2; h <= c.HMax; h++ {
-		prevEnd := t.end[h-1]
-		prevHL := t.hLast[h-1]
-		for dst := 0; dst < n; dst++ {
-			if dst == src {
-				continue
-			}
-			bestEnd := int64(-1)
-			var bestLast int32 = -1
-			var bestHL int8
-			ties := t.par[h][dst][:0]
-			// Source-relative intermediate order, as in extend: rotation
-			// equivariance of tie selection.
-			for k := 1; k < n; k++ {
-				mid := src + k
-				if mid >= n {
-					mid -= n
-				}
-				if mid == dst {
-					continue
-				}
-				e1 := prevEnd[mid]
-				if e1 < 0 {
-					continue
-				}
-				e2 := sched.NextDirect(mid, dst, e1)
-				hl := int8(1)
-				if e2 == e1 {
-					if int(prevHL[mid]) >= c.HSlice {
-						e2 = sched.NextDirect(mid, dst, e1+1)
-					} else {
-						hl = prevHL[mid] + 1
-					}
-				}
-				switch {
-				case bestEnd < 0 || e2 < bestEnd:
-					bestEnd, bestLast, bestHL = e2, int32(mid), hl
-					ties = ties[:0]
-				case e2 == bestEnd:
-					if hl < bestHL {
-						// Prefer the variant leaving slack in the final
-						// slice; demote the old primary to a tie.
-						ties = appendTie(ties, bestLast, c.MaxParallel-1)
-						bestLast, bestHL = int32(mid), hl
-					} else {
-						ties = appendTie(ties, int32(mid), c.MaxParallel-1)
-					}
-				}
-			}
-			t.end[h][dst] = bestEnd
-			t.last[h][dst] = bestLast
-			t.hLast[h][dst] = bestHL
-			t.par[h][dst] = ties
-		}
+		c.extendRow(t, h)
 	}
 	return t
 }
 
+// extendRow computes DP level h of the row from level h-1 by scanning slice
+// adjacency instead of intermediates. The n-hop path src->dst through
+// intermediate m ends in the first slice t >= end[h-1][m] in which the
+// (m, dst) circuit is up — strictly later when m's arrival already used the
+// whole slice hop budget. So walking t upward from t_start and looking, in
+// each slice, only at the <= d ToRs holding a circuit to dst, the first
+// slice with an eligible neighbour (arrived before t, or in t with budget
+// left) is the minimum end slice, and that slice's eligible neighbours are
+// exactly the tied intermediates: every other m ends later, every one of
+// them ends in t by minimality. Cost per pair: (latency in slices)·d
+// checks instead of N-2.
+//
+// Tie selection replays the rule of a scan over all intermediates in
+// source-relative order (src+1, src+2, ... mod N): the first tied
+// intermediate is the primary; a later one leaving more slack in the final
+// slice (smaller hl) demotes the primary into the tie list; the rest join
+// the tie list under the MaxParallel-1 cap. That order is what makes tie
+// selection equivariant under ToR rotation — on a rotation-symmetric
+// schedule the row of src is exactly the rotated row of ToR 0, which the
+// symmetric PathSet build relies on.
+func (c *Calculator) extendRow(t *RowTables, h int) {
+	n, d, s := t.N, c.F.Sched.D, c.F.Sched.S
+	src := t.Src
+	prevEnd, prevHL := t.end[h-1], t.hLast[h-1]
+	curEnd, curLast, curHL, par := t.end[h], t.last[h], t.hLast[h], t.par[h]
+	hSlice, maxTies := c.HSlice, c.MaxParallel-1
+	// Every level-(h-1) path ends within (h-1)·S slices and every circuit
+	// reappears within S.
+	limit := t.StartSlice + int64(h)*int64(s)
+	cyc0 := int(t.StartSlice % int64(s))
+	for dst := 0; dst < n; dst++ {
+		if dst == src {
+			continue
+		}
+		cand := t.cand[:0] // cap d: only one slice's neighbours are ever held
+		at, cyc := t.StartSlice, cyc0
+		for {
+			for _, mid := range c.peers[(cyc*n+dst)*d : (cyc*n+dst+1)*d] {
+				e1 := prevEnd[mid]
+				if e1 < 0 || e1 > at {
+					continue
+				}
+				hl := int8(1)
+				if e1 == at {
+					if int(prevHL[mid]) >= hSlice {
+						// Slice hop budget exhausted: wait for the next
+						// appearance of the circuit.
+						continue
+					}
+					hl = prevHL[mid] + 1
+				}
+				// Insertion sort by source-relative scan position
+				// (mid - src) mod N, with hl in the low byte.
+				key := int(mid) - src
+				if key < 0 {
+					key += n
+				}
+				v := key<<8 | int(hl)
+				cand = append(cand, v)
+				i := len(cand) - 1
+				for ; i > 0 && cand[i-1] > v; i-- {
+					cand[i] = cand[i-1]
+				}
+				cand[i] = v
+			}
+			if len(cand) > 0 {
+				break
+			}
+			if at++; at >= limit {
+				panic("core: pair never connected in schedule")
+			}
+			if cyc++; cyc == s {
+				cyc = 0
+			}
+		}
+		// Reuse the tie list's backing array from the previous starting
+		// slice computed on this scratch.
+		ties := par[dst][:0]
+		var bestLast int32
+		var bestHL int8
+		for i, v := range cand {
+			mid := v>>8 + src
+			if mid >= n {
+				mid -= n
+			}
+			hl := int8(v)
+			switch {
+			case i == 0:
+				bestLast, bestHL = int32(mid), hl
+			case v == cand[i-1]:
+				// Two switches realize the same pair in this slice.
+			case hl < bestHL:
+				// Prefer the variant leaving slack in the final slice;
+				// demote the old primary to a tie.
+				ties = appendTie(ties, bestLast, maxTies)
+				bestLast, bestHL = int32(mid), hl
+			default:
+				ties = appendTie(ties, int32(mid), maxTies)
+			}
+		}
+		curEnd[dst] = at
+		curLast[dst] = bestLast
+		curHL[dst] = bestHL
+		par[dst] = ties
+	}
+}
+
+// appendTie retains v unless the tie list is at its cap.
+func appendTie(ties []int32, v int32, max int) []int32 {
+	if len(ties) >= max {
+		return ties
+	}
+	return append(ties, v)
+}
+
 // fill writes the hops of the n-hop primary path src->dst into hops[0:n],
-// walking the last links back from dst (the single-source counterpart of
-// Tables.fill: every prefix src->mid also lives in this row).
+// walking the last links back from dst (iterative: reconstruction runs once
+// per retained path, so it must not pay call overhead per hop). Every
+// prefix src->mid also lives in this row.
 func (t *RowTables) fill(hops []Hop, n, dst int) bool {
 	for ; n >= 1; n-- {
 		e := t.end[n][dst]
@@ -180,48 +249,42 @@ func (t *RowTables) parallelPathsInto(a *groupArena, n, dst int) []*Path {
 	return out
 }
 
-// groupFromRow extracts the UCMP group for one destination of the row: the
-// single-source counterpart of groupInto, with identical property-3
-// filtering, exact arena sizing, and bucket construction.
+// entryLevels appends to buf the hop counts that make it into the group of
+// dst: property 3 (§4.3) keeps a hop count only when its latency strictly
+// improves on every kept lower one.
+func (t *RowTables) entryLevels(buf []int, dst int) []int {
+	best := int64(math.MaxInt64)
+	for n := 1; n <= t.HMax; n++ {
+		e := t.end[n][dst]
+		if e < 0 || e >= best {
+			continue
+		}
+		buf = append(buf, n)
+		best = e
+		if e == t.StartSlice {
+			break // latency 1 is the global minimum: nothing to the right qualifies
+		}
+	}
+	return buf
+}
+
+// groupFromRow extracts the UCMP group for one destination of the row with
+// every allocation drawn from the arena: properties 1 and 2 come from the
+// per-hop-count minimality of the tables, property 3 from entryLevels; the
+// flow-size bucket structure for the cost model (§5.1, §5.2) is
+// precomputed. The hull is a subset of the entries and there is one
+// threshold per consecutive hull pair, so every cap is exact — nothing
+// grows, nothing is reallocated.
 func (c *Calculator) groupFromRow(a *groupArena, t *RowTables, dst int, m CostModel) *Group {
 	g := a.groups.one()
 	g.Src, g.Dst, g.StartSlice = t.Src, dst, int(t.StartSlice)
-	cnt := 0
-	best := int64(1) << 62
-	for n := 1; n <= t.HMax; n++ {
-		e := t.end[n][dst]
-		if e < 0 {
-			continue
-		}
-		lat := e - t.StartSlice + 1
-		if lat >= best {
-			continue
-		}
-		cnt++
-		best = lat
-		if lat == 1 {
-			break
-		}
-	}
-	g.Entries = a.entries.take(cnt)[:0]
-	best = int64(1) << 62
-	for n := 1; n <= t.HMax; n++ {
-		e := t.end[n][dst]
-		if e < 0 {
-			continue
-		}
-		lat := e - t.StartSlice + 1
-		if lat >= best {
-			continue
-		}
-		g.Entries = append(g.Entries, Entry{
+	a.levels = t.entryLevels(a.levels[:0], dst)
+	g.Entries = a.entries.take(len(a.levels))
+	for i, n := range a.levels {
+		g.Entries[i] = Entry{
 			HopCount:      n,
-			LatencySlices: lat,
+			LatencySlices: t.end[n][dst] - t.StartSlice + 1,
 			Paths:         t.parallelPathsInto(a, n, dst),
-		})
-		best = lat
-		if lat == 1 {
-			break // global minimum latency: nothing to the right qualifies
 		}
 	}
 	g.hull = a.ints.take(len(g.Entries))[:0]
@@ -244,26 +307,15 @@ type GroupShape struct {
 // for every destination of the row.
 func (c *Calculator) GroupShapes(t *RowTables, m CostModel) []GroupShape {
 	out := make([]GroupShape, t.N)
+	var levels []int
 	for dst := 0; dst < t.N; dst++ {
 		if dst == t.Src {
 			continue
 		}
 		g := Group{Src: t.Src, Dst: dst, StartSlice: int(t.StartSlice)}
-		best := int64(1) << 62
-		for h := 1; h <= t.HMax; h++ {
-			e := t.end[h][dst]
-			if e < 0 {
-				continue
-			}
-			lat := e - t.StartSlice + 1
-			if lat >= best {
-				continue
-			}
-			g.Entries = append(g.Entries, Entry{HopCount: h, LatencySlices: lat})
-			best = lat
-			if lat == 1 {
-				break
-			}
+		levels = t.entryLevels(levels[:0], dst)
+		for _, h := range levels {
+			g.Entries = append(g.Entries, Entry{HopCount: h, LatencySlices: t.end[h][dst] - t.StartSlice + 1})
 		}
 		g.BuildBuckets(m)
 		sh := GroupShape{}

@@ -34,58 +34,10 @@ type Group struct {
 	thrFree []float64
 }
 
-// Group extracts the UCMP group for one ToR pair from the DP tables:
-// properties 1 and 2 come from the per-hop-count minimality of the tables,
-// property 3 keeps only hop counts whose latency strictly improves on every
-// kept lower hop count (§4.3). It then precomputes the flow-size bucket
-// structure for the cost model (§5.1, §5.2).
+// Group extracts the UCMP group for one ToR pair from the DP tables (see
+// groupFromRow).
 func (c *Calculator) Group(t *Tables, src, dst int, m CostModel) *Group {
-	return c.groupInto(&groupArena{}, t, src, dst, m)
-}
-
-// groupInto is Group with every allocation drawn from the arena. A
-// latency-only prepass sizes Entries exactly; the hull is a subset of the
-// entries and there is one threshold per consecutive hull pair, so those
-// caps are exact too — nothing grows, nothing is reallocated.
-func (c *Calculator) groupInto(a *groupArena, t *Tables, src, dst int, m CostModel) *Group {
-	g := a.groups.one()
-	g.Src, g.Dst, g.StartSlice = src, dst, int(t.StartSlice)
-	cnt := 0
-	best := int64(math.MaxInt64)
-	for n := 1; n <= t.HMax; n++ {
-		lat := t.LatencySlices(n, src, dst)
-		if lat < 0 || lat >= best {
-			continue
-		}
-		cnt++
-		best = lat
-		if lat == 1 {
-			break
-		}
-	}
-	g.Entries = a.entries.take(cnt)[:0]
-	best = int64(math.MaxInt64)
-	for n := 1; n <= t.HMax; n++ {
-		lat := t.LatencySlices(n, src, dst)
-		if lat < 0 || lat >= best {
-			continue
-		}
-		g.Entries = append(g.Entries, Entry{
-			HopCount:      n,
-			LatencySlices: lat,
-			Paths:         t.parallelPathsInto(a, n, src, dst),
-		})
-		best = lat
-		if lat == 1 {
-			break // global minimum latency: nothing to the right qualifies
-		}
-	}
-	g.hull = a.ints.take(len(g.Entries))[:0]
-	if len(g.Entries) > 1 {
-		g.thrFree = a.floats.take(len(g.Entries) - 1)[:0]
-	}
-	g.BuildBuckets(m)
-	return g
+	return c.groupFromRow(&groupArena{}, &t.rows[src], dst, m)
 }
 
 // BuildBuckets computes the lower convex hull of the (hop, latency) points

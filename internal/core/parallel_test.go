@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ucmp/internal/topo"
@@ -72,8 +74,8 @@ func TestBuildPathSetDefaultMatchesSerial(t *testing.T) {
 // one reused scratch and checks each level against a freshly allocated
 // computation: scratch reuse must never leak state from a previous slice.
 // The comparison is field-wise — tie lists are compared by content (a reused
-// empty list and a fresh nil list are both "no ties"), and hLast/cyc only
-// where a path exists, since they are meaningless on -1 entries.
+// empty list and a fresh nil list are both "no ties"), and hLast only where
+// a path exists, since it is meaningless on -1 entries.
 func TestComputeIntoReuseMatchesFresh(t *testing.T) {
 	fab := topo.MustFabric(topo.Scaled(), "random", 3)
 	calc := NewCalculator(fab)
@@ -81,34 +83,35 @@ func TestComputeIntoReuseMatchesFresh(t *testing.T) {
 	for ts := 0; ts < fab.Sched.S; ts++ {
 		scratch = calc.ComputeInto(ts, scratch)
 		fresh := calc.Compute(ts)
-		for h := 1; h <= calc.HMax; h++ {
-			for idx := range fresh.end[h] {
-				if scratch.end[h][idx] != fresh.end[h][idx] {
-					t.Fatalf("ts=%d h=%d idx=%d: end %d (reused) vs %d (fresh)",
-						ts, h, idx, scratch.end[h][idx], fresh.end[h][idx])
-				}
-				if fresh.end[h][idx] < 0 {
-					continue
-				}
-				if scratch.last[h][idx] != fresh.last[h][idx] {
-					t.Fatalf("ts=%d h=%d idx=%d: last differs", ts, h, idx)
-				}
-				if scratch.hLast[h][idx] != fresh.hLast[h][idx] {
-					t.Fatalf("ts=%d h=%d idx=%d: hLast differs", ts, h, idx)
-				}
-				if scratch.cyc[h][idx] != fresh.cyc[h][idx] {
-					t.Fatalf("ts=%d h=%d idx=%d: cyc differs", ts, h, idx)
-				}
-				a, b := scratch.par[h][idx], fresh.par[h][idx]
-				if len(a) != len(b) {
-					t.Fatalf("ts=%d h=%d idx=%d: ties %v (reused) vs %v (fresh)", ts, h, idx, a, b)
-				}
-				for k := range a {
-					if a[k] != b[k] {
-						t.Fatalf("ts=%d h=%d idx=%d: ties %v vs %v", ts, h, idx, a, b)
-					}
-				}
+		for src := range fresh.rows {
+			if msg := diffRows(&scratch.rows[src], &fresh.rows[src]); msg != "" {
+				t.Fatalf("ts=%d src=%d (reused vs fresh): %s", ts, src, msg)
 			}
 		}
 	}
+}
+
+// diffRows compares two single-source DP rows field by field and describes
+// the first difference ("" when equal).
+func diffRows(a, b *RowTables) string {
+	for h := 1; h <= b.HMax; h++ {
+		for dst := range b.end[h] {
+			if a.end[h][dst] != b.end[h][dst] {
+				return fmt.Sprintf("h=%d dst=%d: end %d vs %d", h, dst, a.end[h][dst], b.end[h][dst])
+			}
+			if b.end[h][dst] < 0 {
+				continue
+			}
+			if a.last[h][dst] != b.last[h][dst] {
+				return fmt.Sprintf("h=%d dst=%d: last %d vs %d", h, dst, a.last[h][dst], b.last[h][dst])
+			}
+			if a.hLast[h][dst] != b.hLast[h][dst] {
+				return fmt.Sprintf("h=%d dst=%d: hLast %d vs %d", h, dst, a.hLast[h][dst], b.hLast[h][dst])
+			}
+			if !slices.Equal(a.par[h][dst], b.par[h][dst]) {
+				return fmt.Sprintf("h=%d dst=%d: ties %v vs %v", h, dst, a.par[h][dst], b.par[h][dst])
+			}
+		}
+	}
+	return ""
 }

@@ -139,13 +139,13 @@ func effectiveWorkers(requested, tasks int) int {
 func (c *Calculator) groupRow(t *Tables, m CostModel) []*Group {
 	n := t.N
 	row := make([]*Group, n*n)
-	a := newGroupArena(n)
+	a := newGroupArena(t)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
-			row[src*n+dst] = c.groupInto(a, t, src, dst, m)
+			row[src*n+dst] = c.groupFromRow(a, &t.rows[src], dst, m)
 		}
 	}
 	return row
@@ -194,13 +194,12 @@ func (ps *PathSet) GlobalThresholds() []float64 {
 }
 
 // globalThresholds merges the bucket boundaries of every group produced by
-// the iterator. A counting prepass pre-sizes the dedup map and output so
-// neither rehashes/regrows.
+// the iterator. The distinct boundaries are a few dozen however many
+// millions of groups repeat them, so neither the dedup map nor the output
+// is pre-sized.
 func globalThresholds(each func(yield func(*Group))) []float64 {
-	total := 0
-	each(func(g *Group) { total += len(g.thrFree) })
-	seen := make(map[int64]struct{}, total)
-	out := make([]float64, 0, total)
+	seen := make(map[int64]struct{})
+	var out []float64
 	each(func(g *Group) {
 		for _, thr := range g.Thresholds() {
 			k := int64(thr) // thresholds are whole byte counts apart

@@ -143,7 +143,7 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 	if err != nil {
 		return nil, err
 	}
-	arena := newScaledArena(nGroups + 1)
+	arena := newArenaFor(nGroups + 1)
 	ps.interned = make([]*Group, 0, nGroups)
 	for gi := 0; gi < nGroups; gi++ {
 		dst, err := r.u32("dst")

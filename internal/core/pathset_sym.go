@@ -60,7 +60,7 @@ func (ps *PathSet) buildSymmetric(workers int) {
 	rows := make([][]*Group, s) // transient absolute-slice groups, src 0
 	if workers <= 1 {
 		var scratch *RowTables
-		arena := newRowArena(n)
+		arena := newArenaFor(n)
 		for ts := 0; ts < s; ts++ {
 			scratch = calc.ComputeRowInto(ts, 0, scratch)
 			rows[ts] = calc.canonicalRow(arena, scratch, ps.Model)
@@ -74,7 +74,7 @@ func (ps *PathSet) buildSymmetric(workers int) {
 			go func() {
 				defer wg.Done()
 				var scratch *RowTables
-				arena := newRowArena(n)
+				arena := newArenaFor(n)
 				for {
 					ts := int(next.Add(1))
 					if ts >= s {
@@ -93,7 +93,7 @@ func (ps *PathSet) buildSymmetric(workers int) {
 	// has been deep-copied into the persistent arena.
 	ps.sym = true
 	ps.canonIdx = make([]int32, s*n)
-	perm := newRowArena(n)
+	perm := newArenaFor(n)
 	byHash := make(map[uint64][]int32)
 	for ts := 0; ts < s; ts++ {
 		row := rows[ts]

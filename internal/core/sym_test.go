@@ -194,9 +194,9 @@ func TestEffectiveWorkers(t *testing.T) {
 	}
 }
 
-// TestRowTablesMatchFullTablesWithTies: ComputeRowInto must reproduce the
-// full DP's rows including tie lists on an asymmetric schedule too (it is
-// also the switchres sampling path).
+// TestRowTablesMatchFullTablesWithTies: a RowTables scratch reused across
+// sources must reproduce the full DP's rows including tie lists on an
+// asymmetric schedule too (it is also the switchres sampling path).
 func TestRowTablesMatchFullTablesWithTies(t *testing.T) {
 	f := topo.MustFabric(topo.Scaled(), "round-robin", 1) // 16/3: circle method
 	calc := NewCalculator(f)
@@ -205,29 +205,8 @@ func TestRowTablesMatchFullTablesWithTies(t *testing.T) {
 		var rt *RowTables
 		for src := 0; src < f.Sched.N; src += 5 {
 			rt = calc.ComputeRowInto(ts, src, rt)
-			for h := 1; h <= calc.HMax; h++ {
-				for dst := 0; dst < f.Sched.N; dst++ {
-					if dst == src {
-						continue
-					}
-					if rt.end[h][dst] != full.end[h][src*full.N+dst] {
-						t.Fatalf("end[%d][%d->%d] differs", h, src, dst)
-					}
-					if rt.last[h][dst] != full.last[h][src*full.N+dst] {
-						t.Fatalf("last[%d][%d->%d] differs", h, src, dst)
-					}
-					if h >= 2 {
-						a, b := rt.par[h][dst], full.par[h][src*full.N+dst]
-						if len(a) != len(b) {
-							t.Fatalf("ties[%d][%d->%d]: %v vs %v", h, src, dst, a, b)
-						}
-						for i := range a {
-							if a[i] != b[i] {
-								t.Fatalf("ties[%d][%d->%d]: %v vs %v", h, src, dst, a, b)
-							}
-						}
-					}
-				}
+			if msg := diffRows(rt, &full.rows[src]); msg != "" {
+				t.Fatalf("ts=%d src=%d (reused row vs full): %s", ts, src, msg)
 			}
 		}
 	}

@@ -147,7 +147,8 @@ func ExactTable(ps *core.PathSet, tor int) (naive, packed, sramBytes int) {
 // ComputeExact is Compute with the packed columns filled from a real
 // compiled table. The PathSet build is cheap on rotation-symmetric
 // schedules (the canonical O(S·N) build); on others this costs the full
-// brute-force build and should only be asked of small fabrics.
+// brute-force build, whose S·N² groups stay resident (about 2 GB at
+// (324,12)), and should only be asked of fabrics that fit.
 func ComputeExact(f *topo.Fabric, alpha float64, s Sampling) Usage {
 	u := Compute(f, alpha, s)
 	ps := core.BuildPathSet(f, alpha)

@@ -23,10 +23,10 @@ type Schedule struct {
 	// next is the dense next-direct table: next[(i*N+j)*S + s] is the
 	// earliest cyclic slice >= s with a direct (i,j) circuit, wrapped past S
 	// (value in [s, s+S)) so lookups need no branch on cycle boundaries; -1
-	// marks a never-connected pair. It turns the NextDirect scan — the
-	// innermost operation of the offline DP — into one indexed load. nil
-	// when the schedule is too large for the memory budget, in which case
-	// NextDirect binary-searches the sorted per-pair direct list instead.
+	// marks a never-connected pair. It turns the NextDirect scan into one
+	// indexed load. nil when the schedule is too large for the memory
+	// budget, in which case NextDirect binary-searches the sorted per-pair
+	// direct list instead.
 	next []int32
 
 	// rotSym records the verified rotation-symmetry witness (see
@@ -218,6 +218,22 @@ func (s *Schedule) MatchingAt(slice, sw int) Matching { return s.slices[slice][s
 // PeerOf returns the ToR connected to `tor` through switch sw in the slice.
 func (s *Schedule) PeerOf(slice, tor, sw int) int { return s.slices[slice][sw][tor] }
 
+// PeerTable returns a newly built flat copy of PeerOf for hot loops that
+// walk slice adjacency (the offline DP): entry (slice*N+tor)*D + sw is
+// PeerOf(slice, tor, sw), so the D circuit ends of one (slice, tor) are
+// contiguous.
+func (s *Schedule) PeerTable() []int32 {
+	out := make([]int32, s.S*s.N*s.D)
+	for sl, sws := range s.slices {
+		for sw, m := range sws {
+			for tor, peer := range m {
+				out[(sl*s.N+tor)*s.D+sw] = int32(peer)
+			}
+		}
+	}
+	return out
+}
+
 // ReconfiguresAt reports whether switch sw reconfigures at the boundary
 // entering the cyclic slice (its circuits are dark for the reconfiguration
 // delay at the start of that slice).
@@ -306,14 +322,6 @@ func (s *Schedule) NextDirect(a, b int, from int64) int64 {
 	}
 	return base + int64(s.S) + int64(ds[0])
 }
-
-// DenseNext exposes the dense next-direct table for hot loops that index it
-// directly instead of paying a call + modulo per lookup (the offline DP).
-// Entry (a*N+b)*S + s is the earliest cyclic slice >= s with a direct (a,b)
-// circuit, wrapped past S (value in [s, s+S)), or -1 for a never-connected
-// pair. Returns nil when the schedule exceeded the dense-table memory
-// budget; callers must then fall back to NextDirect. Read-only.
-func (s *Schedule) DenseNext() []int32 { return s.next }
 
 // WaitSlices returns how many slices after `from` the next direct circuit
 // between a and b appears (0 = this very slice). The dense table stores the

@@ -44,7 +44,7 @@ func testSchedules() map[string]*Schedule {
 // several cycles, including wrap-around within the first cycle.
 func TestNextDirectMatchesLinear(t *testing.T) {
 	for kind, s := range testSchedules() {
-		if s.DenseNext() == nil {
+		if s.next == nil {
 			t.Fatalf("%s: dense table unexpectedly disabled for this size", kind)
 		}
 		fallback := withoutDenseTable(s)

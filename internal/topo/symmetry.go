@@ -250,5 +250,5 @@ func (s *Schedule) Rotation() bool { return s.rotSym }
 // rotation-symmetric schedule for hot loops: entry delta*S + s is the
 // earliest cyclic slice >= s in which any pair (i, i+delta) has a direct
 // circuit, wrapped past S (value in [s, s+S)), or -1 for delta = 0. nil for
-// non-symmetric schedules, which use DenseNext instead. Read-only.
+// non-symmetric schedules. Read-only.
 func (s *Schedule) DeltaNext() []int32 { return s.deltaNext }

@@ -303,9 +303,9 @@ func TestSwappedMatchingBreaksWitness(t *testing.T) {
 // schedule agree with a pair-indexed rebuild of the same matchings.
 func TestDeltaTablesMatchPairSemantics(t *testing.T) {
 	s := RoundRobin(32, 4)
-	if !s.Rotation() || s.DeltaNext() == nil || s.DenseNext() != nil {
+	if !s.Rotation() || s.DeltaNext() == nil || s.next != nil {
 		t.Fatalf("RoundRobin(32,4): Rotation=%v deltaNext=%v denseNext=%v",
-			s.Rotation(), s.DeltaNext() != nil, s.DenseNext() != nil)
+			s.Rotation(), s.DeltaNext() != nil, s.next != nil)
 	}
 	// Rebuild pair tables from the same matchings.
 	ref := &Schedule{N: s.N, D: s.D, S: s.S, Kind: s.Kind}
