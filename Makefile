@@ -47,12 +47,13 @@ race:
 bench: bench-offline bench-netsim
 
 # The 16-ToR builds are the numbers results/BENCH_seed.json tracks; the
-# paper-size pair covers what they cannot — fabrics whose N is not a power
-# of two and that take the brute-force build ((108,6) whole, one (324,12)
-# source row).
+# paper-size set covers what they cannot — fabrics whose N is not a power
+# of two and that take the brute-force build ((108,6) and (324,12) whole,
+# with the store's B/group, and one (324,12) source row).
 bench-offline:
 	$(GO) test -run '^$$' -bench 'BenchmarkOffline_PathSetBuild(Serial)?$$' -benchmem -benchtime 200x .
 	$(GO) test -run '^$$' -bench 'BenchmarkOffline_(PathSetBuild108|ComputeRow324)$$' -benchmem -benchtime 20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOffline_PathSetBuild324$$' -benchmem -benchtime 3x .
 
 # benchmark runs the repository's benchmark (BENCHMARK.json): every
 # paper-scale workload end to end, five interleaved rounds, the record in

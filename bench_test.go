@@ -310,15 +310,27 @@ func benchComputeRow(b *testing.B, cfg topo.Config) {
 // O(S·N²)-group build — the paper's own (108,6) and the Table 2 row
 // (324,12). Skipped under -short.
 
-func BenchmarkOffline_PathSetBuild108(b *testing.B) {
+func BenchmarkOffline_PathSetBuild108(b *testing.B) { benchPathSetBuild(b, topo.PaperDefault()) }
+
+func BenchmarkOffline_PathSetBuild324(b *testing.B) {
+	cfg := topo.PaperDefault()
+	cfg.NumToRs, cfg.Uplinks = 324, 12
+	benchPathSetBuild(b, cfg)
+}
+
+// benchPathSetBuild times the whole build and reports the packed store's
+// resident bytes per group next to it (core.PathSet.Footprint).
+func benchPathSetBuild(b *testing.B, cfg topo.Config) {
 	if testing.Short() {
 		b.Skip("paper-size fabric")
 	}
-	fab := topo.MustFabric(topo.PaperDefault(), "round-robin", 1)
+	fab := topo.MustFabric(cfg, "round-robin", 1)
+	var ps *core.PathSet
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.BuildPathSet(fab, 0.5)
+		ps = core.BuildPathSet(fab, 0.5)
 	}
+	b.ReportMetric(ps.Footprint().BytesPerGroup(), "B/group")
 }
 
 func BenchmarkOffline_ComputeRow324(b *testing.B) {

@@ -134,6 +134,9 @@ func main() {
 	}
 	fmt.Printf("ucmpsim: %s + %s on %s (%d ToRs, %d hosts, load %.0f%%)\n",
 		*routingF, *transportF, *workloadF, cfg.Topo.NumToRs, cfg.Topo.NumHosts(), *loadF*100)
+	if res.PathSet.Groups > 0 {
+		fmt.Println("path set:", res.PathSet)
+	}
 	fmt.Printf("flows: %d launched, %.1f%% completed  (wall %.1fs)\n",
 		res.Launched, res.CompletionRate*100, elapsed.Seconds())
 	fmt.Printf("bandwidth efficiency: %.3f   rerouted packets: %.2f%%   drops: %d\n",

@@ -62,6 +62,12 @@ func (a *FlowAger) EntryForBucket(g *Group, bucket int) *Entry {
 	return g.EntryForAged(a.AgedMidpoint(bucket))
 }
 
+// EntryIndex is EntryForBucket on a packed-store view: the index of the
+// group entry a packet carrying the global bucket tag rides.
+func (a *FlowAger) EntryIndex(g GroupView, bucket int) int {
+	return g.EntryIndexForAged(a.AgedMidpoint(bucket))
+}
+
 // PathForBucket picks the concrete path for a packet carrying a global
 // bucket tag, breaking parallel-path ties with the flow hash.
 func (a *FlowAger) PathForBucket(g *Group, bucket int, hash uint64) *Path {

@@ -116,7 +116,7 @@ func (t *Tables) Path(n, src, dst int) *Path {
 // ParallelPaths returns every retained n-hop minimum-latency path (the
 // primary plus ties) for src->dst.
 func (t *Tables) ParallelPaths(n, src, dst int) []*Path {
-	return t.rows[src].parallelPathsInto(&groupArena{}, n, dst)
+	return t.rows[src].parallelPaths(n, dst)
 }
 
 // sanity check used by tests: the DP tables must describe valid paths.

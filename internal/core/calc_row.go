@@ -215,33 +215,27 @@ func (t *RowTables) fill(hops []Hop, n, dst int) bool {
 	return false
 }
 
-// parallelPathsInto returns every retained n-hop minimum-latency path (the
-// primary plus ties) for src->dst, with all memory carved from the arena.
-func (t *RowTables) parallelPathsInto(a *groupArena, n, dst int) []*Path {
-	if n < 1 || n > t.HMax {
+// parallelPaths returns every retained n-hop minimum-latency path (the
+// primary plus ties) for src->dst as materialized Paths; the PathSet build
+// packs the same paths straight into the store instead (packer.paths).
+func (t *RowTables) parallelPaths(n, dst int) []*Path {
+	if n < 1 || n > t.HMax || t.end[n][dst] < 0 {
 		return nil
 	}
-	e := t.end[n][dst]
-	if e < 0 {
-		return nil
+	newPath := func() *Path {
+		return &Path{Src: t.Src, Dst: dst, StartSlice: t.StartSlice, Hops: make([]Hop, n)}
 	}
-	var ties []int32
-	if n >= 2 {
-		ties = t.par[n][dst]
-	}
-	out := a.ptrs.take(1 + len(ties))[:0]
-	p := a.paths.one()
-	p.Src, p.Dst, p.StartSlice = t.Src, dst, t.StartSlice
-	p.Hops = a.hops.take(n)
+	p := newPath()
 	if !t.fill(p.Hops, n, dst) {
 		return nil
 	}
-	out = append(out, p)
-	for _, alt := range ties {
-		q := a.paths.one()
-		q.Src, q.Dst, q.StartSlice = t.Src, dst, t.StartSlice
-		q.Hops = a.hops.take(n)
-		q.Hops[n-1] = Hop{To: dst, Slice: e}
+	out := []*Path{p}
+	if n < 2 {
+		return out
+	}
+	for _, alt := range t.par[n][dst] {
+		q := newPath()
+		q.Hops[n-1] = p.Hops[n-1]
 		if t.fill(q.Hops[:n-1], n-1, int(alt)) {
 			out = append(out, q)
 		}
@@ -266,33 +260,6 @@ func (t *RowTables) entryLevels(buf []int, dst int) []int {
 		}
 	}
 	return buf
-}
-
-// groupFromRow extracts the UCMP group for one destination of the row with
-// every allocation drawn from the arena: properties 1 and 2 come from the
-// per-hop-count minimality of the tables, property 3 from entryLevels; the
-// flow-size bucket structure for the cost model (§5.1, §5.2) is
-// precomputed. The hull is a subset of the entries and there is one
-// threshold per consecutive hull pair, so every cap is exact — nothing
-// grows, nothing is reallocated.
-func (c *Calculator) groupFromRow(a *groupArena, t *RowTables, dst int, m CostModel) *Group {
-	g := a.groups.one()
-	g.Src, g.Dst, g.StartSlice = t.Src, dst, int(t.StartSlice)
-	a.levels = t.entryLevels(a.levels[:0], dst)
-	g.Entries = a.entries.take(len(a.levels))
-	for i, n := range a.levels {
-		g.Entries[i] = Entry{
-			HopCount:      n,
-			LatencySlices: t.end[n][dst] - t.StartSlice + 1,
-			Paths:         t.parallelPathsInto(a, n, dst),
-		}
-	}
-	g.hull = a.ints.take(len(g.Entries))[:0]
-	if len(g.Entries) > 1 {
-		g.thrFree = a.floats.take(len(g.Entries) - 1)[:0]
-	}
-	g.BuildBuckets(m)
-	return g
 }
 
 // GroupShape summarizes one group's bucket structure without materializing

@@ -34,12 +34,6 @@ type Group struct {
 	thrFree []float64
 }
 
-// Group extracts the UCMP group for one ToR pair from the DP tables (see
-// groupFromRow).
-func (c *Calculator) Group(t *Tables, src, dst int, m CostModel) *Group {
-	return c.groupFromRow(&groupArena{}, &t.rows[src], dst, m)
-}
-
 // BuildBuckets computes the lower convex hull of the (hop, latency) points
 // and the α-free stepping thresholds between consecutive hull entries.
 func (g *Group) BuildBuckets(m CostModel) {

@@ -11,21 +11,22 @@ import (
 
 // PathSet is the complete offline output of UCMP path calculation: one
 // UCMP group per (t_start, src, dst). It is what gets compiled into the
-// per-ToR source routing tables (§6.2).
+// per-ToR source routing tables (§6.2). The groups live in the packed,
+// pointer-free store of pathstore.go and are read through View; Group
+// materializes one on demand.
 type PathSet struct {
 	F     *topo.Fabric
 	Calc  *Calculator
 	Model CostModel
 
-	groups [][]*Group // [t_start][src*N+dst]; nil for symmetric builds
-
-	// Symmetric (canonical) storage, used when sym is true: canonIdx maps
-	// (t_start*N + Δ) to an index into interned, the content-deduped store
-	// of t_start-relative canonical groups (see pathset_sym.go). groups
-	// stays nil — there is no N² spine at all.
-	sym      bool
-	canonIdx []int32
-	interned []*Group
+	// sym marks the rotation-symmetric canonical build (pathset_sym.go):
+	// one segment of deduplicated source-0 records, spine indexed
+	// t_start·N+Δ, `unique` records in all. Brute-force builds hold one
+	// segment per starting slice and a spine indexed (t_start·N+src)·N+dst.
+	sym    bool
+	unique int
+	segs   []segment
+	spine  []uint32
 }
 
 // BuildOptions tunes the offline build. The zero value picks the defaults.
@@ -61,7 +62,12 @@ func BuildPathSetWith(f *topo.Fabric, alpha float64, maxParallel int) *PathSet {
 // BuildPathSetOpts is the fully configurable build (§4, Alg. 1, run for all
 // S starting slices). Starting slices are distributed over a bounded worker
 // pool; each worker reuses one scratch Tables across the slices it claims,
-// so the build performs O(workers) — not O(S) — table allocations.
+// so the build performs O(workers) — not O(S) — table allocations, and
+// packs each slice's groups straight from the tables into the slice's own
+// store segment. It panics with the packer's error when a fabric does not
+// fit the store's field widths (more than 65,536 ToRs, hop slices more than
+// 65,535 past t_start): the signature predates the packed store, and no
+// fabric the DP can finish comes near either.
 func BuildPathSetOpts(f *topo.Fabric, alpha float64, opt BuildOptions) *PathSet {
 	calc := NewCalculator(f)
 	if opt.MaxParallel > 0 {
@@ -76,44 +82,68 @@ func BuildPathSetOpts(f *topo.Fabric, alpha float64, opt BuildOptions) *PathSet 
 			SliceMicros: f.SliceDuration.Micros(),
 		},
 	}
-	s := f.Sched.S
-	workers := effectiveWorkers(opt.Workers, s)
+	workers := effectiveWorkers(opt.Workers, f.Sched.S)
+	var err error
 	if f.Sched.Rotation() && !opt.NoSymmetry {
-		ps.buildSymmetric(workers)
-		return ps
+		err = ps.buildSymmetric(workers)
+	} else {
+		err = ps.buildBrute(workers)
 	}
-	ps.groups = make([][]*Group, s)
-	if workers <= 1 {
+	if err != nil {
+		panic(err)
+	}
+	return ps
+}
+
+// buildBrute computes all N² rows of every starting slice; each slice gets
+// its own segment and its own range of the spine.
+func (ps *PathSet) buildBrute(workers int) error {
+	n, s := ps.F.Sched.N, ps.F.Sched.S
+	ps.segs = make([]segment, s)
+	ps.spine = make([]uint32, s*n*n)
+	return ps.eachSlice(workers, func() func(*packer, int) {
 		var scratch *Tables
-		for ts := 0; ts < s; ts++ {
-			scratch = calc.ComputeInto(ts, scratch)
-			ps.groups[ts] = calc.groupRow(scratch, ps.Model)
+		return func(p *packer, ts int) {
+			scratch = ps.Calc.ComputeInto(ts, scratch)
+			ps.segs[ts] = p.packTables(scratch, ps.spine[ts*n*n:(ts+1)*n*n])
 		}
-		return ps
-	}
-	// Workers claim starting slices off a shared counter and write into
-	// their preassigned groups[ts] rows: the result is byte-identical to
-	// the serial build regardless of goroutine scheduling.
+	})
+}
+
+// eachSlice runs one unit of packing work per starting slice over a pool of
+// `workers` goroutines. Every worker owns a packer and a work function made
+// by newWork (so the function can hold the worker's DP scratch), and claims
+// slices off a shared counter; work writes only what belongs to its slice,
+// so the result is byte-identical to the serial build regardless of
+// goroutine scheduling. The first packer error ends the build.
+func (ps *PathSet) eachSlice(workers int, newWork func() func(p *packer, ts int)) error {
+	s := ps.F.Sched.S
+	errs := make([]error, workers)
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			var scratch *Tables
-			for {
+			p, work := newPacker(ps.F, ps.Model), newWork()
+			for p.err == nil {
 				ts := int(next.Add(1))
 				if ts >= s {
-					return
+					break
 				}
-				scratch = calc.ComputeInto(ts, scratch)
-				ps.groups[ts] = calc.groupRow(scratch, ps.Model)
+				work(p, ts)
 			}
-		}()
+			errs[w] = p.err
+		}(w)
 	}
 	wg.Wait()
-	return ps
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // effectiveWorkers resolves a requested worker count against the number of
@@ -134,32 +164,54 @@ func effectiveWorkers(requested, tasks int) int {
 	return w
 }
 
-// groupRow extracts every pair's group for one starting slice, detaching
-// all paths and thresholds from the (reusable) DP scratch.
-func (c *Calculator) groupRow(t *Tables, m CostModel) []*Group {
-	n := t.N
-	row := make([]*Group, n*n)
-	a := newGroupArena(t)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			row[src*n+dst] = c.groupFromRow(a, &t.rows[src], dst, m)
+// View returns the allocation-free view of the UCMP group for a cyclic
+// starting slice and ToR pair — what route planning, table compilation and
+// every other per-group reader use. src == dst yields the zero view.
+func (ps *PathSet) View(tstart, src, dst int) GroupView {
+	n := ps.F.Sched.N
+	seg, slot, rot := &ps.segs[0], 0, 0
+	if ps.sym {
+		delta := dst - src
+		if delta < 0 {
+			delta += n
 		}
+		slot, rot = tstart*n+delta, src
+	} else {
+		seg, slot = &ps.segs[tstart], (tstart*n+src)*n+dst
 	}
-	return row
+	off := ps.spine[slot]
+	if off == 0 {
+		return GroupView{}
+	}
+	rec := seg.words[off:]
+	return GroupView{
+		Src: src, Dst: dst, StartSlice: tstart,
+		rec: rec, prof: &seg.profiles[rec[0]], rot: int32(rot), n: int32(n),
+	}
 }
 
-// Group returns the UCMP group for a cyclic starting slice and ToR pair.
-// On a symmetric build this materializes (allocates) the group from its
-// canonical representative; hot paths should use CanonGroup plus inline
-// hop relabeling instead.
+// Group materializes the UCMP group for a cyclic starting slice and ToR
+// pair (nil for src == dst). It allocates; per-packet and per-row code
+// reads View instead.
 func (ps *PathSet) Group(tstart, src, dst int) *Group {
+	return ps.View(tstart, src, dst).Materialize()
+}
+
+// Footprint reports the resident size of the packed store.
+func (ps *PathSet) Footprint() Footprint {
+	n, s := ps.F.Sched.N, ps.F.Sched.S
+	fp := Footprint{Groups: s * n * (n - 1), SpineBytes: 4 * int64(len(ps.spine))}
 	if ps.sym {
-		return ps.materializeGroup(tstart, src, dst)
+		fp.Groups = s * (n - 1)
 	}
-	return ps.groups[tstart][src*ps.F.Sched.N+dst]
+	for i := range ps.segs {
+		seg := &ps.segs[i]
+		fp.StoreBytes += 2 * int64(len(seg.words))
+		for _, pr := range seg.profiles {
+			fp.StoreBytes += 8 * int64(len(pr.hull)+len(pr.thr))
+		}
+	}
+	return fp
 }
 
 // SetAlpha retunes the weight factor live (§5.2): bucket thresholds are
@@ -169,46 +221,25 @@ func (ps *PathSet) SetAlpha(alpha float64) { ps.Model.Alpha = alpha }
 
 // GlobalThresholds returns the union of all bucket boundary values across
 // every UCMP group (§6.1): the globally recognizable stepping thresholds
-// for flow aging. Values within one slice-duration quantum are merged.
+// for flow aging. Every group's thresholds are those of its interned
+// profile and every profile has a group, so the union over the few hundred
+// profiles is the union over all groups (on a symmetric build too:
+// thresholds are α-free functions of (hop, latency) hull points, which
+// rotation and time shift preserve).
 func (ps *PathSet) GlobalThresholds() []float64 {
-	// Thresholds are α-free functions of (hop, latency) hull points, which
-	// rotation and time shift preserve — on a symmetric build the union
-	// over the interned canonical groups is exactly the union over all
-	// (t_start, src, dst) groups.
-	if ps.sym {
-		return globalThresholds(func(yield func(*Group)) {
-			for _, g := range ps.interned {
-				yield(g)
-			}
-		})
-	}
-	return globalThresholds(func(yield func(*Group)) {
-		for _, row := range ps.groups {
-			for _, g := range row {
-				if g != nil {
-					yield(g)
+	seen := make(map[int64]struct{})
+	var out []float64
+	for i := range ps.segs {
+		for _, pr := range ps.segs[i].profiles {
+			for _, thr := range pr.thr {
+				k := int64(thr) // thresholds are whole byte counts apart
+				if _, ok := seen[k]; !ok {
+					seen[k] = struct{}{}
+					out = append(out, thr)
 				}
 			}
 		}
-	})
-}
-
-// globalThresholds merges the bucket boundaries of every group produced by
-// the iterator. The distinct boundaries are a few dozen however many
-// millions of groups repeat them, so neither the dedup map nor the output
-// is pre-sized.
-func globalThresholds(each func(yield func(*Group))) []float64 {
-	seen := make(map[int64]struct{})
-	var out []float64
-	each(func(g *Group) {
-		for _, thr := range g.Thresholds() {
-			k := int64(thr) // thresholds are whole byte counts apart
-			if _, ok := seen[k]; !ok {
-				seen[k] = struct{}{}
-				out = append(out, thr)
-			}
-		}
-	})
+	}
 	sort.Float64s(out)
 	return out
 }
@@ -274,31 +305,24 @@ func (ps *PathSet) BackupPaths(tstart, src, dst, k int, exclude func(tor int) bo
 // paper's network), and the share of total UCMP paths that would need a
 // backup (3.9% in the paper).
 func (ps *PathSet) SingleSliceShare() (groupShare, pathShare float64) {
+	// On a symmetric build each spine slot stands for exactly N (src, dst)
+	// pairs, so counting slots weighs every concrete group equally and the
+	// shares are unchanged.
 	single, groups, paths := 0, 0, 0
-	count := func(g *Group) {
+	n := ps.F.Sched.N
+	for slot, off := range ps.spine {
+		if off == 0 {
+			continue
+		}
+		seg := &ps.segs[0]
+		if !ps.sym {
+			seg = &ps.segs[slot/(n*n)]
+		}
+		np := GroupView{rec: seg.words[off:]}.NumPaths()
 		groups++
-		np := g.NumPaths()
 		paths += np
 		if np == 1 {
 			single++
-		}
-	}
-	if ps.sym {
-		// Each canonical (t_start, Δ) reference stands for exactly N
-		// (src, dst) pairs, so counting references weighs every concrete
-		// group equally and the shares are unchanged.
-		for _, idx := range ps.canonIdx {
-			if idx >= 0 {
-				count(ps.interned[idx])
-			}
-		}
-	} else {
-		for _, row := range ps.groups {
-			for _, g := range row {
-				if g != nil {
-					count(g)
-				}
-			}
 		}
 	}
 	if groups == 0 {

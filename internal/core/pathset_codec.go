@@ -3,34 +3,28 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+	"sort"
 
-	"ucmp/internal/byteview"
 	"ucmp/internal/topo"
 )
 
 // Canonical path-set codec (DESIGN.md §15). A symmetric PathSet is two
 // blobs:
 //
-//   - the spine: the raw little-endian []int32 canonIdx array (S·N entries,
-//     -1 at Δ = 0), aliasable straight out of an mmap'd region;
-//   - the store: the interned t_start-relative canonical groups as a stream
-//     of u32 records — per group dst and entry count, per entry hop count,
-//     latency and path count, per path its hop count, per hop (to, rel).
+//   - the spine: a little-endian []int32 (S·N entries, -1 at Δ = 0) of
+//     record ranks — the position of each slot's record in the store;
+//   - the store: the deduplicated t_start-relative canonical groups as a
+//     stream of u32 values — per group dst and entry count, per entry hop
+//     count, latency and path count, per path its hop count, per hop
+//     (to, rel).
 //
-// Hulls and thresholds are NOT serialized: they are deterministic, α-free
-// functions of the entries (BuildBuckets), so the decoder recomputes them —
-// the file stays smaller and can never disagree with the cost model it is
-// loaded under. Decoded groups live in a fresh group arena; only the spine
-// aliases the blob.
-
-// DecodeOptions tunes DecodeCanonical.
-type DecodeOptions struct {
-	// NoAlias forces the copying decode of the spine even where aliasing
-	// would be legal — the differential path for testing, and an escape
-	// hatch for callers that must outlive the blob's backing memory.
-	NoAlias bool
-}
+// The file format is wider than, and independent of, the in-memory packed
+// store: the encoder walks the segment's records in order, the decoder
+// packs them again — every width guard of the packer applies to file
+// contents too. Profiles are NOT serialized: hulls and thresholds are
+// deterministic, α-free functions of the entries (BuildBuckets), so the
+// decoder recomputes them — the file stays smaller and can never disagree
+// with the cost model it is loaded under.
 
 // EncodeCanonical serializes a symmetric PathSet into its spine and store
 // blobs. Errors on brute-force builds, which have no canonical form (and
@@ -39,33 +33,43 @@ func (ps *PathSet) EncodeCanonical() (spine, store []byte, err error) {
 	if !ps.sym {
 		return nil, nil, fmt.Errorf("core: cannot encode a non-symmetric path set")
 	}
-	spine = make([]byte, 0, 4*len(ps.canonIdx))
-	for _, idx := range ps.canonIdx {
-		spine = binary.LittleEndian.AppendUint32(spine, uint32(idx))
-	}
+	seg := &ps.segs[0]
+	n := ps.F.Sched.N
 	u32 := func(v int) { store = binary.LittleEndian.AppendUint32(store, uint32(v)) }
-	u32(len(ps.interned))
-	for _, g := range ps.interned {
-		u32(g.Dst)
-		u32(len(g.Entries))
-		for _, e := range g.Entries {
-			if e.LatencySlices < 0 || e.LatencySlices > math.MaxUint32 {
-				return nil, nil, fmt.Errorf("core: canonical latency %d outside codec range", e.LatencySlices)
-			}
+	u32(ps.unique)
+	// Records sit in the segment in the order they were interned, which is
+	// the rank the spine refers to them by.
+	rank := make(map[uint32]int32, ps.unique)
+	for off := 1; off < len(seg.words); {
+		rank[uint32(off)] = int32(len(rank))
+		g := GroupView{rec: seg.words[off:], n: int32(n)}
+		first := g.Entry(0)
+		u32(first.Path(0).Hop(first.HopCount - 1).To) // dst: where every path ends
+		u32(g.NumEntries())
+		for i := 0; i < g.NumEntries(); i++ {
+			e := g.Entry(i)
 			u32(e.HopCount)
 			u32(int(e.LatencySlices))
-			u32(len(e.Paths))
-			for _, p := range e.Paths {
-				u32(len(p.Hops))
-				for _, hp := range p.Hops {
-					if hp.Slice < 0 || hp.Slice > math.MaxUint32 {
-						return nil, nil, fmt.Errorf("core: canonical hop slice %d outside codec range", hp.Slice)
-					}
-					u32(hp.To)
-					u32(int(hp.Slice))
+			u32(e.NumPaths)
+			for j := 0; j < e.NumPaths; j++ {
+				u32(e.HopCount)
+				path := e.Path(j)
+				for k := 0; k < e.HopCount; k++ {
+					h := path.Hop(k)
+					u32(h.To)
+					u32(int(h.Slice))
 				}
 			}
 		}
+		off += recLen(g.rec)
+	}
+	spine = make([]byte, 0, 4*len(ps.spine))
+	for _, off := range ps.spine {
+		idx := int32(-1)
+		if off != 0 {
+			idx = rank[off]
+		}
+		spine = binary.LittleEndian.AppendUint32(spine, uint32(idx))
 	}
 	return spine, store, nil
 }
@@ -102,11 +106,11 @@ func (r *storeReader) count(what string, minRec int) (int, error) {
 
 // DecodeCanonical rebuilds a symmetric PathSet from its codec blobs for the
 // given fabric and cost-model parameters. The calculator is rederived from
-// the fabric (cheap — the DP itself is what the file persists), the spine
-// aliases spineBlob where possible, the interned groups are decoded into a
-// fresh arena, and every hull/threshold is recomputed via BuildBuckets.
-// Every decoded group is validated; any structural violation is an error.
-func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, storeBlob []byte, opt DecodeOptions) (*PathSet, error) {
+// the fabric (cheap — the DP itself is what the file persists), the groups
+// are packed into a fresh store segment with their profiles recomputed, and
+// every group is checked against the §4.3 invariants (Group.Validate's) as
+// it streams through; any structural violation is an error.
+func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, storeBlob []byte) (*PathSet, error) {
 	if !f.Sched.Rotation() {
 		return nil, fmt.Errorf("core: cannot decode a canonical path set for a non-symmetric schedule")
 	}
@@ -128,24 +132,16 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 	if len(spineBlob) != 4*s*n {
 		return nil, fmt.Errorf("core: spine blob is %d bytes, want %d", len(spineBlob), 4*s*n)
 	}
-	if !opt.NoAlias {
-		ps.canonIdx, _ = byteview.Of[int32](spineBlob, s*n)
-	}
-	if ps.canonIdx == nil {
-		ps.canonIdx = make([]int32, s*n)
-		for i := range ps.canonIdx {
-			ps.canonIdx[i] = int32(binary.LittleEndian.Uint32(spineBlob[4*i:]))
-		}
-	}
 
 	r := &storeReader{b: storeBlob}
 	nGroups, err := r.count("groups", 8)
 	if err != nil {
 		return nil, err
 	}
-	arena := newArenaFor(nGroups + 1)
-	ps.interned = make([]*Group, 0, nGroups)
-	for gi := 0; gi < nGroups; gi++ {
+	p := newPacker(f, ps.Model)
+	p.begin(len(storeBlob) / 4) // every record word comes from its own u32
+	offs := make([]uint32, nGroups)
+	for gi := range offs {
 		dst, err := r.u32("dst")
 		if err != nil {
 			return nil, err
@@ -157,9 +153,12 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 		if err != nil {
 			return nil, err
 		}
-		g := arena.groups.one()
-		g.Src, g.Dst, g.StartSlice = 0, dst, 0
-		g.Entries = arena.entries.take(nEntries)
+		if nEntries == 0 {
+			return nil, fmt.Errorf("core: decoded group %d is empty", gi)
+		}
+		offs[gi] = p.offset()
+		at := p.header(nEntries)
+		prevHops, prevLat := 0, 0
 		for ei := 0; ei < nEntries; ei++ {
 			hopCount, err := r.u32("hopCount")
 			if err != nil {
@@ -173,59 +172,74 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 			if err != nil {
 				return nil, err
 			}
-			paths := arena.ptrs.take(nPaths)
+			if nPaths == 0 {
+				return nil, fmt.Errorf("core: decoded group %d entry %d has no paths", gi, ei)
+			}
+			if ei > 0 && (hopCount <= prevHops || lat >= prevLat) {
+				return nil, fmt.Errorf("core: decoded group %d violates property 3: %d hops lat %d after %d hops lat %d",
+					gi, hopCount, lat, prevHops, prevLat)
+			}
+			prevHops, prevLat = hopCount, lat
+			p.setEntry(at, ei, hopCount, nPaths, int64(lat))
 			for pi := 0; pi < nPaths; pi++ {
 				nHops, err := r.count("hops", 8)
 				if err != nil {
 					return nil, err
 				}
-				p := arena.paths.one()
-				p.Src, p.Dst, p.StartSlice = 0, dst, 0
-				p.Hops = arena.hops.take(nHops)
-				for hi := 0; hi < nHops; hi++ {
-					to, err := r.u32("hop to")
-					if err != nil {
-						return nil, err
-					}
-					rel, err := r.u32("hop rel")
-					if err != nil {
-						return nil, err
-					}
-					if to < 0 || to >= n || rel < 0 {
-						return nil, fmt.Errorf("core: group %d hop (%d,%d) out of range", gi, to, rel)
-					}
-					p.Hops[hi] = Hop{To: to, Slice: int64(rel)}
+				if nHops == 0 || nHops != hopCount {
+					return nil, fmt.Errorf("core: decoded group %d entry hop count %d vs path %d", gi, hopCount, nHops)
 				}
-				paths[pi] = p
+				to, prev := 0, 0
+				for hi := 0; hi < nHops; hi++ {
+					rel, err := 0, error(nil)
+					if to, err = r.u32("hop to"); err != nil {
+						return nil, err
+					}
+					if rel, err = r.u32("hop rel"); err != nil {
+						return nil, err
+					}
+					if to < 0 || to >= n || rel < prev {
+						return nil, fmt.Errorf("core: group %d hop (%d,%d) out of range or back in time", gi, to, rel)
+					}
+					prev = rel
+					p.hop(to, int64(rel))
+				}
+				if to != dst || prev+1 != lat {
+					return nil, fmt.Errorf("core: decoded group %d path ends at ToR %d latency %d, want ToR %d latency %d",
+						gi, to, prev+1, dst, lat)
+				}
 			}
-			g.Entries[ei] = Entry{HopCount: hopCount, LatencySlices: int64(uint32(lat)), Paths: paths}
 		}
-		g.hull = arena.ints.take(len(g.Entries))[:0]
-		if len(g.Entries) > 1 {
-			g.thrFree = arena.floats.take(len(g.Entries) - 1)[:0]
+		if p.err != nil {
+			return nil, p.err
 		}
-		g.BuildBuckets(ps.Model)
-		if err := g.Validate(); err != nil {
-			return nil, fmt.Errorf("core: decoded group %d invalid: %w", gi, err)
+		p.seal(offs[gi])
+		if thr := p.profiles[p.words[offs[gi]]].thr; !sort.Float64sAreSorted(thr) {
+			return nil, fmt.Errorf("core: decoded group %d thresholds not ascending: %v", gi, thr)
 		}
-		ps.interned = append(ps.interned, g)
 	}
 	if r.off != len(storeBlob) {
 		return nil, fmt.Errorf("core: %d trailing bytes after group store", len(storeBlob)-r.off)
 	}
+	if p.err != nil {
+		return nil, p.err
+	}
 
-	// Spine sanity: Δ = 0 is -1, everything else points into the store.
-	for ts := 0; ts < s; ts++ {
-		for delta := 0; delta < n; delta++ {
-			idx := ps.canonIdx[ts*n+delta]
-			if delta == 0 {
-				if idx != -1 {
-					return nil, fmt.Errorf("core: spine (%d,0) = %d, want -1", ts, idx)
-				}
-			} else if idx < 0 || int(idx) >= len(ps.interned) {
-				return nil, fmt.Errorf("core: spine (%d,%d) = %d outside store of %d", ts, delta, idx, len(ps.interned))
+	// Spine: Δ = 0 is -1, everything else ranks a record of the store.
+	ps.spine = make([]uint32, s*n)
+	for i := range ps.spine {
+		idx := int32(binary.LittleEndian.Uint32(spineBlob[4*i:]))
+		if i%n == 0 {
+			if idx != -1 {
+				return nil, fmt.Errorf("core: spine (%d,0) = %d, want -1", i/n, idx)
 			}
+		} else if idx < 0 || int(idx) >= nGroups {
+			return nil, fmt.Errorf("core: spine (%d,%d) = %d outside store of %d", i/n, i%n, idx, nGroups)
+		} else {
+			ps.spine[i] = offs[idx]
 		}
 	}
+	ps.unique = nGroups
+	ps.segs = []segment{p.segment()}
 	return ps, nil
 }

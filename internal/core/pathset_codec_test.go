@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -23,10 +24,10 @@ func pathSetString(ps *PathSet) string {
 	return string(out)
 }
 
-// TestCanonicalCodecRoundTrip: encode a symmetric build, decode it under
-// both the aliasing and the copying (NoAlias) decoder, and require the
-// decoded path set to be observably identical to the original — every
-// group, every threshold — across schedule kinds and parallel-path caps.
+// TestCanonicalCodecRoundTrip: encode a symmetric build, decode it, and
+// require the decoded path set to be observably identical to the original
+// — every group, every threshold — and to encode back to the same bytes,
+// across schedule kinds and parallel-path caps.
 func TestCanonicalCodecRoundTrip(t *testing.T) {
 	for _, kind := range []string{"round-robin", "opera", "random-circulant"} {
 		for _, mp := range []int{1, 4} {
@@ -36,24 +37,25 @@ func TestCanonicalCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s mp=%d: encode: %v", kind, mp, err)
 			}
-			want := pathSetString(ps)
-			for _, noAlias := range []bool{false, true} {
-				dec, err := DecodeCanonical(f, 0.5, mp, spine, store, DecodeOptions{NoAlias: noAlias})
-				if err != nil {
-					t.Fatalf("%s mp=%d noAlias=%v: decode: %v", kind, mp, noAlias, err)
-				}
-				if !dec.Symmetric() {
-					t.Fatalf("%s mp=%d: decoded path set not symmetric", kind, mp)
-				}
-				if got := pathSetString(dec); got != want {
-					t.Fatalf("%s mp=%d noAlias=%v: decoded path set differs from original", kind, mp, noAlias)
-				}
-				gotRows, gotCanon := dec.CanonStats()
-				wantRows, wantCanon := ps.CanonStats()
-				if gotRows != wantRows || gotCanon != wantCanon {
-					t.Fatalf("%s mp=%d: CanonStats (%d,%d), want (%d,%d)",
-						kind, mp, gotRows, gotCanon, wantRows, wantCanon)
-				}
+			dec, err := DecodeCanonical(f, 0.5, mp, spine, store)
+			if err != nil {
+				t.Fatalf("%s mp=%d: decode: %v", kind, mp, err)
+			}
+			if !dec.Symmetric() {
+				t.Fatalf("%s mp=%d: decoded path set not symmetric", kind, mp)
+			}
+			if got, want := pathSetString(dec), pathSetString(ps); got != want {
+				t.Fatalf("%s mp=%d: decoded path set differs from original", kind, mp)
+			}
+			gotRows, gotCanon := dec.CanonStats()
+			wantRows, wantCanon := ps.CanonStats()
+			if gotRows != wantRows || gotCanon != wantCanon {
+				t.Fatalf("%s mp=%d: CanonStats (%d,%d), want (%d,%d)",
+					kind, mp, gotRows, gotCanon, wantRows, wantCanon)
+			}
+			spine2, store2, err := dec.EncodeCanonical()
+			if err != nil || !bytes.Equal(spine2, spine) || !bytes.Equal(store2, store) {
+				t.Fatalf("%s mp=%d: decoded path set re-encodes differently (err %v)", kind, mp, err)
 			}
 		}
 	}
@@ -81,7 +83,7 @@ func TestCanonicalCodecRejectsCorruption(t *testing.T) {
 	}
 	want := pathSetString(ps)
 	decode := func(sp, st []byte) (*PathSet, error) {
-		return DecodeCanonical(f, 0.5, 0, sp, st, DecodeOptions{})
+		return DecodeCanonical(f, 0.5, 0, sp, st)
 	}
 	if _, err := decode(spine[:len(spine)-4], store); err == nil {
 		t.Fatal("truncated spine must error")

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,25 +117,24 @@ func TestScheduleHStaticRotationExact(t *testing.T) {
 	}
 }
 
-// TestSymmetricBuildWorkerInvariance: the interned store and spine must be
+// TestSymmetricBuildWorkerInvariance: the store segment and spine must be
 // byte-identical regardless of worker count (the interning pass is serial).
 func TestSymmetricBuildWorkerInvariance(t *testing.T) {
 	f := symFabric(t, 16, 4)
 	ref := BuildPathSetOpts(f, 0.5, BuildOptions{Workers: 1})
 	for _, w := range []int{2, 3, 8} {
 		ps := BuildPathSetOpts(f, 0.5, BuildOptions{Workers: w})
-		if len(ps.interned) != len(ref.interned) {
-			t.Fatalf("workers=%d: %d interned vs %d", w, len(ps.interned), len(ref.interned))
+		if ps.unique != ref.unique {
+			t.Fatalf("workers=%d: %d records vs %d", w, ps.unique, ref.unique)
 		}
-		for i := range ps.canonIdx {
-			if ps.canonIdx[i] != ref.canonIdx[i] {
-				t.Fatalf("workers=%d: spine differs at %d", w, i)
-			}
+		if !slices.Equal(ps.spine, ref.spine) {
+			t.Fatalf("workers=%d: spine differs", w)
 		}
-		for i := range ps.interned {
-			if groupString(ps.interned[i]) != groupString(ref.interned[i]) {
-				t.Fatalf("workers=%d: interned %d differs", w, i)
-			}
+		if !slices.Equal(ps.segs[0].words, ref.segs[0].words) {
+			t.Fatalf("workers=%d: store words differ", w)
+		}
+		if !reflect.DeepEqual(ps.segs[0].profiles, ref.segs[0].profiles) {
+			t.Fatalf("workers=%d: profiles differ", w)
 		}
 	}
 }
@@ -149,14 +150,19 @@ func TestCanonStats(t *testing.T) {
 	if unique < 1 || unique > rows {
 		t.Fatalf("unique = %d outside [1, %d]", unique, rows)
 	}
-	// Every canonical group validates and is t_start-relative.
-	for _, g := range ps.interned {
-		if g.Src != 0 || g.StartSlice != 0 {
-			t.Fatalf("canonical group not in relative form: src=%d ts=%d", g.Src, g.StartSlice)
-		}
+	// Every stored record validates as the source-0, t_start-0 group, and
+	// walking the segment record by record finds exactly `unique` of them.
+	seg, found := &ps.segs[0], 0
+	for off := 1; off < len(seg.words); off += recLen(seg.words[off:]) {
+		rec := seg.words[off:]
+		g := GroupView{rec: rec, prof: &seg.profiles[rec[0]], n: int32(f.Sched.N)}.Materialize()
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		found++
+	}
+	if found != unique {
+		t.Fatalf("segment holds %d records, CanonStats says %d", found, unique)
 	}
 	// Non-symmetric builds report zero.
 	cfg := topo.Scaled()

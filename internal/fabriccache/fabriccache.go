@@ -1,5 +1,5 @@
 // Package fabriccache persists compiled fabrics — the symmetric PathSet's
-// canonical spine + interned group store and ToR 0's CompiledTable — in a
+// canonical spine + deduplicated group store and ToR 0's CompiledTable — in a
 // versioned binary file served back via mmap (DESIGN.md §15). A 1024-ToR
 // fabric that costs ~39 s to build cold loads warm in well under a second,
 // and multiple processes loading the same file share one copy of the hot
@@ -25,10 +25,11 @@
 // instead of fighting over one.
 //
 // Ownership: Load returns a Fabric handle owning the underlying mapping.
-// The PathSet spine and all four CompiledTable arrays may alias it, so the
-// handle must outlive every use of PS and Table; Close unmaps and
-// invalidates both. Long-lived caches (harness) simply never Close —
-// read-only mappings cost address space, not dirty pages.
+// The PathSet is always decoded into its own packed store, but all four
+// CompiledTable arrays may alias the mapping, so the handle must outlive
+// every use of Table; Close unmaps and invalidates it. Long-lived caches
+// (harness) simply never Close — read-only mappings cost address space, not
+// dirty pages.
 package fabriccache
 
 import (
@@ -73,8 +74,8 @@ func effMaxParallel(mp int) int {
 	return mp
 }
 
-// Fabric is a warm compiled fabric loaded from a cache file. PS and Table
-// may alias the underlying file mapping; see the package comment for the
+// Fabric is a warm compiled fabric loaded from a cache file. Table may
+// alias the underlying file mapping; see the package comment for the
 // lifetime rule.
 type Fabric struct {
 	PS    *core.PathSet
@@ -231,7 +232,7 @@ func cleanStaleTemps(dir string) {
 
 // Options tunes Load.
 type Options struct {
-	// NoAlias forces copying decodes: PS and Table own their arrays and the
+	// NoAlias forces the copying table decode: Table owns its arrays and the
 	// mapping is released before Load returns. Slower and bigger, but the
 	// result outlives the handle — and it is the differential path that
 	// keeps the copying decoder honest in tests.
@@ -325,8 +326,7 @@ func decode(data []byte, fab *topo.Fabric, p Params, opt Options) (*Fabric, erro
 		}
 		sections[i] = data[off : off+ln]
 	}
-	ps, err := core.DecodeCanonical(fab, p.Alpha, p.MaxParallel, sections[0], sections[1],
-		core.DecodeOptions{NoAlias: opt.NoAlias})
+	ps, err := core.DecodeCanonical(fab, p.Alpha, p.MaxParallel, sections[0], sections[1])
 	if err != nil {
 		return nil, err
 	}

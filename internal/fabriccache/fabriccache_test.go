@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"time"
 	"testing"
+	"time"
 
 	"ucmp/internal/core"
 	"ucmp/internal/routing"
@@ -276,5 +276,41 @@ func TestStaleTempCleanup(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("cache file itself was touched: %v", err)
+	}
+}
+
+// TestLoadsFileWrittenBeforePackedStore: the file format is independent of
+// the in-memory group representation. testdata holds a (16,4) round-robin
+// fabric written by the last commit whose PathSet was a graph of *Group
+// (PR 14); it must load, yield the cold build's table, and be exactly the
+// image today's build encodes — so files travel both ways across the change.
+func TestLoadsFileWrittenBeforePackedStore(t *testing.T) {
+	const golden = "testdata/pr14-round-robin-16x4.ucmpfab"
+	f := testFabric(t, "round-robin", 16, 4)
+	p := Params{Alpha: 0.5}
+	ps, table := compile(t, f, p)
+	for _, opt := range []Options{{}, {NoMmap: true, NoAlias: true}} {
+		warm, err := Load(golden, f, p, opt)
+		if err != nil {
+			t.Fatalf("%+v: %v", opt, err)
+		}
+		re := routing.CompileTable(warm.PS, core.NewFlowAger(warm.PS), 0)
+		if !bytes.Equal(re.Bytes(), table.Bytes()) || !bytes.Equal(warm.Table.Bytes(), table.Bytes()) {
+			t.Fatalf("%+v: tables from the PR 14 file differ from the cold build", opt)
+		}
+		if err := warm.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := Encode(ps, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, want) {
+		t.Fatalf("today's image (%d bytes) differs from the PR 14 file (%d bytes)", len(img), len(want))
 	}
 }

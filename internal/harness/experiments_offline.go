@@ -54,17 +54,18 @@ type Table2Row struct{ N, D int }
 // Table2Scales are the paper's four configurations.
 var Table2Scales = []Table2Row{{108, 6}, {324, 12}, {768, 24}, {1024, 32}}
 
-// exactGroupBudget caps the brute-force PathSet an exact Table 2 row may
-// build: S·N·(N−1) resident groups at about 0.7 KB each. (324,12) is 2.8 M
-// groups (~1.9 GB); (768,24) would be 18.9 M (~13 GB).
-const exactGroupBudget = 4 << 20
+// exactStoreBudget caps the path set an exact Table 2 row may build, in
+// bytes of packed store as core.EstimateStoreBytes predicts them from a few
+// DP rows: (324,12) is 2.8 M groups in 0.17 GB, (768,24) 18.9 M groups in
+// 1.1 GB.
+const exactStoreBudget = 2 << 30
 
 // Table2 reproduces the hardware resource usage table (§8, Table 2), with
 // both the naive per-bucket entry count and the bucket-range-collapsed one.
 // The collapsed and packed-SRAM columns come from an actual compiled
 // source-routing table wherever the PathSet behind it is affordable — any
 // rotation-symmetric schedule (the canonical O(S·N) build) and brute-force
-// builds within exactGroupBudget; the remaining rows fall back to the
+// builds within exactStoreBudget; the remaining rows fall back to the
 // sampled model and say so.
 func Table2(scales []Table2Row) (*Report, []switchres.Usage) {
 	r := &Report{Title: "Table 2: switch resource usage per RDCN scale"}
@@ -75,7 +76,7 @@ func Table2(scales []Table2Row) (*Report, []switchres.Usage) {
 		cfg.NumToRs, cfg.Uplinks, cfg.HostsPerToR = sc.N, sc.D, sc.D
 		fab := topo.MustFabric(cfg, "round-robin", 1)
 		var u switchres.Usage
-		if groups := fab.Sched.S * sc.N * (sc.N - 1); fab.Sched.Rotation() || groups <= exactGroupBudget {
+		if fab.Sched.Rotation() || core.EstimateStoreBytes(fab) <= exactStoreBudget {
 			u = switchres.ComputeExact(fab, 0.5, switchres.Sampling{})
 		} else {
 			u = switchres.Compute(fab, 0.5, switchres.Sampling{})

@@ -29,8 +29,10 @@ type ScalePoint struct {
 
 	// Warm reports that the path set came from the warm-fabric cache (file
 	// or in-process) rather than an offline build — BuildSec is then the
-	// load time.
-	Warm bool
+	// load time. PathSet is the same outcome with the store's footprint, as
+	// the sweep's `path set:` lines print it.
+	Warm    bool
+	PathSet PathSetInfo
 
 	// Phase wall clocks. SimSec covers the whole Run, including the
 	// router's own path-set build.
@@ -168,6 +170,9 @@ func ScaleSweep(cfg ScaleConfig) (*Report, []ScalePoint, error) {
 			p.N, p.Symmetric, build, canon, p.CompileSec, p.SimSec, p.Events, p.EventsPerSec,
 			fmt.Sprintf("%d/%d", p.PackedRows, p.NaiveRows), p.PackedBytes>>10, float64(p.PeakHeapBytes)/(1<<20))
 	}
+	for _, p := range points {
+		r.Addf("path set: N=%d %s", p.N, p.PathSet)
+	}
 	if cfg.CacheDir != "" {
 		warm := 0
 		for _, p := range points {
@@ -204,13 +209,12 @@ func scalePoint(n, d int, flowSize int64, horizon sim.Time, seed int64, cacheDir
 	// With a cache dir this loads (or builds-and-saves) once; the point's
 	// simulation run then reuses the same warm path set through the
 	// process-wide cache instead of building a second copy.
-	t0 := time.Now()
-	ps, _, warm := warmPathSet(fab, sc)
-	p.BuildSec = time.Since(t0).Seconds()
-	p.Warm = warm
+	ps, _, info := timedPathSet(fab, sc)
+	p.PathSet = info
+	p.BuildSec, p.Warm = info.Seconds, info.Warm
 	p.CanonRows, p.CanonUnique = ps.CanonStats()
 
-	t0 = time.Now()
+	t0 := time.Now()
 	p.NaiveRows, p.PackedRows, p.PackedBytes = switchres.ExactTable(ps, 0)
 	p.CompileSec = time.Since(t0).Seconds()
 	var flows []*netsim.Flow

@@ -228,6 +228,10 @@ type Result struct {
 	// Recovery is the §5.3 online-recovery summary (all-zero when no
 	// failures were configured).
 	Recovery metrics.RecoveryStats
+	// PathSet describes the UCMP path set behind the run — cold-built or
+	// cache-loaded, how long that took, how big the store is. Zero for
+	// routings without one.
+	PathSet PathSetInfo
 	// ResumeNote records checkpoint/resume outcomes: the restored instant
 	// on a successful resume, why a requested resume fell back to a cold
 	// run, or why checkpoint writing was disabled. Empty for plain runs.
@@ -259,6 +263,7 @@ type simState struct {
 	sharded   bool
 	shards    int
 	shardNote string
+	pathSet   PathSetInfo
 	horizon   sim.Time
 }
 
@@ -350,9 +355,11 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 
 	var router netsim.Router
 	var ucmpRouter *routing.UCMP
+	var pathSet PathSetInfo
 	switch cfg.Routing {
 	case UCMP:
-		ps, warmTable, _ := warmPathSet(fab, cfg)
+		ps, warmTable, info := timedPathSet(fab, cfg)
+		pathSet = info
 		ucmpRouter = routing.NewUCMP(ps)
 		ucmpRouter.Relax = cfg.Relax
 		if cfg.UseTables {
@@ -466,7 +473,7 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 	}
 	return &simState{
 		cfg: cfg, eng: eng, sh: sh, net: net, stack: stack, col: col,
-		flows: flows, sharded: sharded, shards: shards, shardNote: shardNote,
+		flows: flows, sharded: sharded, shards: shards, shardNote: shardNote, pathSet: pathSet,
 		horizon: horizon,
 	}, nil
 }
@@ -529,6 +536,7 @@ func (st *simState) run(resumed bool) *Result {
 		Sharded:        st.sharded,
 		Shards:         st.shards,
 		ShardNote:      st.shardNote,
+		PathSet:        st.pathSet,
 		JainCumulative: st.net.JainCumulative(),
 		Flows:          st.net.Flows(),
 		Recovery:       metrics.Recovery(st.net.Counters),

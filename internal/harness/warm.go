@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"time"
 
 	"ucmp/internal/core"
 	"ucmp/internal/fabriccache"
@@ -21,6 +22,33 @@ import (
 var warmFabrics struct {
 	sync.Mutex
 	m map[string]*fabriccache.Fabric
+}
+
+// PathSetInfo says where a run's UCMP path set came from and what it
+// weighs: the one `path set:` line ucmpsim and the scale sweep print.
+type PathSetInfo struct {
+	// Warm is set when the path set was served from the fabric cache (file
+	// or in-process) rather than built; Seconds is the wall time of that
+	// build or load.
+	Warm    bool
+	Seconds float64
+	core.Footprint
+}
+
+// String renders "cold-built in 0.15 s, G groups, X MB store, Y B/group".
+func (i PathSetInfo) String() string {
+	how := "cold-built"
+	if i.Warm {
+		how = "cache-loaded"
+	}
+	return fmt.Sprintf("%s in %.2f s, %s", how, i.Seconds, i.Footprint)
+}
+
+// timedPathSet is warmPathSet plus the PathSetInfo describing the outcome.
+func timedPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, *routing.CompiledTable, PathSetInfo) {
+	t0 := time.Now()
+	ps, table, warm := warmPathSet(fab, cfg)
+	return ps, table, PathSetInfo{Warm: warm, Seconds: time.Since(t0).Seconds(), Footprint: ps.Footprint()}
 }
 
 // warmPathSet returns the compiled path set for cfg's fabric, plus ToR 0's

@@ -75,6 +75,10 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	if fingerprint(popRes) != coldFP {
 		t.Fatal("populating run diverges from the cold run")
 	}
+	wantGroups := 4 * 15 // S·(N−1) canonical rows of the (16,4) fabric
+	if i := popRes.PathSet; i.Warm || i.Groups != wantGroups || i.StoreBytes == 0 {
+		t.Fatalf("populating run reports path set %q, want a cold build of %d groups", i, wantGroups)
+	}
 
 	dropWarmFabrics() // force the next run through the file, not the map
 	warmRes, err := Run(populate)
@@ -84,6 +88,9 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	if fingerprint(warmRes) != coldFP {
 		t.Fatalf("warm run diverges from cold:\n--- cold ---\n%s\n--- warm ---\n%s",
 			coldFP, fingerprint(warmRes))
+	}
+	if i := warmRes.PathSet; !i.Warm || i.Footprint != popRes.PathSet.Footprint {
+		t.Fatalf("warm run reports path set %q, want the populating run's footprint, cache-loaded", i)
 	}
 
 	// The loaded table must be byte-identical to one compiled cold.

@@ -25,17 +25,6 @@ import (
 // Enable it by setting UCMP.Backlog (usually Network.CongestionBacklog,
 // with the network's board enabled) and a positive CongestionThreshold.
 
-// congScratch is the working set of one engaged congestion pick: the
-// candidate buffer and the per-(peer, slice) backlog memo. Scratches are
-// pooled on the UCMP router rather than stored as plain fields because
-// PlanRoute runs concurrently across lookahead domains in sharded runs;
-// the pool keeps the engaged pick allocation-free once warm, the same
-// discipline as the packet Route buffers PlanRoute appends into.
-type congScratch struct {
-	cands []*core.Path
-	memo  []backlogMemo
-}
-
 // backlogMemo caches one board read within a single pick: parallel paths
 // and hull-neighbor entries frequently share a first hop, and the memo
 // keeps each distinct (peer, absolute slice) to one Backlog call.
@@ -46,22 +35,17 @@ type backlogMemo struct {
 }
 
 // backlogOf resolves the board backlog of a candidate's first hop,
-// relabeling canonical-group hops by rot (see UCMP.PlanRoute) and
 // memoizing per (peer, slice) within the pick.
-func (s *congScratch) backlogOf(u *UCMP, tor, rot, n int, now sim.Time, fromAbs int64, p *core.Path) int {
-	h := p.Hops[0]
-	to := h.To + rot
-	if to >= n {
-		to -= n
-	}
-	abs := h.Slice + fromAbs - p.StartSlice
+func (s *planScratch) backlogOf(u *UCMP, tor int, now sim.Time, fromAbs int64, p core.PathView) int {
+	h := p.Hop(0)
+	abs := h.Slice + fromAbs - p.StartSlice()
 	for i := range s.memo {
-		if m := &s.memo[i]; m.to == to && m.abs == abs {
+		if m := &s.memo[i]; m.to == h.To && m.abs == abs {
 			return m.backlog
 		}
 	}
-	b := u.Backlog(tor, now, netsim.PlannedHop{To: to, AbsSlice: abs})
-	s.memo = append(s.memo, backlogMemo{abs: abs, to: to, backlog: b})
+	b := u.Backlog(tor, now, netsim.PlannedHop{To: h.To, AbsSlice: abs})
+	s.memo = append(s.memo, backlogMemo{abs: abs, to: h.To, backlog: b})
 	return b
 }
 
@@ -69,53 +53,57 @@ func (s *congScratch) backlogOf(u *UCMP, tor, rot, n int, now sim.Time, fromAbs 
 // slack rule — the target entry's parallels plus its hull neighbors —
 // appending into buf (the pooled scratch) so an engaged pick allocates
 // nothing once the buffer has grown to the group's high-water mark.
-func (u *UCMP) congestionCandidates(g *core.Group, bucket int, buf []*core.Path) []*core.Path {
-	want := u.Ager.EntryForBucket(g, bucket)
-	buf = append(buf, want.Paths...)
+func (u *UCMP) congestionCandidates(g core.GroupView, bucket int, buf []core.PathView) []core.PathView {
+	want := u.Ager.EntryIndex(g, bucket)
+	buf = appendPaths(buf, g.Entry(want))
 	for _, delta := range [2]int{-1, 1} {
 		b := bucket + delta
 		if b < 0 {
 			continue
 		}
-		e := u.Ager.EntryForBucket(g, b)
-		if e != want {
-			buf = append(buf, e.Paths...)
+		if e := u.Ager.EntryIndex(g, b); e != want {
+			buf = appendPaths(buf, g.Entry(e))
 		}
+	}
+	return buf
+}
+
+func appendPaths(buf []core.PathView, e core.EntryView) []core.PathView {
+	for j := 0; j < e.NumPaths; j++ {
+		buf = append(buf, e.Path(j))
 	}
 	return buf
 }
 
 // pickUncongested returns the candidate with the smallest first-hop board
 // backlog, preferring the primary choice on ties, plus whether the pick
-// steered off the primary. It only engages when the primary's backlog
-// meets the threshold; otherwise it returns nil and the caller keeps the
-// normal minimum-uniform-cost assignment. g may be a canonical group (rot
-// = source ToR) or a concrete one (rot = 0); n is the ToR count.
-func (u *UCMP) pickUncongested(g *core.Group, bucket, tor, rot, n int, now sim.Time, fromAbs int64, hash uint64, ok func(*core.Path) bool) (*core.Path, bool) {
-	if u.Backlog == nil || u.CongestionThreshold <= 0 {
-		return nil, false
+// steered off the primary. It only engages when steering is configured and
+// the primary's backlog meets the threshold; otherwise found is false and
+// the caller keeps the normal minimum-uniform-cost assignment.
+func (u *UCMP) pickUncongested(s *planScratch, g core.GroupView, bucket, tor int, now sim.Time, fromAbs int64, hash uint64, chk healthCheck) (best core.PathView, steered, found bool) {
+	if u.Backlog == nil || u.CongestionThreshold <= 0 || g.NumEntries() == 0 {
+		return best, false, false
 	}
-	if len(g.Entries) == 0 || len(u.Ager.EntryForBucket(g, bucket).Paths) == 0 {
-		return nil, false
+	want := g.Entry(u.Ager.EntryIndex(g, bucket))
+	if want.NumPaths == 0 {
+		return best, false, false
 	}
-	primary := u.Ager.PathForBucket(g, bucket, hash)
-	s := u.congPool.Get().(*congScratch)
+	best = want.Path(int(hash % uint64(want.NumPaths)))
 	s.memo = s.memo[:0]
-	bestBacklog := s.backlogOf(u, tor, rot, n, now, fromAbs, primary)
+	bestBacklog := s.backlogOf(u, tor, now, fromAbs, best)
 	if bestBacklog < u.CongestionThreshold {
-		u.congPool.Put(s)
-		return nil, false
+		return best, false, false
 	}
-	best := primary
 	s.cands = u.congestionCandidates(g, bucket, s.cands[:0])
 	for _, p := range s.cands {
-		if ok != nil && !ok(p) {
+		if !chk.ok(p) {
 			continue
 		}
-		if b := s.backlogOf(u, tor, rot, n, now, fromAbs, p); b < bestBacklog {
-			best, bestBacklog = p, b
+		// Strictly smaller: the primary (itself a candidate) never displaces
+		// itself, so any replacement is a steer.
+		if b := s.backlogOf(u, tor, now, fromAbs, p); b < bestBacklog {
+			best, bestBacklog, steered = p, b, true
 		}
 	}
-	u.congPool.Put(s)
-	return best, best != primary
+	return best, steered, true
 }

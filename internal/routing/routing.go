@@ -22,19 +22,15 @@ func hopsFromPath(p *core.Path, fromAbs int64, buf []netsim.PlannedHop) []netsim
 	return buf
 }
 
-// emitHops is hopsFromPath generalized to canonical-group paths: ToR labels
-// are rotated by +rot mod n at emission (rot = 0 reproduces hopsFromPath on
-// concrete paths; rot = source ToR relabels a rotation-symmetric canonical
-// path, see core.PathSet.CanonGroup). Like hopsFromPath it appends into buf
-// and allocates nothing once buf's capacity has warmed up.
-func emitHops(p *core.Path, rot, n int, fromAbs int64, buf []netsim.PlannedHop) []netsim.PlannedHop {
-	offset := fromAbs - p.StartSlice
-	for _, h := range p.Hops {
-		to := h.To + rot
-		if to >= n {
-			to -= n
-		}
-		buf = append(buf, netsim.PlannedHop{To: to, AbsSlice: h.Slice + offset})
+// hopsFromView is hopsFromPath for a path of the packed store: the view
+// already reports absolute ToR labels (rotated by the source ToR on a
+// rotation-symmetric path set), so brute-force and symmetric builds emit
+// through the same loop.
+func hopsFromView(p core.PathView, fromAbs int64, buf []netsim.PlannedHop) []netsim.PlannedHop {
+	offset := fromAbs - p.StartSlice()
+	for k, n := 0, p.HopCount(); k < n; k++ {
+		h := p.Hop(k)
+		buf = append(buf, netsim.PlannedHop{To: h.To, AbsSlice: h.Slice + offset})
 	}
 	return buf
 }

@@ -73,30 +73,32 @@ func CompileTable(ps *core.PathSet, ager *core.FlowAger, tor int) *CompiledTable
 	hopIdx := make(map[string]actSpan) // hop-list content -> span into hops
 	actIdx := make(map[string]int32)   // action-list content -> start into acts
 	var key []byte
+	var spans []actSpan
 	for dst := 0; dst < n; dst++ {
 		for ts := 0; ts < s; ts++ {
 			t.cellStart[dst*s+ts] = int32(len(t.entries))
 			if dst == tor {
 				continue
 			}
-			g := ps.Group(ts, tor, dst)
+			g := ps.View(ts, tor, dst)
 			prev := -1
 			for b := 0; b < nb; b++ {
-				cur := entryIndexOf(g, ager.EntryForBucket(g, b))
+				cur := ager.EntryIndex(g, b)
 				if cur == prev {
 					// Same action as the previous bucket: the previous row's
 					// bucket range extends to cover b.
 					continue
 				}
 				prev = cur
-				e := &g.Entries[cur]
+				e := g.Entry(cur)
 				// Intern each path's hop list, then the action list itself.
-				spans := make([]actSpan, len(e.Paths))
+				spans = spans[:0]
 				key = key[:0]
-				for i, p := range e.Paths {
-					spans[i] = t.internHops(hopIdx, p, ts)
-					key = binary.AppendVarint(key, int64(spans[i].hopStart))
-					key = binary.AppendVarint(key, int64(spans[i].hopN))
+				for i := 0; i < e.NumPaths; i++ {
+					sp := t.internHops(hopIdx, e.Path(i))
+					spans = append(spans, sp)
+					key = binary.AppendVarint(key, int64(sp.hopStart))
+					key = binary.AppendVarint(key, int64(sp.hopN))
 				}
 				actStart, ok := actIdx[string(key)]
 				if !ok {
@@ -118,30 +120,24 @@ func CompileTable(ps *core.PathSet, ager *core.FlowAger, tor int) *CompiledTable
 
 // internHops returns the deduped span for one path's hop list, with slices
 // rebased to the row's starting slice.
-func (t *CompiledTable) internHops(hopIdx map[string]actSpan, p *core.Path, ts int) actSpan {
-	key := make([]byte, 8*len(p.Hops))
-	for i, h := range p.Hops {
-		binary.LittleEndian.PutUint32(key[8*i:], uint32(h.To))
-		binary.LittleEndian.PutUint32(key[8*i+4:], uint32(h.Slice-int64(ts)))
+func (t *CompiledTable) internHops(hopIdx map[string]actSpan, p core.PathView) actSpan {
+	n := p.HopCount()
+	key := make([]byte, 0, 8*n)
+	for k := 0; k < n; k++ {
+		h := p.Hop(k)
+		key = binary.LittleEndian.AppendUint32(key, uint32(h.To))
+		key = binary.LittleEndian.AppendUint32(key, uint32(h.Slice-p.StartSlice()))
 	}
 	if sp, ok := hopIdx[string(key)]; ok {
 		return sp
 	}
-	sp := actSpan{hopStart: int32(len(t.hops)), hopN: uint16(len(p.Hops))}
-	for _, h := range p.Hops {
-		t.hops = append(t.hops, PackedHop{To: int32(h.To), Rel: int32(h.Slice - int64(ts))})
+	sp := actSpan{hopStart: int32(len(t.hops)), hopN: uint16(n)}
+	for k := 0; k < n; k++ {
+		h := p.Hop(k)
+		t.hops = append(t.hops, PackedHop{To: int32(h.To), Rel: int32(h.Slice - p.StartSlice())})
 	}
 	hopIdx[string(key)] = sp
 	return sp
-}
-
-func entryIndexOf(g *core.Group, e *core.Entry) int {
-	for i := range g.Entries {
-		if &g.Entries[i] == e {
-			return i
-		}
-	}
-	return -1
 }
 
 // Lookup resolves a match key to its hop list, selecting among tied actions

@@ -56,17 +56,28 @@ type UCMP struct {
 	// Set via EnableTables.
 	Tables *TableSet
 
-	// congPool recycles the congestion pick's scratch (candidate buffer +
-	// backlog memo, congestion.go). A pool rather than a plain field:
-	// PlanRoute is called concurrently from every lookahead domain of a
-	// sharded run, and the router must stay safe for concurrent use.
-	congPool sync.Pool
+	// scratch recycles the working set of a plan that consults the fault
+	// view or the congestion board (planScratch). A pool rather than a plain
+	// field: PlanRoute is called concurrently from every lookahead domain of
+	// a sharded run, and the router must stay safe for concurrent use.
+	scratch sync.Pool
+}
+
+// planScratch is what a fault-aware or congestion-aware plan needs beyond
+// the packet's own route buffer: the congestion pick's candidate list and
+// per-(peer, slice) backlog memo (congestion.go), and the Path the health
+// predicate is shown. Pooling keeps those plans allocation-free once warm,
+// the same discipline as the packet Route buffers PlanRoute appends into.
+type planScratch struct {
+	cands []core.PathView
+	memo  []backlogMemo
+	path  core.Path
 }
 
 // NewUCMP builds the router from an offline PathSet.
 func NewUCMP(ps *core.PathSet) *UCMP {
 	u := &UCMP{PS: ps, Ager: core.NewFlowAger(ps), RelaxCutoff: FlowCutoff15MB, ForceBucket: -1}
-	u.congPool.New = func() any { return new(congScratch) }
+	u.scratch.New = func() any { return new(planScratch) }
 	return u
 }
 
@@ -105,96 +116,83 @@ func (u *UCMP) PlanRoute(p *netsim.Packet, tor int, now sim.Time, fromAbs int64,
 	if u.ForceBucket >= 0 {
 		bucket = u.ForceBucket
 	}
-	// Steady state (no fault view, no congestion steering) has two
-	// allocation-free fast paths; both fall through to the general group
-	// machinery when they cannot answer.
 	if u.Health == nil && (u.Backlog == nil || u.CongestionThreshold <= 0) {
 		if u.Tables != nil {
 			if hops, ok := u.Tables.For(tor).LookupInto(dst, ts, clampBucket(bucket, u.Ager.NumBuckets()), hash, fromAbs, buf); ok {
 				p.RecoveredVia = netsim.RecoveryPrimary
 				return hops, true
 			}
-		} else if u.PS.Symmetric() {
-			if hops, ok := u.planSymmetric(tor, dst, ts, bucket, hash, fromAbs, buf); ok {
-				p.RecoveredVia = netsim.RecoveryPrimary
-				return hops, true
-			}
 		}
+		// Steady state: the wanted entry's hash-selected path, read off the
+		// packed store without touching the pool.
+		return u.planGroup(p, nil, tor, dst, ts, bucket, hash, now, fromAbs, buf)
 	}
-	// The general path. On a rotation-symmetric PathSet with no fault view
-	// the canonical group serves the decision and hops are relabeled by
-	// +tor at emission (emitHops), which keeps the congestion-steered plan
-	// allocation-free — PS.Group would materialize concrete paths. A fault
-	// view needs absolute labels for the health predicate and the fault
-	// path already allocates, so it takes the materialized group (rot = 0).
-	n := u.PS.F.Sched.N
-	rot := 0
-	var g *core.Group
-	if u.Health == nil && u.PS.Symmetric() {
-		delta := dst - tor
-		if delta < 0 {
-			delta += n
-		}
-		g = u.PS.CanonGroup(ts, delta)
-		rot = tor
-	} else {
-		g = u.PS.Group(ts, tor, dst)
-	}
-	var ok func(*core.Path) bool
-	if u.Health != nil {
-		h := u.Health
-		ok = func(p *core.Path) bool { return h.PathOK(now, p) }
-	}
-	path, steered := u.pickUncongested(g, bucket, tor, rot, n, now, fromAbs, hash, ok)
-	class := netsim.RecoveryPrimary
-	if steered {
-		class = netsim.RecoverySteered
-	}
-	if path == nil {
-		path, class = u.pickHealthy(g, bucket, hash, ok)
-	}
-	if path == nil {
-		// Group exhausted (a failure, or an empty group): fall back to a
-		// healthy backup 2-hop path avoiding failed ToRs (§5.3). Backup
-		// paths are always concrete, so they emit without rotation.
-		var exclude func(int) bool
-		if u.Health != nil {
-			h := u.Health
-			exclude = func(t int) bool { return !h.TorOK(now, t) }
-		}
-		backups := u.PS.BackupPaths(ts, tor, dst, 4, exclude)
-		path = healthyOf(backups, hash, ok)
-		if path == nil {
-			p.RecoveredVia = netsim.RecoveryNone
-			return nil, false
-		}
-		p.RecoveredVia = netsim.RecoveryBackup
-		return hopsFromPath(path, fromAbs, buf), true
-	}
-	p.RecoveredVia = class
-	return emitHops(path, rot, n, fromAbs, buf), true
+	s := u.scratch.Get().(*planScratch)
+	hops, ok := u.planGroup(p, s, tor, dst, ts, bucket, hash, now, fromAbs, buf)
+	u.scratch.Put(s)
+	return hops, ok
 }
 
-// planSymmetric is the zero-alloc steady-state plan on a rotation-symmetric
-// PathSet: the canonical group for (t_start, Δ = dst-src mod N) is consulted
-// directly and its hops are relabeled inline — ToRs rotated by +tor, slices
-// (t_start-relative in canonical form) anchored at fromAbs — instead of
-// materializing a concrete Group. Entry and path selection are exactly
-// pickHealthy's healthy-fabric behavior, so plans are bit-identical to the
-// brute build's.
-func (u *UCMP) planSymmetric(tor, dst, ts, bucket int, hash uint64, fromAbs int64, buf []netsim.PlannedHop) ([]netsim.PlannedHop, bool) {
-	n := u.PS.F.Sched.N
-	delta := dst - tor
-	if delta < 0 {
-		delta += n
+// planGroup plans from the UCMP group's store view — the same code for
+// brute-force and rotation-symmetric path sets, whose views already carry
+// the +tor relabeling: congestion steering first (when engaged), then the
+// wanted path or its §5.3 recovery alternative, then a 2-hop backup. s is
+// nil in steady state, where neither the fault view nor the board is
+// consulted.
+func (u *UCMP) planGroup(p *netsim.Packet, s *planScratch, tor, dst, ts, bucket int, hash uint64, now sim.Time, fromAbs int64, buf []netsim.PlannedHop) ([]netsim.PlannedHop, bool) {
+	g := u.PS.View(ts, tor, dst)
+	var chk healthCheck
+	var path core.PathView
+	class, found := netsim.RecoveryPrimary, false
+	if s != nil {
+		chk = healthCheck{h: u.Health, now: now, path: &s.path}
+		var steered bool
+		if path, steered, found = u.pickUncongested(s, g, bucket, tor, now, fromAbs, hash, chk); steered {
+			class = netsim.RecoverySteered
+		}
 	}
-	g := u.PS.CanonGroup(ts, delta)
-	paths := u.Ager.EntryForBucket(g, bucket).Paths
-	if len(paths) == 0 {
-		return nil, false
+	if !found {
+		path, class, found = u.pickHealthy(g, bucket, hash, chk)
 	}
-	path := paths[hash%uint64(len(paths))]
-	return emitHops(path, tor, n, fromAbs, buf), true
+	if found {
+		p.RecoveredVia = class
+		return hopsFromView(path, fromAbs, buf), true
+	}
+	// Group exhausted (a failure, or an empty group): fall back to a
+	// healthy backup 2-hop path avoiding failed ToRs (§5.3).
+	var exclude func(int) bool
+	if h := u.Health; h != nil {
+		exclude = func(t int) bool { return !h.TorOK(now, t) }
+	}
+	backups := u.PS.BackupPaths(ts, tor, dst, 4, exclude)
+	for i := range backups {
+		b := backups[(int(hash%uint64(len(backups)))+i)%len(backups)]
+		if chk.h == nil || chk.h.PathOK(now, b) {
+			p.RecoveredVia = netsim.RecoveryBackup
+			return hopsFromPath(b, fromAbs, buf), true
+		}
+	}
+	p.RecoveredVia = netsim.RecoveryNone
+	return nil, false
+}
+
+// healthCheck evaluates the fault view on store paths. HealthView takes a
+// *core.Path, so the view is copied into the plan's scratch Path first — no
+// allocation, and the predicate sees absolute labels on brute-force and
+// symmetric path sets alike. The zero check (no fault view) accepts
+// everything.
+type healthCheck struct {
+	h    HealthView
+	now  sim.Time
+	path *core.Path
+}
+
+func (c healthCheck) ok(p core.PathView) bool {
+	if c.h == nil {
+		return true
+	}
+	p.Fill(c.path)
+	return c.h.PathOK(c.now, c.path)
 }
 
 // clampBucket mirrors the router's out-of-range bucket tolerance (Group
@@ -210,71 +208,63 @@ func clampBucket(b, numBuckets int) int {
 	return b
 }
 
-// pickHealthy resolves the bucket to a path and its §5.3 recovery class. A
-// nil health predicate short-circuits to the wanted path (the steady-state
-// hot path). Under faults the preference order mirrors failure.classifyOne:
-// the wanted entry's parallel paths (same hop count), then other healthy
-// entries — same length first, then shorter, then longer, each resolved in
-// group entry order.
-func (u *UCMP) pickHealthy(g *core.Group, bucket int, hash uint64, ok func(*core.Path) bool) (*core.Path, netsim.RecoveryClass) {
-	want := u.Ager.EntryForBucket(g, bucket)
-	p := healthyOf(want.Paths, hash, ok)
-	if ok == nil {
-		return p, netsim.RecoveryPrimary
+// pickHealthy resolves the bucket to a path and its §5.3 recovery class.
+// Without a fault view it is the wanted path (the steady-state hot path).
+// Under faults the preference order mirrors failure.classifyOne: the wanted
+// entry's parallel paths (same hop count), then the other entries — shorter
+// first, then longer, each resolved in group entry order (entries ascend
+// strictly in hop count, so no other entry has the wanted length).
+func (u *UCMP) pickHealthy(g core.GroupView, bucket int, hash uint64, chk healthCheck) (core.PathView, netsim.RecoveryClass, bool) {
+	if g.NumEntries() == 0 {
+		return core.PathView{}, netsim.RecoveryNone, false
 	}
-	if p != nil {
-		if p == healthyOf(want.Paths, hash, nil) {
-			return p, netsim.RecoveryPrimary
+	wi := u.Ager.EntryIndex(g, bucket)
+	want := g.Entry(wi)
+	if want.NumPaths == 0 {
+		return core.PathView{}, netsim.RecoveryNone, false
+	}
+	primary := int(hash % uint64(want.NumPaths))
+	if chk.h == nil {
+		return want.Path(primary), netsim.RecoveryPrimary, true
+	}
+	j := healthyOf(want, hash, chk)
+	if j >= 0 {
+		if j == primary {
+			return want.Path(j), netsim.RecoveryPrimary, true
 		}
 		// A sibling parallel path of the wanted entry: same hop count.
-		return p, netsim.RecoverySameLength
+		return want.Path(j), netsim.RecoverySameLength, true
 	}
-	var shorter, longer *core.Path
-	for i := range g.Entries {
-		e := &g.Entries[i]
-		if e == want {
+	for i := 0; i < g.NumEntries(); i++ {
+		if i == wi {
 			continue
 		}
-		switch {
-		case e.HopCount == want.HopCount:
-			if p := healthyOf(e.Paths, hash, ok); p != nil {
-				return p, netsim.RecoverySameLength
+		e := g.Entry(i)
+		if j := healthyOf(e, hash, chk); j >= 0 {
+			if i < wi {
+				return e.Path(j), netsim.RecoveryShorter, true
 			}
-		case e.HopCount < want.HopCount:
-			if shorter == nil {
-				shorter = healthyOf(e.Paths, hash, ok)
-			}
-		default:
-			if longer == nil {
-				longer = healthyOf(e.Paths, hash, ok)
-			}
+			return e.Path(j), netsim.RecoveryLonger, true
 		}
 	}
-	if shorter != nil {
-		return shorter, netsim.RecoveryShorter
-	}
-	if longer != nil {
-		return longer, netsim.RecoveryLonger
-	}
-	return nil, netsim.RecoveryNone
+	return core.PathView{}, netsim.RecoveryNone, false
 }
 
-// healthyOf returns the hash-selected healthy path, or nil when paths is
-// empty (a failure scenario can empty an entry) or every path is unhealthy.
-// A nil ok accepts every path.
-func healthyOf(paths []*core.Path, hash uint64, ok func(*core.Path) bool) *core.Path {
-	n := len(paths)
+// healthyOf returns the index of the hash-selected healthy path of the
+// entry, or -1 when the entry has no paths or every path is unhealthy.
+func healthyOf(e core.EntryView, hash uint64, chk healthCheck) int {
+	n := e.NumPaths
 	if n == 0 {
-		return nil
+		return -1
 	}
 	start := int(hash % uint64(n))
 	for i := 0; i < n; i++ {
-		p := paths[(start+i)%n]
-		if ok == nil || ok(p) {
-			return p
+		j := (start + i) % n
+		if chk.ok(e.Path(j)) {
+			return j
 		}
 	}
-	return nil
+	return -1
 }
 
 // StampBucket tags a data packet with the flow's current aging bucket

@@ -13,10 +13,11 @@ func TestUCMPBackupFallback(t *testing.T) {
 	f := fabric(t)
 	ps := core.BuildPathSet(f, 0.5)
 	u := NewUCMP(ps)
-	// Reject every precomputed group path by identity: the group is
+	// Reject every precomputed group path by content: the group is
 	// effectively exhausted for all (src, dst), forcing the backup
-	// machinery (backup paths are built fresh, so they stay healthy).
-	grouped := make(map[*core.Path]bool)
+	// machinery (a 2-hop backup that coincides with a group path is
+	// rejected with it, which the routed > 0 check tolerates).
+	grouped := make(map[string]bool)
 	for ts := 0; ts < f.Sched.S; ts++ {
 		for src := 0; src < f.NumToRs; src++ {
 			for dst := 0; dst < f.NumToRs; dst++ {
@@ -26,7 +27,7 @@ func TestUCMPBackupFallback(t *testing.T) {
 				g := ps.Group(ts, src, dst)
 				for _, e := range g.Entries {
 					for _, p := range e.Paths {
-						grouped[p] = true
+						grouped[p.String()] = true
 					}
 				}
 			}
@@ -34,7 +35,7 @@ func TestUCMPBackupFallback(t *testing.T) {
 	}
 	badToR := 3
 	u.Health = StaticHealth{
-		Path: func(p *core.Path) bool { return !grouped[p] },
+		Path: func(p *core.Path) bool { return !grouped[p.String()] },
 		Tor:  func(tor int) bool { return tor != badToR },
 	}
 
@@ -89,25 +90,45 @@ func TestUCMPNoBackupReturnsFalse(t *testing.T) {
 	}
 }
 
-// TestHealthyOfEmpty pins the div-by-zero guard: an entry emptied by
-// failure filtering must yield nil, not a modulo panic.
+// TestHealthyOfEmpty pins the div-by-zero guard: an entry without paths
+// must yield -1, not a modulo panic.
 func TestHealthyOfEmpty(t *testing.T) {
-	if p := healthyOf(nil, 12345, nil); p != nil {
-		t.Fatalf("healthyOf(nil) = %v, want nil", p)
-	}
-	if p := healthyOf([]*core.Path{}, 7, func(*core.Path) bool { return true }); p != nil {
-		t.Fatalf("healthyOf(empty) = %v, want nil", p)
+	if j := healthyOf(core.EntryView{}, 12345, healthCheck{}); j != -1 {
+		t.Fatalf("healthyOf(empty entry) = %d, want -1", j)
 	}
 }
 
-// TestHealthyOfNilOK pins that a nil health predicate accepts the
-// hash-selected path, matching the pre-guard fast path.
+// TestHealthyOfNilOK pins that without a fault view the hash-selected path
+// is accepted, and that under one the scan starts there and wraps.
 func TestHealthyOfNilOK(t *testing.T) {
-	paths := []*core.Path{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}}
-	for hash := uint64(0); hash < 9; hash++ {
-		want := paths[hash%3]
-		if got := healthyOf(paths, hash, nil); got != want {
-			t.Fatalf("healthyOf(hash=%d) = %v, want %v", hash, got, want)
+	f := fabric(t)
+	ps := core.BuildPathSet(f, 0.5)
+	for src := 0; src < f.NumToRs; src++ {
+		for dst := 0; dst < f.NumToRs; dst++ {
+			g := ps.View(0, src, dst)
+			for i := 0; i < g.NumEntries(); i++ {
+				e := g.Entry(i)
+				if e.NumPaths < 2 {
+					continue
+				}
+				for hash := uint64(0); hash < 9; hash++ {
+					want := int(hash % uint64(e.NumPaths))
+					if got := healthyOf(e, hash, healthCheck{}); got != want {
+						t.Fatalf("healthyOf(hash=%d) = %d, want %d", hash, got, want)
+					}
+					// Reject exactly the hash-selected path: the next one wins.
+					var scratch core.Path
+					bad := e.Path(want).Hop(0)
+					chk := healthCheck{path: &scratch, h: StaticHealth{Path: func(p *core.Path) bool {
+						return p.Hops[0] != bad
+					}}}
+					if got := healthyOf(e, hash, chk); got == want {
+						t.Fatalf("healthyOf(hash=%d) kept the rejected path %d", hash, want)
+					}
+				}
+				return
+			}
 		}
 	}
+	t.Fatal("no entry with parallel paths found")
 }

@@ -147,8 +147,9 @@ func ExactTable(ps *core.PathSet, tor int) (naive, packed, sramBytes int) {
 // ComputeExact is Compute with the packed columns filled from a real
 // compiled table. The PathSet build is cheap on rotation-symmetric
 // schedules (the canonical O(S·N) build); on others this costs the full
-// brute-force build, whose S·N² groups stay resident (about 2 GB at
-// (324,12)), and should only be asked of fabrics that fit.
+// brute-force build, whose S·N² groups stay resident in the packed store
+// at about 60 B each (0.2 GB at (324,12), 1.1 GB at (768,24)):
+// core.EstimateStoreBytes says beforehand whether a fabric fits.
 func ComputeExact(f *topo.Fabric, alpha float64, s Sampling) Usage {
 	u := Compute(f, alpha, s)
 	ps := core.BuildPathSet(f, alpha)
