@@ -63,7 +63,7 @@ benchmark:
 	$(GO) run ./benchmark
 
 bench-netsim:
-	$(GO) test -run '^$$' -bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$' -benchmem ./internal/netsim | $(GO) run ./cmd/benchjson
+	$(GO) test -run '^$$' -bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$|BenchmarkRotorSelectIndirect108$$|BenchmarkHostNICEnqueueManyFlows$$' -benchmem ./internal/netsim | $(GO) run ./cmd/benchjson
 
 # bench-pr3 refreshes the timing-wheel record: it reruns the netsim hot-path
 # benchmarks, keeps the raw `go test` lines (benchstat input) in

@@ -69,6 +69,38 @@ var allExps = []string{
 // gigabyte-class fabrics and is requested explicitly (`-exp scale`).
 var heavyExps = map[string]bool{"scale": true}
 
+// selectExps resolves the -exp value to the set of exhibits to run: "all"
+// (everything but heavyExps) or a comma-separated list of ids, every one of
+// which must be known — a typo must not turn into an empty, successful run.
+func selectExps(spec string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if spec == "all" {
+		for _, e := range allExps {
+			if !heavyExps[e] {
+				want[e] = true
+			}
+		}
+		return want, nil
+	}
+	known := map[string]bool{}
+	for _, e := range allExps {
+		known[e] = true
+	}
+	var unknown []string
+	for _, e := range strings.Split(spec, ",") {
+		e = strings.TrimSpace(e)
+		if !known[e] {
+			unknown = append(unknown, fmt.Sprintf("%q", e))
+		}
+		want[e] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment id %s (valid: all, %s)",
+			strings.Join(unknown, ", "), strings.Join(allExps, ", "))
+	}
+	return want, nil
+}
+
 func main() {
 	var (
 		expF      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
@@ -90,6 +122,11 @@ func main() {
 		resumeF   = flag.Bool("resume", false, "resume simulations and sweeps from -checkpoint-dir where checkpoints match; anything unmatched falls back to a clean cold run")
 	)
 	flag.Parse()
+	want, err := selectExps(*expF)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ucmpbench: -exp: %v\n", err)
+		os.Exit(2)
+	}
 	harness.Parallel = *parallelF
 	harness.Workers = *workersF
 	harness.CollectSchedStats = *schedF
@@ -137,19 +174,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "ucmpbench: -memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	want := map[string]bool{}
-	if *expF == "all" {
-		for _, e := range allExps {
-			if !heavyExps[e] {
-				want[e] = true
-			}
-		}
-	} else {
-		for _, e := range strings.Split(*expF, ",") {
-			want[strings.TrimSpace(e)] = true
-		}
 	}
 
 	// -gomaxprocs sweeps the scheduler width: the selected exhibits run once

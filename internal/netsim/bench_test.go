@@ -332,3 +332,41 @@ func BenchmarkIncast8ToR(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkHostNICEnqueueManyFlows is the NIC-state exhibit: with 32,000
+// flows registered, every host fair-queues one packet on each of sixteen
+// late-registered flows and the fabric drains them. B/op is what the NICs
+// and the packet path allocate for that — it must not depend on how many
+// flows are registered (a per-host table indexed by flow cost 32 hosts ×
+// 32,000 × 32 B = 33 MB/op here). Network construction and flow registration
+// sit outside the timer.
+func BenchmarkHostNICEnqueueManyFlows(b *testing.B) {
+	env := newBenchEnv(topo.Scaled())
+	const flowsPerHost, active = 1000, 16
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng := sim.NewEngine()
+		qs := transport.QueueSpec(transport.DCTCP)
+		net := netsim.New(eng, env.fab, env.router, qs, qs, netsim.DefaultRotor())
+		net.Stamper = env.router.StampBucket
+		net.Start()
+		hosts := len(net.Hosts)
+		flows := make([]*netsim.Flow, flowsPerHost*hosts)
+		for j := range flows {
+			src := j % hosts
+			flows[j] = netsim.NewFlow(int64(j+1), src, (src+env.fab.HostsPerToR)%hosts, 1436, 0)
+			net.RegisterFlow(flows[j])
+		}
+		b.StartTimer()
+		for _, f := range flows[len(flows)-active*hosts:] {
+			p := net.Hosts[f.SrcHost].NewPacket()
+			p.Flow, p.Type, p.PayloadLen, p.WireLen = f, netsim.Data, 1436, 1500
+			net.Hosts[f.SrcHost].Send(p)
+		}
+		eng.Run(sim.Millisecond)
+		if net.Counters.DataDelivered == 0 {
+			b.Fatal("nothing delivered")
+		}
+	}
+}

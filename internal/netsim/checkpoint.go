@@ -21,6 +21,7 @@ package netsim
 
 import (
 	"fmt"
+	"sort"
 
 	"ucmp/internal/checkpoint"
 	"ucmp/internal/sim"
@@ -136,7 +137,15 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 		pe.Bool(t.rotor != nil)
 		if r := t.rotor; r != nil {
 			pe.I32(int32(r.rr))
-			for dst := range r.local {
+			for dst := 0; dst < r.n; dst++ {
+				if r.local == nil {
+					// Never used: three empty lists per destination, which is
+					// what the allocated-but-idle arrays encode to.
+					pe.Len(0)
+					pe.Len(0)
+					pe.Len(0)
+					continue
+				}
 				encodeFifo(pe, &r.local[dst])
 				encodeFifo(pe, &r.nonlocal[dst])
 				pe.Len(len(r.waiters[dst]))
@@ -147,6 +156,7 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 		}
 	}
 	pe.Len(len(n.Hosts))
+	var queued []*Flow // one host's flows with a non-empty NIC queue
 	for _, h := range n.Hosts {
 		hp := h.port
 		pe.I64(int64(hp.busyUntil))
@@ -154,21 +164,26 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 		pe.I64(hp.meter.last)
 		encodeFifo(pe, &hp.high)
 		encodeFifo(pe, &hp.anon)
-		nq := 0
-		for i := range hp.perFlow {
-			if hp.perFlow[i].len() > 0 {
-				nq++
+		// Per-flow queues are recorded in ascending dense order. Every
+		// non-empty one is on the ring, so the ring is all there is to walk.
+		queued = queued[:0]
+		for _, f := range hp.ring {
+			if f != nil && f.nic.len() > 0 {
+				queued = append(queued, f)
 			}
 		}
-		pe.Len(nq)
-		for i := range hp.perFlow {
-			if hp.perFlow[i].len() > 0 {
-				pe.I32(int32(i))
-				encodeFifo(pe, &hp.perFlow[i])
-			}
+		sort.Slice(queued, func(i, j int) bool { return queued[i].dense < queued[j].dense })
+		pe.Len(len(queued))
+		for _, f := range queued {
+			pe.I32(int32(f.dense))
+			encodeFifo(pe, &f.nic)
 		}
 		pe.Len(len(hp.ring))
-		for _, id := range hp.ring {
+		for _, f := range hp.ring {
+			id := anonQueue
+			if f != nil {
+				id = f.dense
+			}
 			pe.I32(int32(id))
 		}
 		pe.I32(int32(hp.rr))
@@ -331,29 +346,22 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 			return fmt.Errorf("checkpoint: rotor state presence mismatch at ToR %d", t.id)
 		}
 		if r := t.rotor; r != nil {
-			r.rr = int(pd.I32())
-			r.totalNonlocal, r.localPkts, r.nonlocalPkts = 0, 0, 0
-			for dst := range r.local {
-				if err := decodeFifo(pd, t.dom, &r.local[dst]); err != nil {
+			*r = rotorState{tor: t, n: r.n, rr: int(pd.I32())}
+			if pd.Err() == nil && (r.rr < 0 || r.rr >= r.n) {
+				return fmt.Errorf("checkpoint: rotor scan position %d out of range at ToR %d", r.rr, t.id)
+			}
+			for dst := 0; dst < r.n; dst++ {
+				var local, nonlocal fifo
+				if err := decodeFifo(pd, t.dom, &local); err != nil {
 					return err
 				}
-				if err := decodeFifo(pd, t.dom, &r.nonlocal[dst]); err != nil {
+				if err := decodeFifo(pd, t.dom, &nonlocal); err != nil {
 					return err
 				}
-				// Byte/packet accounting is derived, not stored: recompute it
-				// from the decoded VOQ contents.
-				r.localBytes[dst], r.nonlocalBytes[dst] = 0, 0
-				for _, p := range r.local[dst].items[r.local[dst].head:] {
-					r.localBytes[dst] += int64(p.WireLen)
-					r.localPkts++
-				}
-				for _, p := range r.nonlocal[dst].items[r.nonlocal[dst].head:] {
-					r.nonlocalBytes[dst] += int64(p.WireLen)
-					r.totalNonlocal += int64(p.WireLen)
-					r.nonlocalPkts++
+				if local.len() > 0 || nonlocal.len() > 0 {
+					r.restoreVOQs(dst, local, nonlocal)
 				}
 				wcnt := pd.Len()
-				r.waiters[dst] = nil
 				for j := 0; j < wcnt; j++ {
 					fl := n.FlowAt(int(pd.I32()))
 					if pd.Err() != nil {
@@ -381,19 +389,25 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 		if err := decodeFifo(pd, h.dom, &hp.anon); err != nil {
 			return err
 		}
-		if len(hp.perFlow) < len(n.flowList) {
-			hp.perFlow = make([]fifo, len(n.flowList))
-		}
+		// A NIC queue lives on its flow, so a record is only acceptable for a
+		// flow this host sources, once: anything else would splice two hosts'
+		// queues together. Records come in ascending dense order.
 		nq := pd.Len()
+		prev := -1
 		for j := 0; j < nq; j++ {
 			id := int(pd.I32())
 			if pd.Err() != nil {
 				return pd.Err()
 			}
-			if id < 0 || id >= len(hp.perFlow) {
-				return fmt.Errorf("checkpoint: host %d NIC queue references unknown flow %d", h.id, id)
+			fl, err := n.nicFlow(h, id)
+			if err != nil {
+				return err
 			}
-			if err := decodeFifo(pd, h.dom, &hp.perFlow[id]); err != nil {
+			if id <= prev {
+				return fmt.Errorf("checkpoint: host %d NIC queue for flow %d recorded twice or out of order", h.id, id)
+			}
+			prev = id
+			if err := decodeFifo(pd, h.dom, &fl.nic); err != nil {
 				return err
 			}
 		}
@@ -404,10 +418,14 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 			if pd.Err() != nil {
 				return pd.Err()
 			}
-			if id != anonQueue && (id < 0 || id >= len(hp.perFlow)) {
-				return fmt.Errorf("checkpoint: host %d NIC ring references unknown queue %d", h.id, id)
+			var fl *Flow // anonQueue
+			if id != anonQueue {
+				var err error
+				if fl, err = n.nicFlow(h, id); err != nil {
+					return err
+				}
 			}
-			hp.ring = append(hp.ring, id)
+			hp.ring = append(hp.ring, fl)
 		}
 		hp.rr = int(pd.I32())
 	}
@@ -468,6 +486,43 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 		}
 	}
 	return cd.Err()
+}
+
+// anonQueue is the ring id a checkpoint records for a host NIC's anon queue
+// (dense flow indices name the per-flow queues).
+const anonQueue = -1
+
+// nicFlow resolves a dense index recorded in host h's NIC section to the
+// flow whose queue it names, which must be one h sources.
+func (n *Network) nicFlow(h *Host, dense int) (*Flow, error) {
+	fl := n.FlowAt(dense)
+	if fl == nil {
+		return nil, fmt.Errorf("checkpoint: host %d NIC references unknown flow %d", h.id, dense)
+	}
+	if fl.SrcHost != h.id {
+		return nil, fmt.Errorf("checkpoint: host %d NIC references flow %d, which host %d sources", h.id, dense, fl.SrcHost)
+	}
+	return fl, nil
+}
+
+// restoreVOQs installs the decoded VOQs for one destination. Byte/packet
+// accounting and the occupancy bitset are derived, not stored: they are
+// recomputed from the decoded contents.
+func (r *rotorState) restoreVOQs(dst int, local, nonlocal fifo) {
+	r.alloc()
+	r.local[dst], r.nonlocal[dst] = local, nonlocal
+	for _, p := range local.items {
+		r.localBytes[dst] += int64(p.WireLen)
+		r.localPkts++
+	}
+	if local.len() > 0 {
+		r.localSet[dst>>6] |= 1 << (dst & 63)
+	}
+	for _, p := range nonlocal.items {
+		r.nonlocalBytes[dst] += int64(p.WireLen)
+		r.totalNonlocal += int64(p.WireLen)
+		r.nonlocalPkts++
+	}
 }
 
 // restoreEvent decodes one event descriptor and re-schedules it: netsim

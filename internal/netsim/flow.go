@@ -37,9 +37,15 @@ type Flow struct {
 	ReceiverEP Endpoint
 
 	// dense is the small contiguous index RegisterFlow assigns (position in
-	// registration order). Host NIC fair queueing indexes per-flow state by
-	// it instead of hashing the sparse 64-bit ID. -1 until registered.
+	// registration order): the flow's identity inside checkpoint files. -1
+	// until registered.
 	dense int
+
+	// nic is the flow's queue in its source host's NIC. Only SrcHost ever
+	// enqueues the flow's data, so the one queue lives here rather than in a
+	// per-host table indexed by flow; hostPort.ring lists the flows whose
+	// queue is non-empty.
+	nic fifo
 }
 
 // FCT returns the flow completion time, valid once Finished.

@@ -373,8 +373,9 @@ func (n *Network) FinalizeSharded() {
 }
 
 // RegisterFlow makes the network aware of a flow (needed before any packet
-// of it is sent) and assigns it the next dense index, which the host NICs
-// use for map-free per-flow queue dispatch.
+// of it is sent) and assigns it the next dense index, its identity inside
+// checkpoint files. Only a registered flow's data is fair-queued in its own
+// NIC queue.
 func (n *Network) RegisterFlow(f *Flow) {
 	if _, dup := n.flows[f.ID]; dup {
 		panic(fmt.Sprintf("netsim: duplicate flow %d", f.ID))
@@ -444,9 +445,9 @@ func (n *Network) NumFlows() int { return len(n.flowList) }
 func (n *Network) InFlightData() int64 {
 	var c int64
 	for _, h := range n.Hosts {
-		c += int64(h.port.high.dataCount() + h.port.anon.dataCount())
-		for i := range h.port.perFlow {
-			c += int64(h.port.perFlow[i].dataCount())
+		c += int64(h.port.high.dataCount())
+		for _, f := range h.port.ring {
+			c += int64(h.port.queueFor(f).dataCount())
 		}
 	}
 	for _, t := range n.ToRs {

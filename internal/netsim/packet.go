@@ -51,10 +51,13 @@ type PlannedHop struct {
 }
 
 // Packet is a simulated packet. Packets are passed by pointer and never
-// shared between two queues at once.
+// shared between two queues at once. Over a million are live at the peak of
+// a paper-scale rotor run, so the one-byte fields sit together in one word
+// at the end: spread between the wider fields they each cost eight bytes of
+// padding and pushed the struct from the 160 B allocation class into 192 B
+// (pinned by TestPacketSize).
 type Packet struct {
 	Flow *Flow
-	Type PacketType
 
 	// Seq is the byte offset of the payload (data) or the cumulative ack /
 	// nacked offset (control). PayloadLen is the payload size represented;
@@ -63,12 +66,6 @@ type Packet struct {
 	Seq        int64
 	PayloadLen int
 	WireLen    int
-
-	ECNCapable bool
-	ECNMarked  bool
-	// EchoECN is set on ACKs to echo the data packet's mark (DCTCP).
-	EchoECN bool
-	Trimmed bool
 
 	// Bucket is the flow-aging bucket stamped by the host (DSCP, §6.1).
 	Bucket int
@@ -83,9 +80,6 @@ type Packet struct {
 	// that have been recirculated more than 5 times on a ToR are
 	// dropped"); it resets when the packet departs over a circuit.
 	Rerouted int
-	// WasRerouted marks packets recirculated at least once, for the
-	// fraction the paper reports (§7.4).
-	WasRerouted bool
 	// TorHops counts ToR-to-ToR hops actually traversed, for bandwidth
 	// efficiency accounting (§7.3).
 	TorHops int
@@ -93,11 +87,6 @@ type Packet struct {
 	// SentAt is when the packet (this transmission) left the host.
 	SentAt sim.Time
 
-	// RecoveredVia records how the router's §5.3 online recovery resolved
-	// this packet's latest route plan; the zero value (RecoveryPrimary)
-	// means the wanted path was healthy or no fault view is installed.
-	// Routers that implement recovery stamp it on every plan.
-	RecoveredVia RecoveryClass
 	// FaultAt is the instant this packet hit a dead element (a calendar
 	// expiry on a failed link or ToR); zero means it never did. The ToR
 	// clears it when the replacement route is enqueued, recording the wait
@@ -109,8 +98,26 @@ type Packet struct {
 	// instant at one ToR are processed in (linkSrc, linkSeq) order — the
 	// canonical tie-break that makes serial and sharded runs bit-identical
 	// (see ToR.flushIngress).
-	linkSrc int32
 	linkSeq uint64
+	linkSrc int32
+
+	Type PacketType
+
+	ECNCapable bool
+	ECNMarked  bool
+	// EchoECN is set on ACKs to echo the data packet's mark (DCTCP).
+	EchoECN bool
+	Trimmed bool
+
+	// WasRerouted marks packets recirculated at least once, for the
+	// fraction the paper reports (§7.4).
+	WasRerouted bool
+
+	// RecoveredVia records how the router's §5.3 online recovery resolved
+	// this packet's latest route plan; the zero value (RecoveryPrimary)
+	// means the wanted path was healthy or no fault view is installed.
+	// Routers that implement recovery stamp it on every plan.
+	RecoveredVia RecoveryClass
 
 	// released marks a packet returned to its Network's pool; the poison
 	// debug mode asserts it never re-enters the fabric (see pool.go).

@@ -87,16 +87,14 @@ func (d *downPort) pump() {
 
 func (d *downPort) takeBytes() int64 { return d.meter.take() }
 
-// anonQueue is the ring id of the host NIC queue for packets of
-// unregistered (or nil) flows.
-const anonQueue = -1
-
 // hostPort is the host NIC toward its ToR. Transports self-limit, so the
 // NIC is unbounded, but it fair-queues per flow (round-robin over active
 // flows, control traffic first) so a bulk sender on the host cannot
-// head-of-line-block a latency-sensitive flow sharing the NIC. Per-flow
-// queues are indexed by the dense flow id assigned at registration — a
-// slice lookup, not a map probe, on every data packet.
+// head-of-line-block a latency-sensitive flow sharing the NIC. A flow's data
+// leaves only its source host, so each registered flow carries its own NIC
+// queue (Flow.nic) and the port holds just the round-robin ring of flows
+// with something queued: NIC state grows with what is queued, not with
+// hosts × flows.
 type hostPort struct {
 	net       *Network
 	dom       *domain
@@ -105,21 +103,20 @@ type hostPort struct {
 	busyUntil sim.Time
 	meter     byteMeter
 
-	high    fifo
-	perFlow []fifo // dense flow id -> queue
-	anon    fifo   // data packets of unregistered flows
-	ring    []int  // active queue ids (dense or anonQueue), round-robin
-	rr      int
+	high fifo
+	anon fifo    // data of unregistered flows, or of flows sourced elsewhere
+	ring []*Flow // flows with a non-empty queue, round-robin; nil is anon
+	rr   int
 
 	pumpFn func()
 }
 
-// queueFor resolves a ring id to its fifo.
-func (h *hostPort) queueFor(id int) *fifo {
-	if id == anonQueue {
+// queueFor resolves a ring entry to its fifo.
+func (h *hostPort) queueFor(f *Flow) *fifo {
+	if f == nil {
 		return &h.anon
 	}
-	return &h.perFlow[id]
+	return &f.nic
 }
 
 func (h *hostPort) enqueue(p *Packet) {
@@ -128,24 +125,13 @@ func (h *hostPort) enqueue(p *Packet) {
 		h.pump()
 		return
 	}
-	id := anonQueue
-	if p.Flow != nil && p.Flow.dense >= 0 {
-		id = p.Flow.dense
-		if id >= len(h.perFlow) {
-			// Size to the network's registered-flow count so one growth
-			// covers every flow the workload has launched so far.
-			size := h.net.NumFlows()
-			if size <= id {
-				size = id + 1
-			}
-			grown := make([]fifo, size)
-			copy(grown, h.perFlow)
-			h.perFlow = grown
-		}
+	owner := p.Flow
+	if owner != nil && (owner.dense < 0 || owner.SrcHost != h.host) {
+		owner = nil
 	}
-	q := h.queueFor(id)
+	q := h.queueFor(owner)
 	if q.len() == 0 {
-		h.ring = append(h.ring, id)
+		h.ring = append(h.ring, owner)
 	}
 	q.push(p)
 	h.pump()

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"ucmp/internal/sim"
 	"ucmp/internal/topo"
@@ -58,9 +60,28 @@ func TestHostPortFairQueueing(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			host.Send(&Packet{Flow: short, Type: Data, Seq: int64(i) * 1436, PayloadLen: 1436, WireLen: 1500})
 		}
+		// Each flow queues on itself; the first bulk packet is already on
+		// the wire.
+		if bulk.nic.len() != 49 || short.nic.len() != 2 || host.port.anon.len() != 0 {
+			t.Errorf("source NIC queues: bulk %d short %d anon %d, want 49/2/0",
+				bulk.nic.len(), short.nic.len(), host.port.anon.len())
+		}
+		// Data of a registered flow injected at a host that is not its source
+		// must not touch the flow's own queue (it belongs to host 0's ring):
+		// it rides the foreign NIC's anon queue.
+		foreign := n.Hosts[1]
+		for i := 0; i < 2; i++ {
+			foreign.Send(&Packet{Flow: bulk, Type: Data, Seq: int64(50+i) * 1436, PayloadLen: 1436, WireLen: 1500,
+				SrcHost: 1, DstHost: 17})
+		}
+		fp := foreign.port
+		if fp.anon.len() != 1 || len(fp.ring) != 1 || fp.ring[0] != nil || bulk.nic.len() != 49 {
+			t.Errorf("foreign-host data: anon %d ring %v bulk queue %d, want it parked in anon only",
+				fp.anon.len(), fp.ring, bulk.nic.len())
+		}
 	})
 	eng.Run(20 * sim.Millisecond)
-	if len(order) < 52 {
+	if len(order) < 54 {
 		t.Fatalf("only %d packets delivered", len(order))
 	}
 	// Both short packets must appear within the first dozen NIC departures'
@@ -140,5 +161,69 @@ func TestCalendarQueueECN(t *testing.T) {
 	eng.Run(20 * sim.Millisecond)
 	if marked == 0 {
 		t.Fatal("no ECN marks despite deep calendar backlog")
+	}
+}
+
+// NIC state must grow with what is queued, not with hosts × registered
+// flows: with 50,000 flows registered, one packet sent per host allocates a
+// few KB of ring and queue storage. A per-host table indexed by flow (32 B a
+// slot) costs 32 hosts × 50,000 × 32 B = 51 MB here.
+func TestHostNICMemoryIndependentOfFlowCount(t *testing.T) {
+	_, n := stubNet(t)
+	hosts := len(n.Hosts)
+	const flows = 50000
+	for i := 0; i < flows; i++ {
+		src := i % hosts
+		n.RegisterFlow(NewFlow(int64(i+1), src, (src+n.F.HostsPerToR)%hosts, 1436, 0))
+	}
+	pkts := make([]*Packet, 2*hosts)
+	for i := range pkts {
+		fl := n.FlowAt(flows - 1 - i) // the highest dense indices: the worst case for a table
+		pkts[i] = &Packet{Flow: fl, Type: Data, PayloadLen: 1436, WireLen: 1500}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range pkts {
+		// Two packets per host: one goes to the wire, one stays queued.
+		n.Hosts[p.Flow.SrcHost].Send(p)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("sending %d packets with %d flows registered allocated %d bytes; NIC state is sized by flow count",
+			len(pkts), flows, got)
+	}
+	if got := n.InFlightData(); got != int64(hosts) {
+		t.Fatalf("InFlightData = %d, want one queued packet per host (%d)", got, hosts)
+	}
+}
+
+// A drained fifo gives back a backing array that one burst grew large, and
+// keeps a small one for reuse.
+func TestFifoReleasesLargeBackingArray(t *testing.T) {
+	var f fifo
+	for _, burst := range []int{fifoKeepCap / 2, 8 * fifoKeepCap} {
+		for i := 0; i < burst; i++ {
+			f.push(&Packet{Seq: int64(i)})
+		}
+		for i := 0; i < burst; i++ {
+			if p := f.pop(); p == nil || p.Seq != int64(i) {
+				t.Fatalf("burst %d: pop %d returned %v", burst, i, p)
+			}
+		}
+		if f.len() != 0 || f.pop() != nil {
+			t.Fatalf("burst %d: fifo not empty after draining", burst)
+		}
+		if kept := cap(f.items) > 0; kept != (burst <= fifoKeepCap) {
+			t.Fatalf("burst %d: backing array kept=%v (cap %d)", burst, kept, cap(f.items))
+		}
+	}
+}
+
+// Packet must stay in the 160-byte allocation class: over a million are live
+// at the peak of a paper-scale rotor run, and one stray byte-sized field
+// between two words moves every one of them to 176 or 192 bytes.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 160 {
+		t.Fatalf("Packet is %d bytes, want <= 160: keep the one-byte fields together", got)
 	}
 }

@@ -30,6 +30,13 @@ type fifo struct {
 	head  int
 }
 
+// fifoKeepCap is the largest backing array a drained fifo keeps for its next
+// burst. It sits above what the bounded port queues reach (a 300-packet band
+// grows to 512 slots), so those recycle their storage as before; an unbounded
+// queue that one burst grew past it — a whole flow staged in its NIC queue —
+// gives the array back instead of pinning the high-water mark until exit.
+const fifoKeepCap = 512
+
 func (f *fifo) push(p *Packet) { f.items = append(f.items, p) }
 func (f *fifo) pop() *Packet {
 	if f.head >= len(f.items) {
@@ -40,7 +47,11 @@ func (f *fifo) pop() *Packet {
 	f.head++
 	if f.head == len(f.items) {
 		// Drained: rewind so the next burst reuses the same backing array.
-		f.items = f.items[:0]
+		if cap(f.items) > fifoKeepCap {
+			f.items = nil
+		} else {
+			f.items = f.items[:0]
+		}
 		f.head = 0
 	} else if f.head > 64 && f.head*2 >= len(f.items) {
 		n := copy(f.items, f.items[f.head:])

@@ -1,6 +1,10 @@
 package netsim
 
-import "ucmp/internal/sim"
+import (
+	"math/bits"
+
+	"ucmp/internal/sim"
+)
 
 // rotorState implements the RotorLB-style hop-by-hop machinery used for
 // VLB-class traffic: per-destination local VOQs (traffic originating at
@@ -21,7 +25,11 @@ import "ucmp/internal/sim"
 // reads and behaves identically in serial and sharded runs.
 type rotorState struct {
 	tor *ToR
+	n   int // destinations: the fabric's ToR count
 
+	// The per-destination arrays below are allocated together, by alloc, on
+	// the first push or credit wait: a ToR that never carries rotor traffic
+	// (every ToR of a source-routed run) holds no N-sized state.
 	local    []fifo
 	nonlocal []fifo
 
@@ -35,6 +43,10 @@ type rotorState struct {
 	// transports that still instantiate the rotor machinery.
 	localPkts    int
 	nonlocalPkts int
+
+	// localSet has bit dst set exactly while local[dst] is non-empty, so the
+	// indirect-hop choice visits occupied VOQs instead of scanning all N.
+	localSet []uint64
 
 	// waiters are one-shot host callbacks awaiting local-VOQ credit, each
 	// tagged with the waiting flow so checkpoints can name it.
@@ -51,24 +63,29 @@ type rotorWaiter struct {
 	fn func()
 }
 
-func newRotorState(t *ToR) *rotorState {
-	n := t.net.F.Sched.N
-	return &rotorState{
-		tor:           t,
-		local:         make([]fifo, n),
-		nonlocal:      make([]fifo, n),
-		localBytes:    make([]int64, n),
-		nonlocalBytes: make([]int64, n),
-		waiters:       make([][]rotorWaiter, n),
+func newRotorState(t *ToR, n int) *rotorState { return &rotorState{tor: t, n: n} }
+
+// alloc creates the per-destination arrays on first use.
+func (r *rotorState) alloc() {
+	if r.local != nil {
+		return
 	}
+	r.local = make([]fifo, r.n)
+	r.nonlocal = make([]fifo, r.n)
+	r.localBytes = make([]int64, r.n)
+	r.nonlocalBytes = make([]int64, r.n)
+	r.localSet = make([]uint64, (r.n+63)/64)
+	r.waiters = make([][]rotorWaiter, r.n)
 }
 
 // pushLocal admits a packet from a local host. Hosts are expected to
 // respect RotorHasCredit, but overflow is tolerated (the VOQ is unbounded;
 // the credit check is what provides backpressure).
 func (r *rotorState) pushLocal(p *Packet) {
+	r.alloc()
 	dst := p.DstToR
 	r.local[dst].push(p)
+	r.localSet[dst>>6] |= 1 << (dst & 63)
 	r.localBytes[dst] += int64(p.WireLen)
 	r.localPkts++
 	r.tor.pumpFor(dst) // direct circuit may be up right now
@@ -81,6 +98,7 @@ func (r *rotorState) pushLocal(p *Packet) {
 
 // pushNonlocal parks an indirect packet for its final hop.
 func (r *rotorState) pushNonlocal(p *Packet) {
+	r.alloc()
 	dst := p.DstToR
 	r.nonlocal[dst].push(p)
 	r.nonlocalBytes[dst] += int64(p.WireLen)
@@ -91,24 +109,21 @@ func (r *rotorState) pushNonlocal(p *Packet) {
 
 // selectPacket picks the next rotor packet to send toward peer. budget is
 // the serialization time remaining in the slice: a candidate fits when its
-// uplink serialization delay is within it (passed as a value so the hot
-// uplink pump does not allocate a predicate closure per call). abs is the
-// current absolute slice, used to read the peer's published backlog
-// snapshot. Returns nil when nothing eligible. Final-hop room is no longer
-// checked here: the destination ToR stages rotor arrivals above its
-// downlink threshold (downPort.stage), so losslessness holds without a
-// cross-ToR occupancy read on the send path.
+// uplink serialization delay is within it, and a first candidate that does
+// not fit ends the search. abs is the current absolute slice, used to read
+// the peer's published backlog snapshot. Returns nil when nothing eligible.
+// Final-hop room is no longer checked here: the destination ToR stages rotor
+// arrivals above its downlink threshold (downPort.stage), so losslessness
+// holds without a cross-ToR occupancy read on the send path.
 func (r *rotorState) selectPacket(peer int, budget sim.Time, abs int64) *Packet {
 	if r.localPkts == 0 && r.nonlocalPkts == 0 {
 		return nil
 	}
-	fits := func(wireLen int) bool {
-		return r.tor.net.serdelayUp(wireLen) <= budget
-	}
+	net := r.tor.net
 	// 1. Nonlocal traffic completing its second hop.
 	if r.nonlocal[peer].len() > 0 {
 		p := r.nonlocal[peer].items[r.nonlocal[peer].head]
-		if !fits(p.WireLen) {
+		if net.serdelayUp(p.WireLen) > budget {
 			return nil
 		}
 		r.nonlocal[peer].pop()
@@ -120,35 +135,71 @@ func (r *rotorState) selectPacket(peer int, budget sim.Time, abs int64) *Packet 
 	// 2. Local traffic with a direct circuit.
 	if r.local[peer].len() > 0 {
 		p := r.local[peer].items[r.local[peer].head]
-		if !fits(p.WireLen) {
+		if net.serdelayUp(p.WireLen) > budget {
 			return nil
 		}
-		r.local[peer].pop()
-		r.creditLocal(peer, p)
+		r.popLocal(peer, p)
 		return p
 	}
 	// 3. Indirect: spare capacity carries other destinations via peer,
 	// bounded by the peer's nonlocal backlog as of the last published slice
 	// boundary (lossless stand-in for RotorLB's offer/accept).
-	if r.tor.net.rotorBacklogAt(abs, peer) >= r.tor.net.Rotor.NonlocalCapBytes {
+	if net.rotorBacklogAt(abs, peer) >= net.Rotor.NonlocalCapBytes {
 		return nil
 	}
-	n := len(r.local)
-	for i := 0; i < n; i++ {
-		dst := (r.rr + i) % n
-		if dst == peer || dst == r.tor.id || r.local[dst].len() == 0 {
-			continue
-		}
-		p := r.local[dst].items[r.local[dst].head]
-		if !fits(p.WireLen) {
-			return nil
-		}
-		r.local[dst].pop()
-		r.creditLocal(dst, p)
-		r.rr = (dst + 1) % n
-		return p
+	dst := r.nextIndirect(peer)
+	if dst < 0 {
+		return nil
 	}
-	return nil
+	p := r.local[dst].items[r.local[dst].head]
+	if net.serdelayUp(p.WireLen) > budget {
+		return nil
+	}
+	r.popLocal(dst, p)
+	if r.rr = dst + 1; r.rr == r.n {
+		r.rr = 0
+	}
+	return p
+}
+
+// nextIndirect returns the first destination in cyclic order from rr whose
+// local VOQ is non-empty and which is neither the peer (served directly) nor
+// this ToR, or -1 when there is none.
+func (r *rotorState) nextIndirect(peer int) int {
+	for _, span := range [2][2]int{{r.rr, r.n}, {0, r.rr}} {
+		for dst := r.nextLocal(span[0]); dst >= 0 && dst < span[1]; dst = r.nextLocal(dst + 1) {
+			if dst != peer && dst != r.tor.id {
+				return dst
+			}
+		}
+	}
+	return -1
+}
+
+// nextLocal returns the lowest destination >= from with a non-empty local
+// VOQ, or -1.
+func (r *rotorState) nextLocal(from int) int {
+	w := from >> 6
+	if w >= len(r.localSet) {
+		return -1
+	}
+	word := r.localSet[w] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		if w++; w == len(r.localSet) {
+			return -1
+		}
+		word = r.localSet[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
+}
+
+// popLocal removes p, the head of local VOQ dst, and credits its bytes back.
+func (r *rotorState) popLocal(dst int, p *Packet) {
+	r.local[dst].pop()
+	if r.local[dst].len() == 0 {
+		r.localSet[dst>>6] &^= 1 << (dst & 63)
+	}
+	r.creditLocal(dst, p)
 }
 
 // creditLocal updates accounting after a local packet left and wakes hosts

@@ -74,7 +74,7 @@ func newToR(n *Network, id int, dom *domain) *ToR {
 		t.up[sw] = newUplinkPort(n, t, sw)
 	}
 	if n.Rotor.Enabled {
-		t.rotor = newRotorState(t)
+		t.rotor = newRotorState(t, n.F.Sched.N)
 	}
 	return t
 }
@@ -386,7 +386,11 @@ func (t *ToR) RotorHasCredit(dstToR int) bool {
 	if t.rotor == nil {
 		return true
 	}
-	return t.rotor.localBytes[dstToR] < t.net.Rotor.LocalCapBytes
+	var queued int64
+	if t.rotor.localBytes != nil {
+		queued = t.rotor.localBytes[dstToR]
+	}
+	return queued < t.net.Rotor.LocalCapBytes
 }
 
 // RotorNotify registers a one-shot callback fired when credit toward
@@ -398,6 +402,7 @@ func (t *ToR) RotorNotify(dstToR int, f *Flow, fn func()) {
 		fn()
 		return
 	}
+	t.rotor.alloc()
 	t.rotor.waiters[dstToR] = append(t.rotor.waiters[dstToR], rotorWaiter{f: f, fn: fn})
 }
 
