@@ -112,7 +112,7 @@ func main() {
 		memProfF  = flag.String("memprofile", "", "write a heap profile taken after the selected exhibits to this file")
 		traceF    = flag.String("trace", "", "write a runtime execution trace covering the selected exhibits to this file")
 		shardsF   = flag.Int("shards", 0, "run simulations on the sharded engine with this many workers (0/1 = serial)")
-		schedF    = flag.Bool("schedstats", false, "report per-exhibit scheduler internals (pending high-water, cascades, cancels) on stderr")
+		schedF    = flag.Bool("schedstats", false, "report per-exhibit scheduler internals (pending high-water, cascades, cancels) and event counts by kind on stderr")
 		procsF    = flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS values to sweep; exhibits run once per value (empty = current setting)")
 		scaleNsF  = flag.String("scale-ns", "", "comma-separated fabric sizes for -exp scale (empty = 108,256,512,1024)")
 		benchFmtF = flag.Bool("benchfmt", false, "emit -exp scale results as `go test -bench` lines on stdout (for cmd/benchjson); the human report moves to stderr")
@@ -238,6 +238,9 @@ func main() {
 				s := harness.TakeSchedStats()
 				fmt.Fprintf(os.Stderr, "(%s sched: pending-hwm %d, cascades %d, overflow %d, cancels %d, dead-pops %d, chases %d)\n",
 					e, s.PendingHighWater, s.Cascades, s.OverflowPushes, s.Cancels, s.DeadPops, s.Chases)
+				if k := harness.TakeEventKinds(); k.Total() > 0 {
+					fmt.Fprintf(os.Stderr, "(%s events by kind: %s)\n", e, harness.FormatEventKinds(k))
+				}
 				if sh := harness.TakeShardStats(); sh.Windows > 0 {
 					fmt.Fprintf(os.Stderr, "(%s shards: windows %d, barriers %d, extensions %d, cross-events %d, merge-batches %d, serial-merges %d, mailbox-hwm %d, steals %d)\n",
 						e, sh.Windows, sh.Barriers, sh.Extensions, sh.CrossEvents, sh.MergeBatches, sh.SerialMerges, sh.MailboxHighWater, sh.Steals)

@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		routingF   = flag.String("routing", "ucmp", "routing scheme: ucmp|vlb|ksp1|ksp5|opera1|opera5")
-		transportF = flag.String("transport", "dctcp", "transport: dctcp|ndp|tcp")
+		transportF = flag.String("transport", "dctcp", "transport: dctcp|ndp|tcp|rotor|mptcp")
 		workloadF  = flag.String("workload", "websearch", "workload: websearch|datamining")
 		loadF      = flag.Float64("load", 0.4, "target host-link load")
 		alphaF     = flag.Float64("alpha", 0.5, "UCMP weight factor")

@@ -37,7 +37,7 @@ import (
 
 const (
 	magic      = "UCMPCKP1"
-	version    = 1
+	version    = 2
 	headerSize = 40
 
 	fnvOffset = 1469598103934665603
@@ -69,7 +69,25 @@ const (
 
 	// metrics
 	KindSample // serial sampling tick; A unused
+
+	// NumKinds bounds the registry: every kind above is below it.
+	NumKinds
 )
+
+// kindNames are the registry's names as reports print them, by kind.
+var kindNames = [NumKinds]string{
+	"Untagged", "Boundary", "Flush", "PumpDown", "PumpHost", "DeliverHost", "RecvHost", "Ingress", "WakeUplink",
+	"FlowStart", "RcvStart", "TCPRTO", "NDPRepair", "Pacer", "Sample",
+}
+
+// KindName names an event kind for reports; kinds outside the registry print
+// as their number.
+func KindName(kind uint8) string {
+	if kind < NumKinds {
+		return kindNames[kind]
+	}
+	return fmt.Sprintf("Kind%d", kind)
+}
 
 func fnv64(h uint64, b []byte) uint64 {
 	for _, c := range b {

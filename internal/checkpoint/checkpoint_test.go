@@ -187,3 +187,19 @@ func TestFileName(t *testing.T) {
 		t.Fatalf("unexpected shape: %q", a)
 	}
 }
+
+// Every registered kind has a name for reports; a kind added without one
+// would print as an empty string.
+func TestKindNames(t *testing.T) {
+	seen := map[string]bool{}
+	for k := uint8(0); k < NumKinds; k++ {
+		name := KindName(k)
+		if name == "" || seen[name] {
+			t.Fatalf("kind %d has name %q (empty or repeated)", k, name)
+		}
+		seen[name] = true
+	}
+	if KindName(KindWakeUplink) != "WakeUplink" || KindName(KindSample) != "Sample" || KindName(200) != "Kind200" {
+		t.Fatalf("names out of step with the registry: %q %q %q", KindName(KindWakeUplink), KindName(KindSample), KindName(200))
+	}
+}

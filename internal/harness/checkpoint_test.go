@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,12 +18,18 @@ type ckptCase struct {
 	name  string
 	cfg   SimConfig
 	every func(slice sim.Time) sim.Time // checkpoint cadence from the slice length
+	// pendingRuns requires the last checkpoint — the one a resume restores —
+	// to find RotorLB flows in host NICs as runs of unbuilt segments.
+	pendingRuns bool
 }
 
 // midSlice lands checkpoint instants strictly inside a slice; onBoundary
 // lands them exactly on slice starts. Both must restore bit-identically.
-func midSlice(slice sim.Time) sim.Time  { return 10*slice + slice/3 }
-func onBoundary(slice sim.Time) sim.Time { return 16 * slice }
+// lateMidSlice takes one mid-slice checkpoint half way to the horizon, while
+// the serial RotorLB case still has flows leaving their NICs.
+func midSlice(slice sim.Time) sim.Time     { return 10*slice + slice/3 }
+func onBoundary(slice sim.Time) sim.Time   { return 16 * slice }
+func lateMidSlice(slice sim.Time) sim.Time { return 40*slice + slice/3 }
 
 func ckptCases() []ckptCase {
 	dctcp := ScaledConfig(UCMP, transport.DCTCP, "websearch")
@@ -45,12 +52,12 @@ func ckptCases() []ckptCase {
 	shardedRotor.SampleEvery = 200 * sim.Microsecond
 
 	cases := []ckptCase{
-		{"serial-ucmp-dctcp-midslice", dctcp, midSlice},
-		{"serial-ucmp-ndp-boundary", ndp, onBoundary},
-		{"serial-vlb-rotor", rotor, midSlice},
-		{"serial-ucmp-dctcp-failure", failing, midSlice},
-		{"sharded-ucmp-dctcp", shardedCfg, midSlice},
-		{"sharded-vlb-rotor-failure", shardedRotor, onBoundary},
+		{"serial-ucmp-dctcp-midslice", dctcp, midSlice, false},
+		{"serial-ucmp-ndp-boundary", ndp, onBoundary, false},
+		{"serial-vlb-rotor", rotor, lateMidSlice, true},
+		{"serial-ucmp-dctcp-failure", failing, midSlice, false},
+		{"sharded-ucmp-dctcp", shardedCfg, midSlice, false},
+		{"sharded-vlb-rotor-failure", shardedRotor, onBoundary, true},
 	}
 	for i := range cases {
 		cases[i].cfg.Duration = sim.Millisecond
@@ -94,11 +101,17 @@ func TestDifferentialCheckpointResume(t *testing.T) {
 			dir := t.TempDir()
 			every := tc.every(tc.cfg.Topo.SliceDuration)
 
+			if tc.pendingRuns {
+				requirePendingRuns(t, tc.cfg, every)
+			}
 			plain, err := Run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := ckptFingerprint(t, plain)
+			if got := plain.EventKinds.Total(); got != plain.Events {
+				t.Fatalf("EventKinds sum to %d, Events = %d", got, plain.Events)
+			}
 
 			ck := tc.cfg
 			ck.CheckpointDir = dir
@@ -123,7 +136,85 @@ func TestDifferentialCheckpointResume(t *testing.T) {
 			if got := ckptFingerprint(t, rsres); got != want {
 				t.Fatalf("resume diverged:\n--- plain ---\n%s\n--- resumed ---\n%s", want, got)
 			}
+			// The per-kind counts ride in the checkpoint, so a resumed run
+			// reports the whole run's (serial only: see ckptFingerprint).
+			if !rsres.Sharded && rsres.EventKinds != plain.EventKinds {
+				t.Fatalf("resumed EventKinds %v, uninterrupted %v", rsres.EventKinds, plain.EventKinds)
+			}
+			if got := rsres.EventKinds.Total(); got != rsres.Events {
+				t.Fatalf("resumed EventKinds sum to %d, Events = %d", got, rsres.Events)
+			}
 		})
+	}
+}
+
+// requirePendingRuns runs cfg up to its last checkpoint instant and fails
+// unless the ledger counts more parked data packets than exist: the excess
+// are segments of NIC runs, which that checkpoint then has to carry.
+func requirePendingRuns(t *testing.T, cfg SimConfig, every sim.Time) {
+	t.Helper()
+	st, err := buildSim(cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := (st.horizon - 1) / every * every
+	if st.sharded {
+		st.sh.Run(last)
+	} else {
+		st.eng.Run(last)
+	}
+	_, _, built := st.net.PoolStats()
+	if parked := st.net.InFlightData(); parked <= int64(built) {
+		t.Fatalf("at the last checkpoint (%v) %d data packets are parked and %d exist: no NIC run is pending", last, parked, built)
+	}
+}
+
+// TestResumeOlderVersionRejected: a checkpoint written before the current
+// container version (sparse ports section, NIC run records) is refused whole,
+// and the run starts cold with the reason recorded.
+func TestResumeOlderVersionRejected(t *testing.T) {
+	cfg := ScaledConfig(VLB, transport.Rotor, "datamining")
+	cfg.Duration = sim.Millisecond
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := cfg
+	ck.CheckpointDir = t.TempDir()
+	ck.CheckpointEvery = 400 * sim.Microsecond
+	if _, err := Run(ck); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(ck.CheckpointDir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("want exactly one checkpoint file, got %v (%v)", ents, err)
+	}
+	path := filepath.Join(ck.CheckpointDir, ents[0].Name())
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Version 1 in the header, with the header checksum (the container's
+	// FNV-1a variant over bytes 0..32) made right again.
+	binary.LittleEndian.PutUint32(img[8:], 1)
+	sum := uint64(1469598103934665603)
+	for _, c := range img[:32] {
+		sum = (sum ^ uint64(c)) * 1099511628211
+	}
+	binary.LittleEndian.PutUint64(img[32:], sum)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck.Resume = true
+	res, err := Run(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 1, want 2") {
+		t.Fatalf("expected a cold run naming the version, got note %q", res.ResumeNote)
+	}
+	if fingerprint(res) != fingerprint(plain) {
+		t.Fatal("cold fallback diverged from a plain run")
 	}
 }
 

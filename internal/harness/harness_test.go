@@ -47,6 +47,27 @@ func TestRunUnknownRouting(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("bogus workload accepted")
 	}
+	// An unknown transport used to panic inside Stack.Attach, after the
+	// fabric and path set were built.
+	cfg = quickBase()
+	cfg.Transport = "bogus"
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), `unknown transport "bogus"`) || !strings.Contains(err.Error(), "rotor") {
+		t.Fatalf("bogus transport: err = %v, want one naming it and the valid list", err)
+	}
+}
+
+// CheckpointEvery without a directory used to write nothing and say nothing.
+func TestCheckpointEveryWithoutDirNoted(t *testing.T) {
+	cfg := quickBase()
+	cfg.CheckpointEvery = 100 * sim.Microsecond
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "checkpointing off: CheckpointEvery set without CheckpointDir"; res.ResumeNote != want {
+		t.Fatalf("ResumeNote = %q, want %q", res.ResumeNote, want)
+	}
 }
 
 func TestTable1Report(t *testing.T) {

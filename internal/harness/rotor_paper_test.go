@@ -1,0 +1,49 @@
+package harness
+
+import (
+	"fmt"
+	"hash/fnv"
+	"runtime"
+	"testing"
+
+	"ucmp/internal/sim"
+	"ucmp/internal/topo"
+	"ucmp/internal/transport"
+)
+
+// rotorPaperFingerprint is FNV-1a over fingerprint() of the trial below —
+// every flow's bytes and completion instant, the full Counters, the event
+// count — as the commit before Host.SendRun produced it (PR 16, where the
+// trial allocated 524 MB).
+const rotorPaperFingerprint = "32e175b959dab9b7"
+
+// The paper's own RotorLB sizing — 108 ToRs × 6 uplinks × 6 hosts, VLB over
+// the rotor transport, data mining with flows up to 64 MB arriving for 1 ms:
+// long flows start without their packets existing, so the trial's allocation
+// stays far below the per-packet sender's, and nothing any flow observes
+// moved.
+func TestRotorPaperSizingAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale trial (~4 s)")
+	}
+	cfg := SimConfig{
+		Topo: topo.PaperDefault(), Routing: VLB, Transport: transport.Rotor, Alpha: 0.5,
+		Workload: "datamining", Load: 0.4, MaxFlowSize: 64 << 20,
+		Duration: sim.Millisecond, Horizon: 4 * sim.Millisecond, Seed: 1,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(fingerprint(res)))
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != rotorPaperFingerprint {
+		t.Errorf("fingerprint %s, want %s (events %d)", got, rotorPaperFingerprint, res.Events)
+	}
+	if got := (after.TotalAlloc - before.TotalAlloc) >> 20; got > 200 {
+		t.Errorf("the trial allocated %d MB, want at most 200", got)
+	}
+}

@@ -142,6 +142,8 @@ type SimConfig struct {
 	// place with the atomic temp+rename discipline. Checkpoint instants do
 	// not perturb the run: a checkpointing run is bit-identical to a plain
 	// one. A failed write degrades to a stderr warning; the run continues.
+	// CheckpointEvery without CheckpointDir writes nothing, which
+	// Result.ResumeNote says.
 	CheckpointDir   string
 	CheckpointEvery sim.Time
 
@@ -209,6 +211,10 @@ type Result struct {
 	// Events is the number of discrete events the engine executed for this
 	// run (throughput denominator for events/sec reporting).
 	Events uint64
+	// EventKinds breaks Events down by what the event did, indexed by the
+	// checkpoint.Kind* registry (slot 0: untagged); summed over domains on a
+	// sharded run, and over the whole run on a resumed one.
+	EventKinds sim.EventKinds
 	// Sharded reports whether the run executed on the conservative-PDES
 	// engine (false when cfg.Shards was set but Shardable rejected the
 	// configuration).
@@ -269,6 +275,9 @@ type simState struct {
 
 // Run executes the simulation.
 func Run(cfg SimConfig) (*Result, error) {
+	if !transport.Valid(cfg.Transport) {
+		return nil, fmt.Errorf("harness: unknown transport %q (valid: %v)", cfg.Transport, transport.Kinds)
+	}
 	var st *simState
 	var resumeNote string
 	resumed := false
@@ -484,14 +493,17 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 func (st *simState) run(resumed bool) *Result {
 	cfg := st.cfg
 	ckptKey, ckptNote := "", ""
-	if cfg.CheckpointDir != "" && cfg.CheckpointEvery > 0 {
-		if cfg.Transport == transport.MPTCP {
-			ckptNote = "checkpointing disabled: mptcp transport is not serializable"
-		} else {
-			ckptKey = configKey(cfg, st.flows)
-		}
+	switch {
+	case cfg.CheckpointEvery <= 0:
+	case cfg.CheckpointDir == "":
+		ckptNote = "checkpointing off: CheckpointEvery set without CheckpointDir"
+	case cfg.Transport == transport.MPTCP:
+		ckptNote = "checkpointing disabled: mptcp transport is not serializable"
+	default:
+		ckptKey = configKey(cfg, st.flows)
 	}
 	var events uint64
+	var kinds sim.EventKinds
 	if st.sharded {
 		if cfg.SampleEvery > 0 && !resumed {
 			st.col.StartSamplingSharded(st.net, st.sh, cfg.SampleEvery, st.horizon)
@@ -501,7 +513,7 @@ func (st *simState) run(resumed bool) *Result {
 		}
 		st.sh.Run(st.horizon)
 		st.net.FinalizeSharded()
-		events = st.sh.Processed()
+		events, kinds = st.sh.Processed(), st.sh.EventKinds()
 		recordSchedStats(st.sh.SchedStats())
 		recordShardStats(st.sh.Stats())
 	} else {
@@ -519,10 +531,11 @@ func (st *simState) run(resumed bool) *Result {
 			}
 		}
 		st.eng.Run(st.horizon)
-		events = st.eng.Processed()
+		events, kinds = st.eng.Processed(), st.eng.EventKinds()
 		recordSchedStats(st.eng.SchedStats())
 	}
 	eventsProcessed.Add(events)
+	recordEventKinds(&kinds)
 
 	return &Result{
 		Config:         cfg,
@@ -533,6 +546,7 @@ func (st *simState) run(resumed bool) *Result {
 		CompletionRate: st.col.CompletionRate(),
 		Launched:       len(st.flows),
 		Events:         events,
+		EventKinds:     kinds,
 		Sharded:        st.sharded,
 		Shards:         st.shards,
 		ShardNote:      st.shardNote,

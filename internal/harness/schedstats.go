@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"sync"
 
+	"ucmp/internal/checkpoint"
 	"ucmp/internal/sim"
 )
 
@@ -14,6 +18,7 @@ var CollectSchedStats = false
 var (
 	schedMu    sync.Mutex
 	schedAgg   sim.SchedStats
+	kindAgg    sim.EventKinds
 	shardAgg   sim.ShardStats
 	shardNotes []string
 )
@@ -36,6 +41,43 @@ func recordSchedStats(s sim.SchedStats) {
 	schedAgg.DeadPops += s.DeadPops
 	schedAgg.Chases += s.Chases
 	schedMu.Unlock()
+}
+
+// recordEventKinds folds one run's per-kind event counts into the aggregate.
+func recordEventKinds(k *sim.EventKinds) {
+	if !CollectSchedStats {
+		return
+	}
+	schedMu.Lock()
+	kindAgg.Add(k)
+	schedMu.Unlock()
+}
+
+// TakeEventKinds returns the per-kind event counts aggregated since the
+// previous call and resets the aggregate.
+func TakeEventKinds() sim.EventKinds {
+	schedMu.Lock()
+	k := kindAgg
+	kindAgg = sim.EventKinds{}
+	schedMu.Unlock()
+	return k
+}
+
+// FormatEventKinds renders the non-zero slots as "Name count", largest first
+// (ties in registry order).
+func FormatEventKinds(k sim.EventKinds) string {
+	order := make([]int, 0, len(k))
+	for i, c := range k {
+		if c > 0 {
+			order = append(order, i)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return k[order[a]] > k[order[b]] })
+	parts := make([]string, len(order))
+	for i, kind := range order {
+		parts[i] = fmt.Sprintf("%s %d", checkpoint.KindName(uint8(kind)), k[kind])
+	}
+	return strings.Join(parts, ", ")
 }
 
 // recordShardStats folds one sharded run's barrier/mailbox counters into

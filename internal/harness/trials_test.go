@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ucmp/internal/netsim"
 	"ucmp/internal/sim"
 	"ucmp/internal/transport"
 )
@@ -83,11 +84,11 @@ func TestWorkerCount(t *testing.T) {
 }
 
 // A panicking trial degrades to a PANIC line carrying its derived seed and
-// stack; every other trial still completes (the injected bogus transport
-// panics inside the simulation build).
+// stack; every other trial still completes (the injected flow list repeats a
+// flow ID, which panics inside the simulation build).
 func TestRunTrialsPanicRecovery(t *testing.T) {
 	_, trials := sweepForTest()
-	trials[1].Cfg.Transport = "bogus"
+	trials[1].Cfg.Flows = []*netsim.Flow{netsim.NewFlow(1, 0, 17, 1000, 0), netsim.NewFlow(1, 1, 18, 1000, 0)}
 	res, err := RunTrials(trials)
 	if err != nil {
 		t.Fatal(err)

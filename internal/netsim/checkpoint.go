@@ -27,6 +27,9 @@ import (
 	"ucmp/internal/sim"
 )
 
+// Every registered event kind has its own slot in sim.EventKinds.
+var _ [sim.NumEventKinds - checkpoint.NumKinds]struct{}
+
 // RestoreExt handles event descriptors whose kind netsim does not own
 // (transport and metrics events). It must re-schedule the described event on
 // eng — via the tagged scheduling calls or Timer.RestoreOccurrence — or
@@ -82,7 +85,9 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 	e.Len(len(n.doms))
 	for _, d := range n.doms {
 		e.I64(int64(d.eng.Now()))
-		e.U64(d.eng.Processed())
+		for _, c := range d.eng.EventKinds() {
+			e.U64(c)
+		}
 	}
 
 	ev := w.Section("events")
@@ -112,6 +117,7 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 
 	pe := w.Section("ports")
 	pe.Len(len(n.ToRs))
+	var live []int // scratch: indices of one sparse list
 	for _, t := range n.ToRs {
 		pe.U64(t.linkSeq)
 		pe.Bool(t.ingressArmed)
@@ -130,22 +136,34 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 			pe.I64(int64(u.busyUntil))
 			pe.I64(u.meter.total)
 			pe.I64(u.meter.last)
+			// Calendar queues and rotor destinations are recorded sparsely —
+			// a count, then (index, state) in ascending index order for those
+			// that hold anything: nearly all of the N·d·S queues and N² VOQs
+			// are empty at any instant.
+			live = live[:0]
 			for c := range u.cal {
+				if q := &u.cal[c]; q.Len() > 0 || q.Dropped != 0 || q.Trimmed != 0 || q.Marked != 0 {
+					live = append(live, c)
+				}
+			}
+			pe.Len(len(live))
+			for _, c := range live {
+				pe.I32(int32(c))
 				encodeQueue(pe, &u.cal[c])
 			}
 		}
 		pe.Bool(t.rotor != nil)
 		if r := t.rotor; r != nil {
 			pe.I32(int32(r.rr))
-			for dst := 0; dst < r.n; dst++ {
-				if r.local == nil {
-					// Never used: three empty lists per destination, which is
-					// what the allocated-but-idle arrays encode to.
-					pe.Len(0)
-					pe.Len(0)
-					pe.Len(0)
-					continue
+			live = live[:0]
+			for dst := range r.local { // nil while the ToR has carried nothing
+				if r.local[dst].len() > 0 || r.nonlocal[dst].len() > 0 || len(r.waiters[dst]) > 0 {
+					live = append(live, dst)
 				}
+			}
+			pe.Len(len(live))
+			for _, dst := range live {
+				pe.I32(int32(dst))
 				encodeFifo(pe, &r.local[dst])
 				encodeFifo(pe, &r.nonlocal[dst])
 				pe.Len(len(r.waiters[dst]))
@@ -164,11 +182,12 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 		pe.I64(hp.meter.last)
 		encodeFifo(pe, &hp.high)
 		encodeFifo(pe, &hp.anon)
-		// Per-flow queues are recorded in ascending dense order. Every
-		// non-empty one is on the ring, so the ring is all there is to walk.
+		// Per-flow queues — built packets, then the run of segments still to
+		// be built — are recorded in ascending dense order. Every non-empty
+		// one is on the ring, so the ring is all there is to walk.
 		queued = queued[:0]
 		for _, f := range hp.ring {
-			if f != nil && f.nic.len() > 0 {
+			if f != nil && hp.queued(f) {
 				queued = append(queued, f)
 			}
 		}
@@ -177,6 +196,10 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 		for _, f := range queued {
 			pe.I32(int32(f.dense))
 			encodeFifo(pe, &f.nic)
+			pe.I64(f.run.next)
+			pe.I64(f.run.end)
+			pe.I32(int32(f.run.mss))
+			pe.I64(int64(f.run.sentAt))
 		}
 		pe.Len(len(hp.ring))
 		for _, f := range hp.ring {
@@ -241,11 +264,14 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 	}
 	for _, d := range n.doms {
 		now := sim.Time(ed.I64())
-		processed := ed.U64()
+		var executed sim.EventKinds
+		for i := range executed {
+			executed[i] = ed.U64()
+		}
 		if ed.Err() != nil {
 			return ed.Err()
 		}
-		d.eng.Restore(now, processed)
+		d.eng.Restore(now, executed)
 	}
 	if n.sharded != nil {
 		n.sharded.RestoreGlobalNow(global)
@@ -328,7 +354,13 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 			u.busyUntil = sim.Time(pd.I64())
 			u.meter.total = pd.I64()
 			u.meter.last = pd.I64()
-			for c := range u.cal {
+			prev := -1
+			for left := pd.Len(); left > 0; left-- {
+				c, err := sparseIndex(pd, prev, len(u.cal), "calendar queue")
+				if err != nil {
+					return err
+				}
+				prev = c
 				if err := decodeQueue(pd, t.dom, &u.cal[c]); err != nil {
 					return err
 				}
@@ -350,7 +382,13 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 			if pd.Err() == nil && (r.rr < 0 || r.rr >= r.n) {
 				return fmt.Errorf("checkpoint: rotor scan position %d out of range at ToR %d", r.rr, t.id)
 			}
-			for dst := 0; dst < r.n; dst++ {
+			prev := -1
+			for left := pd.Len(); left > 0; left-- {
+				dst, err := sparseIndex(pd, prev, r.n, "rotor destination")
+				if err != nil {
+					return err
+				}
+				prev = dst
 				var local, nonlocal fifo
 				if err := decodeFifo(pd, t.dom, &local); err != nil {
 					return err
@@ -410,6 +448,15 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 			if err := decodeFifo(pd, h.dom, &fl.nic); err != nil {
 				return err
 			}
+			run := nicRun{next: pd.I64(), end: pd.I64(), mss: int(pd.I32()), sentAt: sim.Time(pd.I64())}
+			if pd.Err() != nil {
+				return pd.Err()
+			}
+			if run.next > run.end || run.pending() && (run.next < 0 || run.end > fl.Size || run.mss <= 0) {
+				return fmt.Errorf("checkpoint: host %d NIC run [%d, %d) mss %d does not fit flow %d of %d bytes",
+					h.id, run.next, run.end, run.mss, id, fl.Size)
+			}
+			fl.run = run
 		}
 		rcnt := pd.Len()
 		hp.ring = hp.ring[:0]
@@ -486,6 +533,20 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 		}
 	}
 	return cd.Err()
+}
+
+// sparseIndex reads the next index of a sparse list, which must lie in
+// [0, n) above prev: a list that repeats or reorders indices would restore
+// two records onto one queue.
+func sparseIndex(dec *checkpoint.Decoder, prev, n int, what string) (int, error) {
+	i := int(dec.I32())
+	if err := dec.Err(); err != nil {
+		return 0, err
+	}
+	if i <= prev || i >= n {
+		return 0, fmt.Errorf("checkpoint: %s index %d after %d, of %d", what, i, prev, n)
+	}
+	return i, nil
 }
 
 // anonQueue is the ring id a checkpoint records for a host NIC's anon queue

@@ -1,8 +1,13 @@
 package netsim
 
 import (
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"ucmp/internal/checkpoint"
+	"ucmp/internal/sim"
 )
 
 // nicNet builds a stub network with two flows sourced at host 0 and one at
@@ -17,11 +22,15 @@ func nicNet(t *testing.T) (*Network, []*Flow) {
 	return n, flows
 }
 
+// fillNICs parks three packets in each flow's NIC queue and, behind them, a
+// run for the rest of the flow.
 func fillNICs(n *Network, flows []*Flow) {
 	for _, fl := range flows {
+		h := n.Hosts[fl.SrcHost]
 		for i := 0; i < 3; i++ {
-			n.Hosts[fl.SrcHost].Send(&Packet{Flow: fl, Type: Data, Seq: int64(i) * 1436, PayloadLen: 1436, WireLen: 1500})
+			h.Send(&Packet{Flow: fl, Type: Data, Seq: int64(i) * 1436, PayloadLen: 1436, WireLen: 1500})
 		}
+		h.SendRun(fl, 3*1436, fl.Size, 1436)
 	}
 }
 
@@ -41,6 +50,9 @@ func TestRestoreRejectsSplicedNICQueues(t *testing.T) {
 	for i, fl := range flows {
 		if got, want := dflows[i].nic.len(), fl.nic.len(); got != want || want == 0 {
 			t.Fatalf("flow %d: restored NIC queue holds %d packets, source holds %d", fl.ID, got, want)
+		}
+		if got, want := dflows[i].run, fl.run; got != want || !want.pending() {
+			t.Fatalf("flow %d: restored run %+v, source holds %+v", fl.ID, got, want)
 		}
 	}
 	if got, want := dst.InFlightData(), src.InFlightData(); got != want {
@@ -63,6 +75,27 @@ func TestRestoreRejectsSplicedNICQueues(t *testing.T) {
 			hp := n.Hosts[0].port
 			hp.ring = append(hp.ring, flows[1])
 		}, "host 0 NIC queue for flow 1 recorded twice"},
+		// A run record is only acceptable when it describes bytes of its own
+		// flow still to be cut into segments.
+		{"run next beyond end", func(n *Network, flows []*Flow) {
+			flows[0].run.next = flows[0].run.end + 1
+		}, "NIC run [1048577, 1048576)"},
+		{"run without a segment size", func(n *Network, flows []*Flow) {
+			flows[1].run.mss = 0
+		}, "mss 0 does not fit flow 1"},
+		{"run with a negative segment size", func(n *Network, flows []*Flow) {
+			flows[1].run.mss = -1436
+		}, "mss -1436 does not fit flow 1"},
+		{"run beyond the flow", func(n *Network, flows []*Flow) {
+			flows[2].run.end = flows[2].Size + 1
+		}, "1048577) mss 1436 does not fit flow 2 of 1048576 bytes"},
+		{"run from a negative offset", func(n *Network, flows []*Flow) {
+			flows[2].run.next = -1436
+		}, "NIC run [-1436, 1048576)"},
+		{"run of a flow sourced elsewhere", func(n *Network, flows []*Flow) {
+			// Host 1's flow, run and all, on host 0's ring in place of its own.
+			n.Hosts[0].port.ring[1] = flows[2]
+		}, "host 0 NIC references flow 2, which host 1 sources"},
 	} {
 		src, flows := nicNet(t)
 		fillNICs(src, flows)
@@ -72,5 +105,114 @@ func TestRestoreRejectsSplicedNICQueues(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: restore error %v, want one containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// A packet sent behind a pending run waits for every segment of the run: the
+// NIC builds them first, so the flow's queue stays first-in first-out.
+func TestPacketBehindRunKeepsFIFO(t *testing.T) {
+	eng, n := stubNet(t)
+	fl := NewFlow(1, 0, 17, 10*1436+5, 0)
+	n.RegisterFlow(fl)
+	h := n.Hosts[0]
+	var seqs []int64
+	tor := n.ToRs[0]
+	recv := tor.recvHostFn
+	tor.recvHostFn = func(a any) {
+		seqs = append(seqs, a.(*Packet).Seq)
+		recv(a)
+	}
+	h.SendRun(fl, 0, fl.Size, 1436)
+	if !fl.run.pending() || fl.nic.len() != 0 {
+		t.Fatalf("after SendRun: run %+v, %d built packets queued; want the first on the wire and the rest a run", fl.run, fl.nic.len())
+	}
+	h.Send(&Packet{Flow: fl, Type: Data, Seq: 1 << 40, PayloadLen: 1436, WireLen: 1500})
+	if fl.run.pending() || fl.nic.len() != 11 {
+		t.Fatalf("after a packet behind the run: run %+v, %d packets queued; want the run built and 11 queued", fl.run, fl.nic.len())
+	}
+	if got := n.Counters.DataInjected; got != 12 {
+		t.Fatalf("DataInjected = %d, want 12", got)
+	}
+	eng.Run(sim.Millisecond)
+	want := []int64{0, 1436, 2 * 1436, 3 * 1436, 4 * 1436, 5 * 1436, 6 * 1436, 7 * 1436, 8 * 1436, 9 * 1436, 10 * 1436, 1 << 40}
+	if !reflect.DeepEqual(seqs, want) {
+		t.Fatalf("the flow's packets reached the ToR in order %v, want %v", seqs, want)
+	}
+}
+
+// The sparse lists of the ports section name the queues they describe, and a
+// restore takes an index only inside the list's range and above the one
+// before it.
+func TestSparseIndexValidation(t *testing.T) {
+	w := checkpoint.NewWriter()
+	enc := w.Section("idx")
+	for _, v := range []int32{0, 3, 3, 2, 7, 8, -1} {
+		enc.I32(v)
+	}
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if err := w.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := f.Section("idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := -1
+	for i, ok := range []bool{true, true, false, false, true, false, false} {
+		got, err := sparseIndex(dec, prev, 8, "test queue")
+		if (err == nil) != ok {
+			t.Fatalf("index %d after %d of 8: err = %v, want accepted = %v", i, prev, err, ok)
+		}
+		if ok {
+			prev = got
+		}
+	}
+	if _, err := sparseIndex(dec, prev, 8, "test queue"); err == nil {
+		t.Fatal("reading past the section's end was accepted")
+	}
+}
+
+// Only queues that hold something are written, and they come back where they
+// were; a list naming a queue the network does not have is refused.
+func TestSparsePortsRoundTrip(t *testing.T) {
+	build := func() *Network {
+		n := rotorNet(t)
+		tor := n.ToRs[2]
+		tor.up[1].cal[1].Enqueue(&Packet{Type: Data, WireLen: 1500})
+		tor.up[1].cal[3].Dropped = 4 // empty, but its counter is state
+		tor.up[2].cal[0].Enqueue(&Packet{Type: Ack, WireLen: HeaderBytes})
+		tor.rotor.pushNonlocal(rotorPkt(n, 1, 9))
+		tor.rotor.pushNonlocal(rotorPkt(n, 2, 14))
+		return n
+	}
+	src, dst := build(), rotorNet(t)
+	if err := snapshotInto(t, src, dst); err != nil {
+		t.Fatal(err)
+	}
+	got := dst.ToRs[2]
+	if got.up[1].cal[1].DataLen() != 1 || got.up[1].cal[3].Dropped != 4 || got.up[2].cal[0].Len() != 1 {
+		t.Fatalf("calendar queues not restored in place: %d data in [1][1], %d dropped in [1][3], %d in [2][0]",
+			got.up[1].cal[1].DataLen(), got.up[1].cal[3].Dropped, got.up[2].cal[0].Len())
+	}
+	if got.rotor.nonlocal[9].len() != 1 || got.rotor.nonlocal[14].len() != 1 || got.rotor.nonlocalPkts != 2 {
+		t.Fatalf("rotor VOQs not restored in place: %d packets", got.rotor.nonlocalPkts)
+	}
+	if want, got := src.InFlightData(), dst.InFlightData(); got != want || want != 3 {
+		t.Fatalf("restored InFlightData %d, source %d, want 3", got, want)
+	}
+
+	short := rotorNet(t)
+	short.ToRs[2].up[1].cal = short.ToRs[2].up[1].cal[:3]
+	if err := snapshotInto(t, build(), short); err == nil || !strings.Contains(err.Error(), "calendar queue index 3 after 1, of 3") {
+		t.Fatalf("restore onto a port with 3 calendar queues: %v", err)
+	}
+	narrow := rotorNet(t)
+	narrow.ToRs[2].rotor.n = 14
+	if err := snapshotInto(t, build(), narrow); err == nil || !strings.Contains(err.Error(), "rotor destination index 14 after 9, of 14") {
+		t.Fatalf("restore onto a rotor with 14 destinations: %v", err)
 	}
 }

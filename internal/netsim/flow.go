@@ -41,11 +41,34 @@ type Flow struct {
 	// until registered.
 	dense int
 
-	// nic is the flow's queue in its source host's NIC. Only SrcHost ever
-	// enqueues the flow's data, so the one queue lives here rather than in a
-	// per-host table indexed by flow; hostPort.ring lists the flows whose
-	// queue is non-empty.
+	// nic and run are the flow's queue in its source host's NIC: built
+	// packets first, then at most one run of segments still to be built.
+	// Only SrcHost ever enqueues the flow's data, so the one queue lives here
+	// rather than in a per-host table indexed by flow; hostPort.ring lists
+	// the flows whose queue is non-empty.
 	nic fifo
+	run nicRun
+}
+
+// nicRun is the unbuilt tail of a byte range handed to the NIC by
+// Host.SendRun: payload bytes [next, end) in segments of at most mss, all
+// accounted and timestamped (sentAt) when the range was injected. The NIC
+// builds each segment when the round-robin reaches it, so a parked flow costs
+// this record whatever its size. The zero value is "no run".
+type nicRun struct {
+	next, end int64
+	mss       int
+	sentAt    sim.Time
+}
+
+func (r *nicRun) pending() bool { return r.next < r.end }
+
+// segments returns how many packets the run still stands for.
+func (r *nicRun) segments() int64 {
+	if !r.pending() {
+		return 0
+	}
+	return (r.end - r.next + int64(r.mss) - 1) / int64(r.mss)
 }
 
 // FCT returns the flow completion time, valid once Finished.

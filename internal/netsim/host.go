@@ -1,6 +1,10 @@
 package netsim
 
-import "ucmp/internal/sim"
+import (
+	"fmt"
+
+	"ucmp/internal/sim"
+)
 
 // Host is an end host: a NIC port toward its ToR and the dispatch point for
 // transport endpoints. A host lives in its ToR's lookahead domain, so its
@@ -64,17 +68,61 @@ func (h *Host) Send(p *Packet) {
 			p.SrcHost, p.DstHost = f.DstHost, f.SrcHost
 		}
 	}
-	p.SrcToR = h.net.HostToR(p.SrcHost)
-	p.DstToR = h.net.HostToR(p.DstHost)
-	p.SentAt = h.dom.eng.Now()
-	if h.net.Stamper != nil {
-		h.net.Stamper(p)
-	}
+	h.net.seal(p, h.dom.eng.Now())
 	if p.Type == Data {
 		h.dom.ctr.DataBytesSent += int64(p.PayloadLen)
 		h.dom.ctr.DataInjected++
 	}
 	h.port.enqueue(p)
+}
+
+// seal finishes a packet leaving a host at sentAt, once its hosts are set:
+// ToR addressing, the injection instant, and the stamper.
+func (n *Network) seal(p *Packet, sentAt sim.Time) {
+	p.SrcToR = n.HostToR(p.SrcHost)
+	p.DstToR = n.HostToR(p.DstHost)
+	p.SentAt = sentAt
+	if n.Stamper != nil {
+		n.Stamper(p)
+	}
+}
+
+// SendRun injects payload bytes [from, to) of f, a registered flow this host
+// sources, as first-transmission data segments of at most mss bytes. It is
+// what calling Send once per segment in one instant does — the whole range
+// is counted as injected (DataBytesSent, DataInjected) and every segment
+// carries this instant as SentAt — except that only the first segment is
+// built now. The rest park as a run on the flow and the NIC builds each one
+// when its round-robin reaches it, so injecting a range costs the same
+// whatever its length. The stamper sees each segment with Flow.BytesSent
+// equal to the segment's Seq, the value a sender that has sent every earlier
+// byte once would show it.
+//
+// The first segment is a real packet because it decides the flow's place in
+// the round-robin: an idle NIC transmits it at once, retires the flow from
+// the ring, and the second segment re-appends it. A run that joined the ring
+// in its place would advance the scan position where the packet retires the
+// slot, and the fair-queueing order would drift from the per-packet one.
+func (h *Host) SendRun(f *Flow, from, to int64, mss int) {
+	if f.dense < 0 || f.SrcHost != h.id {
+		panic(fmt.Sprintf("netsim: SendRun of flow %d on host %d, which does not source it", f.ID, h.id))
+	}
+	if from < 0 || from >= to || to > f.Size || mss <= 0 {
+		panic(fmt.Sprintf("netsim: SendRun of flow %d (size %d) with range [%d, %d) mss %d", f.ID, f.Size, from, to, mss))
+	}
+	run := nicRun{next: from, end: to, mss: mss, sentAt: h.dom.eng.Now()}
+	h.dom.ctr.DataBytesSent += to - from
+	h.dom.ctr.DataInjected += run.segments()
+	hp := h.port
+	hp.enqueue(hp.segment(f, &run))
+	if run.pending() {
+		if f.nic.len() == 0 {
+			// The first segment is already on the wire and the flow off the
+			// ring: the second segment's enqueue would have put it back.
+			hp.ring = append(hp.ring, f)
+		}
+		f.run = run
+	}
 }
 
 // receive dispatches an arriving packet to the flow's transport endpoint,

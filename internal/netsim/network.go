@@ -437,8 +437,9 @@ func (n *Network) Flows() []*Flow {
 // NumFlows returns the number of registered flows (the dense index bound).
 func (n *Network) NumFlows() int { return len(n.flowList) }
 
-// InFlightData counts the data packets parked in fabric queues (host NICs,
-// ToR ports, calendar queues, RotorLB VOQs). Packets on the wire — inside a
+// InFlightData counts the data packets parked in fabric queues (host NICs —
+// segments of a run not built yet included — ToR ports, calendar queues,
+// RotorLB VOQs). Packets on the wire — inside a
 // scheduled delivery event — are not visible to it, so the count is exact
 // only at quiescence (no pending events), which is when the conservation
 // test reads it.
@@ -448,6 +449,9 @@ func (n *Network) InFlightData() int64 {
 		c += int64(h.port.high.dataCount())
 		for _, f := range h.port.ring {
 			c += int64(h.port.queueFor(f).dataCount())
+			if f != nil {
+				c += f.run.segments()
+			}
 		}
 	}
 	for _, t := range n.ToRs {

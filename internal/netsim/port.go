@@ -92,9 +92,10 @@ func (d *downPort) takeBytes() int64 { return d.meter.take() }
 // flows, control traffic first) so a bulk sender on the host cannot
 // head-of-line-block a latency-sensitive flow sharing the NIC. A flow's data
 // leaves only its source host, so each registered flow carries its own NIC
-// queue (Flow.nic) and the port holds just the round-robin ring of flows
-// with something queued: NIC state grows with what is queued, not with
-// hosts × flows.
+// queue — built packets (Flow.nic), then at most one run of segments still
+// to be built (Flow.run) — and the port holds just the round-robin ring of
+// flows with something queued: NIC state grows with the flows that are
+// queued, not with hosts × flows nor with the bytes they have yet to send.
 type hostPort struct {
 	net       *Network
 	dom       *domain
@@ -119,6 +120,11 @@ func (h *hostPort) queueFor(f *Flow) *fifo {
 	return &f.nic
 }
 
+// queued reports whether ring entry f has anything left to send.
+func (h *hostPort) queued(f *Flow) bool {
+	return h.queueFor(f).len() > 0 || (f != nil && f.run.pending())
+}
+
 func (h *hostPort) enqueue(p *Packet) {
 	if p.IsControl() {
 		h.high.push(p)
@@ -130,11 +136,40 @@ func (h *hostPort) enqueue(p *Packet) {
 		owner = nil
 	}
 	q := h.queueFor(owner)
+	// A packet behind a pending run waits for every segment of the run: build
+	// them now, so the queue stays first-in first-out.
+	for owner != nil && owner.run.pending() {
+		q.push(h.segment(owner, &owner.run))
+	}
 	if q.len() == 0 {
 		h.ring = append(h.ring, owner)
 	}
 	q.push(p)
 	h.pump()
+}
+
+// segment builds the next segment of run r of flow f from the domain pool,
+// as Host.Send would have sent it at r.sentAt, and advances the run.
+func (h *hostPort) segment(f *Flow, r *nicRun) *Packet {
+	n := int64(r.mss)
+	if r.next+n > r.end {
+		n = r.end - r.next
+	}
+	p := h.dom.newPacket()
+	p.Flow = f
+	p.Type = Data
+	p.Seq = r.next
+	p.PayloadLen = int(n)
+	p.WireLen = int(n) + HeaderBytes
+	p.SrcHost, p.DstHost = f.SrcHost, f.DstHost
+	// The stamper ages the flow by BytesSent, which the sender has already
+	// advanced past the whole run: show it the value this segment had.
+	sent := f.BytesSent
+	f.BytesSent = r.next
+	h.net.seal(p, r.sentAt)
+	f.BytesSent = sent
+	r.next += n
+	return p
 }
 
 // next pops the next packet under fair queueing.
@@ -146,19 +181,20 @@ func (h *hostPort) next() *Packet {
 		if h.rr >= len(h.ring) {
 			h.rr = 0
 		}
-		q := h.queueFor(h.ring[h.rr])
-		p := q.pop()
-		if p == nil {
-			// Empty slot: retire from the ring.
-			h.ring = append(h.ring[:h.rr], h.ring[h.rr+1:]...)
-			continue
+		f := h.ring[h.rr]
+		p := h.queueFor(f).pop()
+		if p == nil && f != nil && f.run.pending() {
+			p = h.segment(f, &f.run)
 		}
-		if q.len() == 0 {
-			h.ring = append(h.ring[:h.rr], h.ring[h.rr+1:]...)
-		} else {
+		if p != nil && h.queued(f) {
 			h.rr++
+			return p
 		}
-		return p
+		// Drained, or an empty slot: retire from the ring.
+		h.ring = append(h.ring[:h.rr], h.ring[h.rr+1:]...)
+		if p != nil {
+			return p
+		}
 	}
 	return nil
 }

@@ -99,6 +99,30 @@ type EventDesc struct {
 	Deadline Time // timer deadline (fires then if armed), when Timer
 }
 
+// NumEventKinds bounds the EventTag.Kind values an engine counts apart; the
+// checkpoint kind registry stays below it (netsim asserts so at compile time).
+const NumEventKinds = 16
+
+// EventKinds counts executed events by EventTag.Kind; slot 0 holds untagged
+// events. The slots sum to Processed.
+type EventKinds [NumEventKinds]uint64
+
+// Total sums the slots.
+func (k *EventKinds) Total() uint64 {
+	var n uint64
+	for _, c := range k {
+		n += c
+	}
+	return n
+}
+
+// Add folds o into k.
+func (k *EventKinds) Add(o *EventKinds) {
+	for i, c := range o {
+		k[i] += c
+	}
+}
+
 // QueueKind selects the scheduler implementation backing an Engine.
 type QueueKind int
 
@@ -142,6 +166,7 @@ type Engine struct {
 	// processed counts events executed, exposed for tests and throughput
 	// reporting. Lazily-deleted timer events do not count: no callback ran.
 	processed uint64
+	kinds     EventKinds
 	stopped   bool
 	stats     SchedStats
 }
@@ -174,6 +199,9 @@ func (e *Engine) Now() Time { return e.now }
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
+
+// EventKinds returns the executed events broken down by tag kind.
+func (e *Engine) EventKinds() EventKinds { return e.kinds }
 
 // Pending returns the number of events waiting in the queue, including
 // lazily-deleted timer events that have not surfaced yet.
@@ -340,15 +368,16 @@ func (e *Engine) SnapshotEvents() ([]EventDesc, error) {
 }
 
 // Restore positions a freshly built engine at a checkpoint's virtual time
-// and processed-event count. Pending events are replayed separately by the
+// and executed-event counts. Pending events are replayed separately by the
 // owning layers (via the tagged scheduling calls and Timer.RestoreOccurrence),
 // receiving fresh sequence numbers in recorded (at, seq) order — which
 // preserves same-instant tie-breaking exactly, since all post-restore
 // scheduling gets strictly higher sequence numbers, just as it would have in
 // the uninterrupted run.
-func (e *Engine) Restore(now Time, processed uint64) {
+func (e *Engine) Restore(now Time, executed EventKinds) {
 	e.now = now
-	e.processed = processed
+	e.kinds = executed
+	e.processed = executed.Total()
 }
 
 // Stop makes Run return after the current event completes.
@@ -357,15 +386,21 @@ func (e *Engine) Stop() { e.stopped = true }
 // dispatch runs the event's callback, reporting whether one actually ran
 // (lazily-deleted timer events surface here and are discarded).
 func (e *Engine) dispatch(ev *event) bool {
-	if ev.fn != nil {
+	kind := ev.tag.Kind
+	switch {
+	case ev.fn != nil:
 		ev.fn()
-		return true
-	}
-	if ev.fn1 != nil {
+	case ev.fn1 != nil:
 		ev.fn1(ev.arg)
-		return true
+	default:
+		tm := ev.arg.(*Timer)
+		if !tm.fire(ev.tgen) {
+			return false
+		}
+		kind = tm.tag.Kind
 	}
-	return ev.arg.(*Timer).fire(ev.tgen)
+	e.kinds[kind%NumEventKinds]++
+	return true
 }
 
 // Run executes events in timestamp order until the queue is empty or the

@@ -241,3 +241,37 @@ func pushDuringPopStress(t *testing.T, kind QueueKind) {
 		t.Fatalf("pending=%d after RunAll", e.Pending())
 	}
 }
+
+// Executed events are counted by tag kind — a timer under its own tag,
+// untagged events in slot 0, a canceled timer occurrence nowhere — and the
+// slots sum to Processed, on a fresh engine and on a restored one.
+func TestEngineEventKinds(t *testing.T) {
+	for _, q := range []QueueKind{QueueWheel, QueueHeap} {
+		e := NewEngineQueue(q)
+		nop := func() {}
+		e.At(1, nop)
+		e.AtTag(2, EventTag{Kind: 3}, nop)
+		e.AtTag(2, EventTag{Kind: 3}, nop)
+		e.At1Tag(3, EventTag{Kind: 7}, func(any) {}, nil)
+		e.NewTimerTag(EventTag{Kind: 5}, nop).Reset(4)
+		dead := e.NewTimerTag(EventTag{Kind: 6}, nop)
+		dead.Reset(5)
+		dead.Cancel()
+		e.Run(10)
+		want := EventKinds{0: 1, 3: 2, 5: 1, 7: 1}
+		if got := e.EventKinds(); got != want {
+			t.Fatalf("queue %v: EventKinds = %v, want %v", q, got, want)
+		}
+		if e.Processed() != 5 || want.Total() != 5 {
+			t.Fatalf("queue %v: Processed = %d, slots sum to %d, want 5", q, e.Processed(), want.Total())
+		}
+		r := NewEngineQueue(q)
+		r.Restore(10, want)
+		r.AtTag(11, EventTag{Kind: 3}, nop)
+		r.Run(12)
+		want[3]++
+		if got := r.EventKinds(); got != want || r.Processed() != 6 {
+			t.Fatalf("queue %v: restored engine counts %v (Processed %d), want %v (6)", q, got, r.Processed(), want)
+		}
+	}
+}

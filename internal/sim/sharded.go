@@ -313,6 +313,15 @@ func (s *ShardedEngine) Processed() uint64 {
 	return n
 }
 
+// EventKinds sums the per-kind executed-event counts across all domains.
+func (s *ShardedEngine) EventKinds() EventKinds {
+	var out EventKinds
+	for _, d := range s.doms {
+		out.Add(&d.kinds)
+	}
+	return out
+}
+
 // SchedStats aggregates per-domain scheduler internals: counters sum, the
 // pending high-water mark takes the max.
 func (s *ShardedEngine) SchedStats() SchedStats {

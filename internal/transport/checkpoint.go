@@ -227,7 +227,12 @@ func decodeSender(dec *checkpoint.Decoder, f *netsim.Flow) error {
 		if !ok {
 			return fmt.Errorf("checkpoint: flow %d sender is %T, checkpoint has rotor", f.ID, f.SenderEP)
 		}
+		// The cursor is what the sender has handed its NIC; the unsent part
+		// of that, if any, is the run in netsim's NIC record.
 		ep.next = dec.I64()
+		if dec.Err() == nil && (ep.next < 0 || ep.next > f.Size) {
+			return fmt.Errorf("checkpoint: flow %d rotor cursor %d outside its %d bytes", f.ID, ep.next, f.Size)
+		}
 	default:
 		return fmt.Errorf("checkpoint: flow %d has unknown sender kind %d", f.ID, kind)
 	}

@@ -4,10 +4,11 @@ import (
 	"ucmp/internal/netsim"
 )
 
-// rotorSender is the host side of RotorLB (§7.1): it streams segments into
-// its ToR's local VOQ for the destination rack, blocking on the credit
-// backpressure the ToR exposes. No retransmission machinery: the in-fabric
-// path is lossless by construction (bounded indirection, unbounded VOQs).
+// rotorSender is the host side of RotorLB (§7.1): it hands its flow to the
+// NIC once its ToR's local VOQ for the destination rack has credit, blocking
+// on the credit backpressure the ToR exposes until then. No retransmission
+// machinery: the in-fabric path is lossless by construction (bounded
+// indirection, unbounded VOQs).
 type rotorSender struct {
 	net  *netsim.Network
 	f    *netsim.Flow
@@ -32,27 +33,22 @@ func newRotorSender(n *netsim.Network, f *netsim.Flow) *rotorSender {
 
 func (s *rotorSender) start() { s.push() }
 
-// push streams segments while credit lasts, then parks on a notify.
+// push parks on a credit notify, or hands the NIC everything still unsent.
+// Credit is a reading of the ToR's VOQ, which nothing this call does can
+// change (segments reach the ToR through later events), so a flow with credit
+// sends all it has: as one run, which the NIC turns into segments as it
+// serves them.
 func (s *rotorSender) push() {
-	for s.next < s.f.Size {
-		if !s.tor.RotorHasCredit(s.dstToR) {
-			s.tor.RotorNotify(s.dstToR, s.f, s.pushFn)
-			return
-		}
-		length := int64(MSS)
-		if s.next+length > s.f.Size {
-			length = s.f.Size - s.next
-		}
-		p := s.host.NewPacket()
-		p.Flow = s.f
-		p.Type = netsim.Data
-		p.Seq = s.next
-		p.PayloadLen = int(length)
-		p.WireLen = int(length) + netsim.HeaderBytes
-		s.host.Send(p)
-		s.next += length
-		s.f.BytesSent += length
+	if s.next >= s.f.Size {
+		return
 	}
+	if !s.tor.RotorHasCredit(s.dstToR) {
+		s.tor.RotorNotify(s.dstToR, s.f, s.pushFn)
+		return
+	}
+	s.host.SendRun(s.f, s.next, s.f.Size, MSS)
+	s.f.BytesSent += s.f.Size - s.next
+	s.next = s.f.Size
 }
 
 // Deliver implements netsim.Endpoint; RotorLB senders receive no control

@@ -7,6 +7,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 
 	"ucmp/internal/checkpoint"
 	"ucmp/internal/netsim"
@@ -25,6 +26,12 @@ const (
 	TCP   Kind = "tcp"
 	Rotor Kind = "rotor"
 )
+
+// Kinds lists the protocols a Stack runs.
+var Kinds = []Kind{DCTCP, NDP, TCP, Rotor, MPTCP}
+
+// Valid reports whether k is one of Kinds.
+func Valid(k Kind) bool { return slices.Contains(Kinds, k) }
 
 // QueueSpec returns the paper's switch queue configuration for a protocol
 // (§7.1): DCTCP 300 pkts + ECN@65, NDP 80 pkts with trimming.
