@@ -13,7 +13,7 @@ import (
 )
 
 // BenchmarkFabricColdVsWarm measures the warm-fabric cache end to end at
-// scale (DESIGN.md §15): one cold iteration builds the symmetric path set,
+// scale (DESIGN.md §14): one cold iteration builds the symmetric path set,
 // compiles ToR 0's table, and saves the fabric file; each warm iteration
 // mmap-loads and validates it. The cold-s and warm-s metrics are the
 // README's "warm fabrics" numbers; the byte-compare keeps the benchmark

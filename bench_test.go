@@ -282,8 +282,8 @@ func BenchmarkOffline_PathSetBuild(b *testing.B) {
 }
 
 // BenchmarkOffline_PathSetBuildSerial pins the build to one worker: the
-// number to compare against results/BENCH_seed.json when judging the
-// single-threaded speedup, independent of the machine's core count.
+// single-threaded cost of the build, independent of the machine's core
+// count.
 func BenchmarkOffline_PathSetBuildSerial(b *testing.B) {
 	fab := topo.MustFabric(topo.Scaled(), "round-robin", 1)
 	b.ResetTimer()

@@ -32,10 +32,9 @@
 //
 //	ucmpbench -exp fig6a -shards 8 -gomaxprocs 1,2,4,8
 //
-// The offline build performance tracked in results/BENCH_seed.json is
-// regenerated with `make bench` (see that file for the recorded baseline);
-// the online simulator numbers in results/BENCH_pr2.json come from the
-// netsim benchmarks (`make bench` runs both).
+// Performance is measured by the repository benchmark (`make benchmark`,
+// BENCHMARK.json); `make bench` runs the per-layer `go test -bench` probes
+// for the offline build and the netsim packet path.
 package main
 
 import (
@@ -115,7 +114,6 @@ func main() {
 		schedF    = flag.Bool("schedstats", false, "report per-exhibit scheduler internals (pending high-water, cascades, cancels) and event counts by kind on stderr")
 		procsF    = flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS values to sweep; exhibits run once per value (empty = current setting)")
 		scaleNsF  = flag.String("scale-ns", "", "comma-separated fabric sizes for -exp scale (empty = 108,256,512,1024)")
-		benchFmtF = flag.Bool("benchfmt", false, "emit -exp scale results as `go test -bench` lines on stdout (for cmd/benchjson); the human report moves to stderr")
 		cacheF    = flag.String("fabric-cache", "", "directory for the warm-fabric cache: compiled UCMP fabrics are mmap-loaded from it when present and saved into it after cold builds")
 		ckptDirF  = flag.String("checkpoint-dir", "", "directory for crash-recovery checkpoints: simulations snapshot there every -checkpoint-every of simulated time, and sweeps record completed trials in a sweep book")
 		ckptEvF   = flag.Duration("checkpoint-every", 0, "simulated-time interval between checkpoints (0 = off)")
@@ -193,7 +191,7 @@ func main() {
 	}
 
 	r := runner{
-		full: *fullF, seed: *seedF, shards: *shardsF, benchFmt: *benchFmtF, cacheDir: *cacheF,
+		full: *fullF, seed: *seedF, shards: *shardsF, cacheDir: *cacheF,
 		ckptDir: *ckptDirF, ckptEvery: sim.Time(ckptEvF.Nanoseconds()), resume: *resumeF,
 	}
 	if *scaleNsF != "" {
@@ -255,7 +253,6 @@ type runner struct {
 	full      bool
 	seed      int64
 	shards    int
-	benchFmt  bool
 	cacheDir  string
 	ckptDir   string
 	ckptEvery sim.Time
@@ -317,18 +314,11 @@ func (r *runner) run(exp string) error {
 		}
 		fmt.Println(harness.Table3(rows))
 	case "scale":
-		rep, pts, err := harness.ScaleSweep(harness.ScaleConfig{Ns: r.scaleNs, Seed: r.seed, CacheDir: r.cacheDir})
+		rep, _, err := harness.ScaleSweep(harness.ScaleConfig{Ns: r.scaleNs, Seed: r.seed, CacheDir: r.cacheDir})
 		if err != nil {
 			return err
 		}
-		if r.benchFmt {
-			for _, l := range harness.BenchLines(pts) {
-				fmt.Println(l)
-			}
-			fmt.Fprintln(os.Stderr, rep)
-		} else {
-			fmt.Println(rep)
-		}
+		fmt.Println(rep)
 	case "fig5a":
 		rep, _ := harness.Fig5a(r.pathSet())
 		fmt.Println(rep)

@@ -1,6 +1,6 @@
 // Package byteview reinterprets raw little-endian byte regions as typed Go
 // slices without copying, for serving compiled-fabric arrays straight out of
-// an mmap'd file (DESIGN.md §15). Aliasing engages only when it is exactly
+// an mmap'd file (DESIGN.md §14). Aliasing engages only when it is exactly
 // equivalent to decoding: the host must be little-endian and the region
 // aligned for the element type; callers fall back to a copying decode
 // otherwise (and tests force that path to keep it honest).

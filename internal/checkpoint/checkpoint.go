@@ -1,5 +1,5 @@
 // Package checkpoint persists full simulation state so a killed long run
-// resumes bit-identically instead of replaying from t=0 (DESIGN.md §16).
+// resumes bit-identically instead of replaying from t=0 (DESIGN.md §15).
 //
 // A checkpoint file is a versioned, checksummed container of named sections.
 // Each layer of the simulator (sim engines, netsim, transport, metrics,
@@ -23,7 +23,7 @@
 // re-encoded as pure descriptors (sim.EventDesc) tagged with model-level
 // kinds (the Kind* constants below); the restore side rebuilds the pre-bound
 // closures from the reconstructed model and replays the descriptors in
-// recorded order. See DESIGN.md §16 for the rebuild-closures-on-restore
+// recorded order. See DESIGN.md §15 for the rebuild-closures-on-restore
 // rule and the full inventory of what each section carries.
 package checkpoint
 

@@ -613,15 +613,15 @@ func TestPathHelpers(t *testing.T) {
 func TestPathSetAlphaLive(t *testing.T) {
 	f := scaledFabric(t)
 	ps := BuildPathSet(f, 0.5)
-	before := ps.Model.Alpha
-	ps.SetAlpha(0.7)
-	if ps.Model.Alpha != 0.7 || before != 0.5 {
-		t.Fatal("SetAlpha failed")
-	}
-	// Thresholds are α-free: unchanged by retuning.
 	g := ps.Group(0, 0, 1)
 	thr := append([]float64(nil), g.Thresholds()...)
-	ps.SetAlpha(1.5)
+	// Live retuning (§5.2) belongs to a run's own ager: the path set, which
+	// warm fabrics share between runs, keeps the α it was built with, and
+	// its thresholds are α-free.
+	NewFlowAger(ps).SetAlpha(1.5)
+	if ps.Model.Alpha != 0.5 {
+		t.Fatalf("retuning an ager moved the path set's alpha to %v", ps.Model.Alpha)
+	}
 	for i, v := range g.Thresholds() {
 		if v != thr[i] {
 			t.Fatal("thresholds changed with alpha; Eqn 4 violated")

@@ -214,11 +214,6 @@ func (ps *PathSet) Footprint() Footprint {
 	return fp
 }
 
-// SetAlpha retunes the weight factor live (§5.2): bucket thresholds are
-// α-free (Eqn. 4), so only the cost model's flow-to-bucket mapping changes;
-// no path or threshold recomputation is needed.
-func (ps *PathSet) SetAlpha(alpha float64) { ps.Model.Alpha = alpha }
-
 // GlobalThresholds returns the union of all bucket boundary values across
 // every UCMP group (§6.1): the globally recognizable stepping thresholds
 // for flow aging. Every group's thresholds are those of its interned

@@ -2,7 +2,7 @@ package core
 
 import "slices"
 
-// Rotation-symmetric PathSet build (DESIGN.md §13). When the schedule's
+// Rotation-symmetric PathSet build (DESIGN.md §12). When the schedule's
 // Rotation() witness holds, the DP row of any source ToR is the rotated row
 // of ToR 0: NextDirect(a, b, t) = NextDirect(a+k, b+k, t) for every k, the
 // DP recursion preserves that equivalence level by level, and the

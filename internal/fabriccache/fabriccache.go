@@ -1,6 +1,6 @@
 // Package fabriccache persists compiled fabrics — the symmetric PathSet's
 // canonical spine + deduplicated group store and ToR 0's CompiledTable — in a
-// versioned binary file served back via mmap (DESIGN.md §15). A 1024-ToR
+// versioned binary file served back via mmap (DESIGN.md §14). A 1024-ToR
 // fabric that costs ~39 s to build cold loads warm in well under a second,
 // and multiple processes loading the same file share one copy of the hot
 // arrays through the page cache.

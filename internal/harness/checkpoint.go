@@ -1,4 +1,4 @@
-// Checkpoint orchestration (DESIGN.md §16): the harness decides when to
+// Checkpoint orchestration (DESIGN.md §15): the harness decides when to
 // snapshot (segmented serial runs, coordinator globals on the sharded
 // engine), what identifies a checkpoint (configKey), and how a resume
 // rebuilds the model — attach every flow cold, replay the recorded state
@@ -30,8 +30,8 @@ func configKey(cfg SimConfig, flows []*netsim.Flow) string {
 		cfg.Topo, cfg.ScheduleKind, cfg.Routing, cfg.Transport, cfg.Alpha, cfg.Relax)
 	fmt.Fprintf(&b, "wl=%q load=%v maxsize=%d dur=%d horizon=%d sample=%d seed=%d ",
 		cfg.Workload, cfg.Load, cfg.MaxFlowSize, cfg.Duration, cfg.Horizon, cfg.SampleEvery, cfg.Seed)
-	fmt.Fprintf(&b, "afs=%v pin=%q maxpar=%d tables=%v tcap=%d cong=%v cthr=%d hot=%v ",
-		cfg.AccurateFlowSize, cfg.PinPolicy, cfg.MaxParallel, cfg.UseTables, cfg.TableCacheCap,
+	fmt.Fprintf(&b, "afs=%v pin=%q maxpar=%d cong=%v cthr=%d hot=%v ",
+		cfg.AccurateFlowSize, cfg.PinPolicy, cfg.MaxParallel,
 		cfg.CongestionAware, cfg.CongestionThreshold, cfg.Hotspot)
 	fmt.Fprintf(&b, "failfrac=%v queue=%v shards=%d ", cfg.LinkFailFrac, cfg.Queue, cfg.Shards)
 	if !cfg.Failures.Empty() {

@@ -10,7 +10,7 @@ import (
 	"ucmp/internal/transport"
 )
 
-// congestionCase is one §14 differential scenario: congestion-aware UCMP
+// congestionCase is one DESIGN.md §13 differential scenario: congestion-aware UCMP
 // planning against the slice-boundary backlog board must produce
 // byte-identical results on the serial and sharded engines. mustSteer marks
 // scenarios built to guarantee the steering actually engages, so the
@@ -148,40 +148,5 @@ func TestCongestionSteeringChangesOutcome(t *testing.T) {
 	}
 	if fingerprintCore(awareRes) == fingerprintCore(unawareRes) {
 		t.Fatal("congestion-aware run is byte-identical to the unaware run; steering had no effect")
-	}
-}
-
-// TestTableCacheCapConfig pins the TableCacheCap contract: negative caps
-// (and negative congestion thresholds) are rejected, and a cache squeezed
-// far below the ToR count still plans bit-identically to the default cap —
-// eviction and recompilation must not change results.
-func TestTableCacheCapConfig(t *testing.T) {
-	base := ScaledConfig(UCMP, transport.DCTCP, "websearch")
-	base.Duration = 200 * sim.Microsecond
-	base.UseTables = true
-
-	neg := base
-	neg.TableCacheCap = -1
-	if _, err := Run(neg); err == nil {
-		t.Fatal("Run accepted TableCacheCap=-1")
-	}
-	negThr := base
-	negThr.CongestionThreshold = -5
-	if _, err := Run(negThr); err == nil {
-		t.Fatal("Run accepted CongestionThreshold=-5")
-	}
-
-	def, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny := base
-	tiny.TableCacheCap = 2
-	tinyRes, err := Run(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fingerprintCore(tinyRes), fingerprintCore(def); got != want {
-		t.Fatalf("TableCacheCap=2 diverges from the default cap:\n--- default ---\n%s\n--- cap 2 ---\n%s", want, got)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // non-negative, come back at `repair`. It is the declarative front end the
 // CLIs use for SimConfig.Failures.
 func BuildFailureTimeline(cfg SimConfig, torFrac, linkFrac, switchFrac float64, down, repair sim.Time) (*failure.Timeline, error) {
-	fab, err := newFabricFor(cfg, cfg.Topo)
+	fab, err := newFabricFor(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -42,13 +42,14 @@ func FailureSweep(base SimConfig, fracs []float64) (*Report, []*Result, error) {
 	if err := forEach(len(fracs), func(i int) error {
 		cfg := base
 		if fracs[i] > 0 {
-			fab, err := newFabricFor(cfg, cfg.Topo)
+			fab, err := newFabricFor(cfg)
 			if err != nil {
 				return err
 			}
 			sc := newLinkFailures(fab, fracs[i], cfg.Seed)
 			cfg.Failures = failure.FromScenario(sc, failAt, -1)
-			off[i] = failure.Classify(buildPathSetFor(fab, cfg), sc)
+			ps, _ := timedPathSet(fab, cfg)
+			off[i] = failure.Classify(ps, sc)
 		}
 		res, err := Run(cfg)
 		if err != nil {

@@ -15,8 +15,8 @@ import (
 
 // ScalePoint is one fabric size of the scaling sweep: offline build,
 // table compile, and an end-to-end permutation simulation, with wall-clock
-// and peak-memory accounting per phase. It is the record behind
-// results/BENCH_pr7.json and the README's "scaling to 1024 ToRs" table.
+// and peak-memory accounting per phase. It is the record behind the
+// README's "scaling to 1024 ToRs" table.
 type ScalePoint struct {
 	N, D int
 
@@ -209,7 +209,7 @@ func scalePoint(n, d int, flowSize int64, horizon sim.Time, seed int64, cacheDir
 	// With a cache dir this loads (or builds-and-saves) once; the point's
 	// simulation run then reuses the same warm path set through the
 	// process-wide cache instead of building a second copy.
-	ps, _, info := timedPathSet(fab, sc)
+	ps, info := timedPathSet(fab, sc)
 	p.PathSet = info
 	p.BuildSec, p.Warm = info.Seconds, info.Warm
 	p.CanonRows, p.CanonUnique = ps.CanonStats()
@@ -243,32 +243,4 @@ func scalePoint(n, d int, flowSize int64, horizon sim.Time, seed int64, cacheDir
 	}
 	p.PeakHeapBytes, p.PeakSysBytes = sampler.halt()
 	return p, nil
-}
-
-// BenchLines renders the sweep points in `go test -bench` result format, so
-// cmd/benchjson folds them into the tracked results/BENCH_*.json records
-// alongside the hot-path benchmarks (custom columns land in "metrics").
-func BenchLines(points []ScalePoint) []string {
-	var out []string
-	for _, p := range points {
-		total := p.BuildSec + p.CompileSec + p.SimSec
-		sym := 0
-		if p.Symmetric {
-			sym = 1
-		}
-		dedup := 0.0
-		if p.CanonRows > 0 {
-			dedup = float64(p.CanonUnique) / float64(p.CanonRows)
-		}
-		warm := 0
-		if p.Warm {
-			warm = 1
-		}
-		out = append(out, fmt.Sprintf(
-			"BenchmarkScaleSweep/N=%d 1 %d ns/op %.3f build-s %.3f compile-s %.3f sim-s %.1f peak-heap-MB %.1f peak-sys-MB %.0f events/s %d packed-rows %d naive-rows %d sym %d warm %.4f canon-dedup",
-			p.N, int64(total*1e9), p.BuildSec, p.CompileSec, p.SimSec,
-			float64(p.PeakHeapBytes)/(1<<20), float64(p.PeakSysBytes)/(1<<20),
-			p.EventsPerSec, p.PackedRows, p.NaiveRows, sym, warm, dedup))
-	}
-	return out
 }

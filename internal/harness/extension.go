@@ -47,11 +47,6 @@ func ExtensionAlphaController(base SimConfig, targetUtil float64) (*Report, *Res
 	base.Workload = "websearch"
 	base.Routing = UCMP
 	base.Transport = transport.DCTCP
-	if base.SampleEvery == 0 {
-		base.SampleEvery = 500 * sim.Microsecond
-	}
-	// The controller needs live access: replicate harness.Run wiring with
-	// a control loop layered on top.
 	res, trace, err := runWithAlphaController(base, targetUtil)
 	if err != nil {
 		return nil, nil, err
@@ -97,76 +92,55 @@ type alphaTracePoint struct {
 	util  float64
 }
 
-// runWithAlphaController is harness.Run with a proportional α controller
-// ticking during the simulation. Because bucket thresholds are α-free
-// (Eqn. 4), retuning only updates the host-side aging map — exactly the
-// paper's "broadcast new values of α to the hosts".
+// runWithAlphaController is a cold serial harness run with a proportional α
+// controller ticking on its engine. Because bucket thresholds are α-free
+// (Eqn. 4), retuning only updates the run's own host-side aging map —
+// exactly the paper's "broadcast new values of α to the hosts" — and never
+// the path set, which warm fabrics share across runs. The control closure
+// cannot be serialised or split across lookahead domains, so checkpointing
+// and sharding are cleared, each with its note on the Result.
 func runWithAlphaController(cfg SimConfig, target float64) (*Result, []alphaTracePoint, error) {
 	cfg.Routing = UCMP
-	base := cfg
-	base.SampleEvery = 0 // sampling is driven by the controller below
-
-	fabCfg := base.Topo
-	fab, err := newFabricFor(base, fabCfg)
+	cfg.SampleEvery = 0 // sampling is driven by the controller below
+	var ckptNote, shardNote string
+	if cfg.CheckpointDir != "" || cfg.CheckpointEvery > 0 || cfg.Resume {
+		ckptNote = "checkpointing disabled: the alpha controller's tick is not serializable"
+		cfg.CheckpointDir, cfg.CheckpointEvery, cfg.Resume = "", 0, false
+	}
+	if cfg.Shards > 1 {
+		shardNote = "serial fallback: the alpha controller ticks on one engine"
+		recordShardNote(shardNote)
+		cfg.Shards = 0
+	}
+	st, err := buildSim(cfg, false)
 	if err != nil {
 		return nil, nil, err
-	}
-	eng := sim.NewEngineQueue(base.Queue)
-	ps := buildPathSetFor(fab, base)
-	router := newUCMPFor(ps, base)
-	qs := transport.QueueSpec(base.Transport)
-	net := netsim.New(eng, fab, router, qs, qs, netsim.DefaultRotor())
-	net.Stamper = router.StampBucket
-	net.Start()
-
-	flows := generateFlows(base)
-	col := newCollector(net, len(flows))
-	stack := transport.NewStack(net, base.Transport)
-	for _, f := range flows {
-		stack.Launch(f)
-	}
-
-	horizon := base.Horizon
-	if horizon == 0 {
-		horizon = 4 * base.Duration
 	}
 
 	var trace []alphaTracePoint
 	var prev *netsim.Sample
-	alpha := base.Alpha
+	alpha := cfg.Alpha
 	const gain = 3.0
 	tick := 500 * sim.Microsecond
 	var control func()
 	control = func() {
-		s := net.TakeSample(prev)
-		col.Samples = append(col.Samples, s)
-		prev = &col.Samples[len(col.Samples)-1]
+		s := st.net.TakeSample(prev)
+		st.col.Samples = append(st.col.Samples, s)
+		prev = &st.col.Samples[len(st.col.Samples)-1]
 		// Proportional step: utilization above target -> raise α ->
 		// shorter paths -> less core load.
 		alpha += gain * (s.TorToTorUtil - target)
 		alpha = clampF(alpha, 0.05, 3.0)
-		router.Ager.SetAlpha(alpha)
-		ps.SetAlpha(alpha)
-		trace = append(trace, alphaTracePoint{at: eng.Now(), alpha: alpha, util: s.TorToTorUtil})
-		if eng.Now()+tick <= horizon {
-			eng.After(tick, control)
+		st.ucmp.Ager.SetAlpha(alpha)
+		trace = append(trace, alphaTracePoint{at: st.eng.Now(), alpha: alpha, util: s.TorToTorUtil})
+		if st.eng.Now()+tick <= st.horizon {
+			st.eng.After(tick, control)
 		}
 	}
-	eng.After(tick, control)
-	eng.Run(horizon)
-	recordSchedStats(eng.SchedStats())
-
-	return &Result{
-		Config:         base,
-		Collector:      col,
-		Counters:       net.Counters,
-		Efficiency:     net.BandwidthEfficiency(),
-		ReroutedFrac:   net.ReroutedFraction(),
-		CompletionRate: col.CompletionRate(),
-		Launched:       len(flows),
-		JainCumulative: net.JainCumulative(),
-		Flows:          net.Flows(),
-	}, trace, nil
+	st.eng.After(tick, control)
+	res := st.run(false)
+	res.ResumeNote, res.ShardNote = ckptNote, shardNote
+	return res, trace, nil
 }
 
 func clampF(x, lo, hi float64) float64 {

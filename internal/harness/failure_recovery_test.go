@@ -20,13 +20,14 @@ func TestRunFailureRecoveryMatchesOfflineClassify(t *testing.T) {
 	cfg.Duration = 2 * sim.Millisecond
 	cfg.Seed = 5
 
-	fab, err := newFabricFor(cfg, cfg.Topo)
+	fab, err := newFabricFor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := newLinkFailures(fab, 0.1, cfg.Seed)
 	cfg.Failures = failure.FromScenario(sc, cfg.Duration/4, -1)
-	off := failure.Classify(buildPathSetFor(fab, cfg), sc)
+	ps, _ := timedPathSet(fab, cfg)
+	off := failure.Classify(ps, sc)
 	if off.Affected == 0 {
 		t.Fatal("offline scenario affected nothing; the test is vacuous")
 	}

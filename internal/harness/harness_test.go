@@ -47,6 +47,11 @@ func TestRunUnknownRouting(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("bogus workload accepted")
 	}
+	cfg = quickBase()
+	cfg.CongestionThreshold = -5
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("negative congestion threshold accepted")
+	}
 	// An unknown transport used to panic inside Stack.Attach, after the
 	// fabric and path set were built.
 	cfg = quickBase()

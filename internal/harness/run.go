@@ -7,7 +7,6 @@ package harness
 import (
 	"fmt"
 
-	"ucmp/internal/core"
 	"ucmp/internal/failure"
 	"ucmp/internal/metrics"
 	"ucmp/internal/netsim"
@@ -74,32 +73,22 @@ type SimConfig struct {
 	// keeps the default (4). 1 ablates ECMP-style tie spreading.
 	MaxParallel int
 
-	// FabricCacheDir, when set, persists compiled UCMP fabrics — the
-	// symmetric path set and ToR 0's compiled table — as mmap-able files in
-	// that directory (DESIGN.md §15) and serves subsequent runs of the same
-	// fabric + parameters from them instead of rebuilding. Loaded fabrics
-	// are additionally cached in-process, so repeated runs inside one
-	// process (trials, sweeps) share a single warm path set. Plans are
+	// FabricCacheDir, when set, persists compiled UCMP fabrics as mmap-able
+	// files in that directory (DESIGN.md §14) and serves subsequent runs of
+	// the same fabric + parameters from them instead of rebuilding. A run
+	// reads only the file's symmetric path set; ToR 0's compiled table rides
+	// in the file as the switch-install artifact (§6.2) and for Validate,
+	// and nothing in a simulation looks it up. Loaded fabrics are
+	// additionally cached in-process, so repeated runs inside one process
+	// (trials, sweeps) share a single warm path set. Plans are
 	// byte-identical warm vs cold; a stale, foreign, or corrupted file is
-	// rebuilt and overwritten. Ignored for non-symmetric schedules and
-	// non-UCMP routing.
+	// rebuilt and overwritten. Ignored for non-UCMP routing; a schedule
+	// with no rotation symmetry builds cold, which Result.PathSet notes.
 	FabricCacheDir string
-
-	// UseTables routes UCMP traffic through lazily compiled per-ToR
-	// source-routing tables (§6.2) instead of direct group lookups. Plans
-	// are bit-identical; the knob exercises the switch-SRAM artifact end to
-	// end and bounds memory via the table cache. Ignored for non-UCMP
-	// routing.
-	UseTables bool
-	// TableCacheCap bounds how many per-ToR tables the UseTables cache
-	// keeps materialized at once (FIFO eviction). 0 keeps the default
-	// (routing.DefaultTableCap); negative values are rejected. Ignored
-	// unless UseTables is set.
-	TableCacheCap int
 
 	// CongestionAware enables the §10 extension: online assignment steers
 	// around congested calendar queues within one bucket of slack, reading
-	// the slice-boundary backlog board (DESIGN.md §14).
+	// the slice-boundary backlog board (DESIGN.md §13).
 	CongestionAware bool
 	// CongestionThreshold overrides the backlog (data packets parked in the
 	// target calendar queue, as of the last slice boundary) at which
@@ -137,7 +126,7 @@ type SimConfig struct {
 	Shards int
 
 	// CheckpointDir, together with CheckpointEvery > 0, writes a full
-	// simulation snapshot (DESIGN.md §16) at every multiple of
+	// simulation snapshot (DESIGN.md §15) at every multiple of
 	// CheckpointEvery, one file per distinct configuration, overwritten in
 	// place with the atomic temp+rename discipline. Checkpoint instants do
 	// not perturb the run: a checkpointing run is bit-identical to a plain
@@ -161,8 +150,8 @@ type SimConfig struct {
 // bulk-synchronous windows cannot order deterministically. Traffic that
 // exchanges state at slice boundaries instead — rotor-class traffic (VLB
 // routing, Opera's rotor fallback, the rotor transport) via the backlog
-// exchange of DESIGN.md §12, and congestion-aware UCMP via the boundary
-// backlog board of DESIGN.md §14 — shards, but requires slices at least one
+// exchange of DESIGN.md §10, and congestion-aware UCMP via the boundary
+// backlog board of DESIGN.md §13 — shards, but requires slices at least one
 // lookahead window long so no boundary write shares an engine window with a
 // read. That holds for every realistic fabric (microsecond slices vs
 // sub-microsecond lookahead) but is checked here for pathological
@@ -263,6 +252,7 @@ type simState struct {
 	eng       *sim.Engine
 	sh        *sim.ShardedEngine
 	net       *netsim.Network
+	ucmp      *routing.UCMP // nil unless cfg.Routing is UCMP
 	stack     *transport.Stack
 	col       *metrics.Collector
 	flows     []*netsim.Flow
@@ -275,9 +265,6 @@ type simState struct {
 
 // Run executes the simulation.
 func Run(cfg SimConfig) (*Result, error) {
-	if !transport.Valid(cfg.Transport) {
-		return nil, fmt.Errorf("harness: unknown transport %q (valid: %v)", cfg.Transport, transport.Kinds)
-	}
 	var st *simState
 	var resumeNote string
 	resumed := false
@@ -321,19 +308,15 @@ func Run(cfg SimConfig) (*Result, error) {
 // not scheduled and the slice-boundary clock is not armed: every pending
 // event then comes from the checkpoint replay in restoreCheckpoint.
 func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
-	schedKind := cfg.ScheduleKind
-	if schedKind == "" {
-		schedKind = ScheduleFor(cfg.Routing)
+	if !transport.Valid(cfg.Transport) {
+		return nil, fmt.Errorf("harness: unknown transport %q (valid: %v)", cfg.Transport, transport.Kinds)
 	}
-	fab, err := topo.NewFabric(cfg.Topo, schedKind, cfg.Seed)
+	fab, err := newFabricFor(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("harness: Shards=%d is negative", cfg.Shards)
-	}
-	if cfg.TableCacheCap < 0 {
-		return nil, fmt.Errorf("harness: TableCacheCap=%d is negative", cfg.TableCacheCap)
 	}
 	if cfg.CongestionThreshold < 0 {
 		return nil, fmt.Errorf("harness: CongestionThreshold=%d is negative", cfg.CongestionThreshold)
@@ -367,16 +350,10 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 	var pathSet PathSetInfo
 	switch cfg.Routing {
 	case UCMP:
-		ps, warmTable, info := timedPathSet(fab, cfg)
+		ps, info := timedPathSet(fab, cfg)
 		pathSet = info
 		ucmpRouter = routing.NewUCMP(ps)
 		ucmpRouter.Relax = cfg.Relax
-		if cfg.UseTables {
-			ucmpRouter.EnableTables(cfg.TableCacheCap)
-			if warmTable != nil {
-				ucmpRouter.Tables.Preload(0, warmTable)
-			}
-		}
 		switch cfg.PinPolicy {
 		case "":
 		case "min-latency":
@@ -481,7 +458,7 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 		}
 	}
 	return &simState{
-		cfg: cfg, eng: eng, sh: sh, net: net, stack: stack, col: col,
+		cfg: cfg, eng: eng, sh: sh, net: net, ucmp: ucmpRouter, stack: stack, col: col,
 		flows: flows, sharded: sharded, shards: shards, shardNote: shardNote, pathSet: pathSet,
 		horizon: horizon,
 	}, nil
@@ -578,53 +555,13 @@ func compileFailures(cfg SimConfig, fab *topo.Fabric) *failure.Schedule {
 	return tl.Compile(fab)
 }
 
-// Shared wiring helpers, used by Run and by the extension runners.
-
-func newFabricFor(cfg SimConfig, topoCfg topo.Config) (*topo.Fabric, error) {
+// newFabricFor builds cfg's fabric on the schedule its routing requires.
+func newFabricFor(cfg SimConfig) (*topo.Fabric, error) {
 	kind := cfg.ScheduleKind
 	if kind == "" {
 		kind = ScheduleFor(cfg.Routing)
 	}
-	return topo.NewFabric(topoCfg, kind, cfg.Seed)
-}
-
-func buildPathSetFor(fab *topo.Fabric, cfg SimConfig) *core.PathSet {
-	ps, _, _ := warmPathSet(fab, cfg)
-	return ps
-}
-
-func newUCMPFor(ps *core.PathSet, cfg SimConfig) *routing.UCMP {
-	u := routing.NewUCMP(ps)
-	u.Relax = cfg.Relax
-	return u
-}
-
-func generateFlows(cfg SimConfig) []*netsim.Flow {
-	if cfg.Flows != nil {
-		return cfg.Flows
-	}
-	dist, err := distByName(cfg.Workload)
-	if err != nil {
-		panic(err)
-	}
-	return workload.Generate(workload.PoissonConfig{
-		Dist:        dist,
-		NumHosts:    cfg.Topo.NumHosts(),
-		LinkBps:     cfg.Topo.LinkBps,
-		Load:        cfg.Load,
-		Duration:    cfg.Duration,
-		Seed:        cfg.Seed,
-		HostsPerToR: cfg.Topo.HostsPerToR,
-		MaxFlowSize: cfg.MaxFlowSize,
-		Hotspot:     cfg.Hotspot,
-	})
-}
-
-func newCollector(net *netsim.Network, launched int) *metrics.Collector {
-	col := &metrics.Collector{}
-	col.Hook(net)
-	col.CountLaunched(launched)
-	return col
+	return topo.NewFabric(cfg.Topo, kind, cfg.Seed)
 }
 
 func distByName(name string) (*workload.Dist, error) {

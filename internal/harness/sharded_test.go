@@ -96,7 +96,7 @@ func shardedCases() []shardedCase {
 		LinkUp(900*sim.Microsecond, 3, 1)
 
 	// The rotor-class baselines, shardable since the slice-boundary backlog
-	// exchange (§12): every VLB data packet is RotorLB traffic, so this
+	// exchange (DESIGN.md §10): every VLB data packet is RotorLB traffic, so this
 	// exercises VOQ drains, indirection capped by the published board, and
 	// the receiver-side downlink staging under the sharded engine.
 	vlb := ScaledConfig(VLB, transport.Rotor, "websearch")
@@ -176,69 +176,9 @@ func TestDifferentialSerialSharded(t *testing.T) {
 	}
 }
 
-// TestDifferentialLazyTables runs UCMP with lazy compiled-table routing on:
-// the table plans must be bit-identical to group-lookup plans, so the
-// fingerprint must match the plain serial run, and the sharded engine (whose
-// workers race table materialization through the TableSet mutex) must match
-// both. The 64-ToR case runs on a rotation-symmetric fabric, so it also
-// covers tables compiled from canonical groups; the workload case covers the
-// brute-force build.
-func TestDifferentialLazyTables(t *testing.T) {
-	ring := ScaledConfig(UCMP, transport.DCTCP, "websearch")
-	ring.Workload = ""
-	ring.Topo.NumToRs = 64
-	ring.Topo.Uplinks = 4
-	ring.Horizon = 6 * sim.Millisecond
-	ringFlows := func() []*netsim.Flow {
-		var fl []*netsim.Flow
-		for tor := 0; tor < ring.Topo.NumToRs; tor++ {
-			src := tor * ring.Topo.HostsPerToR
-			dst := ((tor + 1) % ring.Topo.NumToRs) * ring.Topo.HostsPerToR
-			fl = append(fl, netsim.NewFlow(int64(tor+1), src, dst, 64<<10, 0))
-		}
-		return fl
-	}
-
-	poisson := ScaledConfig(UCMP, transport.DCTCP, "websearch")
-	poisson.Duration = sim.Millisecond
-	poisson.Seed = 31
-
-	cases := []shardedCase{
-		{name: "sym64-ring", cfg: ring, flows: ringFlows},
-		{name: "poisson-16", cfg: poisson},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(useTables bool, shards int) string {
-				cfg := tc.cfg
-				cfg.UseTables = useTables
-				cfg.Shards = shards
-				if tc.flows != nil {
-					cfg.Flows = tc.flows()
-				}
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if shards > 1 && !res.Sharded {
-					t.Fatalf("Shards=%d did not run sharded", shards)
-				}
-				return fingerprintCore(res)
-			}
-			plain := run(false, 0)
-			if got := run(true, 0); got != plain {
-				t.Fatalf("serial lazy-table run diverges from group lookups:\n--- groups ---\n%s\n--- tables ---\n%s", plain, got)
-			}
-			if got := run(true, 5); got != plain {
-				t.Fatalf("sharded lazy-table run diverges from serial:\n--- serial ---\n%s\n--- sharded ---\n%s", plain, got)
-			}
-		})
-	}
-}
-
 // TestShardableGate pins both sides of the gate: the rotor-class baselines
 // (VLB, Opera, RotorLB transport) and congestion-aware UCMP (on the
-// slice-boundary backlog board, §14) pass it whenever the slice duration
+// slice-boundary backlog board, DESIGN.md §13) pass it whenever the slice duration
 // covers the lookahead window, while latency relaxation and a
 // pathologically short slice are still refused — Run falls back to serial
 // for those and records why in Result.ShardNote.

@@ -1,4 +1,4 @@
-// Sweep bookkeeping (DESIGN.md §16): per-trial checkpoints let one killed
+// Sweep bookkeeping (DESIGN.md §15): per-trial checkpoints let one killed
 // simulation resume mid-run, but a sweep that dies between trials would
 // still re-run everything it had already finished. The sweep book closes
 // that gap — a small checksummed file in the checkpoint directory recording

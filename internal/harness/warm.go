@@ -12,7 +12,7 @@ import (
 	"ucmp/internal/topo"
 )
 
-// Warm-fabric plumbing (DESIGN.md §15). Loaded fabric handles are cached
+// Warm-fabric plumbing (DESIGN.md §14). Loaded fabric handles are cached
 // process-wide, keyed by cache file path (which itself embeds the schedule
 // fingerprint and build parameters), so all trials of a sweep share one
 // mmap'd path set. Handles are never Closed: the table arrays alias the
@@ -32,38 +32,51 @@ type PathSetInfo struct {
 	// build or load.
 	Warm    bool
 	Seconds float64
+	// Note says why a requested fabric cache was not used; empty otherwise.
+	Note string
 	core.Footprint
 }
 
-// String renders "cold-built in 0.15 s, G groups, X MB store, Y B/group".
+// String renders "cold-built in 0.15 s, G groups, X MB store, Y B/group",
+// followed by the note when there is one.
 func (i PathSetInfo) String() string {
 	how := "cold-built"
 	if i.Warm {
 		how = "cache-loaded"
 	}
-	return fmt.Sprintf("%s in %.2f s, %s", how, i.Seconds, i.Footprint)
+	s := fmt.Sprintf("%s in %.2f s, %s", how, i.Seconds, i.Footprint)
+	if i.Note != "" {
+		s += "; " + i.Note
+	}
+	return s
 }
 
 // timedPathSet is warmPathSet plus the PathSetInfo describing the outcome.
-func timedPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, *routing.CompiledTable, PathSetInfo) {
+func timedPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, PathSetInfo) {
 	t0 := time.Now()
-	ps, table, warm := warmPathSet(fab, cfg)
-	return ps, table, PathSetInfo{Warm: warm, Seconds: time.Since(t0).Seconds(), Footprint: ps.Footprint()}
+	ps, warm, note := warmPathSet(fab, cfg)
+	return ps, PathSetInfo{Warm: warm, Seconds: time.Since(t0).Seconds(), Note: note, Footprint: ps.Footprint()}
 }
 
-// warmPathSet returns the compiled path set for cfg's fabric, plus ToR 0's
-// compiled table when one came from the fabric cache (nil otherwise — the
-// caller compiles tables lazily as usual), and whether the result was warm
-// (served without an offline build). With FabricCacheDir unset, or for
-// schedules with no canonical form, it simply builds cold. Otherwise it
-// serves from the in-process cache, then from the cache file, and only then
-// builds cold — saving the result (best-effort) so the next process starts
-// warm. Warm and cold results are byte-identical by construction: the codec
-// round-trips the canonical arena exactly, and the differential tests pin
-// it.
-func warmPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, *routing.CompiledTable, bool) {
-	if cfg.FabricCacheDir == "" || !fab.Sched.Rotation() {
-		return core.BuildPathSetWith(fab, cfg.Alpha, cfg.MaxParallel), nil, false
+// warmPathSet returns the compiled path set for cfg's fabric, whether it was
+// warm (served without an offline build), and a note when FabricCacheDir was
+// set but unusable. With FabricCacheDir unset it simply builds cold; so does
+// a schedule with no rotation symmetry (the cache file holds the canonical
+// form only), which the note records. Otherwise it serves from the
+// in-process cache, then from the cache file, and only then builds cold —
+// saving the result (best-effort) so the next process starts warm. The file
+// also carries ToR 0's compiled table, written here and read by nothing in a
+// run: it is the switch-install artifact (§6.2) that Validate and Table 2
+// inspect. Warm and cold results are byte-identical by construction: the
+// codec round-trips the canonical arena exactly, and the differential tests
+// pin it.
+func warmPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, bool, string) {
+	if cfg.FabricCacheDir == "" {
+		return core.BuildPathSetWith(fab, cfg.Alpha, cfg.MaxParallel), false, ""
+	}
+	if !fab.Sched.Rotation() {
+		return core.BuildPathSetWith(fab, cfg.Alpha, cfg.MaxParallel), false,
+			"fabric cache unused: schedule has no rotation symmetry"
 	}
 	params := fabriccache.Params{Alpha: cfg.Alpha, MaxParallel: cfg.MaxParallel}
 	path := fabriccache.FileName(cfg.FabricCacheDir, fab, params)
@@ -74,16 +87,16 @@ func warmPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, *routing.Compi
 		warmFabrics.m = make(map[string]*fabriccache.Fabric)
 	}
 	if wf, ok := warmFabrics.m[path]; ok {
-		return wf.PS, wf.Table, true
+		return wf.PS, true, ""
 	}
 	if wf, err := fabriccache.Load(path, fab, params, fabriccache.Options{}); err == nil {
 		warmFabrics.m[path] = wf
-		return wf.PS, wf.Table, true
+		return wf.PS, true, ""
 	}
 	// Missing, stale, or corrupted file: rebuild and overwrite.
 	ps := core.BuildPathSetWith(fab, cfg.Alpha, cfg.MaxParallel)
 	if !ps.Symmetric() {
-		return ps, nil, false
+		return ps, false, ""
 	}
 	table := routing.CompileTable(ps, core.NewFlowAger(ps), 0)
 	// Best-effort: a full disk or read-only cache dir degrades to cold
@@ -92,5 +105,5 @@ func warmPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, *routing.Compi
 		fmt.Fprintf(os.Stderr, "harness: fabric cache not written: %v\n", err)
 	}
 	warmFabrics.m[path] = &fabriccache.Fabric{PS: ps, Table: table}
-	return ps, table, false
+	return ps, false, ""
 }

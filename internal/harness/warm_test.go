@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"ucmp/internal/core"
@@ -46,10 +47,10 @@ func dropWarmFabrics() {
 }
 
 // TestDifferentialWarmFabric is the warm-vs-cold determinism pin: a run
-// served from a fabric cache file — the mmap'd path set and the preloaded
-// ToR-0 table — produces byte-identical results (and byte-identical
-// compiled tables) to the cold build, and still agrees between the serial
-// and sharded engines.
+// served from a fabric cache file's mmap'd path set produces byte-identical
+// results to the cold build and still agrees between the serial and sharded
+// engines, and the ToR-0 table the file carries is byte-identical to a cold
+// compile.
 func TestDifferentialWarmFabric(t *testing.T) {
 	dir := t.TempDir()
 	base := ScaledConfig(UCMP, transport.DCTCP, "websearch")
@@ -58,7 +59,6 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	base.Topo.Uplinks = 4
 	base.Duration = sim.Millisecond
 	base.Seed = 21
-	base.UseTables = true
 
 	coldRes, err := Run(base) // no cache dir: the reference cold run
 	if err != nil {
@@ -93,15 +93,20 @@ func TestDifferentialWarmFabric(t *testing.T) {
 		t.Fatalf("warm run reports path set %q, want the populating run's footprint, cache-loaded", i)
 	}
 
-	// The loaded table must be byte-identical to one compiled cold.
+	// The table the file carries must be byte-identical to one compiled cold.
 	fab := topo.MustFabric(base.Topo, ScheduleFor(base.Routing), base.Seed)
-	ps, warmTable, warm := warmPathSet(fab, populate)
-	if !warm || warmTable == nil {
-		t.Fatal("fabric not served warm after a cached run")
+	ps, warm, note := warmPathSet(fab, populate)
+	if !warm || note != "" {
+		t.Fatalf("fabric not served warm after a cached run (note %q)", note)
+	}
+	loaded, err := fabriccache.Load(warmCachePathFor(t, fab, populate), fab,
+		fabriccache.Params{Alpha: base.Alpha, MaxParallel: base.MaxParallel}, fabriccache.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	coldPS := core.BuildPathSetWith(fab, base.Alpha, base.MaxParallel)
 	coldTable := routing.CompileTable(coldPS, core.NewFlowAger(coldPS), 0)
-	if !bytes.Equal(warmTable.Bytes(), coldTable.Bytes()) {
+	if !bytes.Equal(loaded.Table.Bytes(), coldTable.Bytes()) {
 		t.Fatal("loaded ToR-0 table differs from a cold compile")
 	}
 	for _, tor := range []int{1, 7} {
@@ -112,7 +117,7 @@ func TestDifferentialWarmFabric(t *testing.T) {
 		}
 	}
 
-	// Serial vs sharded with warm tables: the engines must still agree on
+	// Serial vs sharded on the warm path set: the engines must still agree on
 	// every simulation observable (fingerprintCore — event counts
 	// legitimately differ between the engines).
 	sharded := populate
@@ -141,7 +146,25 @@ func TestDifferentialWarmFabric(t *testing.T) {
 		t.Fatal("run after cache corruption diverges from cold")
 	}
 	dropWarmFabrics()
-	if _, _, warm := warmPathSet(fab, populate); !warm {
+	if _, warm, _ := warmPathSet(fab, populate); !warm {
 		t.Fatal("rebuild did not overwrite the corrupted cache file")
+	}
+}
+
+// A schedule with no rotation symmetry has no canonical form to cache: the
+// run builds cold and says so instead of ignoring FabricCacheDir silently.
+func TestFabricCacheUnusedNoted(t *testing.T) {
+	cfg := quickBase()
+	cfg.ScheduleKind = "random"
+	cfg.FabricCacheDir = t.TempDir()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := res.PathSet; i.Warm || !strings.Contains(i.String(), "fabric cache unused") {
+		t.Fatalf("path set %q, want a cold build noting the unused cache", i)
+	}
+	if left, _ := os.ReadDir(cfg.FabricCacheDir); len(left) != 0 {
+		t.Fatalf("cache dir holds %d files for an uncacheable schedule", len(left))
 	}
 }

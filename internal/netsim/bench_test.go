@@ -13,8 +13,8 @@ import (
 	"ucmp/internal/transport"
 )
 
-// The two benchmarks below are the per-packet hot-path exhibits tracked in
-// results/BENCH_pr2.json: a single-uplink saturation run (one bulk flow
+// The two benchmarks below are the per-packet hot-path probes `make
+// bench-netsim` runs: a single-uplink saturation run (one bulk flow
 // crossing one ToR-to-ToR port) and an 8-ToR incast (every other host
 // sending to host 0, saturating one downlink). Both report allocs/op over a
 // whole simulation run and sim events/sec, the numbers the packet arena and
@@ -145,12 +145,10 @@ func BenchmarkSaturation64Sharded(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkShardScaling is the multicore scaling record behind
-// results/BENCH_pr6.json: the 64-ToR permutation at worker counts 1..16
-// plus the serial engine as the 1x reference. Run it with all cores
-// (`make bench-scaling`); the committed per-count events/s numbers are what
-// the ISSUE-6 acceptance bar (sharded >= 2.5x serial at 8 shards on
-// GOMAXPROCS >= 8) is checked against in CI.
+// BenchmarkShardScaling is the multicore scaling probe: the 64-ToR
+// permutation at worker counts 1..16 plus the serial engine as the 1x
+// reference. Run it with all cores (`make bench-scaling`); on one core it
+// measures sharding overhead, not speedup.
 func BenchmarkShardScaling(b *testing.B) {
 	cfg, mkFlows, horizon := saturation64()
 	env := newBenchEnv(cfg)

@@ -1,6 +1,6 @@
 package netsim
 
-// Checkpoint/restore for the fabric (DESIGN.md §16). Snapshot re-encodes the
+// Checkpoint/restore for the fabric (DESIGN.md §15). Snapshot re-encodes the
 // network's full mutable state — per-domain engine clocks, pending events as
 // pure descriptors, flow progress, every port queue with its parked packets,
 // the slice-boundary boards, and the counter shards — into named sections of

@@ -15,7 +15,7 @@ import (
 // kept congestion-aware configs off the sharded engine.
 //
 // The board replaces the live read with the same bounded-staleness pattern
-// the RotorLB backlog exchange uses (DESIGN.md §12): at the top of its own
+// the RotorLB backlog exchange uses (DESIGN.md §10): at the top of its own
 // slice-boundary event for slice s, each ToR publishes the data-packet
 // count of every one of its calendar queues into the board slot for s;
 // plans made during slice s read the slot published at the boundary of

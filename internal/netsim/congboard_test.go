@@ -41,7 +41,7 @@ func congCircuit(t *testing.T, n *Network, tor, c int) (peer, sw, dark int) {
 	return peer, sw, dark
 }
 
-// TestCongestionBoardPublishAndRead pins the §14 board semantics end to
+// TestCongestionBoardPublishAndRead pins the DESIGN.md §13 board semantics end to
 // end: the value a reader in slice s observes is exactly the calendar
 // backlog the ToR published at the boundary of s−1 (matching the live
 // CalendarBacklog at that instant); during the first slice the board reads

@@ -19,7 +19,7 @@ import (
 // which is the RotorLB ordering from the Opera/RotorNet line of work. The
 // offer/accept exchange is replaced by a cap on the receiver's nonlocal
 // backlog, checked at the sender against the slice-boundary snapshot every
-// ToR publishes (documented substitution, DESIGN.md §1, §12): backlog
+// ToR publishes (documented substitution, DESIGN.md §1, §10): backlog
 // state crosses ToRs only at slice boundaries, which are at least one
 // lookahead window apart, so the exchange shards without synchronous peer
 // reads and behaves identically in serial and sharded runs.

@@ -7,7 +7,7 @@ import (
 	"ucmp/internal/byteview"
 )
 
-// Packed-table codec (DESIGN.md §15). Blob layout, all little-endian, each
+// Packed-table codec (DESIGN.md §14). Blob layout, all little-endian, each
 // array padded to an 8-byte offset relative to the blob start:
 //
 //	u32 tor, u32 n, u32 s, u32 nb

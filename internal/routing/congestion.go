@@ -19,7 +19,7 @@ import (
 // made during slice s see the backlogs as of the boundary of slice s−1 —
 // stale by at most one slice, but a deterministic function of boundary
 // state, which is what lets congestion-aware runs ride the sharded engine
-// bit-identically to serial (DESIGN.md §14). During the first slice the
+// bit-identically to serial (DESIGN.md §13). During the first slice the
 // board is empty and steering never engages.
 //
 // Enable it by setting UCMP.Backlog (usually Network.CongestionBacklog,

@@ -2,9 +2,11 @@ package routing
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ucmp/internal/core"
+	"ucmp/internal/netsim"
 	"ucmp/internal/topo"
 )
 
@@ -65,112 +67,44 @@ func TestCompiledTableBytesSymmetricVsBrute(t *testing.T) {
 }
 
 // TestSymmetricFastPathMatchesGroupPath: on a symmetric fabric the
-// canonical-group fast path, the materializing group path (NoSymmetry
-// reference), and the compiled-table path all plan identical hops for every
-// (tor, dst, tstart, bucket).
+// planner over the symmetric store, the planner over the brute-force store
+// (NoSymmetry reference), and the source ToR's compiled table all yield
+// identical hops for every (tor, dst, tstart, bucket).
 func TestSymmetricFastPathMatchesGroupPath(t *testing.T) {
 	f := symDiffFabric(t, 16, 4)
 	sym := core.BuildPathSet(f, 0.5)
 	brute := core.BuildPathSetOpts(f, 0.5, core.BuildOptions{NoSymmetry: true})
 	uSym := NewUCMP(sym)
-	uTbl := NewUCMP(sym).EnableTables(0)
 	uRef := NewUCMP(brute)
 	for tor := 0; tor < f.NumToRs; tor += 3 {
+		tbl := CompileTable(sym, uSym.Ager, tor)
 		for dst := 0; dst < f.NumToRs; dst++ {
 			if dst == tor {
 				continue
 			}
 			for ts := 0; ts < f.Sched.S; ts++ {
 				for b := 0; b < uRef.Ager.NumBuckets(); b++ {
-					plan := func(u *UCMP) []int64 {
-						p := dataPacket(f, tor, dst, 1<<20)
-						p.Bucket = b
+					p := dataPacket(f, tor, dst, 1<<20)
+					p.Bucket = b
+					plan := func(u *UCMP) []netsim.PlannedHop {
 						hops, ok := u.PlanRoute(p, tor, 0, int64(ts), nil)
 						if !ok {
 							t.Fatalf("plan failed %d->%d ts=%d b=%d", tor, dst, ts, b)
 						}
-						out := make([]int64, 0, 2*len(hops))
-						for _, h := range hops {
-							out = append(out, int64(h.To), h.AbsSlice)
-						}
-						return out
+						return hops
 					}
 					want := plan(uRef)
-					for name, u := range map[string]*UCMP{"fast": uSym, "table": uTbl} {
-						got := plan(u)
-						if len(got) != len(want) {
+					fromTable, ok := tbl.Lookup(dst, ts, b, p.Flow.Hash, int64(ts))
+					if !ok {
+						t.Fatalf("table miss %d->%d ts=%d b=%d", tor, dst, ts, b)
+					}
+					for name, got := range map[string][]netsim.PlannedHop{"fast": plan(uSym), "table": fromTable} {
+						if !slices.Equal(got, want) {
 							t.Fatalf("%s path differs %d->%d ts=%d b=%d: %v vs %v", name, tor, dst, ts, b, got, want)
-						}
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("%s path differs %d->%d ts=%d b=%d: %v vs %v", name, tor, dst, ts, b, got, want)
-							}
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestTableSetEviction pins the cache bound: the cache never exceeds its
-// cap and re-requesting an evicted ToR recompiles an equivalent table.
-func TestTableSetEviction(t *testing.T) {
-	f := symDiffFabric(t, 16, 4)
-	ps := core.BuildPathSet(f, 0.5)
-	set := NewTableSet(ps, core.NewFlowAger(ps), 4)
-	first := set.For(0).Bytes()
-	for tor := 0; tor < 10; tor++ {
-		set.For(tor)
-		if c := set.Cached(); c > 4 {
-			t.Fatalf("cache holds %d tables, cap 4", c)
-		}
-	}
-	if set.Cached() != 4 {
-		t.Fatalf("cache holds %d tables after warm-up, want 4", set.Cached())
-	}
-	again := set.For(0)
-	if !bytes.Equal(again.Bytes(), first) {
-		t.Fatal("recompiled table differs from original")
-	}
-}
-
-// TestTableSetEvictionOrder pins the discipline precisely: the cache is
-// LRU — a hit refreshes a table's position, Preload counts as a use, and
-// the table evicted at capacity is always the least recently returned one.
-func TestTableSetEvictionOrder(t *testing.T) {
-	f := symDiffFabric(t, 8, 4)
-	ps := core.BuildPathSet(f, 0.5)
-	set := NewTableSet(ps, core.NewFlowAger(ps), 2)
-	order := func(want ...int) {
-		t.Helper()
-		got := set.CachedToRs()
-		if len(got) != len(want) {
-			t.Fatalf("cached %v, want %v", got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("cached %v, want %v", got, want)
-			}
-		}
-	}
-	set.For(0)
-	set.For(1)
-	order(0, 1)
-	set.For(0) // hit: 0 becomes most recent
-	order(1, 0)
-	set.For(2) // evicts 1, now the least recently used, not oldest-insert 0
-	order(0, 2)
-	set.For(1) // recompiles 1, evicting 0
-	order(2, 1)
-
-	// Preload seeds a foreign table and counts as a use; preloading a cached
-	// ToR only refreshes recency.
-	set.Preload(5, CompileTable(ps, set.Ager, 5))
-	order(1, 5)
-	set.Preload(1, nil) // already cached: kept, touched, nil ignored
-	order(5, 1)
-	if set.For(1) == nil {
-		t.Fatal("preload of a cached ToR must not replace its table")
 	}
 }

@@ -141,15 +141,9 @@ func (t *CompiledTable) internHops(hopIdx map[string]actSpan, p core.PathView) a
 }
 
 // Lookup resolves a match key to its hop list, selecting among tied actions
-// by hash, and anchors the slices at fromAbs.
+// by hash, and anchors the slices at fromAbs. Keys outside the installed
+// (dst, tstart, bucket) domain miss.
 func (t *CompiledTable) Lookup(dst, tstart, bucket int, hash uint64, fromAbs int64) ([]netsim.PlannedHop, bool) {
-	return t.LookupInto(dst, tstart, bucket, hash, fromAbs, nil)
-}
-
-// LookupInto is Lookup appending into buf (a recycled zero-length backing
-// slice), so steady-state planning allocates nothing. Keys outside the
-// installed (dst, tstart, bucket) domain miss.
-func (t *CompiledTable) LookupInto(dst, tstart, bucket int, hash uint64, fromAbs int64, buf []netsim.PlannedHop) ([]netsim.PlannedHop, bool) {
 	if dst < 0 || dst >= t.n || tstart < 0 || tstart >= t.s || bucket < 0 || bucket >= t.nb {
 		return nil, false
 	}
@@ -167,10 +161,11 @@ func (t *CompiledTable) LookupInto(dst, tstart, bucket int, hash uint64, fromAbs
 	}
 	e := t.entries[i]
 	a := t.acts[uint64(e.actStart)+hash%uint64(e.actN)]
+	hops := make([]netsim.PlannedHop, 0, a.hopN)
 	for _, h := range t.hops[a.hopStart : int(a.hopStart)+int(a.hopN)] {
-		buf = append(buf, netsim.PlannedHop{To: int(h.To), AbsSlice: int64(h.Rel) + fromAbs})
+		hops = append(hops, netsim.PlannedHop{To: int(h.To), AbsSlice: int64(h.Rel) + fromAbs})
 	}
-	return buf, true
+	return hops, true
 }
 
 // NumRows returns the distinct match rows (the Table 2 "#Entries/ToR"

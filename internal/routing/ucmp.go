@@ -48,14 +48,6 @@ type UCMP struct {
 	Backlog             func(tor int, now sim.Time, hop netsim.PlannedHop) int
 	CongestionThreshold int
 
-	// Tables, when non-nil, serves steady-state route plans from compiled
-	// per-ToR source-routing tables (§6.2) materialized lazily on first use
-	// — the simulated analogue of looking up switch SRAM instead of
-	// consulting the path database. Plans are bit-identical to the group
-	// path; faults and congestion steering still take the group machinery.
-	// Set via EnableTables.
-	Tables *TableSet
-
 	// scratch recycles the working set of a plan that consults the fault
 	// view or the congestion board (planScratch). A pool rather than a plain
 	// field: PlanRoute is called concurrently from every lookahead domain of
@@ -84,14 +76,6 @@ func NewUCMP(ps *core.PathSet) *UCMP {
 // Name implements netsim.Router.
 func (u *UCMP) Name() string { return "ucmp" }
 
-// EnableTables switches steady-state planning to compiled source-routing
-// tables, keeping at most capTables per-ToR tables materialized (<= 0 picks
-// the default). Returns u for chaining.
-func (u *UCMP) EnableTables(capTables int) *UCMP {
-	u.Tables = NewTableSet(u.PS, u.Ager, capTables)
-	return u
-}
-
 // RotorFlow implements netsim.Router: with latency relaxation on, long
 // flows use the hop-by-hop machinery over 2-hop paths.
 func (u *UCMP) RotorFlow(f *netsim.Flow) bool {
@@ -117,12 +101,6 @@ func (u *UCMP) PlanRoute(p *netsim.Packet, tor int, now sim.Time, fromAbs int64,
 		bucket = u.ForceBucket
 	}
 	if u.Health == nil && (u.Backlog == nil || u.CongestionThreshold <= 0) {
-		if u.Tables != nil {
-			if hops, ok := u.Tables.For(tor).LookupInto(dst, ts, clampBucket(bucket, u.Ager.NumBuckets()), hash, fromAbs, buf); ok {
-				p.RecoveredVia = netsim.RecoveryPrimary
-				return hops, true
-			}
-		}
 		// Steady state: the wanted entry's hash-selected path, read off the
 		// packed store without touching the pool.
 		return u.planGroup(p, nil, tor, dst, ts, bucket, hash, now, fromAbs, buf)
@@ -193,19 +171,6 @@ func (c healthCheck) ok(p core.PathView) bool {
 	}
 	p.Fill(c.path)
 	return c.h.PathOK(c.now, c.path)
-}
-
-// clampBucket mirrors the router's out-of-range bucket tolerance (Group
-// EntryForAged clamps to the newest/oldest entry) for the table key space,
-// which only installs rows for in-range buckets.
-func clampBucket(b, numBuckets int) int {
-	if b < 0 {
-		return 0
-	}
-	if b >= numBuckets {
-		return numBuckets - 1
-	}
-	return b
 }
 
 // pickHealthy resolves the bucket to a path and its §5.3 recovery class.

@@ -274,13 +274,13 @@ func (w *timingWheel) peekMin() (Time, bool) {
 	return w.overflow[0].at, true
 }
 
-// popLE removes and returns the earliest event if its time is <= limit.
+// popLE removes the earliest event into *out if its time is <= limit.
 // Cursor advancement (and with it cascading/migration) is bounded by
 // limit, so a horizon probe never moves the cursor past the engine's
 // committed time.
-func (w *timingWheel) popLE(limit Time) (event, bool) {
+func (w *timingWheel) popLE(limit Time, out *event) bool {
 	if w.size == 0 {
-		return event{}, false
+		return false
 	}
 	for {
 		// Level 0 slots hold exact times: the first occupied slot at or
@@ -288,11 +288,11 @@ func (w *timingWheel) popLE(limit Time) (event, bool) {
 		if s, ok := w.scan0(int(uint64(w.cur)) & l0Mask); ok {
 			at := w.cur&^Time(l0Mask) | Time(s)
 			if at > limit {
-				return event{}, false
+				return false
 			}
 			sl := &w.slots0[s]
 			n := sl.head
-			ev := w.nodes[n].ev
+			*out = w.nodes[n].ev
 			sl.head = w.nodes[n].next
 			if sl.head < 0 {
 				sl.tail = -1
@@ -303,7 +303,7 @@ func (w *timingWheel) popLE(limit Time) (event, bool) {
 			w.release(n)
 			w.size--
 			w.cur = at
-			return ev, true
+			return true
 		}
 		// Upper levels: cascade the next occupied slot ahead of the
 		// cursor. Slots at or before the cursor's index are necessarily
@@ -318,7 +318,7 @@ func (w *timingWheel) popLE(limit Time) (event, bool) {
 			}
 			base := w.cur&^(Time(1)<<(shift+wheelBits)-1) | Time(s)<<shift
 			if base > limit {
-				return event{}, false
+				return false
 			}
 			w.cur = base
 			w.cascade(l, s)
@@ -330,10 +330,10 @@ func (w *timingWheel) popLE(limit Time) (event, bool) {
 		}
 		// Wheels exhausted: the overflow heap holds the next window.
 		if len(w.overflow) == 0 {
-			return event{}, false
+			return false
 		}
 		if w.overflow[0].at > limit {
-			return event{}, false
+			return false
 		}
 		w.migrate()
 	}

@@ -2,10 +2,10 @@ package topo
 
 import "fmt"
 
-// Circulant schedule family beyond round-robin (DESIGN.md §15): any schedule
+// Circulant schedule family beyond round-robin (DESIGN.md §14): any schedule
 // whose slices are unions of whole difference classes Δ(δ) = {{i, (i+δ) mod
 // N}} — and whose reconfiguration boundaries darken whole classes — passes
-// the verified rotation witness, so the §13 canonical O(S·N) offline build
+// the verified rotation witness, so the §12 canonical O(S·N) offline build
 // and the relabel-on-serve path apply. Two members live here:
 //
 //   - circulantOpera: Opera's staggered rotor schedule rebuilt from

@@ -6,7 +6,7 @@ package topo
 // offline routing problem is vertex-transitive: the UCMP group for
 // (t_start, src, dst) is a hop-relabeling of the canonical group for
 // (t_start, 0, (dst-src) mod N), which is what lets core dedupe the O(S·N²)
-// group spine down to O(S·N) canonical rows (DESIGN.md §13).
+// group spine down to O(S·N) canonical rows (DESIGN.md §12).
 //
 // The symmetric round-robin construction below realizes this for N a power
 // of two and even d >= 4. The building block is the difference class
