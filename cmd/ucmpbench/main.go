@@ -111,7 +111,7 @@ func main() {
 		memProfF  = flag.String("memprofile", "", "write a heap profile taken after the selected exhibits to this file")
 		traceF    = flag.String("trace", "", "write a runtime execution trace covering the selected exhibits to this file")
 		shardsF   = flag.Int("shards", 0, "run simulations on the sharded engine with this many workers (0/1 = serial)")
-		schedF    = flag.Bool("schedstats", false, "report per-exhibit scheduler internals (pending high-water, cascades, cancels) and event counts by kind on stderr")
+		schedF    = flag.Bool("schedstats", false, "report per-exhibit scheduler internals (pending high-water, cascades, cancels), event counts by kind and packet-memory high-water marks on stderr")
 		procsF    = flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS values to sweep; exhibits run once per value (empty = current setting)")
 		scaleNsF  = flag.String("scale-ns", "", "comma-separated fabric sizes for -exp scale (empty = 108,256,512,1024)")
 		cacheF    = flag.String("fabric-cache", "", "directory for the warm-fabric cache: compiled UCMP fabrics are mmap-loaded from it when present and saved into it after cold builds")
@@ -238,6 +238,10 @@ func main() {
 					e, s.PendingHighWater, s.Cascades, s.OverflowPushes, s.Cancels, s.DeadPops, s.Chases)
 				if k := harness.TakeEventKinds(); k.Total() > 0 {
 					fmt.Fprintf(os.Stderr, "(%s events by kind: %s)\n", e, harness.FormatEventKinds(k))
+				}
+				if m := harness.TakeMemStats(); m.PeakPackets > 0 {
+					fmt.Fprintf(os.Stderr, "(%s packet memory, largest run: peak live packets %d, peak parked VOQ records %d, VOQ chunks %d)\n",
+						e, m.PeakPackets, m.PeakParked, m.VOQChunks)
 				}
 				if sh := harness.TakeShardStats(); sh.Windows > 0 {
 					fmt.Fprintf(os.Stderr, "(%s shards: windows %d, barriers %d, extensions %d, cross-events %d, merge-batches %d, serial-merges %d, mailbox-hwm %d, steals %d)\n",

@@ -37,7 +37,7 @@ import (
 
 const (
 	magic      = "UCMPCKP1"
-	version    = 2
+	version    = 3
 	headerSize = 40
 
 	fnvOffset = 1469598103934665603

@@ -19,7 +19,8 @@ type ckptCase struct {
 	cfg   SimConfig
 	every func(slice sim.Time) sim.Time // checkpoint cadence from the slice length
 	// pendingRuns requires the last checkpoint — the one a resume restores —
-	// to find RotorLB flows in host NICs as runs of unbuilt segments.
+	// to find RotorLB flows in host NICs as runs of unbuilt segments and in
+	// ToR VOQs as records.
 	pendingRuns bool
 }
 
@@ -149,8 +150,9 @@ func TestDifferentialCheckpointResume(t *testing.T) {
 }
 
 // requirePendingRuns runs cfg up to its last checkpoint instant and fails
-// unless the ledger counts more parked data packets than exist: the excess
-// are segments of NIC runs, which that checkpoint then has to carry.
+// unless the ledger counts more parked data packets than exist — the excess
+// are segments of NIC runs — and ToR VOQs hold records: that checkpoint then
+// has to carry both.
 func requirePendingRuns(t *testing.T, cfg SimConfig, every sim.Time) {
 	t.Helper()
 	st, err := buildSim(cfg, false)
@@ -163,15 +165,20 @@ func requirePendingRuns(t *testing.T, cfg SimConfig, every sim.Time) {
 	} else {
 		st.eng.Run(last)
 	}
-	_, _, built := st.net.PoolStats()
+	_, _, live, records := st.net.PoolStats()
+	built := live + records // a VOQ record stands for a packet that was built
 	if parked := st.net.InFlightData(); parked <= int64(built) {
 		t.Fatalf("at the last checkpoint (%v) %d data packets are parked and %d exist: no NIC run is pending", last, parked, built)
+	}
+	if records == 0 {
+		t.Fatalf("at the last checkpoint (%v) no ToR VOQ holds a record: the checkpoint carries no VOQ", last)
 	}
 }
 
 // TestResumeOlderVersionRejected: a checkpoint written before the current
-// container version (sparse ports section, NIC run records) is refused whole,
-// and the run starts cold with the reason recorded.
+// container version (3: RotorLB VOQs written as records; 2 brought the sparse
+// ports section and NIC run records) is refused whole, and the run starts
+// cold with the reason recorded.
 func TestResumeOlderVersionRejected(t *testing.T) {
 	cfg := ScaledConfig(VLB, transport.Rotor, "datamining")
 	cfg.Duration = sim.Millisecond
@@ -194,9 +201,9 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Version 1 in the header, with the header checksum (the container's
+	// Version 2 in the header, with the header checksum (the container's
 	// FNV-1a variant over bytes 0..32) made right again.
-	binary.LittleEndian.PutUint32(img[8:], 1)
+	binary.LittleEndian.PutUint32(img[8:], 2)
 	sum := uint64(1469598103934665603)
 	for _, c := range img[:32] {
 		sum = (sum ^ uint64(c)) * 1099511628211
@@ -210,7 +217,7 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 1, want 2") {
+	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 2, want 3") {
 		t.Fatalf("expected a cold run naming the version, got note %q", res.ResumeNote)
 	}
 	if fingerprint(res) != fingerprint(plain) {

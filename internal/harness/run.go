@@ -204,6 +204,12 @@ type Result struct {
 	// checkpoint.Kind* registry (slot 0: untagged); summed over domains on a
 	// sharded run, and over the whole run on a resumed one.
 	EventKinds sim.EventKinds
+	// Mem is what the run's packet-path memory was made of: the Packets the
+	// pools grew to, the most records ever parked in RotorLB VOQs, and the
+	// VOQ chunks allocated to hold them — enough to explain a run's RSS
+	// without a profiler. Simulated behaviour does not depend on it and no
+	// fingerprint includes it; a resumed run counts from the resume.
+	Mem netsim.MemStats
 	// Sharded reports whether the run executed on the conservative-PDES
 	// engine (false when cfg.Shards was set but Shardable rejected the
 	// configuration).
@@ -513,6 +519,8 @@ func (st *simState) run(resumed bool) *Result {
 	}
 	eventsProcessed.Add(events)
 	recordEventKinds(&kinds)
+	mem := st.net.MemStats()
+	recordMemStats(mem)
 
 	return &Result{
 		Config:         cfg,
@@ -524,6 +532,7 @@ func (st *simState) run(resumed bool) *Result {
 		Launched:       len(st.flows),
 		Events:         events,
 		EventKinds:     kinds,
+		Mem:            mem,
 		Sharded:        st.sharded,
 		Shards:         st.shards,
 		ShardNote:      st.shardNote,

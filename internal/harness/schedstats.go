@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"ucmp/internal/checkpoint"
+	"ucmp/internal/netsim"
 	"ucmp/internal/sim"
 )
 
@@ -19,6 +20,7 @@ var (
 	schedMu    sync.Mutex
 	schedAgg   sim.SchedStats
 	kindAgg    sim.EventKinds
+	memAgg     netsim.MemStats
 	shardAgg   sim.ShardStats
 	shardNotes []string
 )
@@ -51,6 +53,29 @@ func recordEventKinds(k *sim.EventKinds) {
 	schedMu.Lock()
 	kindAgg.Add(k)
 	schedMu.Unlock()
+}
+
+// recordMemStats folds one run's packet-path high-water marks into the
+// aggregate: each is the largest any run of the exhibit reached.
+func recordMemStats(m netsim.MemStats) {
+	if !CollectSchedStats {
+		return
+	}
+	schedMu.Lock()
+	memAgg.PeakPackets = max(memAgg.PeakPackets, m.PeakPackets)
+	memAgg.PeakParked = max(memAgg.PeakParked, m.PeakParked)
+	memAgg.VOQChunks = max(memAgg.VOQChunks, m.VOQChunks)
+	schedMu.Unlock()
+}
+
+// TakeMemStats returns the packet-path high-water marks aggregated since the
+// previous call and resets the aggregate.
+func TakeMemStats() netsim.MemStats {
+	schedMu.Lock()
+	m := memAgg
+	memAgg = netsim.MemStats{}
+	schedMu.Unlock()
+	return m
 }
 
 // TakeEventKinds returns the per-kind event counts aggregated since the

@@ -154,6 +154,9 @@ func TestDifferentialSerialSharded(t *testing.T) {
 				if shards > 1 && !res.Sharded {
 					t.Fatalf("Shards=%d did not run sharded", shards)
 				}
+				if cfg.Routing == VLB && res.Mem.PeakParked == 0 {
+					t.Fatalf("Shards=%d: no ToR VOQ ever held a record; the rotor case is vacuous", shards)
+				}
 				return fingerprintCore(res)
 			}
 			serial := run(0, sim.QueueWheel)

@@ -2,8 +2,9 @@ package netsim
 
 // Checkpoint/restore for the fabric (DESIGN.md §15). Snapshot re-encodes the
 // network's full mutable state — per-domain engine clocks, pending events as
-// pure descriptors, flow progress, every port queue with its parked packets,
-// the slice-boundary boards, and the counter shards — into named sections of
+// pure descriptors, flow progress, every port queue with its parked packets
+// (RotorLB VOQs as the records they hold), the slice-boundary boards, and the
+// counter shards — into named sections of
 // a checkpoint.Writer. RestoreFrom rebuilds that state onto a freshly
 // constructed Network whose flows have been re-registered (the deterministic
 // workload regeneration reproduces registration order, so dense indices are
@@ -164,8 +165,8 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 			pe.Len(len(live))
 			for _, dst := range live {
 				pe.I32(int32(dst))
-				encodeFifo(pe, &r.local[dst])
-				encodeFifo(pe, &r.nonlocal[dst])
+				encodeVOQ(pe, &r.local[dst])
+				encodeVOQ(pe, &r.nonlocal[dst])
 				pe.Len(len(r.waiters[dst]))
 				for _, wt := range r.waiters[dst] {
 					pe.I32(int32(wt.f.dense))
@@ -389,15 +390,8 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 					return err
 				}
 				prev = dst
-				var local, nonlocal fifo
-				if err := decodeFifo(pd, t.dom, &local); err != nil {
+				if err := r.restoreVOQs(pd, dst); err != nil {
 					return err
-				}
-				if err := decodeFifo(pd, t.dom, &nonlocal); err != nil {
-					return err
-				}
-				if local.len() > 0 || nonlocal.len() > 0 {
-					r.restoreVOQs(dst, local, nonlocal)
 				}
 				wcnt := pd.Len()
 				for j := 0; j < wcnt; j++ {
@@ -566,24 +560,30 @@ func (n *Network) nicFlow(h *Host, dense int) (*Flow, error) {
 	return fl, nil
 }
 
-// restoreVOQs installs the decoded VOQs for one destination. Byte/packet
-// accounting and the occupancy bitset are derived, not stored: they are
-// recomputed from the decoded contents.
-func (r *rotorState) restoreVOQs(dst int, local, nonlocal fifo) {
-	r.alloc()
-	r.local[dst], r.nonlocal[dst] = local, nonlocal
-	for _, p := range local.items {
-		r.localBytes[dst] += int64(p.WireLen)
-		r.localPkts++
+// encodeVOQ writes a VOQ as a count and that many records, each in its own
+// encoding rather than as the packet it stands for.
+func encodeVOQ(e *checkpoint.Encoder, q *voq) {
+	e.Len(q.len())
+	q.each(func(rec *voqRec) { rec.encode(e) })
+}
+
+// restoreVOQs decodes the local, then the nonlocal VOQ of one destination
+// into chunks of the ToR's domain. Byte/packet accounting and the occupancy
+// bitset are derived, not stored: each decoded record is added as a push
+// adds one. A destination that holds no record (one listed for its waiters)
+// allocates nothing.
+func (r *rotorState) restoreVOQs(dec *checkpoint.Decoder, dst int) error {
+	for _, add := range [2]func(int, voqRec){r.addLocal, r.addNonlocal} {
+		for left := dec.Len(); left > 0; left-- {
+			rec, err := r.tor.net.decodeRec(dec)
+			if err != nil {
+				return err
+			}
+			r.alloc()
+			add(dst, rec)
+		}
 	}
-	if local.len() > 0 {
-		r.localSet[dst>>6] |= 1 << (dst & 63)
-	}
-	for _, p := range nonlocal.items {
-		r.nonlocalBytes[dst] += int64(p.WireLen)
-		r.totalNonlocal += int64(p.WireLen)
-		r.nonlocalPkts++
-	}
+	return dec.Err()
 }
 
 // restoreEvent decodes one event descriptor and re-schedules it: netsim

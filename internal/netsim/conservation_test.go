@@ -51,9 +51,9 @@ func checkConservation(t *testing.T, kind transport.Kind, flows func(cfg topo.Co
 		t.Fatalf("packet conservation violated: injected=%d != delivered=%d + trimmed=%d + dropped=%d + inflight=%d (=%d)",
 			c.DataInjected, c.DataDelivered, c.TrimmedDelivered, c.DataDropped, net.InFlightData(), accounted)
 	}
-	gets, puts, live := net.PoolStats()
-	if live != 0 {
-		t.Fatalf("pool leak at quiescence: gets=%d puts=%d live=%d", gets, puts, live)
+	gets, puts, live, parked := net.PoolStats()
+	if live != 0 || parked != 0 {
+		t.Fatalf("pool leak at quiescence: gets=%d puts=%d live=%d parked=%d", gets, puts, live, parked)
 	}
 }
 

@@ -21,6 +21,7 @@ type domain struct {
 	id   int
 	ctr  *Counters
 	pool *packetPool
+	voqs voqPool // chunks of the RotorLB VOQs of this domain's ToRs
 	tors []*ToR
 
 	// finished buffers flows completing in this domain during a sharded

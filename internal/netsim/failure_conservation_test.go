@@ -74,9 +74,9 @@ func TestPacketConservationUnderFailureTimeline(t *testing.T) {
 		t.Fatalf("packet conservation violated under failures: injected=%d != delivered=%d + trimmed=%d + dropped=%d + inflight=%d",
 			c.DataInjected, c.DataDelivered, c.TrimmedDelivered, c.DataDropped, net.InFlightData())
 	}
-	gets, puts, live := net.PoolStats()
-	if live != 0 {
-		t.Fatalf("pool leak at quiescence: gets=%d puts=%d live=%d", gets, puts, live)
+	gets, puts, live, parked := net.PoolStats()
+	if live != 0 || parked != 0 {
+		t.Fatalf("pool leak at quiescence: gets=%d puts=%d live=%d parked=%d", gets, puts, live, parked)
 	}
 
 	// The outage must have been felt: some plans recovered onto alternates.

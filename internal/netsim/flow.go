@@ -40,6 +40,10 @@ type Flow struct {
 	// registration order): the flow's identity inside checkpoint files. -1
 	// until registered.
 	dense int
+	// srcToR and dstToR are the ToRs of SrcHost and DstHost in the network the
+	// flow is registered with, worked out once there: a VOQ record takes its
+	// packet's ToR addresses from them.
+	srcToR, dstToR int
 
 	// nic and run are the flow's queue in its source host's NIC: built
 	// packets first, then at most one run of segments still to be built.

@@ -382,6 +382,7 @@ func (n *Network) RegisterFlow(f *Flow) {
 	}
 	f.RotorClass = n.Router.RotorFlow(f)
 	f.dense = len(n.flowList)
+	f.srcToR, f.dstToR = n.HostToR(f.SrcHost), n.HostToR(f.DstHost)
 	n.flows[f.ID] = f
 	n.flowList = append(n.flowList, f)
 }
@@ -464,11 +465,8 @@ func (n *Network) InFlightData() int64 {
 				c += int64(u.cal[i].countData())
 			}
 		}
-		if t.rotor != nil {
-			for i := range t.rotor.local {
-				c += int64(t.rotor.local[i].dataCount())
-				c += int64(t.rotor.nonlocal[i].dataCount())
-			}
+		if r := t.rotor; r != nil {
+			c += int64(r.localPkts + r.nonlocalPkts) // a VOQ record is always data
 		}
 	}
 	return c

@@ -152,7 +152,7 @@ type nicProbe struct {
 type nicOutcome struct {
 	arrivals []string // one line per packet reaching a ToR from a host
 	probes   []nicProbe
-	live     []uint64 // packets outside the pool at each probe (not compared)
+	live     []uint64 // packets built — live, or parked as a VOQ record — at each probe (not compared)
 	buckets  map[int]bool
 }
 
@@ -187,8 +187,8 @@ func runNICScenario(sc nicScenario, oracle bool) nicOutcome {
 			}
 		}
 		out.probes = append(out.probes, nicProbe{rings, e.net.Counters, e.net.InFlightData()})
-		_, _, live := e.net.PoolStats()
-		out.live = append(out.live, live)
+		_, _, live, parked := e.net.PoolStats()
+		out.live = append(out.live, live+parked)
 	}
 	return out
 }
@@ -339,7 +339,7 @@ func TestHostNICMemoryIndependentOfFlowSize(t *testing.T) {
 	if got := e.net.InFlightData(); got != segments-1 {
 		t.Fatalf("InFlightData = %d, want %d", got, segments-1)
 	}
-	if _, _, live := e.net.PoolStats(); live != 1 {
+	if _, _, live, _ := e.net.PoolStats(); live != 1 {
 		t.Fatalf("%d packets built, want the one on the wire", live)
 	}
 }

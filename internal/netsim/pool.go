@@ -28,6 +28,7 @@ type packetPool struct {
 	free []*Packet
 	gets uint64
 	puts uint64
+	made uint64 // Packets allocated because the free list was empty
 }
 
 // get returns a reset packet, recycling a released one when available.
@@ -35,6 +36,7 @@ type packetPool struct {
 func (pool *packetPool) get() *Packet {
 	pool.gets++
 	if len(pool.free) == 0 {
+		pool.made++
 		return &Packet{}
 	}
 	p := pool.free[len(pool.free)-1]
@@ -86,13 +88,36 @@ func (p *Packet) assertLive(where string) {
 }
 
 // PoolStats reports pool traffic summed across domains: packets handed out,
-// packets returned, and the difference — packets currently queued in the
-// fabric or in flight inside scheduled events. Tests use it for leak
-// detection.
-func (n *Network) PoolStats() (gets, puts, live uint64) {
+// packets returned, the difference — packets that exist right now — and the
+// records parked in RotorLB VOQs, which stand for packets but are none (a
+// push releases the packet, a select takes a fresh one). Tests use it for
+// leak detection: live + parked is what is queued in the fabric or in flight
+// inside scheduled events, and both are zero at quiescence.
+func (n *Network) PoolStats() (gets, puts, live, parked uint64) {
 	for _, d := range n.doms {
 		gets += d.pool.gets
 		puts += d.pool.puts
+		parked += d.voqs.parked
 	}
-	return gets, puts, gets - puts
+	return gets, puts, gets - puts, parked
+}
+
+// MemStats is what a run's packet-path memory was made of, summed across
+// domains (so on a sharded run the peaks are the domains' own peaks added up:
+// what the pools came to hold, not an instant of the run).
+type MemStats struct {
+	PeakPackets uint64 // Packets the pools allocated — the most ever live at once — and hold to the end
+	PeakParked  uint64 // most records ever parked in RotorLB VOQs
+	VOQChunks   uint64 // VOQ chunks allocated, at unsafe.Sizeof(voqChunk{}) bytes each
+}
+
+// MemStats reports the packet-path high-water marks.
+func (n *Network) MemStats() MemStats {
+	var m MemStats
+	for _, d := range n.doms {
+		m.PeakPackets += d.pool.made
+		m.PeakParked += d.voqs.peak
+		m.VOQChunks += d.voqs.chunks
+	}
+	return m
 }

@@ -34,9 +34,9 @@ func TestPacketPoolRecyclesRouteStorage(t *testing.T) {
 	if cap(q.Route) != routeCap {
 		t.Fatalf("route capacity lost on recycle: %d, want %d", cap(q.Route), routeCap)
 	}
-	gets, puts, live := n.PoolStats()
-	if gets != 2 || puts != 1 || live != 1 {
-		t.Fatalf("pool stats gets=%d puts=%d live=%d", gets, puts, live)
+	gets, puts, live, parked := n.PoolStats()
+	if gets != 2 || puts != 1 || live != 1 || parked != 0 {
+		t.Fatalf("pool stats gets=%d puts=%d live=%d parked=%d", gets, puts, live, parked)
 	}
 }
 

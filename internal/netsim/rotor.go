@@ -30,8 +30,14 @@ type rotorState struct {
 	// The per-destination arrays below are allocated together, by alloc, on
 	// the first push or credit wait: a ToR that never carries rotor traffic
 	// (every ToR of a source-routed run) holds no N-sized state.
-	local    []fifo
-	nonlocal []fifo
+	//
+	// A VOQ holds records, not packets (voq.go): a push reduces the packet to
+	// its 32-byte record and releases it, and selectPacket rebuilds the head
+	// from the domain's pool once it is known to fit the slice. The backlog is
+	// unbounded and most of a rotor run's state, so a Packet exists only on a
+	// wire, in an event, or in a bounded queue.
+	local    []voq
+	nonlocal []voq
 
 	localBytes    []int64
 	nonlocalBytes []int64
@@ -70,24 +76,50 @@ func (r *rotorState) alloc() {
 	if r.local != nil {
 		return
 	}
-	r.local = make([]fifo, r.n)
-	r.nonlocal = make([]fifo, r.n)
+	r.local = make([]voq, r.n)
+	r.nonlocal = make([]voq, r.n)
 	r.localBytes = make([]int64, r.n)
 	r.nonlocalBytes = make([]int64, r.n)
 	r.localSet = make([]uint64, (r.n+63)/64)
 	r.waiters = make([][]rotorWaiter, r.n)
 }
 
-// pushLocal admits a packet from a local host. Hosts are expected to
+// addLocal appends a record to local VOQ dst and accounts for it.
+func (r *rotorState) addLocal(dst int, rec voqRec) {
+	r.local[dst].push(&r.tor.dom.voqs, rec)
+	r.localSet[dst>>6] |= 1 << (dst & 63)
+	r.localBytes[dst] += int64(rec.wireLen())
+	r.localPkts++
+}
+
+// addNonlocal appends a record to nonlocal VOQ dst and accounts for it.
+func (r *rotorState) addNonlocal(dst int, rec voqRec) {
+	r.nonlocal[dst].push(&r.tor.dom.voqs, rec)
+	wire := int64(rec.wireLen())
+	r.nonlocalBytes[dst] += wire
+	r.totalNonlocal += wire
+	r.nonlocalPkts++
+}
+
+// unpark removes the head record of q and rebuilds its packet from the
+// domain's pool.
+func (r *rotorState) unpark(q *voq) *Packet {
+	d := r.tor.dom
+	p := d.newPacket()
+	r.tor.net.rebuild(q.front(), p)
+	q.pop(&d.voqs)
+	return p
+}
+
+// pushLocal admits a packet from a local host as a record and releases it:
+// the caller must not touch the packet afterwards. Hosts are expected to
 // respect RotorHasCredit, but overflow is tolerated (the VOQ is unbounded;
 // the credit check is what provides backpressure).
 func (r *rotorState) pushLocal(p *Packet) {
 	r.alloc()
 	dst := p.DstToR
-	r.local[dst].push(p)
-	r.localSet[dst>>6] |= 1 << (dst & 63)
-	r.localBytes[dst] += int64(p.WireLen)
-	r.localPkts++
+	r.addLocal(dst, r.tor.net.record(p))
+	r.tor.dom.release(p)
 	r.tor.pumpFor(dst) // direct circuit may be up right now
 	// Any circuit can carry it indirectly; kick all ports so spare slice
 	// capacity is used promptly.
@@ -96,14 +128,13 @@ func (r *rotorState) pushLocal(p *Packet) {
 	}
 }
 
-// pushNonlocal parks an indirect packet for its final hop.
+// pushNonlocal parks an indirect packet for its final hop, as a record, and
+// releases it.
 func (r *rotorState) pushNonlocal(p *Packet) {
 	r.alloc()
 	dst := p.DstToR
-	r.nonlocal[dst].push(p)
-	r.nonlocalBytes[dst] += int64(p.WireLen)
-	r.totalNonlocal += int64(p.WireLen)
-	r.nonlocalPkts++
+	r.addNonlocal(dst, r.tor.net.record(p))
+	r.tor.dom.release(p)
 	r.tor.pumpFor(dst)
 }
 
@@ -112,6 +143,8 @@ func (r *rotorState) pushNonlocal(p *Packet) {
 // uplink serialization delay is within it, and a first candidate that does
 // not fit ends the search. abs is the current absolute slice, used to read
 // the peer's published backlog snapshot. Returns nil when nothing eligible.
+// The budget test reads the head record's wire length; a packet is rebuilt
+// only for the record that leaves.
 // Final-hop room is no longer checked here: the destination ToR stages rotor
 // arrivals above its downlink threshold (downPort.stage), so losslessness
 // holds without a cross-ToR occupancy read on the send path.
@@ -121,25 +154,19 @@ func (r *rotorState) selectPacket(peer int, budget sim.Time, abs int64) *Packet 
 	}
 	net := r.tor.net
 	// 1. Nonlocal traffic completing its second hop.
-	if r.nonlocal[peer].len() > 0 {
-		p := r.nonlocal[peer].items[r.nonlocal[peer].head]
-		if net.serdelayUp(p.WireLen) > budget {
+	if q := &r.nonlocal[peer]; q.len() > 0 {
+		wire := q.front().wireLen()
+		if net.serdelayUp(wire) > budget {
 			return nil
 		}
-		r.nonlocal[peer].pop()
-		r.nonlocalBytes[peer] -= int64(p.WireLen)
-		r.totalNonlocal -= int64(p.WireLen)
+		r.nonlocalBytes[peer] -= int64(wire)
+		r.totalNonlocal -= int64(wire)
 		r.nonlocalPkts--
-		return p
+		return r.unpark(q)
 	}
 	// 2. Local traffic with a direct circuit.
 	if r.local[peer].len() > 0 {
-		p := r.local[peer].items[r.local[peer].head]
-		if net.serdelayUp(p.WireLen) > budget {
-			return nil
-		}
-		r.popLocal(peer, p)
-		return p
+		return r.popLocal(peer, budget)
 	}
 	// 3. Indirect: spare capacity carries other destinations via peer,
 	// bounded by the peer's nonlocal backlog as of the last published slice
@@ -151,11 +178,10 @@ func (r *rotorState) selectPacket(peer int, budget sim.Time, abs int64) *Packet 
 	if dst < 0 {
 		return nil
 	}
-	p := r.local[dst].items[r.local[dst].head]
-	if net.serdelayUp(p.WireLen) > budget {
+	p := r.popLocal(dst, budget)
+	if p == nil {
 		return nil
 	}
-	r.popLocal(dst, p)
 	if r.rr = dst + 1; r.rr == r.n {
 		r.rr = 0
 	}
@@ -193,19 +219,26 @@ func (r *rotorState) nextLocal(from int) int {
 	return w<<6 + bits.TrailingZeros64(word)
 }
 
-// popLocal removes p, the head of local VOQ dst, and credits its bytes back.
-func (r *rotorState) popLocal(dst int, p *Packet) {
-	r.local[dst].pop()
-	if r.local[dst].len() == 0 {
+// popLocal rebuilds and removes the head of the non-empty local VOQ dst and
+// credits its bytes back, or returns nil when it does not fit the budget.
+func (r *rotorState) popLocal(dst int, budget sim.Time) *Packet {
+	q := &r.local[dst]
+	wire := q.front().wireLen()
+	if r.tor.net.serdelayUp(wire) > budget {
+		return nil
+	}
+	p := r.unpark(q)
+	if q.len() == 0 {
 		r.localSet[dst>>6] &^= 1 << (dst & 63)
 	}
-	r.creditLocal(dst, p)
+	r.creditLocal(dst, wire)
+	return p
 }
 
-// creditLocal updates accounting after a local packet left and wakes hosts
-// blocked on credit.
-func (r *rotorState) creditLocal(dst int, p *Packet) {
-	r.localBytes[dst] -= int64(p.WireLen)
+// creditLocal updates accounting after a local packet of wire bytes left and
+// wakes hosts blocked on credit.
+func (r *rotorState) creditLocal(dst int, wire int) {
+	r.localBytes[dst] -= int64(wire)
 	r.localPkts--
 	if r.localBytes[dst] < r.tor.net.Rotor.LocalCapBytes && len(r.waiters[dst]) > 0 {
 		ws := r.waiters[dst]

@@ -16,8 +16,12 @@ func rotorNet(t testing.TB) *Network {
 	return n
 }
 
+// rotorPkt is a full-size data packet of a new rotor-class flow from host 0
+// to dstToR's first host, registered with n: a VOQ holds a packet as a
+// record, which names its flow by dense index.
 func rotorPkt(n *Network, id int64, dstToR int) *Packet {
 	fl := NewFlow(id, 0, dstToR*n.F.HostsPerToR, 1436, 0)
+	n.RegisterFlow(fl)
 	fl.RotorClass = true
 	return &Packet{Flow: fl, Type: Data, PayloadLen: 1436, WireLen: 1500,
 		SrcHost: fl.SrcHost, DstHost: fl.DstHost, SrcToR: 0, DstToR: dstToR}
@@ -37,23 +41,23 @@ func TestRotorSelectPriority(t *testing.T) {
 	r := tor.rotor
 	peer := 5
 
-	// Stage one packet of each class.
-	indirect := rotorPkt(n, 1, 9) // local traffic for another dst -> indirect via peer
-	local := rotorPkt(n, 2, peer)
-	second := rotorPkt(n, 3, peer) // nonlocal: parked here, final hop to peer
-	r.pushLocal(indirect)
-	r.pushLocal(local)
-	r.pushNonlocal(second)
+	// Stage one packet of each class. A push consumes the packet and a pick
+	// builds a new one, so picks are told apart by (flow, Seq).
+	const indirect, local, second = 1, 2, 3
+	r.pushLocal(rotorPkt(n, indirect, 9)) // local traffic for another dst -> indirect via peer
+	r.pushLocal(rotorPkt(n, local, peer))
+	p := rotorPkt(n, second, peer) // nonlocal: parked here, final hop to peer
+	p.Seq, p.TorHops = 1436, 1
+	r.pushNonlocal(p)
 
-	if got := r.selectPacket(peer, fitsAll, 0); got != second {
-		t.Fatalf("first pick %v, want the nonlocal packet", got.Flow.ID)
+	if got := r.selectPacket(peer, fitsAll, 0); got.Flow.ID != second || got.Seq != 1436 || got.TorHops != 1 {
+		t.Fatalf("first pick flow %d seq %d, want the nonlocal packet", got.Flow.ID, got.Seq)
 	}
-	if got := r.selectPacket(peer, fitsAll, 0); got != local {
-		t.Fatalf("second pick flow %d, want the local direct packet", got.Flow.ID)
+	if got := r.selectPacket(peer, fitsAll, 0); got.Flow.ID != local || got.Seq != 0 {
+		t.Fatalf("second pick flow %d seq %d, want the local direct packet", got.Flow.ID, got.Seq)
 	}
-	got := r.selectPacket(peer, fitsAll, 0)
-	if got != indirect {
-		t.Fatalf("third pick %v, want the indirect packet", got)
+	if got := r.selectPacket(peer, fitsAll, 0); got.Flow.ID != indirect || got.DstToR != 9 {
+		t.Fatalf("third pick flow %d, want the indirect packet", got.Flow.ID)
 	}
 	if r.selectPacket(peer, fitsAll, 0) != nil {
 		t.Fatal("queues should be empty")
@@ -126,5 +130,44 @@ func TestRotorBudgetBlocks(t *testing.T) {
 	}
 	if tor.rotor.selectPacket(5, fitsAll, 0) == nil {
 		t.Fatal("packet gone")
+	}
+}
+
+// viaRouter claims every flow for RotorLB and plans two hops through ToR mid.
+type viaRouter struct {
+	f   *topo.Fabric
+	mid int
+}
+
+func (v viaRouter) Name() string         { return "via" }
+func (v viaRouter) RotorFlow(*Flow) bool { return true }
+func (v viaRouter) PlanRoute(p *Packet, tor int, now sim.Time, fromAbs int64, buf []PlannedHop) ([]PlannedHop, bool) {
+	if tor != v.mid {
+		first := v.f.Sched.NextDirect(tor, v.mid, fromAbs)
+		buf = append(buf, PlannedHop{To: v.mid, AbsSlice: first})
+		fromAbs = first + 1
+	}
+	return append(buf, PlannedHop{To: p.DstToR, AbsSlice: v.f.Sched.NextDirect(v.mid, p.DstToR, fromAbs)}), true
+}
+
+// With RotorLB off, a rotor-class flow is source-routed at its first ToR; the
+// ToR one hop in must keep following that route, not reach for VOQs the
+// fabric does not have.
+func TestRotorDisabledMultiHopFollowsRoute(t *testing.T) {
+	f := topo.MustFabric(topo.Scaled(), "round-robin", 1)
+	eng := sim.NewEngine()
+	n := New(eng, f, viaRouter{f, 5}, QueueSpec{MaxDataPackets: 300}, QueueSpec{MaxDataPackets: 300}, RotorConfig{})
+	n.Start()
+	fl := NewFlow(1, 0, 9*f.HostsPerToR, 1436, 0)
+	n.RegisterFlow(fl)
+	if !fl.RotorClass {
+		t.Fatal("the router should have claimed the flow for RotorLB")
+	}
+	hops := -1
+	fl.ReceiverEP = endpointFunc(func(p *Packet) { hops = p.TorHops })
+	n.Hosts[0].Send(&Packet{Flow: fl, Type: Data, PayloadLen: 1436, WireLen: 1500})
+	eng.Run(10 * sim.Millisecond)
+	if hops != 2 {
+		t.Fatalf("packet arrived after %d ToR hops (-1: never), want 2 through ToR 5", hops)
 	}
 }

@@ -151,11 +151,20 @@ func (t *ToR) receiveFromHost(p *Packet) {
 		t.deliverDown(p)
 		return
 	}
-	if p.Flow != nil && p.Flow.RotorClass && p.Type == Data {
-		t.rotorPushLocal(p)
+	if t.rotorCarries(p) {
+		t.rotor.pushLocal(p)
 		return
 	}
 	t.routeAndForward(p, t.net.F.AbsSlice(t.dom.eng.Now()))
+}
+
+// rotorCarries reports whether p travels hop by hop through this ToR's VOQs
+// rather than along a source route: data of a rotor-class flow, when the
+// fabric runs RotorLB. With RotorLB off such a flow is source-routed from its
+// first ToR like any other, and every later ToR must keep following that
+// route — so both receive paths ask here.
+func (t *ToR) rotorCarries(p *Packet) bool {
+	return t.rotor != nil && p.Type == Data && p.Flow != nil && p.Flow.RotorClass
 }
 
 // ingressArrive buffers one circuit arrival and arms the instant's flush.
@@ -204,7 +213,7 @@ func (t *ToR) receiveFromPeer(p *Packet) {
 		t.deliverDown(p)
 		return
 	}
-	if p.Flow != nil && p.Flow.RotorClass && p.Type == Data {
+	if t.rotorCarries(p) {
 		// Indirect RotorLB traffic parks in the nonlocal VOQ and leaves on
 		// the next direct circuit to its destination.
 		t.rotor.pushNonlocal(p)
@@ -367,17 +376,6 @@ func (t *ToR) enqueueUplink(p *Packet, hop PlannedHop) bool {
 // slot for absolute slice abs (read by peers during slice abs+1).
 func (t *ToR) publishRotorBacklog(abs int64) {
 	t.net.rotorSnap[(abs&3)*int64(t.net.F.NumToRs)+int64(t.id)] = t.rotor.totalNonlocal
-}
-
-// rotorPushLocal admits a host packet into the RotorLB local VOQ.
-func (t *ToR) rotorPushLocal(p *Packet) {
-	if t.rotor == nil {
-		// RotorLB disabled but a rotor-class flow appeared: fall back to
-		// source routing so traffic still flows.
-		t.routeAndForward(p, t.net.F.AbsSlice(t.dom.eng.Now()))
-		return
-	}
-	t.rotor.pushLocal(p)
 }
 
 // RotorHasCredit reports whether a host may push another packet toward
