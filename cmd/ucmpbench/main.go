@@ -240,8 +240,8 @@ func main() {
 					fmt.Fprintf(os.Stderr, "(%s events by kind: %s)\n", e, harness.FormatEventKinds(k))
 				}
 				if m := harness.TakeMemStats(); m.PeakPackets > 0 {
-					fmt.Fprintf(os.Stderr, "(%s packet memory, largest run: peak live packets %d, peak parked VOQ records %d, VOQ chunks %d)\n",
-						e, m.PeakPackets, m.PeakParked, m.VOQChunks)
+					fmt.Fprintf(os.Stderr, "(%s packet memory, largest run: peak live packets %d, peak parked VOQ records %d, VOQ chunks %d, peak live calendar slots %d, calendar queues created %d)\n",
+						e, m.PeakPackets, m.PeakParked, m.VOQChunks, m.PeakCalSlots, m.CalQueues)
 				}
 				if sh := harness.TakeShardStats(); sh.Windows > 0 {
 					fmt.Fprintf(os.Stderr, "(%s shards: windows %d, barriers %d, extensions %d, cross-events %d, merge-batches %d, serial-merges %d, mailbox-hwm %d, steals %d)\n",

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runMainEnv makes the test binary act as ucmpsim itself, so the tests drive
@@ -22,16 +24,21 @@ func TestMain(m *testing.M) {
 }
 
 // ucmpsim runs the real main with args and returns its exit status and
-// output streams.
+// output streams. Every run here takes well under a second; one that is still
+// going after ten is killed and fails its test.
 func ucmpsim(t *testing.T, args ...string) (status int, stdout, stderr string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
+	case ctx.Err() != nil:
+		t.Fatalf("ucmpsim %v did not return within ten seconds", args)
 	case err == nil:
 	case errors.As(err, &exit):
 		status = exit.ExitCode()
@@ -81,5 +88,32 @@ func TestCheckpointEveryWithoutDirIsNoted(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "flows:") {
 		t.Fatalf("the run did not complete: %s", stdout)
+	}
+}
+
+// A negative -load walked the Poisson arrival clock backwards and generated
+// flows until the machine ran out of memory; a zero -load, -hosts or
+// -duration printed an empty FCT table with exit status 0; a negative -alpha
+// ran. Each is refused before anything is built, naming the field.
+func TestWorkloadInputsValidated(t *testing.T) {
+	for _, c := range []struct {
+		flag, value, field string
+	}{
+		{"-load", "-1", "Load=-1"},
+		{"-load", "0", "Load=0"},
+		{"-hosts", "0", "HostsPerToR=0"},
+		{"-duration", "0s", "Duration=0ns"},
+		{"-alpha", "-1", "Alpha=-1"},
+	} {
+		status, stdout, stderr := ucmpsim(t, c.flag, c.value)
+		if status == 0 {
+			t.Errorf("%s %s: exit status 0; stdout: %s", c.flag, c.value, stdout)
+		}
+		if !strings.Contains(stderr, "harness: "+c.field) || strings.Contains(stderr, "goroutine") {
+			t.Errorf("%s %s: stderr does not name the field in one line: %s", c.flag, c.value, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("%s %s: a run started before the input was checked: %s", c.flag, c.value, stdout)
+		}
 	}
 }

@@ -37,7 +37,7 @@ import (
 
 const (
 	magic      = "UCMPCKP1"
-	version    = 3
+	version    = 4
 	headerSize = 40
 
 	fnvOffset = 1469598103934665603
@@ -52,7 +52,7 @@ const (
 const (
 	// netsim
 	KindBoundary    uint8 = 1 + iota // slice-boundary callback; A = domain
-	KindFlush                        // ToR ingress flush; A = ToR
+	KindFlush                        // reserved: the ToR ingress flush was an event up to container version 3
 	KindPumpDown                     // ToR→host downlink pump; A = host
 	KindPumpHost                     // host→ToR NIC pump; A = host
 	KindDeliverHost                  // downlink delivery; A = host, +packet

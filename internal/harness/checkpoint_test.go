@@ -176,9 +176,10 @@ func requirePendingRuns(t *testing.T, cfg SimConfig, every sim.Time) {
 }
 
 // TestResumeOlderVersionRejected: a checkpoint written before the current
-// container version (3: RotorLB VOQs written as records; 2 brought the sparse
-// ports section and NIC run records) is refused whole, and the run starts
-// cold with the reason recorded.
+// container version (4: calendar queues written as the slots that exist,
+// without per-queue counters, and no buffered ingress; 3 wrote RotorLB VOQs
+// as records; 2 brought the sparse ports section and NIC run records) is
+// refused whole, and the run starts cold with the reason recorded.
 func TestResumeOlderVersionRejected(t *testing.T) {
 	cfg := ScaledConfig(VLB, transport.Rotor, "datamining")
 	cfg.Duration = sim.Millisecond
@@ -201,9 +202,9 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Version 2 in the header, with the header checksum (the container's
+	// Version 3 in the header, with the header checksum (the container's
 	// FNV-1a variant over bytes 0..32) made right again.
-	binary.LittleEndian.PutUint32(img[8:], 2)
+	binary.LittleEndian.PutUint32(img[8:], 3)
 	sum := uint64(1469598103934665603)
 	for _, c := range img[:32] {
 		sum = (sum ^ uint64(c)) * 1099511628211
@@ -217,7 +218,7 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 2, want 3") {
+	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 3, want 4") {
 		t.Fatalf("expected a cold run naming the version, got note %q", res.ResumeNote)
 	}
 	if fingerprint(res) != fingerprint(plain) {

@@ -196,6 +196,7 @@ func Fig5b(ps *core.PathSet, sampleEvery int) (*Report, []analysis.HopDist) {
 		{"ksp-5", rr, false, 5},
 	} {
 		hist := make(map[int]int)
+		var sc topo.YenScratch
 		for sl := 0; sl < spec.sched.S; sl += sampleEvery {
 			var g *topo.Graph
 			if spec.stable {
@@ -208,7 +209,7 @@ func Fig5b(ps *core.PathSet, sampleEvery int) (*Report, []analysis.HopDist) {
 					if src == dst {
 						continue
 					}
-					for _, nodes := range g.KShortestPaths(src, dst, spec.k) {
+					for _, nodes := range g.KShortestPathsWith(&sc, src, dst, spec.k) {
 						hist[len(nodes)-1]++
 					}
 				}

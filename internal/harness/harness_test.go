@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -362,5 +363,44 @@ func TestReportRendering(t *testing.T) {
 	s := r.String()
 	if !strings.Contains(s, "== x ==") || !strings.Contains(s, "a 1") {
 		t.Fatalf("rendering: %q", s)
+	}
+}
+
+// What feeds the Poisson generator is checked before anything is built: a
+// negative load never returned (the arrival clock walked backwards), a zero
+// load, duration or host count produced an empty result, a negative alpha
+// ran. An explicit flow list skips the check — those fields are then unused
+// — and a horizon shorter than the duration stays legal.
+func TestRunValidatesWorkloadInputs(t *testing.T) {
+	base := ScaledConfig(UCMP, transport.DCTCP, "websearch")
+	base.Duration = 100 * sim.Microsecond
+	for _, c := range []struct {
+		field string
+		set   func(*SimConfig)
+	}{
+		{"Load=-1", func(c *SimConfig) { c.Load = -1 }},
+		{"Load=0", func(c *SimConfig) { c.Load = 0 }},
+		{"Load=NaN", func(c *SimConfig) { c.Load = math.NaN() }},
+		{"HostsPerToR=0", func(c *SimConfig) { c.Topo.HostsPerToR = 0 }},
+		{"Duration=0ns", func(c *SimConfig) { c.Duration = 0 }},
+		{"Alpha=-1", func(c *SimConfig) { c.Alpha = -1 }},
+		{"Alpha=+Inf", func(c *SimConfig) { c.Alpha = math.Inf(1) }},
+	} {
+		cfg := base
+		c.set(&cfg)
+		if res, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "harness: "+c.field) {
+			t.Errorf("%s: Run returned (%v, %v), want an error naming the field", c.field, res != nil, err)
+		}
+	}
+	probe := base
+	probe.Horizon = 1
+	if _, err := Run(probe); err != nil {
+		t.Errorf("a 1 ns horizon under a 100 us duration was refused: %v", err)
+	}
+	replay := base
+	replay.Load, replay.Duration = 0, 0
+	replay.Flows = []*netsim.Flow{netsim.NewFlow(1, 0, 3, 1<<16, 0)}
+	if res, err := Run(replay); err != nil || res.Launched != 1 {
+		t.Errorf("an explicit flow list with zero Load and Duration: %v", err)
 	}
 }

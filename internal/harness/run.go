@@ -6,6 +6,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"ucmp/internal/failure"
 	"ucmp/internal/metrics"
@@ -205,8 +206,9 @@ type Result struct {
 	// sharded run, and over the whole run on a resumed one.
 	EventKinds sim.EventKinds
 	// Mem is what the run's packet-path memory was made of: the Packets the
-	// pools grew to, the most records ever parked in RotorLB VOQs, and the
-	// VOQ chunks allocated to hold them — enough to explain a run's RSS
+	// pools grew to, the most records ever parked in RotorLB VOQs, the VOQ
+	// chunks allocated to hold them, and the calendar queues that ever held a
+	// packet at once and were created for it — enough to explain a run's RSS
 	// without a profiler. Simulated behaviour does not depend on it and no
 	// fingerprint includes it; a resumed run counts from the resume.
 	Mem netsim.MemStats
@@ -271,6 +273,9 @@ type simState struct {
 
 // Run executes the simulation.
 func Run(cfg SimConfig) (*Result, error) {
+	if err := validateWorkload(cfg); err != nil {
+		return nil, err
+	}
 	var st *simState
 	var resumeNote string
 	resumed := false
@@ -308,6 +313,29 @@ func Run(cfg SimConfig) (*Result, error) {
 		res.ResumeNote = resumeNote + "; " + res.ResumeNote
 	}
 	return res, nil
+}
+
+// validateWorkload checks what the Poisson generator is fed, when it is the
+// one that runs (cfg.Flows == nil): a negative load walks the arrival clock
+// backwards and never returns, a zero load, duration or host count gives an
+// empty FCT table that looks like a result. Horizon is deliberately not tied
+// to Duration — a 1 ns horizon is how set-up is timed.
+func validateWorkload(cfg SimConfig) error {
+	if cfg.Flows != nil {
+		return nil
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case !finite(cfg.Load) || cfg.Load <= 0:
+		return fmt.Errorf("harness: Load=%g must be positive and finite", cfg.Load)
+	case !finite(cfg.Alpha) || cfg.Alpha < 0:
+		return fmt.Errorf("harness: Alpha=%g must be non-negative and finite", cfg.Alpha)
+	case cfg.Duration <= 0:
+		return fmt.Errorf("harness: Duration=%v must be positive", cfg.Duration)
+	case cfg.Topo.HostsPerToR < 1:
+		return fmt.Errorf("harness: HostsPerToR=%d must be at least 1", cfg.Topo.HostsPerToR)
+	}
+	return nil
 }
 
 // buildSim wires a simulation. With forRestore set, flows are attached but

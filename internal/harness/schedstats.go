@@ -65,6 +65,8 @@ func recordMemStats(m netsim.MemStats) {
 	memAgg.PeakPackets = max(memAgg.PeakPackets, m.PeakPackets)
 	memAgg.PeakParked = max(memAgg.PeakParked, m.PeakParked)
 	memAgg.VOQChunks = max(memAgg.VOQChunks, m.VOQChunks)
+	memAgg.PeakCalSlots = max(memAgg.PeakCalSlots, m.PeakCalSlots)
+	memAgg.CalQueues = max(memAgg.CalQueues, m.CalQueues)
 	schedMu.Unlock()
 }
 

@@ -368,3 +368,22 @@ func BenchmarkHostNICEnqueueManyFlows(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNetworkBuild512 is netsim.New at the warm512 size — 512 ToRs, 8
+// uplinks, 2 hosts, NDP queues: what wiring the fabric costs before the first
+// packet exists. B/op is the number to watch: the schedule names 262,144
+// calendar queues here, and none of them is built until a packet needs it.
+func BenchmarkNetworkBuild512(b *testing.B) {
+	cfg := topo.Scaled()
+	cfg.NumToRs, cfg.Uplinks, cfg.HostsPerToR = 512, 8, 2
+	fab := topo.MustFabric(cfg, "round-robin", 1)
+	router := routing.NewVLB(fab)
+	qs := transport.QueueSpec(transport.NDP)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if net := netsim.New(sim.NewEngine(), fab, router, qs, qs, netsim.RotorConfig{}); len(net.ToRs) != 512 {
+			b.Fatal("network not built")
+		}
+	}
+}

@@ -22,6 +22,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ucmp/internal/checkpoint"
@@ -118,14 +119,12 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 
 	pe := w.Section("ports")
 	pe.Len(len(n.ToRs))
-	var live []int // scratch: indices of one sparse list
+	var live []int      // scratch: indices of one sparse list
+	var slots []calSlot // scratch: one port's calendar slots by slice
 	for _, t := range n.ToRs {
+		// The circuit arrivals of an instant are drained before the instant
+		// ends (ToR.ingressArrive), so no snapshot finds any buffered.
 		pe.U64(t.linkSeq)
-		pe.Bool(t.ingressArmed)
-		pe.Len(len(t.ingress))
-		for _, p := range t.ingress {
-			encodePacket(pe, p)
-		}
 		for _, dp := range t.down {
 			pe.I64(int64(dp.busyUntil))
 			pe.I64(dp.meter.total)
@@ -137,20 +136,16 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 			pe.I64(int64(u.busyUntil))
 			pe.I64(u.meter.total)
 			pe.I64(u.meter.last)
-			// Calendar queues and rotor destinations are recorded sparsely —
-			// a count, then (index, state) in ascending index order for those
-			// that hold anything: nearly all of the N·d·S queues and N² VOQs
-			// are empty at any instant.
-			live = live[:0]
-			for c := range u.cal {
-				if q := &u.cal[c]; q.Len() > 0 || q.Dropped != 0 || q.Trimmed != 0 || q.Marked != 0 {
-					live = append(live, c)
-				}
-			}
-			pe.Len(len(live))
-			for _, c := range live {
-				pe.I32(int32(c))
-				encodeQueue(pe, &u.cal[c])
+			// Calendar queues and rotor destinations are recorded sparsely — a
+			// count, then (index, state) in ascending index order for those
+			// that hold anything. For the calendar that is the port's slot
+			// list, sorted: its order in memory is history, not state.
+			slots = append(slots[:0], u.cal...)
+			slices.SortFunc(slots, func(a, b calSlot) int { return a.c - b.c })
+			pe.Len(len(slots))
+			for _, s := range slots {
+				pe.I32(int32(s.c))
+				encodeQueue(pe, s.q)
 			}
 		}
 		pe.Bool(t.rotor != nil)
@@ -330,16 +325,6 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 	}
 	for _, t := range n.ToRs {
 		t.linkSeq = pd.U64()
-		t.ingressArmed = pd.Bool()
-		icnt := pd.Len()
-		t.ingress = t.ingress[:0]
-		for j := 0; j < icnt; j++ {
-			p, err := decodePacket(pd, t.dom)
-			if err != nil {
-				return err
-			}
-			t.ingress = append(t.ingress, p)
-		}
 		for _, dp := range t.down {
 			dp.busyUntil = sim.Time(pd.I64())
 			dp.meter.total = pd.I64()
@@ -357,13 +342,17 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 			u.meter.last = pd.I64()
 			prev := -1
 			for left := pd.Len(); left > 0; left-- {
-				c, err := sparseIndex(pd, prev, len(u.cal), "calendar queue")
+				c, err := sparseIndex(pd, prev, n.F.Sched.S, "calendar queue")
 				if err != nil {
 					return err
 				}
 				prev = c
-				if err := decodeQueue(pd, t.dom, &u.cal[c]); err != nil {
+				q := u.slotFor(c)
+				if err := decodeQueue(pd, t.dom, q); err != nil {
 					return err
+				}
+				if q.Len() == 0 {
+					return fmt.Errorf("checkpoint: empty calendar queue %d recorded at ToR %d port %d", c, t.id, u.sw)
 				}
 			}
 			// The per-slice cache is not serialized: a zero sliceEnd makes the
@@ -637,12 +626,6 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 			return fmt.Errorf("checkpoint: boundary event references domain %d", tag.A)
 		}
 		d.eng.AtTag(at, tag, d.boundaryFn)
-	case checkpoint.KindFlush:
-		t, err := tor()
-		if err != nil {
-			return err
-		}
-		d.eng.AtTag(at, tag, t.flushFn)
 	case checkpoint.KindPumpDown:
 		h, err := host()
 		if err != nil {
@@ -843,9 +826,6 @@ func decodeFifo(dec *checkpoint.Decoder, d *domain, f *fifo) error {
 func encodeQueue(e *checkpoint.Encoder, q *Queue) {
 	encodeFifo(e, &q.high)
 	encodeFifo(e, &q.low)
-	e.I64(q.Dropped)
-	e.I64(q.Trimmed)
-	e.I64(q.Marked)
 }
 
 func decodeQueue(dec *checkpoint.Decoder, d *domain, q *Queue) error {
@@ -860,9 +840,6 @@ func decodeQueue(dec *checkpoint.Decoder, d *domain, q *Queue) error {
 	for _, p := range q.low.items[q.low.head:] {
 		q.dataBytes += int64(p.WireLen)
 	}
-	q.Dropped = dec.I64()
-	q.Trimmed = dec.I64()
-	q.Marked = dec.I64()
 	return dec.Err()
 }
 

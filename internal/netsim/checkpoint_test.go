@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -176,15 +177,23 @@ func TestSparseIndexValidation(t *testing.T) {
 	}
 }
 
-// Only queues that hold something are written, and they come back where they
-// were; a list naming a queue the network does not have is refused.
+// Only calendar slots that exist are written — in slice order, whatever order
+// the port's list took on — and they come back under their slices; a list
+// naming a slice the schedule does not have is refused.
 func TestSparsePortsRoundTrip(t *testing.T) {
-	build := func() *Network {
+	build := func(extra ...int) *Network {
 		n := rotorNet(t)
 		tor := n.ToRs[2]
-		tor.up[1].cal[1].Enqueue(&Packet{Type: Data, WireLen: 1500})
-		tor.up[1].cal[3].Dropped = 4 // empty, but its counter is state
-		tor.up[2].cal[0].Enqueue(&Packet{Type: Ack, WireLen: HeaderBytes})
+		// Slots open out of slice order, and one is drained again: the list in
+		// memory is [3, 1] and a queue sits on the free list.
+		tor.up[1].slotFor(3).Enqueue(&Packet{Type: Ack, WireLen: HeaderBytes})
+		tor.up[1].slotFor(4).Enqueue(&Packet{Type: Data, WireLen: 1500})
+		tor.up[1].slotFor(1).Enqueue(&Packet{Type: Data, WireLen: 1500})
+		tor.up[1].expire(4)
+		tor.up[2].slotFor(0).Enqueue(&Packet{Type: Ack, WireLen: HeaderBytes})
+		for _, c := range extra {
+			tor.up[1].slotFor(c).Enqueue(&Packet{Type: Data, WireLen: 1500})
+		}
 		tor.rotor.pushNonlocal(rotorPkt(n, 1, 9))
 		tor.rotor.pushNonlocal(rotorPkt(n, 2, 14))
 		return n
@@ -194,9 +203,21 @@ func TestSparsePortsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := dst.ToRs[2]
-	if got.up[1].cal[1].DataLen() != 1 || got.up[1].cal[3].Dropped != 4 || got.up[2].cal[0].Len() != 1 {
-		t.Fatalf("calendar queues not restored in place: %d data in [1][1], %d dropped in [1][3], %d in [2][0]",
-			got.up[1].cal[1].DataLen(), got.up[1].cal[3].Dropped, got.up[2].cal[0].Len())
+	if len(got.up[1].cal) != 2 || len(got.up[2].cal) != 1 || len(got.up[0].cal) != 0 || dst.doms[0].cals.live != 3 {
+		t.Fatalf("restored slots: %d, %d and %d on ports 0-2, %d live in the domain; want 0, 2, 1 and 3",
+			len(got.up[0].cal), len(got.up[1].cal), len(got.up[2].cal), dst.doms[0].cals.live)
+	}
+	if q := got.up[1].slot(1); q == nil || q.DataLen() != 1 {
+		t.Fatalf("slice 1 of port 1 not restored with its data packet: %+v", q)
+	}
+	if q := got.up[1].slot(3); q == nil || q.Len() != 1 || q.DataLen() != 0 {
+		t.Fatalf("slice 3 of port 1 not restored with its control packet: %+v", q)
+	}
+	if q := got.up[2].slot(0); q == nil || q.Len() != 1 {
+		t.Fatalf("slice 0 of port 2 not restored: %+v", q)
+	}
+	if got.up[1].slot(4) != nil {
+		t.Fatal("the drained slice 4 came back as a slot")
 	}
 	if got.rotor.nonlocal[9].len() != 1 || got.rotor.nonlocal[14].len() != 1 || got.rotor.nonlocalPkts != 2 {
 		t.Fatalf("rotor VOQs not restored in place: %d packets", got.rotor.nonlocalPkts)
@@ -205,10 +226,10 @@ func TestSparsePortsRoundTrip(t *testing.T) {
 		t.Fatalf("restored InFlightData %d, source %d, want 3", got, want)
 	}
 
-	short := rotorNet(t)
-	short.ToRs[2].up[1].cal = short.ToRs[2].up[1].cal[:3]
-	if err := snapshotInto(t, build(), short); err == nil || !strings.Contains(err.Error(), "calendar queue index 3 after 1, of 3") {
-		t.Fatalf("restore onto a port with 3 calendar queues: %v", err)
+	S := src.F.Sched.S
+	want := fmt.Sprintf("calendar queue index %d after 3, of %d", S, S)
+	if err := snapshotInto(t, build(S), rotorNet(t)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore of a slot for slice %d of %d: %v, want %q", S, S, err, want)
 	}
 	narrow := rotorNet(t)
 	narrow.ToRs[2].rotor.n = 14

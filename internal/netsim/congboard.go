@@ -32,8 +32,9 @@ import (
 // EnableCongestionBoard allocates the slice-boundary calendar-backlog
 // board and turns on its per-ToR publication. Must be called before Start;
 // calling it twice is a no-op. The board costs 4·N·d·S int32 slots and one
-// d·S copy per ToR per slice boundary, so it is pay-for-play: networks
-// without congestion-aware routing never touch it.
+// d·S clear per ToR per slice boundary (plus a write per live calendar
+// slot), so it is pay-for-play: networks without congestion-aware routing
+// never touch it.
 func (n *Network) EnableCongestionBoard() {
 	if n.congSnap != nil {
 		return
@@ -66,12 +67,12 @@ func (n *Network) congSlot(abs int64, tor int) []int32 {
 // during slice abs+1). Runs at the top of onSliceStart, before the
 // boundary's own expiry and pumps mutate the queues.
 func (t *ToR) publishCongestionBacklog(abs int64) {
-	slot := t.net.congSlot(abs, t.id)
-	i := 0
-	for _, u := range t.up {
-		for c := range u.cal {
-			slot[i] = int32(u.cal[c].DataLen())
-			i++
+	stripe := t.net.congSlot(abs, t.id)
+	clear(stripe) // a slice without a slot holds nothing
+	S := t.net.F.Sched.S
+	for sw, u := range t.up {
+		for _, s := range u.cal {
+			stripe[sw*S+s.c] = int32(s.q.DataLen())
 		}
 	}
 }

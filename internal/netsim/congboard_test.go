@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"ucmp/internal/sim"
@@ -58,7 +60,7 @@ func TestCongestionBoardPublishAndRead(t *testing.T) {
 	enqueue := func(k int, base int64) {
 		for i := 0; i < k; i++ {
 			p := rotorPkt(n, base+int64(i), peer)
-			if !n.ToRs[tor].up[sw].cal[c].Enqueue(p) {
+			if !n.ToRs[tor].up[sw].slotFor(c).Enqueue(p) {
 				t.Fatal("calendar enqueue rejected")
 			}
 		}
@@ -119,7 +121,7 @@ func TestCongestionBoardSlotIsolation(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		p := rotorPkt(n, int64(i+1), peer)
-		if !n.ToRs[tor].up[sw].cal[c].Enqueue(p) {
+		if !n.ToRs[tor].up[sw].slotFor(c).Enqueue(p) {
 			t.Fatal("calendar enqueue rejected")
 		}
 	}
@@ -173,4 +175,61 @@ func TestCongestionBoardGates(t *testing.T) {
 		}
 	}()
 	sn.EnableCongestionBoard()
+}
+
+// The board publishes live slots over a cleared stripe: what a ToR publishes
+// equals, entry for entry, what the dense calendar would have copied out —
+// with slots live, and again (into the same ring entry, four boundaries on)
+// after they have drained, when nothing of the earlier publication may remain.
+func TestCongestionBoardStripeMatchesDenseCalendar(t *testing.T) {
+	n := congNet(t)
+	S, d := n.F.Sched.S, n.F.Uplinks
+	const tor = 5
+	tr := n.ToRs[tor]
+	dense := newDenseCalendar(d, S, n.UpQueue)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 60; i++ {
+		sw, c := rng.Intn(d), rng.Intn(S)
+		p := Packet{Type: Data, Seq: int64(i), WireLen: 1500}
+		if rng.Intn(5) == 0 {
+			p = Packet{Type: Ack, Seq: int64(i), WireLen: HeaderBytes} // occupies a slot, counts for nothing
+		}
+		q := p
+		if !tr.up[sw].slotFor(c).Enqueue(&p) || !dense.enqueue(sw, c, &q) {
+			t.Fatal("calendar enqueue rejected")
+		}
+	}
+	sameStripe := func(abs int64, what string) {
+		t.Helper()
+		tr.publishCongestionBacklog(abs)
+		stripe := n.congSlot(abs, tor)
+		for sw := 0; sw < d; sw++ {
+			for c := 0; c < S; c++ {
+				if got, want := stripe[sw*S+c], int32(dense.cal[sw][c].DataLen()); got != want {
+					t.Fatalf("%s: stripe entry (port %d, slice %d) is %d, dense calendar has %d", what, sw, c, got, want)
+				}
+			}
+		}
+	}
+	sameStripe(8, "with live slots")
+	// Drain half the slices, then everything.
+	for _, upTo := range []int{S / 2, S} {
+		for sw := 0; sw < d; sw++ {
+			for c := 0; c < upTo; c++ {
+				for tr.up[sw].expire(c) != nil {
+				}
+				for dense.expire(sw, c) != nil {
+				}
+			}
+		}
+		sameStripe(12, fmt.Sprintf("after draining slices below %d", upTo))
+	}
+	if live := n.doms[0].cals.live; live != 0 {
+		t.Fatalf("%d slots live after the drain", live)
+	}
+	for i, v := range n.congSlot(12, tor) {
+		if v != 0 {
+			t.Fatalf("stripe entry %d reads %d with no slot live", i, v)
+		}
+	}
 }

@@ -55,6 +55,14 @@ func checkConservation(t *testing.T, kind transport.Kind, flows func(cfg topo.Co
 	if live != 0 || parked != 0 {
 		t.Fatalf("pool leak at quiescence: gets=%d puts=%d live=%d parked=%d", gets, puts, live, parked)
 	}
+	// The calendar drained with the traffic: every queue the burst took is
+	// back on its domain's free list, clean.
+	if m := net.MemStats(); m.CalQueues == 0 || m.CalQueues != m.PeakCalSlots {
+		t.Fatalf("%d calendar queues made, %d slots live at peak: want as many made as were ever live, and some", m.CalQueues, m.PeakCalSlots)
+	}
+	if err := net.CalendarPoolCheck(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPacketConservationDCTCP(t *testing.T) {

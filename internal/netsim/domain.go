@@ -22,6 +22,7 @@ type domain struct {
 	ctr  *Counters
 	pool *packetPool
 	voqs voqPool // chunks of the RotorLB VOQs of this domain's ToRs
+	cals calPool // calendar queues of this domain's uplink ports
 	tors []*ToR
 
 	// finished buffers flows completing in this domain during a sharded

@@ -462,7 +462,7 @@ func (n *Network) InFlightData() int64 {
 		}
 		for _, u := range t.up {
 			for i := range u.cal {
-				c += int64(u.cal[i].countData())
+				c += int64(u.cal[i].q.countData())
 			}
 		}
 		if r := t.rotor; r != nil {
@@ -580,7 +580,10 @@ func (n *Network) CalendarBacklog(tor int, hop PlannedHop) int {
 	if sw < 0 {
 		return 1 << 30
 	}
-	return n.ToRs[tor].up[sw].cal[c].DataLen()
+	if q := n.ToRs[tor].up[sw].slot(c); q != nil {
+		return q.DataLen()
+	}
+	return 0
 }
 
 // JainCumulative computes Jain's fairness index over the cumulative bytes

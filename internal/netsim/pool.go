@@ -106,9 +106,11 @@ func (n *Network) PoolStats() (gets, puts, live, parked uint64) {
 // domains (so on a sharded run the peaks are the domains' own peaks added up:
 // what the pools came to hold, not an instant of the run).
 type MemStats struct {
-	PeakPackets uint64 // Packets the pools allocated — the most ever live at once — and hold to the end
-	PeakParked  uint64 // most records ever parked in RotorLB VOQs
-	VOQChunks   uint64 // VOQ chunks allocated, at unsafe.Sizeof(voqChunk{}) bytes each
+	PeakPackets  uint64 // Packets the pools allocated — the most ever live at once — and hold to the end
+	PeakParked   uint64 // most records ever parked in RotorLB VOQs
+	VOQChunks    uint64 // VOQ chunks allocated, at unsafe.Sizeof(voqChunk{}) bytes each
+	PeakCalSlots uint64 // most calendar queues ever holding a packet at once
+	CalQueues    uint64 // calendar queues allocated, of the N·d·S the schedule names
 }
 
 // MemStats reports the packet-path high-water marks.
@@ -118,6 +120,8 @@ func (n *Network) MemStats() MemStats {
 		m.PeakPackets += d.pool.made
 		m.PeakParked += d.voqs.peak
 		m.VOQChunks += d.voqs.chunks
+		m.PeakCalSlots += d.cals.peak
+		m.CalQueues += d.cals.made
 	}
 	return m
 }

@@ -221,6 +221,44 @@ func (h *hostPort) pump() {
 
 func (h *hostPort) takeBytes() int64 { return h.meter.take() }
 
+// calSlot is one live calendar queue of an uplink port: the cyclic slice it
+// serves and the queue holding that slice's packets.
+type calSlot struct {
+	c int
+	q *Queue
+}
+
+// calPool is a domain's free list of calendar queues, owned as its packetPool
+// and voqPool are: a port belongs to a ToR and a ToR to one domain, so a queue
+// never crosses a barrier and the list needs no lock. A queue comes back
+// drained — pop cleared every pointer it handed out — and keeps its fifo
+// backing (up to fifoKeepCap) for the next slice that takes it.
+type calPool struct {
+	free []*Queue
+	made uint64 // queues allocated because the free list was empty
+
+	// live counts the domain's calendar slots; peak is its high-water mark.
+	live, peak uint64
+}
+
+func (pool *calPool) get(spec QueueSpec) *Queue {
+	if pool.live++; pool.live > pool.peak {
+		pool.peak = pool.live
+	}
+	if n := len(pool.free); n > 0 {
+		q := pool.free[n-1]
+		pool.free = pool.free[:n-1]
+		return q
+	}
+	pool.made++
+	return &Queue{MaxDataPackets: spec.MaxDataPackets, ECNThreshold: spec.ECNThreshold, Trim: spec.Trim}
+}
+
+func (pool *calPool) put(q *Queue) {
+	pool.live--
+	pool.free = append(pool.free, q)
+}
+
 // uplinkPort is a circuit-facing ToR egress port (§6.2): one calendar queue
 // per cyclic time slice, unpaused only while its slice's circuit is up. The
 // port also drains the ToR's RotorLB VOQs opportunistically when the
@@ -230,10 +268,12 @@ type uplinkPort struct {
 	tor *ToR
 	sw  int // circuit switch index == uplink index
 
-	// cal is one calendar queue per cyclic slice, stored by value: a
-	// single allocation per port, and slot state (fifo capacity) is
-	// recycled across the cycle instead of reallocated.
-	cal       []Queue
+	// cal holds the calendar queues that exist: a slice has one from its
+	// first enqueue until the pump or the slice-boundary expiry takes its
+	// last packet, so a slot is never empty and an absent slice reads as an
+	// empty queue. Routes are planned a few slices ahead, so the list is a
+	// handful long and looked up by scan; its order carries no meaning.
+	cal       []calSlot
 	busyUntil sim.Time
 	meter     byteMeter
 
@@ -258,13 +298,79 @@ func newUplinkPort(n *Network, tor *ToR, sw int) *uplinkPort {
 	u := &uplinkPort{net: n, tor: tor, sw: sw}
 	u.wake = tor.dom.eng.NewTimerTag(
 		sim.EventTag{Kind: checkpoint.KindWakeUplink, A: int32(tor.id), B: int32(sw)}, u.pump)
-	u.cal = make([]Queue, n.F.Sched.S)
-	for i := range u.cal {
-		u.cal[i].MaxDataPackets = n.UpQueue.MaxDataPackets
-		u.cal[i].ECNThreshold = n.UpQueue.ECNThreshold
-		u.cal[i].Trim = n.UpQueue.Trim
-	}
 	return u
+}
+
+// find returns the index in cal of cyclic slice c's slot, or -1 when the
+// slice holds nothing.
+func (u *uplinkPort) find(c int) int {
+	for i := range u.cal {
+		if u.cal[i].c == c {
+			return i
+		}
+	}
+	return -1
+}
+
+// slot returns the calendar queue of cyclic slice c, or nil when the slice
+// holds nothing.
+func (u *uplinkPort) slot(c int) *Queue {
+	if i := u.find(c); i >= 0 {
+		return u.cal[i].q
+	}
+	return nil
+}
+
+// slotFor returns the calendar queue of cyclic slice c, taking one from the
+// domain's free list when the slice has none. The caller must put a packet in
+// it: an empty queue accepts anything (the bound is on a non-empty data
+// band), which is what keeps every live slot non-empty.
+func (u *uplinkPort) slotFor(c int) *Queue {
+	if q := u.slot(c); q != nil {
+		return q
+	}
+	q := u.tor.dom.cals.get(u.net.UpQueue)
+	u.cal = append(u.cal, calSlot{c: c, q: q})
+	return q
+}
+
+// dequeue removes the head packet of slot i and, when that drains it, returns
+// the queue to the domain's free list.
+func (u *uplinkPort) dequeue(i int) *Packet {
+	q := u.cal[i].q
+	p := q.Dequeue()
+	if q.Len() == 0 {
+		last := len(u.cal) - 1
+		u.cal[i] = u.cal[last]
+		u.cal[last] = calSlot{}
+		u.cal = u.cal[:last]
+		u.tor.dom.cals.put(q)
+	}
+	return p
+}
+
+// takeScheduled removes and returns the head packet of cyclic slice c's
+// calendar queue if the port can serialize it within left, the time the
+// slice's circuit stays up. late reports a head packet that cannot make it:
+// it stays where it is and expires at the boundary.
+func (u *uplinkPort) takeScheduled(c int, left sim.Time) (p *Packet, late bool) {
+	i := u.find(c)
+	if i < 0 {
+		return nil, false
+	}
+	if u.net.serdelayUp(u.cal[i].q.Peek().WireLen) > left {
+		return nil, true
+	}
+	return u.dequeue(i), false
+}
+
+// expire removes and returns the next packet still parked for cyclic slice
+// c, whose circuit has closed; nil once the slice holds nothing.
+func (u *uplinkPort) expire(c int) *Packet {
+	if i := u.find(c); i >= 0 {
+		return u.dequeue(i)
+	}
+	return nil
 }
 
 // refreshSlice recomputes the cached slice state for the slice containing
@@ -334,13 +440,11 @@ func (u *uplinkPort) pump() {
 	end := u.sliceEnd
 
 	// Scheduled (calendar) traffic first, then RotorLB traffic.
-	q := &u.cal[c]
-	p := q.Peek()
+	p, late := u.takeScheduled(c, end-now)
+	if late {
+		return
+	}
 	if p != nil {
-		if now+u.net.serdelayUp(p.WireLen) > end {
-			return // cannot finish before the slice ends; expires at boundary
-		}
-		q.Dequeue()
 		p.RouteIdx++
 		p.Rerouted = 0 // the per-ToR recirculation budget resets on departure
 	} else if u.tor.rotor != nil {
@@ -373,7 +477,7 @@ func (u *uplinkPort) pump() {
 func (u *uplinkPort) queuedBytes() int64 {
 	var b int64
 	for i := range u.cal {
-		b += u.cal[i].DataBytes()
+		b += u.cal[i].q.DataBytes()
 	}
 	return b
 }

@@ -18,11 +18,6 @@ type Queue struct {
 
 	high, low fifo
 	dataBytes int64
-
-	// Counters for diagnostics and load-balance metrics.
-	Dropped int64
-	Trimmed int64
-	Marked  int64
 }
 
 type fifo struct {
@@ -55,6 +50,7 @@ func (f *fifo) pop() *Packet {
 		f.head = 0
 	} else if f.head > 64 && f.head*2 >= len(f.items) {
 		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:]) // the moved pointers' old slots: nothing outside [head, len) points at a packet
 		f.items = f.items[:n]
 		f.head = 0
 	}
@@ -85,16 +81,13 @@ func (q *Queue) Enqueue(p *Packet) bool {
 		if q.Trim {
 			p.Trimmed = true
 			p.WireLen = HeaderBytes
-			q.Trimmed++
 			q.high.push(p)
 			return true
 		}
-		q.Dropped++
 		return false
 	}
 	if q.ECNThreshold > 0 && p.ECNCapable && q.low.len() >= q.ECNThreshold {
 		p.ECNMarked = true
-		q.Marked++
 	}
 	q.dataBytes += int64(p.WireLen)
 	q.low.push(p)

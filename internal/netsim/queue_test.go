@@ -34,8 +34,8 @@ func TestQueueDropTail(t *testing.T) {
 	if q.Enqueue(mkData(2, 1500)) {
 		t.Fatal("overflow accepted")
 	}
-	if q.Dropped != 1 {
-		t.Fatalf("dropped=%d, want 1", q.Dropped)
+	if q.DataLen() != 2 {
+		t.Fatalf("data band holds %d after the refusal, want 2", q.DataLen())
 	}
 	// Control still accepted when data band is full.
 	if !q.Enqueue(&Packet{Type: Pull, WireLen: HeaderBytes}) {
@@ -59,9 +59,6 @@ func TestQueueECNMarking(t *testing.T) {
 	if marked != 2 {
 		t.Fatalf("marked=%d, want 2 (packets 3 and 4 beyond threshold)", marked)
 	}
-	if q.Marked != 2 {
-		t.Fatalf("mark counter %d", q.Marked)
-	}
 	// Non-ECT packets are never marked.
 	q2 := &Queue{ECNThreshold: 0}
 	p := mkData(0, 1500)
@@ -82,8 +79,8 @@ func TestQueueTrimming(t *testing.T) {
 	if !p.Trimmed || p.WireLen != HeaderBytes {
 		t.Fatalf("packet not trimmed: %+v", p)
 	}
-	if q.Trimmed != 1 {
-		t.Fatalf("trim counter %d", q.Trimmed)
+	if q.DataLen() != 1 || q.Len() != 2 {
+		t.Fatalf("trimmed header joined the data band: data %d of %d", q.DataLen(), q.Len())
 	}
 	// Trimmed header is delivered before the queued data packet.
 	if got := q.Dequeue(); !got.Trimmed {

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"ucmp/internal/checkpoint"
-	"ucmp/internal/sim"
-)
+import "ucmp/internal/sim"
 
 // ToR is a top-of-rack switch: HostsPerToR downlink ports, Uplinks
 // circuit-facing ports with calendar queues, optional RotorLB VOQs, and the
@@ -21,16 +18,16 @@ type ToR struct {
 	recvHostFn func(any)
 
 	// Peer-arrival ingress: circuit arrivals landing at one instant buffer
-	// here and are processed together by a flush event scheduled at that
-	// same instant, in canonical (linkSrc, linkSeq) order. The flush runs
-	// after every other event of the instant in both engines — nothing in
-	// netsim schedules zero-delay events, so once the first arrival fires,
-	// no new event can slot in at the same time — which pins the one tie the
-	// serial and sharded engines would otherwise break differently:
-	// same-instant arrivals from different source ToRs.
+	// here and are processed together at the end of that instant (the
+	// engine's Defer hook — a call, not an event), in canonical (linkSrc,
+	// linkSeq) order. The drain runs after every event of the instant in
+	// both engines — nothing in netsim schedules zero-delay events, so once
+	// the first arrival fires, no new event can slot in at the same time —
+	// which pins the one tie the serial and sharded engines would otherwise
+	// break differently: same-instant arrivals from different source ToRs.
+	// The buffer is empty between instants, so no checkpoint carries it.
 	ingress        []*Packet
 	ingressScratch []*Packet
-	ingressArmed   bool
 	ingressFn      func(any)
 	flushFn        func()
 
@@ -107,11 +104,7 @@ func (t *ToR) onSliceStart(abs int64, expired int) {
 			// Expiries off a dead element are fault hits: stamp the instant so
 			// the successful replan records the time-to-reroute wait.
 			faulted := fs != nil && (!fs.TorOK(now, t.id) || !fs.LinkOK(now, t.id, u.sw))
-			for {
-				p := u.cal[expired].Dequeue()
-				if p == nil {
-					break
-				}
+			for p := u.expire(expired); p != nil; p = u.expire(expired) {
 				t.dom.ctr.ExpiredInCalendar++
 				if faulted && p.FaultAt == 0 && p.Type == Data {
 					p.FaultAt = now
@@ -167,19 +160,18 @@ func (t *ToR) rotorCarries(p *Packet) bool {
 	return t.rotor != nil && p.Type == Data && p.Flow != nil && p.Flow.RotorClass
 }
 
-// ingressArrive buffers one circuit arrival and arms the instant's flush.
+// ingressArrive buffers one circuit arrival; the instant's first defers the
+// drain to the instant's end.
 func (t *ToR) ingressArrive(p *Packet) {
-	t.ingress = append(t.ingress, p)
-	if !t.ingressArmed {
-		t.ingressArmed = true
-		t.dom.eng.AtTag(t.dom.eng.Now(), sim.EventTag{Kind: checkpoint.KindFlush, A: int32(t.id)}, t.flushFn)
+	if len(t.ingress) == 0 {
+		t.dom.eng.Defer(t.flushFn)
 	}
+	t.ingress = append(t.ingress, p)
 }
 
 // flushIngress processes the instant's buffered arrivals in (linkSrc,
 // linkSeq) order: FIFO per link, source-ToR index across links.
 func (t *ToR) flushIngress() {
-	t.ingressArmed = false
 	buf := t.ingress
 	// Swap buffers before processing: receiveFromPeer cannot buffer new
 	// same-instant arrivals (every send lands strictly later), but the swap
@@ -362,7 +354,7 @@ func (t *ToR) enqueueUplink(p *Packet, hop PlannedHop) bool {
 		return false // router planned a circuit the schedule doesn't have
 	}
 	u := t.up[sw]
-	if !u.cal[c].Enqueue(p) {
+	if !u.slotFor(c).Enqueue(p) {
 		return false
 	}
 	now := t.dom.eng.Now()

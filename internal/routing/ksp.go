@@ -43,13 +43,14 @@ func buildKSPTables(s *topo.Schedule, k int, mk func(slice int) *topo.Graph) [][
 			defer wg.Done()
 			defer func() { <-sem }()
 			g := mk(sl)
+			var sc topo.YenScratch // one per worker: reused across the slice's pairs
 			row := make([][][]int, s.N*s.N)
 			for src := 0; src < s.N; src++ {
 				for dst := 0; dst < s.N; dst++ {
 					if src == dst {
 						continue
 					}
-					row[src*s.N+dst] = g.KShortestPaths(src, dst, k)
+					row[src*s.N+dst] = g.KShortestPathsWith(&sc, src, dst, k)
 				}
 			}
 			tables[sl] = row

@@ -70,6 +70,11 @@ func runScript(t *testing.T, kind QueueKind, seed int64) []string {
 				if depth > 0 && rng.Intn(3) == 0 {
 					schedule(depth - 1)
 				}
+				// An end-of-instant call: it must land after the instant's
+				// other events (bursts share instants) on both queues.
+				if rng.Intn(4) == 0 {
+					e.Defer(func() { trace = append(trace, fmt.Sprintf("defer %d @%d", myID, e.Now())) })
+				}
 				// Churn a random live timer from inside the run.
 				if len(timers) > 0 {
 					tm := timers[rng.Intn(len(timers))]

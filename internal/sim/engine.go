@@ -174,6 +174,9 @@ type Engine struct {
 	// alignment is fixed: returned by value through the stack, the loop's
 	// speed swung by 20% with the depth of the caller's frames.
 	cur event
+	// deferred holds the end-of-instant calls registered by Defer, in
+	// registration order; empty outside an instant that registered one.
+	deferred []func()
 }
 
 // NewEngine returns an engine positioned at time zero, backed by the
@@ -332,6 +335,11 @@ func (e *Engine) SnapshotEvents() ([]EventDesc, error) {
 	}
 	descs := make([]EventDesc, 0, len(drained))
 	var err error
+	if len(e.deferred) > 0 {
+		// Run drains them before it returns, so only a Defer made between
+		// runs gets here; a closure is nothing a descriptor can carry.
+		err = fmt.Errorf("sim: %d deferred call(s) outstanding at %v cannot be checkpointed", len(e.deferred), e.now)
+	}
 	for i := range drained {
 		ev := &drained[i]
 		switch {
@@ -386,8 +394,35 @@ func (e *Engine) Restore(now Time, executed EventKinds) {
 	e.processed = executed.Total()
 }
 
-// Stop makes Run return after the current event completes.
+// Stop makes Run return after the current event completes (and after the
+// calls it or earlier events of the instant deferred: Run never returns with
+// a deferred call outstanding).
 func (e *Engine) Stop() { e.stopped = true }
+
+// Defer registers fn to run at the end of the current instant: once no
+// pending event is due at or before Now, before virtual time advances and
+// before Run or RunAll returns. Deferred calls run in registration order and
+// count as no event. A deferred call may schedule events, at Now included —
+// they run next, and the instant ends again after them — and may itself
+// Defer, which appends to the drain under way. It is how a model does
+// something once per instant after everything else of that instant (a ToR
+// draining the instant's circuit arrivals) without paying an event for it.
+func (e *Engine) Defer(fn func()) { e.deferred = append(e.deferred, fn) }
+
+// endInstant runs the deferred calls if the instant is over: nothing pending
+// is due at or before now, or the run is stopping. The queue is peeked only
+// while something is deferred.
+func (e *Engine) endInstant() {
+	if at, ok := e.NextAt(); ok && at <= e.now && !e.stopped {
+		return
+	}
+	for i := 0; i < len(e.deferred); i++ {
+		fn := e.deferred[i]
+		e.deferred[i] = nil
+		fn()
+	}
+	e.deferred = e.deferred[:0]
+}
 
 // dispatch runs the event's callback, reporting whether one actually ran
 // (lazily-deleted timer events surface here and are discarded).
@@ -414,6 +449,9 @@ func (e *Engine) dispatch(ev *event) bool {
 // `until` if the horizon was hit, otherwise the time of the last event.
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
+	if len(e.deferred) > 0 {
+		e.endInstant() // deferred between runs: the instant may already be over
+	}
 	for e.Pending() > 0 && !e.stopped {
 		if !e.popLE(until, &e.cur) {
 			e.now = until
@@ -422,6 +460,9 @@ func (e *Engine) Run(until Time) Time {
 		e.now = e.cur.at
 		if e.dispatch(&e.cur) {
 			e.processed++
+		}
+		if len(e.deferred) > 0 {
+			e.endInstant()
 		}
 	}
 	if e.now < until && !e.stopped {
@@ -433,6 +474,9 @@ func (e *Engine) Run(until Time) Time {
 // RunAll executes every pending event regardless of horizon.
 func (e *Engine) RunAll() Time {
 	e.stopped = false
+	if len(e.deferred) > 0 {
+		e.endInstant()
+	}
 	for e.Pending() > 0 && !e.stopped {
 		if !e.popLE(maxTime, &e.cur) {
 			break
@@ -440,6 +484,9 @@ func (e *Engine) RunAll() Time {
 		e.now = e.cur.at
 		if e.dispatch(&e.cur) {
 			e.processed++
+		}
+		if len(e.deferred) > 0 {
+			e.endInstant()
 		}
 	}
 	return e.now

@@ -1,5 +1,7 @@
 package topo
 
+import "slices"
+
 // Graph is a static snapshot of the ToR-level connectivity in one time
 // slice: an undirected (multi-)graph given by adjacency lists. It backs the
 // KSP and Opera baselines and the diameter computation of Appendix B.
@@ -150,44 +152,62 @@ func (s *Schedule) MaxDiameter() int {
 // KShortestPaths returns up to k loopless shortest paths from src to dst
 // using Yen's algorithm over unit edge weights. Paths are ordered by hop
 // count, then by discovery order. The baseline KSP routing (§2.2) uses this
-// per slice graph instance.
+// per slice graph instance. A caller that asks for many pairs keeps one
+// YenScratch and calls KShortestPathsWith.
 func (g *Graph) KShortestPaths(src, dst, k int) [][]int {
-	first := g.ShortestPath(src, dst)
-	if first == nil || k <= 0 {
+	return g.KShortestPathsWith(new(YenScratch), src, dst, k)
+}
+
+// YenScratch is the search state KShortestPathsWith reuses from one call to
+// the next, on any graph: the breadth-first search's predecessor array and
+// visited marks (epoch-stamped, so starting a search clears nothing), its
+// queue, the spur node's ban list and the path under construction. The zero
+// value is ready; one scratch serves one goroutine.
+type YenScratch struct {
+	prev  []int32
+	seen  []uint32 // v was reached, or is closed to this search, iff seen[v] == epoch
+	epoch uint32
+	queue []int32
+	ban   []int // neighbours the spur node may not step to
+	path  []int // root path, then the spur path found
+}
+
+// KShortestPathsWith is KShortestPaths on the caller's scratch.
+func (g *Graph) KShortestPathsWith(sc *YenScratch, src, dst, k int) [][]int {
+	if len(sc.seen) < g.N {
+		sc.prev, sc.seen, sc.epoch = make([]int32, g.N), make([]uint32, g.N), 0
+	}
+	sc.ban = sc.ban[:0]
+	if k <= 0 || !sc.search(g, src, dst, nil) {
 		return nil
 	}
-	paths := [][]int{first}
+	paths := [][]int{append([]int(nil), sc.path...)}
 	var candidates [][]int
 	for len(paths) < k {
-		prev := paths[len(paths)-1]
-		for i := 0; i < len(prev)-1; i++ {
-			spurNode := prev[i]
-			rootPath := prev[:i+1]
-			// Build a graph with removed edges/nodes.
-			banned := make(map[[2]int]bool)
+		last := paths[len(paths)-1]
+		for i := 0; i < len(last)-1; i++ {
+			root := last[:i+1]
+			// A path found so far that shares the root bans the edge it left
+			// the spur node by; every banned edge leaves the spur node, so the
+			// ban list is the far ends. The root's nodes before the spur node
+			// are closed to the search.
+			sc.ban = sc.ban[:0]
 			for _, p := range paths {
-				if len(p) > i && equalPrefix(p, rootPath) {
-					banned[[2]int{p[i], p[i+1]}] = true
-					banned[[2]int{p[i+1], p[i]}] = true
+				if equalPrefix(p, root) {
+					sc.ban = append(sc.ban, p[i+1])
 				}
 			}
-			blockedNode := make([]bool, g.N)
-			for _, v := range rootPath[:len(rootPath)-1] {
-				blockedNode[v] = true
-			}
-			spur := g.shortestPathFiltered(spurNode, dst, banned, blockedNode)
-			if spur == nil {
+			if !sc.search(g, last[i], dst, root[:i]) {
 				continue
 			}
-			total := append(append([]int{}, rootPath[:len(rootPath)-1]...), spur...)
-			if !containsPath(paths, total) && !containsPath(candidates, total) {
-				candidates = append(candidates, total)
+			if !containsPath(paths, sc.path) && !containsPath(candidates, sc.path) {
+				candidates = append(candidates, append([]int(nil), sc.path...))
 			}
 		}
 		if len(candidates) == 0 {
 			break
 		}
-		// Pick the shortest candidate.
+		// Pick the shortest candidate, the earliest found among equals.
 		best := 0
 		for i := 1; i < len(candidates); i++ {
 			if len(candidates[i]) < len(candidates[best]) {
@@ -200,31 +220,54 @@ func (g *Graph) KShortestPaths(src, dst, k int) [][]int {
 	return paths
 }
 
-func (g *Graph) shortestPathFiltered(src, dst int, banned map[[2]int]bool, blockedNode []bool) []int {
+// search finds a shortest path from src to dst that visits no node of root
+// and does not leave src for a node of sc.ban, breadth first in adjacency
+// order. It leaves root followed by the path in sc.path and reports whether
+// there is one.
+func (sc *YenScratch) search(g *Graph, src, dst int, root []int) bool {
+	sc.path = append(sc.path[:0], root...)
 	if src == dst {
-		return []int{src}
+		sc.path = append(sc.path, src)
+		return true
 	}
-	prev := make([]int, g.N)
-	for i := range prev {
-		prev[i] = -1
+	if sc.epoch++; sc.epoch == 0 { // wrapped: old marks would read as current
+		clear(sc.seen)
+		sc.epoch = 1
 	}
-	prev[src] = src
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	epoch := sc.epoch
+	for _, v := range root {
+		sc.seen[v] = epoch
+	}
+	sc.seen[src] = epoch
+	q := append(sc.queue[:0], int32(src))
+	for head := 0; head < len(q); head++ {
+		u := int(q[head])
 		for _, v := range g.Adj[u] {
-			if blockedNode[v] || prev[v] >= 0 || banned[[2]int{u, v}] {
+			if sc.seen[v] == epoch || (u == src && slices.Contains(sc.ban, v)) {
 				continue
 			}
-			prev[v] = u
+			sc.seen[v] = epoch
+			sc.prev[v] = int32(u)
 			if v == dst {
-				return buildPath(prev, src, dst)
+				hops := 0
+				for w := dst; w != src; w = int(sc.prev[w]) {
+					hops++
+				}
+				at := len(sc.path) + hops
+				sc.path = append(sc.path, make([]int, hops+1)...)
+				for w := dst; w != src; w = int(sc.prev[w]) {
+					sc.path[at] = w
+					at--
+				}
+				sc.path[at] = src
+				sc.queue = q
+				return true
 			}
-			queue = append(queue, v)
+			q = append(q, int32(v))
 		}
 	}
-	return nil
+	sc.queue = q
+	return false
 }
 
 func equalPrefix(p, prefix []int) bool {

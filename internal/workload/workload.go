@@ -164,7 +164,11 @@ type PoissonConfig struct {
 
 // Generate draws the flow set: Poisson arrivals at aggregate rate
 // load×NumHosts×LinkBps/8 bytes/s divided by the mean flow size, with
-// uniform random (src,dst) host pairs.
+// uniform random (src,dst) host pairs. The rate must be positive and finite:
+// the arrival clock steps by Exp/rate, which a negative rate walks backwards
+// and an infinite one never moves — flows without end either way — so such a
+// configuration panics, as an invalid distribution does (harness.Run checks
+// its inputs first and returns an error).
 func Generate(cfg PoissonConfig) []*netsim.Flow {
 	if err := cfg.Dist.Validate(); err != nil {
 		panic(err)
@@ -173,6 +177,10 @@ func Generate(cfg PoissonConfig) []*netsim.Flow {
 	mean := cfg.Dist.ClippedMean(cfg.MaxFlowSize)
 	bytesPerSec := cfg.Load * float64(cfg.NumHosts) * float64(cfg.LinkBps) / 8
 	flowsPerSec := bytesPerSec / mean
+	if !(flowsPerSec > 0) || math.IsInf(flowsPerSec, 1) {
+		panic(fmt.Sprintf("workload: arrival rate %g flows/s is not positive and finite (Load %g, NumHosts %d, LinkBps %d)",
+			flowsPerSec, cfg.Load, cfg.NumHosts, cfg.LinkBps))
+	}
 	var flows []*netsim.Flow
 	t := 0.0
 	id := int64(1)

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +237,20 @@ func TestFixedAndUniform(t *testing.T) {
 	}
 	if !lo || !hi {
 		t.Fatal("uniform distribution degenerate")
+	}
+}
+
+// A rate that is not positive and finite would generate flows without end
+// (the arrival clock walks backwards, or never moves): Generate refuses it.
+func TestGenerateRefusesNonPositiveRate(t *testing.T) {
+	for _, load := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "arrival rate") {
+					t.Errorf("Load %g: recovered %v, want the arrival-rate refusal", load, r)
+				}
+			}()
+			Generate(PoissonConfig{Dist: WebSearch(), NumHosts: 32, LinkBps: 40e9, Load: load, Duration: sim.Millisecond, Seed: 1})
+		}()
 	}
 }
