@@ -17,9 +17,9 @@ import (
 // compiles ToR 0's table, and saves the fabric file; each warm iteration
 // mmap-loads and validates it. The cold-s and warm-s metrics are the
 // README's "warm fabrics" numbers; the byte-compare keeps the benchmark
-// honest about warm == cold. Run with -benchtime 1x: one cold build at
-// N=1024 is ~half a minute, and the cache file makes every further
-// iteration measure only the warm path.
+// honest about warm == cold. Run with -benchtime 1x: the cold iteration
+// (build, compile, save) is a few seconds at N=1024, and the cache file
+// makes every further iteration measure only the warm path.
 func BenchmarkFabricColdVsWarm(b *testing.B) {
 	for _, n := range []int{512, 1024} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {

@@ -16,7 +16,7 @@
 // Profiling: -cpuprofile and -memprofile write pprof files covering the
 // selected exhibits, for chasing simulator hot spots; -trace captures a
 // runtime execution trace (shard workers are labeled shard-worker=<i>, so
-// `go tool trace` shows barrier/merge phases per lookahead domain):
+// `go tool trace` shows each worker's windows and barrier waits):
 //
 //	ucmpbench -exp fig6a -cpuprofile cpu.out -memprofile mem.out
 //	ucmpbench -exp fig6a -shards 8 -trace trace.out
@@ -25,12 +25,8 @@
 // -shards N (N > 1) runs each simulation on the conservative-PDES sharded
 // engine with N workers when the configuration supports it (see
 // harness.Shardable); unsupported configurations fall back to the serial
-// engine with identical output. -gomaxprocs 1,4,8 sweeps the Go scheduler
-// width, running the selected exhibits once per value with a stderr banner
-// per point — combined with -shards this produces the scaling comparison
-// for one exhibit in a single invocation:
-//
-//	ucmpbench -exp fig6a -shards 8 -gomaxprocs 1,2,4,8
+// engine with identical output. A sweep of independent trials wants
+// -parallel; -shards is for one long run.
 //
 // Performance is measured by the repository benchmark (`make benchmark`,
 // BENCHMARK.json); `make bench` runs the per-layer `go test -bench` probes
@@ -112,7 +108,6 @@ func main() {
 		traceF    = flag.String("trace", "", "write a runtime execution trace covering the selected exhibits to this file")
 		shardsF   = flag.Int("shards", 0, "run simulations on the sharded engine with this many workers (0/1 = serial)")
 		schedF    = flag.Bool("schedstats", false, "report per-exhibit scheduler internals (pending high-water, cascades, cancels), event counts by kind and packet-memory high-water marks on stderr")
-		procsF    = flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS values to sweep; exhibits run once per value (empty = current setting)")
 		scaleNsF  = flag.String("scale-ns", "", "comma-separated fabric sizes for -exp scale (empty = 108,256,512,1024)")
 		cacheF    = flag.String("fabric-cache", "", "directory for the warm-fabric cache: compiled UCMP fabrics are mmap-loaded from it when present and saved into it after cold builds")
 		ckptDirF  = flag.String("checkpoint-dir", "", "directory for crash-recovery checkpoints: simulations snapshot there every -checkpoint-every of simulated time, and sweeps record completed trials in a sweep book")
@@ -174,22 +169,6 @@ func main() {
 		}()
 	}
 
-	// -gomaxprocs sweeps the scheduler width: the selected exhibits run once
-	// per value, so one invocation produces the serial-vs-parallel scaling
-	// comparison (typically combined with -shards N).
-	procs := []int{0} // 0: leave GOMAXPROCS alone
-	if *procsF != "" {
-		procs = procs[:0]
-		for _, s := range strings.Split(*procsF, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "ucmpbench: -gomaxprocs: bad value %q\n", s)
-				os.Exit(1)
-			}
-			procs = append(procs, n)
-		}
-	}
-
 	r := runner{
 		full: *fullF, seed: *seedF, shards: *shardsF, cacheDir: *cacheF,
 		ckptDir: *ckptDirF, ckptEvery: sim.Time(ckptEvF.Nanoseconds()), resume: *resumeF,
@@ -204,52 +183,43 @@ func main() {
 			r.scaleNs = append(r.scaleNs, n)
 		}
 	}
-	for _, p := range procs {
-		if p > 0 {
-			runtime.GOMAXPROCS(p)
+	for _, e := range allExps {
+		if !want[e] {
+			continue
 		}
-		if len(procs) > 1 || p > 0 {
-			fmt.Fprintf(os.Stderr, "=== GOMAXPROCS=%d shards=%d cpus=%d ===\n",
-				runtime.GOMAXPROCS(0), *shardsF, runtime.NumCPU())
+		start := time.Now()
+		harness.TakeEvents()
+		if err := r.run(e); err != nil {
+			fmt.Fprintf(os.Stderr, "ucmpbench %s: %v\n", e, err)
+			os.Exit(1)
 		}
-		for _, e := range allExps {
-			if !want[e] {
-				continue
-			}
-			start := time.Now()
-			harness.TakeEvents()
-			if err := r.run(e); err != nil {
-				fmt.Fprintf(os.Stderr, "ucmpbench %s: %v\n", e, err)
-				os.Exit(1)
-			}
-			wall := time.Since(start).Seconds()
-			if events := harness.TakeEvents(); events > 0 {
-				fmt.Fprintf(os.Stderr, "(%s took %.1fs, %d sim events, %.2fM events/s)\n",
-					e, wall, events, float64(events)/wall/1e6)
-			} else {
-				fmt.Fprintf(os.Stderr, "(%s took %.1fs)\n", e, wall)
-			}
-			for _, note := range harness.TakeShardNotes() {
-				fmt.Fprintf(os.Stderr, "(%s shards: %s)\n", e, note)
-			}
-			if *schedF {
-				s := harness.TakeSchedStats()
-				fmt.Fprintf(os.Stderr, "(%s sched: pending-hwm %d, cascades %d, overflow %d, cancels %d, dead-pops %d, chases %d)\n",
-					e, s.PendingHighWater, s.Cascades, s.OverflowPushes, s.Cancels, s.DeadPops, s.Chases)
-				if k := harness.TakeEventKinds(); k.Total() > 0 {
-					fmt.Fprintf(os.Stderr, "(%s events by kind: %s)\n", e, harness.FormatEventKinds(k))
-				}
-				if m := harness.TakeMemStats(); m.PeakPackets > 0 {
-					fmt.Fprintf(os.Stderr, "(%s packet memory, largest run: peak live packets %d, peak parked VOQ records %d, VOQ chunks %d, peak live calendar slots %d, calendar queues created %d)\n",
-						e, m.PeakPackets, m.PeakParked, m.VOQChunks, m.PeakCalSlots, m.CalQueues)
-				}
-				if sh := harness.TakeShardStats(); sh.Windows > 0 {
-					fmt.Fprintf(os.Stderr, "(%s shards: windows %d, barriers %d, extensions %d, cross-events %d, merge-batches %d, serial-merges %d, mailbox-hwm %d, steals %d)\n",
-						e, sh.Windows, sh.Barriers, sh.Extensions, sh.CrossEvents, sh.MergeBatches, sh.SerialMerges, sh.MailboxHighWater, sh.Steals)
-				}
-			}
-			fmt.Fprintln(os.Stderr)
+		wall := time.Since(start).Seconds()
+		if events := harness.TakeEvents(); events > 0 {
+			fmt.Fprintf(os.Stderr, "(%s took %.1fs, %d sim events, %.2fM events/s)\n",
+				e, wall, events, float64(events)/wall/1e6)
+		} else {
+			fmt.Fprintf(os.Stderr, "(%s took %.1fs)\n", e, wall)
 		}
+		for _, note := range harness.TakeShardNotes() {
+			fmt.Fprintf(os.Stderr, "(%s shards: %s)\n", e, note)
+		}
+		if *schedF {
+			s := harness.TakeSchedStats()
+			fmt.Fprintf(os.Stderr, "(%s sched: pending-hwm %d, cascades %d, overflow %d, cancels %d, dead-pops %d, chases %d)\n",
+				e, s.PendingHighWater, s.Cascades, s.OverflowPushes, s.Cancels, s.DeadPops, s.Chases)
+			if k := harness.TakeEventKinds(); k.Total() > 0 {
+				fmt.Fprintf(os.Stderr, "(%s events by kind: %s)\n", e, harness.FormatEventKinds(k))
+			}
+			if m := harness.TakeMemStats(); m.PeakPackets > 0 {
+				fmt.Fprintf(os.Stderr, "(%s packet memory, largest run: peak live packets %d, peak parked VOQ records %d, VOQ chunks %d, peak live calendar slots %d, calendar queues created %d)\n",
+					e, m.PeakPackets, m.PeakParked, m.VOQChunks, m.PeakCalSlots, m.CalQueues)
+			}
+			if sh := harness.TakeShardStats(); sh.Windows > 0 {
+				fmt.Fprintf(os.Stderr, "(%s shards: windows %d, cross-events %d, merge-batches %d, mailbox-hwm %d)\n",
+					e, sh.Windows, sh.CrossEvents, sh.MergeBatches, sh.MailboxHighWater)
+			}
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 // the rotor transport, data mining with flows up to 64 MB arriving for 1 ms:
 // long flows start without their packets existing, so the trial's allocation
 // stays far below the per-packet sender's, and nothing any flow observes
-// moved.
+// moved — nor does it under Shards=2.
 func TestRotorPaperSizingAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale trial (~4 s)")
@@ -54,6 +54,8 @@ func TestRotorPaperSizingAlloc(t *testing.T) {
 	if got := (after.TotalAlloc - before.TotalAlloc) >> 20; got > 90 {
 		t.Errorf("the trial allocated %d MB, want at most 90", got)
 	}
+	// The same trial on the sharded engine: nothing a flow observes moves.
+	requireShards2Equal(t, cfg, res)
 	// What waits in a ToR VOQ is a record: the backlog is in the hundreds of
 	// thousands, the Packets that ever existed at once (most of them staged at
 	// a destination downlink) a fraction of it.

@@ -12,8 +12,8 @@ import (
 )
 
 // CollectSchedStats enables scheduler-internals aggregation across runs
-// (pending high-water mark, wheel cascades, timer cancels, shard barrier
-// traffic). Off by default; cmd/ucmpbench flips it with -schedstats.
+// (pending high-water mark, wheel cascades, timer cancels, shard window and
+// mailbox traffic). Off by default; cmd/ucmpbench flips it with -schedstats.
 var CollectSchedStats = false
 
 var (
@@ -107,20 +107,17 @@ func FormatEventKinds(k sim.EventKinds) string {
 	return strings.Join(parts, ", ")
 }
 
-// recordShardStats folds one sharded run's barrier/mailbox counters into
-// the aggregate.
+// recordShardStats folds one sharded run's window/mailbox counters into the
+// aggregate, field for field: counts sum, the high-water mark takes the max.
 func recordShardStats(s sim.ShardStats) {
 	if !CollectSchedStats {
 		return
 	}
 	schedMu.Lock()
 	shardAgg.Windows += s.Windows
-	shardAgg.Barriers += s.Barriers
 	shardAgg.CrossEvents += s.CrossEvents
 	shardAgg.MergeBatches += s.MergeBatches
-	if s.MailboxHighWater > shardAgg.MailboxHighWater {
-		shardAgg.MailboxHighWater = s.MailboxHighWater
-	}
+	shardAgg.MailboxHighWater = max(shardAgg.MailboxHighWater, s.MailboxHighWater)
 	schedMu.Unlock()
 }
 

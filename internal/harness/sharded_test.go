@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -28,6 +29,23 @@ func fingerprintCore(r *Result) string {
 			f.ID, f.BytesSent, f.BytesDelivered, f.Finished, int64(f.FinishedAt))
 	}
 	return out
+}
+
+// requireShards2Equal reruns a trial on the sharded engine with two workers
+// and requires everything a flow observes to equal the serial result.
+func requireShards2Equal(t *testing.T, cfg SimConfig, serial *Result) {
+	t.Helper()
+	cfg.Shards = 2
+	sh, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sh.Sharded {
+		t.Fatalf("Shards=2 fell back to the serial engine: %s", sh.ShardNote)
+	}
+	if fingerprintCore(sh) != fingerprintCore(serial) {
+		t.Error("Shards=2 diverges from the serial run")
+	}
 }
 
 // shardedCase is one differential scenario. Explicit flows are built fresh
@@ -330,5 +348,50 @@ func TestShardedNonDividing64(t *testing.T) {
 			t.Fatalf("64 ToRs on %d shards diverges from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
 				shards, serial, got)
 		}
+	}
+}
+
+// TestShardStatsFoldedWhole pins what `ucmpbench -shards N -schedstats`
+// prints: with CollectSchedStats on, a sharded Run leaves every field of
+// sim.ShardStats non-zero in the aggregate (reflect walks the struct, so a
+// field added to the engine and forgotten in the fold fails here), two
+// identical runs sum the counts and max the high-water mark, and Take empties
+// the aggregate.
+func TestShardStatsFoldedWhole(t *testing.T) {
+	defer func(was bool) { CollectSchedStats = was }(CollectSchedStats)
+	CollectSchedStats = true
+	cfg := ScaledConfig(UCMP, transport.DCTCP, "websearch")
+	cfg.Duration = sim.Millisecond
+	cfg.Horizon = 4 * sim.Millisecond
+	cfg.Shards = 2
+	run := func() {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Sharded {
+			t.Fatalf("Shards=2 fell back to the serial engine: %s", res.ShardNote)
+		}
+	}
+	TakeShardStats()
+	run()
+	one := TakeShardStats()
+	v := reflect.ValueOf(one)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Errorf("ShardStats.%s is zero after a sharded run: %+v", v.Type().Field(i).Name, one)
+		}
+	}
+	if again := TakeShardStats(); again != (sim.ShardStats{}) {
+		t.Errorf("second Take returned %+v, want zero", again)
+	}
+	run()
+	run()
+	want := sim.ShardStats{
+		Windows: 2 * one.Windows, CrossEvents: 2 * one.CrossEvents,
+		MergeBatches: 2 * one.MergeBatches, MailboxHighWater: one.MailboxHighWater,
+	}
+	if two := TakeShardStats(); two != want {
+		t.Errorf("two runs folded to %+v, want %+v", two, want)
 	}
 }

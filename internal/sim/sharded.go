@@ -16,80 +16,47 @@ import (
 // The caller partitions the model so that every event either stays inside
 // one domain (scheduled on that domain's Engine as usual) or crosses
 // domains with at least `window` nanoseconds of lookahead, in which case it
-// goes through Send and a per-(src,dst) mailbox.
+// goes through Send and a mailbox.
 //
-// Domains are grouped onto workers: worker w statically owns the contiguous
-// block [w·D/W, (w+1)·D/W) and claims its domains through an atomic cursor,
-// so idle workers steal leftover domains from other blocks inside the same
-// window. Which worker runs a domain never affects the outcome — domain
-// execution within a window is independent and the merge order below is a
-// total order — so stealing keeps determinism for free.
+// Worker w owns the contiguous block of domains [w·D/W, (w+1)·D/W) for the
+// whole run: a domain's wheel and the model state hanging off it stay on one
+// core. One window executes [T, T+window) where T is the global next-event
+// time, so idle stretches are skipped in one step. A window is one loop per
+// worker — for each owned domain, drain its inbox (what the previous window
+// sent it) into its wheel in (at, born, src, seq) order, then run it to the
+// window's limit — between two barriers: window published, window done. The
+// drain order is a total order independent of worker count and scheduling,
+// which makes a sharded run bit-for-bit reproducible and, for models whose
+// same-instant cross-domain events are ordered the same way serially (see
+// DESIGN.md §10), identical to the serial engine.
 //
-// One window executes [W, W+window) where W is the global next-event time,
-// so idle stretches are skipped in one step. Within the window every domain
-// runs its own events on its own timing wheel with no synchronization;
-// cross-domain sends are buffered. At the barrier the buffered sends are
-// merged into the destination wheels in (at, born, src, seq) order — a
-// total order independent of worker count and scheduling, which makes a
-// sharded run bit-for-bit reproducible and, for models whose same-instant
-// cross-domain events are ordered the same way serially (see DESIGN.md
-// §10), identical to the serial engine.
-//
-// Windows adapt: when a window executes events but buffers no cross-domain
-// send, the workers extend it by another `window` nanoseconds without
-// returning to the coordinator — one barrier per extension instead of a
-// full coordinator round (next-event scan, publish, merge decision). The
-// decision is taken inside the barrier by the last arriving worker (the
-// barrier "fold"), so every participant observes the same verdict and the
-// extension is deterministic.
-//
-// Safety argument: an event executing at te ∈ [W, W+window) can only
-// schedule cross-domain work at te+window or later, which is ≥ W+window —
-// strictly after the window every domain is concurrently executing. So no
-// domain can receive a cross-domain event for the window it is currently
-// running, and merging at the barrier preserves timestamp order. Each
-// extension re-applies the same argument to [lim+1, lim+window]: a send
-// from the extension round lands strictly after it, and a round that sends
-// stops further extension, so no executed frontier ever passes a buffered
-// event.
+// Safety argument: an event executing at te ∈ [T, T+window) can only send
+// cross-domain work for te+window or later, which is ≥ T+window — strictly
+// after the window every domain is concurrently executing, so a send never
+// has to reach a domain inside the window that produced it. It waits in a
+// mailbox until the next window, whose first act in the destination is to
+// drain it; the next window starts no earlier than this one's limit + 1, so
+// no domain has run past a buffered event when it lands.
 type ShardedEngine struct {
 	doms    []*Engine
 	window  Time
 	workers int
+	owner   []int32 // owner[d] is the worker that runs domain d
 
-	// out[src][dst] buffers cross-domain events produced by domain src for
-	// domain dst during the current window. Only the worker running src
-	// touches it during the run phase; only the worker merging dst drains it
-	// during the merge phase (phases are barrier-separated).
-	out     [][][]xevent
-	scratch [][]xevent // per-dst merge buffer, reused across windows
-	seqs    []uint64   // per-src cross-send sequence (monotonic over the run)
+	// box[parity][worker][dst] buffers the cross-domain events worker's
+	// domains produced for domain dst. Sends append to parity fill; a window
+	// drains the other parity, which the previous window filled. The barriers
+	// separate every list's filling from its draining, and within a window a
+	// list is touched by one worker only: the sender's owner fills, the
+	// destination's owner drains.
+	box  [2][][][]xevent
+	fill int
+	seqs []uint64 // per-src cross-send sequence (monotonic over the run)
+	ws   []workerState
 
-	// Per-domain send bookkeeping for the window just run: how many events
-	// the domain emitted and the earliest timestamp among them. The
-	// coordinator folds these into pendingCross/crossMin between windows.
-	sent    []uint64
-	minSent []Time
-
-	// Static domain blocks and claim cursors: worker w owns domains
-	// [base[w], base[w+1]); cur[w] is the block's claim cursor, reset inside
-	// barrier folds (or by the coordinator while workers are parked).
-	base  []int
-	cur   []padCursor
-	steal bool
-
-	// Published by the coordinator before barrier A, read by workers after.
-	lim       Time
-	maxLim    Time // extension ceiling: min(until, next global - 1)
-	needMerge bool
-	exit      bool
-
-	// Sub-round flags: set by workers during a run round, consumed and reset
-	// by the extension fold with every other participant parked at the
-	// barrier.
-	roundSent atomic.Uint32
-	roundRan  atomic.Uint32
-	extend    bool // fold verdict, read by all participants after release
+	// Published by the coordinator before the first barrier of a window.
+	lim  Time
+	exit bool
 
 	bar barrier
 
@@ -101,30 +68,25 @@ type ShardedEngine struct {
 	globals      []globalEvent
 	gseq         uint64
 
-	// Per-worker stats slots (one per worker to avoid write sharing on the
-	// hot path; folded into the totals by Stats).
-	mergeBatches []uint64
-	mergeHW      []int
-	steals       []uint64
-
 	stats ShardStats
 }
 
-// padCursor is a cache-line padded atomic claim cursor (one per worker
-// block); padding keeps concurrent claims from false-sharing.
-type padCursor struct {
-	next atomic.Int64
-	_    [56]byte
+// workerState is what one worker writes while a window runs, padded to two
+// cache lines so no two workers share one. sent/minSent describe the window just
+// run (the coordinator folds them into pendingCross/crossMin after the
+// second barrier); the merge fields accumulate over the run.
+type workerState struct {
+	sent         uint64
+	minSent      Time
+	scratch      []xevent // drain buffer, reused across domains and windows
+	mergeBatches uint64
+	mergeHW      int
+	_            [72]byte
 }
-
-// serialMergeMax is the mailbox batch size up to which the coordinator
-// merges alone between windows (workers stay parked, saving a barrier);
-// larger batches use the parallel merge phase.
-const serialMergeMax = 256
 
 // xevent is one cross-domain event in a mailbox. born is the sender's
 // virtual time at Send; together with (src, seq) it extends the timestamp
-// into the total merge order.
+// into the total drain order.
 type xevent struct {
 	at   Time
 	born Time
@@ -143,30 +105,18 @@ type globalEvent struct {
 }
 
 // ShardStats exposes the parallel engine's internals for throughput
-// diagnostics (cmd/ucmpbench -schedstats with -shards). All fields except
-// Steals are deterministic for a given model; Steals depends on runtime
-// scheduling.
+// diagnostics (cmd/ucmpbench -schedstats with -shards). Every field is a
+// function of the model alone — worker count and scheduling do not move it.
+// A window costs two barrier crossings, always.
 type ShardStats struct {
 	// Windows is the number of bulk-synchronous windows executed.
 	Windows uint64
-	// Barriers counts barrier crossings: two per window (publish + run),
-	// plus one per extension round, plus one when a parallel merge ran.
-	Barriers uint64
-	// Extensions counts adaptive window extensions (run rounds executed
-	// beyond the first without a coordinator round).
-	Extensions uint64
 	// CrossEvents counts events routed through the mailboxes.
 	CrossEvents uint64
-	// MergeBatches counts non-empty per-destination merge batches.
+	// MergeBatches counts non-empty per-destination inbox drains.
 	MergeBatches uint64
-	// SerialMerges counts windows whose mailbox batch was small enough for
-	// the coordinator to merge alone (no parallel merge phase or barrier).
-	SerialMerges uint64
-	// MailboxHighWater is the largest single merge batch observed.
+	// MailboxHighWater is the largest single drain observed.
 	MailboxHighWater int
-	// Steals counts domains run by a worker outside its static block. Not
-	// deterministic — it reflects OS scheduling, not the model.
-	Steals uint64
 }
 
 // NewShardedEngine builds a parallel engine with `domains` independent
@@ -188,31 +138,34 @@ func NewShardedEngine(domains, workers int, window Time, kind QueueKind) *Sharde
 		workers = domains
 	}
 	s := &ShardedEngine{
-		doms:         make([]*Engine, domains),
-		window:       window,
-		workers:      workers,
-		out:          make([][][]xevent, domains),
-		scratch:      make([][]xevent, domains),
-		seqs:         make([]uint64, domains),
-		sent:         make([]uint64, domains),
-		minSent:      make([]Time, domains),
-		base:         make([]int, workers+1),
-		cur:          make([]padCursor, workers),
-		steal:        true,
-		crossMin:     maxTime,
-		mergeBatches: make([]uint64, workers),
-		mergeHW:      make([]int, workers),
-		steals:       make([]uint64, workers),
+		doms:     make([]*Engine, domains),
+		window:   window,
+		workers:  workers,
+		owner:    make([]int32, domains),
+		seqs:     make([]uint64, domains),
+		ws:       make([]workerState, workers),
+		crossMin: maxTime,
 	}
 	for i := range s.doms {
 		s.doms[i] = NewEngineQueue(kind)
-		s.out[i] = make([][]xevent, domains)
 	}
-	for w := 0; w <= workers; w++ {
-		s.base[w] = w * domains / workers
+	for w := range s.ws {
+		s.ws[w].minSent = maxTime
+		lo, hi := s.block(w)
+		for d := lo; d < hi; d++ {
+			s.owner[d] = int32(w)
+		}
+		for p := range s.box {
+			s.box[p] = append(s.box[p], make([][]xevent, domains))
+		}
 	}
 	s.bar.init(workers)
 	return s
+}
+
+// block returns worker w's domains, [lo, hi).
+func (s *ShardedEngine) block(w int) (lo, hi int) {
+	return w * len(s.doms) / s.workers, (w + 1) * len(s.doms) / s.workers
 }
 
 // Domains returns the number of domains.
@@ -229,11 +182,6 @@ func (s *ShardedEngine) Window() Time { return s.window }
 // Workers returns the number of worker goroutines Run uses.
 func (s *ShardedEngine) Workers() int { return s.workers }
 
-// SetStealing toggles cross-block work stealing (on by default). With it
-// off, each worker runs exactly its static block — useful to isolate
-// stealing in benchmarks; results are identical either way.
-func (s *ShardedEngine) SetStealing(on bool) { s.steal = on }
-
 // Send schedules fn(arg) at absolute time `at` in domain dst, from an event
 // currently executing in domain src. It must satisfy the lookahead
 // contract: at >= src's current time + window.
@@ -242,40 +190,44 @@ func (s *ShardedEngine) Send(src, dst int, at Time, fn func(any), arg any) {
 }
 
 // SendTag is Send with a checkpoint tag: the tag rides the mailbox and lands
-// on the destination-engine event at merge time, so a snapshot taken after
-// the merge can name it.
+// on the destination-engine event at drain time, so a snapshot taken after
+// the drain can name it.
 func (s *ShardedEngine) SendTag(src, dst int, at Time, tag EventTag, fn func(any), arg any) {
 	d := s.doms[src]
 	if at < d.now+s.window {
 		panic(fmt.Sprintf("sim: cross-domain send at %v violates lookahead (now %v + window %v)",
 			at, d.now, s.window))
 	}
+	w := s.owner[src]
 	s.seqs[src]++
-	s.out[src][dst] = append(s.out[src][dst], xevent{
+	q := &s.box[s.fill][w][dst]
+	*q = append(*q, xevent{
 		at: at, born: d.now, src: int32(src), seq: s.seqs[src], fn1: fn, arg: arg, tag: tag,
 	})
-	s.sent[src]++
-	if at < s.minSent[src] {
-		s.minSent[src] = at
+	ws := &s.ws[w]
+	ws.sent++
+	if at < ws.minSent {
+		ws.minSent = at
 	}
 }
 
-// FlushMailboxes merges every buffered cross-domain event into its
+// FlushMailboxes drains every buffered cross-domain event into its
 // destination engine immediately. Only valid from a Global callback (all
-// workers parked). The flush is exactly the merge the next window would have
-// performed: between a global and the next window's merge decision no domain
-// runs and nothing else assigns destination-engine sequence numbers, so the
-// batch, its canonical (at, born, src, seq) order, and the sequence numbers
-// the destination engines hand out are identical either way — which is what
-// lets a checkpoint global drain the mailboxes and snapshot per-domain
+// workers parked). The flush is exactly the drain the next window would have
+// performed: between a global and the next window no domain runs and nothing
+// else assigns destination-engine sequence numbers, so each batch, its
+// canonical (at, born, src, seq) order, and the sequence numbers the
+// destination engines hand out are identical either way — which is what
+// lets a checkpoint global empty the mailboxes and snapshot per-domain
 // queues without perturbing the run.
 func (s *ShardedEngine) FlushMailboxes() {
 	if s.pendingCross == 0 {
 		return
 	}
+	for dst := range s.doms {
+		s.drain(&s.ws[0], s.fill, dst)
+	}
 	s.stats.CrossEvents += s.pendingCross
-	s.mergeRange(0, 0, len(s.doms))
-	s.stats.SerialMerges++
 	s.pendingCross = 0
 	s.crossMin = maxTime
 }
@@ -289,9 +241,8 @@ func (s *ShardedEngine) RestoreGlobalNow(t Time) { s.globalNow = t }
 // domain. Global callbacks run between windows with every worker parked at
 // the barrier, so they may read (and carefully write) cross-domain state —
 // the harness uses them for fabric-wide sampling. Windows never straddle a
-// global's timestamp, and adaptive extension never crosses one. Global may
-// be called before Run or from within a global callback, not from domain
-// events.
+// global's timestamp. Global may be called before Run or from within a
+// global callback, not from domain events.
 func (s *ShardedEngine) Global(at Time, fn func()) {
 	if at < s.globalNow {
 		panic(fmt.Sprintf("sim: scheduling global event at %v before now %v", at, s.globalNow))
@@ -343,18 +294,15 @@ func (s *ShardedEngine) SchedStats() SchedStats {
 // Stats returns the parallel-engine counters accumulated so far.
 func (s *ShardedEngine) Stats() ShardStats {
 	out := s.stats
-	for w := 0; w < s.workers; w++ {
-		out.MergeBatches += s.mergeBatches[w]
-		out.Steals += s.steals[w]
-		if s.mergeHW[w] > out.MailboxHighWater {
-			out.MailboxHighWater = s.mergeHW[w]
-		}
+	for w := range s.ws {
+		out.MergeBatches += s.ws[w].mergeBatches
+		out.MailboxHighWater = max(out.MailboxHighWater, s.ws[w].mergeHW)
 	}
 	return out
 }
 
 // nextEventTime is the earliest pending timestamp across domains and
-// unmerged mailboxes.
+// undrained mailboxes.
 func (s *ShardedEngine) nextEventTime() (Time, bool) {
 	t := s.crossMin
 	for _, d := range s.doms {
@@ -393,15 +341,6 @@ func (s *ShardedEngine) minGlobalAt() (Time, bool) {
 	return t, true
 }
 
-// resetCursors rewinds every block's claim cursor. Callers must hold the
-// quiescence the barrier provides: either inside a fold or with all other
-// participants parked.
-func (s *ShardedEngine) resetCursors() {
-	for w := range s.cur {
-		s.cur[w].next.Store(0)
-	}
-}
-
 // Run executes events across all domains until every pending event
 // (domain-local, mailbox, and global) is later than `until`, then advances
 // every domain to `until`. The coordinator (the calling goroutine) is
@@ -430,11 +369,11 @@ func (s *ShardedEngine) Run(until Time) Time {
 		}(w)
 	}
 
-	coordSense := uint32(0)
+	sense := uint32(0)
 	for {
 		t, ok := s.nextEventTime()
 		// Fire globals that precede the next domain event; workers are
-		// parked at barrier A, so a global has exclusive access.
+		// parked at the first barrier, so a global has exclusive access.
 		for {
 			g, gok := s.minGlobalAt()
 			if !gok || g > until || (ok && g > t) {
@@ -448,45 +387,25 @@ func (s *ShardedEngine) Run(until Time) Time {
 		if !ok || t > until {
 			break
 		}
-		maxLim := until
-		if g, gok := s.minGlobalAt(); gok && g-1 < maxLim {
-			maxLim = g - 1 // never straddle a global's timestamp
-		}
-		lim := t + s.window - 1
-		if lim > maxLim {
-			lim = maxLim
+		lim := min(t+s.window-1, until)
+		if g, gok := s.minGlobalAt(); gok {
+			lim = min(lim, g-1) // never straddle a global's timestamp
 		}
 		s.lim = lim
-		s.maxLim = maxLim
 		s.stats.Windows++
-		s.stats.Barriers += 2
-		s.needMerge = false
-		if s.pendingCross > 0 {
-			s.stats.CrossEvents += s.pendingCross
-			if s.pendingCross <= serialMergeMax || s.workers == 1 {
-				// Small batch: merge here with the workers parked — no
-				// dedicated merge phase, no extra barrier.
-				s.mergeRange(0, 0, len(s.doms))
-				s.stats.SerialMerges++
-			} else {
-				s.needMerge = true
-				s.stats.Barriers++
-			}
-			s.pendingCross = 0
-			s.crossMin = maxTime
-		}
-		s.resetCursors()             // workers are parked at A; quiescent
-		s.bar.wait(&coordSense, nil) // A: window published
-		if s.needMerge {
-			s.mergeClaim(0)
-			s.bar.wait(&coordSense, s.resetCursors) // B: mailboxes drained
-		}
-		s.runPhase(0, &coordSense)
-		for d := range s.doms {
-			s.pendingCross += s.sent[d]
-			if s.minSent[d] < s.crossMin {
-				s.crossMin = s.minSent[d]
-			}
+		// What the last window sent is this window's inbox; sends from now on
+		// fill the other parity.
+		s.stats.CrossEvents += s.pendingCross
+		s.pendingCross, s.crossMin = 0, maxTime
+		s.fill ^= 1
+		s.bar.wait(&sense) // window published
+		s.runBlock(0)
+		s.bar.wait(&sense) // window done
+		for w := range s.ws {
+			ws := &s.ws[w]
+			s.pendingCross += ws.sent
+			s.crossMin = min(s.crossMin, ws.minSent)
+			ws.sent, ws.minSent = 0, maxTime
 		}
 	}
 	// Horizon: advance every domain to until (matching Engine.Run) and
@@ -496,7 +415,7 @@ func (s *ShardedEngine) Run(until Time) Time {
 		d.Run(until)
 	}
 	s.exit = true
-	s.bar.wait(&coordSense, nil)
+	s.bar.wait(&sense)
 	wg.Wait()
 	s.exit = false
 	s.globalNow = until
@@ -504,164 +423,57 @@ func (s *ShardedEngine) Run(until Time) Time {
 }
 
 // workerLoop is the body of workers 1..N-1; the coordinator inlines the
-// same phase sequence inside Run.
+// same barrier sequence inside Run.
 func (s *ShardedEngine) workerLoop(w int) {
 	sense := uint32(0)
 	for {
-		s.bar.wait(&sense, nil) // A
+		s.bar.wait(&sense) // window published
 		if s.exit {
 			return
 		}
-		if s.needMerge {
-			s.mergeClaim(w)
-			s.bar.wait(&sense, s.resetCursors) // B
-		}
-		s.runPhase(w, &sense)
+		s.runBlock(w)
+		s.bar.wait(&sense) // window done
 	}
 }
 
-// runPhase executes the published window, then keeps extending it while
-// the extension fold says to: each round runs [lim_prev+1, lim] across all
-// domains, meets at the barrier, and the last arriver decides — inside the
-// barrier, so every participant sees the same verdict — whether another
-// `window` nanoseconds can run without a coordinator round. The final
-// round's barrier doubles as the old barrier C.
-func (s *ShardedEngine) runPhase(w int, sense *uint32) {
-	for {
-		ran, sentAny := s.runClaim(w)
-		if ran {
-			s.roundRan.Store(1)
-		}
-		if sentAny {
-			s.roundSent.Store(1)
-		}
-		s.bar.wait(sense, s.extendFold)
-		if !s.extend {
-			return
-		}
+// runBlock is worker w's share of the published window: each domain of its
+// block takes delivery of what the previous window sent it, then runs to the
+// window's limit.
+func (s *ShardedEngine) runBlock(w int) {
+	ws := &s.ws[w]
+	inbox := s.fill ^ 1
+	lo, hi := s.block(w)
+	for d := lo; d < hi; d++ {
+		s.drain(ws, inbox, d)
+		s.doms[d].Run(s.lim)
 	}
 }
 
-// extendFold runs inside the run-round barrier (all other participants
-// parked): it consumes the round flags, rewinds the claim cursors, and
-// decides whether to extend. Extension requires the round to have executed
-// events (otherwise the coordinator's next-event scan skips idle time in
-// one step) and buffered no cross-domain send (a send must merge before
-// any domain passes its timestamp).
-func (s *ShardedEngine) extendFold() {
-	sent := s.roundSent.Load() != 0
-	ran := s.roundRan.Load() != 0
-	s.roundSent.Store(0)
-	s.roundRan.Store(0)
-	s.resetCursors()
-	if !sent && ran && s.lim < s.maxLim {
-		lim := s.lim + s.window
-		if lim > s.maxLim {
-			lim = s.maxLim
+// drain empties the given parity's mailboxes for destination dst into its
+// engine in (at, born, src, seq) order, through ws's scratch buffer. Drained
+// lists and the scratch are cleared, not just truncated, so no fn or arg
+// stays pinned by a backing array.
+func (s *ShardedEngine) drain(ws *workerState, parity, dst int) {
+	buf := ws.scratch[:0]
+	for _, lists := range s.box[parity] {
+		if q := lists[dst]; len(q) > 0 {
+			buf = append(buf, q...)
+			clear(q)
+			lists[dst] = q[:0]
 		}
-		s.lim = lim
-		s.extend = true
-		s.stats.Extensions++
-		s.stats.Barriers++
+	}
+	if len(buf) == 0 {
 		return
 	}
-	s.extend = false
-}
-
-// runClaim runs the current round in every domain worker w claims: its own
-// static block first, then (with stealing on) leftovers from other blocks.
-// It reports whether any claimed domain executed events and whether any
-// buffered a cross-domain send.
-func (s *ShardedEngine) runClaim(w int) (ran, sentAny bool) {
-	lim := s.lim
-	blocks := s.workers
-	if !s.steal {
-		blocks = 1
+	sortXevents(buf)
+	e := s.doms[dst]
+	for i := range buf {
+		e.At1Tag(buf[i].at, buf[i].tag, buf[i].fn1, buf[i].arg)
 	}
-	var stole uint64
-	for v := 0; v < blocks; v++ {
-		vw := w + v
-		if vw >= s.workers {
-			vw -= s.workers
-		}
-		base, end := s.base[vw], s.base[vw+1]
-		for {
-			d := base + int(s.cur[vw].next.Add(1)) - 1
-			if d >= end {
-				break
-			}
-			if vw != w {
-				stole++
-			}
-			dom := s.doms[d]
-			s.sent[d] = 0
-			s.minSent[d] = maxTime
-			before := dom.processed
-			dom.Run(lim)
-			if dom.processed != before {
-				ran = true
-			}
-			if s.sent[d] > 0 {
-				sentAny = true
-			}
-		}
-	}
-	if stole > 0 {
-		s.steals[w] += stole
-	}
-	return ran, sentAny
-}
-
-// mergeClaim drains destination mailboxes in the parallel merge phase,
-// claiming destinations the same way runClaim claims domains.
-func (s *ShardedEngine) mergeClaim(w int) {
-	blocks := s.workers
-	if !s.steal {
-		blocks = 1
-	}
-	for v := 0; v < blocks; v++ {
-		vw := w + v
-		if vw >= s.workers {
-			vw -= s.workers
-		}
-		base, end := s.base[vw], s.base[vw+1]
-		for {
-			dst := base + int(s.cur[vw].next.Add(1)) - 1
-			if dst >= end {
-				break
-			}
-			s.mergeRange(w, dst, dst+1)
-		}
-	}
-}
-
-// mergeRange drains the mailboxes of destinations [lo, hi) into their
-// wheels, in (at, born, src, seq) order, crediting worker w's stats slots.
-func (s *ShardedEngine) mergeRange(w, lo, hi int) {
-	nd := len(s.doms)
-	for dst := lo; dst < hi; dst++ {
-		buf := s.scratch[dst][:0]
-		for src := 0; src < nd; src++ {
-			if q := s.out[src][dst]; len(q) > 0 {
-				buf = append(buf, q...)
-				s.out[src][dst] = q[:0]
-			}
-		}
-		if len(buf) == 0 {
-			continue
-		}
-		sortXevents(buf)
-		e := s.doms[dst]
-		for i := range buf {
-			e.At1Tag(buf[i].at, buf[i].tag, buf[i].fn1, buf[i].arg)
-			buf[i] = xevent{} // don't pin fn/arg until the next merge
-		}
-		s.mergeBatches[w]++
-		if len(buf) > s.mergeHW[w] {
-			s.mergeHW[w] = len(buf)
-		}
-		s.scratch[dst] = buf[:0]
-	}
+	ws.mergeBatches++
+	ws.mergeHW = max(ws.mergeHW, len(buf))
+	clear(buf)
+	ws.scratch = buf[:0]
 }
 
 func xeventLess(a, b *xevent) bool {
@@ -677,7 +489,7 @@ func xeventLess(a, b *xevent) bool {
 	return a.seq < b.seq
 }
 
-// sortXevents orders a merge batch: insertion sort for the common tiny
+// sortXevents orders a drain batch: insertion sort for the common tiny
 // batches, sort.Slice beyond.
 func sortXevents(buf []xevent) {
 	if len(buf) <= 24 {
@@ -696,12 +508,6 @@ func sortXevents(buf []xevent) {
 // pure spin would starve the worker the barrier is waiting for. The
 // happens-before chain (arrival Add, release Store, waiter Load) makes
 // plain fields written before a wait visible to every worker after it.
-//
-// wait optionally takes a fold: the last participant to arrive runs it
-// before releasing the others. Everything the fold writes is visible to
-// every participant after release, and the fold runs with all other
-// participants parked — a serialization point in the middle of a parallel
-// phase, used for the adaptive-extension verdict and cursor rewinds.
 type barrier struct {
 	n     int32
 	count atomic.Int32
@@ -724,23 +530,16 @@ func (b *barrier) reset() {
 	b.sense.Store(0)
 }
 
-// wait blocks until all n participants arrive, running fold (when non-nil)
-// on the last arriver before release. sense is the caller's
+// wait blocks until all n participants arrive. sense is the caller's
 // per-participant flag, flipped on every crossing.
-func (b *barrier) wait(sense *uint32, fold func()) {
+func (b *barrier) wait(sense *uint32) {
 	if b.n == 1 {
-		if fold != nil {
-			fold()
-		}
 		return
 	}
 	ns := *sense ^ 1
 	*sense = ns
 	if b.count.Add(1) == b.n {
 		b.count.Store(0)
-		if fold != nil {
-			fold()
-		}
 		b.sense.Store(ns)
 		return
 	}

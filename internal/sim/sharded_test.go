@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -14,15 +15,16 @@ import (
 //
 // Serial-vs-sharded equality needs same-instant cross-lane ties to be
 // ordered identically, and the serial engine orders them by global seq
-// while the sharded merge orders them by (at, born, src, seq). The lattice
+// while the sharded drain orders them by (at, born, src, seq). The lattice
 // construction makes the two agree structurally: with M = 2·lanes, lane
 // i's intra-lane events run at times ≡ 2i (mod M) and cross events INTO
 // lane d land at times ≡ 2d+1 (mod M). Then (a) a cross arrival can never
 // tie with an intra-lane event, and (b) two cross arrivals into the same
 // lane at the same instant were necessarily born at different times
-// (different source lanes occupy disjoint residues), so serial seq order
-// equals born order equals the sharded merge order. The worker-count test
-// below drops the lattice: any two sharded runs agree regardless of ties.
+// (different source lanes occupy disjoint residues; a lane's send to itself
+// stays on its own engine and is an intra-lane event), so serial seq order
+// equals born order equals the sharded drain order. Cases with the lattice
+// off compare sharded runs with each other: any two agree regardless of ties.
 type shModel struct {
 	lanes  []*shLane
 	engOf  func(i int) *Engine
@@ -77,11 +79,13 @@ func (l *shLane) step() {
 		switch l.rng.Intn(5) {
 		case 0, 1: // cross send with lookahead
 			d := l.rng.Intn(len(m.lanes))
-			at := m.alignTo(now+m.window+Time(l.rng.Int63n(4*int64(m.window))), Time(2*d+1))
+			at := now + m.window + Time(l.rng.Int63n(4*int64(m.window)))
 			if d == l.id {
-				m.engOf(l.id).At1(at, m.lanes[d].onCrossFn, l.id)
+				// A send to oneself never leaves the lane's engine, so it is
+				// an intra-lane event and takes the lane's own residue.
+				m.engOf(l.id).At1(m.alignTo(at, Time(2*d)), m.lanes[d].onCrossFn, l.id)
 			} else {
-				m.send(l.id, d, at, m.lanes[d].onCrossFn, l.id)
+				m.send(l.id, d, m.alignTo(at, Time(2*d+1)), m.lanes[d].onCrossFn, l.id)
 			}
 		case 2: // timer churn: reset or cancel the lane timer
 			if l.rng.Intn(4) == 0 {
@@ -126,15 +130,10 @@ func runLatticeSerial(kind QueueKind, lanes int, seed int64, window Time, horizo
 }
 
 // runLatticeSharded runs the same model on a ShardedEngine, one lane per
-// domain.
-func runLatticeSharded(kind QueueKind, lanes, workers int, seed int64, window Time, horizons []Time, lattice bool) ([][]string, uint64) {
-	tr, n, _ := runLatticeShardedSteal(kind, lanes, workers, seed, window, horizons, lattice, true)
-	return tr, n
-}
-
-func runLatticeShardedSteal(kind QueueKind, lanes, workers int, seed int64, window Time, horizons []Time, lattice, steal bool) ([][]string, uint64, ShardStats) {
+// domain. Each instant of flushAt is a global that calls FlushMailboxes, as
+// a checkpoint would. The returned engine is for white-box inspection.
+func runLatticeSharded(kind QueueKind, lanes, workers int, seed int64, window Time, horizons, flushAt []Time, lattice bool) ([][]string, *ShardedEngine) {
 	sh := NewShardedEngine(lanes, workers, window, kind)
-	sh.SetStealing(steal)
 	m := &shModel{
 		engOf:  sh.Domain,
 		send:   sh.Send,
@@ -144,10 +143,13 @@ func runLatticeShardedSteal(kind QueueKind, lanes, workers int, seed int64, wind
 		m.mod = Time(2 * lanes)
 	}
 	seedModel(m, lanes, seed, 60)
+	for _, at := range flushAt {
+		sh.Global(at, sh.FlushMailboxes)
+	}
 	for _, h := range horizons {
 		sh.Run(h)
 	}
-	return tracesOf(m), sh.Processed(), sh.Stats()
+	return tracesOf(m), sh
 }
 
 func tracesOf(m *shModel) [][]string {
@@ -172,10 +174,115 @@ func compareTraces(t *testing.T, name string, want, got [][]string) {
 	}
 }
 
-// TestDifferentialSerialSharded pins the tentpole determinism claim at the
-// engine level: the lattice model produces byte-identical per-lane traces
-// on the serial engine and on the sharded engine, across worker counts and
-// both queue kinds.
+// shardCase is one input of the serial-vs-sharded differential: a lattice
+// model (seed, lanes, window), the Run horizons it is split at, the instants
+// a global flushes the mailboxes, and the worker counts to run it under.
+// With the lattice on, every sharded run must reproduce the serial engine's
+// per-lane traces and event count; with it off (arbitrary cross-domain tie
+// patterns, which the serial engine orders differently) every sharded run
+// must reproduce the first one — the (at, born, src, seq) drain order is a
+// total order independent of worker count and scheduling.
+type shardCase struct {
+	seed     int64
+	kind     QueueKind
+	lanes    int
+	workers  []int
+	window   Time
+	horizons []Time
+	flushAt  []Time
+	lattice  bool
+}
+
+// genShardCase derives a case from one seed: lanes 2–24, three worker counts
+// in 1…lanes (the extremes always, so non-dividing counts come up as often
+// as dividing ones), a window of 1–2000 ns, up to six intermediate horizons
+// and up to three mailbox flushes before a final horizon past quiescence.
+func genShardCase(seed int64) shardCase {
+	rng := rand.New(rand.NewSource(seed))
+	c := shardCase{
+		seed:    seed,
+		kind:    QueueKind(rng.Intn(2)),
+		lanes:   2 + rng.Intn(23),
+		window:  Time(1 + rng.Int63n(2000)),
+		lattice: rng.Intn(2) == 0,
+	}
+	c.workers = []int{1, 1 + rng.Intn(c.lanes), c.lanes}
+	h := Time(0)
+	for i := rng.Intn(7); i > 0; i-- {
+		h += Time(rng.Int63n(20 * int64(c.window)))
+		c.horizons = append(c.horizons, h)
+	}
+	c.horizons = append(c.horizons, h+Second)
+	for i := rng.Intn(4); i > 0; i-- {
+		c.flushAt = append(c.flushAt, Time(rng.Int63n(60*int64(c.window))))
+	}
+	return c
+}
+
+// checkShardCase runs the case and fails the test on the first divergence.
+// Every sharded run ends quiescent, so it also checks mailbox hygiene.
+func checkShardCase(t *testing.T, c shardCase) {
+	t.Helper()
+	var want [][]string
+	var wantN uint64
+	ref := "serial"
+	if c.lattice {
+		want, wantN = runLatticeSerial(c.kind, c.lanes, c.seed, c.window, c.horizons)
+	}
+	for _, workers := range c.workers {
+		tr, sh := runLatticeSharded(c.kind, c.lanes, workers, c.seed, c.window, c.horizons, c.flushAt, c.lattice)
+		name := fmt.Sprintf("%+v: workers=%d vs %s", c, workers, ref)
+		requireMailboxesZero(t, name, sh)
+		if want == nil {
+			want, wantN, ref = tr, sh.Processed(), fmt.Sprintf("workers=%d", workers)
+			continue
+		}
+		compareTraces(t, name, want, tr)
+		if n := sh.Processed(); n != wantN {
+			t.Fatalf("%s: processed %d, want %d", name, n, wantN)
+		}
+	}
+}
+
+// requireMailboxesZero checks that a quiescent engine pins nothing: every
+// mailbox list and every worker's drain scratch is zero over its whole
+// capacity, not merely truncated.
+func requireMailboxesZero(t *testing.T, name string, sh *ShardedEngine) {
+	t.Helper()
+	zero := func(where string, q []xevent) {
+		if len(q) != 0 {
+			t.Fatalf("%s: %s holds %d undrained events", name, where, len(q))
+		}
+		for i, x := range q[:cap(q)] {
+			if x.fn1 != nil || x.arg != nil || x.at != 0 || x.born != 0 || x.src != 0 || x.seq != 0 || x.tag != (EventTag{}) {
+				t.Fatalf("%s: %s slot %d still holds %+v", name, where, i, x)
+			}
+		}
+	}
+	for p := range sh.box {
+		for w, lists := range sh.box[p] {
+			for dst, q := range lists {
+				zero(fmt.Sprintf("box[%d][%d][%d]", p, w, dst), q)
+			}
+		}
+	}
+	for w := range sh.ws {
+		zero(fmt.Sprintf("worker %d scratch", w), sh.ws[w].scratch)
+	}
+}
+
+// TestShardedGeneratedDifferential is the tentpole determinism claim over
+// generated inputs. A failure names the seed; replay it alone with
+// checkShardCase(t, genShardCase(seed)).
+func TestShardedGeneratedDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		checkShardCase(t, genShardCase(seed))
+	}
+}
+
+// TestDifferentialSerialSharded is the differential on a hand-picked input:
+// five lanes under 1, 2, 3 (non-dividing) and 5 workers, both queue kinds,
+// six random split horizons — and the serial wheel against the serial heap.
 func TestDifferentialSerialSharded(t *testing.T) {
 	const lanes = 5
 	const window = Time(1000)
@@ -183,51 +290,37 @@ func TestDifferentialSerialSharded(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			hrng := rand.New(rand.NewSource(seed + 77))
-			horizons := make([]Time, 0, 7)
+			c := shardCase{seed: seed, lanes: lanes, workers: []int{1, 2, 3, lanes}, window: window, lattice: true}
 			h := Time(0)
 			for i := 0; i < 6; i++ {
 				h += Time(hrng.Int63n(20 * int64(window)))
-				horizons = append(horizons, h)
+				c.horizons = append(c.horizons, h)
 			}
-			horizons = append(horizons, h+Second)
+			c.horizons = append(c.horizons, h+Second)
 
-			serialTr, serialN := runLatticeSerial(QueueWheel, lanes, seed, window, horizons)
-			heapTr, heapN := runLatticeSerial(QueueHeap, lanes, seed, window, horizons)
-			compareTraces(t, "serial wheel vs heap", serialTr, heapTr)
-			if serialN != heapN {
-				t.Fatalf("serial processed: wheel=%d heap=%d", serialN, heapN)
+			wheelTr, wheelN := runLatticeSerial(QueueWheel, lanes, seed, window, c.horizons)
+			heapTr, heapN := runLatticeSerial(QueueHeap, lanes, seed, window, c.horizons)
+			compareTraces(t, "serial wheel vs heap", wheelTr, heapTr)
+			if wheelN != heapN {
+				t.Fatalf("serial processed: wheel=%d heap=%d", wheelN, heapN)
 			}
-			for _, workers := range []int{1, 2, 3, lanes} {
-				for _, kind := range []QueueKind{QueueWheel, QueueHeap} {
-					tr, n := runLatticeSharded(kind, lanes, workers, seed, window, horizons, true)
-					name := fmt.Sprintf("sharded workers=%d kind=%d", workers, kind)
-					compareTraces(t, name, serialTr, tr)
-					if n != serialN {
-						t.Fatalf("%s: processed %d, serial %d", name, n, serialN)
-					}
-				}
+			for _, kind := range []QueueKind{QueueWheel, QueueHeap} {
+				c.kind = kind
+				checkShardCase(t, c)
 			}
 		})
 	}
 }
 
-// TestShardedWorkerCountDeterminism drops the lattice alignment (arbitrary
-// cross-domain tie patterns) and requires any two sharded runs to agree
-// regardless of worker count: the (at, born, src, seq) merge order is a
-// total order independent of scheduling.
+// TestShardedWorkerCountDeterminism is the differential with the lattice
+// off on a hand-picked input: six lanes under 1, 2, 3 and 6 workers.
 func TestShardedWorkerCountDeterminism(t *testing.T) {
-	const lanes = 6
 	const window = Time(777)
 	for seed := int64(1); seed <= 8; seed++ {
-		horizons := []Time{5 * window, 40 * window, Second}
-		base, baseN := runLatticeSharded(QueueWheel, lanes, 1, seed, window, horizons, false)
-		for _, workers := range []int{2, 3, lanes} {
-			tr, n := runLatticeSharded(QueueWheel, lanes, workers, seed, window, horizons, false)
-			compareTraces(t, fmt.Sprintf("seed %d workers 1 vs %d", seed, workers), base, tr)
-			if n != baseN {
-				t.Fatalf("seed %d: processed differs: %d vs %d", seed, baseN, n)
-			}
-		}
+		checkShardCase(t, shardCase{
+			seed: seed, lanes: 6, workers: []int{1, 2, 3, 6}, window: window,
+			horizons: []Time{5 * window, 40 * window, Second},
+		})
 	}
 }
 
@@ -288,13 +381,11 @@ func TestShardedGlobalEvents(t *testing.T) {
 	}
 }
 
-// TestShardedAdaptiveWindow pins the adaptive extension: with purely
-// domain-local traffic no round ever produces a cross-domain send, so the
-// coordinator keeps widening the window and the barrier count falls far
-// below two-per-base-window. A global event mid-run caps the extension: it
-// must still fire at its exact timestamp with every domain strictly before
-// it, and a horizon that is not a multiple of the window must land exactly.
-func TestShardedAdaptiveWindow(t *testing.T) {
+// TestShardedLocalTrafficGlobalAndHorizon runs purely domain-local traffic:
+// a global event mid-run must fire at its exact timestamp with every domain
+// strictly before it, a horizon that is not a multiple of the window must
+// land exactly, and nothing may be counted as crossing domains.
+func TestShardedLocalTrafficGlobalAndHorizon(t *testing.T) {
 	const window = Time(100)
 	const horizon = Time(123_457) // deliberately not window-aligned
 	sh := NewShardedEngine(4, 2, window, QueueWheel)
@@ -332,45 +423,36 @@ func TestShardedAdaptiveWindow(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("domain %d ran no events", d)
 		}
+		if now := sh.Domain(d).Now(); now != horizon {
+			t.Fatalf("domain %d stopped at %v, want %v", d, now, horizon)
+		}
 	}
-	st := sh.Stats()
-	if st.Extensions == 0 {
-		t.Fatalf("local-only traffic produced no window extensions: %+v", st)
-	}
-	// Without extensions the run costs 2 barriers per base window; with them
-	// most windows collapse into extension rounds at 1 barrier each.
-	naive := 2 * uint64(horizon/window)
-	if st.Barriers >= naive {
-		t.Fatalf("adaptive windows did not reduce barriers: %d >= naive %d (%+v)", st.Barriers, naive, st)
-	}
-	if st.CrossEvents != 0 {
-		t.Fatalf("local-only traffic counted %d cross events", st.CrossEvents)
+	if st := sh.Stats(); st.Windows == 0 || st.CrossEvents != 0 || st.MergeBatches != 0 || st.MailboxHighWater != 0 {
+		t.Fatalf("local-only traffic: want windows and no mailbox activity, got %+v", st)
 	}
 }
 
-// TestShardedStealingEquivalence pins the SetStealing contract: work
-// stealing changes which worker runs a domain, never what the domain
-// computes — traces and event counts match with stealing on and off, and
-// the adaptive-extension verdict (a function of the model, not of
-// scheduling) matches too.
-func TestShardedStealingEquivalence(t *testing.T) {
-	const lanes = 6
-	const window = Time(777)
-	horizons := []Time{5 * window, 40 * window, Second}
-	for seed := int64(1); seed <= 4; seed++ {
-		on, onN, onSt := runLatticeShardedSteal(QueueWheel, lanes, 3, seed, window, horizons, false, true)
-		off, offN, offSt := runLatticeShardedSteal(QueueWheel, lanes, 3, seed, window, horizons, false, false)
-		compareTraces(t, fmt.Sprintf("seed %d stealing on vs off", seed), on, off)
-		if onN != offN {
-			t.Fatalf("seed %d: processed differs: %d vs %d", seed, onN, offN)
-		}
-		if offSt.Steals != 0 {
-			t.Fatalf("seed %d: stealing off recorded %d steals", seed, offSt.Steals)
-		}
-		if onSt.Windows != offSt.Windows || onSt.Extensions != offSt.Extensions || onSt.CrossEvents != offSt.CrossEvents {
-			t.Fatalf("seed %d: deterministic stats diverge: on=%+v off=%+v", seed, onSt, offSt)
-		}
+// TestShardedEngineFootprint bounds what the engine costs beyond its domain
+// engines: 2·W·D mailbox list headers and three per-domain words, not a D×D
+// matrix (which at 512 domains was 6.8 MB).
+func TestShardedEngineFootprint(t *testing.T) {
+	const domains = 512
+	var m0, m1, m2 runtime.MemStats
+	engines := make([]*Engine, domains)
+	runtime.ReadMemStats(&m0)
+	for i := range engines {
+		engines[i] = NewEngine()
 	}
+	runtime.ReadMemStats(&m1)
+	sh := NewShardedEngine(domains, 2, 1000, QueueWheel)
+	runtime.ReadMemStats(&m2)
+	bare, sharded := m1.TotalAlloc-m0.TotalAlloc, m2.TotalAlloc-m1.TotalAlloc
+	if sharded > bare+256<<10 {
+		t.Fatalf("NewShardedEngine(%d, 2) allocated %d bytes, %d more than its %d engines (%d); want under 256 KB more",
+			domains, sharded, sharded-bare, domains, bare)
+	}
+	runtime.KeepAlive(engines)
+	runtime.KeepAlive(sh)
 }
 
 // TestShardedSendLookaheadPanics pins the lookahead contract.
