@@ -4,8 +4,9 @@ import "math"
 
 // RowTables holds the Alg. 1 DP of a single source ToR: the recursion
 // p^n(src, dst) only consults p^(n-1)(src, ·), so one source's row is
-// computed without materializing the full N² table. A full Tables is N of
-// these; switch-resource estimation (Table 2) samples a few; the
+// computed without materializing the full N² table. The brute-force PathSet
+// build runs all N of them per starting slice, one at a time on one
+// scratch; switch-resource estimation (Table 2) samples a few; the
 // rotation-symmetric PathSet build runs one canonical source row per
 // starting slice, standing in for all N rotated sources.
 type RowTables struct {
@@ -213,34 +214,6 @@ func (t *RowTables) fill(hops []Hop, n, dst int) bool {
 		dst = mid
 	}
 	return false
-}
-
-// parallelPaths returns every retained n-hop minimum-latency path (the
-// primary plus ties) for src->dst as materialized Paths; the PathSet build
-// packs the same paths straight into the store instead (packer.paths).
-func (t *RowTables) parallelPaths(n, dst int) []*Path {
-	if n < 1 || n > t.HMax || t.end[n][dst] < 0 {
-		return nil
-	}
-	newPath := func() *Path {
-		return &Path{Src: t.Src, Dst: dst, StartSlice: t.StartSlice, Hops: make([]Hop, n)}
-	}
-	p := newPath()
-	if !t.fill(p.Hops, n, dst) {
-		return nil
-	}
-	out := []*Path{p}
-	if n < 2 {
-		return out
-	}
-	for _, alt := range t.par[n][dst] {
-		q := newPath()
-		q.Hops[n-1] = p.Hops[n-1]
-		if t.fill(q.Hops[:n-1], n-1, int(alt)) {
-			out = append(out, q)
-		}
-	}
-	return out
 }
 
 // entryLevels appends to buf the hop counts that make it into the group of

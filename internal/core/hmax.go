@@ -82,9 +82,9 @@ func scheduleHStatic(s *topo.Schedule) int {
 		// Rotation-symmetric slices are circulant graphs, hence
 		// vertex-transitive: every vertex has the same eccentricity, so one
 		// BFS from ToR 0 per slice yields the exact diameter at any scale.
-		max := 0
+		max, dist, queue := 0, make([]int, s.N), make([]int, 0, s.N)
 		for sl := 0; sl < s.S; sl++ {
-			_, ecc := farthest(s.SliceGraph(sl), 0)
+			_, ecc := farthest(s.SliceGraph(sl), 0, dist, queue)
 			if ecc < 0 {
 				return s.N // disconnected: conservative bound
 			}
@@ -113,17 +113,17 @@ func scheduleHStatic(s *topo.Schedule) int {
 // keeping the largest eccentricity seen. On expanders this matches the true
 // diameter with very high probability.
 func estimateDiameter(g *topo.Graph, rng *rand.Rand, sweeps int) int {
-	best := 0
+	best, dist, queue := 0, make([]int, g.N), make([]int, 0, g.N)
 	for s := 0; s < sweeps; s++ {
 		src := rng.Intn(g.N)
-		far, ecc := farthest(g, src)
+		far, ecc := farthest(g, src, dist, queue)
 		if ecc < 0 {
 			return g.N // disconnected: conservative bound
 		}
 		if ecc > best {
 			best = ecc
 		}
-		_, ecc2 := farthest(g, far)
+		_, ecc2 := farthest(g, far, dist, queue)
 		if ecc2 > best {
 			best = ecc2
 		}
@@ -159,10 +159,12 @@ func HStaticSampled(n, d, samples int, seed int64) int {
 	return max
 }
 
-func farthest(g *topo.Graph, src int) (node, ecc int) {
-	dist := g.BFS(src)
+// farthest returns a node at the largest hop distance from src and that
+// distance (-1, -1 if some node is unreachable), searching on the caller's
+// BFS scratch (topo.Graph.BFSInto).
+func farthest(g *topo.Graph, src int, dist, queue []int) (node, ecc int) {
 	node, ecc = src, 0
-	for v, d := range dist {
+	for v, d := range g.BFSInto(src, dist, queue) {
 		if d < 0 {
 			return -1, -1
 		}

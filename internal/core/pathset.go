@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,13 +62,13 @@ func BuildPathSetWith(f *topo.Fabric, alpha float64, maxParallel int) *PathSet {
 
 // BuildPathSetOpts is the fully configurable build (§4, Alg. 1, run for all
 // S starting slices). Starting slices are distributed over a bounded worker
-// pool; each worker reuses one scratch Tables across the slices it claims,
-// so the build performs O(workers) — not O(S) — table allocations, and
-// packs each slice's groups straight from the tables into the slice's own
-// store segment. It panics with the packer's error when a fabric does not
-// fit the store's field widths (more than 65,536 ToRs, hop slices more than
-// 65,535 past t_start): the signature predates the packed store, and no
-// fabric the DP can finish comes near either.
+// pool; each worker reuses one DP row and one word buffer across the slices
+// it claims, so the build performs O(workers) — not O(S) — scratch
+// allocations, and packs each slice's groups straight from the DP rows into
+// the slice's own store segment. It panics with the packer's error when a
+// fabric does not fit the store's field widths (more than 65,536 ToRs, hop
+// slices more than 65,535 past t_start): the signature predates the packed
+// store, and no fabric the DP can finish comes near either.
 func BuildPathSetOpts(f *topo.Fabric, alpha float64, opt BuildOptions) *PathSet {
 	calc := NewCalculator(f)
 	if opt.MaxParallel > 0 {
@@ -96,16 +97,38 @@ func BuildPathSetOpts(f *topo.Fabric, alpha float64, opt BuildOptions) *PathSet 
 }
 
 // buildBrute computes all N² rows of every starting slice; each slice gets
-// its own segment and its own range of the spine.
+// its own segment and its own range of the spine. A worker computes one
+// source row at a time into its RowTables and packs the row's N−1 records
+// into its packer's word buffer, then copies the finished slice out at its
+// exact size and reuses the buffer for the next slice.
 func (ps *PathSet) buildBrute(workers int) error {
 	n, s := ps.F.Sched.N, ps.F.Sched.S
 	ps.segs = make([]segment, s)
 	ps.spine = make([]uint32, s*n*n)
 	return ps.eachSlice(workers, func() func(*packer, int) {
-		var scratch *Tables
+		var row *RowTables
 		return func(p *packer, ts int) {
-			scratch = ps.Calc.ComputeInto(ts, scratch)
-			ps.segs[ts] = p.packTables(scratch, ps.spine[ts*n*n:(ts+1)*n*n])
+			p.begin(p.words)
+			for src := 0; src < n; src++ {
+				row = ps.Calc.ComputeRowInto(ts, src, row)
+				if src == 0 {
+					// Rows of one slice take about as many words each:
+					// sizing the buffer from the first spares growing it.
+					var words int
+					words, p.levels = row.groupWords(p.levels)
+					p.words = slices.Grow(p.words, words*n)
+				}
+				spine := ps.spine[(ts*n+src)*n : (ts*n+src+1)*n]
+				for dst := range spine {
+					if dst != src {
+						spine[dst] = p.group(row, dst)
+						p.seal(spine[dst])
+					}
+				}
+			}
+			seg := p.segment()
+			seg.words = slices.Clone(seg.words)
+			ps.segs[ts] = seg
 		}
 	})
 }

@@ -19,12 +19,13 @@ import (
 //     (to, rel).
 //
 // The file format is wider than, and independent of, the in-memory packed
-// store: the encoder walks the segment's records in order, the decoder
-// packs them again — every width guard of the packer applies to file
-// contents too. Profiles are NOT serialized: hulls and thresholds are
-// deterministic, α-free functions of the entries (BuildBuckets), so the
-// decoder recomputes them — the file stays smaller and can never disagree
-// with the cost model it is loaded under.
+// store: the encoder walks the segment's records in order, writing each
+// path's implied final hop out in full, and the decoder checks that hop
+// against dst and latency and packs the rest again — every width guard of
+// the packer applies to file contents too. Profiles are NOT serialized:
+// hulls and thresholds are deterministic, α-free functions of the entries
+// (BuildBuckets), so the decoder recomputes them — the file stays smaller
+// and can never disagree with the cost model it is loaded under.
 
 // EncodeCanonical serializes a symmetric PathSet into its spine and store
 // blobs. Errors on brute-force builds, which have no canonical form (and
@@ -37,14 +38,23 @@ func (ps *PathSet) EncodeCanonical() (spine, store []byte, err error) {
 	n := ps.F.Sched.N
 	u32 := func(v int) { store = binary.LittleEndian.AppendUint32(store, uint32(v)) }
 	u32(ps.unique)
+	// A record serves one Δ (the intern key and the decoder's spine check
+	// see to that), which is the dst every one of its paths ends at.
+	dst := make(map[uint32]int, ps.unique)
+	for slot, off := range ps.spine {
+		dst[off] = slot % n
+	}
 	// Records sit in the segment in the order they were interned, which is
 	// the rank the spine refers to them by.
 	rank := make(map[uint32]int32, ps.unique)
 	for off := 1; off < len(seg.words); {
 		rank[uint32(off)] = int32(len(rank))
-		g := GroupView{rec: seg.words[off:], n: int32(n)}
-		first := g.Entry(0)
-		u32(first.Path(0).Hop(first.HopCount - 1).To) // dst: where every path ends
+		delta, ok := dst[uint32(off)]
+		if !ok {
+			return nil, nil, fmt.Errorf("core: record at word %d serves no spine slot", off)
+		}
+		g := GroupView{Dst: delta, rec: seg.words[off:], n: int32(n)}
+		u32(delta)
 		u32(g.NumEntries())
 		for i := 0; i < g.NumEntries(); i++ {
 			e := g.Entry(i)
@@ -139,8 +149,8 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 		return nil, err
 	}
 	p := newPacker(f, ps.Model)
-	p.begin(len(storeBlob) / 4) // every record word comes from its own u32
-	offs := make([]uint32, nGroups)
+	p.begin(make([]uint16, 0, 1+len(storeBlob)/4)) // every record word comes from its own u32
+	offs, dsts := make([]uint32, nGroups), make([]int32, nGroups)
 	for gi := range offs {
 		dst, err := r.u32("dst")
 		if err != nil {
@@ -149,6 +159,7 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 		if dst < 1 || dst >= n {
 			return nil, fmt.Errorf("core: group %d dst %d outside [1,%d)", gi, dst, n)
 		}
+		dsts[gi] = int32(dst)
 		nEntries, err := r.count("entries", 12)
 		if err != nil {
 			return nil, err
@@ -202,7 +213,9 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 						return nil, fmt.Errorf("core: group %d hop (%d,%d) out of range or back in time", gi, to, rel)
 					}
 					prev = rel
-					p.hop(to, int64(rel))
+					if hi < nHops-1 { // the final hop is implied by dst and lat
+						p.hop(to, int64(rel))
+					}
 				}
 				if to != dst || prev+1 != lat {
 					return nil, fmt.Errorf("core: decoded group %d path ends at ToR %d latency %d, want ToR %d latency %d",
@@ -235,6 +248,8 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 			}
 		} else if idx < 0 || int(idx) >= nGroups {
 			return nil, fmt.Errorf("core: spine (%d,%d) = %d outside store of %d", i/n, i%n, idx, nGroups)
+		} else if int(dsts[idx]) != i%n {
+			return nil, fmt.Errorf("core: spine (%d,%d) ranks group %d, whose dst is %d", i/n, i%n, idx, dsts[idx])
 		} else {
 			ps.spine[i] = offs[idx]
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -93,6 +94,13 @@ func TestCanonicalCodecRejectsCorruption(t *testing.T) {
 	}
 	if _, err := decode(spine, nil); err == nil {
 		t.Fatal("empty store must error")
+	}
+	// A record leaves its final hop to the slot's Δ, so a spine slot naming
+	// a record of another destination must not decode.
+	mut := append([]byte(nil), spine...)
+	copy(mut[4*1:4*2], spine[4*2:4*3]) // slot (0, Δ=1) takes slot (0, Δ=2)'s record
+	if _, err := decode(mut, store); err == nil || !strings.Contains(err.Error(), "whose dst is 2") {
+		t.Fatalf("spine slot ranking another destination's record: err = %v", err)
 	}
 	// Flip one byte at a time; the decode must error or reproduce the
 	// original exactly (a flip inside a latency value, say, still decodes

@@ -44,7 +44,7 @@ func (ps *PathSet) buildSymmetric(workers int) error {
 			scratch = ps.Calc.ComputeRowInto(ts, 0, scratch)
 			var words int
 			words, p.levels = scratch.groupWords(p.levels)
-			p.begin(words)
+			p.begin(make([]uint16, 0, 1+words))
 			for dst := 1; dst < n; dst++ {
 				p.group(scratch, dst)
 			}
@@ -56,14 +56,14 @@ func (ps *PathSet) buildSymmetric(workers int) error {
 	}
 
 	p := newPacker(ps.F, ps.Model)
-	p.begin(0)
-	byHash := make(map[uint64][]uint32) // content hash → offsets of stored records
+	p.begin(nil)
+	byHash := make(map[internKey][]uint32)
 	ps.sym = true
 	ps.spine = make([]uint32, s*n)
 	for ts, row := range rows {
 		for delta := 1; delta < n; delta++ {
 			l := recLen(row)
-			off, fresh := p.intern(byHash, row[:l])
+			off, fresh := p.intern(byHash, delta, row[:l])
 			if fresh {
 				ps.unique++
 			}
@@ -76,10 +76,19 @@ func (ps *PathSet) buildSymmetric(workers int) error {
 	return p.err
 }
 
-// intern returns the offset of the stored record equal to rec (whose
-// profile word is still zero), appending and sealing rec first when no
-// equal record is in the segment yet.
-func (p *packer) intern(byHash map[uint64][]uint32, rec []uint16) (off uint32, fresh bool) {
+// internKey buckets stored records by destination offset Δ and content
+// hash. A record does not store its paths' final hop, (Δ, t_start+latency−1),
+// so records for different Δ may hold equal words; keying on Δ keeps them
+// apart, one destination per record, as the canonical codec needs.
+type internKey struct {
+	delta int
+	hash  uint64
+}
+
+// intern returns the offset of the stored record for Δ = delta equal to rec
+// (whose profile word is still zero), appending and sealing rec first when
+// no equal record for delta is in the segment yet.
+func (p *packer) intern(byHash map[internKey][]uint32, delta int, rec []uint16) (off uint32, fresh bool) {
 	const (
 		offset = 1469598103934665603
 		prime  = 1099511628211
@@ -89,7 +98,8 @@ func (p *packer) intern(byHash map[uint64][]uint32, rec []uint16) (off uint32, f
 		h ^= uint64(w)
 		h *= prime
 	}
-	for _, cand := range byHash[h] {
+	key := internKey{delta, h}
+	for _, cand := range byHash[key] {
 		// A record's headers fix its length, so equal words over len(rec)
 		// are an equal record.
 		if old := p.words[cand:]; len(old) >= len(rec) && slices.Equal(old[1:len(rec)], rec[1:]) {
@@ -99,6 +109,6 @@ func (p *packer) intern(byHash map[uint64][]uint32, rec []uint16) (off uint32, f
 	off = p.offset()
 	p.words = append(p.words, rec...)
 	p.seal(off)
-	byHash[h] = append(byHash[h], off)
+	byHash[key] = append(byHash[key], off)
 	return off, true
 }

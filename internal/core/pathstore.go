@@ -18,11 +18,15 @@ import (
 //	word 0          profile id: the group's interned hull/threshold profile
 //	word 1          E, the entry count
 //	words 2..2E+1   per entry: hopCount | pathCount<<8, then latency in slices
-//	then            per entry, per path, per hop: next ToR, slice − t_start
+//	then            per entry, per path, per hop except the last: next ToR,
+//	                slice − t_start
+//
+// Every path of an entry ends at dst in slice t_start + latency − 1, so that
+// final hop is implied, not stored: the views supply it.
 //
 // A brute-force build has one segment per starting slice (each written by
-// the one worker that claimed the slice, sized exactly by a counting pass
-// over the DP tables); a symmetric build has a single segment holding the
+// the one worker that claimed the slice, then copied out at its exact
+// size); a symmetric build has a single segment holding the
 // content-deduplicated canonical records. Profile ids are segment-local,
 // which keeps workers lock-free and the store bytes independent of
 // goroutine scheduling.
@@ -59,7 +63,7 @@ func recLen(rec []uint16) int {
 	n := recHeaderWords + 2*e
 	for i := 0; i < e; i++ {
 		h, p, _ := recEntry(rec, i)
-		n += 2 * h * p
+		n += 2 * (h - 1) * p
 	}
 	return n
 }
@@ -89,9 +93,9 @@ func newPacker(f *topo.Fabric, m CostModel) *packer {
 	return &packer{n: f.Sched.N, d: f.Sched.D, s: f.Sched.S, model: m}
 }
 
-// begin starts a fresh segment with room for `words` record words.
-func (p *packer) begin(words int) {
-	p.words = make([]uint16, 1, 1+words) // word 0 reserved: offset 0 means "no group"
+// begin starts a fresh segment in buf's storage, discarding its contents.
+func (p *packer) begin(buf []uint16) {
+	p.words = append(buf[:0], 0) // word 0 reserved: offset 0 means "no group"
 	p.profiles, p.byKey = nil, nil
 }
 
@@ -142,7 +146,8 @@ func (p *packer) header(entries int) int {
 }
 
 // setEntry fills entry header i of the record whose entry headers start at
-// word `at`.
+// word `at`. latency − 1 is also the relative slice of the entry's implied
+// final hop, so the latency guard covers that hop.
 func (p *packer) setEntry(at, i, hopCount, paths int, latency int64) {
 	h := p.narrow("entry hop count", int64(hopCount), maxEntryHops)
 	n := p.narrow("entry path count", int64(paths), maxEntryPaths)
@@ -172,7 +177,8 @@ func (p *packer) group(t *RowTables, dst int) uint32 {
 }
 
 // paths appends every retained n-hop minimum-latency path of the row for
-// dst (the primary plus its ties) and returns how many were written.
+// dst (the primary plus its ties), each without its final hop, and returns
+// how many were written.
 func (p *packer) paths(t *RowTables, n, dst int) int {
 	if cap(p.hops) < n {
 		p.hops = make([]Hop, n)
@@ -181,22 +187,19 @@ func (p *packer) paths(t *RowTables, n, dst int) int {
 	if !t.fill(hops, n, dst) {
 		return 0
 	}
-	p.path(hops, t.StartSlice)
+	p.path(hops[:n-1], t.StartSlice)
 	count := 1
-	if n < 2 {
-		return count
-	}
-	last := hops[n-1]
 	for _, alt := range t.par[n][dst] {
 		if t.fill(hops[:n-1], n-1, int(alt)) {
-			hops[n-1] = last
-			p.path(hops, t.StartSlice)
+			p.path(hops[:n-1], t.StartSlice)
 			count++
 		}
 	}
 	return count
 }
 
+// path appends the hops a record stores of a path: all but its final one,
+// which the caller leaves off.
 func (p *packer) path(hops []Hop, start int64) {
 	for _, h := range hops {
 		p.hop(h.To, h.Slice-start)
@@ -247,35 +250,10 @@ func (t *RowTables) groupWords(levels []int) (words int, scratch []int) {
 		levels = t.entryLevels(levels[:0], dst)
 		words += recHeaderWords + 2*len(levels)
 		for _, n := range levels {
-			words += 2 * n * (1 + len(t.par[n][dst]))
+			words += 2 * (n - 1) * (1 + len(t.par[n][dst]))
 		}
 	}
 	return words, levels
-}
-
-// packTables writes the N·(N−1) groups of one starting slice into a fresh
-// segment, recording each record's offset in the slice's part of the spine
-// (indexed src·N+dst).
-func (p *packer) packTables(t *Tables, spine []uint32) segment {
-	total := 0
-	for src := range t.rows {
-		var w int
-		w, p.levels = t.rows[src].groupWords(p.levels)
-		total += w
-	}
-	p.begin(total)
-	for src := range t.rows {
-		r := &t.rows[src]
-		for dst := 0; dst < t.N; dst++ {
-			if dst == src {
-				continue
-			}
-			off := p.group(r, dst)
-			p.seal(off)
-			spine[src*t.N+dst] = off
-		}
-	}
-	return p.segment()
 }
 
 // GroupView is a read-only, allocation-free view of one UCMP group in the
@@ -295,8 +273,10 @@ type GroupView struct {
 }
 
 // frame is what a stored path needs to report absolute hops: its source
-// ToR, its starting slice, and the ToR relabeling of its group view.
-type frame struct{ src, start, rot, n int32 }
+// and destination ToRs, its starting slice, the slice its entry ends in
+// (where the implied final hop lands), and the ToR relabeling of its group
+// view.
+type frame struct{ src, dst, start, end, rot, n int32 }
 
 // NumEntries returns the number of hop-count levels of the group.
 func (g GroupView) NumEntries() int {
@@ -321,13 +301,14 @@ func (g GroupView) Entry(i int) EntryView {
 	at := recHeaderWords + 2*int(g.rec[1])
 	for j := 0; j < i; j++ {
 		h, p, _ := recEntry(g.rec, j)
-		at += 2 * h * p
+		at += 2 * (h - 1) * p
 	}
 	h, p, lat := recEntry(g.rec, i)
 	return EntryView{
 		HopCount: h, LatencySlices: lat, NumPaths: p,
-		hops: g.rec[at : at+2*h*p],
-		f:    frame{src: int32(g.Src), start: int32(g.StartSlice), rot: g.rot, n: g.n},
+		hops: g.rec[at : at+2*(h-1)*p],
+		f: frame{src: int32(g.Src), dst: int32(g.Dst), start: int32(g.StartSlice),
+			end: int32(g.StartSlice) + int32(lat) - 1, rot: g.rot, n: g.n},
 	}
 }
 
@@ -382,30 +363,34 @@ type EntryView struct {
 	LatencySlices int64
 	NumPaths      int
 
-	hops []uint16 // NumPaths × HopCount (to, rel) pairs
+	hops []uint16 // NumPaths × (HopCount − 1) stored (to, rel) pairs
 	f    frame
 }
 
 // Path returns parallel path j of the entry.
 func (e EntryView) Path(j int) PathView {
-	w := 2 * e.HopCount
+	w := 2 * (e.HopCount - 1)
 	return PathView{hops: e.hops[j*w : (j+1)*w], f: e.f}
 }
 
-// PathView is one path of a GroupView.
+// PathView is one path of a GroupView: its stored hops, then the implied
+// final hop to the group's destination in the entry's end slice.
 type PathView struct {
 	hops []uint16
 	f    frame
 }
 
 // HopCount returns hop(p).
-func (p PathView) HopCount() int { return len(p.hops) / 2 }
+func (p PathView) HopCount() int { return len(p.hops)/2 + 1 }
 
 // StartSlice returns the starting slice the hop slices count from.
 func (p PathView) StartSlice() int64 { return int64(p.f.start) }
 
 // Hop returns hop k with its absolute ToR label and absolute slice.
 func (p PathView) Hop(k int) Hop {
+	if 2*k == len(p.hops) {
+		return Hop{To: int(p.f.dst), Slice: int64(p.f.end)}
+	}
 	to := int32(p.hops[2*k]) + p.f.rot
 	if to >= p.f.n {
 		to -= p.f.n
@@ -453,8 +438,8 @@ func (fp Footprint) String() string {
 
 // EstimateStoreBytes predicts the Footprint total of the brute-force build
 // of f without running it: the record words of a few source rows at t_start
-// 0 — counted exactly as the build sizes its segments — scaled to all S·N
-// rows, plus the spine.
+// 0 — counted exactly as the build writes them — scaled to all S·N rows,
+// plus the spine.
 func EstimateStoreBytes(f *topo.Fabric) int64 {
 	calc := NewCalculator(f)
 	n, s := f.Sched.N, f.Sched.S

@@ -154,16 +154,14 @@ func TestPackerWidthGuards(t *testing.T) {
 			at := p.header(2)
 			p.setEntry(at, 0, 1, 1, 9)
 			p.setEntry(at, 1, 2, 1, 3)
-			p.hop(1, 8)
 			p.hop(2, 0)
-			p.hop(1, 2)
 			p.seal(off)
 		}},
 		{"spine offset", func(p *packer) { p.spineOffset(math.MaxUint32 + 1) }},
 	}
 	for _, c := range cases {
 		p := newPacker(f, m)
-		p.begin(16)
+		p.begin(nil)
 		c.write(p)
 		if p.err == nil {
 			t.Fatalf("%s: out-of-range value accepted", c.field)
@@ -175,14 +173,14 @@ func TestPackerWidthGuards(t *testing.T) {
 	}
 	// A rejected value is stored as zero, never as its low bits.
 	p := newPacker(f, m)
-	p.begin(16)
+	p.begin(nil)
 	p.hop(1<<16|5, 1<<16|7)
 	if got := p.words[len(p.words)-2:]; got[0] != 0 || got[1] != 0 {
 		t.Fatalf("rejected hop stored as %v", got)
 	}
 	// In range, the same calls leave no error.
 	p = newPacker(f, m)
-	p.begin(16)
+	p.begin(nil)
 	p.setEntry(p.header(1), 0, 255, 255, math.MaxUint16)
 	p.hop(math.MaxUint16, math.MaxUint16)
 	if p.err != nil {
@@ -191,37 +189,118 @@ func TestPackerWidthGuards(t *testing.T) {
 }
 
 // TestPackerGuardsDPRows: the guards sit on the path the build takes — a
-// DP row whose slices do not fit fails group(), and with it the build.
+// DP row whose slices do not fit fails group(), and with it the build,
+// naming the first field written out of range.
 func TestPackerGuardsDPRows(t *testing.T) {
 	f := symFabric(t, 8, 4)
 	calc := NewCalculator(f)
 	row := calc.ComputeRow(0, 0)
-	row.StartSlice = 1 << 20 // every hop slice now lies before t_start
-	p := newPacker(f, CostModel{Alpha: 0.5, LinkBps: 1, SliceMicros: 1})
-	p.begin(0)
-	p.group(row, 1)
-	if p.err == nil || !strings.Contains(p.err.Error(), `"hop relative slice"`) {
-		t.Fatalf("group() on an out-of-range row: err = %v", p.err)
+	// A destination with a 2-hop entry: that entry's stored first hop is
+	// written before the entry's own latency, so a hop can still misfit first.
+	twoHop := -1
+	for dst := 1; dst < f.Sched.N && twoHop < 0; dst++ {
+		if row.end[2][dst] < row.end[1][dst] {
+			twoHop = dst
+		}
+	}
+	if twoHop < 0 {
+		t.Fatal("no destination with a 2-hop entry")
+	}
+	cases := []struct {
+		field string
+		start int64
+		dst   int
+	}{
+		// Every slice lies before t_start: the 1-hop entry stores no hop, so
+		// its latency (which guards the implied hop) is the first misfit.
+		{"entry latency", 1 << 20, 1},
+		// t_start just past the direct path: the 1-hop latency is 0, in range,
+		// and the 2-hop path's stored first hop lies before t_start.
+		{"hop relative slice", row.end[1][twoHop] + 1, twoHop},
+	}
+	for _, c := range cases {
+		row = calc.ComputeRowInto(0, 0, row)
+		row.StartSlice = c.start
+		p := newPacker(f, CostModel{Alpha: 0.5, LinkBps: 1, SliceMicros: 1})
+		p.begin(nil)
+		p.group(row, c.dst)
+		if p.err == nil || !strings.Contains(p.err.Error(), `"`+c.field+`"`) {
+			t.Fatalf("group(%d) from t_start %d: err = %v, want field %q", c.dst, c.start, p.err, c.field)
+		}
+	}
+}
+
+// checkStoreWalk walks the packed store two ways. Record by record, the
+// lengths recLen derives from the headers must tile every segment exactly.
+// View by view, every path must report its entry's hop count and end at the
+// group's destination in the entry's end slice — the hop the record leaves
+// implied.
+func checkStoreWalk(t *testing.T, where string, ps *PathSet) {
+	t.Helper()
+	n, s := ps.F.Sched.N, ps.F.Sched.S
+	records := 0
+	for i, seg := range ps.segs {
+		off := 1
+		for ; off < len(seg.words); records++ {
+			off += recLen(seg.words[off:])
+		}
+		if off != len(seg.words) {
+			t.Fatalf("%s: segment %d records end at word %d of %d", where, i, off, len(seg.words))
+		}
+	}
+	if want := s * n * (n - 1); ps.sym && records != ps.unique || !ps.sym && records != want {
+		t.Fatalf("%s: %d records (sym=%v, unique %d, brute wants %d)", where, records, ps.sym, ps.unique, want)
+	}
+	for ts := 0; ts < s; ts++ {
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				v := ps.View(ts, src, dst)
+				for i := 0; i < v.NumEntries(); i++ {
+					e := v.Entry(i)
+					want := Hop{To: dst, Slice: int64(ts) + e.LatencySlices - 1}
+					for j := 0; j < e.NumPaths; j++ {
+						p := e.Path(j)
+						if p.HopCount() != e.HopCount || p.Hop(p.HopCount()-1) != want {
+							t.Fatalf("%s (%d,%d,%d) entry %d path %d: %d hops ending %v, want %d ending %v",
+								where, ts, src, dst, i, j, p.HopCount(), p.Hop(p.HopCount()-1), e.HopCount, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStoreWalkOracleFabrics runs the store walk on both builds of every
+// fabric of the calc_oracle_test set.
+func TestStoreWalkOracleFabrics(t *testing.T) {
+	for _, of := range oracleFabrics() {
+		checkStoreWalk(t, of.name+" brute", BuildPathSetOpts(of.f, 0.5, BuildOptions{NoSymmetry: true}))
+		if of.sym {
+			checkStoreWalk(t, of.name+" sym", BuildPathSet(of.f, 0.5))
+		}
 	}
 }
 
 // TestPathStoreFootprint is the tier-1 layout guard: a change that fattens
-// the group record fails here, not only in the repository benchmark.
+// the group record — storing each path's final hop again, say (64 and 85
+// B/group) — fails here, not only in the repository benchmark.
 func TestPathStoreFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the (108,6) path set")
 	}
 	cases := []struct {
-		name string
-		cfg  topo.Config
-		sym  bool
+		name     string
+		cfg      topo.Config
+		sym      bool
+		maxBytes float64 // per group
 	}{
-		{"brute (108,6)", topo.PaperDefault(), false},
+		{"brute (108,6)", topo.PaperDefault(), false, 52},
 		{"symmetric (64,4)", func() topo.Config {
 			c := topo.Scaled()
 			c.NumToRs, c.Uplinks = 64, 4
 			return c
-		}(), true},
+		}(), true, 72},
 	}
 	for _, c := range cases {
 		f := topo.MustFabric(c.cfg, "round-robin", 1)
@@ -241,10 +320,11 @@ func TestPathStoreFootprint(t *testing.T) {
 		if fp.SpineBytes == 0 || fp.StoreBytes == 0 {
 			t.Fatalf("%s: empty footprint %+v", c.name, fp)
 		}
-		if b := fp.BytesPerGroup(); b > 128 {
-			t.Fatalf("%s: %.1f B/group, over the 128 B guard (%s)", c.name, b, fp)
+		if b := fp.BytesPerGroup(); b > c.maxBytes {
+			t.Fatalf("%s: %.1f B/group, over the %.0f B guard (%s)", c.name, b, c.maxBytes, fp)
 		}
 		t.Logf("%s: %s", c.name, fp)
+		checkStoreWalk(t, c.name, ps)
 		if c.sym {
 			continue
 		}

@@ -148,7 +148,7 @@ func ExactTable(ps *core.PathSet, tor int) (naive, packed, sramBytes int) {
 // compiled table. The PathSet build is cheap on rotation-symmetric
 // schedules (the canonical O(S·N) build); on others this costs the full
 // brute-force build, whose S·N² groups stay resident in the packed store
-// at about 60 B each (0.2 GB at (324,12), 1.1 GB at (768,24)):
+// at about 42 B each (0.12 GB at (324,12), 0.77 GB at (768,24)):
 // core.EstimateStoreBytes says beforehand whether a fabric fits.
 func ComputeExact(f *topo.Fabric, alpha float64, s Sampling) Usage {
 	u := Compute(f, alpha, s)

@@ -54,16 +54,20 @@ func (s *Schedule) StableSliceGraph(slice int) *Graph {
 
 // BFS returns hop distances from src to every node (-1 if unreachable).
 func (g *Graph) BFS(src int) []int {
-	dist := make([]int, g.N)
+	return g.BFSInto(src, make([]int, g.N), make([]int, 0, g.N))
+}
+
+// BFSInto is BFS on the caller's scratch, for callers that search many
+// times: it overwrites dist (length g.N) and returns it, and uses queue
+// (capacity g.N is never outgrown) as its work list.
+func (g *Graph) BFSInto(src int, dist, queue []int) []int {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := make([]int, 0, g.N)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, v := range g.Adj[u] {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
@@ -117,10 +121,10 @@ func buildPath(prev []int, src, dst int) []int {
 // Diameter returns the maximum finite BFS distance over all pairs, or -1 if
 // the graph is disconnected.
 func (g *Graph) Diameter() int {
+	dist, queue := make([]int, g.N), make([]int, 0, g.N)
 	diam := 0
 	for src := 0; src < g.N; src++ {
-		dist := g.BFS(src)
-		for _, d := range dist {
+		for _, d := range g.BFSInto(src, dist, queue) {
 			if d < 0 {
 				return -1
 			}

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -334,6 +335,35 @@ func TestBFSAndShortestPath(t *testing.T) {
 	}
 	if p := g2.ShortestPath(2, 2); len(p) != 1 || p[0] != 2 {
 		t.Fatal("trivial path wrong")
+	}
+}
+
+// TestBFSIntoMatchesBFS: a search on one scratch reused across every source
+// of every slice graph — left dirty by the graph before — gives the
+// distances of a search on fresh arrays.
+func TestBFSIntoMatchesBFS(t *testing.T) {
+	dist, queue := make([]int, 108), []int(nil)
+	for _, s := range []*Schedule{RoundRobin(16, 3), Opera(16, 4), RoundRobin(108, 6)} {
+		for sl := 0; sl < s.S; sl++ {
+			g := s.SliceGraph(sl)
+			for src := 0; src < g.N; src++ {
+				got := g.BFSInto(src, dist[:g.N], queue)
+				if want := g.BFS(src); !slices.Equal(got, want) {
+					t.Fatalf("N=%d d=%d slice %d src %d: BFSInto %v, BFS %v", s.N, s.D, sl, src, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDiameterAllocsConstant: the all-pairs diameter allocates one scratch
+// per call, not one per source, at any N.
+func TestDiameterAllocsConstant(t *testing.T) {
+	for _, s := range []*Schedule{RoundRobin(16, 3), RoundRobin(108, 6)} {
+		g := s.SliceGraph(0)
+		if allocs := testing.AllocsPerRun(3, func() { g.Diameter() }); allocs > 2 {
+			t.Fatalf("N=%d: Diameter makes %.0f allocations, want at most 2", s.N, allocs)
+		}
 	}
 }
 
