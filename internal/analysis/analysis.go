@@ -164,30 +164,6 @@ func NewHopDist(name string, hist map[int]int) HopDist {
 	return d
 }
 
-// BaselinePathTable abstracts KSP/Opera path tables for hop counting.
-type BaselinePathTable interface {
-	Paths(slice, src, dst int) [][]int
-}
-
-// BaselineHops histograms hop counts of a baseline's paths across all
-// slices and pairs (Fig 5b).
-func BaselineHops(name string, t BaselinePathTable, slices, n int) HopDist {
-	hist := make(map[int]int)
-	for sl := 0; sl < slices; sl++ {
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if src == dst {
-					continue
-				}
-				for _, nodes := range t.Paths(sl, src, dst) {
-					hist[len(nodes)-1]++
-				}
-			}
-		}
-	}
-	return NewHopDist(name, hist)
-}
-
 // SortedKeys returns the histogram keys in ascending order (stable output
 // for the harness).
 func SortedKeys(m map[int]int) []int {

@@ -86,22 +86,6 @@ func TestSortedKeys(t *testing.T) {
 	}
 }
 
-type fakeTable struct{}
-
-func (fakeTable) Paths(slice, src, dst int) [][]int {
-	return [][]int{{src, 99, dst}} // always 2 hops
-}
-
-func TestBaselineHops(t *testing.T) {
-	d := BaselineHops("fake", fakeTable{}, 2, 4)
-	if d.Mean != 2 {
-		t.Fatalf("mean %v, want 2", d.Mean)
-	}
-	if d.Share[2] != 1 {
-		t.Fatalf("share %v", d.Share)
-	}
-}
-
 func TestLatencies(t *testing.T) {
 	ps := pathSet(t)
 	st := Latencies(ps)

@@ -312,6 +312,18 @@ func (g GroupView) Entry(i int) EntryView {
 	}
 }
 
+// Path returns path i of the group counting across entries in order: the
+// flat list a hash pick over the whole group indexes (0 ≤ i < NumPaths).
+func (g GroupView) Path(i int) PathView {
+	for e := 0; ; e++ {
+		_, n, _ := recEntry(g.rec, e)
+		if i < n {
+			return g.Entry(e).Path(i)
+		}
+		i -= n
+	}
+}
+
 // Thresholds returns the group's ascending α-free bucket boundaries (Eqn.
 // 4). Shared and read-only.
 func (g GroupView) Thresholds() []float64 { return g.prof.thr }

@@ -37,6 +37,30 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
+// TestBaselinePathSetReported: a KSP or Opera run reports the store its
+// router plans from — one slot per (slice, src, dst) of its own schedule —
+// and VLB, which has no store, reports none.
+func TestBaselinePathSetReported(t *testing.T) {
+	for _, r := range []RoutingKind{KSP5, Opera5, VLB} {
+		cfg := quickBase()
+		cfg.Routing, cfg.Transport = r, transport.NDP
+		cfg.Duration, cfg.Horizon = 200*sim.Microsecond, sim.Millisecond
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if r != VLB {
+			f := topo.MustFabric(cfg.Topo, ScheduleFor(r), cfg.Seed)
+			n := f.Sched.N
+			want = f.Sched.S * n * (n - 1)
+		}
+		if i := res.PathSet; i.Groups != want || (want > 0) != (i.StoreBytes > 0) {
+			t.Fatalf("%s: path set %+v, want %d groups", r, i, want)
+		}
+	}
+}
+
 func TestRunUnknownRouting(t *testing.T) {
 	cfg := quickBase()
 	cfg.Routing = "bogus"

@@ -231,9 +231,9 @@ type Result struct {
 	// Recovery is the §5.3 online-recovery summary (all-zero when no
 	// failures were configured).
 	Recovery metrics.RecoveryStats
-	// PathSet describes the UCMP path set behind the run — cold-built or
-	// cache-loaded, how long that took, how big the store is. Zero for
-	// routings without one.
+	// PathSet describes the path set behind the run (UCMP's, or the KSP /
+	// Opera baseline's) — cold-built or cache-loaded, how long that took, how
+	// big the store is. Zero for VLB.
 	PathSet PathSetInfo
 	// ResumeNote records checkpoint/resume outcomes: the restored instant
 	// on a successful resume, why a requested resume fell back to a cold
@@ -401,13 +401,13 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 	case VLB:
 		router = routing.NewVLB(fab)
 	case KSP1:
-		router = routing.NewKSP(fab, 1)
+		router, pathSet = timedBaseline(routing.NewKSP, fab, 1)
 	case KSP5:
-		router = routing.NewKSP(fab, 5)
+		router, pathSet = timedBaseline(routing.NewKSP, fab, 5)
 	case Opera1:
-		router = routing.NewOpera(fab, 1)
+		router, pathSet = timedBaseline(routing.NewOpera, fab, 1)
 	case Opera5:
-		router = routing.NewOpera(fab, 5)
+		router, pathSet = timedBaseline(routing.NewOpera, fab, 5)
 	default:
 		return nil, fmt.Errorf("harness: unknown routing %q", cfg.Routing)
 	}

@@ -24,8 +24,8 @@ var warmFabrics struct {
 	m map[string]*fabriccache.Fabric
 }
 
-// PathSetInfo says where a run's UCMP path set came from and what it
-// weighs: the one `path set:` line ucmpsim and the scale sweep print.
+// PathSetInfo says where a run's path set came from and what it weighs: the
+// one `path set:` line ucmpsim and the scale sweep print.
 type PathSetInfo struct {
 	// Warm is set when the path set was served from the fabric cache (file
 	// or in-process) rather than built; Seconds is the wall time of that
@@ -56,6 +56,14 @@ func timedPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, PathSetInfo) 
 	t0 := time.Now()
 	ps, warm, note := warmPathSet(fab, cfg)
 	return ps, PathSetInfo{Warm: warm, Seconds: time.Since(t0).Seconds(), Note: note, Footprint: ps.Footprint()}
+}
+
+// timedBaseline builds a KSP or Opera router plus the PathSetInfo of its
+// store: always cold-built, never cached.
+func timedBaseline(build func(*topo.Fabric, int) *routing.KSP, fab *topo.Fabric, k int) (*routing.KSP, PathSetInfo) {
+	t0 := time.Now()
+	r := build(fab, k)
+	return r, PathSetInfo{Seconds: time.Since(t0).Seconds(), Footprint: r.PS.Footprint()}
 }
 
 // warmPathSet returns the compiled path set for cfg's fabric, whether it was

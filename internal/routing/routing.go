@@ -7,7 +7,6 @@ package routing
 import (
 	"ucmp/internal/core"
 	"ucmp/internal/netsim"
-	"ucmp/internal/topo"
 )
 
 // hopsFromPath converts a core.Path (slices relative to its group's start)
@@ -24,8 +23,8 @@ func hopsFromPath(p *core.Path, fromAbs int64, buf []netsim.PlannedHop) []netsim
 
 // hopsFromView is hopsFromPath for a path of the packed store: the view
 // already reports absolute ToR labels (rotated by the source ToR on a
-// rotation-symmetric path set), so brute-force and symmetric builds emit
-// through the same loop.
+// rotation-symmetric path set), so brute-force, symmetric and baseline (KSP,
+// Opera) stores emit through the same loop.
 func hopsFromView(p core.PathView, fromAbs int64, buf []netsim.PlannedHop) []netsim.PlannedHop {
 	offset := fromAbs - p.StartSlice()
 	for k, n := 0, p.HopCount(); k < n; k++ {
@@ -35,16 +34,5 @@ func hopsFromView(p core.PathView, fromAbs int64, buf []netsim.PlannedHop) []net
 	return buf
 }
 
-// sameSliceHops plans a node path (KSP/Opera style continuous path) with
-// every hop in the given absolute slice, appending into buf.
-func sameSliceHops(nodes []int, abs int64, buf []netsim.PlannedHop) []netsim.PlannedHop {
-	for _, v := range nodes[1:] {
-		buf = append(buf, netsim.PlannedHop{To: v, AbsSlice: abs})
-	}
-	return buf
-}
-
 // FlowCutoff15MB is Opera's hard flow-size cutoff (§2.2).
 const FlowCutoff15MB = 15 << 20
-
-var _ = topo.Config{} // the subpackages below all build on topo

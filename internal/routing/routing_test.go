@@ -214,8 +214,7 @@ func TestKSPRoutesAndDiversity(t *testing.T) {
 	}
 	for src := 0; src < 4; src++ {
 		for dst := 8; dst < 12; dst++ {
-			paths := k5.Paths(0, src, dst)
-			if len(paths) == 0 {
+			if k5.PS.View(0, src, dst).NumPaths() == 0 {
 				t.Fatalf("no KSP paths %d->%d", src, dst)
 			}
 			p := dataPacket(f, src, dst, 1000)
