@@ -211,7 +211,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "(%s events by kind: %s)\n", e, harness.FormatEventKinds(k))
 			}
 			if m := harness.TakeMemStats(); m.PeakPackets > 0 {
-				fmt.Fprintf(os.Stderr, "(%s packet memory, largest run: peak live packets %d, peak parked VOQ records %d, VOQ chunks %d, peak live calendar slots %d, calendar queues created %d)\n",
+				fmt.Fprintf(os.Stderr, "(%s packet memory, largest run: peak live packets %d, peak parked VOQ packets %d, VOQ chunks %d, peak live calendar slots %d, calendar queues created %d)\n",
 					e, m.PeakPackets, m.PeakParked, m.VOQChunks, m.PeakCalSlots, m.CalQueues)
 			}
 			if sh := harness.TakeShardStats(); sh.Windows > 0 {

@@ -165,12 +165,12 @@ func requirePendingRuns(t *testing.T, cfg SimConfig, every sim.Time) {
 	} else {
 		st.eng.Run(last)
 	}
-	_, _, live, records := st.net.PoolStats()
-	built := live + records // a VOQ record stands for a packet that was built
+	_, _, live, inVOQs := st.net.PoolStats()
+	built := live + inVOQs // a packet parked in a VOQ was built
 	if parked := st.net.InFlightData(); parked <= int64(built) {
 		t.Fatalf("at the last checkpoint (%v) %d data packets are parked and %d exist: no NIC run is pending", last, parked, built)
 	}
-	if records == 0 {
+	if inVOQs == 0 {
 		t.Fatalf("at the last checkpoint (%v) no ToR VOQ holds a record: the checkpoint carries no VOQ", last)
 	}
 }

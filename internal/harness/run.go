@@ -206,8 +206,8 @@ type Result struct {
 	// sharded run, and over the whole run on a resumed one.
 	EventKinds sim.EventKinds
 	// Mem is what the run's packet-path memory was made of: the Packets the
-	// pools grew to, the most records ever parked in RotorLB VOQs, the VOQ
-	// chunks allocated to hold them, and the calendar queues that ever held a
+	// pools grew to, the most packets ever parked in RotorLB VOQs, the VOQ
+	// chunks allocated to hold their runs, and the calendar queues that ever held a
 	// packet at once and were created for it — enough to explain a run's RSS
 	// without a profiler. Simulated behaviour does not depend on it and no
 	// fingerprint includes it; a resumed run counts from the resume.

@@ -549,8 +549,8 @@ func (n *Network) nicFlow(h *Host, dense int) (*Flow, error) {
 	return fl, nil
 }
 
-// encodeVOQ writes a VOQ as a count and that many records, each in its own
-// encoding rather than as the packet it stands for.
+// encodeVOQ writes a VOQ as a count of packets and one record for each, in
+// its own encoding rather than as the packet it stands for.
 func encodeVOQ(e *checkpoint.Encoder, q *voq) {
 	e.Len(q.len())
 	q.each(func(rec *voqRec) { rec.encode(e) })
@@ -559,14 +559,26 @@ func encodeVOQ(e *checkpoint.Encoder, q *voq) {
 // restoreVOQs decodes the local, then the nonlocal VOQ of one destination
 // into chunks of the ToR's domain. Byte/packet accounting and the occupancy
 // bitset are derived, not stored: each decoded record is added as a push
-// adds one. A destination that holds no record (one listed for its waiters)
-// allocates nothing.
+// adds one, so consecutive segments merge into runs again. A destination
+// that holds no record (one listed for its waiters) allocates nothing.
+//
+// A record is only acceptable in a VOQ its flow could have reached: one for
+// the flow's destination ToR, and a local one only at the flow's source ToR.
+// Anything else would restore a packet onto another destination's queue.
 func (r *rotorState) restoreVOQs(dec *checkpoint.Decoder, dst int) error {
-	for _, add := range [2]func(int, voqRec){r.addLocal, r.addNonlocal} {
+	for i, add := range [2]func(int, voqRec){r.addLocal, r.addNonlocal} {
 		for left := dec.Len(); left > 0; left-- {
 			rec, err := r.tor.net.decodeRec(dec)
 			if err != nil {
 				return err
+			}
+			switch f := r.tor.net.flowList[rec.flow]; {
+			case f.dstToR != dst:
+				return fmt.Errorf("checkpoint: ToR %d rotor VOQ for ToR %d holds flow %d, which goes to ToR %d",
+					r.tor.id, dst, rec.flow, f.dstToR)
+			case i == 0 && f.srcToR != r.tor.id:
+				return fmt.Errorf("checkpoint: ToR %d local rotor VOQ holds flow %d, which ToR %d sources",
+					r.tor.id, rec.flow, f.srcToR)
 			}
 			r.alloc()
 			add(dst, rec)

@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -235,5 +238,125 @@ func TestSparsePortsRoundTrip(t *testing.T) {
 	narrow.ToRs[2].rotor.n = 14
 	if err := snapshotInto(t, build(), narrow); err == nil || !strings.Contains(err.Error(), "rotor destination index 14 after 9, of 14") {
 		t.Fatalf("restore onto a rotor with 14 destinations: %v", err)
+	}
+}
+
+// voqNet is a rotor network whose ToR 0 holds runs in two VOQs: locally
+// sourced segments of flows to ToR 9 — a run, a short last segment, a second
+// flow's run — and, in the nonlocal VOQ for ToR 14, indirect segments of a
+// flow sourced at ToR 3. The flows are registered in a fixed order, so their
+// dense indices are 0 (to ToR 9), 1 (to ToR 9), 2 (ToR 3 to ToR 14), 3 (to
+// ToR 14) and 4 (ToR 3 to ToR 9).
+func voqNet(t *testing.T) (*Network, []*Flow) {
+	t.Helper()
+	n := rotorNet(t)
+	hpt := n.F.HostsPerToR
+	flows := []*Flow{
+		NewFlow(1, 0, 9*hpt, 1<<30, 0), NewFlow(2, 1, 9*hpt, 1<<30, 0), NewFlow(3, 3*hpt, 14*hpt, 1<<30, 0),
+		NewFlow(4, 0, 14*hpt, 1<<30, 0), NewFlow(5, 3*hpt, 9*hpt, 1<<30, 0),
+	}
+	for _, fl := range flows {
+		n.RegisterFlow(fl)
+		fl.RotorClass = true
+	}
+	r := n.ToRs[0].rotor
+	seg := func(fl *Flow, seq int64, payload int) *Packet {
+		p := dataPkt(n, fl, seq, HeaderBytes+payload)
+		p.SentAt = 7
+		return p
+	}
+	for i := int64(0); i < 10; i++ {
+		repark(r, seg(flows[0], 0x5eed000+i*1436, 1436))
+	}
+	repark(r, seg(flows[0], 0x5eed000+10*1436, 200))
+	for i := int64(0); i < 5; i++ {
+		repark(r, seg(flows[1], i*1436, 1436))
+	}
+	for i := int64(0); i < 6; i++ {
+		p := seg(flows[2], i*1436, 1436)
+		p.TorHops = 1
+		r.pushNonlocal(p)
+	}
+	return n, flows
+}
+
+// A VOQ holding runs checkpoints as the packets it holds, one record each,
+// and restores into runs again: encode, restore, encode gives the same bytes.
+func TestVOQRunsCheckpointRoundTrip(t *testing.T) {
+	src, _ := voqNet(t)
+	if got := records(&src.ToRs[0].rotor.local[9]); got != 2 {
+		t.Fatalf("source local VOQ for ToR 9 holds %d records, want 2 runs", got)
+	}
+	dst := coldRotorNet(t)
+	if err := snapshotInto(t, src, dst); err != nil {
+		t.Fatal(err)
+	}
+	r := dst.ToRs[0].rotor
+	if r.local[9].len() != 16 || records(&r.local[9]) != 2 || r.nonlocal[14].len() != 6 || records(&r.nonlocal[14]) != 1 {
+		t.Fatalf("restored VOQs: %d packets in %d records for ToR 9, %d in %d for ToR 14; want 16 in 2, 6 in 1",
+			r.local[9].len(), records(&r.local[9]), r.nonlocal[14].len(), records(&r.nonlocal[14]))
+	}
+	image := func(n *Network) []byte {
+		w := checkpoint.NewWriter()
+		if err := n.Snapshot(w); err != nil {
+			t.Fatal(err)
+		}
+		return w.Encode()
+	}
+	if a, b := image(src), image(dst); !bytes.Equal(a, b) {
+		t.Fatalf("encode → restore → encode of VOQ runs changed the checkpoint (%d bytes, then %d)", len(a), len(b))
+	}
+}
+
+// A VOQ record must belong to the VOQ it is restored into: its flow goes to
+// the VOQ's destination, and a local VOQ's flows are sourced at its ToR. A
+// file that breaks either is well formed and checksums right, so it is made
+// by swapping one record's dense index in a real checkpoint and re-sealing.
+func TestRestoreRejectsMisplacedVOQRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		to   uint32
+		want string
+	}{
+		{"another destination", 3, "ToR 0 rotor VOQ for ToR 9 holds flow 3, which goes to ToR 14"},
+		{"sourced elsewhere", 4, "ToR 0 local rotor VOQ holds flow 4, which ToR 3 sources"},
+	} {
+		src, _ := voqNet(t)
+		w := checkpoint.NewWriter()
+		if err := src.Snapshot(w); err != nil {
+			t.Fatal(err)
+		}
+		img := w.Encode()
+		// The first record of flow 0's run: u32 dense index, i64 seq.
+		rec := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, 0), 0x5eed000)
+		at := bytes.Index(img, rec)
+		if at < 0 || bytes.Index(img[at+1:], rec) >= 0 {
+			t.Fatalf("%s: the record is not in the checkpoint exactly once", tc.name)
+		}
+		binary.LittleEndian.PutUint32(img[at:], tc.to)
+		// Re-seal: the payload checksum, then the header checksum over it
+		// (the container's FNV-1a variant).
+		seal := func(b []byte) uint64 {
+			sum := uint64(1469598103934665603)
+			for _, c := range b {
+				sum = (sum ^ uint64(c)) * 1099511628211
+			}
+			return sum
+		}
+		binary.LittleEndian.PutUint64(img[24:], seal(img[40:]))
+		binary.LittleEndian.PutUint64(img[32:], seal(img[:32]))
+		path := filepath.Join(t.TempDir(), "ckpt")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := checkpoint.Load(path)
+		if err != nil {
+			t.Fatalf("%s: re-sealed checkpoint does not load: %v", tc.name, err)
+		}
+		dst := coldRotorNet(t)
+		adoptFlows(src, dst)
+		if err := dst.RestoreFrom(f, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restore error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

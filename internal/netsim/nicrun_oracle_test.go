@@ -152,7 +152,7 @@ type nicProbe struct {
 type nicOutcome struct {
 	arrivals []string // one line per packet reaching a ToR from a host
 	probes   []nicProbe
-	live     []uint64 // packets built — live, or parked as a VOQ record — at each probe (not compared)
+	live     []uint64 // packets built — live, or parked in a VOQ — at each probe (not compared)
 	buckets  map[int]bool
 }
 

@@ -89,10 +89,11 @@ func (p *Packet) assertLive(where string) {
 
 // PoolStats reports pool traffic summed across domains: packets handed out,
 // packets returned, the difference — packets that exist right now — and the
-// records parked in RotorLB VOQs, which stand for packets but are none (a
-// push releases the packet, a select takes a fresh one). Tests use it for
-// leak detection: live + parked is what is queued in the fabric or in flight
-// inside scheduled events, and both are zero at quiescence.
+// packets parked in RotorLB VOQs, which runs of records stand for and no
+// Packet holds (a push releases the packet, a select takes a fresh one).
+// Tests use it for leak detection: live + parked is what is queued in the
+// fabric or in flight inside scheduled events, and both are zero at
+// quiescence.
 func (n *Network) PoolStats() (gets, puts, live, parked uint64) {
 	for _, d := range n.doms {
 		gets += d.pool.gets
@@ -107,7 +108,7 @@ func (n *Network) PoolStats() (gets, puts, live, parked uint64) {
 // what the pools came to hold, not an instant of the run).
 type MemStats struct {
 	PeakPackets  uint64 // Packets the pools allocated — the most ever live at once — and hold to the end
-	PeakParked   uint64 // most records ever parked in RotorLB VOQs
+	PeakParked   uint64 // most packets ever parked in RotorLB VOQs, however few records held them
 	VOQChunks    uint64 // VOQ chunks allocated, at unsafe.Sizeof(voqChunk{}) bytes each
 	PeakCalSlots uint64 // most calendar queues ever holding a packet at once
 	CalQueues    uint64 // calendar queues allocated, of the N·d·S the schedule names

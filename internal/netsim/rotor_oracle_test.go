@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"path/filepath"
@@ -389,8 +390,18 @@ func TestRotorIndirectMatchesLinearScan(t *testing.T) {
 // random pushes, picks and credit waits: the same packets come out in the same
 // order, and every count the fabric reads — bytes per destination, the
 // nonlocal total the backlog board publishes, the occupancy bitset, which
-// waiters wake and when — stays equal after every step.
+// waiters wake and when — stays equal after every step. Scattered, no two
+// packets could share a record; in runs, bursts are consecutive segments of
+// two flows per destination (segmenter), so most pushes extend a run, picks
+// shorten runs that later pushes extend again, and every break a run must
+// respect turns up.
 func TestRotorRecordsMatchFifoVOQ(t *testing.T) {
+	for _, runs := range []bool{false, true} {
+		matchFifoVOQ(t, runs)
+	}
+}
+
+func matchFifoVOQ(t *testing.T, runs bool) {
 	net, flows := rotorNet512(t)
 	net.Rotor.LocalCapBytes = 4 * 1500
 	net.Rotor.NonlocalCapBytes = 8 * 1500
@@ -399,8 +410,18 @@ func TestRotorRecordsMatchFifoVOQ(t *testing.T) {
 	budgets := []sim.Time{fitsAll, fitsAll, noTime, mtu, mtu - 1}
 	wireLens := []int{net.F.MTU, net.F.MTU, HeaderBytes, 700}
 	rng := rand.New(rand.NewSource(19))
+	// Two segmenters per destination: its flow, and a second flow to the same
+	// ToR whose segments interleave with the first's.
+	segs := make([][2]*segmenter, len(flows))
+	for dst, f := range flows {
+		g := NewFlow(int64(len(flows)+dst), 2, dst, 1<<40, 0)
+		net.RegisterFlow(g)
+		g.RotorClass = true
+		segs[dst] = [2]*segmenter{{f: f, mss: 1436, sentAt: 1}, {f: g, mss: 1436, sentAt: 1}}
+	}
+	where := fmt.Sprintf("record VOQ against fifo VOQ (runs %v)", runs)
 	var seq int64
-	left := 0
+	left, pushes, merged := 0, 0, 0
 	for _, n := range []int{5, 64, 65, 108, 512} {
 		r, o := newRotorState(tor, n), newFifoRotor(tor, n)
 		var woke, wokeOracle []int64
@@ -411,12 +432,26 @@ func TestRotorRecordsMatchFifoVOQ(t *testing.T) {
 		}
 		push := func(local bool) {
 			dst := rng.Intn(n)
+			q := &r.nonlocal
+			if local {
+				q = &r.local
+			}
 			for burst := 1 + rng.Intn(4); burst > 0; burst-- {
-				seq++
-				wire := wireLens[rng.Intn(len(wireLens))]
-				a, b := dataPkt(net, flows[dst], seq, wire), dataPkt(net, flows[dst], seq, wire)
-				a.TorHops, a.Bucket, a.SentAt, a.ECNCapable = rng.Intn(3), rng.Intn(8), sim.Time(seq*7), seq%2 == 0
-				b.TorHops, b.Bucket, b.SentAt, b.ECNCapable = a.TorHops, a.Bucket, a.SentAt, a.ECNCapable
+				a := new(Packet)
+				if runs {
+					segs[dst][rng.Intn(8)/7].next(net, rng, a)
+				} else {
+					seq++
+					wire := wireLens[rng.Intn(len(wireLens))]
+					*a = *dataPkt(net, flows[dst], seq, wire)
+					a.TorHops, a.Bucket, a.SentAt, a.ECNCapable = rng.Intn(3), rng.Intn(8), sim.Time(seq*7), seq%2 == 0
+				}
+				b := new(Packet)
+				*b = *a
+				before := 0
+				if *q != nil {
+					before = records(&(*q)[dst])
+				}
 				if local {
 					r.pushLocal(a)
 					o.pushLocal(b)
@@ -424,11 +459,14 @@ func TestRotorRecordsMatchFifoVOQ(t *testing.T) {
 					r.pushNonlocal(a)
 					o.pushNonlocal(b)
 				}
+				if pushes++; records(&(*q)[dst]) == before {
+					merged++
+				}
 			}
 		}
 		pick := func() {
 			peer, budget, abs := rng.Intn(n), budgets[rng.Intn(len(budgets))], int64(rng.Intn(2))
-			sameRotorPick(t, "record VOQ against fifo VOQ", r.selectPacket(peer, budget, abs), o.selectPacket(peer, budget, abs))
+			sameRotorPick(t, where, r.selectPacket(peer, budget, abs), o.selectPacket(peer, budget, abs))
 		}
 		steps := 6000
 		for step := 0; step < 2*steps; step++ {
@@ -448,23 +486,26 @@ func TestRotorRecordsMatchFifoVOQ(t *testing.T) {
 			default:
 				pick()
 			}
-			sameRotorState(t, "record VOQ against fifo VOQ", r, o)
+			sameRotorState(t, where, r, o)
 			if !reflect.DeepEqual(woke, wokeOracle) {
-				t.Fatalf("n=%d step %d: waiters woken %v, oracle %v", n, step, woke, wokeOracle)
+				t.Fatalf("%s: n=%d step %d: waiters woken %v, oracle %v", where, n, step, woke, wokeOracle)
 			}
 			if r.local != nil {
 				checkLocalSet(t, r)
 			}
 		}
 		if len(woke) == 0 {
-			t.Fatalf("n=%d: no credit waiter ever woke; the walk does not exercise creditLocal", n)
+			t.Fatalf("%s: n=%d: no credit waiter ever woke; the walk does not exercise creditLocal", where, n)
 		}
 		left += r.localPkts + r.nonlocalPkts
 	}
 	// Whatever the walks stranded (a pick never indirects to the peer or to
 	// the ToR itself) is still on the ledger, and nothing else is.
 	if _, _, _, parked := net.PoolStats(); parked != uint64(left) {
-		t.Fatalf("ledger counts %d parked records, the VOQs hold %d", parked, left)
+		t.Fatalf("ledger counts %d parked packets, the VOQs hold %d", parked, left)
+	}
+	if runs && merged*2 < pushes || !runs && merged != 0 {
+		t.Fatalf("%s: %d of %d pushes extended a run", where, merged, pushes)
 	}
 }
 
@@ -512,11 +553,7 @@ func TestRotorRestoreRebuildsOccupancy(t *testing.T) {
 // its flow by dense index).
 func snapshotInto(t *testing.T, src, dst *Network) error {
 	t.Helper()
-	for _, f := range src.flowList[len(dst.flowList):] {
-		cp := NewFlow(f.ID, f.SrcHost, f.DstHost, f.Size, f.Arrival)
-		dst.RegisterFlow(cp)
-		cp.RotorClass = f.RotorClass
-	}
+	adoptFlows(src, dst)
 	w := checkpoint.NewWriter()
 	if err := src.Snapshot(w); err != nil {
 		t.Fatal(err)
@@ -530,6 +567,16 @@ func snapshotInto(t *testing.T, src, dst *Network) error {
 		t.Fatal(err)
 	}
 	return dst.RestoreFrom(f, nil)
+}
+
+// adoptFlows registers with dst a copy of each flow of src it does not have
+// yet, in src's order, so both name every flow by the same dense index.
+func adoptFlows(src, dst *Network) {
+	for _, f := range src.flowList[len(dst.flowList):] {
+		cp := NewFlow(f.ID, f.SrcHost, f.DstHost, f.Size, f.Arrival)
+		dst.RegisterFlow(cp)
+		cp.RotorClass = f.RotorClass
+	}
 }
 
 // repark puts a packet selectPacket returned back at the tail of its local

@@ -9,11 +9,17 @@ import (
 
 func rotorNet(t testing.TB) *Network {
 	t.Helper()
-	f := topo.MustFabric(topo.Scaled(), "round-robin", 1)
-	eng := sim.NewEngine()
-	n := New(eng, f, stubRouter{f}, QueueSpec{MaxDataPackets: 300}, QueueSpec{MaxDataPackets: 300}, DefaultRotor())
+	n := coldRotorNet(t)
 	n.Start()
 	return n
+}
+
+// coldRotorNet is rotorNet before Start, as a resume builds a network to
+// restore a checkpoint into: no event is scheduled yet.
+func coldRotorNet(t testing.TB) *Network {
+	t.Helper()
+	f := topo.MustFabric(topo.Scaled(), "round-robin", 1)
+	return New(sim.NewEngine(), f, stubRouter{f}, QueueSpec{MaxDataPackets: 300}, QueueSpec{MaxDataPackets: 300}, DefaultRotor())
 }
 
 // rotorPkt is a full-size data packet of a new rotor-class flow from host 0

@@ -33,56 +33,150 @@ func TestVOQRecordSize(t *testing.T) {
 	}
 }
 
+// records counts the records q holds: its runs, not its packets.
+func records(q *voq) (k int) {
+	i := int(q.hi)
+	for c := q.head; c != nil; c = c.next {
+		end := voqChunkRecs
+		if c == q.tail {
+			end = int(q.ti)
+		}
+		k += end - i
+		i = 0
+	}
+	return k
+}
+
+// segmenter makes the packets of one flow as a run-forming sender does:
+// byte-contiguous segments of one MSS under one SentAt, with the fields a
+// record compares mostly held — and, now and then, a short segment, a gap
+// where one ends, a segment longer than the MSS, or a new SentAt, bucket,
+// hop count or flag.
+type segmenter struct {
+	f       *Flow
+	seq     int64
+	mss     int
+	sentAt  sim.Time
+	bucket  int
+	torHops int
+	ecn     bool
+	trimmed bool
+}
+
+func (s *segmenter) next(n *Network, rng *rand.Rand, p *Packet) {
+	payload := s.mss
+	switch rng.Intn(64) {
+	case 0, 1:
+		payload = rng.Intn(s.mss) // a short segment
+	case 2:
+		payload = s.mss + 1 + rng.Intn(64)
+	case 3:
+		s.sentAt += sim.Time(1 + rng.Intn(3))
+	case 4:
+		s.bucket ^= 1 << rng.Intn(16)
+	case 5:
+		s.torHops = rng.Intn(3)
+	case 6:
+		s.ecn = !s.ecn
+	case 7:
+		s.trimmed = !s.trimmed
+	}
+	*p = *dataPkt(n, s.f, s.seq, HeaderBytes+payload)
+	p.SentAt, p.Bucket, p.TorHops, p.ECNCapable = s.sentAt, s.bucket, s.torHops, s.ecn
+	if s.trimmed {
+		p.Trimmed, p.WireLen = true, HeaderBytes
+	}
+	// A short segment is usually followed by the byte after it, and
+	// sometimes by the next MSS boundary: a gap no run may close.
+	s.seq += int64(payload)
+	if payload < s.mss && rng.Intn(2) == 0 {
+		s.seq += int64(s.mss - payload)
+	}
+}
+
 // Every packet a record can hold comes back field for field, whatever else
 // is queued around it: offsets past 2^32, short last segments, trimmed
 // headers, both ECN bits, zero to two ToR hops, every bucket a u16 holds.
+// Scattered, every packet takes a record of its own; in runs, consecutive
+// segments of a few interleaved flows share records, a pop shortens a run
+// that a push may go on extending, and the segments a run must not absorb —
+// after a short one, across a gap, longer than the MSS, with another SentAt,
+// bucket, hop count or flag — come back as themselves.
 func TestVOQRecordRoundTrip(t *testing.T) {
-	n := rotorNet(t)
-	tor := n.ToRs[0]
-	r := tor.rotor
-	var flows []*Flow
-	for i := 0; i < 40; i++ {
-		f := NewFlow(int64(1000+i), i%n.F.NumHosts(), (7*i+3)%n.F.NumHosts(), 1<<44, 0)
-		n.RegisterFlow(f)
-		flows = append(flows, f)
-	}
-	rng := rand.New(rand.NewSource(19))
-	var q voq
-	var want []Packet
-	for step := 0; step < 20000; step++ {
-		if rng.Intn(5) < 3 {
-			f := flows[rng.Intn(len(flows))]
-			p := tor.dom.newPacket()
-			*p = *dataPkt(n, f, rng.Int63n(1<<44), HeaderBytes+rng.Intn(1437))
-			p.SentAt = sim.Time(rng.Int63())
-			p.Bucket = rng.Intn(1 << 16)
-			p.TorHops = rng.Intn(3)
-			p.ECNCapable, p.ECNMarked = rng.Intn(2) == 0, rng.Intn(2) == 0
-			if rng.Intn(8) == 0 {
-				p.Trimmed, p.WireLen = true, HeaderBytes
+	for _, runs := range []bool{false, true} {
+		n := rotorNet(t)
+		tor := n.ToRs[0]
+		r := tor.rotor
+		var flows []*Flow
+		var segs []*segmenter
+		for i := 0; i < 40; i++ {
+			f := NewFlow(int64(1000+i), i%n.F.NumHosts(), (7*i+3)%n.F.NumHosts(), 1<<44, 0)
+			n.RegisterFlow(f)
+			flows = append(flows, f)
+			segs = append(segs, &segmenter{f: f, seq: int64(i) << 36, mss: []int{1436, 1000, 536}[i%3], sentAt: sim.Time(i)})
+		}
+		rng := rand.New(rand.NewSource(19))
+		var q voq
+		var want []Packet
+		// drained is set while the head run has lost a packet to a pop;
+		// extended counts pushes that grew such a run while it was the tail.
+		drained, extended, peakPkts, peakRecs := false, 0, 0, 0
+		for step := 0; step < 20000; step++ {
+			if rng.Intn(5) < 3 {
+				p := tor.dom.newPacket()
+				if runs {
+					// Mostly one flow, so the queue holds long runs of it.
+					segs[max(rng.Intn(32)-29, 0)].next(n, rng, p)
+				} else {
+					f := flows[rng.Intn(len(flows))]
+					*p = *dataPkt(n, f, rng.Int63n(1<<44), HeaderBytes+rng.Intn(1437))
+					p.SentAt = sim.Time(rng.Int63())
+					p.Bucket = rng.Intn(1 << 16)
+					p.TorHops = rng.Intn(3)
+					p.ECNCapable, p.ECNMarked = rng.Intn(2) == 0, rng.Intn(2) == 0
+					if rng.Intn(8) == 0 {
+						p.Trimmed, p.WireLen = true, HeaderBytes
+					}
+				}
+				w := *p
+				want = append(want, w)
+				// The link stamp is not kept: flushIngress has used it.
+				p.linkSrc, p.linkSeq = 3, uint64(step)
+				tailIsDrainedHead := drained && q.head == q.tail && int(q.hi) == int(q.ti)-1
+				before := records(&q)
+				park(r, &q, p)
+				if tailIsDrainedHead && records(&q) == before {
+					extended++
+				}
+				if q.len() > peakPkts {
+					peakPkts, peakRecs = q.len(), records(&q)
+				}
+				continue
 			}
-			w := *p
-			want = append(want, w)
-			// The link stamp is not kept: flushIngress has used it.
-			p.linkSrc, p.linkSeq = 3, uint64(step)
-			park(r, &q, p)
-			continue
+			if q.len() != len(want) {
+				t.Fatalf("runs %v step %d: VOQ holds %d packets, %d were parked", runs, step, q.len(), len(want))
+			}
+			if q.len() == 0 {
+				continue
+			}
+			if got := q.front().wireLen(); got != want[0].WireLen {
+				t.Fatalf("runs %v step %d: head record reads %d wire bytes, packet had %d", runs, step, got, want[0].WireLen)
+			}
+			drained = q.front().n > 1
+			got := *r.unpark(&q)
+			got.Route = nil
+			if !reflect.DeepEqual(got, want[0]) {
+				t.Fatalf("runs %v step %d: rebuilt\n %+v\nparked\n %+v", runs, step, got, want[0])
+			}
+			want = want[1:]
 		}
-		if q.len() != len(want) {
-			t.Fatalf("step %d: VOQ holds %d records, %d were parked", step, q.len(), len(want))
+		switch {
+		case !runs && peakRecs != peakPkts:
+			t.Fatalf("scattered: %d packets in %d records at the peak; no two should share one", peakPkts, peakRecs)
+		case runs && (peakRecs*3 > peakPkts || extended == 0):
+			t.Fatalf("runs: %d packets in %d records at the peak, %d pushes onto a drained head: the walk forms no runs",
+				peakPkts, peakRecs, extended)
 		}
-		if q.len() == 0 {
-			continue
-		}
-		if got := q.front().wireLen(); got != want[0].WireLen {
-			t.Fatalf("step %d: head record reads %d wire bytes, packet had %d", step, got, want[0].WireLen)
-		}
-		got := *r.unpark(&q)
-		got.Route = nil
-		if !reflect.DeepEqual(got, want[0]) {
-			t.Fatalf("step %d: rebuilt\n %+v\nparked\n %+v", step, got, want[0])
-		}
-		want = want[1:]
 	}
 }
 
@@ -116,6 +210,7 @@ func TestVOQRecordRefusesLossyPacket(t *testing.T) {
 		{"SrcToR", func(p *Packet) { p.SrcToR = 3 }},
 		{"DstToR", func(p *Packet) { p.DstToR = 8 }},
 		{"PayloadLen", func(p *Packet) { p.PayloadLen, p.WireLen = -1, HeaderBytes-1 }},
+		{"PayloadLen", func(p *Packet) { p.PayloadLen, p.WireLen = 1<<16, 1<<16+HeaderBytes }},
 		{"PayloadLen", func(p *Packet) { p.PayloadLen, p.WireLen = 1<<32, 1<<32+HeaderBytes }},
 		{"WireLen", func(p *Packet) { p.WireLen = 1400 }},
 		{"WireLen", func(p *Packet) { p.Trimmed = true }}, // trimmed, still full length
@@ -142,7 +237,7 @@ func TestVOQRecordRefusesLossyPacket(t *testing.T) {
 			}()
 		}
 		if _, _, _, parked := n.PoolStats(); parked != 0 || r.nonlocalPkts != 0 || r.totalNonlocal != 0 {
-			t.Fatalf("refused packets left %d records, %d packets, %d bytes behind", parked, r.nonlocalPkts, r.totalNonlocal)
+			t.Fatalf("refused packets left %d parked, %d queued, %d bytes behind", parked, r.nonlocalPkts, r.totalNonlocal)
 		}
 	}
 }
@@ -150,8 +245,8 @@ func TestVOQRecordRefusesLossyPacket(t *testing.T) {
 // Chunks are drawn from the domain's free list and all come back: after a
 // burst drains, every chunk ever allocated is on the list and holds nothing
 // of the burst; chunks allocated equals the most that were ever in use at
-// once; a second burst of the same shape allocates none; and a VOQ holding
-// one record holds one chunk.
+// once; a second burst of the same shape allocates none; a VOQ holding one
+// record holds one chunk; and so does a VOQ holding one long run.
 func TestVOQChunkAccounting(t *testing.T) {
 	n := rotorNet(t)
 	tor := n.ToRs[0]
@@ -199,7 +294,7 @@ func TestVOQChunkAccounting(t *testing.T) {
 			pool.chunks, inUseMax, freeLen())
 	}
 	if pool.parked != 0 || pool.peak == 0 {
-		t.Fatalf("after drain: %d records parked, peak %d", pool.parked, pool.peak)
+		t.Fatalf("after drain: %d packets parked, peak %d", pool.parked, pool.peak)
 	}
 	before := pool.chunks
 	rng = rand.New(rand.NewSource(7))
@@ -225,5 +320,19 @@ func TestVOQChunkAccounting(t *testing.T) {
 		park(r, &r.nonlocal[d], p)
 	}); avg != 0 {
 		t.Fatalf("steady-state park/unpark allocates %.1f times per packet", avg)
+	}
+
+	// One run, one chunk: contiguous full segments of one flow under one
+	// SentAt share a record, however many there are.
+	for d := 1; d < dsts; d++ {
+		r.unpark(&r.nonlocal[d])
+	}
+	q := &r.nonlocal[9]
+	for i := 0; i < 4096; i++ {
+		park(r, q, dataPkt(n, flows[9], int64(i)*1436, 1500))
+	}
+	if inUse := pool.chunks - freeLen(); inUse != 1 || q.len() != 4096 || pool.parked != 4096 {
+		t.Fatalf("4096 contiguous segments of one flow: %d packets parked, %d queued, in %d chunks; want one chunk",
+			pool.parked, q.len(), inUse)
 	}
 }
