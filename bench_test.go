@@ -341,3 +341,19 @@ func BenchmarkOffline_ComputeRow324(b *testing.B) {
 	cfg.NumToRs, cfg.Uplinks = 324, 12
 	benchComputeRow(b, cfg)
 }
+
+// BenchmarkOffline_NewCalculator324 times the serial step before the build's
+// worker pool starts at (324,12): h_static (the all-pairs slice-graph
+// diameter) and the sorted peer table.
+func BenchmarkOffline_NewCalculator324(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-size fabric")
+	}
+	cfg := topo.PaperDefault()
+	cfg.NumToRs, cfg.Uplinks = 324, 12
+	fab := topo.MustFabric(cfg, "round-robin", 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.NewCalculator(fab)
+	}
+}

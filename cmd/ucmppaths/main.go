@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"ucmp/internal/analysis"
@@ -18,30 +19,69 @@ import (
 	"ucmp/internal/topo"
 )
 
+// allExps lists every experiment id, in the order they run.
+var allExps = []string{"fig5a", "fig5b", "fig12abc", "fig14", "fig16", "table2", "table3", "sched"}
+
+// fabricExps are the experiments that run on the -tors/-uplinks fabric; the
+// rest use fixed scales of their own.
+var fabricExps = []string{"fig5a", "fig5b", "fig12abc", "fig16", "sched"}
+
+// selectExps resolves the -exp list, every id of which must be known: a typo
+// must not turn into an empty, successful run.
+func selectExps(spec string) (map[string]bool, error) {
+	known := map[string]bool{}
+	for _, e := range allExps {
+		known[e] = true
+	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, e := range strings.Split(spec, ",") {
+		e = strings.TrimSpace(e)
+		if !known[e] {
+			unknown = append(unknown, fmt.Sprintf("%q", e))
+		}
+		want[e] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment id %s (valid: %s)",
+			strings.Join(unknown, ", "), strings.Join(allExps, ", "))
+	}
+	return want, nil
+}
+
 func main() {
 	var (
 		torsF    = flag.Int("tors", 108, "number of ToRs (even)")
 		uplinksF = flag.Int("uplinks", 6, "uplinks per ToR")
 		alphaF   = flag.Float64("alpha", 0.5, "UCMP weight factor")
-		expF     = flag.String("exp", "fig5a,fig5b,fig12abc,fig14,table2,table3,fig16,sched", "comma-separated experiments")
+		expF     = flag.String("exp", "fig5a,fig5b,fig12abc,fig14,table2,table3,fig16,sched", "comma-separated experiments: "+strings.Join(allExps, ", "))
 		sampleF  = flag.Int("sample", 1, "baseline slice sampling stride for fig5b")
 	)
 	flag.Parse()
+	want, err := selectExps(*expF)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ucmppaths: -exp: %v\n", err)
+		os.Exit(2)
+	}
 
 	cfg := topo.PaperDefault()
 	cfg.NumToRs = *torsF
 	cfg.Uplinks = *uplinksF
-
-	want := map[string]bool{}
-	for _, e := range splitComma(*expF) {
-		want[e] = true
+	var fab *topo.Fabric
+	for _, e := range fabricExps {
+		if want[e] {
+			if fab, err = topo.NewFabric(cfg, "round-robin", 1); err != nil {
+				fmt.Fprintln(os.Stderr, "ucmppaths:", err)
+				os.Exit(1)
+			}
+			break
+		}
 	}
 
 	var ps *core.PathSet
 	buildPS := func() *core.PathSet {
 		if ps == nil {
 			start := time.Now()
-			fab := topo.MustFabric(cfg, "round-robin", 1)
 			ps = core.BuildPathSet(fab, *alphaF)
 			fmt.Fprintf(os.Stderr, "(path set for %d ToRs built in %.1fs)\n", cfg.NumToRs, time.Since(start).Seconds())
 		}
@@ -76,7 +116,6 @@ func main() {
 		fmt.Println(harness.Table3(harness.Table3Scales))
 	}
 	if want["sched"] {
-		fab := topo.MustFabric(cfg, "round-robin", 1)
 		st := analysis.Schedule(fab.Sched)
 		fmt.Printf("== schedule statistics (%d ToRs, %d switches, %s) ==\n", cfg.NumToRs, cfg.Uplinks, fab.Sched.Kind)
 		fmt.Printf("slices/cycle: %d   cycle: %v\n", st.Slices, fab.CycleDuration())
@@ -91,18 +130,4 @@ func main() {
 			}
 		}
 	}
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

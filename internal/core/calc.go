@@ -1,6 +1,10 @@
 package core
 
-import "ucmp/internal/topo"
+import (
+	"slices"
+
+	"ucmp/internal/topo"
+)
 
 // Calculator performs UCMP offline path calculation (§4): n-hop
 // minimum-latency paths for every (src, dst, t_start) up to Q(h_max) hops.
@@ -16,9 +20,9 @@ type Calculator struct {
 
 	Bound HmaxBound
 
-	// peers is the schedule's flat peer table (topo.Schedule.PeerTable):
-	// the d circuit ends of every (cyclic slice, ToR), which is all the DP's
-	// extension step ever looks at.
+	// peers is the schedule's flat peer table (topo.Schedule.PeerTable) with
+	// each (cyclic slice, ToR) run of d circuit ends sorted ascending: all
+	// the DP's extension step ever looks at, in the order it wants them.
 	peers []int32
 }
 
@@ -30,6 +34,10 @@ const DefaultMaxParallel = 4
 // a calculator with default parallel retention of DefaultMaxParallel paths.
 func NewCalculator(f *topo.Fabric) *Calculator {
 	b := BoundHmax(f.Config, f.Sched)
+	peers, d := f.Sched.PeerTable(), f.Sched.D
+	for at := 0; at < len(peers); at += d {
+		slices.Sort(peers[at : at+d])
+	}
 	return &Calculator{F: f, HMax: b.Q, HSlice: b.HSlice, MaxParallel: DefaultMaxParallel, Bound: b,
-		peers: f.Sched.PeerTable()}
+		peers: peers}
 }

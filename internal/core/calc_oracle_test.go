@@ -136,27 +136,64 @@ func oracleAppendTie(ties []int32, v int32, max int) []int32 {
 	return append(ties, v)
 }
 
+// lastLevelPruned reports whether the DP leaves the level-h cell of dst
+// uncomputed: h is the row's last level and a lower level already reaches
+// dst in t_start. It reads the end slices itself, sharing nothing with the
+// kernel's own test.
+func lastLevelPruned(row *RowTables, h, dst int) bool {
+	if h != row.HMax || dst == row.Src {
+		return false
+	}
+	for n := 1; n < h; n++ {
+		if row.end[n][dst] == row.StartSlice {
+			return true
+		}
+	}
+	return false
+}
+
+// diffNotComputed describes how the level-h cell of dst differs from the
+// "not computed" value — end −1, last −1, hLast 0, no ties ("" when it holds
+// exactly that).
+func diffNotComputed(row *RowTables, h, dst int) string {
+	if row.end[h][dst] != -1 || row.last[h][dst] != -1 || row.hLast[h][dst] != 0 || len(row.par[h][dst]) != 0 {
+		return fmt.Sprintf("h=%d dst=%d: (end %d, last %d, hLast %d, ties %v), want not computed (-1, -1, 0, none)",
+			h, dst, row.end[h][dst], row.last[h][dst], row.hLast[h][dst], row.par[h][dst])
+	}
+	return ""
+}
+
 // diffOracleRow compares one source row of the kernel's output with the
-// oracle's ("" when equal).
-func diffOracleRow(row *RowTables, o *oracleTables, hmax int) string {
+// oracle's ("" when equal): every computed cell field for field, and the
+// "not computed" value on exactly the source's own column and the pruned
+// cells of the last level. It also counts the last level's pruned cells.
+func diffOracleRow(row *RowTables, o *oracleTables, hmax int) (msg string, pruned int) {
 	base := row.Src * o.N
 	for h := 1; h <= hmax; h++ {
 		for dst := 0; dst < o.N; dst++ {
 			i := base + dst
+			if dst == row.Src || lastLevelPruned(row, h, dst) {
+				if msg := diffNotComputed(row, h, dst); msg != "" {
+					return msg, pruned
+				}
+				if dst != row.Src {
+					pruned++
+				}
+				continue
+			}
 			switch {
 			case row.end[h][dst] != o.end[h][i]:
-				return fmt.Sprintf("h=%d dst=%d: end %d, oracle %d", h, dst, row.end[h][dst], o.end[h][i])
-			case o.end[h][i] < 0:
+				return fmt.Sprintf("h=%d dst=%d: end %d, oracle %d", h, dst, row.end[h][dst], o.end[h][i]), pruned
 			case row.last[h][dst] != o.last[h][i]:
-				return fmt.Sprintf("h=%d dst=%d: last %d, oracle %d", h, dst, row.last[h][dst], o.last[h][i])
+				return fmt.Sprintf("h=%d dst=%d: last %d, oracle %d", h, dst, row.last[h][dst], o.last[h][i]), pruned
 			case row.hLast[h][dst] != o.hLast[h][i]:
-				return fmt.Sprintf("h=%d dst=%d: hLast %d, oracle %d", h, dst, row.hLast[h][dst], o.hLast[h][i])
+				return fmt.Sprintf("h=%d dst=%d: hLast %d, oracle %d", h, dst, row.hLast[h][dst], o.hLast[h][i]), pruned
 			case !slices.Equal(row.par[h][dst], o.par[h][i]):
-				return fmt.Sprintf("h=%d dst=%d: ties %v, oracle %v", h, dst, row.par[h][dst], o.par[h][i])
+				return fmt.Sprintf("h=%d dst=%d: ties %v, oracle %v", h, dst, row.par[h][dst], o.par[h][i]), pruned
 			}
 		}
 	}
-	return ""
+	return "", pruned
 }
 
 type oracleFabric struct {
@@ -198,8 +235,10 @@ func oracleFabrics() []oracleFabric {
 // exactly the DP state of the full intermediate scan — end slice, primary
 // last hop, hops in the final slice and the retained tie list — for the
 // full Tables and, per source, for a RowTables scratch reused across
-// sources.
+// sources, on every level below the last; on the last, wherever it is
+// computed, with the "not computed" value on exactly the rest.
 func TestKernelMatchesFullScanOracle(t *testing.T) {
+	pruned, lastCells := 0, 0
 	for _, of := range oracleFabrics() {
 		sched := of.f.Sched
 		if sched.Rotation() != of.sym {
@@ -212,8 +251,9 @@ func TestKernelMatchesFullScanOracle(t *testing.T) {
 				calc.HSlice, calc.MaxParallel = hSlice, maxPar
 				// A binding hop budget needs more hops than the fabric's
 				// own bound to show; a few levels past it also cover the
-				// multi-slice scan.
-				calc.HMax = base.HMax + 2
+				// multi-slice scan, and one more keeps all of those below
+				// the pruned last level.
+				calc.HMax = base.HMax + 3
 				var full *Tables
 				var row *RowTables
 				for ts := 0; ts < sched.S; ts++ {
@@ -221,17 +261,24 @@ func TestKernelMatchesFullScanOracle(t *testing.T) {
 					full = calc.ComputeInto(ts, full)
 					for src := 0; src < sched.N; src++ {
 						where := fmt.Sprintf("%s hslice=%d maxpar=%d ts=%d src=%d", of.name, hSlice, maxPar, ts, src)
-						if msg := diffOracleRow(&full.rows[src], oracle, calc.HMax); msg != "" {
+						if msg, _ := diffOracleRow(&full.rows[src], oracle, calc.HMax); msg != "" {
 							t.Fatalf("%s Tables: %s", where, msg)
 						}
 						row = calc.ComputeRowInto(ts, src, row)
-						if msg := diffOracleRow(row, oracle, calc.HMax); msg != "" {
+						msg, p := diffOracleRow(row, oracle, calc.HMax)
+						if msg != "" {
 							t.Fatalf("%s RowTables: %s", where, msg)
 						}
+						pruned += p
+						lastCells += sched.N - 1
 					}
 				}
 			}
 		}
+	}
+	// Both sides of the last level's contract must be exercised.
+	if pruned == 0 || pruned == lastCells {
+		t.Fatalf("%d of %d last-level cells pruned: want some of each", pruned, lastCells)
 	}
 }
 
@@ -246,7 +293,7 @@ func TestExhaustedBudgetWaitsForNextAppearance(t *testing.T) {
 	f := topo.MustFabric(cfg, "round-robin", 1)
 	calc := NewCalculator(f)
 	calc.HSlice = 1
-	calc.HMax = 3
+	calc.HMax = 4 // levels 2 and 3 are checked; the last level is pruned
 	sched := f.Sched
 	upIn := func(a, b int, abs int64) bool {
 		return sched.SwitchFor(int(abs%int64(sched.S)), a, b) >= 0
@@ -260,7 +307,7 @@ func TestExhaustedBudgetWaitsForNextAppearance(t *testing.T) {
 				if dst == src {
 					continue
 				}
-				for h := 2; h <= calc.HMax; h++ {
+				for h := 2; h < calc.HMax; h++ {
 					mid := int(row.last[h][dst])
 					arrive := row.end[h-1][mid]
 					if int(row.hLast[h-1][mid]) < calc.HSlice || !upIn(mid, dst, arrive) {
@@ -362,7 +409,8 @@ func TestDPMatchesWalkEnumeration(t *testing.T) {
 		f := topo.MustFabric(cfg, tc.kind, 7)
 		for _, hSlice := range []int{1, 2, NewCalculator(f).HSlice} {
 			calc := NewCalculator(f)
-			calc.HSlice, calc.HMax = hSlice, 3
+			// Levels 1..3 are checked; level 4, the last, is pruned.
+			calc.HSlice, calc.HMax = hSlice, 4
 			w := newWalkOracle(f.Sched, hSlice)
 			for ts := 0; ts < f.Sched.S; ts++ {
 				tab := calc.Compute(ts)
@@ -371,7 +419,7 @@ func TestDPMatchesWalkEnumeration(t *testing.T) {
 						if src == dst {
 							continue
 						}
-						for h := 1; h <= calc.HMax; h++ {
+						for h := 1; h < calc.HMax; h++ {
 							wantEnd, wantHL := w.min(int64(ts), src, dst, h)
 							gotEnd, gotHL := tab.EndSlice(h, src, dst), int(tab.rows[src].hLast[h][dst])
 							if gotEnd != wantEnd || gotHL != wantHL {

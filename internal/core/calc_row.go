@@ -9,18 +9,25 @@ import "math"
 // scratch; switch-resource estimation (Table 2) samples a few; the
 // rotation-symmetric PathSet build runs one canonical source row per
 // starting slice, standing in for all N rotated sources.
+//
+// Level HMax is computed only where a group reads it. No level below HMax
+// reads it, and a destination that some lower level already reaches in
+// t_start keeps its whole group below HMax: latency 1 is the global minimum,
+// so entryLevels stops there (inStart). That destination's level-HMax cell
+// holds the "not computed" value — end −1, last −1, hLast 0, no ties — which
+// the source's own column holds at every level too, so a reused scratch
+// equals a fresh one cell for cell. A caller that reads level h of every
+// destination computes with HMax ≥ h+1.
 type RowTables struct {
 	N          int
 	HMax       int
 	Src        int
 	StartSlice int64
 
-	end   [][]int64   // [n][dst] absolute end slice; -1 where no path
+	end   [][]int64   // [n][dst] absolute end slice; -1 where no path or not computed
 	last  [][]int32   // last intermediate ToR of the primary solution
 	hLast [][]int8    // hops taken within the final slice
 	par   [][][]int32 // tied alternative last hops (excluding primary)
-
-	cand []int // extendRow scratch: eligible neighbours of one slice
 }
 
 // ComputeRow runs the DP for a single source ToR and starting slice.
@@ -41,7 +48,7 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 		t = &RowTables{}
 	}
 	if t.N != n || t.HMax != c.HMax {
-		*t = RowTables{N: n, HMax: c.HMax, cand: make([]int, 0, sched.D)}
+		*t = RowTables{N: n, HMax: c.HMax}
 		t.end = make([][]int64, c.HMax+1)
 		t.last = make([][]int32, c.HMax+1)
 		t.hLast = make([][]int8, c.HMax+1)
@@ -55,12 +62,11 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 	}
 	t.Src = src
 	t.StartSlice = int64(tstart)
-	// Every other column is rewritten below; the source's own stays -1 at
-	// every level, which is also what keeps src out of the intermediates in
-	// extendRow.
+	// Every other column is rewritten below; the source's own is "not
+	// computed" at every level, which is also what keeps src out of the
+	// intermediates in extendRow.
 	for h := 1; h <= c.HMax; h++ {
-		t.end[h][src] = -1
-		t.last[h][src] = -1
+		t.clear(h, src)
 	}
 	// n = 1: direct circuits (Fig 3b).
 	for dst := 0; dst < n; dst++ {
@@ -78,6 +84,16 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 	return t
 }
 
+// clear writes the "not computed" value into the level-h cell of dst.
+func (t *RowTables) clear(h, dst int) {
+	t.end[h][dst], t.last[h][dst], t.hLast[h][dst] = -1, -1, 0
+	t.par[h][dst] = t.par[h][dst][:0]
+}
+
+// inStart reports whether the n-hop path to dst ends in t_start: latency 1,
+// the global minimum, which no path of more hops improves on.
+func (t *RowTables) inStart(n, dst int) bool { return t.end[n][dst] == t.StartSlice }
+
 // extendRow computes DP level h of the row from level h-1 by scanning slice
 // adjacency instead of intermediates. The n-hop path src->dst through
 // intermediate m ends in the first slice t >= end[h-1][m] in which the
@@ -88,16 +104,20 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 // left) is the minimum end slice, and that slice's eligible neighbours are
 // exactly the tied intermediates: every other m ends later, every one of
 // them ends in t by minimality. Cost per pair: (latency in slices)·d
-// checks instead of N-2.
+// checks instead of N-2. At h = HMax, destinations a lower level reaches in
+// t_start are skipped (see RowTables).
 //
 // Tie selection replays the rule of a scan over all intermediates in
 // source-relative order (src+1, src+2, ... mod N): the first tied
 // intermediate is the primary; a later one leaving more slack in the final
 // slice (smaller hl) demotes the primary into the tie list; the rest join
-// the tie list under the MaxParallel-1 cap. That order is what makes tie
-// selection equivariant under ToR rotation — on a rotation-symmetric
-// schedule the row of src is exactly the rotated row of ToR 0, which the
-// symmetric PathSet build relies on.
+// the tie list under the MaxParallel-1 cap. A slice's neighbours of dst are
+// sorted ascending (NewCalculator), so that order is the run walked from its
+// first peer >= src, wrapping around; a pair two switches realize in the
+// slice is the same peer twice, adjacent in the run, and counts once. That
+// order is what makes tie selection equivariant under ToR rotation — on a
+// rotation-symmetric schedule the row of src is exactly the rotated row of
+// ToR 0, which the symmetric PathSet build relies on.
 func (c *Calculator) extendRow(t *RowTables, h int) {
 	n, d, s := t.N, c.F.Sched.D, c.F.Sched.S
 	src := t.Src
@@ -108,17 +128,39 @@ func (c *Calculator) extendRow(t *RowTables, h int) {
 	// reappears within S.
 	limit := t.StartSlice + int64(h)*int64(s)
 	cyc0 := int(t.StartSlice % int64(s))
+dsts:
 	for dst := 0; dst < n; dst++ {
 		if dst == src {
 			continue
 		}
-		cand := t.cand[:0] // cap d: only one slice's neighbours are ever held
+		if h == t.HMax {
+			for lower := 1; lower < h; lower++ {
+				if t.inStart(lower, dst) {
+					t.clear(h, dst)
+					continue dsts
+				}
+			}
+		}
+		// Reuse the tie list's backing array from the previous starting
+		// slice computed on this scratch.
+		ties := par[dst][:0]
+		bestLast, bestHL := int32(-1), int8(0)
 		at, cyc := t.StartSlice, cyc0
 		for {
-			for _, mid := range c.peers[(cyc*n+dst)*d : (cyc*n+dst+1)*d] {
+			run := c.peers[(cyc*n+dst)*d : (cyc*n+dst+1)*d]
+			i := 0
+			for i < d && int(run[i]) < src {
+				i++
+			}
+			prevMid := int32(-1)
+			for j := 0; j < d; j, i = j+1, i+1 {
+				if i == d {
+					i = 0
+				}
+				mid := run[i]
 				e1 := prevEnd[mid]
-				if e1 < 0 || e1 > at {
-					continue
+				if uint64(e1) > uint64(at) {
+					continue // not there by slice at (-1: no path at all)
 				}
 				hl := int8(1)
 				if e1 == at {
@@ -129,21 +171,23 @@ func (c *Calculator) extendRow(t *RowTables, h int) {
 					}
 					hl = prevHL[mid] + 1
 				}
-				// Insertion sort by source-relative scan position
-				// (mid - src) mod N, with hl in the low byte.
-				key := int(mid) - src
-				if key < 0 {
-					key += n
+				if mid == prevMid {
+					continue // the second switch realizing this pair
 				}
-				v := key<<8 | int(hl)
-				cand = append(cand, v)
-				i := len(cand) - 1
-				for ; i > 0 && cand[i-1] > v; i-- {
-					cand[i] = cand[i-1]
+				prevMid = mid
+				switch {
+				case bestLast < 0:
+					bestLast, bestHL = mid, hl
+				case hl < bestHL:
+					// Prefer the variant leaving slack in the final slice;
+					// demote the old primary to a tie.
+					ties = appendTie(ties, bestLast, maxTies)
+					bestLast, bestHL = mid, hl
+				default:
+					ties = appendTie(ties, mid, maxTies)
 				}
-				cand[i] = v
 			}
-			if len(cand) > 0 {
+			if bestLast >= 0 {
 				break
 			}
 			if at++; at >= limit {
@@ -151,31 +195,6 @@ func (c *Calculator) extendRow(t *RowTables, h int) {
 			}
 			if cyc++; cyc == s {
 				cyc = 0
-			}
-		}
-		// Reuse the tie list's backing array from the previous starting
-		// slice computed on this scratch.
-		ties := par[dst][:0]
-		var bestLast int32
-		var bestHL int8
-		for i, v := range cand {
-			mid := v>>8 + src
-			if mid >= n {
-				mid -= n
-			}
-			hl := int8(v)
-			switch {
-			case i == 0:
-				bestLast, bestHL = int32(mid), hl
-			case v == cand[i-1]:
-				// Two switches realize the same pair in this slice.
-			case hl < bestHL:
-				// Prefer the variant leaving slack in the final slice;
-				// demote the old primary to a tie.
-				ties = appendTie(ties, bestLast, maxTies)
-				bestLast, bestHL = int32(mid), hl
-			default:
-				ties = appendTie(ties, int32(mid), maxTies)
 			}
 		}
 		curEnd[dst] = at
@@ -193,29 +212,6 @@ func appendTie(ties []int32, v int32, max int) []int32 {
 	return append(ties, v)
 }
 
-// fill writes the hops of the n-hop primary path src->dst into hops[0:n],
-// walking the last links back from dst (iterative: reconstruction runs once
-// per retained path, so it must not pay call overhead per hop). Every
-// prefix src->mid also lives in this row.
-func (t *RowTables) fill(hops []Hop, n, dst int) bool {
-	for ; n >= 1; n-- {
-		e := t.end[n][dst]
-		if e < 0 {
-			return false
-		}
-		hops[n-1] = Hop{To: dst, Slice: e}
-		if n == 1 {
-			return true
-		}
-		mid := int(t.last[n][dst])
-		if mid < 0 {
-			return false
-		}
-		dst = mid
-	}
-	return false
-}
-
 // entryLevels appends to buf the hop counts that make it into the group of
 // dst: property 3 (§4.3) keeps a hop count only when its latency strictly
 // improves on every kept lower one.
@@ -228,8 +224,8 @@ func (t *RowTables) entryLevels(buf []int, dst int) []int {
 		}
 		buf = append(buf, n)
 		best = e
-		if e == t.StartSlice {
-			break // latency 1 is the global minimum: nothing to the right qualifies
+		if t.inStart(n, dst) {
+			break // nothing to the right qualifies
 		}
 	}
 	return buf

@@ -90,6 +90,7 @@ func TestBoundaryBytesSolvesEqn3(t *testing.T) {
 func TestTablesValid(t *testing.T) {
 	f := scaledFabric(t)
 	calc := NewCalculator(f)
+	calc.HMax++ // every level of the fabric's own bound lies below the pruned last one
 	for ts := 0; ts < f.Sched.S; ts++ {
 		tab := calc.Compute(ts)
 		if err := tab.validate(); err != nil {
@@ -204,6 +205,7 @@ func TestPaperFig3Example(t *testing.T) {
 func TestParallelPathsShareCost(t *testing.T) {
 	f := scaledFabric(t)
 	calc := NewCalculator(f)
+	calc.HMax++ // every level of the fabric's own bound lies below the pruned last one
 	tab := calc.Compute(0)
 	n := f.Sched.N
 	found := 0

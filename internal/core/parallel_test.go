@@ -73,9 +73,9 @@ func TestBuildPathSetDefaultMatchesSerial(t *testing.T) {
 // TestComputeIntoReuseMatchesFresh runs the DP over all starting slices on
 // one reused scratch and checks each level against a freshly allocated
 // computation: scratch reuse must never leak state from a previous slice.
-// The comparison is field-wise — tie lists are compared by content (a reused
-// empty list and a fresh nil list are both "no ties"), and hLast only where
-// a path exists, since it is meaningless on -1 entries.
+// Every cell is compared, the "not computed" ones too (the source's own
+// column, the last level's pruned cells); tie lists are compared by content
+// (a reused empty list and a fresh nil list are both "no ties").
 func TestComputeIntoReuseMatchesFresh(t *testing.T) {
 	fab := topo.MustFabric(topo.Scaled(), "random", 3)
 	calc := NewCalculator(fab)
@@ -91,16 +91,13 @@ func TestComputeIntoReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// diffRows compares two single-source DP rows field by field and describes
-// the first difference ("" when equal).
+// diffRows compares two single-source DP rows cell by cell, every field,
+// and describes the first difference ("" when equal).
 func diffRows(a, b *RowTables) string {
 	for h := 1; h <= b.HMax; h++ {
 		for dst := range b.end[h] {
 			if a.end[h][dst] != b.end[h][dst] {
 				return fmt.Sprintf("h=%d dst=%d: end %d vs %d", h, dst, a.end[h][dst], b.end[h][dst])
-			}
-			if b.end[h][dst] < 0 {
-				continue
 			}
 			if a.last[h][dst] != b.last[h][dst] {
 				return fmt.Sprintf("h=%d dst=%d: last %d vs %d", h, dst, a.last[h][dst], b.last[h][dst])

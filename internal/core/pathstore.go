@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"ucmp/internal/topo"
 )
@@ -79,14 +80,16 @@ type packer struct {
 	words []uint16
 	err   error
 
-	// Profile interning for the segment being written.
+	// Profile interning for the segment being written. byShape caches the
+	// profile id of every entry shape seen so far (recShape), so
+	// BuildBuckets and the profile key run once per shape, not per group.
 	profiles []profile
 	byKey    map[string]uint16
+	byShape  map[shapeKey]uint16
 	shape    Group  // BuildBuckets scratch: entries without paths
 	key      []byte // profile key scratch
 
 	levels []int // entryLevels scratch
-	hops   []Hop // path reconstruction scratch
 }
 
 func newPacker(f *topo.Fabric, m CostModel) *packer {
@@ -96,7 +99,7 @@ func newPacker(f *topo.Fabric, m CostModel) *packer {
 // begin starts a fresh segment in buf's storage, discarding its contents.
 func (p *packer) begin(buf []uint16) {
 	p.words = append(buf[:0], 0) // word 0 reserved: offset 0 means "no group"
-	p.profiles, p.byKey = nil, nil
+	p.profiles, p.byKey, p.byShape = nil, nil, nil
 }
 
 // segment returns what has been written since begin.
@@ -178,41 +181,99 @@ func (p *packer) group(t *RowTables, dst int) uint32 {
 
 // paths appends every retained n-hop minimum-latency path of the row for
 // dst (the primary plus its ties), each without its final hop, and returns
-// how many were written.
+// how many were written. What a path stores is the whole (n−1)-hop primary
+// path to its last intermediate.
 func (p *packer) paths(t *RowTables, n, dst int) int {
-	if cap(p.hops) < n {
-		p.hops = make([]Hop, n)
-	}
-	hops := p.hops[:n]
-	if !t.fill(hops, n, dst) {
+	if t.end[n][dst] < 0 {
 		return 0
 	}
-	p.path(hops[:n-1], t.StartSlice)
+	if n == 1 {
+		return 1
+	}
+	if !p.prefix(t, n-1, int(t.last[n][dst])) {
+		return 0
+	}
 	count := 1
 	for _, alt := range t.par[n][dst] {
-		if t.fill(hops[:n-1], n-1, int(alt)) {
-			p.path(hops[:n-1], t.StartSlice)
+		if p.prefix(t, n-1, int(alt)) {
 			count++
 		}
 	}
 	return count
 }
 
-// path appends the hops a record stores of a path: all but its final one,
-// which the caller leaves off.
-func (p *packer) path(hops []Hop, start int64) {
-	for _, h := range hops {
-		p.hop(h.To, h.Slice-start)
+// prefix appends the k hops of the row's k-hop primary path to m, walking
+// its last links back from m (iterative: it runs once per stored path, so it
+// must not pay call overhead per hop), and reports whether the row holds that
+// path; when it does not, nothing is appended.
+func (p *packer) prefix(t *RowTables, k, m int) bool {
+	at := len(p.words)
+	p.words = slices.Grow(p.words, 2*k)[:at+2*k]
+	for ; k >= 1; k-- {
+		if m < 0 || t.end[k][m] < 0 {
+			p.words = p.words[:at]
+			return false
+		}
+		p.words[at+2*k-2] = p.narrow("hop ToR", int64(m), math.MaxUint16)
+		p.words[at+2*k-1] = p.narrow("hop relative slice", t.end[k][m]-t.StartSlice, math.MaxUint16)
+		m = int(t.last[k][m])
 	}
+	return true
 }
 
 // seal computes the bucket structure of the finished record at off (§5.1:
 // the lower hull of its (hop, latency) points and the α-free thresholds),
-// interns it as a profile of the segment and stores the id in word 0.
+// interns it as a profile of the segment and stores the id in word 0. Ids
+// are numbered in the order their profiles are first sealed.
 func (p *packer) seal(off uint32) {
 	rec := p.words[off:]
+	shape, ok := recShape(rec)
+	if id, hit := p.byShape[shape]; ok && hit {
+		rec[0] = id
+		return
+	}
+	id := p.profileID(int(rec[1]), rec)
+	if ok {
+		if p.byShape == nil {
+			p.byShape = make(map[shapeKey]uint16)
+		}
+		p.byShape[shape] = id
+	}
+	rec[0] = id
+}
+
+// shapeKey is a record's entry shape, the whole input of its profile: per
+// entry the hop count (8 bits) and latency (16 bits) of its header — the
+// path count masked off — packed entry 0 lowest, and the entry count in the
+// top byte.
+type shapeKey [2]uint64
+
+// maxShapeEntries is the most entries a shapeKey holds: 5 × 24 bits below
+// the count byte.
+const maxShapeEntries = 5
+
+// recShape returns the record's shape key, or false when the record has more
+// entries than a key holds; those records are sealed uncached.
+func recShape(rec []uint16) (shapeKey, bool) {
+	e := int(rec[1])
+	if e > maxShapeEntries {
+		return shapeKey{}, false
+	}
+	var lo, hi uint64
+	for i := e - 1; i >= 0; i-- {
+		v := uint64(rec[recHeaderWords+2*i]&0xff)<<16 | uint64(rec[recHeaderWords+2*i+1])
+		hi = hi<<24 | lo>>40
+		lo = lo<<24 | v
+	}
+	return shapeKey{lo, hi | uint64(e)<<56}, true
+}
+
+// profileID builds the bucket structure of the record's e entries and
+// returns the id of the segment's equal profile, interning it first when it
+// is new.
+func (p *packer) profileID(e int, rec []uint16) uint16 {
 	p.shape.Entries = p.shape.Entries[:0]
-	for i, e := 0, int(rec[1]); i < e; i++ {
+	for i := 0; i < e; i++ {
 		h, _, lat := recEntry(rec, i)
 		p.shape.Entries = append(p.shape.Entries, Entry{HopCount: h, LatencySlices: lat})
 	}
@@ -225,19 +286,19 @@ func (p *packer) seal(off uint32) {
 		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(t))
 	}
 	p.key = key
-	id, ok := p.byKey[string(key)]
-	if !ok {
-		if p.byKey == nil {
-			p.byKey = make(map[string]uint16)
-		}
-		id = p.narrow("profile id", int64(len(p.profiles)), math.MaxUint16)
-		p.profiles = append(p.profiles, profile{
-			hull: append([]int(nil), p.shape.hull...),
-			thr:  append([]float64(nil), p.shape.thrFree...),
-		})
-		p.byKey[string(key)] = id
+	if id, ok := p.byKey[string(key)]; ok {
+		return id
 	}
-	rec[0] = id
+	if p.byKey == nil {
+		p.byKey = make(map[string]uint16)
+	}
+	id := p.narrow("profile id", int64(len(p.profiles)), math.MaxUint16)
+	p.profiles = append(p.profiles, profile{
+		hull: append([]int(nil), p.shape.hull...),
+		thr:  append([]float64(nil), p.shape.thrFree...),
+	})
+	p.byKey[string(key)] = id
+	return id
 }
 
 // groupWords counts the record words of every group of one DP row, for

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -227,6 +228,71 @@ func TestPackerGuardsDPRows(t *testing.T) {
 		if p.err == nil || !strings.Contains(p.err.Error(), `"`+c.field+`"`) {
 			t.Fatalf("group(%d) from t_start %d: err = %v, want field %q", c.dst, c.start, p.err, c.field)
 		}
+	}
+}
+
+// TestSealCachesProfilesByShape re-seals every record of every brute-force
+// segment of the calc_oracle_test fabrics on a fresh packer. The shape cache
+// must hold one id per distinct (hop count, latency) entry sequence — records
+// that differ only in path counts share a line — and every id must be the one
+// the build stored and the one a seal without the cache interns, in order.
+// A record with more entries than a shape key holds is sealed uncached.
+func TestSealCachesProfilesByShape(t *testing.T) {
+	sharedShapes := 0
+	for _, of := range oracleFabrics() {
+		ps := BuildPathSetOpts(of.f, 0.5, BuildOptions{NoSymmetry: true})
+		for ts, seg := range ps.segs {
+			p, ref := newPacker(of.f, ps.Model), newPacker(of.f, ps.Model)
+			p.begin(nil)
+			ref.begin(nil)
+			counts := map[string]string{} // shape -> path counts of its first record
+			for off := 1; off < len(seg.words); off += recLen(seg.words[off:]) {
+				rec := seg.words[off:][:recLen(seg.words[off:])]
+				var shape, paths string
+				for i := 0; i < int(rec[1]); i++ {
+					h, n, lat := recEntry(rec, i)
+					shape += fmt.Sprintf("%d/%d ", h, lat)
+					paths += fmt.Sprintf("%d ", n)
+				}
+				if first, ok := counts[shape]; !ok {
+					counts[shape] = paths
+				} else if first != paths {
+					sharedShapes++
+				}
+				at := p.offset()
+				p.words = append(p.words, rec...)
+				p.words[at] = 0
+				p.seal(at)
+				if got, uncached := p.words[at], ref.profileID(int(rec[1]), rec); got != rec[0] || uncached != rec[0] {
+					t.Fatalf("%s ts=%d record at %d: sealed id %d, uncached %d, built %d", of.name, ts, off, got, uncached, rec[0])
+				}
+			}
+			if len(p.byShape) != len(counts) {
+				t.Fatalf("%s ts=%d: shape cache holds %d ids for %d entry shapes", of.name, ts, len(p.byShape), len(counts))
+			}
+		}
+	}
+	if sharedShapes == 0 {
+		t.Fatal("no two records share a shape with different path counts: the mask is untested")
+	}
+
+	f := oracleFabrics()[0].f
+	p := newPacker(f, model(f, 0.5))
+	p.begin(nil)
+	var ids []uint16
+	for _, paths := range []int{1, 2} {
+		off := p.offset()
+		at := p.header(maxShapeEntries + 1)
+		for i := 0; i <= maxShapeEntries; i++ {
+			p.setEntry(at, i, i+1, paths, int64(2*maxShapeEntries-i))
+			p.words = append(p.words, make([]uint16, 2*i*paths)...)
+		}
+		p.seal(off)
+		ids = append(ids, p.words[off])
+	}
+	if p.err != nil || len(p.byShape) != 0 || len(p.profiles) != 1 || ids[0] != 0 || ids[1] != 0 {
+		t.Fatalf("two %d-entry records of one shape: ids %v, %d profiles, %d cached shapes, err %v",
+			maxShapeEntries+1, ids, len(p.profiles), len(p.byShape), p.err)
 	}
 }
 

@@ -87,7 +87,9 @@ func (t *Tables) ParallelPaths(n, src, dst int) []*Path {
 	return t.rows[src].parallelPaths(n, dst)
 }
 
-// sanity check used by tests: the DP tables must describe valid paths.
+// sanity check used by tests: the DP tables must describe valid paths, at
+// every level for every pair but the last level's pruned cells, which must
+// describe none.
 func (t *Tables) validate() error {
 	for n := 1; n <= t.HMax; n++ {
 		for src := 0; src < t.N; src++ {
@@ -96,8 +98,11 @@ func (t *Tables) validate() error {
 					continue
 				}
 				p := t.Path(n, src, dst)
+				if pruned := lastLevelPruned(&t.rows[src], n, dst); pruned != (p == nil) {
+					return fmt.Errorf("core: %d-hop path %d->%d is %v, on a cell pruned=%v", n, src, dst, p, pruned)
+				}
 				if p == nil {
-					return fmt.Errorf("core: missing %d-hop path %d->%d", n, src, dst)
+					continue
 				}
 				if err := p.Validate(); err != nil {
 					return err
@@ -134,4 +139,26 @@ func (t *RowTables) parallelPaths(n, dst int) []*Path {
 		}
 	}
 	return out
+}
+
+// fill writes the hops of the n-hop primary path src->dst into hops[0:n],
+// walking the last links back from dst. Every prefix src->mid also lives in
+// this row.
+func (t *RowTables) fill(hops []Hop, n, dst int) bool {
+	for ; n >= 1; n-- {
+		e := t.end[n][dst]
+		if e < 0 {
+			return false
+		}
+		hops[n-1] = Hop{To: dst, Slice: e}
+		if n == 1 {
+			return true
+		}
+		mid := int(t.last[n][dst])
+		if mid < 0 {
+			return false
+		}
+		dst = mid
+	}
+	return false
 }

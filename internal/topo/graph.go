@@ -121,19 +121,69 @@ func buildPath(prev []int, src, dst int) []int {
 // Diameter returns the maximum finite BFS distance over all pairs, or -1 if
 // the graph is disconnected.
 func (g *Graph) Diameter() int {
-	dist, queue := make([]int, g.N), make([]int, 0, g.N)
-	diam := 0
-	for src := 0; src < g.N; src++ {
-		for _, d := range g.BFSInto(src, dist, queue) {
-			if d < 0 {
-				return -1
+	d, _ := g.diameterInto(nil)
+	return d
+}
+
+// diameterInto is Diameter as a breadth-first search from every source at
+// once, on the caller's bitset scratch (grown as needed and returned). After
+// round r, the set of ToR v holds every ToR within r hops of it: its own set
+// ORed with its neighbours' sets of round r−1. The diameter is the first
+// round in which every set is full; a round that adds nothing to any set
+// means some ToR never reaches another, and the answer is −1.
+func (g *Graph) diameterInto(buf []uint64) (int, []uint64) {
+	n, w := g.N, (g.N+63)/64
+	if cap(buf) < 2*n*w {
+		buf = make([]uint64, 2*n*w)
+	}
+	cur, next := buf[:n*w], buf[n*w:2*n*w]
+	clear(cur)
+	for v := 0; v < n; v++ {
+		cur[v*w+v/64] |= 1 << (v % 64)
+	}
+	// A full set is w−1 all-ones words and a last word with n's tail bits.
+	tail := ^uint64(0)
+	if n%64 != 0 {
+		tail = 1<<(n%64) - 1
+	}
+	for round := 0; ; round++ {
+		full := true
+		for v := 0; v < n && full; v++ {
+			full = isFull(cur[v*w:(v+1)*w], tail)
+		}
+		if full {
+			return round, buf
+		}
+		grew := false
+		for v := 0; v < n; v++ {
+			set, old := next[v*w:(v+1)*w], cur[v*w:(v+1)*w]
+			copy(set, old)
+			for _, u := range g.Adj[v] {
+				for i, x := range cur[u*w : (u+1)*w] {
+					set[i] |= x
+				}
 			}
-			if d > diam {
-				diam = d
+			if !grew && !slices.Equal(set, old) {
+				grew = true
 			}
 		}
+		if !grew {
+			return -1, buf
+		}
+		cur, next = next, cur
 	}
-	return diam
+}
+
+// isFull reports whether a reach set holds every ToR: all words but the
+// last all ones, the last equal to tail.
+func isFull(set []uint64, tail uint64) bool {
+	last := len(set) - 1
+	for _, x := range set[:last] {
+		if x != ^uint64(0) {
+			return false
+		}
+	}
+	return set[last] == tail
 }
 
 // MaxDiameter returns h_static (Appendix B): the maximum diameter over all
@@ -141,8 +191,10 @@ func (g *Graph) Diameter() int {
 // contribute the node count as a conservative bound.
 func (s *Schedule) MaxDiameter() int {
 	max := 0
+	var buf []uint64
 	for sl := 0; sl < s.S; sl++ {
-		d := s.SliceGraph(sl).Diameter()
+		var d int
+		d, buf = s.SliceGraph(sl).diameterInto(buf)
 		if d < 0 {
 			d = s.N
 		}

@@ -356,6 +356,49 @@ func TestBFSIntoMatchesBFS(t *testing.T) {
 	}
 }
 
+// bfsDiameter is the per-source oracle for Diameter: one BFS from every ToR,
+// the largest distance found, −1 once some ToR is unreachable.
+func bfsDiameter(g *Graph) int {
+	diam := 0
+	for src := 0; src < g.N; src++ {
+		for _, d := range g.BFS(src) {
+			if d < 0 {
+				return -1
+			}
+			diam = max(diam, d)
+		}
+	}
+	return diam
+}
+
+// TestDiameterMatchesBFS: the all-sources bitset search gives the diameter
+// per-source BFS gives on every slice graph and stable slice graph of the
+// three schedule generators — across word boundaries of the bitsets (16, 64
+// and 108 ToRs) — and −1 on disconnected graphs.
+func TestDiameterMatchesBFS(t *testing.T) {
+	for _, nd := range [][2]int{{16, 4}, {64, 4}, {108, 6}} {
+		n, d := nd[0], nd[1]
+		for _, s := range []*Schedule{RoundRobin(n, d), Opera(n, d), Random(n, d, 3)} {
+			for sl := 0; sl < s.S; sl++ {
+				for kind, g := range map[string]*Graph{"slice": s.SliceGraph(sl), "stable": s.StableSliceGraph(sl)} {
+					if got, want := g.Diameter(), bfsDiameter(g); got != want {
+						t.Fatalf("%s(%d,%d) %s graph %d: Diameter %d, BFS %d", s.Kind, n, d, kind, sl, got, want)
+					}
+				}
+			}
+		}
+	}
+	// Two 5-cycles: connected inside, never across.
+	g := &Graph{N: 10, Adj: make([][]int, 10)}
+	for v := 0; v < 10; v++ {
+		base := v / 5 * 5
+		g.Adj[v] = []int{base + (v+1)%5, base + (v+4)%5}
+	}
+	if got := g.Diameter(); got != -1 || bfsDiameter(g) != -1 {
+		t.Fatalf("disconnected graph: Diameter %d, BFS %d, want -1", got, bfsDiameter(g))
+	}
+}
+
 // TestDiameterAllocsConstant: the all-pairs diameter allocates one scratch
 // per call, not one per source, at any N.
 func TestDiameterAllocsConstant(t *testing.T) {
