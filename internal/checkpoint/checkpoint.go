@@ -28,11 +28,15 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
+	"time"
 )
 
 const (
@@ -97,18 +101,48 @@ func fnv64(h uint64, b []byte) uint64 {
 	return h
 }
 
+// blockSize is the unit a section body grows by. An Encoder appends into
+// blocks of this size and never copies a filled one, so a body costs what it
+// holds plus at most one partly filled block.
+const blockSize = 64 << 10
+
 // Encoder appends primitive values to a section body. All integers are
 // little-endian and fixed-width: simplicity and a stable format over
-// compactness — checkpoints are overwritten, not archived.
+// compactness — checkpoints are overwritten, not archived. A fixed-width
+// value never straddles two blocks (a block may end a few bytes short); a
+// string may. Encoders come from Writer.Section.
 type Encoder struct {
-	buf []byte
+	w    *Writer
+	full [][]byte // filled blocks, in order
+	cur  []byte   // the block being appended to
 }
 
-func (e *Encoder) U8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *Encoder) I32(v int32)  { e.U32(uint32(v)) }
-func (e *Encoder) I64(v int64)  { e.U64(uint64(v)) }
+// room makes sure the current block has n bytes free, starting a new one
+// when it has not.
+func (e *Encoder) room(n int) {
+	if cap(e.cur)-len(e.cur) >= n {
+		return
+	}
+	if len(e.cur) > 0 {
+		e.full = append(e.full, e.cur)
+	}
+	e.cur = e.w.block()
+}
+
+func (e *Encoder) U8(v uint8) {
+	e.room(1)
+	e.cur = append(e.cur, v)
+}
+func (e *Encoder) U32(v uint32) {
+	e.room(4)
+	e.cur = binary.LittleEndian.AppendUint32(e.cur, v)
+}
+func (e *Encoder) U64(v uint64) {
+	e.room(8)
+	e.cur = binary.LittleEndian.AppendUint64(e.cur, v)
+}
+func (e *Encoder) I32(v int32) { e.U32(uint32(v)) }
+func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
 func (e *Encoder) F64(v float64) {
 	e.U64(math.Float64bits(v))
 }
@@ -120,12 +154,33 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 func (e *Encoder) Str(s string) {
-	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
+	e.Len(len(s))
+	for len(s) > 0 {
+		e.room(1)
+		n := copy(e.cur[len(e.cur):cap(e.cur)], s)
+		e.cur = e.cur[:len(e.cur)+n]
+		s = s[n:]
+	}
 }
 
-// Len encodes a collection length.
-func (e *Encoder) Len(n int) { e.U32(uint32(n)) }
+// Len encodes a collection length. A length the u32 prefix cannot hold is
+// the writer's error, which Save returns: written truncated, it would be a
+// wrong count inside a correctly checksummed file.
+func (e *Encoder) Len(n int) {
+	if uint64(n) > math.MaxUint32 {
+		e.w.fail(fmt.Errorf("checkpoint: length %d does not fit the u32 prefix", n))
+	}
+	e.U32(uint32(n))
+}
+
+// size is the body length in bytes.
+func (e *Encoder) size() int {
+	n := len(e.cur)
+	for _, b := range e.full {
+		n += len(b)
+	}
+	return n
+}
 
 // Decoder reads a section body back. Errors are sticky: the first bounds
 // violation poisons the decoder, every later read returns zero values, and
@@ -203,10 +258,16 @@ func (d *Decoder) Len() int {
 // Err returns the first decode failure, or nil.
 func (d *Decoder) Err() error { return d.err }
 
-// Writer accumulates named sections for one checkpoint file.
+// Writer accumulates named sections for one checkpoint file. One writer
+// serves a whole run: Reset empties it between checkpoints and keeps its
+// blocks, so writing stops allocating once the largest checkpoint so far has
+// been written.
 type Writer struct {
 	names []string
 	encs  []*Encoder
+	free  [][]byte // empty blocks kept by Reset, handed out before new ones
+	frame []byte   // scratch for one section frame
+	err   error    // first encode failure; Save and Encode report it
 }
 
 // NewWriter returns an empty writer.
@@ -220,45 +281,139 @@ func (w *Writer) Section(name string) *Encoder {
 			return w.encs[i]
 		}
 	}
-	e := &Encoder{}
+	e := &Encoder{w: w}
 	w.names = append(w.names, name)
 	w.encs = append(w.encs, e)
 	return e
 }
 
-// Encode assembles the complete file image.
-func (w *Writer) Encode() []byte {
-	payload := make([]byte, 0, 4096)
-	for i, name := range w.names {
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(name)))
-		payload = append(payload, name...)
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(w.encs[i].buf)))
-		payload = append(payload, w.encs[i].buf...)
+// Reset empties the writer for the next checkpoint: no sections and no
+// error, exactly as NewWriter returns it, but with every block its sections
+// held kept for reuse. An encoder handed out before Reset must not be used
+// after it.
+func (w *Writer) Reset() {
+	for _, e := range w.encs {
+		for _, b := range e.full {
+			w.free = append(w.free, b[:0])
+		}
+		if cap(e.cur) > 0 {
+			w.free = append(w.free, e.cur[:0])
+		}
+		*e = Encoder{}
 	}
-	out := make([]byte, 0, headerSize+len(payload))
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, version)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.names)))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint64(out, fnv64(fnvOffset, payload))
-	out = binary.LittleEndian.AppendUint64(out, fnv64(fnvOffset, out))
-	return append(out, payload...)
+	clear(w.encs)
+	w.names, w.encs, w.err = w.names[:0], w.encs[:0], nil
 }
+
+// block returns an empty block, a kept one if there is any.
+func (w *Writer) block() []byte {
+	if n := len(w.free); n > 0 {
+		b := w.free[n-1]
+		w.free = w.free[:n-1]
+		return b
+	}
+	return make([]byte, 0, blockSize)
+}
+
+func (w *Writer) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+// payload hands the payload to fn piece by piece, in file order: for each
+// section its frame { u32 nameLen, name, u64 bodyLen }, then its blocks.
+func (w *Writer) payload(fn func([]byte) error) error {
+	for i, e := range w.encs {
+		name := w.names[i]
+		f := binary.LittleEndian.AppendUint32(w.frame[:0], uint32(len(name)))
+		f = append(f, name...)
+		f = binary.LittleEndian.AppendUint64(f, uint64(e.size()))
+		w.frame = f
+		if err := fn(f); err != nil {
+			return err
+		}
+		for _, b := range e.full {
+			if err := fn(b); err != nil {
+				return err
+			}
+		}
+		if len(e.cur) > 0 {
+			if err := fn(e.cur); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// writeTo streams the complete file to out: the header, whose length and
+// checksum come from a first pass over the payload, then the payload itself
+// straight from the section blocks.
+func (w *Writer) writeTo(out io.Writer) error {
+	if w.err != nil {
+		return w.err
+	}
+	var plen uint64
+	sum := uint64(fnvOffset)
+	w.payload(func(b []byte) error {
+		plen += uint64(len(b))
+		sum = fnv64(sum, b)
+		return nil
+	})
+	var hdr [headerSize]byte
+	h := append(hdr[:0], magic...)
+	h = binary.LittleEndian.AppendUint32(h, version)
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(w.names)))
+	h = binary.LittleEndian.AppendUint64(h, plen)
+	h = binary.LittleEndian.AppendUint64(h, sum)
+	h = binary.LittleEndian.AppendUint64(h, fnv64(fnvOffset, h))
+	if _, err := out.Write(h); err != nil {
+		return err
+	}
+	return w.payload(func(b []byte) error {
+		_, err := out.Write(b)
+		return err
+	})
+}
+
+// Encode returns the complete file image, the bytes Save writes, or nil
+// after an encode failure.
+func (w *Writer) Encode() []byte {
+	var b bytes.Buffer
+	if w.writeTo(&b) != nil {
+		return nil
+	}
+	return b.Bytes()
+}
+
+// tempPrefix names the staging files Save writes before the rename;
+// staleTempAge is how old one must be before Save takes it for the debris of
+// a writer killed mid-Save rather than a save in flight.
+const (
+	tempPrefix   = ".ucmpckp-"
+	staleTempAge = 10 * time.Minute
+)
 
 // Save writes the checkpoint to path atomically (temp file + rename),
 // creating the directory if needed. A crash at any point leaves either the
-// previous file or the new one, never a torn mix.
+// previous file or the new one, never a torn mix. Save also removes stale
+// staging files from the directory, and reports an encode failure (a
+// length past u32) instead of writing.
 func (w *Writer) Save(path string) error {
-	img := w.Encode()
+	if w.err != nil {
+		return w.err
+	}
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".ucmpckp-*")
+	cleanStaleTemps(dir)
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(img); err != nil {
+	if err := w.writeTo(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("checkpoint: %w", err)
@@ -272,6 +427,25 @@ func (w *Writer) Save(path string) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
+}
+
+// cleanStaleTemps removes staging files a killed Save left behind. It never
+// touches one younger than staleTempAge — a concurrent Save (a sweep's
+// trials share the directory) may still be writing it — and ignores every
+// failure: cleanup is hygiene, not correctness.
+func cleanStaleTemps(dir string) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range ents {
+		if !strings.HasPrefix(e.Name(), tempPrefix) {
+			continue
+		}
+		if info, err := e.Info(); err == nil && time.Since(info.ModTime()) >= staleTempAge {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 }
 
 // File is a loaded, fully validated checkpoint.

@@ -118,13 +118,13 @@ func TestDecoderSticky(t *testing.T) {
 // A corrupted length prefix fails the decode instead of driving a giant
 // allocation: Len and Str both reject counts exceeding the remaining bytes.
 func TestLenBounds(t *testing.T) {
-	e := &Encoder{}
+	e := NewWriter().Section("x")
 	e.U32(math.MaxUint32)
-	d := &Decoder{buf: e.buf}
+	d := &Decoder{buf: body(e)}
 	if n := d.Len(); n != 0 || d.Err() == nil {
 		t.Fatalf("oversized Len accepted: %d, %v", n, d.Err())
 	}
-	d = &Decoder{buf: e.buf}
+	d = &Decoder{buf: body(e)}
 	if s := d.Str(); s != "" || d.Err() == nil {
 		t.Fatalf("oversized Str accepted: %q, %v", s, d.Err())
 	}

@@ -54,8 +54,14 @@ func configKey(cfg SimConfig, flows []*netsim.Flow) string {
 // checkpoint file, atomically replacing the previous snapshot. Failures
 // (full disk, read-only directory, an unserializable model) degrade to a
 // stderr warning — losing a checkpoint must never kill the run it protects.
+// The run's one Writer is reset and refilled each time, so a checkpoint
+// allocates about nothing once the largest so far has been written.
 func (st *simState) writeCheckpoint(key string) {
-	w := checkpoint.NewWriter()
+	if st.ckpt == nil {
+		st.ckpt = checkpoint.NewWriter()
+	}
+	w := st.ckpt
+	w.Reset()
 	w.Section("config").Str(key)
 	if err := st.net.Snapshot(w); err != nil {
 		fmt.Fprintf(os.Stderr, "harness: checkpoint skipped: %v\n", err)

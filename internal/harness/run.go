@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 
+	"ucmp/internal/checkpoint"
 	"ucmp/internal/failure"
 	"ucmp/internal/metrics"
 	"ucmp/internal/netsim"
@@ -269,6 +270,7 @@ type simState struct {
 	shardNote string
 	pathSet   PathSetInfo
 	horizon   sim.Time
+	ckpt      *checkpoint.Writer // writeCheckpoint's, reused across checkpoints
 }
 
 // Run executes the simulation.

@@ -95,15 +95,14 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 	ev := w.Section("events")
 	ev.Len(len(n.doms))
 	for _, d := range n.doms {
-		descs, err := d.eng.SnapshotEvents()
+		descs, err := d.eng.SnapshotEvents(n.snapDescs[:0])
+		if err == nil {
+			err = encodeEvents(ev, descs)
+		}
+		clear(descs) // descriptors carry packets
+		n.snapDescs = descs[:0]
 		if err != nil {
 			return err
-		}
-		ev.Len(len(descs))
-		for i := range descs {
-			if err := encodeEventDesc(ev, &descs[i]); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -698,6 +697,17 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 			return fmt.Errorf("checkpoint: no handler for event kind %d", tag.Kind)
 		}
 		return ext(d.eng, at, tag, timer, armed, deadline)
+	}
+	return nil
+}
+
+// encodeEvents writes one domain's pending-event descriptors, count first.
+func encodeEvents(e *checkpoint.Encoder, descs []sim.EventDesc) error {
+	e.Len(len(descs))
+	for i := range descs {
+		if err := encodeEventDesc(e, &descs[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

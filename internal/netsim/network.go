@@ -200,6 +200,9 @@ type Network struct {
 	// restoredWaiters buffers the RotorLB credit callbacks decoded from a
 	// checkpoint until the transport re-parks them (checkpoint.go).
 	restoredWaiters []RestoredRotorWaiter
+	// snapDescs is Snapshot's event-descriptor buffer, kept between
+	// checkpoints and cleared after each use so it pins no packet.
+	snapDescs []sim.EventDesc
 }
 
 // New wires up a serial network. Call Start before Run to arm the slice

@@ -189,11 +189,11 @@ func TestDeferSharded(t *testing.T) {
 func TestDeferRefusesSnapshot(t *testing.T) {
 	e := NewEngine()
 	e.Defer(func() {})
-	if _, err := e.SnapshotEvents(); err == nil {
+	if _, err := e.SnapshotEvents(nil); err == nil {
 		t.Fatal("snapshot with a deferred call outstanding was accepted")
 	}
 	e.RunAll()
-	if _, err := e.SnapshotEvents(); err != nil {
+	if _, err := e.SnapshotEvents(nil); err != nil {
 		t.Fatalf("snapshot after the drain: %v", err)
 	}
 }

@@ -16,7 +16,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 )
 
 // Time is a simulated instant in nanoseconds since the start of the run.
@@ -177,6 +179,9 @@ type Engine struct {
 	// deferred holds the end-of-instant calls registered by Defer, in
 	// registration order; empty outside an instant that registered one.
 	deferred []func()
+	// snap is SnapshotEvents' scratch, kept between snapshots. It stays
+	// last: the fields above are the event loop's.
+	snap []*event
 }
 
 // NewEngine returns an engine positioned at time zero, backed by the
@@ -314,40 +319,34 @@ func (e *Engine) At1Tag(t Time, tag EventTag, fn func(any), arg any) {
 	e.push(event{at: t, seq: e.seq, fn1: fn, arg: arg, tag: tag})
 }
 
-// SnapshotEvents drains the queue, re-encodes every pending event as an
-// EventDesc in (at, seq) order, and rebuilds the queue so the continuing run
-// is untouched. Dead timer occurrences (generation superseded by a Reset)
-// are re-queued but produce no descriptor: on a restored engine the timers
-// start at generation zero with at most one live occurrence each, and the
-// only divergence is the DeadPops diagnostic counter.
+// SnapshotEvents appends every pending event, re-encoded as an EventDesc, to
+// buf in (at, seq) order — the order the events would pop in — and returns
+// the extended slice. It is a pure read: the queue is walked where it lies,
+// nothing is popped or re-placed, and the continuing run, its SchedStats
+// included, is exactly what it would have been without the snapshot. Dead
+// timer occurrences (generation superseded by a Reset) produce no
+// descriptor: on a restored engine the timers start at generation zero with
+// at most one live occurrence each, and the only divergence is the DeadPops
+// diagnostic counter.
 //
 // An untagged pending event (or timer) makes the snapshot unusable — the
 // restore side could not rebuild its closure — so an error is returned; the
-// queue is still rebuilt and the engine remains fully usable.
-func (e *Engine) SnapshotEvents() ([]EventDesc, error) {
-	drained := make([]event, 0, e.Pending())
-	for {
-		var ev event
-		if !e.popLE(maxTime, &ev) {
-			break
-		}
-		drained = append(drained, ev)
-	}
-	descs := make([]EventDesc, 0, len(drained))
+// engine is untouched either way.
+func (e *Engine) SnapshotEvents(buf []EventDesc) ([]EventDesc, error) {
 	var err error
 	if len(e.deferred) > 0 {
 		// Run drains them before it returns, so only a Defer made between
 		// runs gets here; a closure is nothing a descriptor can carry.
 		err = fmt.Errorf("sim: %d deferred call(s) outstanding at %v cannot be checkpointed", len(e.deferred), e.now)
 	}
-	for i := range drained {
-		ev := &drained[i]
+	pending := e.pendingInOrder()
+	for _, ev := range pending {
 		switch {
 		case ev.fn != nil, ev.fn1 != nil:
 			if ev.tag.Kind == 0 && err == nil {
 				err = fmt.Errorf("sim: untagged pending event at %v cannot be checkpointed", ev.at)
 			}
-			descs = append(descs, EventDesc{At: ev.at, Tag: ev.tag, Arg: ev.arg})
+			buf = append(buf, EventDesc{At: ev.at, Tag: ev.tag, Arg: ev.arg})
 		default:
 			tm := ev.arg.(*Timer)
 			if ev.tgen != tm.gen {
@@ -356,29 +355,36 @@ func (e *Engine) SnapshotEvents() ([]EventDesc, error) {
 			if tm.tag.Kind == 0 && err == nil {
 				err = fmt.Errorf("sim: untagged pending timer at %v cannot be checkpointed", ev.at)
 			}
-			descs = append(descs, EventDesc{
+			buf = append(buf, EventDesc{
 				At: ev.at, Tag: tm.tag,
 				Timer: true, Armed: tm.armed, Deadline: tm.at,
 			})
 		}
 	}
-	// Rebuild the queue for the continuing run: every drained event goes
-	// back verbatim — original seqs and generations, dead occurrences
-	// included (a timer's queued bookkeeping depends on its occurrence
-	// eventually surfacing). Re-pushing in (at, seq) order preserves pop
-	// order on both backends; only cascade/high-water diagnostics shift.
+	clear(pending) // the scratch must not pin a queue array the run replaces
+	e.snap = pending[:0]
+	return buf, err
+}
+
+// pendingInOrder points at every queued event, lazily-deleted timer
+// occurrences included, sorted by (at, seq). The pointers are into the queue
+// itself and stay valid until the engine next schedules or pops.
+func (e *Engine) pendingInOrder() []*event {
+	evs := e.snap[:0]
 	if e.wheel != nil {
-		fresh := newTimingWheel()
-		fresh.cascades = e.wheel.cascades
-		fresh.overflowPushes = e.wheel.overflowPushes
-		e.wheel = fresh
+		evs = e.wheel.appendPending(evs)
 	} else {
-		e.heap = e.heap[:0]
+		for i := range e.heap {
+			evs = append(evs, &e.heap[i])
+		}
 	}
-	for i := range drained {
-		e.push(drained[i])
-	}
-	return descs, err
+	slices.SortFunc(evs, func(a, b *event) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	return evs
 }
 
 // Restore positions a freshly built engine at a checkpoint's virtual time

@@ -215,6 +215,33 @@ func (w *timingWheel) cascade(l, slot int) {
 	}
 }
 
+// appendPending appends a pointer to every queued event — each occupied
+// slot list at every level, then the overflow heap — in no particular order
+// and without touching any wheel state.
+func (w *timingWheel) appendPending(evs []*event) []*event {
+	list := func(sl wslot) {
+		for n := sl.head; n >= 0; n = w.nodes[n].next {
+			evs = append(evs, &w.nodes[n].ev)
+		}
+	}
+	for word, m := range w.occ0 {
+		for ; m != 0; m &= m - 1 {
+			list(w.slots0[word<<6+bits.TrailingZeros64(m)])
+		}
+	}
+	for l := range w.occ {
+		for word, m := range w.occ[l] {
+			for ; m != 0; m &= m - 1 {
+				list(w.slots[l][word<<6+bits.TrailingZeros64(m)])
+			}
+		}
+	}
+	for i := range w.overflow {
+		evs = append(evs, &w.overflow[i])
+	}
+	return evs
+}
+
 // migrate moves the overflow events of the next top-level window into the
 // wheels. Only called when every wheel level is empty, so list order in
 // the target slots is exactly the (at, seq) order the heap pops in.
