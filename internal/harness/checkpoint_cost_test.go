@@ -18,36 +18,33 @@ import (
 func TestCheckpointingIsPureRead(t *testing.T) {
 	defer func(was bool) { CollectSchedStats = was }(CollectSchedStats)
 	CollectSchedStats = true
-	for _, q := range []sim.QueueKind{sim.QueueWheel, sim.QueueHeap} {
-		cfg := ScaledConfig(UCMP, transport.NDP, "websearch")
-		cfg.Duration = sim.Millisecond
-		cfg.Queue = q
-		TakeSchedStats()
-		plain, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plainStats := TakeSchedStats()
+	cfg := ScaledConfig(UCMP, transport.NDP, "websearch")
+	cfg.Duration = sim.Millisecond
+	TakeSchedStats()
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainStats := TakeSchedStats()
 
-		cfg.CheckpointDir = t.TempDir()
-		cfg.CheckpointEvery = midSlice(cfg.Topo.SliceDuration)
-		ck, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckStats := TakeSchedStats()
-		if ents, err := os.ReadDir(cfg.CheckpointDir); err != nil || len(ents) != 1 {
-			t.Fatalf("queue %d: want one checkpoint file, got %v (%v)", q, ents, err)
-		}
-		if got, want := ckptFingerprint(t, ck), ckptFingerprint(t, plain); got != want {
-			t.Fatalf("queue %d: checkpointing perturbed the run", q)
-		}
-		if ckStats != plainStats {
-			t.Fatalf("queue %d: checkpointing moved the scheduler counters:\n checkpointing %+v\n plain         %+v", q, ckStats, plainStats)
-		}
-		if q == sim.QueueWheel && plainStats.Cascades == 0 {
-			t.Fatal("the wheel never cascaded: nothing was compared")
-		}
+	cfg.CheckpointDir = t.TempDir()
+	cfg.CheckpointEvery = midSlice(cfg.Topo.SliceDuration)
+	ck, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckStats := TakeSchedStats()
+	if ents, err := os.ReadDir(cfg.CheckpointDir); err != nil || len(ents) != 1 {
+		t.Fatalf("want one checkpoint file, got %v (%v)", ents, err)
+	}
+	if got, want := ckptFingerprint(t, ck), ckptFingerprint(t, plain); got != want {
+		t.Fatal("checkpointing perturbed the run")
+	}
+	if ckStats != plainStats {
+		t.Fatalf("checkpointing moved the scheduler counters:\n checkpointing %+v\n plain         %+v", ckStats, plainStats)
+	}
+	if plainStats.Cascades == 0 {
+		t.Fatal("the wheel never cascaded: nothing was compared")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -65,6 +66,22 @@ func ckptCases() []ckptCase {
 		cases[i].cfg.Seed = int64(31 + i)
 	}
 	return cases
+}
+
+// fingerprint renders everything observable about a run — per-flow FCT
+// trace, the full counter set (packet-conservation ledger included),
+// event count, and fairness — as one string, so run equivalence is a
+// bytewise comparison.
+func fingerprint(r *Result) string {
+	out := fmt.Sprintf("counters=%+v\nevents=%d\njain=%.12f\nefficiency=%.12f\nlaunched=%d\n",
+		r.Counters, r.Events, r.JainCumulative, r.Efficiency, r.Launched)
+	fl := append(r.Flows[:0:0], r.Flows...)
+	sort.Slice(fl, func(i, j int) bool { return fl[i].ID < fl[j].ID })
+	for _, f := range fl {
+		out += fmt.Sprintf("flow %d: sent=%d delivered=%d finished=%v at=%d\n",
+			f.ID, f.BytesSent, f.BytesDelivered, f.Finished, int64(f.FinishedAt))
+	}
+	return out
 }
 
 // ckptFingerprint excludes Events for sharded runs (window advancement

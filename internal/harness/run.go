@@ -90,7 +90,7 @@ type SimConfig struct {
 
 	// CongestionAware enables the §10 extension: online assignment steers
 	// around congested calendar queues within one bucket of slack, reading
-	// the slice-boundary backlog board (DESIGN.md §13).
+	// the slice-boundary calendar-backlog board (DESIGN.md §10, §13).
 	CongestionAware bool
 	// CongestionThreshold overrides the backlog (data packets parked in the
 	// target calendar queue, as of the last slice boundary) at which
@@ -112,10 +112,6 @@ type SimConfig struct {
 	// LinkFailFrac and is fully shardable (DESIGN.md §11). The timeline is
 	// not mutated and may be shared between configs.
 	Failures *failure.Timeline
-
-	// Queue selects the event-scheduler implementation (zero value: the
-	// timing wheel). The heap option exists for differential testing.
-	Queue sim.QueueKind
 
 	// Shards > 1 opts into the conservative-PDES engine: one lookahead
 	// domain per ToR, advanced by that many parallel workers. Negative
@@ -149,28 +145,24 @@ type SimConfig struct {
 // Shardable reports whether a configuration can run on the sharded engine,
 // or an error naming the first obstacle. UCMP latency relaxation consults
 // fabric-wide backlog synchronously — a zero-lookahead cross-domain read the
-// bulk-synchronous windows cannot order deterministically. Traffic that
-// exchanges state at slice boundaries instead — rotor-class traffic (VLB
-// routing, Opera's rotor fallback, the rotor transport) via the backlog
-// exchange of DESIGN.md §10, and congestion-aware UCMP via the boundary
-// backlog board of DESIGN.md §13 — shards, but requires slices at least one
-// lookahead window long so no boundary write shares an engine window with a
-// read. That holds for every realistic fabric (microsecond slices vs
-// sub-microsecond lookahead) but is checked here for pathological
-// configurations.
+// bulk-synchronous windows cannot order deterministically. Everything else
+// shards, rotor-class traffic and congestion-aware UCMP included: they read
+// peer state only through the slice-boundary boards (DESIGN.md §10), which
+// every harness network publishes. A board is race-free only when slices
+// are at least one lookahead window long, so no boundary write shares an
+// engine window with a read; that holds for every realistic fabric
+// (microsecond slices vs sub-microsecond lookahead) and is checked here, for
+// every configuration, as netsim checks it when the board is built.
 func Shardable(cfg SimConfig) error {
 	if cfg.Relax {
 		return fmt.Errorf("harness: UCMP latency relaxation is not shardable")
 	}
-	boundaryClass := cfg.Routing == VLB || cfg.Routing == Opera1 || cfg.Routing == Opera5 ||
-		cfg.Transport == transport.Rotor ||
-		(cfg.CongestionAware && cfg.Routing == UCMP)
-	if boundaryClass && cfg.Topo.LinkBps > 0 {
-		la := cfg.Topo.PropDelay + cfg.Topo.UplinkSerialization(netsim.HeaderBytes)
-		if cfg.Topo.SliceDuration < la {
-			return fmt.Errorf("harness: slice duration %v below the %v lookahead; the slice-boundary exchange cannot shard",
-				cfg.Topo.SliceDuration, la)
-		}
+	if cfg.Topo.UplinkRate() <= 0 {
+		return nil // the fabric build refuses it
+	}
+	if la := cfg.Topo.PropDelay + cfg.Topo.UplinkSerialization(netsim.HeaderBytes); cfg.Topo.SliceDuration < la {
+		return fmt.Errorf("harness: slice duration %v below the %v lookahead; the slice-boundary exchange cannot shard",
+			cfg.Topo.SliceDuration, la)
 	}
 	return nil
 }
@@ -375,9 +367,9 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 	var eng *sim.Engine
 	var sh *sim.ShardedEngine
 	if sharded {
-		sh = sim.NewShardedEngine(fab.NumToRs, shards, netsim.ShardLookahead(fab), cfg.Queue)
+		sh = sim.NewShardedEngine(fab.NumToRs, shards, netsim.ShardLookahead(fab))
 	} else {
-		eng = sim.NewEngineQueue(cfg.Queue)
+		eng = sim.NewEngine()
 		shards = 1
 	}
 

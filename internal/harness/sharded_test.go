@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"ucmp/internal/failure"
@@ -153,15 +154,13 @@ func shardedCases() []shardedCase {
 }
 
 // TestDifferentialSerialSharded requires the conservative-PDES engine to
-// reproduce the serial engine's results byte for byte, across worker counts
-// and both scheduler queue implementations.
+// reproduce the serial engine's results byte for byte, across worker counts.
 func TestDifferentialSerialSharded(t *testing.T) {
 	for _, tc := range shardedCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(shards int, queue sim.QueueKind) string {
+			run := func(shards int) string {
 				cfg := tc.cfg
 				cfg.Shards = shards
-				cfg.Queue = queue
 				if tc.flows != nil {
 					cfg.Flows = tc.flows()
 				}
@@ -177,32 +176,25 @@ func TestDifferentialSerialSharded(t *testing.T) {
 				}
 				return fingerprintCore(res)
 			}
-			serial := run(0, sim.QueueWheel)
-			for _, v := range []struct {
-				shards int
-				queue  sim.QueueKind
-			}{
-				{2, sim.QueueWheel},
-				{tc.cfg.Topo.NumToRs, sim.QueueWheel},
-				{5, sim.QueueWheel}, // non-dividing grouping: blocks of 4,3,3,3,3 domains
-				{3, sim.QueueHeap},
-			} {
-				got := run(v.shards, v.queue)
-				if got != serial {
-					t.Fatalf("sharded(shards=%d,queue=%v) diverges from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
-						v.shards, v.queue, serial, got)
+			serial := run(0)
+			// 5 and 3 divide no case's domain count: the blocks are uneven.
+			for _, shards := range []int{2, tc.cfg.Topo.NumToRs, 5, 3} {
+				if got := run(shards); got != serial {
+					t.Fatalf("sharded(shards=%d) diverges from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
+						shards, serial, got)
 				}
 			}
 		})
 	}
 }
 
-// TestShardableGate pins both sides of the gate: the rotor-class baselines
-// (VLB, Opera, RotorLB transport) and congestion-aware UCMP (on the
-// slice-boundary backlog board, DESIGN.md §13) pass it whenever the slice duration
-// covers the lookahead window, while latency relaxation and a
-// pathologically short slice are still refused — Run falls back to serial
-// for those and records why in Result.ShardNote.
+// TestShardableGate pins both sides of the gate: plain UCMP, the rotor-class
+// baselines (VLB, Opera, RotorLB transport) and congestion-aware UCMP pass it
+// whenever the slice duration covers the lookahead window, while latency
+// relaxation and any config whose slice is shorter than the lookahead —
+// every harness network publishes the slice-boundary boards (DESIGN.md §10)
+// — are refused: Run falls back to serial for those and records why in
+// Result.ShardNote.
 func TestShardableGate(t *testing.T) {
 	congestion := ScaledConfig(UCMP, transport.DCTCP, "websearch")
 	congestion.CongestionAware = true
@@ -229,17 +221,13 @@ func TestShardableGate(t *testing.T) {
 	}
 
 	// A config whose slice is shorter than the lookahead window would let a
-	// slice-boundary exchange race; the gate must refuse it for both
-	// boundary-exchange users (rotor traffic and the congestion board).
-	shortSlice := ScaledConfig(VLB, transport.Rotor, "websearch")
-	shortSlice.Topo.SliceDuration = shortSlice.Topo.PropDelay / 2
-	shortCongestion := ScaledConfig(UCMP, transport.DCTCP, "websearch")
-	shortCongestion.CongestionAware = true
-	shortCongestion.Topo.SliceDuration = shortCongestion.Topo.PropDelay / 2
-
+	// slice-boundary board race; the gate must refuse it whatever the
+	// routing and transport, since every network carries the rotor board.
+	short := func(c SimConfig) SimConfig { c.Topo.SliceDuration = c.Topo.PropDelay / 2; return c }
 	bad := []SimConfig{
-		shortSlice,
-		shortCongestion,
+		short(ScaledConfig(UCMP, transport.DCTCP, "websearch")),
+		short(ScaledConfig(VLB, transport.Rotor, "websearch")),
+		short(congestion),
 		func() SimConfig { c := ScaledConfig(UCMP, transport.DCTCP, "websearch"); c.Relax = true; return c }(),
 	}
 	for _, cfg := range bad {
@@ -258,6 +246,25 @@ func TestShardableGate(t *testing.T) {
 		if res.ShardNote == "" {
 			t.Fatalf("serial fallback of %v/%v carries no ShardNote", cfg.Routing, cfg.Transport)
 		}
+	}
+}
+
+// TestShortSliceFallsBackSerial: a plain UCMP + DCTCP config whose slices
+// are shorter than the lookahead, asked for four shards, runs on the serial
+// engine and says why, instead of building a sharded network whose rotor
+// board refuses the slice.
+func TestShortSliceFallsBackSerial(t *testing.T) {
+	cfg := ScaledConfig(UCMP, transport.DCTCP, "websearch")
+	cfg.Topo.SliceDuration = cfg.Topo.PropDelay / 2
+	cfg.Duration = 100 * sim.Microsecond
+	cfg.Shards = 4
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sharded || res.Shards != 1 || !strings.Contains(res.ShardNote, "slice duration") {
+		t.Fatalf("sharded=%v shards=%d note=%q, want a serial run whose note names the slice duration",
+			res.Sharded, res.Shards, res.ShardNote)
 	}
 }
 

@@ -108,7 +108,7 @@ func BenchmarkSaturation64(b *testing.B) {
 // and returns the events processed.
 func (e *benchEnv) runSharded64(b *testing.B, workers int, flows []*netsim.Flow, horizon sim.Time) uint64 {
 	b.Helper()
-	sh := sim.NewShardedEngine(e.fab.NumToRs, workers, netsim.ShardLookahead(e.fab), sim.QueueWheel)
+	sh := sim.NewShardedEngine(e.fab.NumToRs, workers, netsim.ShardLookahead(e.fab))
 	qs := transport.QueueSpec(transport.DCTCP)
 	net := netsim.NewSharded(sh, e.fab, e.router, qs, qs, netsim.DefaultRotor())
 	net.Stamper = e.router.StampBucket
@@ -204,7 +204,7 @@ func (e *benchEnv) runCongestion64(b *testing.B, workers int, flows []*netsim.Fl
 		eng = sim.NewEngine()
 		net = netsim.New(eng, e.fab, e.router, qs, qs, netsim.DefaultRotor())
 	} else {
-		sh = sim.NewShardedEngine(e.fab.NumToRs, workers, netsim.ShardLookahead(e.fab), sim.QueueWheel)
+		sh = sim.NewShardedEngine(e.fab.NumToRs, workers, netsim.ShardLookahead(e.fab))
 		net = netsim.NewSharded(sh, e.fab, e.router, qs, qs, netsim.DefaultRotor())
 	}
 	net.EnableCongestionBoard()

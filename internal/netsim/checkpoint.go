@@ -207,21 +207,7 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 		pe.I32(int32(hp.rr))
 	}
 
-	be := w.Section("boards")
-	be.Bool(n.rotorSnap != nil)
-	if n.rotorSnap != nil {
-		be.Len(len(n.rotorSnap))
-		for _, v := range n.rotorSnap {
-			be.I64(v)
-		}
-	}
-	be.Bool(n.congSnap != nil)
-	if n.congSnap != nil {
-		be.Len(len(n.congSnap))
-		for _, v := range n.congSnap {
-			be.I32(v)
-		}
-	}
+	n.encodeBoards(w.Section("boards"))
 
 	ce := w.Section("counters")
 	ce.Len(len(n.doms))
@@ -466,29 +452,7 @@ func (n *Network) RestoreFrom(f *checkpoint.File, ext RestoreExt) error {
 	if err != nil {
 		return err
 	}
-	if has := bd.Bool(); has != (n.rotorSnap != nil) {
-		return fmt.Errorf("checkpoint: rotor board presence mismatch")
-	}
-	if n.rotorSnap != nil {
-		if cnt := bd.Len(); cnt != len(n.rotorSnap) {
-			return fmt.Errorf("checkpoint: rotor board has %d slots, network has %d", cnt, len(n.rotorSnap))
-		}
-		for i := range n.rotorSnap {
-			n.rotorSnap[i] = bd.I64()
-		}
-	}
-	if has := bd.Bool(); has != (n.congSnap != nil) {
-		return fmt.Errorf("checkpoint: congestion board presence mismatch")
-	}
-	if n.congSnap != nil {
-		if cnt := bd.Len(); cnt != len(n.congSnap) {
-			return fmt.Errorf("checkpoint: congestion board has %d slots, network has %d", cnt, len(n.congSnap))
-		}
-		for i := range n.congSnap {
-			n.congSnap[i] = bd.I32()
-		}
-	}
-	if err := bd.Err(); err != nil {
+	if err := n.decodeBoards(bd); err != nil {
 		return err
 	}
 

@@ -1,6 +1,11 @@
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"ucmp/internal/checkpoint"
+)
 
 // Test-only windows into unexported state for the external test package
 // (netsim_test), which may import routing and transport where this package's
@@ -30,6 +35,21 @@ func (n *Network) TapHostArrivals(fn func(tor int, p *Packet)) {
 			recv(a)
 		}
 	}
+}
+
+// CalendarBacklog reports the number of data packets parked right now at a
+// ToR for the calendar queue a planned hop would use: the live view the
+// congestion board's publications are checked against.
+func (n *Network) CalendarBacklog(tor int, hop PlannedHop) int {
+	c := n.F.CyclicSlice(hop.AbsSlice)
+	sw := n.F.Sched.SwitchFor(c, tor, hop.To)
+	if sw < 0 {
+		return 1 << 30
+	}
+	if q := n.ToRs[tor].up[sw].slot(c); q != nil {
+		return q.DataLen()
+	}
+	return 0
 }
 
 // CalendarPoolCheck verifies the calendar free lists of a network at
@@ -65,4 +85,23 @@ func (n *Network) CalendarPoolCheck() error {
 		}
 	}
 	return nil
+}
+
+// EncodeBoards writes the network's "boards" checkpoint section with the
+// board encoder, or with encodeBoardsByHand when byHand is set.
+func (n *Network) EncodeBoards(e *checkpoint.Encoder, byHand bool) {
+	if byHand {
+		encodeBoardsByHand(e, n.rotorBoard.ring, n.congBoard.ring)
+	} else {
+		n.encodeBoards(e)
+	}
+}
+
+// DecodeBoards restores a "boards" section onto the network.
+func (n *Network) DecodeBoards(d *checkpoint.Decoder) error { return n.decodeBoards(d) }
+
+// BoardRings returns copies of the rotor and congestion board rings (nil for
+// a board that is off).
+func (n *Network) BoardRings() ([]int64, []int32) {
+	return slices.Clone(n.rotorBoard.ring), slices.Clone(n.congBoard.ring)
 }

@@ -128,11 +128,9 @@ type FaultState interface {
 // domain, the classic single-threaded event loop. Sharded (NewSharded):
 // one lookahead domain per ToR on a sim.ShardedEngine; Eng is nil, and
 // cross-ToR packet arrivals route through the engine's mailboxes. Rotor-
-// class flows (VLB/RotorLB) exchange backlog state only at slice
-// boundaries (the rotorSnap board below) and shard when slices are at
-// least one lookahead long; the congestion-aware extension rides the same
-// pattern via the calendar-backlog board (congboard.go) and shards under
-// the same slice-vs-lookahead condition.
+// class flows (VLB/RotorLB) and the congestion-aware extension read peer
+// state only through the slice-boundary boards (board.go), so they shard
+// when slices are at least one lookahead long.
 type Network struct {
 	Eng    *sim.Engine // serial engine; nil when sharded
 	F      *topo.Fabric
@@ -173,23 +171,11 @@ type Network struct {
 	sharded *sim.ShardedEngine
 	doms    []*domain
 
-	// rotorSnap is the slice-boundary backlog board: slot (abs&3)*N + tor
-	// holds ToR tor's nonlocal VOQ bytes as published at the boundary of
-	// absolute slice abs. Writers touch only their own ToR's slot, at their
-	// own boundary event; readers during slice s read the slice s-1 slot,
-	// written one full slice (>= one lookahead window, enforced by
-	// NewSharded and the harness gate) earlier — so no write ever shares an
-	// engine window with a read of its slot, and the value read is the same
-	// in serial and sharded runs. Four slots so the ring index is a mask;
-	// three would suffice for the race argument.
-	rotorSnap []int64
-
-	// congSnap is the slice-boundary calendar-backlog board for the §10
-	// congestion-aware extension, with the same write/read discipline as
-	// rotorSnap but one int32 per (tor, uplink, cyclic slice) instead of
-	// one int64 per ToR. Nil unless EnableCongestionBoard was called (see
-	// congboard.go).
-	congSnap []int32
+	// rotorBoard carries each ToR's nonlocal VOQ bytes (on when the rotor
+	// is enabled); congBoard each ToR's calendar backlog per (uplink, cyclic
+	// slice), on after EnableCongestionBoard (board.go).
+	rotorBoard board[int64]
+	congBoard  board[int32]
 
 	// Memoized serialization delays for the two wire lengths that cover
 	// nearly all traffic (full MTU frames and bare control headers), so the
@@ -208,7 +194,7 @@ type Network struct {
 // New wires up a serial network. Call Start before Run to arm the slice
 // clock.
 func New(eng *sim.Engine, f *topo.Fabric, router Router, up, down QueueSpec, rotor RotorConfig) *Network {
-	n := newNetworkShell(f, router, up, down, rotor)
+	n := newNetworkShell(nil, f, router, up, down, rotor)
 	n.Eng = eng
 	// One domain shared by every component, aliasing the network-level
 	// engine, counters, and pool: serial behavior is byte-identical to the
@@ -225,7 +211,9 @@ func New(eng *sim.Engine, f *topo.Fabric, router Router, up, down QueueSpec, rot
 // NewSharded wires up a network over a sharded engine: one domain per ToR,
 // owning the ToR, its hosts, their NICs, and its uplink ports. The engine
 // must have exactly NumToRs domains and a window no larger than
-// ShardLookahead(f). Cross-ToR packet arrivals are routed through the
+// ShardLookahead(f); a network that carries a slice-boundary board (the
+// rotor's, or the congestion one) also needs slices at least one window
+// long (board.go). Cross-ToR packet arrivals are routed through the
 // engine's mailboxes; everything else stays domain-local. Run the engine,
 // then call FinalizeSharded before reading Counters or flow completions.
 func NewSharded(sh *sim.ShardedEngine, f *topo.Fabric, router Router, up, down QueueSpec, rotor RotorConfig) *Network {
@@ -235,16 +223,7 @@ func NewSharded(sh *sim.ShardedEngine, f *topo.Fabric, router Router, up, down Q
 	if la := ShardLookahead(f); sh.Window() > la {
 		panic(fmt.Sprintf("netsim: engine window %v exceeds fabric lookahead %v", sh.Window(), la))
 	}
-	if rotor.Enabled && f.SliceDuration < sh.Window() {
-		// The rotor backlog board is race-free only when a published
-		// snapshot cannot share an engine window with its readers, which
-		// needs slices at least one window long. The harness gate rejects
-		// such configs; this is the backstop.
-		panic(fmt.Sprintf("netsim: slice duration %v below engine window %v; rotor backlog exchange cannot shard",
-			f.SliceDuration, sh.Window()))
-	}
-	n := newNetworkShell(f, router, up, down, rotor)
-	n.sharded = sh
+	n := newNetworkShell(sh, f, router, up, down, rotor)
 	n.doms = make([]*domain, f.NumToRs)
 	for i := range n.doms {
 		d := &domain{net: n, eng: sh.Domain(i), id: i, ctr: &Counters{}, pool: &packetPool{}}
@@ -258,10 +237,11 @@ func NewSharded(sh *sim.ShardedEngine, f *topo.Fabric, router Router, up, down Q
 	return n
 }
 
-// newNetworkShell builds the mode-independent part of a Network.
-func newNetworkShell(f *topo.Fabric, router Router, up, down QueueSpec, rotor RotorConfig) *Network {
+// newNetworkShell builds the mode-independent part of a Network; sh is nil
+// for a serial one.
+func newNetworkShell(sh *sim.ShardedEngine, f *topo.Fabric, router Router, up, down QueueSpec, rotor RotorConfig) *Network {
 	n := &Network{
-		F: f, Router: router,
+		F: f, Router: router, sharded: sh,
 		UpQueue: up, DownQueue: down, Rotor: rotor,
 		flows: make(map[int64]*Flow),
 	}
@@ -270,17 +250,9 @@ func newNetworkShell(f *topo.Fabric, router Router, up, down QueueSpec, rotor Ro
 	n.serUpMTU = f.UplinkSerialization(f.MTU)
 	n.serUpHdr = f.UplinkSerialization(HeaderBytes)
 	if rotor.Enabled {
-		n.rotorSnap = make([]int64, 4*f.NumToRs)
+		n.rotorBoard = newBoard[int64](n, 1)
 	}
 	return n
-}
-
-// rotorBacklogAt reads ToR peer's published nonlocal backlog as seen from
-// absolute slice abs: the snapshot published at the previous slice's
-// boundary. During slice 0 no snapshot exists yet and the backlog reads as
-// zero (the board starts zeroed), identically in serial and sharded runs.
-func (n *Network) rotorBacklogAt(abs int64, peer int) int64 {
-	return n.rotorSnap[((abs-1)&3)*int64(n.F.NumToRs)+int64(peer)]
 }
 
 // buildTopology instantiates ToRs and hosts, assigning each to the domain
@@ -569,24 +541,6 @@ func (n *Network) TakeSample(prev *Sample) Sample {
 	s.JainQueueIndex = jain(qsum, qsq, m)
 	s.JainLoadIndex = jain(lsum, lsq, m)
 	return s
-}
-
-// CalendarBacklog reports the number of data packets parked right now at a
-// ToR for the calendar queue a planned hop would use. This is the live
-// view; the §10 congestion-aware extension plans against the
-// slice-boundary snapshot (CongestionBacklog, congboard.go) instead, whose
-// stale-by-one-slice value is identical in serial and sharded runs. The
-// live read remains for diagnostics and for the board's unit tests.
-func (n *Network) CalendarBacklog(tor int, hop PlannedHop) int {
-	c := n.F.CyclicSlice(hop.AbsSlice)
-	sw := n.F.Sched.SwitchFor(c, tor, hop.To)
-	if sw < 0 {
-		return 1 << 30
-	}
-	if q := n.ToRs[tor].up[sw].slot(c); q != nil {
-		return q.DataLen()
-	}
-	return 0
 }
 
 // JainCumulative computes Jain's fairness index over the cumulative bytes

@@ -94,7 +94,7 @@ func (t *ToR) onSliceStart(abs int64, expired int) {
 	if t.rotor != nil {
 		t.publishRotorBacklog(abs)
 	}
-	if t.net.congSnap != nil {
+	if t.net.congBoard.ring != nil {
 		t.publishCongestionBacklog(abs)
 	}
 	if expired >= 0 {
@@ -362,12 +362,6 @@ func (t *ToR) enqueueUplink(p *Packet, hop PlannedHop) bool {
 		u.pump()
 	}
 	return true
-}
-
-// publishRotorBacklog writes this ToR's nonlocal backlog into the board
-// slot for absolute slice abs (read by peers during slice abs+1).
-func (t *ToR) publishRotorBacklog(abs int64) {
-	t.net.rotorSnap[(abs&3)*int64(t.net.F.NumToRs)+int64(t.id)] = t.rotor.totalNonlocal
 }
 
 // RotorHasCredit reports whether a host may push another packet toward

@@ -1,79 +1,224 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// TestDifferentialWheelHeap drives the wheel and the reference heap with an
-// identical randomized event script — same-instant bursts, nested
-// scheduling, far-future events past the wheel horizon, and timer
-// create/reset/cancel churn — and requires byte-identical firing traces and
-// engine state at a sequence of Run horizons. This is the package-level pin
-// for the (at, seq) equivalence contract; internal/harness runs the same
-// comparison over full simulations.
-func TestDifferentialWheelHeap(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			wheelTrace := runScript(t, QueueWheel, seed)
-			heapTrace := runScript(t, QueueHeap, seed)
-			if len(wheelTrace) != len(heapTrace) {
-				t.Fatalf("trace lengths differ: wheel=%d heap=%d", len(wheelTrace), len(heapTrace))
-			}
-			for i := range wheelTrace {
-				if wheelTrace[i] != heapTrace[i] {
-					t.Fatalf("traces diverge at %d:\n  wheel: %s\n  heap:  %s",
-						i, wheelTrace[i], heapTrace[i])
-				}
-			}
-		})
+// TestQueueDifferential is the pin for the timing wheel's (at, seq)
+// contract: one seeded op script drives the wheel and the reference heap
+// with identical pushes, limit-bounded pops and peekMin probes, and the two
+// must agree on every pop, every probe and the sorted pending set.
+func TestQueueDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { queueScript(t, seed) })
 	}
 }
 
-// runScript replays a deterministic pseudo-random workload on an engine of
-// the given kind and returns the observable trace.
-func runScript(t *testing.T, kind QueueKind, seed int64) []string {
+// queueScript feeds both queues what an engine feeds its wheel. Times are
+// never below the engine's clock — the last pop, or the limit of a pop that
+// found nothing due, where Run leaves the clock at its horizon. Pushes land
+// at random near offsets, at −1/0/+1 around every level boundary and the
+// horizon counted from wherever the drains left the clock, and in
+// same-instant bursts; pops drain part of the queue under a limit.
+func queueScript(t *testing.T, seed int64) {
 	t.Helper()
-	e := NewEngineQueue(kind)
+	w := newTimingWheel()
+	var h eventHeap
 	rng := rand.New(rand.NewSource(seed))
-	var trace []string
+	now := Time(0)
+	var seq uint64
+	push := func(at Time) {
+		seq++
+		ev := event{at: at, seq: seq}
+		w.push(ev)
+		h.push(ev)
+	}
+	probe := func(op int) {
+		t.Helper()
+		wa, wok := w.peekMin()
+		var ha Time
+		hok := len(h) > 0
+		if hok {
+			ha = h[0].at
+		}
+		if wa != ha || wok != hok || w.size != len(h) {
+			t.Fatalf("op %d: wheel peekMin %d,%v size %d; heap %d,%v size %d", op, wa, wok, w.size, ha, hok, len(h))
+		}
+	}
+	pop := func(op int, limit Time) bool {
+		t.Helper()
+		var we event
+		wok := w.popLE(limit, &we)
+		hok := len(h) > 0 && h[0].at <= limit
+		if wok != hok {
+			t.Fatalf("op %d: popLE(%d): wheel %v, heap %v", op, limit, wok, hok)
+		}
+		if !hok {
+			now = max(now, limit)
+			return false
+		}
+		he := h.pop()
+		if we.at != he.at || we.seq != he.seq {
+			t.Fatalf("op %d: popLE(%d): wheel (%d, %d), heap (%d, %d)", op, limit, we.at, we.seq, he.at, he.seq)
+		}
+		now = he.at
+		return true
+	}
+	samePending := func(op int) {
+		t.Helper()
+		byAtSeq := func(a, b *event) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		}
+		got := w.appendPending(nil)
+		slices.SortFunc(got, byAtSeq)
+		want := make([]*event, len(h))
+		for i := range h {
+			want[i] = &h[i]
+		}
+		slices.SortFunc(want, byAtSeq)
+		if len(got) != len(want) {
+			t.Fatalf("op %d: wheel holds %d events, heap %d", op, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].at != want[i].at || got[i].seq != want[i].seq {
+				t.Fatalf("op %d: pending[%d]: wheel (%d, %d), heap (%d, %d)", op, i, got[i].at, got[i].seq, want[i].at, want[i].seq)
+			}
+		}
+	}
+
+	boundaries := []Time{1 << l0Bits, 1 << (l0Bits + wheelBits), 1 << (l0Bits + 2*wheelBits), 1 << horizonBits}
+	limitAhead := func() Time {
+		switch r := rng.Intn(10); {
+		case r < 5:
+			return Time(rng.Int63n(2 * l0Slots))
+		case r < 8:
+			return boundaries[rng.Intn(len(boundaries))] + Time(rng.Intn(3)) - 1
+		default:
+			return Time(rng.Int63n(1 << (horizonBits + 1)))
+		}
+	}
+	for op := 0; op < 3000; op++ {
+		switch r := rng.Intn(20); {
+		case r < 6: // near future, level 0 or just past it
+			push(now + Time(rng.Int63n(3*l0Slots)))
+		case r < 9: // −1, 0 or +1 around a level boundary or the horizon
+			push(now + boundaries[rng.Intn(len(boundaries))] + Time(rng.Intn(3)) - 1)
+		case r < 10: // anywhere up to twice the horizon
+			push(now + Time(rng.Int63n(1<<(horizonBits+1))))
+		case r < 12: // a same-instant burst
+			at := now + Time(rng.Int63n(1<<(l0Bits+2*wheelBits)))
+			for k := 2 + rng.Intn(4); k > 0; k-- {
+				push(at)
+			}
+		case r < 18: // a partial drain under a limit
+			limit := now + limitAhead()
+			for k := rng.Intn(8); k > 0 && pop(op, limit); k-- {
+			}
+		default:
+			samePending(op)
+		}
+		probe(op)
+	}
+	for pop(-1, maxTime) {
+	}
+	probe(-1)
+	if w.cascades == 0 || w.overflowPushes == 0 {
+		t.Fatalf("script too tame: %d cascades, %d overflow pushes", w.cascades, w.overflowPushes)
+	}
+}
+
+// firingCheck is the direct self-check of an engine-level script: every
+// callback calls fired, which requires the dispatched event to follow the
+// previous one in (at, seq) order — time, then the order it was scheduled
+// in — and the clock to read its time.
+type firingCheck struct {
+	t       *testing.T
+	e       *Engine
+	at      Time
+	seq     uint64
+	started bool
+}
+
+func (c *firingCheck) fired() {
+	c.t.Helper()
+	cur := c.e.cur
+	if c.e.Now() != cur.at {
+		c.t.Fatalf("event at %d dispatched with the clock at %d", cur.at, c.e.Now())
+	}
+	if c.started && (cur.at < c.at || cur.at == c.at && cur.seq <= c.seq) {
+		c.t.Fatalf("event (%d, seq %d) fired after (%d, seq %d)", cur.at, cur.seq, c.at, c.seq)
+	}
+	c.at, c.seq, c.started = cur.at, cur.seq, true
+}
+
+// TestDifferentialWheelHeap drives the engine with a randomized event
+// script — same-instant bursts, nested scheduling, far-future events past
+// the wheel horizon, end-of-instant calls, and timer create/reset/cancel
+// churn — and checks it directly: events fire in (at, seq) order, deferred
+// calls after their instant's events, and Run(until) leaves no event or
+// armed timer due at or before until. The queue underneath is pinned op for
+// op against the heap by TestQueueDifferential.
+func TestDifferentialWheelHeap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runScript(t, seed) })
+	}
+}
+
+// runScript replays a deterministic pseudo-random workload on an engine and
+// fails on the first firing-order or due-event violation.
+func runScript(t *testing.T, seed int64) {
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(seed))
+	chk := &firingCheck{t: t, e: e}
+	due := map[int]Time{} // scheduled plain events not yet fired
 	id := 0
+	plain := func(at Time, then func()) {
+		id++
+		my := id
+		due[my] = at
+		e.At(at, func() {
+			chk.fired()
+			delete(due, my)
+			if then != nil {
+				then()
+			}
+		})
+	}
 
 	var timers []*Timer
 	var schedule func(depth int)
 	schedule = func(depth int) {
-		id++
-		myID := id
 		switch rng.Intn(10) {
 		case 0: // far-future event, beyond the wheel horizon (+ up to ~8s)
-			at := e.Now() + Time(rng.Int63n(8*int64(Second)))
-			e.At(at, func() { trace = append(trace, fmt.Sprintf("far %d @%d", myID, e.Now())) })
+			plain(e.Now()+Time(rng.Int63n(8*int64(Second))), nil)
 		case 1, 2: // cancelable timer
 			at := e.Now() + Time(rng.Int63n(int64(Millisecond)))
-			tm := e.AtCancelable(at, func() {
-				trace = append(trace, fmt.Sprintf("timer %d @%d", myID, e.Now()))
-			})
-			timers = append(timers, tm)
+			timers = append(timers, e.AtCancelable(at, chk.fired))
 		case 3: // same-instant burst
 			for j := 0; j < 1+rng.Intn(4); j++ {
-				id++
-				burstID := id
-				at := e.Now() + Time(rng.Int63n(1000))
-				e.At(at, func() { trace = append(trace, fmt.Sprintf("burst %d @%d", burstID, e.Now())) })
+				plain(e.Now()+Time(rng.Int63n(1000)), nil)
 			}
 		default: // near-future event, possibly nesting more work
-			at := e.Now() + Time(rng.Int63n(100*int64(Microsecond)))
-			e.At(at, func() {
-				trace = append(trace, fmt.Sprintf("ev %d @%d", myID, e.Now()))
+			plain(e.Now()+Time(rng.Int63n(100*int64(Microsecond))), func() {
 				if depth > 0 && rng.Intn(3) == 0 {
 					schedule(depth - 1)
 				}
-				// An end-of-instant call: it must land after the instant's
-				// other events (bursts share instants) on both queues.
+				// An end-of-instant call: nothing of its instant may be
+				// left due when it runs.
 				if rng.Intn(4) == 0 {
-					e.Defer(func() { trace = append(trace, fmt.Sprintf("defer %d @%d", myID, e.Now())) })
+					at := e.Now()
+					e.Defer(func() {
+						if next, ok := e.NextAt(); ok && next <= at {
+							t.Fatalf("deferred call at %v ran with an event due at %v", at, next)
+						}
+					})
 				}
 				// Churn a random live timer from inside the run.
 				if len(timers) > 0 {
@@ -94,19 +239,34 @@ func runScript(t *testing.T, kind QueueKind, seed int64) []string {
 	for i := 0; i < 300; i++ {
 		schedule(3)
 	}
+	nothingDue := func(until Time) {
+		t.Helper()
+		for id, at := range due {
+			if at <= until {
+				t.Fatalf("event %d due at %v still pending after Run(%v)", id, at, until)
+			}
+		}
+		for _, tm := range timers {
+			if tm.Armed() && tm.When() <= until {
+				t.Fatalf("timer due at %v still armed after Run(%v)", tm.When(), until)
+			}
+		}
+	}
 	// Drain in segments so horizon probes (popLE bounded by `until`) are
 	// exercised, then finish with RunAll to flush the far-future overflow.
 	horizon := Time(0)
 	for seg := 0; seg < 8; seg++ {
 		horizon += Time(rng.Int63n(int64(Millisecond)))
-		e.Run(horizon)
-		trace = append(trace, fmt.Sprintf("seg now=%d pending=%d processed=%d",
-			e.Now(), e.Pending(), e.Processed()))
+		if got := e.Run(horizon); got != horizon {
+			t.Fatalf("Run(%v) reached %v", horizon, got)
+		}
+		nothingDue(horizon)
 	}
 	e.RunAll()
-	trace = append(trace, fmt.Sprintf("end now=%d pending=%d processed=%d",
-		e.Now(), e.Pending(), e.Processed()))
-	return trace
+	nothingDue(maxTime)
+	if e.Pending() != 0 || len(due) != 0 {
+		t.Fatalf("RunAll left %d pending, %d unfired", e.Pending(), len(due))
+	}
 }
 
 // TestOverflowSameTimeSeqOrder pins the trickiest wheel case: an event that

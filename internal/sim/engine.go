@@ -7,12 +7,10 @@
 // were scheduled (FIFO tie-breaking via a monotonic sequence number), so a
 // simulation run is reproducible bit-for-bit given the same inputs and seed.
 //
-// Two scheduler implementations back an Engine: a hierarchical timing wheel
-// (the default — amortized O(1) schedule/pop, see wheel.go) and the
-// reference binary heap (heap.go), kept behind NewEngineQueue for
-// differential testing. Both honor the same (at, seq) contract, pinned by
-// the randomized differential tests in this package and in
-// internal/harness.
+// The scheduler is a hierarchical timing wheel (amortized O(1)
+// schedule/pop, see wheel.go). The binary heap in heap.go is its overflow
+// store for events past the wheel horizon and, in the tests, the reference
+// queue the wheel is checked against op for op.
 package sim
 
 import (
@@ -125,28 +123,16 @@ func (k *EventKinds) Add(o *EventKinds) {
 	}
 }
 
-// QueueKind selects the scheduler implementation backing an Engine.
-type QueueKind int
-
-const (
-	// QueueWheel is the hierarchical timing wheel (default): amortized
-	// O(1) schedule/pop with zero steady-state allocations.
-	QueueWheel QueueKind = iota
-	// QueueHeap is the reference binary heap, kept for differential
-	// testing and as a fallback.
-	QueueHeap
-)
-
 // SchedStats exposes scheduler internals for throughput diagnostics
 // (cmd/ucmpbench -schedstats).
 type SchedStats struct {
 	// PendingHighWater is the maximum number of queued events observed.
 	PendingHighWater int
 	// Cascades counts events re-distributed from a higher wheel level into
-	// a lower one (zero on the heap engine).
+	// a lower one.
 	Cascades uint64
 	// OverflowPushes counts events scheduled beyond the wheel horizon into
-	// the overflow heap (zero on the heap engine).
+	// the overflow heap.
 	OverflowPushes uint64
 	// Cancels counts Timer.Cancel calls that disarmed a live timer.
 	Cancels uint64
@@ -163,8 +149,10 @@ type SchedStats struct {
 type Engine struct {
 	now   Time
 	seq   uint64
-	wheel *timingWheel // nil when the heap backs the engine
-	heap  eventHeap
+	wheel *timingWheel
+	// deferred holds the end-of-instant calls registered by Defer, in
+	// registration order; empty outside an instant that registered one.
+	deferred []func()
 	// processed counts events executed, exposed for tests and throughput
 	// reporting. Lazily-deleted timer events do not count: no callback ran.
 	processed uint64
@@ -174,38 +162,16 @@ type Engine struct {
 	// cur is the event being dispatched. It lives here rather than in Run's
 	// frame so the pop-dispatch loop copies an event once, into memory whose
 	// alignment is fixed: returned by value through the stack, the loop's
-	// speed swung by 20% with the depth of the caller's frames.
+	// speed swung by 20% with the depth of the caller's frames. Its offset
+	// (240) is pinned by TestEngineLayout.
 	cur event
-	// deferred holds the end-of-instant calls registered by Defer, in
-	// registration order; empty outside an instant that registered one.
-	deferred []func()
 	// snap is SnapshotEvents' scratch, kept between snapshots. It stays
 	// last: the fields above are the event loop's.
 	snap []*event
 }
 
-// NewEngine returns an engine positioned at time zero, backed by the
-// timing wheel.
-func NewEngine() *Engine { return NewEngineQueue(QueueWheel) }
-
-// NewEngineQueue returns an engine backed by the given scheduler.
-func NewEngineQueue(kind QueueKind) *Engine {
-	e := &Engine{}
-	if kind == QueueHeap {
-		e.heap = make(eventHeap, 0, 1024)
-	} else {
-		e.wheel = newTimingWheel()
-	}
-	return e
-}
-
-// Queue reports which scheduler backs the engine.
-func (e *Engine) Queue() QueueKind {
-	if e.wheel != nil {
-		return QueueWheel
-	}
-	return QueueHeap
-}
+// NewEngine returns an engine positioned at time zero.
+func NewEngine() *Engine { return &Engine{wheel: newTimingWheel()} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -218,20 +184,13 @@ func (e *Engine) EventKinds() EventKinds { return e.kinds }
 
 // Pending returns the number of events waiting in the queue, including
 // lazily-deleted timer events that have not surfaced yet.
-func (e *Engine) Pending() int {
-	if e.wheel != nil {
-		return e.wheel.size
-	}
-	return len(e.heap)
-}
+func (e *Engine) Pending() int { return e.wheel.size }
 
 // SchedStats returns scheduler internals accumulated since construction.
 func (e *Engine) SchedStats() SchedStats {
 	s := e.stats
-	if e.wheel != nil {
-		s.Cascades = e.wheel.cascades
-		s.OverflowPushes = e.wheel.overflowPushes
-	}
+	s.Cascades = e.wheel.cascades
+	s.OverflowPushes = e.wheel.overflowPushes
 	return s
 }
 
@@ -240,38 +199,14 @@ func (e *Engine) SchedStats() SchedStats {
 // they still occupy the queue and bound how far the engine must run to
 // drain it. The probe never mutates the queue, so the sharded coordinator
 // can call it on idle domains between windows.
-func (e *Engine) NextAt() (Time, bool) {
-	if e.wheel != nil {
-		return e.wheel.peekMin()
-	}
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.heap[0].at, true
-}
+func (e *Engine) NextAt() (Time, bool) { return e.wheel.peekMin() }
 
-// push inserts an event into whichever queue backs the engine.
+// push inserts an event into the wheel.
 func (e *Engine) push(ev event) {
-	if e.wheel != nil {
-		e.wheel.push(ev)
-	} else {
-		e.heap.push(ev)
-	}
-	if p := e.Pending(); p > e.stats.PendingHighWater {
+	e.wheel.push(ev)
+	if p := e.wheel.size; p > e.stats.PendingHighWater {
 		e.stats.PendingHighWater = p
 	}
-}
-
-// popLE removes the minimum event into *out if its time is <= limit.
-func (e *Engine) popLE(limit Time, out *event) bool {
-	if e.wheel != nil {
-		return e.wheel.popLE(limit, out)
-	}
-	if len(e.heap) == 0 || e.heap[0].at > limit {
-		return false
-	}
-	*out = e.heap.pop()
-	return true
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -370,14 +305,7 @@ func (e *Engine) SnapshotEvents(buf []EventDesc) ([]EventDesc, error) {
 // occurrences included, sorted by (at, seq). The pointers are into the queue
 // itself and stay valid until the engine next schedules or pops.
 func (e *Engine) pendingInOrder() []*event {
-	evs := e.snap[:0]
-	if e.wheel != nil {
-		evs = e.wheel.appendPending(evs)
-	} else {
-		for i := range e.heap {
-			evs = append(evs, &e.heap[i])
-		}
-	}
+	evs := e.wheel.appendPending(e.snap[:0])
 	slices.SortFunc(evs, func(a, b *event) int {
 		if c := cmp.Compare(a.at, b.at); c != 0 {
 			return c
@@ -459,7 +387,7 @@ func (e *Engine) Run(until Time) Time {
 		e.endInstant() // deferred between runs: the instant may already be over
 	}
 	for e.Pending() > 0 && !e.stopped {
-		if !e.popLE(until, &e.cur) {
+		if !e.wheel.popLE(until, &e.cur) {
 			e.now = until
 			return e.now
 		}
@@ -484,7 +412,7 @@ func (e *Engine) RunAll() Time {
 		e.endInstant()
 	}
 	for e.Pending() > 0 && !e.stopped {
-		if !e.popLE(maxTime, &e.cur) {
+		if !e.wheel.popLE(maxTime, &e.cur) {
 			break
 		}
 		e.now = e.cur.at

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineRunsInOrder(t *testing.T) {
@@ -179,25 +180,14 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 }
 
 // TestEnginePushDuringPopStress interleaves heavy same-instant scheduling
-// with callbacks that schedule more work while the queue is being drained —
-// the access pattern both schedulers must survive. The observed execution
-// order is checked against the (at, seq) contract: times never decrease,
-// and within one instant events fire in scheduling order.
-func TestEnginePushDuringPopStress(t *testing.T) {
-	for _, kind := range []QueueKind{QueueWheel, QueueHeap} {
-		t.Run(queueName(kind), func(t *testing.T) { pushDuringPopStress(t, kind) })
-	}
-}
+// with callbacks that schedule more work while the queue is being drained.
+// The observed execution order is checked against the (at, seq) contract:
+// times never decrease, and within one instant events fire in scheduling
+// order. It runs as the subtest "wheel", named for the engine's queue.
+func TestEnginePushDuringPopStress(t *testing.T) { t.Run("wheel", testEnginePushDuringPopStress) }
 
-func queueName(kind QueueKind) string {
-	if kind == QueueHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-func pushDuringPopStress(t *testing.T, kind QueueKind) {
-	e := NewEngineQueue(kind)
+func testEnginePushDuringPopStress(t *testing.T) {
+	e := NewEngine()
 	rng := rand.New(rand.NewSource(42))
 	type obs struct {
 		at  Time
@@ -246,32 +236,39 @@ func pushDuringPopStress(t *testing.T, kind QueueKind) {
 // untagged events in slot 0, a canceled timer occurrence nowhere — and the
 // slots sum to Processed, on a fresh engine and on a restored one.
 func TestEngineEventKinds(t *testing.T) {
-	for _, q := range []QueueKind{QueueWheel, QueueHeap} {
-		e := NewEngineQueue(q)
-		nop := func() {}
-		e.At(1, nop)
-		e.AtTag(2, EventTag{Kind: 3}, nop)
-		e.AtTag(2, EventTag{Kind: 3}, nop)
-		e.At1Tag(3, EventTag{Kind: 7}, func(any) {}, nil)
-		e.NewTimerTag(EventTag{Kind: 5}, nop).Reset(4)
-		dead := e.NewTimerTag(EventTag{Kind: 6}, nop)
-		dead.Reset(5)
-		dead.Cancel()
-		e.Run(10)
-		want := EventKinds{0: 1, 3: 2, 5: 1, 7: 1}
-		if got := e.EventKinds(); got != want {
-			t.Fatalf("queue %v: EventKinds = %v, want %v", q, got, want)
-		}
-		if e.Processed() != 5 || want.Total() != 5 {
-			t.Fatalf("queue %v: Processed = %d, slots sum to %d, want 5", q, e.Processed(), want.Total())
-		}
-		r := NewEngineQueue(q)
-		r.Restore(10, want)
-		r.AtTag(11, EventTag{Kind: 3}, nop)
-		r.Run(12)
-		want[3]++
-		if got := r.EventKinds(); got != want || r.Processed() != 6 {
-			t.Fatalf("queue %v: restored engine counts %v (Processed %d), want %v (6)", q, got, r.Processed(), want)
-		}
+	e := NewEngine()
+	nop := func() {}
+	e.At(1, nop)
+	e.AtTag(2, EventTag{Kind: 3}, nop)
+	e.AtTag(2, EventTag{Kind: 3}, nop)
+	e.At1Tag(3, EventTag{Kind: 7}, func(any) {}, nil)
+	e.NewTimerTag(EventTag{Kind: 5}, nop).Reset(4)
+	dead := e.NewTimerTag(EventTag{Kind: 6}, nop)
+	dead.Reset(5)
+	dead.Cancel()
+	e.Run(10)
+	want := EventKinds{0: 1, 3: 2, 5: 1, 7: 1}
+	if got := e.EventKinds(); got != want {
+		t.Fatalf("EventKinds = %v, want %v", got, want)
+	}
+	if e.Processed() != 5 || want.Total() != 5 {
+		t.Fatalf("Processed = %d, slots sum to %d, want 5", e.Processed(), want.Total())
+	}
+	r := NewEngine()
+	r.Restore(10, want)
+	r.AtTag(11, EventTag{Kind: 3}, nop)
+	r.Run(12)
+	want[3]++
+	if got := r.EventKinds(); got != want || r.Processed() != 6 {
+		t.Fatalf("restored engine counts %v (Processed %d), want %v (6)", got, r.Processed(), want)
+	}
+}
+
+// TestEngineLayout pins where the dispatch slot sits in the Engine: a 16-byte
+// shift of cur once moved the packet benchmarks' event-loop speed by 20%, so
+// a field added ahead of it has to be an intended move.
+func TestEngineLayout(t *testing.T) {
+	if off := unsafe.Offsetof(Engine{}.cur); off != 240 {
+		t.Fatalf("Engine.cur at offset %d, want 240", off)
 	}
 }

@@ -3,10 +3,9 @@ package sim
 // eventHeap is a typed min-heap ordered by (at, seq). It hand-rolls sift-up
 // and sift-down instead of using container/heap: the interface{}-based API
 // boxes every event on push (one heap allocation per scheduled event) and
-// pays dynamic dispatch per comparison. It remains the engine's reference
-// scheduler (NewEngineQueue(QueueHeap)) — the differential tests pin the
-// timing wheel against it — and doubles as the wheel's overflow store for
-// events beyond the wheel horizon.
+// pays dynamic dispatch per comparison. It is the timing wheel's overflow
+// store for events beyond the wheel horizon, and the reference queue the
+// tests drive op for op beside the wheel (TestQueueDifferential).
 type eventHeap []event
 
 // less orders events by time, then by scheduling order (FIFO tie-break).

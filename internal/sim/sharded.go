@@ -120,11 +120,11 @@ type ShardStats struct {
 }
 
 // NewShardedEngine builds a parallel engine with `domains` independent
-// Engine instances (each backed by the given queue kind), run by `workers`
+// Engine instances, run by `workers`
 // goroutines (clamped to [1, domains]) in windows of `window` nanoseconds.
 // The window must be a lower bound on the latency of every cross-domain
 // event: Send panics when violated.
-func NewShardedEngine(domains, workers int, window Time, kind QueueKind) *ShardedEngine {
+func NewShardedEngine(domains, workers int, window Time) *ShardedEngine {
 	if domains < 1 {
 		panic("sim: sharded engine needs at least one domain")
 	}
@@ -147,7 +147,7 @@ func NewShardedEngine(domains, workers int, window Time, kind QueueKind) *Sharde
 		crossMin: maxTime,
 	}
 	for i := range s.doms {
-		s.doms[i] = NewEngineQueue(kind)
+		s.doms[i] = NewEngine()
 	}
 	for w := range s.ws {
 		s.ws[w].minSent = maxTime

@@ -114,8 +114,8 @@ func seedModel(m *shModel, lanes int, seed int64, perLane int) {
 }
 
 // runLatticeSerial runs the lattice model on one serial Engine.
-func runLatticeSerial(kind QueueKind, lanes int, seed int64, window Time, horizons []Time) ([][]string, uint64) {
-	e := NewEngineQueue(kind)
+func runLatticeSerial(lanes int, seed int64, window Time, horizons []Time) ([][]string, uint64) {
+	e := NewEngine()
 	m := &shModel{
 		engOf:  func(int) *Engine { return e },
 		send:   func(_, _ int, at Time, fn func(any), arg any) { e.At1(at, fn, arg) },
@@ -132,8 +132,8 @@ func runLatticeSerial(kind QueueKind, lanes int, seed int64, window Time, horizo
 // runLatticeSharded runs the same model on a ShardedEngine, one lane per
 // domain. Each instant of flushAt is a global that calls FlushMailboxes, as
 // a checkpoint would. The returned engine is for white-box inspection.
-func runLatticeSharded(kind QueueKind, lanes, workers int, seed int64, window Time, horizons, flushAt []Time, lattice bool) ([][]string, *ShardedEngine) {
-	sh := NewShardedEngine(lanes, workers, window, kind)
+func runLatticeSharded(lanes, workers int, seed int64, window Time, horizons, flushAt []Time, lattice bool) ([][]string, *ShardedEngine) {
+	sh := NewShardedEngine(lanes, workers, window)
 	m := &shModel{
 		engOf:  sh.Domain,
 		send:   sh.Send,
@@ -184,7 +184,6 @@ func compareTraces(t *testing.T, name string, want, got [][]string) {
 // total order independent of worker count and scheduling.
 type shardCase struct {
 	seed     int64
-	kind     QueueKind
 	lanes    int
 	workers  []int
 	window   Time
@@ -201,7 +200,6 @@ func genShardCase(seed int64) shardCase {
 	rng := rand.New(rand.NewSource(seed))
 	c := shardCase{
 		seed:    seed,
-		kind:    QueueKind(rng.Intn(2)),
 		lanes:   2 + rng.Intn(23),
 		window:  Time(1 + rng.Int63n(2000)),
 		lattice: rng.Intn(2) == 0,
@@ -227,10 +225,10 @@ func checkShardCase(t *testing.T, c shardCase) {
 	var wantN uint64
 	ref := "serial"
 	if c.lattice {
-		want, wantN = runLatticeSerial(c.kind, c.lanes, c.seed, c.window, c.horizons)
+		want, wantN = runLatticeSerial(c.lanes, c.seed, c.window, c.horizons)
 	}
 	for _, workers := range c.workers {
-		tr, sh := runLatticeSharded(c.kind, c.lanes, workers, c.seed, c.window, c.horizons, c.flushAt, c.lattice)
+		tr, sh := runLatticeSharded(c.lanes, workers, c.seed, c.window, c.horizons, c.flushAt, c.lattice)
 		name := fmt.Sprintf("%+v: workers=%d vs %s", c, workers, ref)
 		requireMailboxesZero(t, name, sh)
 		if want == nil {
@@ -281,8 +279,8 @@ func TestShardedGeneratedDifferential(t *testing.T) {
 }
 
 // TestDifferentialSerialSharded is the differential on a hand-picked input:
-// five lanes under 1, 2, 3 (non-dividing) and 5 workers, both queue kinds,
-// six random split horizons — and the serial wheel against the serial heap.
+// five lanes under 1, 2, 3 (non-dividing) and 5 workers, six random split
+// horizons.
 func TestDifferentialSerialSharded(t *testing.T) {
 	const lanes = 5
 	const window = Time(1000)
@@ -297,17 +295,7 @@ func TestDifferentialSerialSharded(t *testing.T) {
 				c.horizons = append(c.horizons, h)
 			}
 			c.horizons = append(c.horizons, h+Second)
-
-			wheelTr, wheelN := runLatticeSerial(QueueWheel, lanes, seed, window, c.horizons)
-			heapTr, heapN := runLatticeSerial(QueueHeap, lanes, seed, window, c.horizons)
-			compareTraces(t, "serial wheel vs heap", wheelTr, heapTr)
-			if wheelN != heapN {
-				t.Fatalf("serial processed: wheel=%d heap=%d", wheelN, heapN)
-			}
-			for _, kind := range []QueueKind{QueueWheel, QueueHeap} {
-				c.kind = kind
-				checkShardCase(t, c)
-			}
+			checkShardCase(t, c)
 		})
 	}
 }
@@ -329,7 +317,7 @@ func TestShardedWorkerCountDeterminism(t *testing.T) {
 // domain has advanced to just short of the global when it fires), and the
 // coordinator clock lands on the horizon afterwards.
 func TestShardedGlobalEvents(t *testing.T) {
-	sh := NewShardedEngine(3, 2, 100, QueueWheel)
+	sh := NewShardedEngine(3, 2, 100)
 	var fired []Time
 	// Domain traffic past the global instants, including cross sends.
 	for d := 0; d < 3; d++ {
@@ -388,7 +376,7 @@ func TestShardedGlobalEvents(t *testing.T) {
 func TestShardedLocalTrafficGlobalAndHorizon(t *testing.T) {
 	const window = Time(100)
 	const horizon = Time(123_457) // deliberately not window-aligned
-	sh := NewShardedEngine(4, 2, window, QueueWheel)
+	sh := NewShardedEngine(4, 2, window)
 	ticks := make([]int, 4)
 	for d := 0; d < 4; d++ {
 		d := d
@@ -444,7 +432,7 @@ func TestShardedEngineFootprint(t *testing.T) {
 		engines[i] = NewEngine()
 	}
 	runtime.ReadMemStats(&m1)
-	sh := NewShardedEngine(domains, 2, 1000, QueueWheel)
+	sh := NewShardedEngine(domains, 2, 1000)
 	runtime.ReadMemStats(&m2)
 	bare, sharded := m1.TotalAlloc-m0.TotalAlloc, m2.TotalAlloc-m1.TotalAlloc
 	if sharded > bare+256<<10 {
@@ -457,7 +445,7 @@ func TestShardedEngineFootprint(t *testing.T) {
 
 // TestShardedSendLookaheadPanics pins the lookahead contract.
 func TestShardedSendLookaheadPanics(t *testing.T) {
-	sh := NewShardedEngine(2, 1, 1000, QueueWheel)
+	sh := NewShardedEngine(2, 1, 1000)
 	sh.Domain(0).At(0, func() {
 		defer func() {
 			if recover() == nil {

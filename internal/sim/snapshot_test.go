@@ -17,7 +17,7 @@ func snapshotByDrain(e *Engine) ([]EventDesc, error) {
 	drained := make([]event, 0, e.Pending())
 	for {
 		var ev event
-		if !e.popLE(maxTime, &ev) {
+		if !e.wheel.popLE(maxTime, &ev) {
 			break
 		}
 		drained = append(drained, ev)
@@ -49,14 +49,10 @@ func snapshotByDrain(e *Engine) ([]EventDesc, error) {
 			})
 		}
 	}
-	if e.wheel != nil {
-		fresh := newTimingWheel()
-		fresh.cascades = e.wheel.cascades
-		fresh.overflowPushes = e.wheel.overflowPushes
-		e.wheel = fresh
-	} else {
-		e.heap = e.heap[:0]
-	}
+	fresh := newTimingWheel()
+	fresh.cascades = e.wheel.cascades
+	fresh.overflowPushes = e.wheel.overflowPushes
+	e.wheel = fresh
 	for i := range drained {
 		e.push(drained[i])
 	}
@@ -86,8 +82,8 @@ type stopRec struct {
 // at seeded instants and calls snap there, when snap is not nil. Stops and
 // model draws come from separate generators, so every snap (or none) sees
 // the same run.
-func runSnapshotScript(t *testing.T, kind QueueKind, seed int64, snap func(*Engine) ([]EventDesc, error)) ([]popRec, []stopRec) {
-	e := NewEngineQueue(kind)
+func runSnapshotScript(t *testing.T, seed int64, snap func(*Engine) ([]EventDesc, error)) ([]popRec, []stopRec) {
+	e := NewEngine()
 	rng := rand.New(rand.NewSource(seed))
 	var trace []popRec
 	record := func(k uint8) { trace = append(trace, popRec{e.cur.at, e.cur.seq, k}) }
@@ -172,60 +168,61 @@ func runSnapshotScript(t *testing.T, kind QueueKind, seed int64, snap func(*Engi
 	return trace, stops
 }
 
-// TestSnapshotEventsIsPureRead: on both queues, a run that snapshots at
+// TestSnapshotEventsIsPureRead: a run that snapshots at
 // seeded instants pops the same (at, seq, kind) trace as one that never
 // does, and after every snapshot each SchedStats counter, the pending count
 // and the queue head are what the snapshot-free run has there. The
-// descriptors equal the drain-and-rebuild oracle's.
-func TestSnapshotEventsIsPureRead(t *testing.T) {
-	for kind, name := range map[QueueKind]string{QueueWheel: "wheel", QueueHeap: "heap"} {
-		for seed := int64(1); seed <= 6; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				plainTrace, plain := runSnapshotScript(t, kind, seed, nil)
-				trace, snapped := runSnapshotScript(t, kind, seed, func(e *Engine) ([]EventDesc, error) {
-					return e.SnapshotEvents(nil)
-				})
-				oracleTrace, oracle := runSnapshotScript(t, kind, seed, snapshotByDrain)
+// descriptors equal the drain-and-rebuild oracle's. The seeds run under the
+// subtest "wheel", named for the engine's queue.
+func TestSnapshotEventsIsPureRead(t *testing.T) { t.Run("wheel", testSnapshotEventsIsPureRead) }
 
-				if !reflect.DeepEqual(trace, plainTrace) || !reflect.DeepEqual(oracleTrace, plainTrace) {
-					t.Fatalf("pop traces differ: %d plain, %d snapshotting, %d oracle", len(plainTrace), len(trace), len(oracleTrace))
-				}
-				if len(snapped) != len(plain) || len(oracle) != len(plain) {
-					t.Fatalf("stops: %d plain, %d snapshotting, %d oracle", len(plain), len(snapped), len(oracle))
-				}
-				var descs, timers, disarmed, far int
-				for i := range plain {
-					s, p := snapped[i], plain[i]
-					if s.stats != p.stats || s.pending != p.pending || s.next != p.next {
-						t.Fatalf("stop %d: snapshotting run has %+v, pending %d, next %v; plain run %+v, pending %d, next %v",
-							i, s.stats, s.pending, s.next, p.stats, p.pending, p.next)
-					}
-					if !slices.Equal(s.descs, oracle[i].descs) {
-						t.Fatalf("stop %d: descriptors differ from the drain oracle:\n got  %v\n want %v", i, s.descs, oracle[i].descs)
-					}
-					for _, d := range s.descs {
-						descs++
-						if d.Timer {
-							timers++
-							if !d.Armed {
-								disarmed++
-							}
-						}
-						if d.At-s.descs[0].At >= 1<<horizonBits {
-							far++
-						}
-					}
-				}
-				// The script must have reached every shape it claims to.
-				end := plain[len(plain)-1].stats
-				if end.DeadPops == 0 || end.Chases == 0 || end.Cancels == 0 || descs == 0 || timers == 0 || disarmed == 0 || far == 0 {
-					t.Fatalf("script too tame: %+v; %d descriptors, %d timers, %d disarmed, %d past the horizon",
-						end, descs, timers, disarmed, far)
-				}
-				if kind == QueueWheel && (end.OverflowPushes == 0 || end.Cascades == 0) {
-					t.Fatalf("wheel never overflowed or cascaded: %+v", end)
-				}
+func testSnapshotEventsIsPureRead(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			plainTrace, plain := runSnapshotScript(t, seed, nil)
+			trace, snapped := runSnapshotScript(t, seed, func(e *Engine) ([]EventDesc, error) {
+				return e.SnapshotEvents(nil)
 			})
-		}
+			oracleTrace, oracle := runSnapshotScript(t, seed, snapshotByDrain)
+
+			if !reflect.DeepEqual(trace, plainTrace) || !reflect.DeepEqual(oracleTrace, plainTrace) {
+				t.Fatalf("pop traces differ: %d plain, %d snapshotting, %d oracle", len(plainTrace), len(trace), len(oracleTrace))
+			}
+			if len(snapped) != len(plain) || len(oracle) != len(plain) {
+				t.Fatalf("stops: %d plain, %d snapshotting, %d oracle", len(plain), len(snapped), len(oracle))
+			}
+			var descs, timers, disarmed, far int
+			for i := range plain {
+				s, p := snapped[i], plain[i]
+				if s.stats != p.stats || s.pending != p.pending || s.next != p.next {
+					t.Fatalf("stop %d: snapshotting run has %+v, pending %d, next %v; plain run %+v, pending %d, next %v",
+						i, s.stats, s.pending, s.next, p.stats, p.pending, p.next)
+				}
+				if !slices.Equal(s.descs, oracle[i].descs) {
+					t.Fatalf("stop %d: descriptors differ from the drain oracle:\n got  %v\n want %v", i, s.descs, oracle[i].descs)
+				}
+				for _, d := range s.descs {
+					descs++
+					if d.Timer {
+						timers++
+						if !d.Armed {
+							disarmed++
+						}
+					}
+					if d.At-s.descs[0].At >= 1<<horizonBits {
+						far++
+					}
+				}
+			}
+			// The script must have reached every shape it claims to.
+			end := plain[len(plain)-1].stats
+			if end.DeadPops == 0 || end.Chases == 0 || end.Cancels == 0 || descs == 0 || timers == 0 || disarmed == 0 || far == 0 {
+				t.Fatalf("script too tame: %+v; %d descriptors, %d timers, %d disarmed, %d past the horizon",
+					end, descs, timers, disarmed, far)
+			}
+			if end.OverflowPushes == 0 || end.Cascades == 0 {
+				t.Fatalf("wheel never overflowed or cascaded: %+v", end)
+			}
+		})
 	}
 }

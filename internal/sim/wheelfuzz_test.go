@@ -10,52 +10,46 @@ import (
 // changes shape: offsets on and adjacent to every level boundary (4096 ns,
 // 2^20 ns, 2^28 ns) and the 2^36 ns ≈ 69 s horizon (overflow-heap parking
 // and migration), scheduled from randomized cursor positions, mixed with
-// same-instant bursts. The heap engine is the oracle: firing traces, the
-// engine end state, and every intermediate NextAt probe must match, which
-// also pins the non-mutating peekMin across cascade/migration states.
+// same-instant bursts. The script knows every pending event, so it checks
+// the engine directly: firing order is (at, seq) order, every NextAt probe
+// names the earliest pending time — which pins the non-mutating peekMin
+// across cascade/migration states — and every partial drain leaves nothing
+// due at or before its horizon.
 func TestWheelBoundaryFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			wheel := runBoundaryScript(QueueWheel, seed)
-			heap := runBoundaryScript(QueueHeap, seed)
-			if len(wheel) != len(heap) {
-				t.Fatalf("trace lengths differ: wheel=%d heap=%d", len(wheel), len(heap))
-			}
-			for i := range wheel {
-				if wheel[i] != heap[i] {
-					t.Fatalf("traces diverge at %d:\n  wheel: %s\n  heap:  %s", i, wheel[i], heap[i])
-				}
-			}
-		})
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runBoundaryScript(t, seed) })
 	}
 }
 
 // runBoundaryScript schedules boundary-straddling batches from varied
-// cursor offsets and drains with interleaved horizon probes. Event ids are
-// assigned in scheduling order, so within one instant the trace must list
-// ids ascending — checked directly, in addition to the differential
-// comparison.
-func runBoundaryScript(kind QueueKind, seed int64) []string {
-	e := NewEngineQueue(kind)
+// cursor offsets and drains with interleaved horizon probes.
+func runBoundaryScript(t *testing.T, seed int64) {
+	e := NewEngine()
 	rng := rand.New(rand.NewSource(seed))
-	var trace []string
+	chk := &firingCheck{t: t, e: e}
+	due := map[int]Time{}
 	id := 0
-	lastAt, lastID := Time(-1), -1
 	sched := func(at Time) {
 		if at < e.Now() {
 			return
 		}
 		id++
 		my := id
+		due[my] = at
 		e.At(at, func() {
-			now := e.Now()
-			if now < lastAt || (now == lastAt && my < lastID) {
-				trace = append(trace, fmt.Sprintf("ORDER VIOLATION %d@%d after %d@%d", my, now, lastID, lastAt))
-			}
-			lastAt, lastID = now, my
-			trace = append(trace, fmt.Sprintf("%d@%d", my, now))
+			chk.fired()
+			delete(due, my)
 		})
+	}
+	probe := func() {
+		t.Helper()
+		want, wantOK := maxTime, false
+		for _, at := range due {
+			want, wantOK = min(want, at), true
+		}
+		if got, ok := e.NextAt(); ok != wantOK || ok && got != want {
+			t.Fatalf("NextAt = %v,%v; earliest pending is %v,%v", got, ok, want, wantOK)
+		}
 	}
 
 	boundaries := []Time{
@@ -82,26 +76,26 @@ func runBoundaryScript(kind QueueKind, seed int64) []string {
 		for j := 0; j < 4; j++ {
 			sched(now + Time(rng.Int63n(int64(2*Second))))
 		}
-		// Horizon probe (peekMin on the wheel, heap[0] on the heap).
-		if at, ok := e.NextAt(); ok {
-			trace = append(trace, fmt.Sprintf("next=%d", int64(at)))
-		} else {
-			trace = append(trace, "next=none")
-		}
+		probe()
 		// Partial drains exercise limit-bounded cascades and migrations.
 		if round%3 == 2 {
-			e.Run(e.Now() + boundaries[rng.Intn(len(boundaries))] + Time(rng.Int63n(5)) - 2)
-			trace = append(trace, fmt.Sprintf("seg now=%d pending=%d processed=%d",
-				e.Now(), e.Pending(), e.Processed()))
-			if at, ok := e.NextAt(); ok {
-				trace = append(trace, fmt.Sprintf("next=%d", int64(at)))
+			until := e.Now() + boundaries[rng.Intn(len(boundaries))] + Time(rng.Int63n(5)) - 2
+			e.Run(until)
+			for id, at := range due {
+				if at <= until {
+					t.Fatalf("event %d due at %v still pending after Run(%v)", id, at, until)
+				}
 			}
+			probe()
 		}
 	}
 	e.RunAll()
-	trace = append(trace, fmt.Sprintf("end now=%d pending=%d processed=%d",
-		e.Now(), e.Pending(), e.Processed()))
-	return trace
+	if e.Pending() != 0 || len(due) != 0 {
+		t.Fatalf("RunAll left %d pending, %d unfired", e.Pending(), len(due))
+	}
+	if st := e.SchedStats(); st.Cascades == 0 || st.OverflowPushes == 0 {
+		t.Fatalf("script too tame: %+v", st)
+	}
 }
 
 // TestWheelPeekMinExact pins peekMin against a draining oracle in targeted
