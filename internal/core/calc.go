@@ -20,10 +20,14 @@ type Calculator struct {
 
 	Bound HmaxBound
 
-	// peers is the schedule's flat peer table (topo.Schedule.PeerTable) with
-	// each (cyclic slice, ToR) run of d circuit ends sorted ascending: all
-	// the DP's extension step ever looks at, in the order it wants them.
-	peers []int32
+	// peers is a copy of the schedule's flat peer table
+	// (topo.Schedule.Peers) with each (cyclic slice, ToR) run of d circuit
+	// ends sorted ascending: all the DP's extension step ever looks at, in
+	// the order it wants them.
+	// peerUp[i] is the switch of circuit end peers[i]; a pair two switches
+	// realize in one slice keeps its lower switch first.
+	peers  []int32
+	peerUp []uint16
 }
 
 // DefaultMaxParallel is the parallel-path retention NewCalculator starts
@@ -34,10 +38,19 @@ const DefaultMaxParallel = 4
 // a calculator with default parallel retention of DefaultMaxParallel paths.
 func NewCalculator(f *topo.Fabric) *Calculator {
 	b := BoundHmax(f.Config, f.Sched)
-	peers, d := f.Sched.PeerTable(), f.Sched.D
+	peers, d := slices.Clone(f.Sched.Peers()), f.Sched.D
+	ups := make([]uint16, len(peers))
 	for at := 0; at < len(peers); at += d {
-		slices.Sort(peers[at : at+d])
+		run, up := peers[at:at+d], ups[at:at+d]
+		// Insertion sort: stable, so equal peers keep ascending switches.
+		for i := range run {
+			up[i] = uint16(i)
+			for j := i; j > 0 && run[j] < run[j-1]; j-- {
+				run[j], run[j-1] = run[j-1], run[j]
+				up[j], up[j-1] = up[j-1], up[j]
+			}
+		}
 	}
 	return &Calculator{F: f, HMax: b.Q, HSlice: b.HSlice, MaxParallel: DefaultMaxParallel, Bound: b,
-		peers: peers}
+		peers: peers, peerUp: ups}
 }

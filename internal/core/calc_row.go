@@ -14,10 +14,10 @@ import "math"
 // reads it, and a destination that some lower level already reaches in
 // t_start keeps its whole group below HMax: latency 1 is the global minimum,
 // so entryLevels stops there (inStart). That destination's level-HMax cell
-// holds the "not computed" value — end −1, last −1, hLast 0, no ties — which
-// the source's own column holds at every level too, so a reused scratch
-// equals a fresh one cell for cell. A caller that reads level h of every
-// destination computes with HMax ≥ h+1.
+// holds the "not computed" value — end −1, last −1, hLast 0, up 0, no ties —
+// which the source's own column holds at every level too, so a reused
+// scratch equals a fresh one cell for cell. A caller that reads level h of
+// every destination computes with HMax ≥ h+1.
 type RowTables struct {
 	N          int
 	HMax       int
@@ -27,6 +27,7 @@ type RowTables struct {
 	end   [][]int64   // [n][dst] absolute end slice; -1 where no path or not computed
 	last  [][]int32   // last intermediate ToR of the primary solution
 	hLast [][]int8    // hops taken within the final slice
+	up    [][]uint16  // switch of the primary's last link: the lowest one realizing it
 	par   [][][]int32 // tied alternative last hops (excluding primary)
 }
 
@@ -42,8 +43,7 @@ func (c *Calculator) ComputeRow(tstart, src int) *RowTables {
 // scratch; callers must extract what they need before the next
 // ComputeRowInto on the same scratch.
 func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
-	sched := c.F.Sched
-	n := sched.N
+	n := c.F.Sched.N
 	if t == nil {
 		t = &RowTables{}
 	}
@@ -52,11 +52,13 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 		t.end = make([][]int64, c.HMax+1)
 		t.last = make([][]int32, c.HMax+1)
 		t.hLast = make([][]int8, c.HMax+1)
+		t.up = make([][]uint16, c.HMax+1)
 		t.par = make([][][]int32, c.HMax+1)
 		for h := 1; h <= c.HMax; h++ {
 			t.end[h] = make([]int64, n)
 			t.last[h] = make([]int32, n)
 			t.hLast[h] = make([]int8, n)
+			t.up[h] = make([]uint16, n)
 			t.par[h] = make([][]int32, n)
 		}
 	}
@@ -68,15 +70,7 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 	for h := 1; h <= c.HMax; h++ {
 		t.clear(h, src)
 	}
-	// n = 1: direct circuits (Fig 3b).
-	for dst := 0; dst < n; dst++ {
-		if dst == src {
-			continue
-		}
-		t.end[1][dst] = sched.NextDirect(src, dst, t.StartSlice)
-		t.last[1][dst] = -1
-		t.hLast[1][dst] = 1
-	}
+	c.directRow(t)
 	// n >= 2: extend the (n-1)-hop minimum-latency paths by one hop.
 	for h := 2; h <= c.HMax; h++ {
 		c.extendRow(t, h)
@@ -84,9 +78,38 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 	return t
 }
 
+// directRow computes level 1, the direct circuits (Fig 3b), from the
+// source's own circuits, slice by slice from t_start: the first slice a
+// destination appears in ends its direct path, on the lowest switch that
+// realizes it. Every pair meets within one cycle.
+func (c *Calculator) directRow(t *RowTables) {
+	sched := c.F.Sched
+	n, d, s, src := t.N, sched.D, sched.S, t.Src
+	end, last, hl, up := t.end[1], t.last[1], t.hLast[1], t.up[1]
+	for dst := range end {
+		end[dst] = -1
+	}
+	peers := sched.Peers()
+	left := n - 1
+	for at, cyc := t.StartSlice, int(t.StartSlice%int64(s)); left > 0; at++ {
+		if at == t.StartSlice+int64(s) {
+			panic("core: pair never connected in schedule")
+		}
+		for u, m := range peers[(cyc*n+src)*d : (cyc*n+src+1)*d] {
+			if end[m] < 0 && int(m) != src {
+				end[m], last[m], hl[m], up[m] = at, -1, 1, uint16(u)
+				left--
+			}
+		}
+		if cyc++; cyc == s {
+			cyc = 0
+		}
+	}
+}
+
 // clear writes the "not computed" value into the level-h cell of dst.
 func (t *RowTables) clear(h, dst int) {
-	t.end[h][dst], t.last[h][dst], t.hLast[h][dst] = -1, -1, 0
+	t.end[h][dst], t.last[h][dst], t.hLast[h][dst], t.up[h][dst] = -1, -1, 0, 0
 	t.par[h][dst] = t.par[h][dst][:0]
 }
 
@@ -114,15 +137,16 @@ func (t *RowTables) inStart(n, dst int) bool { return t.end[n][dst] == t.StartSl
 // the tie list under the MaxParallel-1 cap. A slice's neighbours of dst are
 // sorted ascending (NewCalculator), so that order is the run walked from its
 // first peer >= src, wrapping around; a pair two switches realize in the
-// slice is the same peer twice, adjacent in the run, and counts once. That
-// order is what makes tie selection equivariant under ToR rotation — on a
-// rotation-symmetric schedule the row of src is exactly the rotated row of
-// ToR 0, which the symmetric PathSet build relies on.
+// slice is the same peer twice, adjacent in the run with the lower switch
+// first, and counts once. That order is what makes tie selection
+// equivariant under ToR rotation — on a rotation-symmetric schedule the row
+// of src is exactly the rotated row of ToR 0, which the symmetric PathSet
+// build relies on.
 func (c *Calculator) extendRow(t *RowTables, h int) {
 	n, d, s := t.N, c.F.Sched.D, c.F.Sched.S
 	src := t.Src
 	prevEnd, prevHL := t.end[h-1], t.hLast[h-1]
-	curEnd, curLast, curHL, par := t.end[h], t.last[h], t.hLast[h], t.par[h]
+	curEnd, curLast, curHL, curUp, par := t.end[h], t.last[h], t.hLast[h], t.up[h], t.par[h]
 	hSlice, maxTies := c.HSlice, c.MaxParallel-1
 	// Every level-(h-1) path ends within (h-1)·S slices and every circuit
 	// reappears within S.
@@ -144,10 +168,11 @@ dsts:
 		// Reuse the tie list's backing array from the previous starting
 		// slice computed on this scratch.
 		ties := par[dst][:0]
-		bestLast, bestHL := int32(-1), int8(0)
+		bestLast, bestHL, bestUp := int32(-1), int8(0), uint16(0)
 		at, cyc := t.StartSlice, cyc0
 		for {
-			run := c.peers[(cyc*n+dst)*d : (cyc*n+dst+1)*d]
+			base := (cyc*n + dst) * d
+			run := c.peers[base : base+d]
 			i := 0
 			for i < d && int(run[i]) < src {
 				i++
@@ -177,12 +202,12 @@ dsts:
 				prevMid = mid
 				switch {
 				case bestLast < 0:
-					bestLast, bestHL = mid, hl
+					bestLast, bestHL, bestUp = mid, hl, c.peerUp[base+i]
 				case hl < bestHL:
 					// Prefer the variant leaving slack in the final slice;
 					// demote the old primary to a tie.
 					ties = appendTie(ties, bestLast, maxTies)
-					bestLast, bestHL = mid, hl
+					bestLast, bestHL, bestUp = mid, hl, c.peerUp[base+i]
 				default:
 					ties = appendTie(ties, mid, maxTies)
 				}
@@ -200,6 +225,7 @@ dsts:
 		curEnd[dst] = at
 		curLast[dst] = bestLast
 		curHL[dst] = bestHL
+		curUp[dst] = bestUp
 		par[dst] = ties
 	}
 }

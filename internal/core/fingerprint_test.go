@@ -16,7 +16,7 @@ import (
 // -short, the (324,12) build's ToR-0 compiled table must keep the
 // fingerprint the repository benchmark's offline324 workload reports.
 func TestBruteStoreFingerprint(t *testing.T) {
-	const want108 = "19138f7a97a8bedb"
+	const want108 = "af501807fe292718"
 	f := topo.MustFabric(topo.PaperDefault(), "round-robin", 1)
 	for _, w := range []int{1, 2} {
 		ps := core.BuildPathSetOpts(f, 0.5, core.BuildOptions{Workers: w})

@@ -105,6 +105,9 @@ func diffRows(a, b *RowTables) string {
 			if a.hLast[h][dst] != b.hLast[h][dst] {
 				return fmt.Sprintf("h=%d dst=%d: hLast %d vs %d", h, dst, a.hLast[h][dst], b.hLast[h][dst])
 			}
+			if a.up[h][dst] != b.up[h][dst] {
+				return fmt.Sprintf("h=%d dst=%d: up %d vs %d", h, dst, a.up[h][dst], b.up[h][dst])
+			}
 			if !slices.Equal(a.par[h][dst], b.par[h][dst]) {
 				return fmt.Sprintf("h=%d dst=%d: ties %v vs %v", h, dst, a.par[h][dst], b.par[h][dst])
 			}

@@ -21,13 +21,14 @@ type PathSet struct {
 	Model CostModel
 
 	// sym marks the rotation-symmetric canonical build (pathset_sym.go):
-	// one segment of deduplicated source-0 records, spine indexed
-	// t_start·N+Δ, `unique` records in all. Brute-force builds hold one
-	// segment per starting slice and a spine indexed (t_start·N+src)·N+dst.
-	sym    bool
-	unique int
-	segs   []segment
-	spine  []uint32
+	// source-0 records only, spine indexed t_start·N+Δ. Brute-force and
+	// baseline builds index the spine (t_start·N+src)·N+dst. Either way
+	// segs holds one segment per starting slice, and hops reads their hop
+	// codes back.
+	sym   bool
+	segs  []segment
+	spine []uint32
+	hops  *hopTable
 }
 
 // BuildOptions tunes the offline build. The zero value picks the defaults.
@@ -66,23 +67,12 @@ func BuildPathSetWith(f *topo.Fabric, alpha float64, maxParallel int) *PathSet {
 // it claims, so the build performs O(workers) — not O(S) — scratch
 // allocations, and packs each slice's groups straight from the DP rows into
 // the slice's own store segment. It panics with the packer's error when a
-// fabric does not fit the store's field widths (more than 65,536 ToRs, hop
-// slices more than 65,535 past t_start): the signature predates the packed
-// store, and no fabric the DP can finish comes near either.
+// fabric does not fit the store's field widths (a hop more than
+// 2^(16−b)−1 slices past t_start, b = bits.Len(d−1); more than 65,536
+// distinct profiles in one starting slice): the signature predates the
+// packed store, and no fabric the DP can finish comes near either.
 func BuildPathSetOpts(f *topo.Fabric, alpha float64, opt BuildOptions) *PathSet {
-	calc := NewCalculator(f)
-	if opt.MaxParallel > 0 {
-		calc.MaxParallel = opt.MaxParallel
-	}
-	ps := &PathSet{
-		F:    f,
-		Calc: calc,
-		Model: CostModel{
-			Alpha:       alpha,
-			LinkBps:     float64(f.LinkBps),
-			SliceMicros: f.SliceDuration.Micros(),
-		},
-	}
+	ps := newPathSet(f, alpha, opt.MaxParallel)
 	workers := effectiveWorkers(opt.Workers, f.Sched.S)
 	var err error
 	if f.Sched.Rotation() && !opt.NoSymmetry {
@@ -94,6 +84,25 @@ func BuildPathSetOpts(f *topo.Fabric, alpha float64, opt BuildOptions) *PathSet 
 		panic(err)
 	}
 	return ps
+}
+
+// newPathSet returns an empty UCMP path set for f: its calculator, keeping
+// maxParallel ties when that is positive, and α's cost model.
+func newPathSet(f *topo.Fabric, alpha float64, maxParallel int) *PathSet {
+	calc := NewCalculator(f)
+	if maxParallel > 0 {
+		calc.MaxParallel = maxParallel
+	}
+	return &PathSet{
+		F:    f,
+		Calc: calc,
+		Model: CostModel{
+			Alpha:       alpha,
+			LinkBps:     float64(f.LinkBps),
+			SliceMicros: f.SliceDuration.Micros(),
+		},
+		hops: newHopTable(f.Sched),
+	}
 }
 
 // buildBrute computes all N² rows of every starting slice; each slice gets
@@ -108,7 +117,7 @@ func (ps *PathSet) buildBrute(workers int) error {
 	return ps.eachSlice(workers, func() func(*packer, int) {
 		var row *RowTables
 		return func(p *packer, ts int) {
-			p.begin(p.words)
+			p.begin(p.words, ts)
 			for src := 0; src < n; src++ {
 				row = ps.Calc.ComputeRowInto(ts, src, row)
 				if src == 0 {
@@ -192,24 +201,23 @@ func effectiveWorkers(requested, tasks int) int {
 // every other per-group reader use. src == dst yields the zero view.
 func (ps *PathSet) View(tstart, src, dst int) GroupView {
 	n := ps.F.Sched.N
-	seg, slot, rot := &ps.segs[0], 0, 0
+	slot, rot := (tstart*n+src)*n+dst, 0
 	if ps.sym {
 		delta := dst - src
 		if delta < 0 {
 			delta += n
 		}
 		slot, rot = tstart*n+delta, src
-	} else {
-		seg, slot = &ps.segs[tstart], (tstart*n+src)*n+dst
 	}
 	off := ps.spine[slot]
 	if off == 0 {
 		return GroupView{}
 	}
+	seg := &ps.segs[tstart]
 	rec := seg.words[off:]
 	return GroupView{
 		Src: src, Dst: dst, StartSlice: tstart,
-		rec: rec, prof: &seg.profiles[rec[0]], rot: int32(rot), n: int32(n),
+		rec: rec, prof: &seg.profiles[rec[0]], hops: ps.hops, rot: int32(rot),
 	}
 }
 
@@ -327,16 +335,12 @@ func (ps *PathSet) SingleSliceShare() (groupShare, pathShare float64) {
 	// pairs, so counting slots weighs every concrete group equally and the
 	// shares are unchanged.
 	single, groups, paths := 0, 0, 0
-	n := ps.F.Sched.N
+	perSlice := len(ps.spine) / len(ps.segs)
 	for slot, off := range ps.spine {
 		if off == 0 {
 			continue
 		}
-		seg := &ps.segs[0]
-		if !ps.sym {
-			seg = &ps.segs[slot/(n*n)]
-		}
-		np := GroupView{rec: seg.words[off:]}.NumPaths()
+		np := GroupView{rec: ps.segs[slot/perSlice].words[off:]}.NumPaths()
 		groups++
 		paths += np
 		if np == 1 {

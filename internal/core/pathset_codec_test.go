@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -27,8 +28,8 @@ func pathSetString(ps *PathSet) string {
 
 // TestCanonicalCodecRoundTrip: encode a symmetric build, decode it, and
 // require the decoded path set to be observably identical to the original
-// — every group, every threshold — and to encode back to the same bytes,
-// across schedule kinds and parallel-path caps.
+// — every group, every threshold, every stored word — and to encode back to
+// the same bytes, across schedule kinds and parallel-path caps.
 func TestCanonicalCodecRoundTrip(t *testing.T) {
 	for _, kind := range []string{"round-robin", "opera", "random-circulant"} {
 		for _, mp := range []int{1, 4} {
@@ -54,11 +55,85 @@ func TestCanonicalCodecRoundTrip(t *testing.T) {
 				t.Fatalf("%s mp=%d: CanonStats (%d,%d), want (%d,%d)",
 					kind, mp, gotRows, gotCanon, wantRows, wantCanon)
 			}
+			if StoreFingerprint(dec) != StoreFingerprint(ps) {
+				t.Fatalf("%s mp=%d: decoded store differs from the built one", kind, mp)
+			}
 			spine2, store2, err := dec.EncodeCanonical()
 			if err != nil || !bytes.Equal(spine2, spine) || !bytes.Equal(store2, store) {
 				t.Fatalf("%s mp=%d: decoded path set re-encodes differently (err %v)", kind, mp, err)
 			}
 		}
+	}
+}
+
+// shareRecords rewrites an encoded store the way builds that interned
+// records wrote it: a group whose bytes equal an earlier one's is stored
+// once and ranked by every slot that holds it. It also returns how many
+// groups it folded away.
+func shareRecords(t *testing.T, n int, spine, store []byte) (sharedSpine, sharedStore []byte, folded int) {
+	t.Helper()
+	r := &storeReader{b: store}
+	count, err := r.count("groups", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := make([]int32, count)
+	first := map[string]int32{}
+	sharedStore = binary.LittleEndian.AppendUint32(nil, 0) // the count, patched below
+	for gi := range ranks {
+		start := r.off
+		if _, err := readGroup(r, gi, n, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		g := store[start:r.off]
+		rank, ok := first[string(g)]
+		if !ok {
+			rank = int32(len(first))
+			first[string(g)] = rank
+			sharedStore = append(sharedStore, g...)
+		}
+		ranks[gi] = rank
+	}
+	binary.LittleEndian.PutUint32(sharedStore, uint32(len(first)))
+	for i := 0; i < len(spine); i += 4 {
+		idx := int32(binary.LittleEndian.Uint32(spine[i:]))
+		if idx >= 0 {
+			idx = ranks[idx]
+		}
+		sharedSpine = binary.LittleEndian.AppendUint32(sharedSpine, uint32(idx))
+	}
+	return sharedSpine, sharedStore, count - len(first)
+}
+
+// TestCanonicalCodecLoadsSharedRecords: a file whose rank serves several
+// slots — what the symmetric build wrote while it interned records, which
+// circulant Opera repeats across the slices a class is held for — loads to
+// the same path set, which encodes back to one group per slot.
+func TestCanonicalCodecLoadsSharedRecords(t *testing.T) {
+	folded := 0
+	for _, nd := range [][2]int{{16, 4}, {32, 4}} {
+		f := kindFabric(t, "opera", nd[0], nd[1])
+		ps := BuildPathSet(f, 0.5)
+		spine, store, err := ps.EncodeCanonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharedSpine, sharedStore, n := shareRecords(t, f.Sched.N, spine, store)
+		folded += n
+		dec, err := DecodeCanonical(f, 0.5, 0, sharedSpine, sharedStore)
+		if err != nil {
+			t.Fatalf("opera(%d,%d) with %d groups folded: %v", nd[0], nd[1], n, err)
+		}
+		if pathSetString(dec) != pathSetString(ps) {
+			t.Fatalf("opera(%d,%d): decoded shared-rank file differs from the build", nd[0], nd[1])
+		}
+		spine2, store2, err := dec.EncodeCanonical()
+		if err != nil || !bytes.Equal(spine2, spine) || !bytes.Equal(store2, store) {
+			t.Fatalf("opera(%d,%d): shared-rank file re-encodes differently (err %v)", nd[0], nd[1], err)
+		}
+	}
+	if folded == 0 {
+		t.Fatal("no group repeats across slots: the shared-rank path is untested")
 	}
 }
 

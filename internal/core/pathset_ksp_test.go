@@ -11,31 +11,46 @@ import (
 // entries and every hop, the implied last one included, lands in t_start.
 func TestNodePathsLayout(t *testing.T) {
 	f := symFabric(t, 8, 4)
+	const ts = 1
+	dst := f.Sched.PeerOf(ts, 0, 0)
+	paths := f.Sched.SliceGraph(ts).KShortestPaths(0, dst, 12)
+	var hops []int // the entries' hop counts
+	for _, path := range paths {
+		if h := len(path) - 1; len(hops) == 0 || hops[len(hops)-1] != h {
+			hops = append(hops, h)
+		}
+	}
+	if len(hops) < 3 {
+		t.Fatalf("Yen's paths span hop counts %v: want three entries", hops)
+	}
 	p := newPacker(f, CostModel{LinkBps: 1, SliceMicros: 1})
-	p.begin(nil)
-	paths := [][]int{{0, 3}, {0, 5, 3}, {0, 1, 3}, {0, 1, 2, 3}}
+	p.begin(nil, ts)
 	off := p.nodePaths(paths)
 	p.seal(off)
 	if off == 0 || p.err != nil {
 		t.Fatalf("offset %d, err %v", off, p.err)
 	}
-	g := GroupView{Src: 0, Dst: 3, StartSlice: 2, rec: p.words[off:], prof: &p.profiles[p.words[off]], n: 8}
-	if g.NumEntries() != 3 || g.NumPaths() != len(paths) || recLen(g.rec) != len(p.words)-int(off) {
+	g := GroupView{Src: 0, Dst: dst, StartSlice: ts, rec: p.words[off:], prof: &p.profiles[p.words[off]], hops: p.hops}
+	if g.NumEntries() != len(hops) || g.NumPaths() != len(paths) || recLen(g.rec) != len(p.words)-int(off) {
 		t.Fatalf("%d entries, %d paths, record %d of %d words", g.NumEntries(), g.NumPaths(), recLen(g.rec), len(p.words)-int(off))
 	}
-	for e, want := range []int{1, 2, 3} {
+	for e, want := range hops {
 		if ev := g.Entry(e); ev.HopCount != want || ev.LatencySlices != 1 {
 			t.Fatalf("entry %d: %d hops latency %d", e, ev.HopCount, ev.LatencySlices)
 		}
 	}
 	for i, want := range paths {
-		v := g.Path(i)
 		got := []int{0}
-		for k := 0; k < v.HopCount(); k++ {
-			if h := v.Hop(k); h.Slice != 2 {
-				t.Fatalf("path %d hop %d in slice %d, want 2", i, k, h.Slice)
+		path := g.Path(i)
+		for w := path.Walk(); ; {
+			h, ok := w.Next()
+			if !ok {
+				break
 			}
-			got = append(got, v.Hop(k).To)
+			if h.Slice != ts {
+				t.Fatalf("path %d hop %d in slice %d, want %d", i, len(got)-1, h.Slice, ts)
+			}
+			got = append(got, h.To)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("path %d: %v, want %v", i, got, want)
@@ -52,7 +67,7 @@ func TestNodePathsLayout(t *testing.T) {
 func TestNodePathsRejectsDescendingHops(t *testing.T) {
 	f := symFabric(t, 8, 4)
 	p := newPacker(f, CostModel{LinkBps: 1, SliceMicros: 1})
-	p.begin(nil)
+	p.begin(nil, 0)
 	if off := p.nodePaths([][]int{{0, 1, 3}, {0, 3}}); off != 0 || !errors.Is(p.err, errPathOrder) {
 		t.Fatalf("offset %d, err %v; want 0 and errPathOrder", off, p.err)
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -117,52 +115,43 @@ func TestScheduleHStaticRotationExact(t *testing.T) {
 	}
 }
 
-// TestSymmetricBuildWorkerInvariance: the store segment and spine must be
-// byte-identical regardless of worker count (the interning pass is serial).
+// TestSymmetricBuildWorkerInvariance: the store segments and spine must be
+// byte-identical regardless of worker count (each slice's segment is written
+// by the one worker that claimed it).
 func TestSymmetricBuildWorkerInvariance(t *testing.T) {
 	f := symFabric(t, 16, 4)
-	ref := BuildPathSetOpts(f, 0.5, BuildOptions{Workers: 1})
+	want := StoreFingerprint(BuildPathSetOpts(f, 0.5, BuildOptions{Workers: 1}))
 	for _, w := range []int{2, 3, 8} {
-		ps := BuildPathSetOpts(f, 0.5, BuildOptions{Workers: w})
-		if ps.unique != ref.unique {
-			t.Fatalf("workers=%d: %d records vs %d", w, ps.unique, ref.unique)
-		}
-		if !slices.Equal(ps.spine, ref.spine) {
-			t.Fatalf("workers=%d: spine differs", w)
-		}
-		if !slices.Equal(ps.segs[0].words, ref.segs[0].words) {
-			t.Fatalf("workers=%d: store words differ", w)
-		}
-		if !reflect.DeepEqual(ps.segs[0].profiles, ref.segs[0].profiles) {
-			t.Fatalf("workers=%d: profiles differ", w)
+		if got := StoreFingerprint(BuildPathSetOpts(f, 0.5, BuildOptions{Workers: w})); got != want {
+			t.Fatalf("workers=%d: store fingerprint %016x, want %016x", w, got, want)
 		}
 	}
 }
 
-// TestCanonStats: the spine covers S·(N-1) rows and dedup never exceeds it.
+// TestCanonStats: the spine covers S·(N-1) rows, each with its own record
+// in its starting slice's segment, and every record validates as the
+// source-0 group of its slot.
 func TestCanonStats(t *testing.T) {
 	f := symFabric(t, 16, 4)
 	ps := BuildPathSet(f, 0.5)
-	rows, unique := ps.CanonStats()
-	if rows != f.Sched.S*(f.Sched.N-1) {
-		t.Fatalf("rows = %d, want %d", rows, f.Sched.S*(f.Sched.N-1))
+	n, s := f.Sched.N, f.Sched.S
+	rows, records := ps.CanonStats()
+	if rows != s*(n-1) || records != rows {
+		t.Fatalf("CanonStats = (%d,%d), want (%d,%d)", rows, records, s*(n-1), s*(n-1))
 	}
-	if unique < 1 || unique > rows {
-		t.Fatalf("unique = %d outside [1, %d]", unique, rows)
-	}
-	// Every stored record validates as the source-0, t_start-0 group, and
-	// walking the segment record by record finds exactly `unique` of them.
-	seg, found := &ps.segs[0], 0
-	for off := 1; off < len(seg.words); off += recLen(seg.words[off:]) {
-		rec := seg.words[off:]
-		g := GroupView{rec: rec, prof: &seg.profiles[rec[0]], n: int32(f.Sched.N)}.Materialize()
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
+	for ts, seg := range ps.segs {
+		found := 0
+		for off := 1; off < len(seg.words); off += recLen(seg.words[off:]) {
+			found++
 		}
-		found++
-	}
-	if found != unique {
-		t.Fatalf("segment holds %d records, CanonStats says %d", found, unique)
+		if found != n-1 {
+			t.Fatalf("slice %d segment holds %d records, want %d", ts, found, n-1)
+		}
+		for delta := 1; delta < n; delta++ {
+			if err := ps.View(ts, 0, delta).Materialize().Validate(); err != nil {
+				t.Fatalf("slot (%d,%d): %v", ts, delta, err)
+			}
+		}
 	}
 	// Non-symmetric builds report zero.
 	cfg := topo.Scaled()
@@ -173,6 +162,35 @@ func TestCanonStats(t *testing.T) {
 	}
 	if r, u := bps.CanonStats(); r != 0 || u != 0 {
 		t.Fatalf("non-symmetric CanonStats = (%d,%d)", r, u)
+	}
+}
+
+// TestSymmetricOpera1024 builds UCMP on the rotation-symmetric Opera(1024,8)
+// — 512 starting slices of 1023 canonical records each, more distinct
+// profiles than one u16-indexed segment could name — and holds sampled
+// views to the groups of freshly computed DP rows.
+func TestSymmetricOpera1024(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 1024-ToR Opera path set")
+	}
+	f := kindFabric(t, "opera", 1024, 8)
+	ps := BuildPathSetWith(f, 0.5, 0)
+	if !ps.Symmetric() {
+		t.Fatal("Opera(1024,8) took the brute-force build")
+	}
+	ager := NewFlowAger(ps)
+	var row *RowTables
+	for _, ts := range []int{0, 1, f.Sched.S/2 + 1, f.Sched.S - 1} {
+		for _, src := range []int{0, 1, 513, 1023} {
+			row = ps.Calc.ComputeRowInto(ts, src, row)
+			for dst := 0; dst < f.Sched.N; dst += 7 {
+				if dst == src {
+					continue
+				}
+				where := fmt.Sprintf("opera(1024,8) (%d,%d,%d)", ts, src, dst)
+				checkView(t, where, ager, ps.View(ts, src, dst), referenceGroup(row, dst, ps.Model))
+			}
+		}
 	}
 }
 

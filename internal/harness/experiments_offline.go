@@ -56,8 +56,8 @@ var Table2Scales = []Table2Row{{108, 6}, {324, 12}, {768, 24}, {1024, 32}}
 
 // exactStoreBudget caps the path set an exact Table 2 row may build, in
 // bytes of packed store as core.EstimateStoreBytes predicts them from a few
-// DP rows: (324,12) is 2.8 M groups in 0.12 GB, (768,24) 18.9 M groups in
-// 0.77 GB.
+// DP rows: (324,12) is 2.8 M groups in 85 MB, (768,24) 18.9 M groups in
+// 0.55 GB, so every brute-force row of Table 2 stays exact.
 const exactStoreBudget = 2 << 30
 
 // Table2 reproduces the hardware resource usage table (§8, Table 2), with

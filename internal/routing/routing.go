@@ -27,11 +27,13 @@ func hopsFromPath(p *core.Path, fromAbs int64, buf []netsim.PlannedHop) []netsim
 // Opera) stores emit through the same loop.
 func hopsFromView(p core.PathView, fromAbs int64, buf []netsim.PlannedHop) []netsim.PlannedHop {
 	offset := fromAbs - p.StartSlice()
-	for k, n := 0, p.HopCount(); k < n; k++ {
-		h := p.Hop(k)
+	for w := p.Walk(); ; {
+		h, ok := w.Next()
+		if !ok {
+			return buf
+		}
 		buf = append(buf, netsim.PlannedHop{To: h.To, AbsSlice: h.Slice + offset})
 	}
-	return buf
 }
 
 // FlowCutoff15MB is Opera's hard flow-size cutoff (§2.2).

@@ -123,8 +123,11 @@ func CompileTable(ps *core.PathSet, ager *core.FlowAger, tor int) *CompiledTable
 func (t *CompiledTable) internHops(hopIdx map[string]actSpan, p core.PathView) actSpan {
 	n := p.HopCount()
 	key := make([]byte, 0, 8*n)
-	for k := 0; k < n; k++ {
-		h := p.Hop(k)
+	for w := p.Walk(); ; {
+		h, ok := w.Next()
+		if !ok {
+			break
+		}
 		key = binary.LittleEndian.AppendUint32(key, uint32(h.To))
 		key = binary.LittleEndian.AppendUint32(key, uint32(h.Slice-p.StartSlice()))
 	}
@@ -132,9 +135,11 @@ func (t *CompiledTable) internHops(hopIdx map[string]actSpan, p core.PathView) a
 		return sp
 	}
 	sp := actSpan{hopStart: int32(len(t.hops)), hopN: uint16(n)}
-	for k := 0; k < n; k++ {
-		h := p.Hop(k)
-		t.hops = append(t.hops, PackedHop{To: int32(h.To), Rel: int32(h.Slice - p.StartSlice())})
+	for i := 0; i < len(key); i += 8 {
+		t.hops = append(t.hops, PackedHop{
+			To:  int32(binary.LittleEndian.Uint32(key[i:])),
+			Rel: int32(binary.LittleEndian.Uint32(key[i+4:])),
+		})
 	}
 	hopIdx[string(key)] = sp
 	return sp

@@ -3,8 +3,7 @@ package topo
 import "testing"
 
 // nextDirectLinear is the original linear-scan NextDirect, kept as the
-// reference implementation the dense-table and binary-search paths are
-// verified against.
+// reference implementation the binary search is verified against.
 func (s *Schedule) nextDirectLinear(a, b int, from int64) int64 {
 	ds := s.DirectSlices(a, b)
 	if len(ds) == 0 {
@@ -20,34 +19,27 @@ func (s *Schedule) nextDirectLinear(a, b int, from int64) int64 {
 	return base + int64(s.S) + int64(ds[0])
 }
 
-// withoutDenseTable returns a shallow copy of the schedule with the dense
-// next-direct tables (pair-indexed and Δ-indexed) dropped, forcing
-// NextDirect onto its binary-search fallback (the path taken by fabrics
-// past the table's memory budget).
-func withoutDenseTable(s *Schedule) *Schedule {
-	c := *s
-	c.next = nil
-	c.deltaNext = nil
-	return &c
-}
-
+// testSchedules covers every generator and both kinds of direct-slice list:
+// circle-method round-robin, shuffled Random and staggered Opera (per-pair
+// lists) and a random circulant (per-difference-class lists).
 func testSchedules() map[string]*Schedule {
+	rc, err := RandomCirculant(16, 4, 7)
+	if err != nil {
+		panic(err)
+	}
 	return map[string]*Schedule{
-		"round-robin": RoundRobin(10, 3),
-		"random":      Random(10, 3, 7),
-		"opera":       Opera(10, 3),
+		"round-robin":      RoundRobin(10, 3),
+		"random":           Random(10, 3, 7),
+		"opera":            Opera(10, 3),
+		"random-circulant": rc,
 	}
 }
 
-// TestNextDirectMatchesLinear cross-checks both lookup implementations
-// against the linear scan for every pair and for starting points spanning
-// several cycles, including wrap-around within the first cycle.
+// TestNextDirectMatchesLinear cross-checks NextDirect and WaitSlices against
+// the linear scan for every pair and for starting points spanning several
+// cycles, including wrap-around within the first cycle.
 func TestNextDirectMatchesLinear(t *testing.T) {
 	for kind, s := range testSchedules() {
-		if s.next == nil {
-			t.Fatalf("%s: dense table unexpectedly disabled for this size", kind)
-		}
-		fallback := withoutDenseTable(s)
 		for a := 0; a < s.N; a++ {
 			for b := 0; b < s.N; b++ {
 				if a == b {
@@ -56,10 +48,10 @@ func TestNextDirectMatchesLinear(t *testing.T) {
 				for from := int64(0); from < int64(3*s.S); from++ {
 					want := s.nextDirectLinear(a, b, from)
 					if got := s.NextDirect(a, b, from); got != want {
-						t.Fatalf("%s: dense NextDirect(%d,%d,%d)=%d want %d", kind, a, b, from, got, want)
+						t.Fatalf("%s: NextDirect(%d,%d,%d)=%d want %d", kind, a, b, from, got, want)
 					}
-					if got := fallback.NextDirect(a, b, from); got != want {
-						t.Fatalf("%s: fallback NextDirect(%d,%d,%d)=%d want %d", kind, a, b, from, got, want)
+					if got := s.WaitSlices(a, b, from); got != want-from {
+						t.Fatalf("%s: WaitSlices(%d,%d,%d)=%d want %d", kind, a, b, from, got, want-from)
 					}
 				}
 			}
@@ -69,26 +61,25 @@ func TestNextDirectMatchesLinear(t *testing.T) {
 
 // TestNextDirectWrapAround pins the cycle boundary case: asking just past a
 // pair's last direct slice of the cycle must land on its first slice of the
-// next cycle, in both implementations.
+// next cycle.
 func TestNextDirectWrapAround(t *testing.T) {
-	s := RoundRobin(8, 2)
-	fallback := withoutDenseTable(s)
-	for a := 0; a < s.N; a++ {
-		for b := 0; b < s.N; b++ {
-			if a == b {
-				continue
-			}
-			ds := s.DirectSlices(a, b)
-			// Just past the pair's last appearance: the answer is its first
-			// slice of the next cycle (also right when the last appearance
-			// closes the cycle and from is already the next cycle's slice 0).
-			from := int64(ds[len(ds)-1]) + 1
-			want := int64(s.S) + int64(ds[0])
-			if got := s.NextDirect(a, b, from); got != want {
-				t.Fatalf("dense NextDirect(%d,%d,%d)=%d want %d (direct=%v)", a, b, from, got, want, ds)
-			}
-			if got := fallback.NextDirect(a, b, from); got != want {
-				t.Fatalf("fallback NextDirect(%d,%d,%d)=%d want %d (direct=%v)", a, b, from, got, want, ds)
+	scheds := testSchedules()
+	scheds["round-robin 8x2"] = RoundRobin(8, 2)
+	for kind, s := range scheds {
+		for a := 0; a < s.N; a++ {
+			for b := 0; b < s.N; b++ {
+				if a == b {
+					continue
+				}
+				ds := s.DirectSlices(a, b)
+				// Just past the pair's last appearance: the answer is its first
+				// slice of the next cycle (also right when the last appearance
+				// closes the cycle and from is already the next cycle's slice 0).
+				from := int64(ds[len(ds)-1]) + 1
+				want := int64(s.S) + int64(ds[0])
+				if got := s.NextDirect(a, b, from); got != want {
+					t.Fatalf("%s: NextDirect(%d,%d,%d)=%d want %d (direct=%v)", kind, a, b, from, got, want, ds)
+				}
 			}
 		}
 	}
@@ -97,23 +88,22 @@ func TestNextDirectWrapAround(t *testing.T) {
 // TestNextDirectFarFuture checks starting points many cycles in: the cyclic
 // decomposition must hold for arbitrary absolute slices.
 func TestNextDirectFarFuture(t *testing.T) {
-	s := Opera(8, 2)
-	fallback := withoutDenseTable(s)
-	for _, from := range []int64{int64(10*s.S) + 3, int64(1000*s.S) + int64(s.S) - 1, 1 << 40} {
-		for a := 0; a < s.N; a++ {
-			for b := 0; b < s.N; b++ {
-				if a == b {
-					continue
-				}
-				want := s.nextDirectLinear(a, b, from)
-				if got := s.NextDirect(a, b, from); got != want {
-					t.Fatalf("dense NextDirect(%d,%d,%d)=%d want %d", a, b, from, got, want)
-				}
-				if got := fallback.NextDirect(a, b, from); got != want {
-					t.Fatalf("fallback NextDirect(%d,%d,%d)=%d want %d", a, b, from, got, want)
-				}
-				if w := s.WaitSlices(a, b, from); w != want-from {
-					t.Fatalf("WaitSlices(%d,%d,%d)=%d want %d", a, b, from, w, want-from)
+	scheds := testSchedules()
+	scheds["opera 8x2"] = Opera(8, 2)
+	for kind, s := range scheds {
+		for _, from := range []int64{int64(10*s.S) + 3, int64(1000*s.S) + int64(s.S) - 1, 1 << 40} {
+			for a := 0; a < s.N; a++ {
+				for b := 0; b < s.N; b++ {
+					if a == b {
+						continue
+					}
+					want := s.nextDirectLinear(a, b, from)
+					if got := s.NextDirect(a, b, from); got != want {
+						t.Fatalf("%s: NextDirect(%d,%d,%d)=%d want %d", kind, a, b, from, got, want)
+					}
+					if w := s.WaitSlices(a, b, from); w != want-from {
+						t.Fatalf("%s: WaitSlices(%d,%d,%d)=%d want %d", kind, a, b, from, w, want-from)
+					}
 				}
 			}
 		}
