@@ -30,9 +30,8 @@ func (s *Schedule) Fingerprint() uint64 {
 	}
 	for sl := 0; sl < s.S; sl++ {
 		for sw := 0; sw < s.D; sw++ {
-			m := s.slices[sl][sw]
 			for i := 0; i < s.N; i++ {
-				word(uint64(m[i]))
+				word(uint64(s.PeerOf(sl, i, sw)))
 			}
 			b := uint64(0)
 			if s.reconf[sl][sw] {

@@ -35,7 +35,7 @@ func (s *Schedule) StableSliceGraph(slice int) *Graph {
 			if s.reconf[next][sw] {
 				continue // this switch's circuits vanish at the boundary
 			}
-			p := s.slices[slice][sw][i]
+			p := s.PeerOf(slice, i, sw)
 			dup := false
 			for _, q := range adj {
 				if q == p {
