@@ -83,8 +83,12 @@ func scheduleHStatic(s *topo.Schedule) int {
 		// vertex-transitive: every vertex has the same eccentricity, so one
 		// BFS from ToR 0 per slice yields the exact diameter at any scale.
 		max, dist, queue := 0, make([]int, s.N), make([]int, 0, s.N)
+		g := &topo.Graph{N: s.N, Adj: make([][]int, s.N)} // refilled per slice
 		for sl := 0; sl < s.S; sl++ {
-			_, ecc := farthest(s.SliceGraph(sl), 0, dist, queue)
+			for i := range g.Adj {
+				g.Adj[i] = s.Neighbors(g.Adj[i][:0], sl, i)
+			}
+			_, ecc := farthest(g, 0, dist, queue)
 			if ecc < 0 {
 				return s.N // disconnected: conservative bound
 			}
