@@ -1,6 +1,8 @@
 // Package ucmp's root benchmark suite regenerates every table and figure
-// of the paper (one testing.B benchmark per exhibit) on the scaled
-// configuration, reporting the exhibit's key scalar as a custom metric.
+// of the paper on the scaled configuration, one testing.B benchmark per
+// exhibit (Fig 6's FCT and efficiency panels share one per workload, as they
+// share one run per scheme), reporting the exhibit's key scalar as a custom
+// metric.
 // The full-scale variants live behind cmd/ucmpbench -full and
 // cmd/ucmppaths.
 package ucmp_test
@@ -88,28 +90,31 @@ func benchFig6(b *testing.B, wl string, relax bool) {
 	}
 	var eff float64
 	for i := 0; i < b.N; i++ {
-		_, results, err := harness.Fig6FCT(benchBase(), wl, schemes)
+		results, err := harness.RunSchemes(benchBase(), wl, schemes)
 		if err != nil {
 			b.Fatal(err)
 		}
+		_ = harness.Fig6FCT(results, wl)
+		_ = harness.Fig6Efficiency(results, wl)
 		eff = results[0].Result.Efficiency
 	}
 	b.ReportMetric(eff, "ucmp-efficiency")
 }
 
+// One grid serves a workload's FCT and efficiency panels (6a/6c, 6b/6d), so
+// one benchmark times each workload's pair.
 func BenchmarkFig6a_FCTWebSearch(b *testing.B)  { benchFig6(b, "websearch", false) }
 func BenchmarkFig6b_FCTDataMining(b *testing.B) { benchFig6(b, "datamining", true) }
-func BenchmarkFig6c_EffWebSearch(b *testing.B)  { benchFig6(b, "websearch", false) }
-func BenchmarkFig6d_EffDataMining(b *testing.B) { benchFig6(b, "datamining", true) }
 
 func BenchmarkFig7_LinkUtil(b *testing.B) {
 	schemes := []harness.Scheme{{Name: "ucmp", Routing: harness.UCMP, Transport: transport.DCTCP}}
 	var util float64
 	for i := 0; i < b.N; i++ {
-		_, results, err := harness.Fig7LinkUtil(benchBase(), "websearch", schemes)
+		results, err := harness.RunSchemes(benchBase(), "websearch", schemes)
 		if err != nil {
 			b.Fatal(err)
 		}
+		_ = harness.Fig7LinkUtil(results, "websearch")
 		util = results[0].Result.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.TorToTorUtil })
 	}
 	b.ReportMetric(util, "tor-tor-util")
@@ -192,10 +197,11 @@ func BenchmarkFig15_LoadBalance(b *testing.B) {
 	schemes := []harness.Scheme{{Name: "ucmp", Routing: harness.UCMP, Transport: transport.DCTCP}}
 	var jain float64
 	for i := 0; i < b.N; i++ {
-		_, results, err := harness.Fig15LoadBalance(benchBase(), schemes)
+		results, err := harness.RunSchemes(benchBase(), "websearch", schemes)
 		if err != nil {
 			b.Fatal(err)
 		}
+		_ = harness.Fig15LoadBalance(results)
 		jain = results[0].Result.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.JainLoadIndex })
 	}
 	b.ReportMetric(jain, "jain")
@@ -213,9 +219,11 @@ func BenchmarkFig16_RandomSchedule(b *testing.B) {
 func BenchmarkFig17_LinkUtilDM(b *testing.B) {
 	schemes := []harness.Scheme{{Name: "ucmp", Routing: harness.UCMP, Transport: transport.NDP, Relax: true}}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.Fig7LinkUtil(benchBase(), "datamining", schemes); err != nil {
+		results, err := harness.RunSchemes(benchBase(), "datamining", schemes)
+		if err != nil {
 			b.Fatal(err)
 		}
+		_ = harness.Fig7LinkUtil(results, "datamining")
 	}
 }
 

@@ -10,8 +10,10 @@
 // the paper's 108-ToR fabric and lengthens the simulations. -parallel runs
 // an exhibit's independent schemes/sweep points concurrently (bounded by
 // -workers, default GOMAXPROCS); reports are identical to the serial order.
-// Each exhibit's wall-clock time and simulation event throughput print to
-// stderr.
+// Fig 6, 7, 15 and 17 render from one run per scheme per workload, simulated
+// by whichever of them comes first. Each exhibit's wall-clock time and the
+// simulation events of the runs it simulated print to stderr, folded from
+// those runs' Results, with any notes the runs recorded.
 //
 // Profiling: -cpuprofile and -memprofile write pprof files covering the
 // selected exhibits, for chasing simulator hot spots; -trace captures a
@@ -40,11 +42,16 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"time"
 
+	"ucmp/internal/checkpoint"
 	"ucmp/internal/core"
 	"ucmp/internal/harness"
+	"ucmp/internal/netsim"
 	"ucmp/internal/sim"
 	"ucmp/internal/testbed"
 	"ucmp/internal/topo"
@@ -122,7 +129,6 @@ func main() {
 	}
 	harness.Parallel = *parallelF
 	harness.Workers = *workersF
-	harness.CollectSchedStats = *schedF
 
 	if *cpuProfF != "" {
 		f, err := os.Create(*cpuProfF)
@@ -174,13 +180,9 @@ func main() {
 		ckptDir: *ckptDirF, ckptEvery: sim.Time(ckptEvF.Nanoseconds()), resume: *resumeF,
 	}
 	if *scaleNsF != "" {
-		for _, s := range strings.Split(*scaleNsF, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 2 {
-				fmt.Fprintf(os.Stderr, "ucmpbench: -scale-ns: bad value %q\n", s)
-				os.Exit(1)
-			}
-			r.scaleNs = append(r.scaleNs, n)
+		if r.scaleNs, err = parseScaleNs(*scaleNsF); err != nil {
+			fmt.Fprintf(os.Stderr, "ucmpbench: -scale-ns: %v\n", err)
+			os.Exit(1)
 		}
 	}
 	for _, e := range allExps {
@@ -188,39 +190,125 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		harness.TakeEvents()
-		if err := r.run(e); err != nil {
+		results, err := r.run(e)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "ucmpbench %s: %v\n", e, err)
 			os.Exit(1)
 		}
 		wall := time.Since(start).Seconds()
-		if events := harness.TakeEvents(); events > 0 {
+		f := foldResults(results)
+		if f.events > 0 {
 			fmt.Fprintf(os.Stderr, "(%s took %.1fs, %d sim events, %.2fM events/s)\n",
-				e, wall, events, float64(events)/wall/1e6)
+				e, wall, f.events, float64(f.events)/wall/1e6)
 		} else {
 			fmt.Fprintf(os.Stderr, "(%s took %.1fs)\n", e, wall)
 		}
-		for _, note := range harness.TakeShardNotes() {
-			fmt.Fprintf(os.Stderr, "(%s shards: %s)\n", e, note)
+		for _, note := range f.notes {
+			fmt.Fprintf(os.Stderr, "(%s %s)\n", e, note)
 		}
 		if *schedF {
-			s := harness.TakeSchedStats()
+			s := f.sched
 			fmt.Fprintf(os.Stderr, "(%s sched: pending-hwm %d, cascades %d, overflow %d, cancels %d, dead-pops %d, chases %d)\n",
 				e, s.PendingHighWater, s.Cascades, s.OverflowPushes, s.Cancels, s.DeadPops, s.Chases)
-			if k := harness.TakeEventKinds(); k.Total() > 0 {
-				fmt.Fprintf(os.Stderr, "(%s events by kind: %s)\n", e, harness.FormatEventKinds(k))
+			if f.kinds.Total() > 0 {
+				fmt.Fprintf(os.Stderr, "(%s events by kind: %s)\n", e, formatEventKinds(f.kinds))
 			}
-			if m := harness.TakeMemStats(); m.PeakPackets > 0 {
+			if m := f.mem; m.PeakPackets > 0 {
 				fmt.Fprintf(os.Stderr, "(%s packet memory, largest run: peak live packets %d, peak parked VOQ packets %d, VOQ chunks %d, peak live calendar slots %d, calendar queues created %d)\n",
 					e, m.PeakPackets, m.PeakParked, m.VOQChunks, m.PeakCalSlots, m.CalQueues)
 			}
-			if sh := harness.TakeShardStats(); sh.Windows > 0 {
+			if sh := f.shard; sh.Windows > 0 {
 				fmt.Fprintf(os.Stderr, "(%s shards: windows %d, cross-events %d, merge-batches %d, mailbox-hwm %d)\n",
 					e, sh.Windows, sh.CrossEvents, sh.MergeBatches, sh.MailboxHighWater)
 			}
 		}
 		fmt.Fprintln(os.Stderr)
 	}
+}
+
+// parseScaleNs reads -scale-ns: comma-separated fabric sizes, each a whole
+// decimal number of at least 2 ToRs.
+func parseScaleNs(spec string) ([]int, error) {
+	var ns []int
+	for _, s := range strings.Split(spec, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || n < 2 {
+			return nil, fmt.Errorf("bad value %q", s)
+		}
+		ns = append(ns, n)
+	}
+	return ns, nil
+}
+
+// exhibitStats is what one exhibit's stderr lines print, folded from the
+// Results of the runs it simulated: counters sum, high-water marks take the
+// largest any run reached, and notes keeps each distinct non-empty note,
+// labelled with its field, in run order.
+type exhibitStats struct {
+	events uint64
+	kinds  sim.EventKinds
+	sched  sim.SchedStats
+	shard  sim.ShardStats
+	mem    netsim.MemStats
+	notes  []string
+}
+
+func foldResults(results []*harness.Result) exhibitStats {
+	var f exhibitStats
+	for _, r := range results {
+		f.events += r.Events
+		f.kinds.Add(&r.EventKinds)
+
+		f.sched.PendingHighWater = max(f.sched.PendingHighWater, r.Sched.PendingHighWater)
+		f.sched.Cascades += r.Sched.Cascades
+		f.sched.OverflowPushes += r.Sched.OverflowPushes
+		f.sched.Cancels += r.Sched.Cancels
+		f.sched.DeadPops += r.Sched.DeadPops
+		f.sched.Chases += r.Sched.Chases
+
+		f.shard.Windows += r.ShardStats.Windows
+		f.shard.CrossEvents += r.ShardStats.CrossEvents
+		f.shard.MergeBatches += r.ShardStats.MergeBatches
+		f.shard.MailboxHighWater = max(f.shard.MailboxHighWater, r.ShardStats.MailboxHighWater)
+
+		f.mem.PeakPackets = max(f.mem.PeakPackets, r.Mem.PeakPackets)
+		f.mem.PeakParked = max(f.mem.PeakParked, r.Mem.PeakParked)
+		f.mem.VOQChunks = max(f.mem.VOQChunks, r.Mem.VOQChunks)
+		f.mem.PeakCalSlots = max(f.mem.PeakCalSlots, r.Mem.PeakCalSlots)
+		f.mem.CalQueues = max(f.mem.CalQueues, r.Mem.CalQueues)
+
+		f.addNote("shards", r.ShardNote)
+		f.addNote("resume", r.ResumeNote)
+		f.addNote("path set", r.PathSet.Note)
+	}
+	return f
+}
+
+// addNote lists "label: note" unless note is empty or already listed.
+func (f *exhibitStats) addNote(label, note string) {
+	if note == "" {
+		return
+	}
+	if note = label + ": " + note; !slices.Contains(f.notes, note) {
+		f.notes = append(f.notes, note)
+	}
+}
+
+// formatEventKinds renders the non-zero slots as "Name count", largest first
+// (ties in registry order).
+func formatEventKinds(k sim.EventKinds) string {
+	order := make([]int, 0, len(k))
+	for i, c := range k {
+		if c > 0 {
+			order = append(order, i)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return k[order[a]] > k[order[b]] })
+	parts := make([]string, len(order))
+	for i, kind := range order {
+		parts[i] = fmt.Sprintf("%s %d", checkpoint.KindName(uint8(kind)), k[kind])
+	}
+	return strings.Join(parts, ", ")
 }
 
 type runner struct {
@@ -233,7 +321,8 @@ type runner struct {
 	resume    bool
 	scaleNs   []int
 
-	ps *core.PathSet
+	ps    *core.PathSet
+	grids map[string][]harness.SchemeResult // workload -> its Fig 6 scheme grid
 }
 
 // analysisConfig is the fabric used for offline path analyses.
@@ -270,7 +359,29 @@ func (r *runner) simBase() harness.SimConfig {
 	return cfg
 }
 
-func (r *runner) run(exp string) error {
+// grid returns workload wl's Fig 6 scheme grid, which Fig 6, 7, 15 and 17
+// render from, simulating it on first use; ran holds the runs this call
+// simulated (none once the grid exists).
+func (r *runner) grid(wl string) (grid []harness.SchemeResult, ran []*harness.Result, err error) {
+	if g, ok := r.grids[wl]; ok {
+		return g, nil, nil
+	}
+	grid, err = harness.RunSchemes(r.simBase(), wl, harness.Fig6Schemes(wl == "datamining"))
+	if err != nil {
+		return nil, nil, err
+	}
+	if r.grids == nil {
+		r.grids = map[string][]harness.SchemeResult{}
+	}
+	r.grids[wl] = grid
+	for _, sr := range grid {
+		ran = append(ran, sr.Result)
+	}
+	return grid, ran, nil
+}
+
+// run prints exhibit exp and returns the Results of the simulations it ran.
+func (r *runner) run(exp string) ([]*harness.Result, error) {
 	switch exp {
 	case "table1":
 		fmt.Println(harness.Table1())
@@ -288,11 +399,16 @@ func (r *runner) run(exp string) error {
 		}
 		fmt.Println(harness.Table3(rows))
 	case "scale":
-		rep, _, err := harness.ScaleSweep(harness.ScaleConfig{Ns: r.scaleNs, Seed: r.seed, CacheDir: r.cacheDir})
+		rep, points, err := harness.ScaleSweep(harness.ScaleConfig{Ns: r.scaleNs, Seed: r.seed, CacheDir: r.cacheDir})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep)
+		var ran []*harness.Result
+		for _, p := range points {
+			ran = append(ran, p.Sim)
+		}
+		return ran, nil
 	case "fig5a":
 		rep, _ := harness.Fig5a(r.pathSet())
 		fmt.Println(rep)
@@ -303,135 +419,131 @@ func (r *runner) run(exp string) error {
 		}
 		rep, _ := harness.Fig5b(r.pathSet(), stride)
 		fmt.Println(rep)
-	case "fig6a", "fig6c":
-		rep, results, err := harness.Fig6FCT(r.simBase(), "websearch", harness.Fig6Schemes(false))
+	case "fig6a", "fig6c", "fig7", "fig15", "fig6b", "fig6d", "fig17":
+		wl := "websearch"
+		if exp == "fig6b" || exp == "fig6d" || exp == "fig17" {
+			wl = "datamining"
+		}
+		grid, ran, err := r.grid(wl)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if exp == "fig6a" {
-			fmt.Println(rep)
-		} else {
-			fmt.Println(harness.Fig6Efficiency(results, "websearch"))
+		switch exp {
+		case "fig6a", "fig6b":
+			fmt.Println(harness.Fig6FCT(grid, wl))
+		case "fig6c", "fig6d":
+			fmt.Println(harness.Fig6Efficiency(grid, wl))
+		case "fig7", "fig17":
+			fmt.Println(harness.Fig7LinkUtil(grid, wl))
+		default:
+			fmt.Println(harness.Fig15LoadBalance(grid))
 		}
-	case "fig6b", "fig6d":
-		rep, results, err := harness.Fig6FCT(r.simBase(), "datamining", harness.Fig6Schemes(true))
-		if err != nil {
-			return err
-		}
-		if exp == "fig6b" {
-			fmt.Println(rep)
-		} else {
-			fmt.Println(harness.Fig6Efficiency(results, "datamining"))
-		}
-	case "fig7":
-		rep, _, err := harness.Fig7LinkUtil(r.simBase(), "websearch", harness.Fig6Schemes(false))
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep)
-	case "fig17":
-		rep, _, err := harness.Fig7LinkUtil(r.simBase(), "datamining", harness.Fig6Schemes(true))
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep)
+		return ran, nil
 	case "fig8":
-		rep, _, err := harness.Fig8Bucketing(r.simBase())
+		rep, out, err := harness.Fig8Bucketing(r.simBase())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep)
+		return out[:], nil
 	case "fig9":
-		rep, _, err := harness.Fig9Reconf(r.simBase(), []sim.Time{10 * sim.Nanosecond, 1 * sim.Microsecond, 10 * sim.Microsecond})
+		rep, out, err := harness.Fig9Reconf(r.simBase(), []sim.Time{10 * sim.Nanosecond, 1 * sim.Microsecond, 10 * sim.Microsecond})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep)
+		return out, nil
 	case "fig10":
-		rep, _, err := harness.Fig10Alpha(r.simBase(), []float64{0.3, 0.5, 0.7})
+		rep, out, err := harness.Fig10Alpha(r.simBase(), []float64{0.3, 0.5, 0.7})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep)
+		return out, nil
 	case "fig11":
-		rep, _, err := harness.Fig11Slice(r.simBase(), []sim.Time{10 * sim.Microsecond, 50 * sim.Microsecond, 300 * sim.Microsecond})
+		rep, out, err := harness.Fig11Slice(r.simBase(), []sim.Time{10 * sim.Microsecond, 50 * sim.Microsecond, 300 * sim.Microsecond})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep)
+		return out, nil
 	case "fig12":
 		rep, _ := harness.Fig12abc(r.pathSet(), r.seed)
 		fmt.Println(rep)
 	case "fig12d":
-		rep, _, err := harness.Fig12d(r.simBase(), []float64{0, 0.01, 0.03, 0.05})
+		rep, out, err := harness.Fig12d(r.simBase(), []float64{0, 0.01, 0.03, 0.05})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep)
+		return out, nil
 	case "fig13":
-		rep, _, err := testbed.RunAll(testbed.Options{Seed: r.seed})
+		rep, out, err := testbed.RunAll(testbed.Options{Seed: r.seed})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep)
+		var ran []*harness.Result
+		for _, tr := range out {
+			ran = append(ran, tr.Sim)
+		}
+		return ran, nil
 	case "fig14":
 		rep, _ := harness.Fig14()
-		fmt.Println(rep)
-	case "fig15":
-		rep, _, err := harness.Fig15LoadBalance(r.simBase(), harness.Fig6Schemes(false))
-		if err != nil {
-			return err
-		}
 		fmt.Println(rep)
 	case "fig16":
 		rep, _ := harness.Fig16(r.analysisConfig(), 7)
 		fmt.Println(rep)
 	case "ablation":
-		rep, _, err := harness.AblationPolicy(r.simBase())
+		rep, out, err := harness.AblationPolicy(r.simBase())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep)
-		rep2, _, err := harness.AblationParallel(r.simBase())
+		rep2, out2, err := harness.AblationParallel(r.simBase())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep2)
 		fmt.Println(harness.AblationSchedule(108, 6))
+		return append(out, out2...), nil
 	case "extension":
-		rep, _, err := harness.ExtensionCongestion(r.simBase())
+		rep, out, err := harness.ExtensionCongestion(r.simBase())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep)
-		rep2, _, err := harness.ExtensionAlphaController(r.simBase(), 0.06)
+		rep2, res, err := harness.ExtensionAlphaController(r.simBase(), 0.06)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep2)
-		rep3, _, err := harness.ExtensionMPTCP(r.simBase())
+		rep3, out3, err := harness.ExtensionMPTCP(r.simBase())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep3)
+		return append(append(out, res), out3...), nil
 	case "failsweep":
-		rep, _, err := harness.FailureSweep(r.simBase(), []float64{0, 0.02, 0.05, 0.1})
+		rep, out, err := harness.FailureSweep(r.simBase(), []float64{0, 0.02, 0.05, 0.1})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println(rep)
+		return out, nil
 	case "sweep":
 		trials := harness.SweepLoad(r.simBase(),
 			[]harness.RoutingKind{harness.UCMP, harness.VLB, harness.KSP5},
 			[]float64{0.2, 0.4, 0.6})
 		results, err := harness.RunTrials(trials)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println("sweep: scheme x load trial matrix (harness.RunTrials; -parallel fans trials out)")
 		fmt.Print(harness.SummarizeTrials(trials, results))
+		return results, nil
 	default:
-		return fmt.Errorf("unknown experiment %q", exp)
+		return nil, fmt.Errorf("unknown experiment %q", exp)
 	}
-	return nil
+	return nil, nil
 }

@@ -23,12 +23,12 @@ func main() {
 		{Name: "opera-1", Routing: harness.Opera1, Transport: transport.NDP},
 	}
 
-	rep, results, err := harness.Fig6FCT(base, "datamining", schemes)
+	results, err := harness.RunSchemes(base, "datamining", schemes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Println(rep)
+	fmt.Println(harness.Fig6FCT(results, "datamining"))
 	fmt.Println(harness.Fig6Efficiency(results, "datamining"))
 
 	fmt.Println("flow classing under UCMP latency relaxation:")

@@ -23,12 +23,12 @@ func main() {
 		{Name: "opera-1+ndp", Routing: harness.Opera1, Transport: transport.NDP},
 	}
 
-	rep, results, err := harness.Fig6FCT(base, "websearch", schemes)
+	results, err := harness.RunSchemes(base, "websearch", schemes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Println(rep)
+	fmt.Println(harness.Fig6FCT(results, "websearch"))
 	fmt.Println(harness.Fig6Efficiency(results, "websearch"))
 
 	// The paper's headline: UCMP has the lowest short-flow FCT and the

@@ -10,7 +10,6 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 	"strings"
 
 	"ucmp/internal/checkpoint"
@@ -52,10 +51,11 @@ func configKey(cfg SimConfig, flows []*netsim.Flow) string {
 
 // writeCheckpoint snapshots the full simulation into the configuration's
 // checkpoint file, atomically replacing the previous snapshot. Failures
-// (full disk, read-only directory, an unserializable model) degrade to a
-// stderr warning — losing a checkpoint must never kill the run it protects.
-// The run's one Writer is reset and refilled each time, so a checkpoint
-// allocates about nothing once the largest so far has been written.
+// (full disk, read-only directory, an unserializable model) are counted and
+// the first is kept for Result.ResumeNote — losing a checkpoint must never
+// kill the run it protects. The run's one Writer is reset and refilled each
+// time, so a checkpoint allocates about nothing once the largest so far has
+// been written.
 func (st *simState) writeCheckpoint(key string) {
 	if st.ckpt == nil {
 		st.ckpt = checkpoint.NewWriter()
@@ -63,18 +63,19 @@ func (st *simState) writeCheckpoint(key string) {
 	w := st.ckpt
 	w.Reset()
 	w.Section("config").Str(key)
-	if err := st.net.Snapshot(w); err != nil {
-		fmt.Fprintf(os.Stderr, "harness: checkpoint skipped: %v\n", err)
-		return
+	err := st.net.Snapshot(w)
+	if err == nil {
+		err = st.stack.Snapshot(w)
 	}
-	if err := st.stack.Snapshot(w); err != nil {
-		fmt.Fprintf(os.Stderr, "harness: checkpoint skipped: %v\n", err)
-		return
+	if err == nil {
+		st.col.Snapshot(w)
+		err = w.Save(checkpoint.FileName(st.cfg.CheckpointDir, key))
 	}
-	st.col.Snapshot(w)
-	path := checkpoint.FileName(st.cfg.CheckpointDir, key)
-	if err := w.Save(path); err != nil {
-		fmt.Fprintf(os.Stderr, "harness: checkpoint not written: %v\n", err)
+	if err != nil {
+		if st.ckptFails == 0 {
+			st.ckptErr = err
+		}
+		st.ckptFails++
 	}
 }
 

@@ -16,16 +16,12 @@ import (
 // Serial only: on the sharded engine a checkpoint is a coordinator global,
 // which splits a window, and cascades follow the window edges.
 func TestCheckpointingIsPureRead(t *testing.T) {
-	defer func(was bool) { CollectSchedStats = was }(CollectSchedStats)
-	CollectSchedStats = true
 	cfg := ScaledConfig(UCMP, transport.NDP, "websearch")
 	cfg.Duration = sim.Millisecond
-	TakeSchedStats()
 	plain, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainStats := TakeSchedStats()
 
 	cfg.CheckpointDir = t.TempDir()
 	cfg.CheckpointEvery = midSlice(cfg.Topo.SliceDuration)
@@ -33,17 +29,16 @@ func TestCheckpointingIsPureRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckStats := TakeSchedStats()
 	if ents, err := os.ReadDir(cfg.CheckpointDir); err != nil || len(ents) != 1 {
 		t.Fatalf("want one checkpoint file, got %v (%v)", ents, err)
 	}
 	if got, want := ckptFingerprint(t, ck), ckptFingerprint(t, plain); got != want {
 		t.Fatal("checkpointing perturbed the run")
 	}
-	if ckStats != plainStats {
-		t.Fatalf("checkpointing moved the scheduler counters:\n checkpointing %+v\n plain         %+v", ckStats, plainStats)
+	if ck.Sched != plain.Sched {
+		t.Fatalf("checkpointing moved the scheduler counters:\n checkpointing %+v\n plain         %+v", ck.Sched, plain.Sched)
 	}
-	if plainStats.Cascades == 0 {
+	if plain.Sched.Cascades == 0 {
 		t.Fatal("the wheel never cascaded: nothing was compared")
 	}
 }

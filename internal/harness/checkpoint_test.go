@@ -329,3 +329,39 @@ func TestResumeCorruptionRejected(t *testing.T) {
 		}
 	}
 }
+
+// notADir returns the path of a regular file, for a target directory that
+// cannot be written into whatever the caller's permissions.
+func notADir(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCheckpointWriteFailureNoted: checkpoint writes that fail leave the run
+// as it was and land in Result.ResumeNote once — the count and the first
+// error — rather than once per checkpoint instant.
+func TestCheckpointWriteFailureNoted(t *testing.T) {
+	cfg := ScaledConfig(UCMP, transport.DCTCP, "websearch")
+	cfg.Duration = sim.Millisecond
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointDir = notADir(t)
+	cfg.CheckpointEvery = 250 * sim.Microsecond
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Instants 250 µs … 3.75 ms before the 4 ms horizon.
+	if want := "15 checkpoint writes failed, the first: "; !strings.HasPrefix(res.ResumeNote, want) {
+		t.Fatalf("ResumeNote %q, want prefix %q", res.ResumeNote, want)
+	}
+	if fingerprint(res) != fingerprint(plain) {
+		t.Fatal("failed checkpoint writes perturbed the run")
+	}
+}

@@ -49,11 +49,11 @@ type ScalePoint struct {
 	PackedRows  int
 	PackedBytes int
 
-	// Permutation run outcome.
+	// Permutation run outcome; Sim is the run itself.
 	Flows        int
 	Finished     int
-	Events       uint64
 	EventsPerSec float64
+	Sim          *Result
 }
 
 // memSampler polls runtime.MemStats and keeps the high-water marks. Each
@@ -166,7 +166,7 @@ func ScaleSweep(cfg ScaleConfig) (*Report, []ScalePoint, error) {
 			build += "*" // warm: loaded from the fabric cache, not built
 		}
 		r.Addf("%-7d %-5v %-9s %-9s %-8.2f %-8.2f %-9d %-10.0f %-10s %-11d %-9.0f",
-			p.N, p.Symmetric, build, canon, p.CompileSec, p.SimSec, p.Events, p.EventsPerSec,
+			p.N, p.Symmetric, build, canon, p.CompileSec, p.SimSec, p.Sim.Events, p.EventsPerSec,
 			fmt.Sprintf("%d/%d", p.PackedRows, p.NaiveRows), p.PackedBytes>>10, float64(p.PeakHeapBytes)/(1<<20))
 	}
 	for _, p := range points {
@@ -231,7 +231,7 @@ func scalePoint(n, d int, flowSize int64, horizon sim.Time, seed int64, cacheDir
 		return ScalePoint{}, err
 	}
 	p.SimSec = time.Since(t0).Seconds()
-	p.Events = res.Events
+	p.Sim = res
 	if p.SimSec > 0 {
 		p.EventsPerSec = float64(res.Events) / p.SimSec
 	}

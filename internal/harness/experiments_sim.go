@@ -35,10 +35,16 @@ type SchemeResult struct {
 	Result *Result
 }
 
-// RunSchemes executes one run per scheme over a base config. Schemes are
-// independent simulations; with Parallel set they run concurrently, each
-// filling its preassigned result slot.
-func RunSchemes(base SimConfig, schemes []Scheme) ([]SchemeResult, error) {
+// RunSchemes executes one run per scheme of workload wl over a base config:
+// the grid Fig 6, 7, 15 and 17 all render from. Sampling defaults to every
+// 500 µs, which the link-utilization and load-balance figures read and the
+// others ignore. Schemes are independent simulations; with Parallel set
+// they run concurrently, each filling its preassigned result slot.
+func RunSchemes(base SimConfig, wl string, schemes []Scheme) ([]SchemeResult, error) {
+	base.Workload = wl
+	if base.SampleEvery == 0 {
+		base.SampleEvery = 500 * sim.Microsecond
+	}
 	out := make([]SchemeResult, len(schemes))
 	err := forEach(len(schemes), func(i int) error {
 		sc := schemes[i]
@@ -60,13 +66,9 @@ func RunSchemes(base SimConfig, schemes []Scheme) ([]SchemeResult, error) {
 	return out, nil
 }
 
-// Fig6FCT runs the FCT comparison (Fig 6a web search / 6b data mining).
-func Fig6FCT(base SimConfig, wl string, schemes []Scheme) (*Report, []SchemeResult, error) {
-	base.Workload = wl
-	results, err := RunSchemes(base, schemes)
-	if err != nil {
-		return nil, nil, err
-	}
+// Fig6FCT reports FCT per flow-size class (Fig 6a web search / 6b data
+// mining) over RunSchemes' grid for workload wl.
+func Fig6FCT(results []SchemeResult, wl string) *Report {
 	r := &Report{Title: "Fig 6 FCT vs flow size, " + wl + " (avg FCT per size bin)"}
 	r.Addf("%-14s %-10s %-10s %-10s %-10s %-9s %-7s", "scheme", "<=10KB", "<=100KB", "<=1MB", ">1MB", "complete", "reroute")
 	for _, sr := range results {
@@ -75,7 +77,7 @@ func Fig6FCT(base SimConfig, wl string, schemes []Scheme) (*Report, []SchemeResu
 			sr.Scheme.Name, fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]),
 			sr.Result.CompletionRate, sr.Result.ReroutedFrac)
 	}
-	return r, results, nil
+	return r
 }
 
 // coarseBins averages FCT within 4 coarse size classes.
@@ -127,17 +129,9 @@ func Fig6Efficiency(results []SchemeResult, wl string) *Report {
 	return r
 }
 
-// Fig7LinkUtil reports mean link utilizations over time per scheme
-// (Fig 7 web search; Fig 17 data mining).
-func Fig7LinkUtil(base SimConfig, wl string, schemes []Scheme) (*Report, []SchemeResult, error) {
-	base.Workload = wl
-	if base.SampleEvery == 0 {
-		base.SampleEvery = 500 * sim.Microsecond
-	}
-	results, err := RunSchemes(base, schemes)
-	if err != nil {
-		return nil, nil, err
-	}
+// Fig7LinkUtil reports mean link utilizations over time per scheme (Fig 7
+// web search; Fig 17 data mining) from the grid's samples.
+func Fig7LinkUtil(results []SchemeResult, wl string) *Report {
 	r := &Report{Title: "Fig 7/17 mean link utilization, " + wl}
 	r.Addf("%-14s %-14s %-14s %s", "scheme", "ToR-to-host", "ToR-to-ToR", "core util over time")
 	for _, sr := range results {
@@ -152,7 +146,7 @@ func Fig7LinkUtil(base SimConfig, wl string, schemes []Scheme) (*Report, []Schem
 			col.MeanUtil(1, func(s netsim.Sample) float64 { return s.TorToTorUtil }),
 			plot.Sparkline(series))
 	}
-	return r, results, nil
+	return r
 }
 
 // Fig8Bucketing compares flow bucketing against accurate flow size stamping.
@@ -309,16 +303,9 @@ func Fig12d(base SimConfig, fracs []float64) (*Report, []*Result, error) {
 	return r, out, nil
 }
 
-// Fig15LoadBalance reports the Jain load-balance metric per scheme.
-func Fig15LoadBalance(base SimConfig, schemes []Scheme) (*Report, []SchemeResult, error) {
-	base.Workload = "websearch"
-	if base.SampleEvery == 0 {
-		base.SampleEvery = 500 * sim.Microsecond
-	}
-	results, err := RunSchemes(base, schemes)
-	if err != nil {
-		return nil, nil, err
-	}
+// Fig15LoadBalance reports the Jain load-balance metric per scheme over the
+// web-search grid.
+func Fig15LoadBalance(results []SchemeResult) *Report {
 	r := &Report{Title: "Fig 15: Jain load-balance metric (web search)"}
 	r.Addf("%-14s %-12s %-14s", "scheme", "whole-run", "per-window")
 	for _, sr := range results {
@@ -327,5 +314,5 @@ func Fig15LoadBalance(base SimConfig, schemes []Scheme) (*Report, []SchemeResult
 			sr.Result.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.JainLoadIndex }))
 	}
 	r.Addf("(1.0 = perfectly balanced; paper: VLB ~1.0, UCMP ~0.9)")
-	return r, results, nil
+	return r
 }

@@ -109,7 +109,6 @@ func runWithAlphaController(cfg SimConfig, target float64) (*Result, []alphaTrac
 	}
 	if cfg.Shards > 1 {
 		shardNote = "serial fallback: the alpha controller ticks on one engine"
-		recordShardNote(shardNote)
 		cfg.Shards = 0
 	}
 	st, err := buildSim(cfg, false)

@@ -229,10 +229,11 @@ func TestFig6QuickPair(t *testing.T) {
 		{"ucmp+dctcp", UCMP, transport.DCTCP, false},
 		{"vlb", VLB, transport.DCTCP, false},
 	}
-	rep, results, err := Fig6FCT(base, "websearch", schemes)
+	results, err := RunSchemes(base, "websearch", schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := Fig6FCT(results, "websearch")
 	if len(results) != 2 {
 		t.Fatal("missing results")
 	}
@@ -318,10 +319,11 @@ func TestFig7UtilizationOrdering(t *testing.T) {
 		{Name: "ucmp", Routing: UCMP, Transport: transport.DCTCP},
 		{Name: "vlb", Routing: VLB, Transport: transport.DCTCP},
 	}
-	rep, results, err := Fig7LinkUtil(quickBase(), "websearch", schemes)
+	results, err := RunSchemes(quickBase(), "websearch", schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := Fig7LinkUtil(results, "websearch")
 	// VLB's 2-hop routing must load the core at least as much as UCMP
 	// relative to delivered traffic: core/host ratio higher for VLB.
 	ratio := func(r *Result) float64 {
@@ -341,10 +343,11 @@ func TestFig7UtilizationOrdering(t *testing.T) {
 
 func TestFig15Runner(t *testing.T) {
 	schemes := []Scheme{{Name: "ucmp", Routing: UCMP, Transport: transport.DCTCP}}
-	rep, results, err := Fig15LoadBalance(quickBase(), schemes)
+	results, err := RunSchemes(quickBase(), "websearch", schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := Fig15LoadBalance(results)
 	j := results[0].Result.JainCumulative
 	if j <= 0 || j > 1.0001 {
 		t.Fatalf("Jain %v out of range", j)

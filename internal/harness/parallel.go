@@ -70,11 +70,3 @@ func forEach(n int, fn func(i int) error) error {
 	}
 	return nil
 }
-
-// eventsProcessed accumulates simulation events across every Run since the
-// last TakeEvents, for throughput reporting (events/sec per exhibit).
-var eventsProcessed atomic.Uint64
-
-// TakeEvents returns the number of simulation events processed since the
-// previous call and resets the counter.
-func TakeEvents() uint64 { return eventsProcessed.Swap(0) }

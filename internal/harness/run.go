@@ -128,7 +128,8 @@ type SimConfig struct {
 	// CheckpointEvery, one file per distinct configuration, overwritten in
 	// place with the atomic temp+rename discipline. Checkpoint instants do
 	// not perturb the run: a checkpointing run is bit-identical to a plain
-	// one. A failed write degrades to a stderr warning; the run continues.
+	// one. Failed writes degrade to a Result.ResumeNote naming the first
+	// error and how many writes failed; the run continues.
 	// CheckpointEvery without CheckpointDir writes nothing, which
 	// Result.ResumeNote says.
 	CheckpointDir   string
@@ -198,6 +199,13 @@ type Result struct {
 	// checkpoint.Kind* registry (slot 0: untagged); summed over domains on a
 	// sharded run, and over the whole run on a resumed one.
 	EventKinds sim.EventKinds
+	// Sched is the scheduler's internals over the run (pending high-water,
+	// wheel cascades, timer cancels): the domains' totals, and their largest
+	// high-water mark, on a sharded run.
+	Sched sim.SchedStats
+	// ShardStats counts the sharded engine's windows and mailbox traffic;
+	// zero for a serial run.
+	ShardStats sim.ShardStats
 	// Mem is what the run's packet-path memory was made of: the Packets the
 	// pools grew to, the most packets ever parked in RotorLB VOQs, the VOQ
 	// chunks allocated to hold their runs, and the calendar queues that ever held a
@@ -212,8 +220,9 @@ type Result struct {
 	// Shards is the effective worker count: the engine's worker count for a
 	// sharded run (after clamping), 1 for a serial run.
 	Shards int
-	// ShardNote records shard-count adjustments (e.g. a clamp to the ToR
-	// count); empty when the requested count was used as-is.
+	// ShardNote records shard-count adjustments: a clamp to the ToR count,
+	// or why the run fell back to the serial engine; empty when the
+	// requested count was used as-is.
 	ShardNote string
 	// JainCumulative is the whole-run Jain fairness over per-uplink-port
 	// bytes (Fig 15).
@@ -230,7 +239,9 @@ type Result struct {
 	PathSet PathSetInfo
 	// ResumeNote records checkpoint/resume outcomes: the restored instant
 	// on a successful resume, why a requested resume fell back to a cold
-	// run, or why checkpoint writing was disabled. Empty for plain runs.
+	// run, why checkpoint writing was disabled, how many checkpoint writes
+	// failed and the first error, or that a sweep's book was not written.
+	// Empty for plain runs.
 	ResumeNote string
 	// TrialPanic, set by RunTrials, records a panic (message and stack)
 	// that aborted this trial; the zero-value Result fields accompany it.
@@ -263,6 +274,8 @@ type simState struct {
 	pathSet   PathSetInfo
 	horizon   sim.Time
 	ckpt      *checkpoint.Writer // writeCheckpoint's, reused across checkpoints
+	ckptErr   error              // the first failed checkpoint write
+	ckptFails int                // how many checkpoint writes failed
 }
 
 // Run executes the simulation.
@@ -301,12 +314,19 @@ func Run(cfg SimConfig) (*Result, error) {
 		}
 	}
 	res := st.run(resumed)
-	if res.ResumeNote == "" {
-		res.ResumeNote = resumeNote
-	} else if resumeNote != "" {
-		res.ResumeNote = resumeNote + "; " + res.ResumeNote
-	}
+	res.ResumeNote = joinNote(resumeNote, res.ResumeNote)
 	return res, nil
+}
+
+// joinNote appends note to a "; "-separated list of notes.
+func joinNote(notes, note string) string {
+	if notes == "" {
+		return note
+	}
+	if note == "" {
+		return notes
+	}
+	return notes + "; " + note
 }
 
 // validateWorkload checks what the Poisson generator is fed, when it is the
@@ -359,7 +379,6 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 	if shards > 1 {
 		if err := Shardable(cfg); err != nil {
 			shardNote = fmt.Sprintf("serial fallback: %v", err)
-			recordShardNote(shardNote)
 		} else {
 			sharded = true
 		}
@@ -507,8 +526,16 @@ func (st *simState) run(resumed bool) *Result {
 	default:
 		ckptKey = configKey(cfg, st.flows)
 	}
-	var events uint64
-	var kinds sim.EventKinds
+	res := &Result{
+		Config:     cfg,
+		Collector:  st.col,
+		Launched:   len(st.flows),
+		Sharded:    st.sharded,
+		Shards:     st.shards,
+		ShardNote:  st.shardNote,
+		PathSet:    st.pathSet,
+		ResumeNote: ckptNote,
+	}
 	if st.sharded {
 		if cfg.SampleEvery > 0 && !resumed {
 			st.col.StartSamplingSharded(st.net, st.sh, cfg.SampleEvery, st.horizon)
@@ -518,9 +545,8 @@ func (st *simState) run(resumed bool) *Result {
 		}
 		st.sh.Run(st.horizon)
 		st.net.FinalizeSharded()
-		events, kinds = st.sh.Processed(), st.sh.EventKinds()
-		recordSchedStats(st.sh.SchedStats())
-		recordShardStats(st.sh.Stats())
+		res.Events, res.EventKinds = st.sh.Processed(), st.sh.EventKinds()
+		res.Sched, res.ShardStats = st.sh.SchedStats(), st.sh.Stats()
 	} else {
 		if cfg.SampleEvery > 0 && !resumed {
 			st.col.StartSampling(st.net, cfg.SampleEvery, st.horizon)
@@ -536,34 +562,21 @@ func (st *simState) run(resumed bool) *Result {
 			}
 		}
 		st.eng.Run(st.horizon)
-		events, kinds = st.eng.Processed(), st.eng.EventKinds()
-		recordSchedStats(st.eng.SchedStats())
+		res.Events, res.EventKinds = st.eng.Processed(), st.eng.EventKinds()
+		res.Sched = st.eng.SchedStats()
 	}
-	eventsProcessed.Add(events)
-	recordEventKinds(&kinds)
-	mem := st.net.MemStats()
-	recordMemStats(mem)
-
-	return &Result{
-		Config:         cfg,
-		Collector:      st.col,
-		Counters:       st.net.Counters,
-		Efficiency:     st.net.BandwidthEfficiency(),
-		ReroutedFrac:   st.net.ReroutedFraction(),
-		CompletionRate: st.col.CompletionRate(),
-		Launched:       len(st.flows),
-		Events:         events,
-		EventKinds:     kinds,
-		Mem:            mem,
-		Sharded:        st.sharded,
-		Shards:         st.shards,
-		ShardNote:      st.shardNote,
-		PathSet:        st.pathSet,
-		JainCumulative: st.net.JainCumulative(),
-		Flows:          st.net.Flows(),
-		Recovery:       metrics.Recovery(st.net.Counters),
-		ResumeNote:     ckptNote,
+	if st.ckptFails > 0 {
+		res.ResumeNote = fmt.Sprintf("%d checkpoint writes failed, the first: %v", st.ckptFails, st.ckptErr)
 	}
+	res.Counters = st.net.Counters
+	res.Efficiency = st.net.BandwidthEfficiency()
+	res.ReroutedFrac = st.net.ReroutedFraction()
+	res.CompletionRate = st.col.CompletionRate()
+	res.Mem = st.net.MemStats()
+	res.JainCumulative = st.net.JainCumulative()
+	res.Flows = st.net.Flows()
+	res.Recovery = metrics.Recovery(st.net.Counters)
+	return res
 }
 
 // compileFailures folds the config's fault knobs — the static LinkFailFrac

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -355,50 +354,5 @@ func TestShardedNonDividing64(t *testing.T) {
 			t.Fatalf("64 ToRs on %d shards diverges from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
 				shards, serial, got)
 		}
-	}
-}
-
-// TestShardStatsFoldedWhole pins what `ucmpbench -shards N -schedstats`
-// prints: with CollectSchedStats on, a sharded Run leaves every field of
-// sim.ShardStats non-zero in the aggregate (reflect walks the struct, so a
-// field added to the engine and forgotten in the fold fails here), two
-// identical runs sum the counts and max the high-water mark, and Take empties
-// the aggregate.
-func TestShardStatsFoldedWhole(t *testing.T) {
-	defer func(was bool) { CollectSchedStats = was }(CollectSchedStats)
-	CollectSchedStats = true
-	cfg := ScaledConfig(UCMP, transport.DCTCP, "websearch")
-	cfg.Duration = sim.Millisecond
-	cfg.Horizon = 4 * sim.Millisecond
-	cfg.Shards = 2
-	run := func() {
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Sharded {
-			t.Fatalf("Shards=2 fell back to the serial engine: %s", res.ShardNote)
-		}
-	}
-	TakeShardStats()
-	run()
-	one := TakeShardStats()
-	v := reflect.ValueOf(one)
-	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).IsZero() {
-			t.Errorf("ShardStats.%s is zero after a sharded run: %+v", v.Type().Field(i).Name, one)
-		}
-	}
-	if again := TakeShardStats(); again != (sim.ShardStats{}) {
-		t.Errorf("second Take returned %+v, want zero", again)
-	}
-	run()
-	run()
-	want := sim.ShardStats{
-		Windows: 2 * one.Windows, CrossEvents: 2 * one.CrossEvents,
-		MergeBatches: 2 * one.MergeBatches, MailboxHighWater: one.MailboxHighWater,
-	}
-	if two := TakeShardStats(); two != want {
-		t.Errorf("two runs folded to %+v, want %+v", two, want)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -104,11 +103,12 @@ func (b *sweepBook) restore(t Trial) *Result {
 }
 
 // record stores a completed trial's summary line and rewrites the book
-// atomically. Write failures degrade to a stderr warning: losing the book
-// costs a future resume some re-runs, never the current sweep.
-func (b *sweepBook) record(t Trial, r *Result) {
+// atomically. A write failure is returned for the trial's ResumeNote, not
+// raised: losing the book costs a future resume some re-runs, never the
+// current sweep.
+func (b *sweepBook) record(t Trial, r *Result) error {
 	if b == nil {
-		return
+		return nil
 	}
 	line := summaryLine(t, r)
 	b.mu.Lock()
@@ -126,7 +126,5 @@ func (b *sweepBook) record(t Trial, r *Result) {
 		enc.Str(k)
 		enc.Str(b.done[k])
 	}
-	if err := w.Save(b.path); err != nil {
-		fmt.Fprintf(os.Stderr, "harness: sweep book not written: %v\n", err)
-	}
+	return w.Save(b.path)
 }

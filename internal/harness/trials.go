@@ -91,7 +91,9 @@ func RunTrials(trials []Trial) ([]*Result, error) {
 		if r.TrialPanic == "" {
 			// Panicked trials stay out of the book so a resumed sweep
 			// retries them instead of replaying the failure line.
-			book.record(trials[i], r)
+			if err := book.record(trials[i], r); err != nil {
+				r.ResumeNote = joinNote(r.ResumeNote, fmt.Sprintf("sweep book not written: %v", err))
+			}
 		}
 		return nil
 	})

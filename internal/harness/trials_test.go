@@ -178,3 +178,23 @@ func TestSweepResume(t *testing.T) {
 		t.Fatal("fully-restored sweep summary diverged")
 	}
 }
+
+// A sweep book that cannot be written leaves every trial's result intact and
+// says so in that trial's ResumeNote.
+func TestSweepBookFailureNoted(t *testing.T) {
+	_, trials := sweepForTest()
+	trials = trials[:2]
+	dir := notADir(t)
+	for i := range trials {
+		trials[i].Cfg.CheckpointDir = dir
+	}
+	res, err := RunTrials(trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if !strings.HasPrefix(r.ResumeNote, "sweep book not written: ") || r.Events == 0 {
+			t.Errorf("trial %d: ResumeNote %q after %d events, want a sweep-book note on a run trial", i, r.ResumeNote, r.Events)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -68,9 +67,9 @@ func timedBaseline(build func(*topo.Fabric, int) *routing.KSP, fab *topo.Fabric,
 
 // warmPathSet returns the compiled path set for cfg's fabric, whether it was
 // warm (served without an offline build), and a note when FabricCacheDir was
-// set but unusable. With FabricCacheDir unset it simply builds cold; so does
-// a schedule with no rotation symmetry (the cache file holds the canonical
-// form only), which the note records. Otherwise it serves from the
+// set but unusable or not written. With FabricCacheDir unset it simply
+// builds cold; so does a schedule with no rotation symmetry (the cache file
+// holds the canonical form only), which the note records. Otherwise it serves from the
 // in-process cache, then from the cache file, and only then builds cold —
 // saving the result (best-effort) so the next process starts warm. The file
 // also carries ToR 0's compiled table, written here and read by nothing in a
@@ -108,10 +107,11 @@ func warmPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, bool, string) 
 	}
 	table := routing.CompileTable(ps, core.NewFlowAger(ps), 0)
 	// Best-effort: a full disk or read-only cache dir degrades to cold
-	// builds with a warning, not errors — the cold result is still correct.
+	// builds with a note, not errors — the cold result is still correct.
+	var note string
 	if err := fabriccache.Save(path, ps, table); err != nil {
-		fmt.Fprintf(os.Stderr, "harness: fabric cache not written: %v\n", err)
+		note = fmt.Sprintf("fabric cache not written: %v", err)
 	}
 	warmFabrics.m[path] = &fabriccache.Fabric{PS: ps, Table: table}
-	return ps, false, ""
+	return ps, false, note
 }

@@ -168,3 +168,18 @@ func TestFabricCacheUnusedNoted(t *testing.T) {
 		t.Fatalf("cache dir holds %d files for an uncacheable schedule", len(left))
 	}
 }
+
+// A fabric cache that cannot be written still serves a correct cold build,
+// and the run's path-set note says the file was not written.
+func TestFabricCacheSaveFailureNoted(t *testing.T) {
+	cfg := quickBase()
+	cfg.Topo.Uplinks = 4 // a rotation-symmetric schedule, so the cache is used
+	cfg.FabricCacheDir = notADir(t)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := res.PathSet; i.Warm || !strings.HasPrefix(i.Note, "fabric cache not written: ") {
+		t.Fatalf("path set %q, want a cold build noting the unwritten cache", i)
+	}
+}

@@ -32,13 +32,14 @@ func Config() topo.Config {
 	}
 }
 
-// Result is one routing scheme's testbed outcome.
+// Result is one routing scheme's testbed outcome; Sim is the run behind it.
 type Result struct {
 	Scheme     string
 	FCTs       []sim.Time
 	Probs      []float64
 	P50, P99   sim.Time
 	Completion float64
+	Sim        *harness.Result
 }
 
 // Schemes are the four curves of Fig 13.
@@ -96,7 +97,7 @@ func Run(sc harness.Scheme, o Options) (*Result, error) {
 		return nil, err
 	}
 	fcts, probs := res.Collector.FCTCDF(true)
-	out := &Result{Scheme: sc.Name, FCTs: fcts, Probs: probs}
+	out := &Result{Scheme: sc.Name, FCTs: fcts, Probs: probs, Sim: res}
 	if len(fcts) > 0 {
 		out.P50 = fcts[len(fcts)/2]
 		out.P99 = fcts[len(fcts)*99/100]

@@ -51,7 +51,7 @@ func TestPaperHeadlineClaims(t *testing.T) {
 		{Name: "ucmp", Routing: harness.UCMP, Transport: transport.DCTCP},
 		{Name: "vlb", Routing: harness.VLB, Transport: transport.DCTCP},
 	}
-	_, results, err := harness.Fig6FCT(base, "websearch", schemes)
+	results, err := harness.RunSchemes(base, "websearch", schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
