@@ -90,7 +90,7 @@ func benchFig6(b *testing.B, wl string, relax bool) {
 	}
 	var eff float64
 	for i := 0; i < b.N; i++ {
-		results, err := harness.RunSchemes(benchBase(), wl, schemes)
+		results, err := harness.RunSchemes(nil, benchBase(), wl, schemes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func BenchmarkFig7_LinkUtil(b *testing.B) {
 	schemes := []harness.Scheme{{Name: "ucmp", Routing: harness.UCMP, Transport: transport.DCTCP}}
 	var util float64
 	for i := 0; i < b.N; i++ {
-		results, err := harness.RunSchemes(benchBase(), "websearch", schemes)
+		results, err := harness.RunSchemes(nil, benchBase(), "websearch", schemes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func BenchmarkFig7_LinkUtil(b *testing.B) {
 
 func BenchmarkFig8_Bucketing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.Fig8Bucketing(benchBase()); err != nil {
+		if _, _, err := harness.Fig8Bucketing(nil, benchBase()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func BenchmarkFig8_Bucketing(b *testing.B) {
 func BenchmarkFig9_ReconfDelay(b *testing.B) {
 	delays := []sim.Time{10 * sim.Nanosecond, 10 * sim.Microsecond}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.Fig9Reconf(benchBase(), delays); err != nil {
+		if _, _, err := harness.Fig9Reconf(nil, benchBase(), delays); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkFig9_ReconfDelay(b *testing.B) {
 
 func BenchmarkFig10_Alpha(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.Fig10Alpha(benchBase(), []float64{0.3, 0.7}); err != nil {
+		if _, _, err := harness.Fig10Alpha(nil, benchBase(), []float64{0.3, 0.7}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func BenchmarkFig10_Alpha(b *testing.B) {
 func BenchmarkFig11_SliceDuration(b *testing.B) {
 	durs := []sim.Time{10 * sim.Microsecond, 50 * sim.Microsecond}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.Fig11Slice(benchBase(), durs); err != nil {
+		if _, _, err := harness.Fig11Slice(nil, benchBase(), durs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkFig12_Failures(b *testing.B) {
 
 func BenchmarkFig12d_FaultyLinks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.Fig12d(benchBase(), []float64{0.05}); err != nil {
+		if _, _, err := harness.Fig12d(nil, benchBase(), []float64{0.05}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func BenchmarkFig15_LoadBalance(b *testing.B) {
 	schemes := []harness.Scheme{{Name: "ucmp", Routing: harness.UCMP, Transport: transport.DCTCP}}
 	var jain float64
 	for i := 0; i < b.N; i++ {
-		results, err := harness.RunSchemes(benchBase(), "websearch", schemes)
+		results, err := harness.RunSchemes(nil, benchBase(), "websearch", schemes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func BenchmarkFig16_RandomSchedule(b *testing.B) {
 func BenchmarkFig17_LinkUtilDM(b *testing.B) {
 	schemes := []harness.Scheme{{Name: "ucmp", Routing: harness.UCMP, Transport: transport.NDP, Relax: true}}
 	for i := 0; i < b.N; i++ {
-		results, err := harness.RunSchemes(benchBase(), "datamining", schemes)
+		results, err := harness.RunSchemes(nil, benchBase(), "datamining", schemes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func BenchmarkFig17_LinkUtilDM(b *testing.B) {
 
 func BenchmarkAblation_PolicyHalves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.AblationPolicy(benchBase()); err != nil {
+		if _, _, err := harness.AblationPolicy(nil, benchBase()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func BenchmarkAblation_PolicyHalves(b *testing.B) {
 
 func BenchmarkAblation_ParallelTies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.AblationParallel(benchBase()); err != nil {
+		if _, _, err := harness.AblationParallel(nil, benchBase()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -257,7 +257,7 @@ func BenchmarkAblation_ScheduleGrouping(b *testing.B) {
 
 func BenchmarkExtension_CongestionAware(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.ExtensionCongestion(benchBase()); err != nil {
+		if _, _, err := harness.ExtensionCongestion(nil, benchBase()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -273,7 +273,7 @@ func BenchmarkExtension_AlphaController(b *testing.B) {
 
 func BenchmarkExtension_MPTCP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.ExtensionMPTCP(benchBase()); err != nil {
+		if _, _, err := harness.ExtensionMPTCP(nil, benchBase()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,13 +7,16 @@
 //
 // Simulation-based figures run on a scaled-down fabric by default so the
 // full sweep finishes in minutes; -full switches the offline analyses to
-// the paper's 108-ToR fabric and lengthens the simulations. -parallel runs
-// an exhibit's independent schemes/sweep points concurrently (bounded by
-// -workers, default GOMAXPROCS); reports are identical to the serial order.
-// Fig 6, 7, 15 and 17 render from one run per scheme per workload, simulated
-// by whichever of them comes first. Each exhibit's wall-clock time and the
-// simulation events of the runs it simulated print to stderr, folded from
-// those runs' Results, with any notes the runs recorded.
+// the paper's 108-ToR fabric and lengthens the simulations. Every simulation
+// exhibit hands its run configurations to the process's one harness.Runner,
+// which simulates each distinct configuration once, for whichever exhibit
+// asks first: Fig 6, 7, 15 and 17 share one grid per workload, and Fig 8–12d,
+// the ablations, the MPTCP extension and the failure sweep share their
+// UCMP+DCTCP web-search base run. -parallel fans each exhibit's runs out over
+// -workers goroutines (default GOMAXPROCS); reports are identical to the
+// serial order. Each exhibit's wall-clock time and the simulation events of
+// the runs it was first to get print to stderr, folded from those runs'
+// Results, with any notes the runs recorded.
 //
 // Profiling: -cpuprofile and -memprofile write pprof files covering the
 // selected exhibits, for chasing simulator hot spots; -trace captures a
@@ -127,8 +130,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ucmpbench: -exp: %v\n", err)
 		os.Exit(2)
 	}
-	harness.Parallel = *parallelF
-	harness.Workers = *workersF
 
 	if *cpuProfF != "" {
 		f, err := os.Create(*cpuProfF)
@@ -175,10 +176,18 @@ func main() {
 		}()
 	}
 
+	sims := &harness.Runner{Workers: 1}
+	if *parallelF {
+		sims.Workers = *workersF
+		if sims.Workers <= 0 {
+			sims.Workers = runtime.GOMAXPROCS(0)
+		}
+	}
 	r := runner{
-		full: *fullF, seed: *seedF, shards: *shardsF, cacheDir: *cacheF,
+		sims: sims, full: *fullF, seed: *seedF, shards: *shardsF, cacheDir: *cacheF,
 		ckptDir: *ckptDirF, ckptEvery: sim.Time(ckptEvF.Nanoseconds()), resume: *resumeF,
 	}
+	folded := map[*harness.Result]bool{}
 	if *scaleNsF != "" {
 		if r.scaleNs, err = parseScaleNs(*scaleNsF); err != nil {
 			fmt.Fprintf(os.Stderr, "ucmpbench: -scale-ns: %v\n", err)
@@ -196,7 +205,7 @@ func main() {
 			os.Exit(1)
 		}
 		wall := time.Since(start).Seconds()
-		f := foldResults(results)
+		f := foldResults(results, folded)
 		if f.events > 0 {
 			fmt.Fprintf(os.Stderr, "(%s took %.1fs, %d sim events, %.2fM events/s)\n",
 				e, wall, f.events, float64(f.events)/wall/1e6)
@@ -253,9 +262,16 @@ type exhibitStats struct {
 	notes  []string
 }
 
-func foldResults(results []*harness.Result) exhibitStats {
+// foldResults folds the results not yet in folded and adds them to it, so
+// a run the Runner serves to several exhibits counts once per process, in
+// the first exhibit that got it.
+func foldResults(results []*harness.Result, folded map[*harness.Result]bool) exhibitStats {
 	var f exhibitStats
 	for _, r := range results {
+		if folded[r] {
+			continue
+		}
+		folded[r] = true
 		f.events += r.Events
 		f.kinds.Add(&r.EventKinds)
 
@@ -312,6 +328,7 @@ func formatEventKinds(k sim.EventKinds) string {
 }
 
 type runner struct {
+	sims      *harness.Runner
 	full      bool
 	seed      int64
 	shards    int
@@ -321,8 +338,7 @@ type runner struct {
 	resume    bool
 	scaleNs   []int
 
-	ps    *core.PathSet
-	grids map[string][]harness.SchemeResult // workload -> its Fig 6 scheme grid
+	ps *core.PathSet
 }
 
 // analysisConfig is the fabric used for offline path analyses.
@@ -357,27 +373,6 @@ func (r *runner) simBase() harness.SimConfig {
 		cfg.Horizon = 80 * sim.Millisecond
 	}
 	return cfg
-}
-
-// grid returns workload wl's Fig 6 scheme grid, which Fig 6, 7, 15 and 17
-// render from, simulating it on first use; ran holds the runs this call
-// simulated (none once the grid exists).
-func (r *runner) grid(wl string) (grid []harness.SchemeResult, ran []*harness.Result, err error) {
-	if g, ok := r.grids[wl]; ok {
-		return g, nil, nil
-	}
-	grid, err = harness.RunSchemes(r.simBase(), wl, harness.Fig6Schemes(wl == "datamining"))
-	if err != nil {
-		return nil, nil, err
-	}
-	if r.grids == nil {
-		r.grids = map[string][]harness.SchemeResult{}
-	}
-	r.grids[wl] = grid
-	for _, sr := range grid {
-		ran = append(ran, sr.Result)
-	}
-	return grid, ran, nil
 }
 
 // run prints exhibit exp and returns the Results of the simulations it ran.
@@ -424,7 +419,7 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 		if exp == "fig6b" || exp == "fig6d" || exp == "fig17" {
 			wl = "datamining"
 		}
-		grid, ran, err := r.grid(wl)
+		grid, err := harness.RunSchemes(r.sims, r.simBase(), wl, harness.Fig6Schemes(wl == "datamining"))
 		if err != nil {
 			return nil, err
 		}
@@ -438,45 +433,24 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 		default:
 			fmt.Println(harness.Fig15LoadBalance(grid))
 		}
+		ran := make([]*harness.Result, len(grid))
+		for i, sr := range grid {
+			ran[i] = sr.Result
+		}
 		return ran, nil
 	case "fig8":
-		rep, out, err := harness.Fig8Bucketing(r.simBase())
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(rep)
-		return out[:], nil
+		return show(harness.Fig8Bucketing(r.sims, r.simBase()))
 	case "fig9":
-		rep, out, err := harness.Fig9Reconf(r.simBase(), []sim.Time{10 * sim.Nanosecond, 1 * sim.Microsecond, 10 * sim.Microsecond})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(rep)
-		return out, nil
+		return show(harness.Fig9Reconf(r.sims, r.simBase(), []sim.Time{10 * sim.Nanosecond, 1 * sim.Microsecond, 10 * sim.Microsecond}))
 	case "fig10":
-		rep, out, err := harness.Fig10Alpha(r.simBase(), []float64{0.3, 0.5, 0.7})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(rep)
-		return out, nil
+		return show(harness.Fig10Alpha(r.sims, r.simBase(), []float64{0.3, 0.5, 0.7}))
 	case "fig11":
-		rep, out, err := harness.Fig11Slice(r.simBase(), []sim.Time{10 * sim.Microsecond, 50 * sim.Microsecond, 300 * sim.Microsecond})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(rep)
-		return out, nil
+		return show(harness.Fig11Slice(r.sims, r.simBase(), []sim.Time{10 * sim.Microsecond, 50 * sim.Microsecond, 300 * sim.Microsecond}))
 	case "fig12":
 		rep, _ := harness.Fig12abc(r.pathSet(), r.seed)
 		fmt.Println(rep)
 	case "fig12d":
-		rep, out, err := harness.Fig12d(r.simBase(), []float64{0, 0.01, 0.03, 0.05})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(rep)
-		return out, nil
+		return show(harness.Fig12d(r.sims, r.simBase(), []float64{0, 0.01, 0.03, 0.05}))
 	case "fig13":
 		rep, out, err := testbed.RunAll(testbed.Options{Seed: r.seed})
 		if err != nil {
@@ -495,47 +469,38 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 		rep, _ := harness.Fig16(r.analysisConfig(), 7)
 		fmt.Println(rep)
 	case "ablation":
-		rep, out, err := harness.AblationPolicy(r.simBase())
+		out, err := show(harness.AblationPolicy(r.sims, r.simBase()))
 		if err != nil {
 			return nil, err
 		}
-		fmt.Println(rep)
-		rep2, out2, err := harness.AblationParallel(r.simBase())
+		out2, err := show(harness.AblationParallel(r.sims, r.simBase()))
 		if err != nil {
 			return nil, err
 		}
-		fmt.Println(rep2)
 		fmt.Println(harness.AblationSchedule(108, 6))
 		return append(out, out2...), nil
 	case "extension":
-		rep, out, err := harness.ExtensionCongestion(r.simBase())
+		out, err := show(harness.ExtensionCongestion(r.sims, r.simBase()))
+		if err != nil {
+			return nil, err
+		}
+		rep, res, err := harness.ExtensionAlphaController(r.simBase(), 0.06)
 		if err != nil {
 			return nil, err
 		}
 		fmt.Println(rep)
-		rep2, res, err := harness.ExtensionAlphaController(r.simBase(), 0.06)
+		out3, err := show(harness.ExtensionMPTCP(r.sims, r.simBase()))
 		if err != nil {
 			return nil, err
 		}
-		fmt.Println(rep2)
-		rep3, out3, err := harness.ExtensionMPTCP(r.simBase())
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(rep3)
 		return append(append(out, res), out3...), nil
 	case "failsweep":
-		rep, out, err := harness.FailureSweep(r.simBase(), []float64{0, 0.02, 0.05, 0.1})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(rep)
-		return out, nil
+		return show(harness.FailureSweep(r.sims, r.simBase(), []float64{0, 0.02, 0.05, 0.1}))
 	case "sweep":
 		trials := harness.SweepLoad(r.simBase(),
 			[]harness.RoutingKind{harness.UCMP, harness.VLB, harness.KSP5},
 			[]float64{0.2, 0.4, 0.6})
-		results, err := harness.RunTrials(trials)
+		results, err := r.sims.RunTrials(trials)
 		if err != nil {
 			return nil, err
 		}
@@ -546,4 +511,13 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 		return nil, fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil, nil
+}
+
+// show prints an exhibit driver's report and passes its Results through.
+func show(rep *harness.Report, out []*harness.Result, err error) ([]*harness.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	fmt.Println(rep)
+	return out, nil
 }

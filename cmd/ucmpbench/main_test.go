@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"reflect"
@@ -120,7 +121,21 @@ func TestShardStatsFoldedWhole(t *testing.T) {
 			}
 		}
 	}
-	f := foldResults([]*harness.Result{&a, &b})
+	f := foldResults([]*harness.Result{&a, &b}, map[*harness.Result]bool{})
+	checkFold(t, f, &a, &b)
+
+	// A Result already folded for an earlier exhibit counts once: folding
+	// [a, b] after a reads as b alone, against a zero Result.
+	folded := map[*harness.Result]bool{}
+	foldResults([]*harness.Result{&a}, folded)
+	checkFold(t, foldResults([]*harness.Result{&a, &b}, folded), &harness.Result{}, &b)
+}
+
+// checkFold requires f to be the fold of a and b: every counter of
+// sim.SchedStats, sim.ShardStats and netsim.MemStats a+b, every high-water
+// mark max(a, b).
+func checkFold(t *testing.T, f exhibitStats, a, b *harness.Result) {
+	t.Helper()
 	for _, c := range []struct {
 		name      string
 		got, a, b any
@@ -187,5 +202,48 @@ func TestSharedGridRunsOnce(t *testing.T) {
 	if len(timing) != 2 || !strings.HasPrefix(timing[0], "(fig6a took ") || !strings.Contains(timing[0], " sim events") ||
 		!strings.HasPrefix(timing[1], "(fig6c took ") || strings.Contains(timing[1], "events") {
 		t.Fatalf("timing lines %q: want fig6a's with sim events and fig6c's without", timing)
+	}
+}
+
+// Fig 8 simulates the base run as its "flow bucketing" variant, and Fig 10's
+// α=0.5 point is that same run: both reports print, and fig10's timing line
+// counts only the events of its α=0.3 and α=0.7 runs.
+func TestBaseRunSharedAcrossExhibits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("packet simulations")
+	}
+	cmd := exec.Command(os.Args[0], "-exp", "fig8,fig10")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("ucmpbench: %v\n%s", err, stderr.String())
+	}
+	for _, title := range []string{"== Fig 8: accurate flow size vs flow bucketing", "== Fig 10: weight factor alpha"} {
+		if !strings.Contains(stdout.String(), title) {
+			t.Errorf("stdout lacks %q:\n%s", title, stdout.String())
+		}
+	}
+	var want uint64
+	for _, alpha := range []float64{0.3, 0.7} {
+		cfg := harness.ScaledConfig(harness.UCMP, transport.DCTCP, "websearch")
+		cfg.SampleEvery = 500 * sim.Microsecond
+		cfg.Alpha = alpha
+		res, err := harness.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += res.Events
+	}
+	var got uint64
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if strings.HasPrefix(line, "(fig10 took ") {
+			if _, err := fmt.Sscanf(line[strings.Index(line, ", ")+2:], "%d sim events", &got); err != nil {
+				t.Fatalf("fig10 timing line %q: %v", line, err)
+			}
+		}
+	}
+	if got != want {
+		t.Fatalf("fig10 counted %d sim events, want %d (its alpha=0.3 and alpha=0.7 runs)\n%s", got, want, stderr.String())
 	}
 }

@@ -17,7 +17,7 @@ func main() {
 	base := harness.ScaledConfig(harness.UCMP, transport.DCTCP, "websearch")
 	base.Duration = 2 * sim.Millisecond
 
-	rep, _, err := harness.ExtensionCongestion(base)
+	rep, _, err := harness.ExtensionCongestion(nil, base)
 	check(err)
 	fmt.Println(rep)
 
@@ -35,7 +35,7 @@ func main() {
 	}
 	fmt.Println()
 
-	rep3, _, err := harness.ExtensionMPTCP(base)
+	rep3, _, err := harness.ExtensionMPTCP(nil, base)
 	check(err)
 	fmt.Println(rep3)
 }

@@ -45,7 +45,7 @@ func main() {
 	fmt.Println("\nlive traffic with 5% faulty links (Fig 12d):")
 	base := harness.ScaledConfig(harness.UCMP, transport.DCTCP, "websearch")
 	base.Duration = 2 * sim.Millisecond
-	rep, _, err := harness.Fig12d(base, []float64{0, 0.05})
+	rep, _, err := harness.Fig12d(nil, base, []float64{0, 0.05})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -23,7 +23,7 @@ func main() {
 		{Name: "opera-1+ndp", Routing: harness.Opera1, Transport: transport.NDP},
 	}
 
-	results, err := harness.RunSchemes(base, "websearch", schemes)
+	results, err := harness.RunSchemes(nil, base, "websearch", schemes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -2,9 +2,7 @@ package harness
 
 import (
 	"ucmp/internal/netsim"
-	"ucmp/internal/sim"
 	"ucmp/internal/topo"
-	"ucmp/internal/transport"
 )
 
 // AblationPolicy isolates the uniform-cost policy (§3.1): full UCMP versus
@@ -12,67 +10,46 @@ import (
 // term) or to the fewest-hop path (ignoring the latency term). The paper
 // argues the cost metric must unify both; this quantifies what each half
 // alone loses.
-func AblationPolicy(base SimConfig) (*Report, []*Result, error) {
-	base.Workload = "websearch"
-	base.Routing = UCMP
-	base.Transport = transport.DCTCP
-	variants := []struct {
-		name string
-		pin  string
-	}{
-		{"uniform cost (full UCMP)", ""},
-		{"latency-only (pin min-latency)", "min-latency"},
-		{"hops-only (pin fewest hops)", "fewest-hops"},
+func AblationPolicy(r *Runner, base SimConfig) (*Report, []*Result, error) {
+	names := []string{"uniform cost (full UCMP)", "latency-only (pin min-latency)", "hops-only (pin fewest hops)"}
+	pins := []string{"", "min-latency", "fewest-hops"}
+	out, err := runVariants(r, exhibitConfig(base, "websearch"), pins, func(c *SimConfig, pin string) {
+		c.PinPolicy = pin
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	r := &Report{Title: "Ablation: uniform cost vs its latency-only / hops-only halves"}
-	r.Addf("%-32s %-10s %-10s %-12s %-9s", "policy", "<=10KB", ">1MB", "efficiency", "complete")
-	var out []*Result
-	for _, v := range variants {
-		cfg := base
-		cfg.PinPolicy = v.pin
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, res)
+	rep := &Report{Title: "Ablation: uniform cost vs its latency-only / hops-only halves"}
+	rep.Addf("%-32s %-10s %-10s %-12s %-9s", "policy", "<=10KB", ">1MB", "efficiency", "complete")
+	for i, res := range out {
 		bins := coarseBins(res.Collector)
-		r.Addf("%-32s %-10s %-10s %-12.3f %-9.2f",
-			v.name, fmtT(bins[0]), fmtT(bins[3]), res.Efficiency, res.CompletionRate)
+		rep.Addf("%-32s %-10s %-10s %-12.3f %-9.2f",
+			names[i], fmtT(bins[0]), fmtT(bins[3]), res.Efficiency, res.CompletionRate)
 	}
-	r.Addf("(expected: latency-only wins short-flow FCT but wastes bandwidth;")
-	r.Addf(" hops-only maximizes efficiency but inflates short-flow FCT;")
-	r.Addf(" uniform cost holds both ends simultaneously)")
-	return r, out, nil
+	rep.Addf("(expected: latency-only wins short-flow FCT but wastes bandwidth;")
+	rep.Addf(" hops-only maximizes efficiency but inflates short-flow FCT;")
+	rep.Addf(" uniform cost holds both ends simultaneously)")
+	return rep, out, nil
 }
 
 // AblationParallel isolates the ECMP-style spreading over tied parallel
 // paths (§5.1): keeping up to 4 ties versus exactly one path per hop count.
-func AblationParallel(base SimConfig) (*Report, []*Result, error) {
-	base.Workload = "websearch"
-	base.Routing = UCMP
-	base.Transport = transport.DCTCP
-	if base.SampleEvery == 0 {
-		base.SampleEvery = 500 * sim.Microsecond
+func AblationParallel(r *Runner, base SimConfig) (*Report, []*Result, error) {
+	names := []string{"up to 4 tied paths", "single path per entry"}
+	out, err := runVariants(r, exhibitConfig(base, "websearch"), []int{0, 1}, func(c *SimConfig, maxPar int) {
+		c.MaxParallel = maxPar
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	r := &Report{Title: "Ablation: parallel-path tie spreading"}
-	r.Addf("%-24s %-12s %-12s %-10s", "variant", "Jain load", "efficiency", "<=10KB")
-	var out []*Result
-	for _, v := range []struct {
-		name string
-		cap  int
-	}{{"up to 4 tied paths", 0}, {"single path per entry", 1}} {
-		cfg := base
-		cfg.MaxParallel = v.cap
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, res)
+	rep := &Report{Title: "Ablation: parallel-path tie spreading"}
+	rep.Addf("%-24s %-12s %-12s %-10s", "variant", "Jain load", "efficiency", "<=10KB")
+	for i, res := range out {
 		bins := coarseBins(res.Collector)
 		jain := res.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.JainLoadIndex })
-		r.Addf("%-24s %-12.3f %-12.3f %-10s", v.name, jain, res.Efficiency, fmtT(bins[0]))
+		rep.Addf("%-24s %-12.3f %-12.3f %-10s", names[i], jain, res.Efficiency, fmtT(bins[0]))
 	}
-	return r, out, nil
+	return rep, out, nil
 }
 
 // AblationSchedule isolates the expander-shuffled factorization (DESIGN.md):

@@ -3,7 +3,7 @@ package harness
 import "testing"
 
 func TestAblationPolicy(t *testing.T) {
-	rep, out, err := AblationPolicy(quickBase())
+	rep, out, err := AblationPolicy(nil, quickBase())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestAblationPolicy(t *testing.T) {
 }
 
 func TestAblationParallel(t *testing.T) {
-	rep, out, err := AblationParallel(quickBase())
+	rep, out, err := AblationParallel(nil, quickBase())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,33 +35,49 @@ type SchemeResult struct {
 	Result *Result
 }
 
-// RunSchemes executes one run per scheme of workload wl over a base config:
-// the grid Fig 6, 7, 15 and 17 all render from. Sampling defaults to every
-// 500 µs, which the link-utilization and load-balance figures read and the
-// others ignore. Schemes are independent simulations; with Parallel set
-// they run concurrently, each filling its preassigned result slot.
-func RunSchemes(base SimConfig, wl string, schemes []Scheme) ([]SchemeResult, error) {
+// exhibitConfig pins base to UCMP over DCTCP on workload wl, sampling the
+// fabric every 500 µs unless SampleEvery is set: the run every simulation
+// exhibit varies. The link-utilization and load-balance figures read the
+// samples and the others ignore them; sampling leaves a run's flows as they
+// are, and one default lets a Runner serve every exhibit asking for that
+// run from a single simulation.
+func exhibitConfig(base SimConfig, wl string) SimConfig {
 	base.Workload = wl
+	base.Routing = UCMP
+	base.Transport = transport.DCTCP
 	if base.SampleEvery == 0 {
 		base.SampleEvery = 500 * sim.Microsecond
 	}
-	out := make([]SchemeResult, len(schemes))
-	err := forEach(len(schemes), func(i int) error {
-		sc := schemes[i]
-		cfg := base
-		cfg.Routing = sc.Routing
-		cfg.Transport = sc.Transport
-		cfg.Relax = sc.Relax
-		cfg.ScheduleKind = ScheduleFor(sc.Routing)
-		res, err := Run(cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = SchemeResult{Scheme: sc, Result: res}
-		return nil
+	return base
+}
+
+// runVariants runs one copy of base per value, set applying the value to its
+// copy, as one batch on r.
+func runVariants[T any](r *Runner, base SimConfig, vals []T, set func(*SimConfig, T)) ([]*Result, error) {
+	cfgs := make([]SimConfig, len(vals))
+	for i, v := range vals {
+		cfgs[i] = base
+		set(&cfgs[i], v)
+	}
+	return r.Run(cfgs)
+}
+
+// RunSchemes executes one run per scheme of workload wl over a base config:
+// the grid Fig 6, 7, 15 and 17 all render from. Each scheme runs on the
+// schedule its routing requires, left for the run to derive (as SweepLoad
+// does) so that the grid's UCMP+DCTCP run and the base run of the other
+// exhibits are one configuration.
+func RunSchemes(r *Runner, base SimConfig, wl string, schemes []Scheme) ([]SchemeResult, error) {
+	res, err := runVariants(r, exhibitConfig(base, wl), schemes, func(c *SimConfig, sc Scheme) {
+		c.Routing, c.Transport, c.Relax = sc.Routing, sc.Transport, sc.Relax
+		c.ScheduleKind = "" // derive from the scheme
 	})
 	if err != nil {
 		return nil, err
+	}
+	out := make([]SchemeResult, len(schemes))
+	for i, sc := range schemes {
+		out[i] = SchemeResult{Scheme: sc, Result: res[i]}
 	}
 	return out, nil
 }
@@ -150,157 +166,100 @@ func Fig7LinkUtil(results []SchemeResult, wl string) *Report {
 }
 
 // Fig8Bucketing compares flow bucketing against accurate flow size stamping.
-func Fig8Bucketing(base SimConfig) (*Report, [2]*Result, error) {
-	base.Workload = "websearch"
-	base.Routing = UCMP
-	base.Transport = transport.DCTCP
-	variants := []bool{true, false}
-	var out [2]*Result
-	if err := forEach(len(variants), func(i int) error {
-		cfg := base
-		cfg.AccurateFlowSize = variants[i]
-		res, err := Run(cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	}); err != nil {
-		return nil, out, err
+func Fig8Bucketing(r *Runner, base SimConfig) (*Report, []*Result, error) {
+	names := []string{"accurate size", "flow bucketing"}
+	out, err := runVariants(r, exhibitConfig(base, "websearch"), []bool{true, false}, func(c *SimConfig, accurate bool) {
+		c.AccurateFlowSize = accurate
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	r := &Report{Title: "Fig 8: accurate flow size vs flow bucketing (UCMP+DCTCP, web search)"}
-	r.Addf("%-18s %-10s %-10s %-10s %-10s %-8s", "variant", "<=10KB", "<=100KB", "<=1MB", ">1MB", "p99")
+	rep := &Report{Title: "Fig 8: accurate flow size vs flow bucketing (UCMP+DCTCP, web search)"}
+	rep.Addf("%-18s %-10s %-10s %-10s %-10s %-8s", "variant", "<=10KB", "<=100KB", "<=1MB", ">1MB", "p99")
 	for i, res := range out {
-		name := "flow bucketing"
-		if variants[i] {
-			name = "accurate size"
-		}
 		bins := coarseBins(res.Collector)
-		r.Addf("%-18s %-10s %-10s %-10s %-10s %-8s",
-			name, fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]),
+		rep.Addf("%-18s %-10s %-10s %-10s %-10s %-8s",
+			names[i], fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]),
 			res.Collector.Percentile(0.99))
 	}
-	return r, out, nil
+	return rep, out, nil
 }
 
 // Fig9Reconf sweeps the reconfiguration delay.
-func Fig9Reconf(base SimConfig, delays []sim.Time) (*Report, []*Result, error) {
-	base.Workload = "websearch"
-	base.Routing = UCMP
-	base.Transport = transport.DCTCP
-	out := make([]*Result, len(delays))
-	if err := forEach(len(delays), func(i int) error {
-		cfg := base
-		cfg.Topo.ReconfDelay = delays[i]
-		res, err := Run(cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	}); err != nil {
+func Fig9Reconf(r *Runner, base SimConfig, delays []sim.Time) (*Report, []*Result, error) {
+	out, err := runVariants(r, exhibitConfig(base, "websearch"), delays, func(c *SimConfig, d sim.Time) {
+		c.Topo.ReconfDelay = d
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	r := &Report{Title: "Fig 9: FCT under reconfiguration delays (UCMP+DCTCP)"}
-	r.Addf("%-10s %-10s %-10s %-10s %-10s %-10s", "reconf", "duty", "<=10KB", "<=100KB", "<=1MB", ">1MB")
+	rep := &Report{Title: "Fig 9: FCT under reconfiguration delays (UCMP+DCTCP)"}
+	rep.Addf("%-10s %-10s %-10s %-10s %-10s %-10s", "reconf", "duty", "<=10KB", "<=100KB", "<=1MB", ">1MB")
 	for _, res := range out {
 		bins := coarseBins(res.Collector)
-		r.Addf("%-10s %-10.3f %-10s %-10s %-10s %-10s",
+		rep.Addf("%-10s %-10.3f %-10s %-10s %-10s %-10s",
 			res.Config.Topo.ReconfDelay, res.Config.Topo.DutyCycle(),
 			fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]))
 	}
-	return r, out, nil
+	return rep, out, nil
 }
 
 // Fig10Alpha sweeps the weight factor α (Fig 10a/10b).
-func Fig10Alpha(base SimConfig, alphas []float64) (*Report, []*Result, error) {
-	base.Workload = "websearch"
-	base.Routing = UCMP
-	base.Transport = transport.DCTCP
-	if base.SampleEvery == 0 {
-		base.SampleEvery = 500 * sim.Microsecond
-	}
-	out := make([]*Result, len(alphas))
-	if err := forEach(len(alphas), func(i int) error {
-		cfg := base
-		cfg.Alpha = alphas[i]
-		res, err := Run(cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	}); err != nil {
+func Fig10Alpha(r *Runner, base SimConfig, alphas []float64) (*Report, []*Result, error) {
+	out, err := runVariants(r, exhibitConfig(base, "websearch"), alphas, func(c *SimConfig, a float64) {
+		c.Alpha = a
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	r := &Report{Title: "Fig 10: weight factor alpha (UCMP+DCTCP, web search)"}
-	r.Addf("%-7s %-14s %-12s %-10s %-10s %-10s", "alpha", "ToR-ToR util", "efficiency", "<=10KB", "<=100KB", ">1MB")
+	rep := &Report{Title: "Fig 10: weight factor alpha (UCMP+DCTCP, web search)"}
+	rep.Addf("%-7s %-14s %-12s %-10s %-10s %-10s", "alpha", "ToR-ToR util", "efficiency", "<=10KB", "<=100KB", ">1MB")
 	for _, res := range out {
 		bins := coarseBins(res.Collector)
 		util := res.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.TorToTorUtil })
-		r.Addf("%-7.2f %-14.3f %-12.3f %-10s %-10s %-10s",
+		rep.Addf("%-7.2f %-14.3f %-12.3f %-10s %-10s %-10s",
 			res.Config.Alpha, util, res.Efficiency, fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[3]))
 	}
-	r.Addf("(larger alpha -> shorter paths -> lower core utilization, Fig 10a)")
-	return r, out, nil
+	rep.Addf("(larger alpha -> shorter paths -> lower core utilization, Fig 10a)")
+	return rep, out, nil
 }
 
 // Fig11Slice sweeps the time slice duration (Fig 11a/11b).
-func Fig11Slice(base SimConfig, durs []sim.Time) (*Report, []*Result, error) {
-	base.Workload = "websearch"
-	base.Routing = UCMP
-	base.Transport = transport.DCTCP
-	out := make([]*Result, len(durs))
-	if err := forEach(len(durs), func(i int) error {
-		cfg := base
-		cfg.Topo.SliceDuration = durs[i]
-		res, err := Run(cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	}); err != nil {
+func Fig11Slice(r *Runner, base SimConfig, durs []sim.Time) (*Report, []*Result, error) {
+	out, err := runVariants(r, exhibitConfig(base, "websearch"), durs, func(c *SimConfig, d sim.Time) {
+		c.Topo.SliceDuration = d
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	r := &Report{Title: "Fig 11: time slice duration (UCMP+DCTCP, web search)"}
-	r.Addf("%-10s %-12s %-10s %-10s %-10s %-8s", "slice", "efficiency", "<=10KB", "<=100KB", ">1MB", "reroute")
+	rep := &Report{Title: "Fig 11: time slice duration (UCMP+DCTCP, web search)"}
+	rep.Addf("%-10s %-12s %-10s %-10s %-10s %-8s", "slice", "efficiency", "<=10KB", "<=100KB", ">1MB", "reroute")
 	for _, res := range out {
 		bins := coarseBins(res.Collector)
-		r.Addf("%-10s %-12.3f %-10s %-10s %-10s %-8.4f",
+		rep.Addf("%-10s %-12.3f %-10s %-10s %-10s %-8.4f",
 			res.Config.Topo.SliceDuration, res.Efficiency,
 			fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[3]), res.ReroutedFrac)
 	}
-	return r, out, nil
+	return rep, out, nil
 }
 
 // Fig12d runs UCMP under physical link failures.
-func Fig12d(base SimConfig, fracs []float64) (*Report, []*Result, error) {
-	base.Workload = "websearch"
-	base.Routing = UCMP
-	base.Transport = transport.DCTCP
-	out := make([]*Result, len(fracs))
-	if err := forEach(len(fracs), func(i int) error {
-		cfg := base
-		cfg.LinkFailFrac = fracs[i]
-		res, err := Run(cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	}); err != nil {
+func Fig12d(r *Runner, base SimConfig, fracs []float64) (*Report, []*Result, error) {
+	out, err := runVariants(r, exhibitConfig(base, "websearch"), fracs, func(c *SimConfig, f float64) {
+		c.LinkFailFrac = f
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	r := &Report{Title: "Fig 12d: FCT under faulty links (UCMP+DCTCP, web search)"}
-	r.Addf("%-8s %-10s %-10s %-10s %-10s %-9s", "faulty", "<=10KB", "<=100KB", "<=1MB", ">1MB", "complete")
+	rep := &Report{Title: "Fig 12d: FCT under faulty links (UCMP+DCTCP, web search)"}
+	rep.Addf("%-8s %-10s %-10s %-10s %-10s %-9s", "faulty", "<=10KB", "<=100KB", "<=1MB", ">1MB", "complete")
 	for _, res := range out {
 		bins := coarseBins(res.Collector)
-		r.Addf("%-8.2f %-10s %-10s %-10s %-10s %-9.2f",
+		rep.Addf("%-8.2f %-10s %-10s %-10s %-10s %-9.2f",
 			res.Config.LinkFailFrac, fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]),
 			res.CompletionRate)
 	}
-	return r, out, nil
+	return rep, out, nil
 }
 
 // Fig15LoadBalance reports the Jain load-balance metric per scheme over the

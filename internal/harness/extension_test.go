@@ -11,7 +11,7 @@ import (
 
 func TestExtensionCongestion(t *testing.T) {
 	base := quickBase()
-	rep, out, err := ExtensionCongestion(base)
+	rep, out, err := ExtensionCongestion(nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestExtensionCongestion(t *testing.T) {
 }
 
 func TestExtensionMPTCP(t *testing.T) {
-	rep, out, err := ExtensionMPTCP(quickBase())
+	rep, out, err := ExtensionMPTCP(nil, quickBase())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ func TestFig6QuickPair(t *testing.T) {
 		{"ucmp+dctcp", UCMP, transport.DCTCP, false},
 		{"vlb", VLB, transport.DCTCP, false},
 	}
-	results, err := RunSchemes(base, "websearch", schemes)
+	results, err := RunSchemes(nil, base, "websearch", schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestFig6QuickPair(t *testing.T) {
 }
 
 func TestFig8Quick(t *testing.T) {
-	rep, out, err := Fig8Bucketing(quickBase())
+	rep, out, err := Fig8Bucketing(nil, quickBase())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestFig8Quick(t *testing.T) {
 }
 
 func TestFig10Quick(t *testing.T) {
-	rep, out, err := Fig10Alpha(quickBase(), []float64{0.3, 0.7})
+	rep, out, err := Fig10Alpha(nil, quickBase(), []float64{0.3, 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestFig10Quick(t *testing.T) {
 }
 
 func TestFig12dQuick(t *testing.T) {
-	rep, out, err := Fig12d(quickBase(), []float64{0.0, 0.05})
+	rep, out, err := Fig12d(nil, quickBase(), []float64{0.0, 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestFig12dQuick(t *testing.T) {
 }
 
 func TestFig9ReconfDegradation(t *testing.T) {
-	rep, out, err := Fig9Reconf(quickBase(), []sim.Time{10 * sim.Nanosecond, 10 * sim.Microsecond})
+	rep, out, err := Fig9Reconf(nil, quickBase(), []sim.Time{10 * sim.Nanosecond, 10 * sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestFig9ReconfDegradation(t *testing.T) {
 }
 
 func TestFig11SliceSweep(t *testing.T) {
-	rep, out, err := Fig11Slice(quickBase(), []sim.Time{50 * sim.Microsecond, 300 * sim.Microsecond})
+	rep, out, err := Fig11Slice(nil, quickBase(), []sim.Time{50 * sim.Microsecond, 300 * sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestFig7UtilizationOrdering(t *testing.T) {
 		{Name: "ucmp", Routing: UCMP, Transport: transport.DCTCP},
 		{Name: "vlb", Routing: VLB, Transport: transport.DCTCP},
 	}
-	results, err := RunSchemes(quickBase(), "websearch", schemes)
+	results, err := RunSchemes(nil, quickBase(), "websearch", schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestFig7UtilizationOrdering(t *testing.T) {
 
 func TestFig15Runner(t *testing.T) {
 	schemes := []Scheme{{Name: "ucmp", Routing: UCMP, Transport: transport.DCTCP}}
-	results, err := RunSchemes(quickBase(), "websearch", schemes)
+	results, err := RunSchemes(nil, quickBase(), "websearch", schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,27 +396,47 @@ func TestReportRendering(t *testing.T) {
 // What feeds the Poisson generator is checked before anything is built: a
 // negative load never returned (the arrival clock walked backwards), a zero
 // load, duration or host count produced an empty result, a negative alpha
-// ran. An explicit flow list skips the check — those fields are then unused
-// — and a horizon shorter than the duration stays legal.
+// ran, a hotspot share outside [0,1) was clamped or ignored. An explicit flow
+// list skips those checks — the fields are then unused — and a horizon
+// shorter than the duration stays legal. A negative horizon or sampling
+// period, or a link-failure fraction outside [0,1], ran silently with or
+// without explicit flows and is refused either way.
 func TestRunValidatesWorkloadInputs(t *testing.T) {
 	base := ScaledConfig(UCMP, transport.DCTCP, "websearch")
 	base.Duration = 100 * sim.Microsecond
+	replayFlows := []*netsim.Flow{netsim.NewFlow(1, 0, 3, 1<<16, 0)}
 	for _, c := range []struct {
-		field string
-		set   func(*SimConfig)
+		field  string
+		set    func(*SimConfig)
+		replay bool // refused with an explicit flow list too
 	}{
-		{"Load=-1", func(c *SimConfig) { c.Load = -1 }},
-		{"Load=0", func(c *SimConfig) { c.Load = 0 }},
-		{"Load=NaN", func(c *SimConfig) { c.Load = math.NaN() }},
-		{"HostsPerToR=0", func(c *SimConfig) { c.Topo.HostsPerToR = 0 }},
-		{"Duration=0ns", func(c *SimConfig) { c.Duration = 0 }},
-		{"Alpha=-1", func(c *SimConfig) { c.Alpha = -1 }},
-		{"Alpha=+Inf", func(c *SimConfig) { c.Alpha = math.Inf(1) }},
+		{"Horizon=-1ns", func(c *SimConfig) { c.Horizon = -1 }, true},
+		{"SampleEvery=-1ns", func(c *SimConfig) { c.SampleEvery = -1 }, true},
+		{"LinkFailFrac=1.5", func(c *SimConfig) { c.LinkFailFrac = 1.5 }, true},
+		{"LinkFailFrac=-0.5", func(c *SimConfig) { c.LinkFailFrac = -0.5 }, true},
+		{"LinkFailFrac=NaN", func(c *SimConfig) { c.LinkFailFrac = math.NaN() }, true},
+		{"Hotspot=2", func(c *SimConfig) { c.Hotspot = 2 }, false},
+		{"Hotspot=1", func(c *SimConfig) { c.Hotspot = 1 }, false},
+		{"Hotspot=-1", func(c *SimConfig) { c.Hotspot = -1 }, false},
+		{"Hotspot=NaN", func(c *SimConfig) { c.Hotspot = math.NaN() }, false},
+		{"Load=-1", func(c *SimConfig) { c.Load = -1 }, false},
+		{"Load=0", func(c *SimConfig) { c.Load = 0 }, false},
+		{"Load=NaN", func(c *SimConfig) { c.Load = math.NaN() }, false},
+		{"HostsPerToR=0", func(c *SimConfig) { c.Topo.HostsPerToR = 0 }, false},
+		{"Duration=0ns", func(c *SimConfig) { c.Duration = 0 }, false},
+		{"Alpha=-1", func(c *SimConfig) { c.Alpha = -1 }, false},
+		{"Alpha=+Inf", func(c *SimConfig) { c.Alpha = math.Inf(1) }, false},
 	} {
 		cfg := base
 		c.set(&cfg)
 		if res, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "harness: "+c.field) {
 			t.Errorf("%s: Run returned (%v, %v), want an error naming the field", c.field, res != nil, err)
+		}
+		if c.replay {
+			cfg.Flows = replayFlows
+			if res, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "harness: "+c.field) {
+				t.Errorf("%s with explicit flows: Run returned (%v, %v), want an error naming the field", c.field, res != nil, err)
+			}
 		}
 	}
 	probe := base
@@ -426,7 +446,7 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 	}
 	replay := base
 	replay.Load, replay.Duration = 0, 0
-	replay.Flows = []*netsim.Flow{netsim.NewFlow(1, 0, 3, 1<<16, 0)}
+	replay.Flows = replayFlows
 	if res, err := Run(replay); err != nil || res.Launched != 1 {
 		t.Errorf("an explicit flow list with zero Load and Duration: %v", err)
 	}

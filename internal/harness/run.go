@@ -329,17 +329,26 @@ func joinNote(notes, note string) string {
 	return notes + "; " + note
 }
 
-// validateWorkload checks what the Poisson generator is fed, when it is the
+// validateWorkload checks the run's numeric knobs before anything is built.
+// A negative horizon or sampling period would silently run no events or take
+// no samples, and a link-failure fraction outside [0,1] would silently be
+// clamped or ignored. The rest is what the Poisson generator is fed, when it is the
 // one that runs (cfg.Flows == nil): a negative load walks the arrival clock
 // backwards and never returns, a zero load, duration or host count gives an
-// empty FCT table that looks like a result. Horizon is deliberately not tied
-// to Duration — a 1 ns horizon is how set-up is timed.
+// empty FCT table that looks like a result, and a hotspot share outside
+// [0,1) would be clamped or ignored. Horizon is deliberately not tied to Duration —
+// a 1 ns horizon is how set-up is timed.
 func validateWorkload(cfg SimConfig) error {
-	if cfg.Flows != nil {
-		return nil
-	}
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	switch {
+	case cfg.Horizon < 0:
+		return fmt.Errorf("harness: Horizon=%v must not be negative", cfg.Horizon)
+	case cfg.SampleEvery < 0:
+		return fmt.Errorf("harness: SampleEvery=%v must not be negative", cfg.SampleEvery)
+	case !(cfg.LinkFailFrac >= 0 && cfg.LinkFailFrac <= 1):
+		return fmt.Errorf("harness: LinkFailFrac=%g must lie in [0,1]", cfg.LinkFailFrac)
+	case cfg.Flows != nil:
+		return nil
 	case !finite(cfg.Load) || cfg.Load <= 0:
 		return fmt.Errorf("harness: Load=%g must be positive and finite", cfg.Load)
 	case !finite(cfg.Alpha) || cfg.Alpha < 0:
@@ -348,6 +357,8 @@ func validateWorkload(cfg SimConfig) error {
 		return fmt.Errorf("harness: Duration=%v must be positive", cfg.Duration)
 	case cfg.Topo.HostsPerToR < 1:
 		return fmt.Errorf("harness: HostsPerToR=%d must be at least 1", cfg.Topo.HostsPerToR)
+	case !(cfg.Hotspot >= 0 && cfg.Hotspot < 1):
+		return fmt.Errorf("harness: Hotspot=%g must lie in [0,1)", cfg.Hotspot)
 	}
 	return nil
 }

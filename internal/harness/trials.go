@@ -60,12 +60,14 @@ func runTrial(t Trial) (res *Result, err error) {
 	return Run(t.Cfg)
 }
 
-// RunTrials executes the trials — serially, or over the bounded worker pool
-// when Parallel is set — and returns results in input order. Because every
+// RunTrials executes the trials over the Runner's workers and returns
+// results in input order. Because every
 // result lands in its preassigned slot and aggregation happens only after
 // all trials finish, anything rendered from the returned slice is
 // byte-identical between serial and parallel execution (pinned by
-// TestTrialReplicationDeterminism).
+// TestTrialReplicationDeterminism). Trials bypass the Runner's memo: a
+// sweep's trials carry distinct derived seeds, and a trial's Result may gain
+// a sweep-book note after its run.
 //
 // A panicking trial does not abort the sweep: its slot carries
 // Result.TrialPanic and the remaining trials complete normally.
@@ -75,24 +77,24 @@ func runTrial(t Trial) (res *Result, err error) {
 // completed trial; with Resume set, trials already present in the book are
 // restored from it (Result.SweepLine) instead of re-running, so a killed
 // sweep restarts mid-sweep instead of from scratch.
-func RunTrials(trials []Trial) ([]*Result, error) {
+func (r *Runner) RunTrials(trials []Trial) ([]*Result, error) {
 	book := openSweepBook(trials)
 	out := make([]*Result, len(trials))
-	err := forEach(len(trials), func(i int) error {
-		if r := book.restore(trials[i]); r != nil {
-			out[i] = r
+	err := r.forEach(len(trials), func(i int) error {
+		if res := book.restore(trials[i]); res != nil {
+			out[i] = res
 			return nil
 		}
-		r, err := runTrial(trials[i])
+		res, err := runTrial(trials[i])
 		if err != nil {
 			return fmt.Errorf("trial %s: %w", trials[i].Name, err)
 		}
-		out[i] = r
-		if r.TrialPanic == "" {
+		out[i] = res
+		if res.TrialPanic == "" {
 			// Panicked trials stay out of the book so a resumed sweep
 			// retries them instead of replaying the failure line.
-			if err := book.record(trials[i], r); err != nil {
-				r.ResumeNote = joinNote(r.ResumeNote, fmt.Sprintf("sweep book not written: %v", err))
+			if err := book.record(trials[i], res); err != nil {
+				res.ResumeNote = joinNote(res.ResumeNote, fmt.Sprintf("sweep book not written: %v", err))
 			}
 		}
 		return nil

@@ -21,18 +21,15 @@ func sweepForTest() (SimConfig, []Trial) {
 // parallel execution is byte-identical to the serial one.
 func TestTrialReplicationDeterminism(t *testing.T) {
 	_, trials := sweepForTest()
-	runWith := func(par bool, workers int) string {
-		oldP, oldW := Parallel, Workers
-		Parallel, Workers = par, workers
-		defer func() { Parallel, Workers = oldP, oldW }()
-		res, err := RunTrials(trials)
+	runWith := func(r *Runner) string {
+		res, err := r.RunTrials(trials)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return SummarizeTrials(trials, res)
 	}
-	serial := runWith(false, 0)
-	parallel := runWith(true, 3)
+	serial := runWith(&Runner{Workers: 1})
+	parallel := runWith(&Runner{Workers: 3})
 	if serial != parallel {
 		t.Fatalf("parallel trial output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
 	}
@@ -66,20 +63,24 @@ func TestSweepLoadSeeds(t *testing.T) {
 	}
 }
 
-// The pool honors the Workers bound and still covers every index.
+// The pool honors the Workers bound and never exceeds the work; Workers ≤ 1
+// and a nil Runner are serial.
 func TestWorkerCount(t *testing.T) {
-	oldW := Workers
-	defer func() { Workers = oldW }()
-	Workers = 2
-	if got := workerCount(8); got != 2 {
-		t.Fatalf("workerCount(8) with Workers=2: %d", got)
-	}
-	if got := workerCount(1); got != 1 {
-		t.Fatalf("workerCount(1): %d", got)
-	}
-	Workers = 0
-	if got := workerCount(1); got != 1 {
-		t.Fatalf("workerCount(1) unbounded: %d", got)
+	for _, c := range []struct {
+		r       *Runner
+		n, want int
+	}{
+		{&Runner{Workers: 2}, 8, 2},
+		{&Runner{Workers: 8}, 3, 3},
+		{&Runner{Workers: 2}, 1, 1},
+		{&Runner{Workers: 1}, 8, 1},
+		{&Runner{Workers: 0}, 8, 1},
+		{&Runner{Workers: -4}, 8, 1},
+		{nil, 8, 1},
+	} {
+		if got := c.r.workerCount(c.n); got != c.want {
+			t.Errorf("workerCount(%d) with %+v: %d, want %d", c.n, c.r, got, c.want)
+		}
 	}
 }
 
@@ -89,7 +90,7 @@ func TestWorkerCount(t *testing.T) {
 func TestRunTrialsPanicRecovery(t *testing.T) {
 	_, trials := sweepForTest()
 	trials[1].Cfg.Flows = []*netsim.Flow{netsim.NewFlow(1, 0, 17, 1000, 0), netsim.NewFlow(1, 1, 18, 1000, 0)}
-	res, err := RunTrials(trials)
+	res, err := new(Runner).RunTrials(trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRunTrialsPanicRecovery(t *testing.T) {
 // is byte-identical to an uninterrupted sweep.
 func TestSweepResume(t *testing.T) {
 	_, plain := sweepForTest()
-	plainRes, err := RunTrials(plain)
+	plainRes, err := new(Runner).RunTrials(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestSweepResume(t *testing.T) {
 		book.record(trials[i], r)
 	}
 
-	res, err := RunTrials(trials)
+	res, err := new(Runner).RunTrials(trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestSweepResume(t *testing.T) {
 	}
 
 	// A second resume restores everything.
-	res2, err := RunTrials(trials)
+	res2, err := new(Runner).RunTrials(trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestSweepBookFailureNoted(t *testing.T) {
 	for i := range trials {
 		trials[i].Cfg.CheckpointDir = dir
 	}
-	res, err := RunTrials(trials)
+	res, err := new(Runner).RunTrials(trials)
 	if err != nil {
 		t.Fatal(err)
 	}

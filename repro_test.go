@@ -51,7 +51,7 @@ func TestPaperHeadlineClaims(t *testing.T) {
 		{Name: "ucmp", Routing: harness.UCMP, Transport: transport.DCTCP},
 		{Name: "vlb", Routing: harness.VLB, Transport: transport.DCTCP},
 	}
-	results, err := harness.RunSchemes(base, "websearch", schemes)
+	results, err := harness.RunSchemes(nil, base, "websearch", schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
