@@ -2,8 +2,9 @@
 # pre-commit run) should execute: vet, staticcheck (when installed), build,
 # the full test suite, and the race detector over the packages with
 # intentional concurrency (the parallel offline build in internal/core, the
-# engine in internal/sim, and the Runner's worker pool in internal/harness,
-# with the sharded run behind ucmpbench's per-exhibit stat fold)
+# engine in internal/sim, and the Runner's worker pool and path-set store in
+# internal/harness, with the sharded run behind ucmpbench's per-exhibit stat
+# fold)
 # plus the queue-level differential (TestQueueDifferential, part of the
 # internal/sim run: the timing wheel against the reference heap, op for op),
 # which is the determinism pin for the scheduler.
@@ -35,7 +36,7 @@ test:
 race:
 	$(GO) test -race ./internal/core/... ./internal/sim/...
 	$(GO) test -race -run 'TestCompiledTableBytesSymmetricVsBrute|TestSymmetricFastPathMatchesGroupPath|TestCompiledTableAgreesWithRouter|TestCongestionCanonicalMatchesBrute|TestCongestionPickZeroAlloc|TestPackedCodecRoundTrip|TestKSPStoreMatchesOracle' ./internal/routing
-	$(GO) test -race -run 'TestTrialReplicationDeterminism|TestWorkerCount|TestRunnerSimulatesEachConfigOnce|TestRunnerReportsLowestIndexError|TestDifferentialSerialSharded|TestDifferentialCongestionSharded|TestDifferentialWarmFabric|TestDifferentialCheckpointResume|TestResumeMissingCheckpoint|TestResumeCorruptionRejected|TestSweepResume|TestRunTrialsPanicRecovery|TestCongestionSteeringChangesOutcome|TestAlphaControllerLeavesWarmFabricIntact|TestShardableGate|TestShortSliceFallsBackSerial|TestShardsValidation|TestShardedNonDividing64|TestResumeOlderVersionRejected|TestRotorPaperSizingAlloc|TestRunValidatesWorkloadInputs|TestCheckpointingIsPureRead|TestCheckpointAllocatesWhatItWrites' ./internal/harness
+	$(GO) test -race -run 'TestTrialReplicationDeterminism|TestWorkerCount|TestRunnerSimulatesEachConfigOnce|TestRunnerBuildsSharedPathSetOnce|TestRunnerReportsLowestIndexError|TestDifferentialSerialSharded|TestDifferentialCongestionSharded|TestDifferentialWarmFabric|TestDifferentialCheckpointResume|TestResumeMissingCheckpoint|TestResumeCorruptionRejected|TestSweepResume|TestRunTrialsPanicRecovery|TestCongestionSteeringChangesOutcome|TestAlphaControllerLeavesWarmFabricIntact|TestShardableGate|TestShortSliceFallsBackSerial|TestShardsValidation|TestShardedNonDividing64|TestResumeOlderVersionRejected|TestRotorPaperSizingAlloc|TestRunValidatesWorkloadInputs|TestCheckpointingIsPureRead|TestCheckpointAllocatesWhatItWrites' ./internal/harness
 	$(GO) test -race -run 'TestShardStatsFoldedWhole' ./cmd/ucmpbench
 	$(GO) test -race -run 'TestSendRunMatchesPerPacketLoop|TestHostNICMemoryIndependentOfFlowSize|TestPacketBehindRunKeepsFIFO|TestRestoreRejectsSplicedNICQueues|TestSparseIndexValidation|TestSparsePortsRoundTrip|TestRotorRecordsMatchFifoVOQ|TestRotorIndirectMatchesLinearScan|TestVOQRecordRoundTrip|TestVOQRecordRefusesLossyPacket|TestVOQChunkAccounting|TestVOQRecordSize|TestRotorDisabledMultiHopFollowsRoute|TestCalendarSlotsMatchDenseCalendar|TestNetworkBuildAllocatesNoCalendar|TestCongestionBoardStripeMatchesDenseCalendar|TestBoard|TestBoardsCheckpointOracle|TestPoisonedRunStaysClean' ./internal/netsim
 	$(GO) test -race -run 'TestRotorSenderStartsWholeOrParks|TestRotorCursorValidatedOnRestore|TestRotorTransportBackpressure' ./internal/transport

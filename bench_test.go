@@ -176,11 +176,11 @@ func BenchmarkFig13_Testbed(b *testing.B) {
 	opts := testbed.Options{Requests: 10, Horizon: 10 * sim.Millisecond, Background: 2 << 20}
 	var p50 float64
 	for i := 0; i < b.N; i++ {
-		res, err := testbed.Run(harness.Scheme{Name: "ucmp", Routing: harness.UCMP, Transport: transport.TCP}, opts)
+		out, err := testbed.RunSchemes(nil, []harness.Scheme{{Name: "ucmp", Routing: harness.UCMP, Transport: transport.TCP}}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p50 = res.P50.Micros()
+		p50 = out[0].P50.Micros()
 	}
 	b.ReportMetric(p50, "p50-us")
 }
@@ -265,7 +265,7 @@ func BenchmarkExtension_CongestionAware(b *testing.B) {
 
 func BenchmarkExtension_AlphaController(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.ExtensionAlphaController(benchBase(), 0.06); err != nil {
+		if _, _, err := harness.ExtensionAlphaController(nil, benchBase(), 0.06); err != nil {
 			b.Fatal(err)
 		}
 	}

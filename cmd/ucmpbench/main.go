@@ -8,15 +8,15 @@
 // Simulation-based figures run on a scaled-down fabric by default so the
 // full sweep finishes in minutes; -full switches the offline analyses to
 // the paper's 108-ToR fabric and lengthens the simulations. Every simulation
-// exhibit hands its run configurations to the process's one harness.Runner,
-// which simulates each distinct configuration once, for whichever exhibit
-// asks first: Fig 6, 7, 15 and 17 share one grid per workload, and Fig 8–12d,
-// the ablations, the MPTCP extension and the failure sweep share their
-// UCMP+DCTCP web-search base run. -parallel fans each exhibit's runs out over
-// -workers goroutines (default GOMAXPROCS); reports are identical to the
-// serial order. Each exhibit's wall-clock time and the simulation events of
-// the runs it was first to get print to stderr, folded from those runs'
-// Results, with any notes the runs recorded.
+// exhibit runs through the process's one harness.Runner, which builds each
+// path set once and simulates each distinct configuration once, for
+// whichever exhibit asks first: Fig 6, 7, 15 and 17 share one grid per
+// workload, and Fig 8–12d, the ablations, the MPTCP extension and the
+// failure sweep share their UCMP+DCTCP web-search base run. -parallel fans
+// each exhibit's runs out over -workers goroutines (default GOMAXPROCS);
+// reports are identical to the serial order. Each exhibit's wall-clock time
+// and the simulation events of the runs it was first to get print to
+// stderr, folded from those runs' Results, with any notes the runs recorded.
 //
 // Profiling: -cpuprofile and -memprofile write pprof files covering the
 // selected exhibits, for chasing simulator hot spots; -trace captures a
@@ -452,7 +452,7 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 	case "fig12d":
 		return show(harness.Fig12d(r.sims, r.simBase(), []float64{0, 0.01, 0.03, 0.05}))
 	case "fig13":
-		rep, out, err := testbed.RunAll(testbed.Options{Seed: r.seed})
+		rep, out, err := testbed.RunAll(r.sims, testbed.Options{Seed: r.seed})
 		if err != nil {
 			return nil, err
 		}
@@ -484,7 +484,7 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, res, err := harness.ExtensionAlphaController(r.simBase(), 0.06)
+		rep, res, err := harness.ExtensionAlphaController(r.sims, r.simBase(), 0.06)
 		if err != nil {
 			return nil, err
 		}

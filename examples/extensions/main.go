@@ -21,7 +21,7 @@ func main() {
 	check(err)
 	fmt.Println(rep)
 
-	rep2, _, err := harness.ExtensionAlphaController(base, 0.06)
+	rep2, _, err := harness.ExtensionAlphaController(nil, base, 0.06)
 	check(err)
 	// The full trajectory is long; print the head and tail.
 	lines := rep2.Lines

@@ -28,9 +28,9 @@
 // Ownership: Load returns a Fabric handle owning the underlying mapping.
 // The PathSet is always decoded into its own packed store, but all four
 // CompiledTable arrays may alias the mapping, so the handle must outlive
-// every use of Table; Close unmaps and invalidates it. Long-lived caches
-// (harness) simply never Close — read-only mappings cost address space, not
-// dirty pages.
+// every use of Table; Close unmaps and invalidates it. A caller that wants
+// only the path set (harness: no run reads the table) takes PS and Closes
+// the handle at once — the PathSet stays valid.
 package fabriccache
 
 import (
@@ -86,7 +86,8 @@ type Fabric struct {
 	mapped bool
 }
 
-// Close releases the file mapping. PS and Table must not be used afterward.
+// Close releases the file mapping and clears the handle. Table must not be
+// used afterward; a PathSet taken from PS stays valid, as it owns its store.
 func (f *Fabric) Close() error {
 	data, mapped := f.data, f.mapped
 	f.PS, f.Table, f.data, f.mapped = nil, nil, nil, false

@@ -25,8 +25,8 @@ import (
 // the cadence between crash and resume is legal.
 func configKey(cfg SimConfig, flows []*netsim.Flow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "topo=%+v sched=%q routing=%q transport=%q alpha=%v relax=%v ",
-		cfg.Topo, cfg.ScheduleKind, cfg.Routing, cfg.Transport, cfg.Alpha, cfg.Relax)
+	fmt.Fprintf(&b, "topo=%+v routing=%q transport=%q alpha=%v relax=%v ",
+		cfg.Topo, cfg.Routing, cfg.Transport, cfg.Alpha, cfg.Relax)
 	fmt.Fprintf(&b, "wl=%q load=%v maxsize=%d dur=%d horizon=%d sample=%d seed=%d ",
 		cfg.Workload, cfg.Load, cfg.MaxFlowSize, cfg.Duration, cfg.Horizon, cfg.SampleEvery, cfg.Seed)
 	fmt.Fprintf(&b, "afs=%v pin=%q maxpar=%d cong=%v cthr=%d hot=%v ",

@@ -51,7 +51,7 @@ func TestCheckpointAllocatesWhatItWrites(t *testing.T) {
 	cfg := ScaledConfig(UCMP, transport.NDP, "websearch")
 	cfg.Duration = sim.Millisecond
 	cfg.CheckpointDir = t.TempDir()
-	st, err := buildSim(cfg, false)
+	st, err := (*Runner)(nil).buildSim(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"math/rand"
 
-	"ucmp/internal/core"
 	"ucmp/internal/failure"
 	"ucmp/internal/sim"
 )
@@ -38,29 +37,20 @@ func FailureSweep(r *Runner, base SimConfig, fracs []float64) (*Report, []*Resul
 	if err != nil {
 		return nil, nil, err
 	}
+	ps := r.pathSet(fab, base).ps // the one the runs read
 	cfgs := make([]SimConfig, len(fracs))
-	scenarios := make([]*failure.Scenario, len(fracs))
+	off := make([]failure.Breakdown, len(fracs))
 	for i, frac := range fracs {
 		cfgs[i] = base
 		if frac > 0 {
-			scenarios[i] = newLinkFailures(fab, frac, base.Seed)
-			cfgs[i].Failures = failure.FromScenario(scenarios[i], base.Duration/4, -1)
+			sc := newLinkFailures(fab, frac, base.Seed)
+			cfgs[i].Failures = failure.FromScenario(sc, base.Duration/4, -1)
+			off[i] = failure.Classify(ps, sc)
 		}
 	}
 	out, err := r.Run(cfgs)
 	if err != nil {
 		return nil, nil, err
-	}
-	off := make([]failure.Breakdown, len(fracs))
-	var ps *core.PathSet
-	for i, sc := range scenarios {
-		if sc == nil {
-			continue
-		}
-		if ps == nil {
-			ps, _, _ = warmPathSet(fab, base)
-		}
-		off[i] = failure.Classify(ps, sc)
 	}
 
 	rep := &Report{Title: "Failure sweep: runtime link failures injected at duration/4 (UCMP+DCTCP, web search)"}

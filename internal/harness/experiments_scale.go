@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"ucmp/internal/netsim"
@@ -26,23 +25,19 @@ type ScalePoint struct {
 	Symmetric bool
 	CanonRows int
 
-	// Warm reports that the path set came from the warm-fabric cache (file
-	// or in-process) rather than an offline build — BuildSec is then the
-	// load time. PathSet is the same outcome with the store's footprint, as
-	// the sweep's `path set:` lines print it.
-	Warm    bool
+	// PathSet is the point's one path-set build (or fabric-cache load):
+	// its wall clock, whether it was warm, and the store's footprint, as the
+	// sweep's build column and `path set:` lines print it.
 	PathSet PathSetInfo
 
-	// Phase wall clocks. SimSec covers the whole Run, including the
-	// router's own path-set build.
-	BuildSec   float64
+	// Phase wall clocks. SimSec covers the whole Run, which reads the
+	// point's path set from the store instead of building it again.
 	CompileSec float64
 	SimSec     float64
 
-	// Peak heap accounting over the whole point (runtime.MemStats sampled
-	// concurrently): the high-water live heap and the OS-reserved bytes.
+	// PeakHeapBytes is the high-water live heap over the whole point
+	// (runtime.MemStats sampled concurrently).
 	PeakHeapBytes uint64
-	PeakSysBytes  uint64
 
 	// Compiled-table footprint for one source ToR.
 	NaiveRows   int
@@ -56,12 +51,11 @@ type ScalePoint struct {
 	Sim          *Result
 }
 
-// memSampler polls runtime.MemStats and keeps the high-water marks. Each
-// ReadMemStats stops the world briefly, so the poll period is coarse.
+// memSampler polls runtime.MemStats and keeps the live-heap high-water
+// mark. Each ReadMemStats stops the world briefly, so the poll period is
+// coarse. Only the polling goroutine samples until halt has stopped it.
 type memSampler struct {
-	mu       sync.Mutex
 	peakHeap uint64
-	peakSys  uint64
 	stop     chan struct{}
 	done     chan struct{}
 }
@@ -87,24 +81,15 @@ func startMemSampler(every time.Duration) *memSampler {
 func (s *memSampler) sample() {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	s.mu.Lock()
-	if m.HeapAlloc > s.peakHeap {
-		s.peakHeap = m.HeapAlloc
-	}
-	if m.Sys > s.peakSys {
-		s.peakSys = m.Sys
-	}
-	s.mu.Unlock()
+	s.peakHeap = max(s.peakHeap, m.HeapAlloc)
 }
 
-// halt takes a final sample and returns the high-water marks.
-func (s *memSampler) halt() (peakHeap, peakSys uint64) {
+// halt takes a final sample and returns the high-water mark.
+func (s *memSampler) halt() uint64 {
 	close(s.stop)
 	<-s.done
 	s.sample()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peakHeap, s.peakSys
+	return s.peakHeap
 }
 
 // ScaleConfig tunes the sweep.
@@ -116,8 +101,7 @@ type ScaleConfig struct {
 	Seed     int64
 	// CacheDir enables the warm-fabric cache (SimConfig.FabricCacheDir):
 	// each point's path set is loaded from a compiled-fabric file when one
-	// matches, built-and-saved otherwise, and shared with the point's
-	// simulation run instead of being built twice.
+	// matches, built-and-saved otherwise.
 	CacheDir string
 }
 
@@ -128,31 +112,31 @@ type ScaleConfig struct {
 var DefaultScaleNs = []int{108, 256, 512, 1024}
 
 // ScaleSweep measures offline build, table compile, and an end-to-end
-// permutation simulation at each fabric size.
+// permutation simulation at each fabric size. Each point gets its own
+// Runner: the point builds its path set once through it and runs on that
+// same path set, and no point's store outlives it into the next point's
+// peak-heap column.
 func ScaleSweep(cfg ScaleConfig) (*Report, []ScalePoint, error) {
-	ns := cfg.Ns
-	if ns == nil {
-		ns = DefaultScaleNs
+	if cfg.Ns == nil {
+		cfg.Ns = DefaultScaleNs
 	}
-	d := cfg.D
-	if d == 0 {
-		d = 8
+	if cfg.D == 0 {
+		cfg.D = 8
 	}
-	flowSize := cfg.FlowSize
-	if flowSize == 0 {
-		flowSize = 64 << 10
+	if cfg.FlowSize == 0 {
+		cfg.FlowSize = 64 << 10
 	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = 20 * sim.Millisecond
+	if cfg.Horizon == 0 {
+		cfg.Horizon = 20 * sim.Millisecond
 	}
 
-	r := &Report{Title: fmt.Sprintf("Scaling sweep: permutation run, d=%d, %d KiB flows", d, flowSize>>10)}
+	r := &Report{Title: fmt.Sprintf("Scaling sweep: permutation run, d=%d, %d KiB flows", cfg.D, cfg.FlowSize>>10)}
 	r.Addf("%-7s %-5s %-9s %-9s %-8s %-8s %-9s %-10s %-10s %-11s %-9s",
 		"N", "sym", "build(s)", "canon", "compile", "sim(s)", "events", "events/s", "rows", "packed(KB)", "peak(MB)")
 	var points []ScalePoint
-	for _, n := range ns {
-		p, err := scalePoint(n, d, flowSize, horizon, cfg.Seed, cfg.CacheDir)
+	warm := 0
+	for _, n := range cfg.Ns {
+		p, err := scalePoint(cfg, n)
 		if err != nil {
 			return nil, nil, fmt.Errorf("scale N=%d: %w", n, err)
 		}
@@ -161,9 +145,10 @@ func ScaleSweep(cfg ScaleConfig) (*Report, []ScalePoint, error) {
 		if p.Symmetric {
 			canon = fmt.Sprint(p.CanonRows)
 		}
-		build := fmt.Sprintf("%.2f", p.BuildSec)
-		if p.Warm {
+		build := fmt.Sprintf("%.2f", p.PathSet.Seconds)
+		if p.PathSet.Warm {
 			build += "*" // warm: loaded from the fabric cache, not built
+			warm++
 		}
 		r.Addf("%-7d %-5v %-9s %-9s %-8.2f %-8.2f %-9d %-10.0f %-10s %-11d %-9.0f",
 			p.N, p.Symmetric, build, canon, p.CompileSec, p.SimSec, p.Sim.Events, p.EventsPerSec,
@@ -173,25 +158,19 @@ func ScaleSweep(cfg ScaleConfig) (*Report, []ScalePoint, error) {
 		r.Addf("path set: N=%d %s", p.N, p.PathSet)
 	}
 	if cfg.CacheDir != "" {
-		warm := 0
-		for _, p := range points {
-			if p.Warm {
-				warm++
-			}
-		}
 		r.Addf("warm-fabric cache %s: %d/%d points loaded warm (*)", cfg.CacheDir, warm, len(points))
 	}
 	return r, points, nil
 }
 
-func scalePoint(n, d int, flowSize int64, horizon sim.Time, seed int64, cacheDir string) (ScalePoint, error) {
+func scalePoint(cfg ScaleConfig, n int) (ScalePoint, error) {
 	tc := topo.Scaled()
-	tc.NumToRs, tc.Uplinks = n, d
-	fab, err := topo.NewFabric(tc, "round-robin", seed)
+	tc.NumToRs, tc.Uplinks = n, cfg.D
+	fab, err := topo.NewFabric(tc, "round-robin", cfg.Seed)
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	p := ScalePoint{N: n, D: d, Symmetric: fab.Sched.Rotation()}
+	p := ScalePoint{N: n, D: cfg.D, Symmetric: fab.Sched.Rotation()}
 
 	sampler := startMemSampler(50 * time.Millisecond)
 
@@ -200,33 +179,32 @@ func scalePoint(n, d int, flowSize int64, horizon sim.Time, seed int64, cacheDir
 		Routing:        UCMP,
 		Transport:      transport.DCTCP,
 		Alpha:          0.5,
-		Horizon:        horizon,
-		Seed:           seed,
-		FabricCacheDir: cacheDir,
+		Horizon:        cfg.Horizon,
+		Seed:           cfg.Seed,
+		FabricCacheDir: cfg.CacheDir,
 	}
 
 	// With a cache dir this loads (or builds-and-saves) once; the point's
-	// simulation run then reuses the same warm path set through the
-	// process-wide cache instead of building a second copy.
-	ps, info := timedPathSet(fab, sc)
-	p.PathSet = info
-	p.BuildSec, p.Warm = info.Seconds, info.Warm
-	p.CanonRows, _ = ps.CanonStats()
+	// simulation run then reads the same path set from r's store.
+	r := &Runner{}
+	paths := r.pathSet(fab, sc)
+	p.PathSet = paths.info
+	p.CanonRows, _ = paths.ps.CanonStats()
 
 	t0 := time.Now()
-	p.NaiveRows, p.PackedRows, p.PackedBytes = switchres.ExactTable(ps, 0)
+	p.NaiveRows, p.PackedRows, p.PackedBytes = switchres.ExactTable(paths.ps, 0)
 	p.CompileSec = time.Since(t0).Seconds()
 	var flows []*netsim.Flow
 	for tor := 0; tor < n; tor++ {
 		src := tor * tc.HostsPerToR
 		dst := ((tor + 1) % n) * tc.HostsPerToR
-		flows = append(flows, netsim.NewFlow(int64(tor+1), src, dst, flowSize, 0))
+		flows = append(flows, netsim.NewFlow(int64(tor+1), src, dst, cfg.FlowSize, 0))
 	}
 	sc.Flows = flows
 	p.Flows = len(flows)
 
 	t0 = time.Now()
-	res, err := Run(sc)
+	res, err := r.run(sc)
 	if err != nil {
 		return ScalePoint{}, err
 	}
@@ -240,6 +218,6 @@ func scalePoint(n, d int, flowSize int64, horizon sim.Time, seed int64, cacheDir
 			p.Finished++
 		}
 	}
-	p.PeakHeapBytes, p.PeakSysBytes = sampler.halt()
+	p.PeakHeapBytes = sampler.halt()
 	return p, nil
 }

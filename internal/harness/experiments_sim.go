@@ -63,14 +63,12 @@ func runVariants[T any](r *Runner, base SimConfig, vals []T, set func(*SimConfig
 }
 
 // RunSchemes executes one run per scheme of workload wl over a base config:
-// the grid Fig 6, 7, 15 and 17 all render from. Each scheme runs on the
-// schedule its routing requires, left for the run to derive (as SweepLoad
-// does) so that the grid's UCMP+DCTCP run and the base run of the other
-// exhibits are one configuration.
+// the grid Fig 6, 7, 15 and 17 all render from. The grid's UCMP+DCTCP run
+// and the base run of the other exhibits are one configuration, and each
+// scheme's path set is the one its runs in the other grid read.
 func RunSchemes(r *Runner, base SimConfig, wl string, schemes []Scheme) ([]SchemeResult, error) {
 	res, err := runVariants(r, exhibitConfig(base, wl), schemes, func(c *SimConfig, sc Scheme) {
 		c.Routing, c.Transport, c.Relax = sc.Routing, sc.Transport, sc.Relax
-		c.ScheduleKind = "" // derive from the scheme
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ucmp/internal/sim"
-	"ucmp/internal/transport"
 )
 
 func TestExtensionCongestion(t *testing.T) {
@@ -55,7 +54,7 @@ func TestExtensionAlphaController(t *testing.T) {
 	// with a note, not silently ignored.
 	base.CheckpointDir = t.TempDir()
 	base.CheckpointEvery = sim.Millisecond
-	rep, res, err := ExtensionAlphaController(base, 0.05)
+	rep, res, err := ExtensionAlphaController(nil, base, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,30 +79,30 @@ func TestExtensionAlphaController(t *testing.T) {
 }
 
 // TestAlphaControllerLeavesWarmFabricIntact: the controller retunes its own
-// run's flow ager, never the path set — which, with a fabric cache, is the
-// process-wide entry every later run of the same fabric ages flows from.
+// run's flow ager, never the path set — which a Runner's store shares with
+// every later run of the same fabric, whose flows age from it.
 func TestAlphaControllerLeavesWarmFabricIntact(t *testing.T) {
-	defer dropWarmFabrics()
-	cfg := ScaledConfig(UCMP, transport.DCTCP, "websearch")
-	cfg.Topo.Uplinks = 4 // even d: rotation-symmetric, so the cache engages
-	cfg.Duration = sim.Millisecond
-	cfg.FabricCacheDir = t.TempDir()
-	before, err := Run(cfg)
+	cfg := exhibitConfig(quickBase(), "websearch")
+	withFlows := func() SimConfig { return withPoissonFlows(t, cfg) }
+	r := &Runner{}
+	before, err := r.Run([]SimConfig{withFlows()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ExtensionAlphaController(cfg, 0.06); err != nil {
-		t.Fatal(err)
-	}
-	after, err := Run(cfg)
+	_, ctl, err := ExtensionAlphaController(r, cfg, 0.06)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !after.PathSet.Warm {
-		t.Fatal("second run was not served from the warm fabric; the test is vacuous")
+	after, err := r.Run([]SimConfig{withFlows()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fingerprint(before) != fingerprint(after) {
+	if before[0].PathSet.Warm || !ctl.PathSet.Warm || !after[0].PathSet.Warm {
+		t.Fatalf("path sets warm before/controller/after = %v/%v/%v, want one build the other two share; the test is vacuous",
+			before[0].PathSet.Warm, ctl.PathSet.Warm, after[0].PathSet.Warm)
+	}
+	if fingerprint(before[0], true) != fingerprint(after[0], true) {
 		t.Fatalf("a controller run changed later runs of the same fabric:\n--- before ---\n%s\n--- after ---\n%s",
-			fingerprint(before), fingerprint(after))
+			fingerprint(before[0], true), fingerprint(after[0], true))
 	}
 }

@@ -26,8 +26,7 @@ func TestRunFailureRecoveryMatchesOfflineClassify(t *testing.T) {
 	}
 	sc := newLinkFailures(fab, 0.1, cfg.Seed)
 	cfg.Failures = failure.FromScenario(sc, cfg.Duration/4, -1)
-	ps, _ := timedPathSet(fab, cfg)
-	off := failure.Classify(ps, sc)
+	off := failure.Classify(buildPaths(fab, cfg).ps, sc)
 	if off.Affected == 0 {
 		t.Fatal("offline scenario affected nothing; the test is vacuous")
 	}

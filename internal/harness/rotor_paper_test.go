@@ -11,12 +11,13 @@ import (
 	"ucmp/internal/transport"
 )
 
-// rotorPaperFingerprint is FNV-1a over fingerprintCore() of the trial below —
-// every flow's bytes and completion instant and the full Counters — as the
-// commit before Host.SendRun produced it (PR 16, where the trial allocated
-// 524 MB). The event count is pinned beside it, not inside it: it is what a
-// change to how the simulator spends events moves (12,687,762 while a ToR's
-// ingress drain was an event of its own), and nothing a flow observes.
+// rotorPaperFingerprint is FNV-1a over fingerprint(res, false) of the trial
+// below — every flow's bytes and completion instant and the full Counters —
+// as the commit before Host.SendRun produced it (PR 16, where the trial
+// allocated 524 MB). The event count is pinned beside it, not inside it: it
+// is what a change to how the simulator spends events moves (12,687,762
+// while a ToR's ingress drain was an event of its own), and nothing a flow
+// observes.
 const (
 	rotorPaperFingerprint = "3669f963a701a22e"
 	rotorPaperEvents      = 10_968_665
@@ -44,7 +45,7 @@ func TestRotorPaperSizingAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	h.Write([]byte(fingerprintCore(res)))
+	h.Write([]byte(fingerprint(res, false)))
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != rotorPaperFingerprint {
 		t.Errorf("fingerprint %s, want %s", got, rotorPaperFingerprint)
 	}

@@ -43,12 +43,11 @@ func ScheduleFor(r RoutingKind) string {
 
 // SimConfig describes one packet-level simulation run.
 type SimConfig struct {
-	Topo         topo.Config
-	ScheduleKind string // empty: derived from Routing
-	Routing      RoutingKind
-	Transport    transport.Kind
-	Alpha        float64
-	Relax        bool // UCMP latency relaxation (§4.3)
+	Topo      topo.Config
+	Routing   RoutingKind // also picks the schedule (ScheduleFor)
+	Transport transport.Kind
+	Alpha     float64
+	Relax     bool // UCMP latency relaxation (§4.3)
 
 	// Workload selects the Poisson trace ("websearch"/"datamining");
 	// ignored when Flows is set explicitly.
@@ -76,16 +75,16 @@ type SimConfig struct {
 	MaxParallel int
 
 	// FabricCacheDir, when set, persists compiled UCMP fabrics as mmap-able
-	// files in that directory (DESIGN.md §14) and serves subsequent runs of
-	// the same fabric + parameters from them instead of rebuilding. A run
-	// reads only the file's symmetric path set; ToR 0's compiled table rides
-	// in the file as the switch-install artifact (§6.2) and for Validate,
-	// and nothing in a simulation looks it up. Loaded fabrics are
-	// additionally cached in-process, so repeated runs inside one process
-	// (trials, sweeps) share a single warm path set. Plans are
-	// byte-identical warm vs cold; a stale, foreign, or corrupted file is
-	// rebuilt and overwritten. Ignored for non-UCMP routing; a schedule
-	// with no rotation symmetry builds cold, which Result.PathSet notes.
+	// files in that directory (DESIGN.md §14) and serves later processes'
+	// runs of the same fabric + parameters from them instead of rebuilding.
+	// A run reads only the file's symmetric path set, decoded into its own
+	// store; ToR 0's compiled table rides in the file as the switch-install
+	// artifact (§6.2) and for Validate, and nothing in a simulation looks it
+	// up. Within one process, reuse is the Runner's: it loads or builds each
+	// path set once. Plans are byte-identical warm vs cold; a stale,
+	// foreign, or corrupted file is rebuilt and overwritten. Ignored for
+	// non-UCMP routing; a schedule with no rotation symmetry builds cold,
+	// which Result.PathSet notes.
 	FabricCacheDir string
 
 	// CongestionAware enables the §10 extension: online assignment steers
@@ -234,8 +233,9 @@ type Result struct {
 	// failures were configured).
 	Recovery metrics.RecoveryStats
 	// PathSet describes the path set behind the run (UCMP's, or the KSP /
-	// Opera baseline's) — cold-built or cache-loaded, how long that took, how
-	// big the store is. Zero for VLB.
+	// Opera baseline's) — cold-built, or served from the fabric cache file
+	// or the Runner's store; how long that took; how big the store is. Zero
+	// for VLB.
 	PathSet PathSetInfo
 	// ResumeNote records checkpoint/resume outcomes: the restored instant
 	// on a successful resume, why a requested resume fell back to a cold
@@ -278,8 +278,12 @@ type simState struct {
 	ckptFails int                // how many checkpoint writes failed
 }
 
-// Run executes the simulation.
-func Run(cfg SimConfig) (*Result, error) {
+// Run executes the simulation: a plain run that memoizes nothing and builds
+// its own path set.
+func Run(cfg SimConfig) (*Result, error) { return (*Runner)(nil).run(cfg) }
+
+// run executes one simulation, its path set taken from r's store.
+func (r *Runner) run(cfg SimConfig) (*Result, error) {
 	if err := validateWorkload(cfg); err != nil {
 		return nil, err
 	}
@@ -290,7 +294,7 @@ func Run(cfg SimConfig) (*Result, error) {
 		if cfg.CheckpointDir == "" {
 			resumeNote = "cold run: Resume set without CheckpointDir"
 		} else {
-			rst, err := buildSim(cfg, true)
+			rst, err := r.buildSim(cfg, true)
 			if err != nil {
 				return nil, err
 			}
@@ -308,7 +312,7 @@ func Run(cfg SimConfig) (*Result, error) {
 	}
 	if st == nil {
 		var err error
-		st, err = buildSim(cfg, false)
+		st, err = r.buildSim(cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -363,10 +367,11 @@ func validateWorkload(cfg SimConfig) error {
 	return nil
 }
 
-// buildSim wires a simulation. With forRestore set, flows are attached but
-// not scheduled and the slice-boundary clock is not armed: every pending
-// event then comes from the checkpoint replay in restoreCheckpoint.
-func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
+// buildSim wires a simulation on the path set r serves. With forRestore
+// set, flows are attached but not scheduled and the slice-boundary clock is
+// not armed: every pending event then comes from the checkpoint replay in
+// restoreCheckpoint.
+func (r *Runner) buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 	if !transport.Valid(cfg.Transport) {
 		return nil, fmt.Errorf("harness: unknown transport %q (valid: %v)", cfg.Transport, transport.Kinds)
 	}
@@ -407,10 +412,14 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 	var ucmpRouter *routing.UCMP
 	var pathSet PathSetInfo
 	switch cfg.Routing {
+	case VLB:
+		router = routing.NewVLB(fab)
+	case KSP1, KSP5, Opera1, Opera5:
+		p := r.pathSet(fab, cfg)
+		router, pathSet = p.ksp, p.info
 	case UCMP:
-		ps, info := timedPathSet(fab, cfg)
-		pathSet = info
-		ucmpRouter = routing.NewUCMP(ps)
+		p := r.pathSet(fab, cfg)
+		ucmpRouter, pathSet = routing.NewUCMP(p.ps), p.info
 		ucmpRouter.Relax = cfg.Relax
 		switch cfg.PinPolicy {
 		case "":
@@ -422,16 +431,6 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 			return nil, fmt.Errorf("harness: unknown pin policy %q", cfg.PinPolicy)
 		}
 		router = ucmpRouter
-	case VLB:
-		router = routing.NewVLB(fab)
-	case KSP1:
-		router, pathSet = timedBaseline(routing.NewKSP, fab, 1)
-	case KSP5:
-		router, pathSet = timedBaseline(routing.NewKSP, fab, 5)
-	case Opera1:
-		router, pathSet = timedBaseline(routing.NewOpera, fab, 1)
-	case Opera5:
-		router, pathSet = timedBaseline(routing.NewOpera, fab, 5)
 	default:
 		return nil, fmt.Errorf("harness: unknown routing %q", cfg.Routing)
 	}
@@ -478,21 +477,9 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 
 	flows := cfg.Flows
 	if flows == nil {
-		dist, err := distByName(cfg.Workload)
-		if err != nil {
+		if flows, err = poissonFlows(cfg); err != nil {
 			return nil, err
 		}
-		flows = workload.Generate(workload.PoissonConfig{
-			Dist:        dist,
-			NumHosts:    cfg.Topo.NumHosts(),
-			LinkBps:     cfg.Topo.LinkBps,
-			Load:        cfg.Load,
-			Duration:    cfg.Duration,
-			Seed:        cfg.Seed,
-			HostsPerToR: cfg.Topo.HostsPerToR,
-			MaxFlowSize: cfg.MaxFlowSize,
-			Hotspot:     cfg.Hotspot,
-		})
 	}
 
 	col := &metrics.Collector{}
@@ -612,20 +599,30 @@ func compileFailures(cfg SimConfig, fab *topo.Fabric) *failure.Schedule {
 
 // newFabricFor builds cfg's fabric on the schedule its routing requires.
 func newFabricFor(cfg SimConfig) (*topo.Fabric, error) {
-	kind := cfg.ScheduleKind
-	if kind == "" {
-		kind = ScheduleFor(cfg.Routing)
-	}
-	return topo.NewFabric(cfg.Topo, kind, cfg.Seed)
+	return topo.NewFabric(cfg.Topo, ScheduleFor(cfg.Routing), cfg.Seed)
 }
 
-func distByName(name string) (*workload.Dist, error) {
-	switch name {
+// poissonFlows generates the Poisson workload cfg names, the flows a run
+// without an explicit Flows list launches.
+func poissonFlows(cfg SimConfig) ([]*netsim.Flow, error) {
+	var dist *workload.Dist
+	switch cfg.Workload {
 	case "websearch":
-		return workload.WebSearch(), nil
+		dist = workload.WebSearch()
 	case "datamining":
-		return workload.DataMining(), nil
+		dist = workload.DataMining()
 	default:
-		return nil, fmt.Errorf("harness: unknown workload %q", name)
+		return nil, fmt.Errorf("harness: unknown workload %q", cfg.Workload)
 	}
+	return workload.Generate(workload.PoissonConfig{
+		Dist:        dist,
+		NumHosts:    cfg.Topo.NumHosts(),
+		LinkBps:     cfg.Topo.LinkBps,
+		Load:        cfg.Load,
+		Duration:    cfg.Duration,
+		Seed:        cfg.Seed,
+		HostsPerToR: cfg.Topo.HostsPerToR,
+		MaxFlowSize: cfg.MaxFlowSize,
+		Hotspot:     cfg.Hotspot,
+	}), nil
 }

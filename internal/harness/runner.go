@@ -3,13 +3,19 @@ package harness
 import (
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"ucmp/internal/core"
+	"ucmp/internal/routing"
+	"ucmp/internal/topo"
 )
 
 // Runner executes batches of simulation configurations for the exhibit
-// drivers. Each run builds its own fabric, path set, engine and collector,
-// so runs share no mutable state: a batch fans out over Workers goroutines,
-// every Result lands in its input slot, and reports rendered afterwards are
-// byte-identical to a serial execution.
+// drivers, and is the one in-process owner of what runs share: Results and
+// built path sets. Each run wires its own fabric, router, engine and
+// collector, so a batch fans out over Workers goroutines, every Result lands
+// in its input slot, and reports rendered afterwards are byte-identical to a
+// serial execution.
 //
 // A Runner simulates each distinct configuration at most once: Results are
 // memoized by configKey, the checkpoint identity that names every field
@@ -21,15 +27,88 @@ import (
 // and a Flow's transport endpoints point back into its run's network, so
 // keeping them would keep every memoized simulation resident.
 //
-// A nil *Runner runs serially and memoizes nothing, which is what tests and
-// benchmarks timing a driver want. A Runner's Run is not safe for concurrent
-// use.
+// A Runner also builds each path set once, memoized runs or not: a path
+// set, and the KSP / Opera router holding a baseline's, is immutable once
+// built, so every run reading it shares one build (pathSet).
+//
+// A nil *Runner runs serially, memoizes nothing and builds every path set
+// it needs, which is what tests and benchmarks timing a driver want.
 type Runner struct {
 	// Workers bounds how many runs of a batch execute concurrently; ≤ 1
 	// runs them serially.
 	Workers int
 
-	memo map[string]*Result
+	results onceMap[string, memoRun]
+	paths   onceMap[pathSetKey, paths]
+}
+
+// onceMap holds one value per key, built by the first get of the key;
+// concurrent gets of that key wait for the build, and a build that panics
+// panics every get of its key. Safe for concurrent use.
+type onceMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]func() V
+}
+
+// get returns key's value and whether this call was the key's first get.
+func (o *onceMap[K, V]) get(key K, build func() V) (V, bool) {
+	o.mu.Lock()
+	v, ok := o.m[key]
+	if !ok {
+		if o.m == nil {
+			o.m = make(map[K]func() V)
+		}
+		v = sync.OnceValue(build)
+		o.m[key] = v
+	}
+	o.mu.Unlock()
+	return v(), !ok
+}
+
+type memoRun struct {
+	res *Result
+	err error
+}
+
+// pathSetKey names a path set by everything its build reads: the scheme
+// (UCMP, or a KSP / Opera baseline with its k), the fabric's configuration
+// and schedule, and for UCMP α and the effective cap on parallel paths.
+type pathSetKey struct {
+	scheme RoutingKind
+	topo   topo.Config
+	sched  uint64
+	alpha  float64
+	maxPar int
+}
+
+// paths is what a run plans from — UCMP's path set, or a baseline's router
+// and its store — and where it came from.
+type paths struct {
+	ps   *core.PathSet
+	ksp  *routing.KSP
+	info PathSetInfo
+}
+
+// pathSet returns what cfg's run plans from on fab, built by the first
+// request for its key; every other request is served that build, warm. A
+// nil Runner builds every time.
+func (r *Runner) pathSet(fab *topo.Fabric, cfg SimConfig) paths {
+	if r == nil {
+		return buildPaths(fab, cfg)
+	}
+	t0 := time.Now()
+	key := pathSetKey{scheme: cfg.Routing, topo: cfg.Topo, sched: fab.Sched.Fingerprint()}
+	if cfg.Routing == UCMP {
+		key.alpha, key.maxPar = cfg.Alpha, cfg.MaxParallel
+		if key.maxPar <= 0 {
+			key.maxPar = core.DefaultMaxParallel
+		}
+	}
+	p, first := r.paths.get(key, func() paths { return buildPaths(fab, cfg) })
+	if !first {
+		p.info.Warm, p.info.Seconds = true, time.Since(t0).Seconds()
+	}
+	return p
 }
 
 // workerCount resolves the pool size for n independent units of work.
@@ -80,48 +159,30 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Run simulates cfgs and returns their Results in input order. A
-// configuration this Runner already simulated, or one repeated earlier in
-// the batch, reuses that Result; the rest fan out over the workers. When
-// several runs fail, the error is that of the lowest-index one.
+// Run simulates cfgs and returns their Results in input order, fanning
+// them out over the workers. A configuration this Runner already simulated,
+// or is simulating for another index of the batch, reuses that Result — or
+// that error. When several runs fail, the error is that of the lowest-index
+// one.
 func (r *Runner) Run(cfgs []SimConfig) ([]*Result, error) {
 	out := make([]*Result, len(cfgs))
-	keys := make([]string, len(cfgs)) // "" for a run kept out of the memo
-	var todo []int                    // the runs to simulate
-	for i, cfg := range cfgs {
-		if r != nil && cfg.Flows == nil {
-			if r.memo == nil {
-				r.memo = make(map[string]*Result)
-			}
-			keys[i] = configKey(cfg, nil)
-			if _, ok := r.memo[keys[i]]; ok {
-				continue // simulated before, or claimed earlier in this batch
-			}
-			r.memo[keys[i]] = nil
+	err := r.forEach(len(cfgs), func(i int) (err error) {
+		if r == nil || cfgs[i].Flows != nil {
+			out[i], err = r.run(cfgs[i])
+			return err
 		}
-		todo = append(todo, i)
-	}
-	err := r.forEach(len(todo), func(j int) (err error) {
-		out[todo[j]], err = Run(cfgs[todo[j]])
-		return err
+		m, _ := r.results.get(configKey(cfgs[i], nil), func() memoRun {
+			res, err := r.run(cfgs[i])
+			if res != nil {
+				res.Flows = nil
+			}
+			return memoRun{res, err}
+		})
+		out[i] = m.res
+		return m.err
 	})
-	for _, i := range todo {
-		switch {
-		case keys[i] == "":
-		case out[i] == nil: // failed, or never ran after a serial failure
-			delete(r.memo, keys[i])
-		default:
-			out[i].Flows = nil
-			r.memo[keys[i]] = out[i]
-		}
-	}
 	if err != nil {
 		return nil, err
-	}
-	for i, res := range out {
-		if res == nil {
-			out[i] = r.memo[keys[i]]
-		}
 	}
 	return out, nil
 }

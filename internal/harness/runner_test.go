@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"ucmp/internal/core"
 	"ucmp/internal/failure"
 	"ucmp/internal/netsim"
 	"ucmp/internal/sim"
+	"ucmp/internal/transport"
 )
 
 // tinyBase is a run short enough to simulate several times per test.
@@ -74,6 +76,119 @@ func TestRunnerNilAndExplicitFlowsSimulateEveryCall(t *testing.T) {
 	}
 	if out[0] == out[1] || out[0].Launched != 1 {
 		t.Fatal("explicit-flow configs shared a Result")
+	}
+}
+
+// withPoissonFlows is cfg with its Poisson workload as an explicit flow
+// list: the run simulates what cfg's would, but keeps its Flows for
+// fingerprint and stays outside a Runner's memo, not outside its store.
+func withPoissonFlows(t *testing.T, cfg SimConfig) SimConfig {
+	t.Helper()
+	flows, err := poissonFlows(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Flows = flows
+	return cfg
+}
+
+// A Runner's store holds one path set per key: asking again — on a fresh
+// fabric, with a different seed, transport or load — returns the same
+// pointer warm, MaxParallel 0 and the default cap are one key, and α,
+// MaxParallel, the slice duration, k and the scheme each make a key of
+// their own.
+func TestRunnerPathSetStore(t *testing.T) {
+	r := &Runner{}
+	get := func(cfg SimConfig) (*core.PathSet, PathSetInfo) {
+		t.Helper()
+		fab, err := newFabricFor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := r.pathSet(fab, cfg)
+		return p.ps, p.info
+	}
+	base := tinyBase()
+	variants := map[string]func(*SimConfig){
+		"base":          func(*SimConfig) {},
+		"alpha":         func(c *SimConfig) { c.Alpha = 0.7 },
+		"MaxParallel":   func(c *SimConfig) { c.MaxParallel = 1 },
+		"SliceDuration": func(c *SimConfig) { c.Topo.SliceDuration *= 2 },
+		"ksp1":          func(c *SimConfig) { c.Routing = KSP1 },
+		"ksp5":          func(c *SimConfig) { c.Routing = KSP5 },
+		"opera1":        func(c *SimConfig) { c.Routing = Opera1 },
+		"opera5":        func(c *SimConfig) { c.Routing = Opera5 },
+	}
+	built := map[*core.PathSet]string{}
+	for name, set := range variants {
+		cfg := base
+		set(&cfg)
+		ps, info := get(cfg)
+		if info.Warm || info.Groups == 0 {
+			t.Fatalf("%s: first request reports %q, want a cold build", name, info)
+		}
+		if other, ok := built[ps]; ok {
+			t.Fatalf("%s and %s share a store entry", name, other)
+		}
+		built[ps] = name
+		same := cfg
+		same.Seed, same.Transport, same.Load = 99, transport.NDP, 0.7
+		if again, info := get(same); again != ps || !info.Warm {
+			t.Fatalf("%s: a repeat request got %p (warm %v), want the stored %p", name, again, info.Warm, ps)
+		}
+	}
+	def := base
+	def.MaxParallel = core.DefaultMaxParallel
+	if ps, _ := get(def); built[ps] != "base" {
+		t.Fatal("MaxParallel 0 and the default cap built two path sets")
+	}
+}
+
+// Workers sharing a key wait for its one build: of six concurrent runs
+// reading one path set, one builds it and five are served from the store.
+func TestRunnerBuildsSharedPathSetOnce(t *testing.T) {
+	cfgs := make([]SimConfig, 6)
+	for i := range cfgs {
+		cfgs[i] = tinyBase()
+		cfgs[i].Seed = int64(i + 1)
+	}
+	out, err := (&Runner{Workers: 3}).Run(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := 0
+	for _, res := range out {
+		if !res.PathSet.Warm {
+			cold++
+		}
+	}
+	if cold != 1 {
+		t.Fatalf("%d of %d runs built the shared path set, want 1", cold, len(out))
+	}
+}
+
+// A run served from the store is the run a nil Runner builds for itself,
+// for UCMP and for the KSP and Opera baselines.
+func TestStoreServedRunMatchesNilRunner(t *testing.T) {
+	for _, rk := range []RoutingKind{UCMP, KSP5, Opera5} {
+		cfg := tinyBase()
+		cfg.Routing = rk
+		second := cfg
+		second.Seed = 2
+		out, err := new(Runner).Run([]SimConfig{withPoissonFlows(t, cfg), withPoissonFlows(t, second)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[0].PathSet.Warm || !out[1].PathSet.Warm {
+			t.Fatalf("%s: warm = %v, %v; want the second run served from the first's build", rk, out[0].PathSet.Warm, out[1].PathSet.Warm)
+		}
+		ref, err := Run(withPoissonFlows(t, second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fingerprint(out[1], true), fingerprint(ref, true); got != want {
+			t.Fatalf("%s: store-served run diverges from a nil-Runner run:\n--- nil Runner ---\n%s\n--- store ---\n%s", rk, want, got)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -13,23 +11,6 @@ import (
 	"ucmp/internal/topo"
 	"ucmp/internal/transport"
 )
-
-// fingerprintCore is fingerprint minus the event count: a sharded run
-// executes one slice-boundary event per domain per slice where the serial
-// run executes one total, so event counts legitimately differ while every
-// simulation observable — counters, fairness, efficiency, and the per-flow
-// byte/FCT trace — must stay byte-identical.
-func fingerprintCore(r *Result) string {
-	out := fmt.Sprintf("counters=%+v\njain=%.12f\nefficiency=%.12f\nlaunched=%d\n",
-		r.Counters, r.JainCumulative, r.Efficiency, r.Launched)
-	fl := append(r.Flows[:0:0], r.Flows...)
-	sort.Slice(fl, func(i, j int) bool { return fl[i].ID < fl[j].ID })
-	for _, f := range fl {
-		out += fmt.Sprintf("flow %d: sent=%d delivered=%d finished=%v at=%d\n",
-			f.ID, f.BytesSent, f.BytesDelivered, f.Finished, int64(f.FinishedAt))
-	}
-	return out
-}
 
 // requireShards2Equal reruns a trial on the sharded engine with two workers
 // and requires everything a flow observes to equal the serial result.
@@ -43,7 +24,7 @@ func requireShards2Equal(t *testing.T, cfg SimConfig, serial *Result) {
 	if !sh.Sharded {
 		t.Fatalf("Shards=2 fell back to the serial engine: %s", sh.ShardNote)
 	}
-	if fingerprintCore(sh) != fingerprintCore(serial) {
+	if fingerprint(sh, false) != fingerprint(serial, false) {
 		t.Error("Shards=2 diverges from the serial run")
 	}
 }
@@ -100,7 +81,7 @@ func shardedCases() []shardedCase {
 	// Runtime fault injection mid-run: cable and switch failures strike and
 	// partially repair, exercising epoch transitions, parked-packet expiry,
 	// and online §5.3 recovery under the sharded engine. The recovery
-	// counters and reroute-wait histogram ride in fingerprintCore's %+v of
+	// counters and reroute-wait histogram ride in fingerprint's %+v of
 	// Counters, so any serial/sharded divergence in fault handling fails the
 	// differential, not just the FCT trace.
 	faulty := ScaledConfig(UCMP, transport.DCTCP, "websearch")
@@ -173,7 +154,7 @@ func TestDifferentialSerialSharded(t *testing.T) {
 				if cfg.Routing == VLB && res.Mem.PeakParked == 0 {
 					t.Fatalf("Shards=%d: no ToR VOQ ever held a record; the rotor case is vacuous", shards)
 				}
-				return fingerprintCore(res)
+				return fingerprint(res, false)
 			}
 			serial := run(0)
 			// 5 and 3 divide no case's domain count: the blocks are uneven.
@@ -346,7 +327,7 @@ func TestShardedNonDividing64(t *testing.T) {
 		if shards > 1 && (!res.Sharded || res.Shards != shards) {
 			t.Fatalf("Shards=%d ran with sharded=%v shards=%d", shards, res.Sharded, res.Shards)
 		}
-		return fingerprintCore(res)
+		return fingerprint(res, false)
 	}
 	serial := run(0)
 	for _, shards := range []int{3, 5, 7} {

@@ -10,8 +10,9 @@ import (
 
 // Trial is one fully-specified simulation run inside a trial matrix — a
 // (scheme, load point) pair with its own derived seed. Trials share no
-// mutable state: each Run builds its own fabric, engine, network and
-// collector, which is what makes the fan-out below safe.
+// mutable state: each builds its own fabric, engine, network and
+// collector, and reads its path set from the Runner's store, which is what
+// makes the fan-out below safe.
 type Trial struct {
 	Name string
 	Cfg  SimConfig
@@ -30,7 +31,6 @@ func SweepLoad(base SimConfig, schemes []RoutingKind, loads []float64) []Trial {
 		for _, l := range loads {
 			cfg := base
 			cfg.Routing = s
-			cfg.ScheduleKind = "" // derive from the scheme
 			cfg.Load = l
 			cfg.Seed = base.Seed + int64(len(trials))*seedStride
 			trials = append(trials, Trial{
@@ -46,7 +46,7 @@ func SweepLoad(base SimConfig, schemes []RoutingKind, loads []float64) []Trial {
 // simulation into a Result carrying the panic message, the trial's derived
 // seed, and the stack — so one broken trial degrades that line of the sweep
 // instead of killing every other worker's progress.
-func runTrial(t Trial) (res *Result, err error) {
+func (r *Runner) runTrial(t Trial) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = &Result{
@@ -57,7 +57,7 @@ func runTrial(t Trial) (res *Result, err error) {
 			err = nil
 		}
 	}()
-	return Run(t.Cfg)
+	return r.run(t.Cfg)
 }
 
 // RunTrials executes the trials over the Runner's workers and returns
@@ -65,9 +65,9 @@ func runTrial(t Trial) (res *Result, err error) {
 // result lands in its preassigned slot and aggregation happens only after
 // all trials finish, anything rendered from the returned slice is
 // byte-identical between serial and parallel execution (pinned by
-// TestTrialReplicationDeterminism). Trials bypass the Runner's memo: a
+// TestTrialReplicationDeterminism). Trials bypass the Runner's memo — a
 // sweep's trials carry distinct derived seeds, and a trial's Result may gain
-// a sweep-book note after its run.
+// a sweep-book note after its run — but not its path-set store.
 //
 // A panicking trial does not abort the sweep: its slot carries
 // Result.TrialPanic and the remaining trials complete normally.
@@ -85,7 +85,7 @@ func (r *Runner) RunTrials(trials []Trial) ([]*Result, error) {
 			out[i] = res
 			return nil
 		}
-		res, err := runTrial(trials[i])
+		res, err := r.runTrial(trials[i])
 		if err != nil {
 			return fmt.Errorf("trial %s: %w", trials[i].Name, err)
 		}

@@ -141,7 +141,7 @@ func TestSweepResume(t *testing.T) {
 	// the book the resumed sweep will open.
 	book := openSweepBook(trials)
 	for i := 0; i < 2; i++ {
-		r, err := runTrial(trials[i])
+		r, err := (*Runner)(nil).runTrial(trials[i])
 		if err != nil {
 			t.Fatal(err)
 		}

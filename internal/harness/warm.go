@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"ucmp/internal/core"
@@ -11,27 +10,16 @@ import (
 	"ucmp/internal/topo"
 )
 
-// Warm-fabric plumbing (DESIGN.md §14). Loaded fabric handles are cached
-// process-wide, keyed by cache file path (which itself embeds the schedule
-// fingerprint and build parameters), so all trials of a sweep share one
-// mmap'd path set. Handles are never Closed: the table arrays alias the
-// mapping and the map retains every loaded fabric for the process lifetime —
-// read-only mappings cost address space, not dirty memory, and the set of
-// distinct fabrics per process is small.
-var warmFabrics struct {
-	sync.Mutex
-	m map[string]*fabriccache.Fabric
-}
-
 // PathSetInfo says where a run's path set came from and what it weighs: the
 // one `path set:` line ucmpsim and the scale sweep print.
 type PathSetInfo struct {
-	// Warm is set when the path set was served from the fabric cache (file
-	// or in-process) rather than built; Seconds is the wall time of that
-	// build or load.
+	// Warm is set when the path set was served rather than built: loaded
+	// from the fabric cache file, or from the Runner's store. Seconds is
+	// the wall time of that build, load or store lookup.
 	Warm    bool
 	Seconds float64
-	// Note says why a requested fabric cache was not used; empty otherwise.
+	// Note says why a requested fabric cache was not used or not written;
+	// empty otherwise. A store hit carries the note of the build it serves.
 	Note string
 	core.Footprint
 }
@@ -50,33 +38,48 @@ func (i PathSetInfo) String() string {
 	return s
 }
 
-// timedPathSet is warmPathSet plus the PathSetInfo describing the outcome.
-func timedPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, PathSetInfo) {
+// buildPaths builds what cfg's run plans from on fab: UCMP's path set
+// (through the fabric cache when FabricCacheDir is set) or the KSP / Opera
+// baseline router with its store, and the PathSetInfo describing the
+// outcome. VLB reads no path set: the zero value.
+func buildPaths(fab *topo.Fabric, cfg SimConfig) paths {
 	t0 := time.Now()
-	ps, warm, note := warmPathSet(fab, cfg)
-	return ps, PathSetInfo{Warm: warm, Seconds: time.Since(t0).Seconds(), Note: note, Footprint: ps.Footprint()}
-}
-
-// timedBaseline builds a KSP or Opera router plus the PathSetInfo of its
-// store: always cold-built, never cached.
-func timedBaseline(build func(*topo.Fabric, int) *routing.KSP, fab *topo.Fabric, k int) (*routing.KSP, PathSetInfo) {
-	t0 := time.Now()
-	r := build(fab, k)
-	return r, PathSetInfo{Seconds: time.Since(t0).Seconds(), Footprint: r.PS.Footprint()}
+	var p paths
+	switch cfg.Routing {
+	case UCMP:
+		p.ps, p.info.Warm, p.info.Note = warmPathSet(fab, cfg)
+	case KSP1:
+		p.ksp = routing.NewKSP(fab, 1)
+	case KSP5:
+		p.ksp = routing.NewKSP(fab, 5)
+	case Opera1:
+		p.ksp = routing.NewOpera(fab, 1)
+	case Opera5:
+		p.ksp = routing.NewOpera(fab, 5)
+	default:
+		return p
+	}
+	if p.ksp != nil {
+		p.ps = p.ksp.PS
+	}
+	p.info.Seconds, p.info.Footprint = time.Since(t0).Seconds(), p.ps.Footprint()
+	return p
 }
 
 // warmPathSet returns the compiled path set for cfg's fabric, whether it was
-// warm (served without an offline build), and a note when FabricCacheDir was
-// set but unusable or not written. With FabricCacheDir unset it simply
+// warm (loaded from the fabric cache file), and a note when FabricCacheDir
+// was set but unusable or not written. With FabricCacheDir unset it simply
 // builds cold; so does a schedule with no rotation symmetry (the cache file
-// holds the canonical form only), which the note records. Otherwise it serves from the
-// in-process cache, then from the cache file, and only then builds cold —
-// saving the result (best-effort) so the next process starts warm. The file
-// also carries ToR 0's compiled table, written here and read by nothing in a
-// run: it is the switch-install artifact (§6.2) that Validate and Table 2
-// inspect. Warm and cold results are byte-identical by construction: the
-// codec round-trips the canonical arena exactly, and the differential tests
-// pin it.
+// holds the canonical form only), which the note records. Otherwise it loads
+// the cache file and only then builds cold — saving the result (best-effort)
+// so the next process starts warm. In-process reuse is the Runner's, not
+// this function's: a loaded path set owns its store, so the handle, whose
+// table is the one part aliasing the file mapping, is closed at once. The
+// file also carries ToR 0's compiled table, written here and read by nothing
+// in a run: it is the switch-install artifact (§6.2) that Validate and
+// Table 2 inspect. Warm and cold results are byte-identical by construction:
+// the codec round-trips the canonical arena exactly, and the differential
+// tests pin it.
 func warmPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, bool, string) {
 	if cfg.FabricCacheDir == "" {
 		return core.BuildPathSetWith(fab, cfg.Alpha, cfg.MaxParallel), false, ""
@@ -88,17 +91,10 @@ func warmPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, bool, string) 
 	params := fabriccache.Params{Alpha: cfg.Alpha, MaxParallel: cfg.MaxParallel}
 	path := fabriccache.FileName(cfg.FabricCacheDir, fab, params)
 
-	warmFabrics.Lock()
-	defer warmFabrics.Unlock()
-	if warmFabrics.m == nil {
-		warmFabrics.m = make(map[string]*fabriccache.Fabric)
-	}
-	if wf, ok := warmFabrics.m[path]; ok {
-		return wf.PS, true, ""
-	}
 	if wf, err := fabriccache.Load(path, fab, params, fabriccache.Options{}); err == nil {
-		warmFabrics.m[path] = wf
-		return wf.PS, true, ""
+		ps := wf.PS
+		wf.Close()
+		return ps, true, ""
 	}
 	// Missing, stale, or corrupted file: rebuild and overwrite.
 	ps := core.BuildPathSetWith(fab, cfg.Alpha, cfg.MaxParallel)
@@ -112,6 +108,5 @@ func warmPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, bool, string) 
 	if err := fabriccache.Save(path, ps, table); err != nil {
 		note = fmt.Sprintf("fabric cache not written: %v", err)
 	}
-	warmFabrics.m[path] = &fabriccache.Fabric{PS: ps, Table: table}
 	return ps, false, note
 }

@@ -36,16 +36,6 @@ func corruptFile(t *testing.T, path string) {
 	}
 }
 
-// dropWarmFabrics empties the process-wide warm cache so the next run must
-// go back to the cache file (the mmap load path). Handles are deliberately
-// not Closed: decoded tables may alias their mappings, and leaked read-only
-// mappings are harmless in a test process.
-func dropWarmFabrics() {
-	warmFabrics.Lock()
-	warmFabrics.m = nil
-	warmFabrics.Unlock()
-}
-
 // TestDifferentialWarmFabric is the warm-vs-cold determinism pin: a run
 // served from a fabric cache file's mmap'd path set produces byte-identical
 // results to the cold build and still agrees between the serial and sharded
@@ -64,7 +54,7 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldFP := fingerprint(coldRes)
+	coldFP := fingerprint(coldRes, true)
 
 	populate := base
 	populate.FabricCacheDir = dir
@@ -72,7 +62,7 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(popRes) != coldFP {
+	if fingerprint(popRes, true) != coldFP {
 		t.Fatal("populating run diverges from the cold run")
 	}
 	wantGroups := 4 * 15 // S·(N−1) canonical rows of the (16,4) fabric
@@ -80,14 +70,13 @@ func TestDifferentialWarmFabric(t *testing.T) {
 		t.Fatalf("populating run reports path set %q, want a cold build of %d groups", i, wantGroups)
 	}
 
-	dropWarmFabrics() // force the next run through the file, not the map
-	warmRes, err := Run(populate)
+	warmRes, err := Run(populate) // loaded from the file the populating run wrote
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(warmRes) != coldFP {
+	if fingerprint(warmRes, true) != coldFP {
 		t.Fatalf("warm run diverges from cold:\n--- cold ---\n%s\n--- warm ---\n%s",
-			coldFP, fingerprint(warmRes))
+			coldFP, fingerprint(warmRes, true))
 	}
 	if i := warmRes.PathSet; !i.Warm || i.Footprint != popRes.PathSet.Footprint {
 		t.Fatalf("warm run reports path set %q, want the populating run's footprint, cache-loaded", i)
@@ -118,7 +107,7 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	}
 
 	// Serial vs sharded on the warm path set: the engines must still agree on
-	// every simulation observable (fingerprintCore — event counts
+	// every simulation observable (fingerprint without events — event counts
 	// legitimately differ between the engines).
 	sharded := populate
 	sharded.Shards = 4
@@ -129,23 +118,21 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	if !shRes.Sharded {
 		t.Fatalf("sharded run fell back to serial: %s", shRes.ShardNote)
 	}
-	if fingerprintCore(shRes) != fingerprintCore(coldRes) {
+	if fingerprint(shRes, false) != fingerprint(coldRes, false) {
 		t.Fatalf("sharded warm run diverges from cold:\n--- cold ---\n%s\n--- sharded ---\n%s",
-			fingerprintCore(coldRes), fingerprintCore(shRes))
+			fingerprint(coldRes, false), fingerprint(shRes, false))
 	}
 
 	// A corrupted cache file must be rebuilt, not served.
-	dropWarmFabrics()
 	path := warmCachePathFor(t, fab, populate)
 	corruptFile(t, path)
 	reRes, err := Run(populate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(reRes) != coldFP {
+	if fingerprint(reRes, true) != coldFP {
 		t.Fatal("run after cache corruption diverges from cold")
 	}
-	dropWarmFabrics()
 	if _, warm, _ := warmPathSet(fab, populate); !warm {
 		t.Fatal("rebuild did not overwrite the corrupted cache file")
 	}
@@ -155,7 +142,9 @@ func TestDifferentialWarmFabric(t *testing.T) {
 // run builds cold and says so instead of ignoring FabricCacheDir silently.
 func TestFabricCacheUnusedNoted(t *testing.T) {
 	cfg := quickBase()
-	cfg.ScheduleKind = "random"
+	if topo.MustFabric(cfg.Topo, ScheduleFor(cfg.Routing), cfg.Seed).Sched.Rotation() {
+		t.Fatal("quickBase's d=3 round-robin schedule is rotation-symmetric; the test is vacuous")
+	}
 	cfg.FabricCacheDir = t.TempDir()
 	res, err := Run(cfg)
 	if err != nil {

@@ -79,45 +79,47 @@ func (o *Options) defaults() {
 	}
 }
 
-// Run executes the Fig 13 experiment for one scheme.
-func Run(sc harness.Scheme, o Options) (*Result, error) {
+// RunSchemes runs the Fig 13 experiment for each scheme, as one batch on r.
+// Every run carries its own flow list, so none is memoized, but each reads
+// its path set from r's store.
+func RunSchemes(r *harness.Runner, schemes []harness.Scheme, o Options) ([]*Result, error) {
 	o.defaults()
-	cfg := harness.SimConfig{
-		Topo:      Config(),
-		Routing:   sc.Routing,
-		Transport: sc.Transport,
-		Alpha:     0.5,
-		Horizon:   o.Horizon,
-		Seed:      o.Seed,
+	cfgs := make([]harness.SimConfig, len(schemes))
+	fg := 0 // the Memcached foreground's flow count, the same in every run
+	for i, sc := range schemes {
+		var flows []*netsim.Flow
+		flows, fg = buildFlows(Config(), o)
+		cfgs[i] = harness.SimConfig{
+			Topo:      Config(),
+			Routing:   sc.Routing,
+			Transport: sc.Transport,
+			Alpha:     0.5,
+			Horizon:   o.Horizon,
+			Seed:      o.Seed,
+			Flows:     flows,
+		}
 	}
-	flows := buildFlows(cfg.Topo, o)
-	cfg.Flows = flows
-	res, err := harness.Run(cfg)
+	runs, err := r.Run(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	fcts, probs := res.Collector.FCTCDF(true)
-	out := &Result{Scheme: sc.Name, FCTs: fcts, Probs: probs, Sim: res}
-	if len(fcts) > 0 {
-		out.P50 = fcts[len(fcts)/2]
-		out.P99 = fcts[len(fcts)*99/100]
-	}
-	fg := 0
-	for _, f := range flows {
-		if f.Priority {
-			fg++
+	out := make([]*Result, len(runs))
+	for i, res := range runs {
+		fcts, probs := res.Collector.FCTCDF(true) // the foreground's
+		out[i] = &Result{Scheme: schemes[i].Name, FCTs: fcts, Probs: probs, Sim: res}
+		if len(fcts) > 0 {
+			out[i].P50, out[i].P99 = fcts[len(fcts)/2], fcts[len(fcts)*99/100]
+			out[i].Completion = float64(len(fcts)) / float64(fg)
 		}
-	}
-	if fg > 0 {
-		out.Completion = float64(len(fcts)) / float64(fg)
 	}
 	return out, nil
 }
 
 // buildFlows assembles the §8 workload: host 0 runs the Memcached server,
 // the other 7 hosts are Memslap clients, and every host additionally sends
-// iperf background traffic to its rack neighbor.
-func buildFlows(cfg topo.Config, o Options) []*netsim.Flow {
+// iperf background traffic to its rack neighbor. The first fg flows are the
+// Memcached foreground.
+func buildFlows(cfg topo.Config, o Options) (flows []*netsim.Flow, fg int) {
 	numHosts := cfg.NumHosts()
 	server := 0
 	var clients []int
@@ -128,35 +130,34 @@ func buildFlows(cfg topo.Config, o Options) []*netsim.Flow {
 	}
 	// Memslap-style request gap keeps the foreground ~10% of a 10G uplink.
 	gap := 200 * sim.Microsecond
-	flows := workload.Memcached(clients, server, o.Requests, o.RespBytes, gap, o.Seed, 1)
-	flows = append(flows, workload.Permutation(numHosts, cfg.HostsPerToR, o.Background, 100000)...)
-	return flows
+	flows = workload.Memcached(clients, server, o.Requests, o.RespBytes, gap, o.Seed, 1)
+	fg = len(flows)
+	return append(flows, workload.Permutation(numHosts, cfg.HostsPerToR, o.Background, 100000)...), fg
 }
 
-// RunAll executes every scheme and renders the Fig 13 report.
-func RunAll(o Options) (*harness.Report, []*Result, error) {
-	r := &harness.Report{Title: "Fig 13: testbed Memcached FCTs (TCP, 8 ToRs, oversubscribed uplinks)"}
-	r.Addf("%-10s %-12s %-12s %-10s", "scheme", "p50 FCT", "p99 FCT", "complete")
-	var out []*Result
-	for _, sc := range Schemes() {
-		res, err := Run(sc, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, res)
-		r.Addf("%-10s %-12s %-12s %-10.2f", res.Scheme, res.P50, res.P99, res.Completion)
+// RunAll executes every scheme as one batch on r and renders the Fig 13
+// report.
+func RunAll(r *harness.Runner, o Options) (*harness.Report, []*Result, error) {
+	out, err := RunSchemes(r, Schemes(), o)
+	if err != nil {
+		return nil, nil, err
 	}
-	r.Addf("(paper ordering: UCMP < KSP < VLB/Opera for testbed memcached FCT)")
+	rep := &harness.Report{Title: "Fig 13: testbed Memcached FCTs (TCP, 8 ToRs, oversubscribed uplinks)"}
+	rep.Addf("%-10s %-12s %-12s %-10s", "scheme", "p50 FCT", "p99 FCT", "complete")
 	for _, res := range out {
-		r.Addf("")
-		r.Addf("%s FCT CDF (us):", res.Scheme)
+		rep.Addf("%-10s %-12s %-12s %-10.2f", res.Scheme, res.P50, res.P99, res.Completion)
+	}
+	rep.Addf("(paper ordering: UCMP < KSP < VLB/Opera for testbed memcached FCT)")
+	for _, res := range out {
+		rep.Addf("")
+		rep.Addf("%s FCT CDF (us):", res.Scheme)
 		xs := make([]float64, len(res.FCTs))
 		for i, t := range res.FCTs {
 			xs[i] = t.Micros()
 		}
 		for _, line := range plot.CDF(xs, res.Probs, 5, 30) {
-			r.Addf("  %s", line)
+			rep.Addf("  %s", line)
 		}
 	}
-	return r, out, nil
+	return rep, out, nil
 }

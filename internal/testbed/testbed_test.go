@@ -29,10 +29,11 @@ func quickOpts() Options {
 }
 
 func TestRunUCMP(t *testing.T) {
-	res, err := Run(harness.Scheme{Name: "ucmp", Routing: harness.UCMP, Transport: transport.TCP}, quickOpts())
+	out, err := RunSchemes(nil, []harness.Scheme{{Name: "ucmp", Routing: harness.UCMP, Transport: transport.TCP}}, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out[0]
 	if res.Completion < 0.8 {
 		t.Fatalf("completion %.2f", res.Completion)
 	}
@@ -53,7 +54,7 @@ func TestFig13Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-scheme testbed run")
 	}
-	_, results, err := RunAll(quickOpts())
+	_, results, err := RunAll(nil, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
