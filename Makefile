@@ -1,5 +1,5 @@
 # Standard checks for the UCMP reproduction. `make check` is what CI (and a
-# pre-commit run) should execute: vet, staticcheck (when installed), build,
+# pre-commit run) should execute: gofmt, vet, staticcheck (when installed), build,
 # the full test suite, and the race detector over the packages with
 # intentional concurrency (the parallel offline build in internal/core, the
 # engine in internal/sim, and the Runner's worker pool and path-set store in
@@ -11,9 +11,13 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race bench benchmark bench-offline bench-netsim bench-scaling scale-smoke crash-smoke
+.PHONY: check fmt vet staticcheck build test race bench benchmark bench-offline bench-netsim bench-scaling scale-smoke crash-smoke
 
-check: vet staticcheck build test race
+check: fmt vet staticcheck build test race
+
+# fmt fails, naming the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

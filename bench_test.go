@@ -3,8 +3,7 @@
 // exhibit (Fig 6's FCT and efficiency panels share one per workload, as they
 // share one run per scheme), reporting the exhibit's key scalar as a custom
 // metric.
-// The full-scale variants live behind cmd/ucmpbench -full and
-// cmd/ucmppaths.
+// The full-scale variants live behind cmd/ucmpbench -full.
 package ucmp_test
 
 import (
@@ -77,7 +76,7 @@ func BenchmarkFig5b_HopCounts(b *testing.B) {
 	b.ResetTimer()
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		_, dists := harness.Fig5b(ps, 1)
+		_, dists := harness.Fig5b(ps)
 		mean = dists[0].Mean
 	}
 	b.ReportMetric(mean, "ucmp-mean-hops")

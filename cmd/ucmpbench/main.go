@@ -1,22 +1,25 @@
 // Command ucmpbench regenerates any table or figure of the paper by id.
 //
-//	ucmpbench -exp all            # everything (scaled configuration)
-//	ucmpbench -exp fig6a,fig6c    # FCT + efficiency for web search
-//	ucmpbench -exp table3 -full   # offline analyses at paper scale
-//	ucmpbench -exp fig9 -parallel # sweep points run concurrently
+//	ucmpbench -exp all             # everything (scaled configuration)
+//	ucmpbench -exp fig6a,fig6c     # FCT + efficiency for web search
+//	ucmpbench -exp table3 -full    # offline analyses at paper scale
+//	ucmpbench -exp fig9 -workers 0 # sweep points run concurrently
 //
 // Simulation-based figures run on a scaled-down fabric by default so the
-// full sweep finishes in minutes; -full switches the offline analyses to
-// the paper's 108-ToR fabric and lengthens the simulations. Every simulation
+// full sweep finishes in minutes. -full runs the offline analyses at the
+// paper's scale — the path analyses (Fig 5a/5b, 12a–c, 16, the schedule
+// statistics) on the 108-ToR fabric, Tables 2–3 over all the paper's
+// configurations — and lengthens the simulations. Every simulation
 // exhibit runs through the process's one harness.Runner, which builds each
 // path set once and simulates each distinct configuration once, for
 // whichever exhibit asks first: Fig 6, 7, 15 and 17 share one grid per
 // workload, and Fig 8–12d, the ablations, the MPTCP extension and the
-// failure sweep share their UCMP+DCTCP web-search base run. -parallel fans
-// each exhibit's runs out over -workers goroutines (default GOMAXPROCS);
-// reports are identical to the serial order. Each exhibit's wall-clock time
-// and the simulation events of the runs it was first to get print to
-// stderr, folded from those runs' Results, with any notes the runs recorded.
+// failure sweep share their UCMP+DCTCP web-search base run. -workers N fans
+// each exhibit's runs out over N goroutines (1, the default, is serial; 0
+// is GOMAXPROCS); reports are identical to the serial order. Each exhibit's
+// wall-clock time and the simulation events of the runs it was first to get
+// print to stderr, folded from those runs' Results, with any notes the runs
+// recorded.
 //
 // Profiling: -cpuprofile and -memprofile write pprof files covering the
 // selected exhibits, for chasing simulator hot spots; -trace captures a
@@ -31,7 +34,7 @@
 // engine with N workers when the configuration supports it (see
 // harness.Shardable); unsupported configurations fall back to the serial
 // engine with identical output. A sweep of independent trials wants
-// -parallel; -shards is for one long run.
+// -workers; -shards is for one long run.
 //
 // Performance is measured by the repository benchmark (`make benchmark`,
 // BENCHMARK.json); `make bench` runs the per-layer `go test -bench` probes
@@ -66,7 +69,7 @@ var allExps = []string{
 	"fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig6d",
 	"fig7", "fig8", "fig9", "fig10", "fig11",
 	"fig12", "fig12d", "fig13", "fig14", "fig15", "fig16", "fig17",
-	"ablation", "extension", "sweep", "failsweep",
+	"ablation", "extension", "sweep", "failsweep", "sched",
 	"scale",
 }
 
@@ -108,26 +111,29 @@ func selectExps(spec string) (map[string]bool, error) {
 
 func main() {
 	var (
-		expF      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		fullF     = flag.Bool("full", false, "paper-scale offline analyses and longer simulations")
-		seedF     = flag.Int64("seed", 1, "seed")
-		parallelF = flag.Bool("parallel", false, "run independent schemes/sweep points of an exhibit concurrently")
-		workersF  = flag.Int("workers", 0, "bound on the -parallel worker pool (0 = GOMAXPROCS)")
-		cpuProfF  = flag.String("cpuprofile", "", "write a CPU profile covering the selected exhibits to this file")
-		memProfF  = flag.String("memprofile", "", "write a heap profile taken after the selected exhibits to this file")
-		traceF    = flag.String("trace", "", "write a runtime execution trace covering the selected exhibits to this file")
-		shardsF   = flag.Int("shards", 0, "run simulations on the sharded engine with this many workers (0/1 = serial)")
-		schedF    = flag.Bool("schedstats", false, "report per-exhibit scheduler internals (pending high-water, cascades, cancels), event counts by kind and packet-memory high-water marks on stderr")
-		scaleNsF  = flag.String("scale-ns", "", "comma-separated fabric sizes for -exp scale (empty = 108,256,512,1024)")
-		cacheF    = flag.String("fabric-cache", "", "directory for the warm-fabric cache: compiled UCMP fabrics are mmap-loaded from it when present and saved into it after cold builds")
-		ckptDirF  = flag.String("checkpoint-dir", "", "directory for crash-recovery checkpoints: simulations snapshot there every -checkpoint-every of simulated time, and sweeps record completed trials in a sweep book")
-		ckptEvF   = flag.Duration("checkpoint-every", 0, "simulated-time interval between checkpoints (0 = off)")
-		resumeF   = flag.Bool("resume", false, "resume simulations and sweeps from -checkpoint-dir where checkpoints match; anything unmatched falls back to a clean cold run")
+		expF     = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		fullF    = flag.Bool("full", false, "paper-scale offline analyses and longer simulations")
+		seedF    = flag.Int64("seed", 1, "seed")
+		workersF = flag.Int("workers", 1, "run up to this many independent schemes/sweep points of an exhibit concurrently (1 = serial, 0 = GOMAXPROCS)")
+		cpuProfF = flag.String("cpuprofile", "", "write a CPU profile covering the selected exhibits to this file")
+		memProfF = flag.String("memprofile", "", "write a heap profile taken after the selected exhibits to this file")
+		traceF   = flag.String("trace", "", "write a runtime execution trace covering the selected exhibits to this file")
+		shardsF  = flag.Int("shards", 0, "run simulations on the sharded engine with this many workers (0/1 = serial)")
+		schedF   = flag.Bool("schedstats", false, "report per-exhibit scheduler internals (pending high-water, cascades, cancels), event counts by kind and packet-memory high-water marks on stderr")
+		scaleNsF = flag.String("scale-ns", "", "comma-separated fabric sizes for -exp scale (empty = 108,256,512,1024)")
+		cacheF   = flag.String("fabric-cache", "", "directory for the warm-fabric cache: compiled UCMP fabrics are mmap-loaded from it when present and saved into it after cold builds")
+		ckptDirF = flag.String("checkpoint-dir", "", "directory for crash-recovery checkpoints: simulations snapshot there every -checkpoint-every of simulated time, and sweeps record completed trials in a sweep book")
+		ckptEvF  = flag.Duration("checkpoint-every", 0, "simulated-time interval between checkpoints (0 = off)")
+		resumeF  = flag.Bool("resume", false, "resume simulations and sweeps from -checkpoint-dir where checkpoints match; anything unmatched falls back to a clean cold run")
 	)
 	flag.Parse()
 	want, err := selectExps(*expF)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ucmpbench: -exp: %v\n", err)
+		os.Exit(2)
+	}
+	if *workersF < 0 {
+		fmt.Fprintf(os.Stderr, "ucmpbench: -workers: %d is negative (1 = serial, 0 = GOMAXPROCS)\n", *workersF)
 		os.Exit(2)
 	}
 
@@ -176,12 +182,9 @@ func main() {
 		}()
 	}
 
-	sims := &harness.Runner{Workers: 1}
-	if *parallelF {
-		sims.Workers = *workersF
-		if sims.Workers <= 0 {
-			sims.Workers = runtime.GOMAXPROCS(0)
-		}
+	sims := &harness.Runner{Workers: *workersF}
+	if sims.Workers == 0 {
+		sims.Workers = runtime.GOMAXPROCS(0)
 	}
 	r := runner{
 		sims: sims, full: *fullF, seed: *seedF, shards: *shardsF, cacheDir: *cacheF,
@@ -408,11 +411,7 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 		rep, _ := harness.Fig5a(r.pathSet())
 		fmt.Println(rep)
 	case "fig5b":
-		stride := 1
-		if r.full {
-			stride = 3
-		}
-		rep, _ := harness.Fig5b(r.pathSet(), stride)
+		rep, _ := harness.Fig5b(r.pathSet())
 		fmt.Println(rep)
 	case "fig6a", "fig6c", "fig7", "fig15", "fig6b", "fig6d", "fig17":
 		wl := "websearch"
@@ -468,6 +467,8 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 	case "fig16":
 		rep, _ := harness.Fig16(r.analysisConfig(), 7)
 		fmt.Println(rep)
+	case "sched":
+		fmt.Println(harness.ScheduleStats(r.pathSet()))
 	case "ablation":
 		out, err := show(harness.AblationPolicy(r.sims, r.simBase()))
 		if err != nil {

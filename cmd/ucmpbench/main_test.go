@@ -10,14 +10,15 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ucmp/internal/harness"
 	"ucmp/internal/sim"
 	"ucmp/internal/transport"
 )
 
-// runMainEnv makes the test binary act as ucmpbench itself, so the exit-code
-// test drives the real main without a separate build.
+// runMainEnv makes the test binary act as ucmpbench itself, so the tests
+// drive the real main without a separate build.
 const runMainEnv = "UCMPBENCH_TEST_RUN_MAIN"
 
 func TestMain(m *testing.M) {
@@ -28,13 +29,33 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// ucmpbench runs the real main with args and returns its exit status and
+// output streams.
+func ucmpbench(t *testing.T, args ...string) (status int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		status = exit.ExitCode()
+	default:
+		t.Fatal(err)
+	}
+	return status, out.String(), errb.String()
+}
+
 func TestSelectExps(t *testing.T) {
-	want, err := selectExps("fig9, table1")
-	if err != nil || len(want) != 2 || !want["fig9"] || !want["table1"] {
+	want, err := selectExps("fig9, table1,sched")
+	if err != nil || len(want) != 3 || !want["fig9"] || !want["table1"] || !want["sched"] {
 		t.Fatalf("selectExps(list) = %v, %v", want, err)
 	}
 	all, err := selectExps("all")
-	if err != nil || !all["fig6a"] || all["scale"] || len(all) != len(allExps)-len(heavyExps) {
+	if err != nil || !all["fig6a"] || !all["sched"] || all["scale"] || len(all) != len(allExps)-len(heavyExps) {
 		t.Fatalf("selectExps(all) = %v, %v", all, err)
 	}
 	for _, spec := range []string{"bogus", "fig9,fgi8", "fig9,", ""} {
@@ -51,20 +72,80 @@ func TestSelectExps(t *testing.T) {
 // A typo in -exp used to run nothing and exit 0. It must exit 2 before any
 // exhibit runs, naming the bad id on stderr.
 func TestUnknownExpExitsNonZero(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-exp", "table1,bogus")
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want status 2; stderr: %s", err, stderr.String())
+	status, stdout, stderr := ucmpbench(t, "-exp", "table1,bogus")
+	if status != 2 {
+		t.Fatalf("exit status %d, want 2; stderr: %s", status, stderr)
 	}
-	if !strings.Contains(stderr.String(), `"bogus"`) || !strings.Contains(stderr.String(), "table1") {
-		t.Fatalf("stderr does not name the bad id and the valid list: %s", stderr.String())
+	if !strings.Contains(stderr, `"bogus"`) || !strings.Contains(stderr, "table1") {
+		t.Fatalf("stderr does not name the bad id and the valid list: %s", stderr)
 	}
-	if stdout.Len() != 0 {
-		t.Fatalf("an exhibit ran before the id check: %s", stdout.String())
+	if stdout != "" {
+		t.Fatalf("an exhibit ran before the id check: %s", stdout)
+	}
+}
+
+// The offline exhibit ids resolve like every other: a list of known ids is
+// taken as given, and a typo among them is rejected with every bad id and the
+// valid list, sched included, named.
+func TestSelectExpsOfflineIDs(t *testing.T) {
+	want, err := selectExps("fig14, table3")
+	if err != nil || len(want) != 2 || !want["fig14"] || !want["table3"] {
+		t.Fatalf("selectExps(list) = %v, %v", want, err)
+	}
+	for _, spec := range []string{"tabel2", "fig5a,", "fig12abc"} {
+		if _, err := selectExps(spec); err == nil {
+			t.Errorf("selectExps(%q) accepted an unknown id", spec)
+		}
+	}
+	_, err = selectExps("fig5a,fgi5b,nope")
+	if err == nil || !strings.Contains(err.Error(), `"fgi5b", "nope"`) || !strings.Contains(err.Error(), "sched") {
+		t.Fatalf("error should name every unknown id and the valid list: %v", err)
+	}
+}
+
+// A lone typo (-exp tabel2) and a typo after a valid id (-exp fig14,bogus)
+// both exit 2 before anything runs, with one stderr line naming the bad id
+// and the valid ones.
+func TestUnknownExpExitsTwo(t *testing.T) {
+	for _, spec := range []string{"tabel2", "fig14,bogus"} {
+		status, stdout, stderr := ucmpbench(t, "-exp", spec)
+		if status != 2 {
+			t.Fatalf("-exp %s: exit status %d, want 2; stderr: %s", spec, status, stderr)
+		}
+		bad := spec[strings.LastIndex(spec, ",")+1:]
+		if !strings.Contains(stderr, `"`+bad+`"`) || !strings.Contains(stderr, "table2") || strings.Count(stderr, "\n") != 1 {
+			t.Fatalf("-exp %s: stderr is not one line naming the bad id and the valid list: %s", spec, stderr)
+		}
+		if stdout != "" {
+			t.Fatalf("-exp %s: an exhibit ran before the id check: %s", spec, stdout)
+		}
+	}
+}
+
+// -workers is the one parallelism flag: a negative pool size exits 2 before
+// any exhibit runs.
+func TestNegativeWorkersExitsTwo(t *testing.T) {
+	status, stdout, stderr := ucmpbench(t, "-exp", "table1", "-workers", "-1")
+	if status != 2 || !strings.Contains(stderr, "-workers: -1") || stdout != "" {
+		t.Fatalf("exit status %d, want 2 naming -workers and no output; stdout: %s; stderr: %s", status, stdout, stderr)
+	}
+}
+
+// The schedule statistics are an offline exhibit like Fig 5a: at the scaled
+// size they render from the 32-ToR analysis path set in well under a second.
+func TestSchedExhibit(t *testing.T) {
+	start := time.Now()
+	status, stdout, stderr := ucmpbench(t, "-exp", "sched")
+	if took := time.Since(start); status != 0 || took > time.Second {
+		t.Fatalf("exit status %d after %v; stderr: %s", status, took, stderr)
+	}
+	for _, line := range []string{
+		"== schedule statistics (32 ToRs, 4 switches, round-robin) ==\n",
+		"\nslice-graph diameter: 5..8\n",
+	} {
+		if !strings.Contains(stdout, line) {
+			t.Errorf("stdout lacks %q:\n%s", line, stdout)
+		}
 	}
 }
 
@@ -181,20 +262,17 @@ func TestSharedGridRunsOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet simulations")
 	}
-	cmd := exec.Command(os.Args[0], "-exp", "fig6a,fig6c")
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("ucmpbench: %v\n%s", err, stderr.String())
+	status, stdout, stderr := ucmpbench(t, "-exp", "fig6a,fig6c")
+	if status != 0 {
+		t.Fatalf("ucmpbench: exit status %d\n%s", status, stderr)
 	}
 	for _, title := range []string{"== Fig 6 FCT vs flow size, websearch", "== Fig 6 bandwidth efficiency, websearch"} {
-		if !strings.Contains(stdout.String(), title) {
-			t.Errorf("stdout lacks %q:\n%s", title, stdout.String())
+		if !strings.Contains(stdout, title) {
+			t.Errorf("stdout lacks %q:\n%s", title, stdout)
 		}
 	}
 	var timing []string
-	for _, line := range strings.Split(stderr.String(), "\n") {
+	for _, line := range strings.Split(stderr, "\n") {
 		if strings.Contains(line, " took ") {
 			timing = append(timing, line)
 		}
@@ -212,16 +290,13 @@ func TestBaseRunSharedAcrossExhibits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet simulations")
 	}
-	cmd := exec.Command(os.Args[0], "-exp", "fig8,fig10")
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("ucmpbench: %v\n%s", err, stderr.String())
+	status, stdout, stderr := ucmpbench(t, "-exp", "fig8,fig10")
+	if status != 0 {
+		t.Fatalf("ucmpbench: exit status %d\n%s", status, stderr)
 	}
 	for _, title := range []string{"== Fig 8: accurate flow size vs flow bucketing", "== Fig 10: weight factor alpha"} {
-		if !strings.Contains(stdout.String(), title) {
-			t.Errorf("stdout lacks %q:\n%s", title, stdout.String())
+		if !strings.Contains(stdout, title) {
+			t.Errorf("stdout lacks %q:\n%s", title, stdout)
 		}
 	}
 	var want uint64
@@ -236,7 +311,7 @@ func TestBaseRunSharedAcrossExhibits(t *testing.T) {
 		want += res.Events
 	}
 	var got uint64
-	for _, line := range strings.Split(stderr.String(), "\n") {
+	for _, line := range strings.Split(stderr, "\n") {
 		if strings.HasPrefix(line, "(fig10 took ") {
 			if _, err := fmt.Sscanf(line[strings.Index(line, ", ")+2:], "%d sim events", &got); err != nil {
 				t.Fatalf("fig10 timing line %q: %v", line, err)
@@ -244,6 +319,6 @@ func TestBaseRunSharedAcrossExhibits(t *testing.T) {
 		}
 	}
 	if got != want {
-		t.Fatalf("fig10 counted %d sim events, want %d (its alpha=0.3 and alpha=0.7 runs)\n%s", got, want, stderr.String())
+		t.Fatalf("fig10 counted %d sim events, want %d (its alpha=0.3 and alpha=0.7 runs)\n%s", got, want, stderr)
 	}
 }

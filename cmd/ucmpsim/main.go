@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"ucmp/internal/failure"
 	"ucmp/internal/harness"
 	"ucmp/internal/netsim"
 	"ucmp/internal/sim"
@@ -58,18 +59,17 @@ func main() {
 	flag.Parse()
 
 	cfg := harness.SimConfig{
-		Routing:      harness.RoutingKind(*routingF),
-		Transport:    transport.Kind(*transportF),
-		Workload:     *workloadF,
-		Load:         *loadF,
-		Alpha:        *alphaF,
-		Relax:        *relaxF,
-		Duration:     sim.Time(durationF.Nanoseconds()),
-		Horizon:      sim.Time(horizonF.Nanoseconds()),
-		Seed:         *seedF,
-		MaxFlowSize:  *clipF,
-		LinkFailFrac: *failF,
-		SampleEvery:  500 * sim.Microsecond,
+		Routing:     harness.RoutingKind(*routingF),
+		Transport:   transport.Kind(*transportF),
+		Workload:    *workloadF,
+		Load:        *loadF,
+		Alpha:       *alphaF,
+		Relax:       *relaxF,
+		Duration:    sim.Time(durationF.Nanoseconds()),
+		Horizon:     sim.Time(horizonF.Nanoseconds()),
+		Seed:        *seedF,
+		MaxFlowSize: *clipF,
+		SampleEvery: 500 * sim.Microsecond,
 
 		FabricCacheDir: *cacheF,
 
@@ -92,19 +92,22 @@ func main() {
 		}
 	}
 
-	if *rtTorsF > 0 || *rtLinksF > 0 || *rtSwF > 0 {
-		repair := sim.Time(repairAtF.Nanoseconds())
-		if *repairAtF < 0 {
-			repair = -1
+	// The static link failures script first, then the runtime ones; every
+	// non-zero fraction goes through, so an invalid one is refused.
+	cfg.Failures = failure.NewTimeline()
+	addFailures := func(tor, link, sw float64, down, repair sim.Time) {
+		if tor == 0 && link == 0 && sw == 0 {
+			return
 		}
-		tl, err := harness.BuildFailureTimeline(cfg, *rtTorsF, *rtLinksF, *rtSwF,
-			sim.Time(failAtF.Nanoseconds()), repair)
+		tl, err := harness.BuildFailureTimeline(cfg, tor, link, sw, down, repair)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ucmpsim:", err)
 			os.Exit(1)
 		}
-		cfg.Failures = tl
+		cfg.Failures.Merge(tl)
 	}
+	addFailures(0, *failF, 0, 0, -1)
+	addFailures(*rtTorsF, *rtLinksF, *rtSwF, sim.Time(failAtF.Nanoseconds()), sim.Time(repairAtF.Nanoseconds()))
 
 	if *flowsF != "" {
 		fh, err := os.Open(*flowsF)

@@ -94,7 +94,8 @@ func TestCheckpointEveryWithoutDirIsNoted(t *testing.T) {
 // A negative -load walked the Poisson arrival clock backwards and generated
 // flows until the machine ran out of memory; a zero -load, -hosts or
 // -duration printed an empty FCT table with exit status 0; a negative -alpha
-// ran. Each is refused before anything is built, naming the field.
+// ran; a failure fraction outside [0,1] ran clamped, or not at all when
+// negative. Each is refused before anything is built, naming the field.
 func TestWorkloadInputsValidated(t *testing.T) {
 	for _, c := range []struct {
 		flag, value, field string
@@ -104,6 +105,9 @@ func TestWorkloadInputsValidated(t *testing.T) {
 		{"-hosts", "0", "HostsPerToR=0"},
 		{"-duration", "0s", "Duration=0ns"},
 		{"-alpha", "-1", "Alpha=-1"},
+		{"-faillinks", "1.5", "link failure fraction 1.5"},
+		{"-failtors", "1.7", "ToR failure fraction 1.7"},
+		{"-faillinks-rt", "-0.3", "link failure fraction -0.3"},
 	} {
 		status, stdout, stderr := ucmpsim(t, c.flag, c.value)
 		if status == 0 {

@@ -32,7 +32,7 @@ func configKey(cfg SimConfig, flows []*netsim.Flow) string {
 	fmt.Fprintf(&b, "afs=%v pin=%q maxpar=%d cong=%v cthr=%d hot=%v ",
 		cfg.AccurateFlowSize, cfg.PinPolicy, cfg.MaxParallel,
 		cfg.CongestionAware, cfg.CongestionThreshold, cfg.Hotspot)
-	fmt.Fprintf(&b, "failfrac=%v shards=%d ", cfg.LinkFailFrac, cfg.Shards)
+	fmt.Fprintf(&b, "shards=%d ", cfg.Shards)
 	if !cfg.Failures.Empty() {
 		fmt.Fprintf(&b, "failures=%+v ", cfg.Failures.Events())
 	}

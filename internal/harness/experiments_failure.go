@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"math/rand"
 
 	"ucmp/internal/failure"
@@ -10,9 +11,23 @@ import (
 // BuildFailureTimeline samples a failure scenario on the config's fabric —
 // the given fractions of ToRs, uplink cables, and circuit switches, drawn
 // from cfg.Seed — and scripts it to go down at `down` and, when `repair` is
-// non-negative, come back at `repair`. It is the declarative front end the
-// CLIs use for SimConfig.Failures.
+// non-negative, come back at `repair`. It is the declarative front end for
+// SimConfig.Failures. A fraction that is NaN or outside [0,1] is an error
+// (sampling would fail all or nothing), and so is a repair that is not
+// after the failure (Compile would apply a same-instant repair together with
+// its failure, and an earlier one before it).
 func BuildFailureTimeline(cfg SimConfig, torFrac, linkFrac, switchFrac float64, down, repair sim.Time) (*failure.Timeline, error) {
+	for _, f := range []struct {
+		name string
+		frac float64
+	}{{"ToR", torFrac}, {"link", linkFrac}, {"switch", switchFrac}} {
+		if !(f.frac >= 0 && f.frac <= 1) {
+			return nil, fmt.Errorf("harness: %s failure fraction %g must lie in [0,1]", f.name, f.frac)
+		}
+	}
+	if repair >= 0 && repair <= down {
+		return nil, fmt.Errorf("harness: repair at %v must come after the failure at %v", repair, down)
+	}
 	fab, err := newFabricFor(cfg)
 	if err != nil {
 		return nil, err
@@ -43,7 +58,7 @@ func FailureSweep(r *Runner, base SimConfig, fracs []float64) (*Report, []*Resul
 	for i, frac := range fracs {
 		cfgs[i] = base
 		if frac > 0 {
-			sc := newLinkFailures(fab, frac, base.Seed)
+			sc := failure.NewScenario(fab).FailLinks(frac, rand.New(rand.NewSource(base.Seed)))
 			cfgs[i].Failures = failure.FromScenario(sc, base.Duration/4, -1)
 			off[i] = failure.Classify(ps, sc)
 		}

@@ -12,11 +12,6 @@ import (
 	"ucmp/internal/topo"
 )
 
-// newLinkFailures builds the Fig 12d link-failure scenario.
-func newLinkFailures(f *topo.Fabric, frac float64, seed int64) *failure.Scenario {
-	return failure.NewScenario(f).FailLinks(frac, rand.New(rand.NewSource(seed)))
-}
-
 // Table1 reproduces the §5.1 worked uniform-cost example.
 func Table1() *Report {
 	m := core.CostModel{Alpha: 1, LinkBps: 100e9, SliceMicros: 5}
@@ -172,11 +167,8 @@ func Fig16(cfg topo.Config, seed int64) (*Report, analysis.PathStats) {
 }
 
 // Fig5b compares hop-count distributions: UCMP vs Opera(k=1,5) and
-// KSP(k=1,5). sampleEvery subsamples baseline slices to bound Yen cost.
-func Fig5b(ps *core.PathSet, sampleEvery int) (*Report, []analysis.HopDist) {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
+// KSP(k=1,5), the baselines over every slice of the cycle.
+func Fig5b(ps *core.PathSet) (*Report, []analysis.HopDist) {
 	ucmpDist := analysis.NewHopDist("ucmp", analysisHist(ps))
 
 	cfg := ps.F.Config
@@ -197,7 +189,7 @@ func Fig5b(ps *core.PathSet, sampleEvery int) (*Report, []analysis.HopDist) {
 	} {
 		hist := make(map[int]int)
 		var sc topo.YenScratch
-		for sl := 0; sl < spec.sched.S; sl += sampleEvery {
+		for sl := 0; sl < spec.sched.S; sl++ {
 			var g *topo.Graph
 			if spec.stable {
 				g = spec.sched.StableSliceGraph(sl)
@@ -232,6 +224,27 @@ func Fig5b(ps *core.PathSet, sampleEvery int) (*Report, []analysis.HopDist) {
 	}
 	r.Addf("(paper means: UCMP 2.32, KSP-1 2.80, KSP-5 3.61, Opera-1 3.11, Opera-5 4.45)")
 	return r, dists
+}
+
+// ScheduleStats reports the path set's schedule — slice-graph diameters,
+// direct-circuit coverage and waits — and the Eqn-1 latency of its UCMP
+// paths by hop count.
+func ScheduleStats(ps *core.PathSet) *Report {
+	cfg, sched := ps.F.Config, ps.F.Sched
+	st := analysis.Schedule(sched)
+	r := &Report{Title: fmt.Sprintf("schedule statistics (%d ToRs, %d switches, %s)", cfg.NumToRs, cfg.Uplinks, sched.Kind)}
+	r.Addf("slices/cycle: %d   cycle: %v", st.Slices, ps.F.CycleDuration())
+	r.Addf("slice-graph diameter: %d..%d", st.MinDiameter, st.MaxDiameter)
+	r.Addf("direct-circuit coverage: %d/%d pairs", st.CoveragePairs, st.TotalPairs)
+	r.Addf("mean wait for a direct circuit: %.2f slices", st.MeanWait)
+	lat := analysis.Latencies(ps)
+	r.Addf("mean Eqn-1 latency over all UCMP paths: %.2f slices", lat.GlobalMeanLatency)
+	for h := 1; h <= 16; h++ {
+		if m, ok := lat.MeanLatency[h]; ok {
+			r.Addf("  %2d-hop paths: mean %.2f, max %d slices", h, m, lat.MaxLatency[h])
+		}
+	}
+	return r
 }
 
 func analysisHist(ps *core.PathSet) map[int]int {

@@ -241,20 +241,29 @@ func Fig11Slice(r *Runner, base SimConfig, durs []sim.Time) (*Report, []*Result,
 	return rep, out, nil
 }
 
-// Fig12d runs UCMP under physical link failures.
+// Fig12d runs UCMP under physical link failures: each fraction of uplink
+// cables down from t=0 for the whole run.
 func Fig12d(r *Runner, base SimConfig, fracs []float64) (*Report, []*Result, error) {
-	out, err := runVariants(r, exhibitConfig(base, "websearch"), fracs, func(c *SimConfig, f float64) {
-		c.LinkFailFrac = f
-	})
+	base = exhibitConfig(base, "websearch")
+	cfgs := make([]SimConfig, len(fracs))
+	for i, f := range fracs {
+		tl, err := BuildFailureTimeline(base, 0, f, 0, 0, -1)
+		if err != nil {
+			return nil, nil, err
+		}
+		cfgs[i] = base
+		cfgs[i].Failures = tl
+	}
+	out, err := r.Run(cfgs)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep := &Report{Title: "Fig 12d: FCT under faulty links (UCMP+DCTCP, web search)"}
 	rep.Addf("%-8s %-10s %-10s %-10s %-10s %-9s", "faulty", "<=10KB", "<=100KB", "<=1MB", ">1MB", "complete")
-	for _, res := range out {
+	for i, res := range out {
 		bins := coarseBins(res.Collector)
 		rep.Addf("%-8.2f %-10s %-10s %-10s %-10s %-9.2f",
-			res.Config.LinkFailFrac, fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]),
+			fracs[i], fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]),
 			res.CompletionRate)
 	}
 	return rep, out, nil

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math/rand"
 	"testing"
 
 	"ucmp/internal/failure"
@@ -24,7 +25,7 @@ func TestRunFailureRecoveryMatchesOfflineClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := newLinkFailures(fab, 0.1, cfg.Seed)
+	sc := failure.NewScenario(fab).FailLinks(0.1, rand.New(rand.NewSource(cfg.Seed)))
 	cfg.Failures = failure.FromScenario(sc, cfg.Duration/4, -1)
 	off := failure.Classify(buildPaths(fab, cfg).ps, sc)
 	if off.Affected == 0 {

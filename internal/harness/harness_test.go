@@ -2,10 +2,13 @@ package harness
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ucmp/internal/core"
+	"ucmp/internal/failure"
 	"ucmp/internal/netsim"
 	"ucmp/internal/sim"
 	"ucmp/internal/topo"
@@ -162,7 +165,7 @@ func TestFig5aScaled(t *testing.T) {
 func TestFig5bScaled(t *testing.T) {
 	fab := topo.MustFabric(topo.Scaled(), "round-robin", 1)
 	ps := core.BuildPathSet(fab, 0.5)
-	rep, dists := Fig5b(ps, 1)
+	rep, dists := Fig5b(ps)
 	if len(dists) != 5 {
 		t.Fatalf("want 5 schemes, got %d", len(dists))
 	}
@@ -399,8 +402,8 @@ func TestReportRendering(t *testing.T) {
 // ran, a hotspot share outside [0,1) was clamped or ignored. An explicit flow
 // list skips those checks — the fields are then unused — and a horizon
 // shorter than the duration stays legal. A negative horizon or sampling
-// period, or a link-failure fraction outside [0,1], ran silently with or
-// without explicit flows and is refused either way.
+// period ran silently with or without explicit flows and is refused either
+// way.
 func TestRunValidatesWorkloadInputs(t *testing.T) {
 	base := ScaledConfig(UCMP, transport.DCTCP, "websearch")
 	base.Duration = 100 * sim.Microsecond
@@ -412,9 +415,6 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 	}{
 		{"Horizon=-1ns", func(c *SimConfig) { c.Horizon = -1 }, true},
 		{"SampleEvery=-1ns", func(c *SimConfig) { c.SampleEvery = -1 }, true},
-		{"LinkFailFrac=1.5", func(c *SimConfig) { c.LinkFailFrac = 1.5 }, true},
-		{"LinkFailFrac=-0.5", func(c *SimConfig) { c.LinkFailFrac = -0.5 }, true},
-		{"LinkFailFrac=NaN", func(c *SimConfig) { c.LinkFailFrac = math.NaN() }, true},
 		{"Hotspot=2", func(c *SimConfig) { c.Hotspot = 2 }, false},
 		{"Hotspot=1", func(c *SimConfig) { c.Hotspot = 1 }, false},
 		{"Hotspot=-1", func(c *SimConfig) { c.Hotspot = -1 }, false},
@@ -449,5 +449,58 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 	replay.Flows = replayFlows
 	if res, err := Run(replay); err != nil || res.Launched != 1 {
 		t.Errorf("an explicit flow list with zero Load and Duration: %v", err)
+	}
+}
+
+// A failure script that would silently run a different experiment is
+// refused: a fraction that is NaN or outside [0,1] (the sampler clamps it
+// to all or none), and a repair at or before the failure (Compile applies a
+// same-instant down and up in insertion order, leaving the fabric healthy,
+// and an earlier repair leaves the failure standing for good). A zero
+// fraction draws nothing, so the static link failures of Fig 12d fail the
+// same cables as sampling links alone from the seed.
+func TestBuildFailureTimelineValidates(t *testing.T) {
+	cfg := ScaledConfig(UCMP, transport.DCTCP, "websearch")
+	const us = sim.Microsecond
+	for _, c := range []struct {
+		name          string
+		tor, link, sw float64
+		down, repair  sim.Time
+		err           string // "" = accepted
+	}{
+		{"link=1.5", 0, 1.5, 0, 0, -1, "link failure fraction 1.5 must lie in [0,1]"},
+		{"link=-0.5", 0, -0.5, 0, 0, -1, "link failure fraction -0.5 must lie in [0,1]"},
+		{"link=NaN", 0, math.NaN(), 0, 0, -1, "link failure fraction NaN must lie in [0,1]"},
+		{"ToR=1.7", 1.7, 0, 0, 0, -1, "ToR failure fraction 1.7 must lie in [0,1]"},
+		{"switch=-0.3", 0, 0, -0.3, 0, -1, "switch failure fraction -0.3 must lie in [0,1]"},
+		{"repair at the failure", 0.25, 0, 0, 500 * us, 500 * us, "repair at 500.000us must come after the failure at 500.000us"},
+		{"repair before the failure", 0.25, 0, 0, 500 * us, 100 * us, "repair at 100.000us must come after the failure at 500.000us"},
+		{"all of every kind", 1, 1, 1, 0, -1, ""},
+		{"repair after the failure", 0.25, 0, 0, 500 * us, 600 * us, ""},
+		{"no repair", 0, 0.05, 0, 500 * us, -1, ""},
+		{"nothing", 0, 0, 0, 0, -1, ""},
+	} {
+		tl, err := BuildFailureTimeline(cfg, c.tor, c.link, c.sw, c.down, c.repair)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.err != "" && (err == nil || err.Error() != "harness: "+c.err):
+			t.Errorf("%s: error %v, want %q", c.name, err, "harness: "+c.err)
+		case c.err == "" && tl.Empty() != (c.tor == 0 && c.link == 0 && c.sw == 0):
+			t.Errorf("%s: timeline holds %d events", c.name, len(tl.Events()))
+		}
+	}
+
+	fab, err := newFabricFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, err := BuildFailureTimeline(cfg, 0, 0.05, 0, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := failure.FromScenario(failure.NewScenario(fab).FailLinks(0.05, rand.New(rand.NewSource(cfg.Seed))), 0, -1)
+	if got, want := tl.Events(), links.Events(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("static link failures %v, want the links sampled alone from the seed %v", got, want)
 	}
 }

@@ -99,17 +99,13 @@ type SimConfig struct {
 	// Hotspot skews that probability mass of flows onto a few hot hosts.
 	Hotspot float64
 
-	// LinkFailFrac fails that fraction of ToR-uplink cables physically and
-	// in the UCMP health checks from t=0 for the whole run (Fig 12d). It
-	// compiles into the same failure timeline as Failures.
-	LinkFailFrac float64
-
 	// Failures scripts runtime faults: ToRs, cables, and circuit switches
 	// going down (and optionally back up) at fixed simulation times. The
 	// script compiles to an immutable epoch schedule consulted by the
-	// fabric and by UCMP's §5.3 online recovery; it composes with
-	// LinkFailFrac and is fully shardable (DESIGN.md §11). The timeline is
-	// not mutated and may be shared between configs.
+	// fabric and by UCMP's §5.3 online recovery, and is fully shardable
+	// (DESIGN.md §11). Links failed from t=0 and never repaired are Fig
+	// 12d's static failures (BuildFailureTimeline). The timeline is not
+	// mutated and may be shared between configs.
 	Failures *failure.Timeline
 
 	// Shards > 1 opts into the conservative-PDES engine: one lookahead
@@ -335,13 +331,12 @@ func joinNote(notes, note string) string {
 
 // validateWorkload checks the run's numeric knobs before anything is built.
 // A negative horizon or sampling period would silently run no events or take
-// no samples, and a link-failure fraction outside [0,1] would silently be
-// clamped or ignored. The rest is what the Poisson generator is fed, when it is the
+// no samples. The rest is what the Poisson generator is fed, when it is the
 // one that runs (cfg.Flows == nil): a negative load walks the arrival clock
 // backwards and never returns, a zero load, duration or host count gives an
 // empty FCT table that looks like a result, and a hotspot share outside
-// [0,1) would be clamped or ignored. Horizon is deliberately not tied to Duration —
-// a 1 ns horizon is how set-up is timed.
+// [0,1) would be clamped or ignored. Horizon is deliberately not tied to
+// Duration — a 1 ns horizon is how set-up is timed.
 func validateWorkload(cfg SimConfig) error {
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	switch {
@@ -349,8 +344,6 @@ func validateWorkload(cfg SimConfig) error {
 		return fmt.Errorf("harness: Horizon=%v must not be negative", cfg.Horizon)
 	case cfg.SampleEvery < 0:
 		return fmt.Errorf("harness: SampleEvery=%v must not be negative", cfg.SampleEvery)
-	case !(cfg.LinkFailFrac >= 0 && cfg.LinkFailFrac <= 1):
-		return fmt.Errorf("harness: LinkFailFrac=%g must lie in [0,1]", cfg.LinkFailFrac)
 	case cfg.Flows != nil:
 		return nil
 	case !finite(cfg.Load) || cfg.Load <= 0:
@@ -464,7 +457,10 @@ func (r *Runner) buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 		}
 	}
 
-	if fsched := compileFailures(cfg, fab); fsched != nil {
+	// No faults configured is the zero-cost default: the fabric never
+	// consults a schedule.
+	if !cfg.Failures.Empty() {
+		fsched := cfg.Failures.Compile(fab)
 		net.Faults = fsched
 		if ucmpRouter != nil {
 			ucmpRouter.Health = fsched
@@ -575,26 +571,6 @@ func (st *simState) run(resumed bool) *Result {
 	res.Flows = st.net.Flows()
 	res.Recovery = metrics.Recovery(st.net.Counters)
 	return res
-}
-
-// compileFailures folds the config's fault knobs — the static LinkFailFrac
-// scenario (down from t=0, never repaired) and the explicit Failures
-// timeline — into one compiled schedule, or nil when no faults are
-// configured (the zero-cost default: the fabric never consults a schedule).
-func compileFailures(cfg SimConfig, fab *topo.Fabric) *failure.Schedule {
-	static := cfg.LinkFailFrac > 0
-	scripted := !cfg.Failures.Empty()
-	if !static && !scripted {
-		return nil
-	}
-	tl := failure.NewTimeline()
-	if static {
-		tl.Merge(failure.FromScenario(newLinkFailures(fab, cfg.LinkFailFrac, cfg.Seed), 0, -1))
-	}
-	if scripted {
-		tl.Merge(cfg.Failures)
-	}
-	return tl.Compile(fab)
 }
 
 // newFabricFor builds cfg's fabric on the schedule its routing requires.
