@@ -7,13 +7,14 @@
 # fold)
 # plus the queue-level differential (TestQueueDifferential, part of the
 # internal/sim run: the timing wheel against the reference heap, op for op),
-# which is the determinism pin for the scheduler.
+# which is the determinism pin for the scheduler, and a run of every
+# examples/ program.
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race bench benchmark bench-offline bench-netsim bench-scaling scale-smoke crash-smoke
+.PHONY: check fmt vet staticcheck build test race examples bench benchmark bench-offline bench-netsim bench-scaling scale-smoke crash-smoke
 
-check: fmt vet staticcheck build test race
+check: fmt vet staticcheck build test race examples
 
 # fmt fails, naming the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -44,6 +45,15 @@ race:
 	$(GO) test -race -run 'TestShardStatsFoldedWhole' ./cmd/ucmpbench
 	$(GO) test -race -run 'TestSendRunMatchesPerPacketLoop|TestHostNICMemoryIndependentOfFlowSize|TestPacketBehindRunKeepsFIFO|TestRestoreRejectsSplicedNICQueues|TestSparseIndexValidation|TestSparsePortsRoundTrip|TestRotorRecordsMatchFifoVOQ|TestRotorIndirectMatchesLinearScan|TestVOQRecordRoundTrip|TestVOQRecordRefusesLossyPacket|TestVOQChunkAccounting|TestVOQRecordSize|TestRotorDisabledMultiHopFollowsRoute|TestCalendarSlotsMatchDenseCalendar|TestNetworkBuildAllocatesNoCalendar|TestCongestionBoardStripeMatchesDenseCalendar|TestBoard|TestBoardsCheckpointOracle|TestPoisonedRunStaysClean' ./internal/netsim
 	$(GO) test -race -run 'TestRotorSenderStartsWholeOrParks|TestRotorCursorValidatedOnRestore|TestRotorTransportBackpressure' ./internal/transport
+
+# examples runs every program under examples/ and fails on the first
+# non-zero exit, so an example that panics at run time cannot pass CI by
+# compiling.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # bench runs the per-layer `go test -bench` probes — the offline path-set
 # build and the netsim packet path — and prints their raw lines. The

@@ -505,7 +505,7 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Println("sweep: scheme x load trial matrix (harness.RunTrials; -parallel fans trials out)")
+		fmt.Println("sweep: scheme x load trial matrix (harness.RunTrials; -workers fans trials out)")
 		fmt.Print(harness.SummarizeTrials(trials, results))
 		return results, nil
 	default:

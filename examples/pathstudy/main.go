@@ -36,12 +36,12 @@ func main() {
 	}
 
 	// The same paths compiled into ToR lookup tables (§6.2, Table 2).
-	u := switchres.Compute(fab, 0.5, switchres.Sampling{})
-	fmt.Println("\nswitch resource footprint:")
+	u := switchres.ComputeExact(fab, 0.5)
+	fmt.Println("\nswitch resource footprint (ToR 0's compiled table):")
 	fmt.Printf("  priority queues per port: %d\n", u.QueuesPerPort)
 	fmt.Printf("  global flow buckets:      %d (6-bit DSCP allows 64)\n", u.Buckets)
-	fmt.Printf("  routing entries per ToR:  %d\n", u.EntriesPerToR)
-	fmt.Printf("  SRAM usage:               %.2f%%\n", u.SRAMPct)
+	fmt.Printf("  routing entries per ToR:  %d (%d without range collapse)\n", u.PackedEntriesPerToR, u.NaiveEntriesPerToR)
+	fmt.Printf("  SRAM usage:               %d B, %.3f%%\n", u.PackedSRAMBytes, u.PackedSRAMPct)
 
 	// Path diversity under an alternative random schedule (Fig 16).
 	fab2 := topo.MustFabric(cfg, "random", 7)

@@ -16,10 +16,6 @@ var hostLittle = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 0x22
 }()
 
-// HostLittleEndian reports whether zero-copy aliasing is possible on this
-// host at all.
-func HostLittleEndian() bool { return hostLittle }
-
 // Of reinterprets b as a []T of n elements sharing b's memory. It returns
 // (nil, false) — callers must then decode by copying — when the host is
 // big-endian, b is misaligned for T, or b is shorter than n elements.

@@ -18,11 +18,6 @@ func NewFlowAger(ps *PathSet) *FlowAger {
 	return &FlowAger{thresholds: ps.GlobalThresholds(), alpha: ps.Model.Alpha}
 }
 
-// NewFlowAgerFromThresholds builds an ager directly, for tests.
-func NewFlowAgerFromThresholds(thresholds []float64, alpha float64) *FlowAger {
-	return &FlowAger{thresholds: thresholds, alpha: alpha}
-}
-
 // SetAlpha applies a live α update broadcast by the operator (§5.2). The
 // thresholds are α-free, so only the mapping function changes.
 func (a *FlowAger) SetAlpha(alpha float64) { a.alpha = alpha }

@@ -256,37 +256,3 @@ func (t *RowTables) entryLevels(buf []int, dst int) []int {
 	}
 	return buf
 }
-
-// GroupShape summarizes one group's bucket structure without materializing
-// paths: the hull (hop, latency) points and the α-free thresholds.
-type GroupShape struct {
-	Hops       []int
-	Latencies  []int64
-	Thresholds []float64
-}
-
-// GroupShapes extracts the property-3-filtered, hull-reduced group shape
-// for every destination of the row.
-func (c *Calculator) GroupShapes(t *RowTables, m CostModel) []GroupShape {
-	out := make([]GroupShape, t.N)
-	var levels []int
-	for dst := 0; dst < t.N; dst++ {
-		if dst == t.Src {
-			continue
-		}
-		g := Group{Src: t.Src, Dst: dst, StartSlice: int(t.StartSlice)}
-		levels = t.entryLevels(levels[:0], dst)
-		for _, h := range levels {
-			g.Entries = append(g.Entries, Entry{HopCount: h, LatencySlices: t.end[h][dst] - t.StartSlice + 1})
-		}
-		g.BuildBuckets(m)
-		sh := GroupShape{}
-		for _, hi := range g.hull {
-			sh.Hops = append(sh.Hops, g.Entries[hi].HopCount)
-			sh.Latencies = append(sh.Latencies, g.Entries[hi].LatencySlices)
-		}
-		sh.Thresholds = append(sh.Thresholds, g.thrFree...)
-		out[dst] = sh
-	}
-	return out
-}

@@ -28,44 +28,6 @@ func TestRowMatchesFullTables(t *testing.T) {
 	}
 }
 
-// GroupShapes must agree with the materialized groups on hull hops,
-// latencies, and thresholds.
-func TestGroupShapesMatchGroups(t *testing.T) {
-	f := topo.MustFabric(topo.Scaled(), "round-robin", 1)
-	ps := BuildPathSet(f, 0.5)
-	calc := ps.Calc
-	for _, ts := range []int{0, 2} {
-		for _, src := range []int{0, 5, 11} {
-			row := calc.ComputeRow(ts, src)
-			shapes := calc.GroupShapes(row, ps.Model)
-			for dst := 0; dst < f.Sched.N; dst++ {
-				if dst == src {
-					continue
-				}
-				g := ps.Group(ts, src, dst)
-				sh := shapes[dst]
-				if len(sh.Hops) != len(g.hull) {
-					t.Fatalf("(%d,%d,%d): shape hull %d vs group hull %d", src, dst, ts, len(sh.Hops), len(g.hull))
-				}
-				for i, hi := range g.hull {
-					if sh.Hops[i] != g.Entries[hi].HopCount || sh.Latencies[i] != g.Entries[hi].LatencySlices {
-						t.Fatalf("(%d,%d,%d): hull point %d differs", src, dst, ts, i)
-					}
-				}
-				thr := g.Thresholds()
-				if len(sh.Thresholds) != len(thr) {
-					t.Fatalf("(%d,%d,%d): thresholds %d vs %d", src, dst, ts, len(sh.Thresholds), len(thr))
-				}
-				for i := range thr {
-					if sh.Thresholds[i] != thr[i] {
-						t.Fatalf("(%d,%d,%d): threshold %d differs", src, dst, ts, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestHStaticSampledPlausible(t *testing.T) {
 	// Sampled estimate on a mid-size fabric should land near the exact
 	// schedule diameter.

@@ -35,11 +35,6 @@ func (m CostModel) Cost(latencySlices int64, hops int, sizeBytes int64) float64 
 	return m.LatencyMicros(latencySlices) + m.HopTermMicros(hops, sizeBytes)
 }
 
-// CostOfPath evaluates C(p,f) directly on a Path.
-func (m CostModel) CostOfPath(p *Path, sizeBytes int64) float64 {
-	return m.Cost(p.LatencySlices(), p.HopCount(), sizeBytes)
-}
-
 // BoundaryBytes solves Eqn. 3 for the flow size at which two candidate
 // paths have equal uniform cost. pA has fewer hops and higher latency than
 // pB. Flows smaller than the boundary prefer pB (low latency); flows at or

@@ -97,9 +97,6 @@ func (g *Group) AllPaths() []*Path {
 // one. The slice is shared; callers must not modify it.
 func (g *Group) Thresholds() []float64 { return g.thrFree }
 
-// BucketCount returns the number of flow-size buckets of this group.
-func (g *Group) BucketCount() int { return len(g.thrFree) + 1 }
-
 // EntryForAged returns the hull entry minimizing uniform cost for a flow
 // whose α-scaled bytes sent equal `aged` (flow aging, §5.1). Bucket 0 (new
 // flows) maps to the globally minimum-latency entry; as the flow ages it
@@ -113,12 +110,6 @@ func (g *Group) hullIndexForAged(aged float64) int {
 	// stepped through so far.
 	crossed := sort.SearchFloat64s(g.thrFree, aged)
 	return len(g.hull) - 1 - crossed
-}
-
-// BucketForAged returns the bucket index (0 = newest flow) for an α-scaled
-// byte count.
-func (g *Group) BucketForAged(aged float64) int {
-	return sort.SearchFloat64s(g.thrFree, aged)
 }
 
 // EntryForBucket maps a bucket index (possibly beyond the last threshold)
@@ -146,14 +137,6 @@ func (g *Group) MinCostEntry(m CostModel, sizeBytes int64) *Entry {
 		}
 	}
 	return &g.Entries[best]
-}
-
-// PathFor picks the concrete path for a flow: the entry is selected by the
-// aged byte count, and ties among parallel minimum-cost paths are broken by
-// the flow's 5-tuple hash, like ECMP (§5.1).
-func (g *Group) PathFor(aged float64, hash uint64) *Path {
-	e := g.EntryForAged(aged)
-	return e.Paths[hash%uint64(len(e.Paths))]
 }
 
 // Validate checks the group invariants (§4.3 properties).

@@ -270,10 +270,6 @@ func (ps *PathSet) GlobalThresholds() []float64 {
 	return out
 }
 
-// GlobalBucketCount returns the number of flow-aging buckets a host needs
-// (Table 2 column "#Buckets"): intervals between the global thresholds.
-func (ps *PathSet) GlobalBucketCount() int { return len(ps.GlobalThresholds()) + 1 }
-
 // RelaxedTwoHop implements latency relaxation for long flows (§4.3): all
 // 2-hop paths src->mid->dst with relaxed (non-minimal) latencies. Unlike
 // VLB, a relaxed path may wait at the source for a better circuit rather

@@ -663,24 +663,3 @@ func (fp Footprint) String() string {
 	return fmt.Sprintf("%d groups, %.1f MB store, %.1f B/group",
 		fp.Groups, float64(fp.StoreBytes+fp.SpineBytes)/1e6, fp.BytesPerGroup())
 }
-
-// EstimateStoreBytes predicts the Footprint total of the brute-force build
-// of f without running it: the record words of a few source rows at t_start
-// 0 — counted exactly as the build writes them — scaled to all S·N rows,
-// plus the spine.
-func EstimateStoreBytes(f *topo.Fabric) int64 {
-	calc := NewCalculator(f)
-	n, s := f.Sched.N, f.Sched.S
-	var row *RowTables
-	var levels []int
-	words, sampled := 0, 0
-	for src := 0; src < n; src += max(1, n/8) {
-		row = calc.ComputeRowInto(0, src, row)
-		var w int
-		w, levels = row.groupWords(levels)
-		words += w
-		sampled++
-	}
-	rows := int64(s) * int64(n)
-	return 2*int64(words)*rows/int64(sampled) + 4*rows*int64(n)
-}

@@ -49,19 +49,10 @@ type Table2Row struct{ N, D int }
 // Table2Scales are the paper's four configurations.
 var Table2Scales = []Table2Row{{108, 6}, {324, 12}, {768, 24}, {1024, 32}}
 
-// exactStoreBudget caps the path set an exact Table 2 row may build, in
-// bytes of packed store as core.EstimateStoreBytes predicts them from a few
-// DP rows: (324,12) is 2.8 M groups in 85 MB, (768,24) 18.9 M groups in
-// 0.55 GB, so every brute-force row of Table 2 stays exact.
-const exactStoreBudget = 2 << 30
-
 // Table2 reproduces the hardware resource usage table (§8, Table 2), with
 // both the naive per-bucket entry count and the bucket-range-collapsed one.
-// The collapsed and packed-SRAM columns come from an actual compiled
-// source-routing table wherever the PathSet behind it is affordable — any
-// rotation-symmetric schedule (the canonical O(S·N) build) and brute-force
-// builds within exactStoreBudget; the remaining rows fall back to the
-// sampled model and say so.
+// Every column but queues/port is read off the built PathSet and ToR 0's
+// compiled source-routing table (switchres.ComputeExact).
 func Table2(scales []Table2Row) (*Report, []switchres.Usage) {
 	r := &Report{Title: "Table 2: switch resource usage per RDCN scale"}
 	r.Addf("%-12s %-9s %-9s %-13s %-13s %-8s", "(N,d)", "#Q/port", "#Buckets", "#Naive/ToR", "#Entries/ToR", "SRAM")
@@ -69,21 +60,11 @@ func Table2(scales []Table2Row) (*Report, []switchres.Usage) {
 	for _, sc := range scales {
 		cfg := topo.PaperDefault()
 		cfg.NumToRs, cfg.Uplinks, cfg.HostsPerToR = sc.N, sc.D, sc.D
-		fab := topo.MustFabric(cfg, "round-robin", 1)
-		var u switchres.Usage
-		if fab.Sched.Rotation() || core.EstimateStoreBytes(fab) <= exactStoreBudget {
-			u = switchres.ComputeExact(fab, 0.5, switchres.Sampling{})
-		} else {
-			u = switchres.Compute(fab, 0.5, switchres.Sampling{})
-		}
+		u := switchres.ComputeExact(topo.MustFabric(cfg, "round-robin", 1), 0.5)
 		rows = append(rows, u)
-		entries, sram, note := u.EntriesPerToR, u.SRAMPct, " (sampled model)"
-		if u.Exact {
-			entries, sram, note = u.PackedEntriesPerToR, u.PackedSRAMPct, " (exact)"
-		}
-		r.Addf("(%d, %d)%*s %-9d %-9d %-13d %-13d %.2f%%%s",
+		r.Addf("(%d, %d)%*s %-9d %-9d %-13d %-13d %.2f%%",
 			sc.N, sc.D, 11-len2(sc.N, sc.D), "", u.QueuesPerPort, u.Buckets,
-			u.NaiveEntriesPerToR, entries, sram, note)
+			u.NaiveEntriesPerToR, u.PackedEntriesPerToR, u.PackedSRAMPct)
 	}
 	return r, rows
 }
@@ -167,47 +148,26 @@ func Fig16(cfg topo.Config, seed int64) (*Report, analysis.PathStats) {
 }
 
 // Fig5b compares hop-count distributions: UCMP vs Opera(k=1,5) and
-// KSP(k=1,5), the baselines over every slice of the cycle.
+// KSP(k=1,5), the baselines over every slice of the cycle. Each row counts
+// the store its scheme's runs route on: ps for UCMP, core.BuildKSPPathSet on
+// ps's fabric for KSP and on the Opera schedule of the same size for Opera.
 func Fig5b(ps *core.PathSet) (*Report, []analysis.HopDist) {
-	ucmpDist := analysis.NewHopDist("ucmp", analysisHist(ps))
-
 	cfg := ps.F.Config
-	rr := ps.F.Sched
-	operaSched := topo.Opera(cfg.NumToRs, cfg.Uplinks)
-
-	dists := []analysis.HopDist{ucmpDist}
+	operaFab := &topo.Fabric{Config: cfg, Sched: topo.Opera(cfg.NumToRs, cfg.Uplinks)}
+	dists := []analysis.HopDist{analysis.NewHopDist("ucmp", hopHist(ps))}
 	for _, spec := range []struct {
 		name   string
-		sched  *topo.Schedule
-		stable bool
+		f      *topo.Fabric
 		k      int
+		stable bool
 	}{
-		{"opera-1", operaSched, true, 1},
-		{"opera-5", operaSched, true, 5},
-		{"ksp-1", rr, false, 1},
-		{"ksp-5", rr, false, 5},
+		{"opera-1", operaFab, 1, true},
+		{"opera-5", operaFab, 5, true},
+		{"ksp-1", ps.F, 1, false},
+		{"ksp-5", ps.F, 5, false},
 	} {
-		hist := make(map[int]int)
-		var sc topo.YenScratch
-		for sl := 0; sl < spec.sched.S; sl++ {
-			var g *topo.Graph
-			if spec.stable {
-				g = spec.sched.StableSliceGraph(sl)
-			} else {
-				g = spec.sched.SliceGraph(sl)
-			}
-			for src := 0; src < spec.sched.N; src++ {
-				for dst := 0; dst < spec.sched.N; dst++ {
-					if src == dst {
-						continue
-					}
-					for _, nodes := range g.KShortestPathsWith(&sc, src, dst, spec.k) {
-						hist[len(nodes)-1]++
-					}
-				}
-			}
-		}
-		dists = append(dists, analysis.NewHopDist(spec.name, hist))
+		kps := core.BuildKSPPathSet(spec.f, spec.k, spec.stable)
+		dists = append(dists, analysis.NewHopDist(spec.name, hopHist(kps)))
 	}
 
 	r := &Report{Title: "Fig 5b: hop count distribution by routing scheme"}
@@ -247,9 +207,22 @@ func ScheduleStats(ps *core.PathSet) *Report {
 	return r
 }
 
-func analysisHist(ps *core.PathSet) map[int]int {
-	st := analysis.Analyze(ps)
-	return st.HopHist
+// hopHist histograms the hop counts of every path of every group in ps.
+func hopHist(ps *core.PathSet) map[int]int {
+	hist := make(map[int]int)
+	sched := ps.F.Sched
+	for ts := 0; ts < sched.S; ts++ {
+		for src := 0; src < sched.N; src++ {
+			for dst := 0; dst < sched.N; dst++ {
+				g := ps.View(ts, src, dst)
+				for i, n := 0, g.NumEntries(); i < n; i++ {
+					e := g.Entry(i)
+					hist[e.HopCount] += e.NumPaths
+				}
+			}
+		}
+	}
+	return hist
 }
 
 // Fig12abc classifies UCMP recovery options under ToR, link, and circuit

@@ -137,11 +137,14 @@ func TestTable2Scaled(t *testing.T) {
 	if u.Buckets < 5 || u.Buckets > 64 {
 		t.Fatalf("buckets=%d out of DSCP-plausible range", u.Buckets)
 	}
-	if u.EntriesPerToR < 2000 || u.EntriesPerToR > 40000 {
-		t.Fatalf("entries/ToR=%d implausible (paper: 9.5K)", u.EntriesPerToR)
+	if u.PackedEntriesPerToR < 2000 || u.PackedEntriesPerToR > 40000 {
+		t.Fatalf("entries/ToR=%d implausible (paper: 9.5K)", u.PackedEntriesPerToR)
 	}
-	if u.SRAMPct <= 0 || u.SRAMPct > 10 {
-		t.Fatalf("SRAM%%=%v implausible", u.SRAMPct)
+	if u.PackedEntriesPerToR > u.NaiveEntriesPerToR {
+		t.Fatalf("entries/ToR=%d above the naive %d", u.PackedEntriesPerToR, u.NaiveEntriesPerToR)
+	}
+	if u.PackedSRAMPct <= 0 || u.PackedSRAMPct > 10 {
+		t.Fatalf("SRAM%%=%v implausible", u.PackedSRAMPct)
 	}
 	_ = rep.String()
 }
@@ -183,6 +186,19 @@ func TestFig5bScaled(t *testing.T) {
 	}
 	if byName["opera-1"] < byName["ksp-1"] {
 		t.Errorf("Opera-1 hops %.2f below KSP-1 %.2f", byName["opera-1"], byName["ksp-1"])
+	}
+	// Pinned means: each baseline row counts its KSP/Opera path store, which
+	// holds exactly the paths Yen's algorithm finds per slice and ToR pair.
+	for name, want := range map[string]float64{
+		"ucmp":    1.992393026941363,
+		"opera-1": 3.9285714285714284,
+		"opera-5": 7.315126050420168,
+		"ksp-1":   2.34,
+		"ksp-5":   4.055666666666666,
+	} {
+		if got := byName[name]; math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s mean hops %.15g, want %.15g", name, got, want)
+		}
 	}
 	_ = rep.String()
 }

@@ -148,6 +148,3 @@ func (h *Host) receive(p *Packet) {
 	}
 	h.dom.release(p)
 }
-
-// TorOf exposes the host's ToR switch (for RotorLB credit checks).
-func (h *Host) TorOf() *ToR { return h.net.ToRs[h.tor] }

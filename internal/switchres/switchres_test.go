@@ -7,34 +7,30 @@ import (
 )
 
 func TestComputePaperScale(t *testing.T) {
-	cfg := topo.PaperDefault()
-	fab := topo.MustFabric(cfg, "round-robin", 1)
-	u := Compute(fab, 0.5, Sampling{})
+	fab := topo.MustFabric(topo.PaperDefault(), "round-robin", 1)
+	u := ComputeExact(fab, 0.5)
 	if u.QueuesPerPort != 18 {
 		t.Fatalf("queues/port %d, want 18 (Table 2, (108,6))", u.QueuesPerPort)
 	}
 	if u.Buckets < 5 || u.Buckets > 64 {
 		t.Fatalf("buckets %d outside DSCP-feasible range", u.Buckets)
 	}
-	if u.AvgGroupBuckets < 1 || u.AvgGroupBuckets > 10 {
-		t.Fatalf("avg group buckets %v implausible", u.AvgGroupBuckets)
-	}
 	// Paper: 9.5K entries; accept the right order of magnitude.
-	if u.EntriesPerToR < 2_000 || u.EntriesPerToR > 40_000 {
-		t.Fatalf("entries/ToR %d implausible", u.EntriesPerToR)
+	if u.PackedEntriesPerToR < 2_000 || u.PackedEntriesPerToR > 40_000 {
+		t.Fatalf("entries/ToR %d implausible", u.PackedEntriesPerToR)
 	}
-	if u.SRAMPct <= 0 || u.SRAMPct > 5 {
-		t.Fatalf("SRAM%% %v implausible", u.SRAMPct)
+	if u.PackedEntriesPerToR > u.NaiveEntriesPerToR {
+		t.Fatalf("collapsed entries %d above naive %d", u.PackedEntriesPerToR, u.NaiveEntriesPerToR)
 	}
-	if u.AvgPathHops < 1 || u.AvgPathHops > 6 {
-		t.Fatalf("avg hops %v implausible", u.AvgPathHops)
+	if u.PackedSRAMPct <= 0 || u.PackedSRAMPct > 5 {
+		t.Fatalf("SRAM%% %v implausible", u.PackedSRAMPct)
 	}
 }
 
 // Table 2's scaling claim: resources grow slowly as (N, d) scale together.
 func TestResourceScalingTrend(t *testing.T) {
-	small := computeFor(t, 108, 6)
-	big := computeFor(t, 324, 12)
+	small := computeFor(t, 64, 4)
+	big := computeFor(t, 128, 8)
 	if big.QueuesPerPort < small.QueuesPerPort {
 		t.Fatalf("queues/port shrank: %d -> %d", small.QueuesPerPort, big.QueuesPerPort)
 	}
@@ -42,8 +38,11 @@ func TestResourceScalingTrend(t *testing.T) {
 	if big.QueuesPerPort > 4*small.QueuesPerPort {
 		t.Fatalf("queues/port exploded: %d -> %d", small.QueuesPerPort, big.QueuesPerPort)
 	}
-	if big.EntriesPerToR <= small.EntriesPerToR {
-		t.Fatalf("entries did not grow: %d -> %d", small.EntriesPerToR, big.EntriesPerToR)
+	if big.PackedEntriesPerToR <= small.PackedEntriesPerToR {
+		t.Fatalf("entries did not grow: %d -> %d", small.PackedEntriesPerToR, big.PackedEntriesPerToR)
+	}
+	if big.PackedSRAMBytes <= small.PackedSRAMBytes {
+		t.Fatalf("SRAM bytes did not grow: %d -> %d", small.PackedSRAMBytes, big.PackedSRAMBytes)
 	}
 	// Buckets grow slowly (27 -> 34 in the paper), staying under 64.
 	if big.Buckets > 64 {
@@ -56,12 +55,11 @@ func computeFor(t *testing.T, n, d int) Usage {
 	cfg := topo.PaperDefault()
 	cfg.NumToRs, cfg.Uplinks, cfg.HostsPerToR = n, d, d
 	fab := topo.MustFabric(cfg, "round-robin", 1)
-	return Compute(fab, 0.5, Sampling{TStarts: 2, Srcs: 4})
+	return ComputeExact(fab, 0.5)
 }
 
-// TestComputeExactSymmetric: on a rotation-symmetric fabric the exact
-// compiled-table columns are filled, collapse never grows the table, and the
-// packed footprint stays within the naive model's estimate.
+// TestComputeExactSymmetric: on a rotation-symmetric fabric the compiled-
+// table columns are filled and collapse never grows the table.
 func TestComputeExactSymmetric(t *testing.T) {
 	cfg := topo.Scaled()
 	cfg.NumToRs, cfg.Uplinks = 64, 4
@@ -69,10 +67,7 @@ func TestComputeExactSymmetric(t *testing.T) {
 	if !fab.Sched.Rotation() {
 		t.Fatal("(64,4) should be rotation-symmetric")
 	}
-	u := ComputeExact(fab, 0.5, Sampling{})
-	if !u.Exact {
-		t.Fatal("ComputeExact did not fill exact columns")
-	}
+	u := ComputeExact(fab, 0.5)
 	if u.NaiveEntriesPerToR != (fab.Sched.N-1)*fab.Sched.S*u.Buckets {
 		t.Fatalf("naive entries %d, want %d", u.NaiveEntriesPerToR, (fab.Sched.N-1)*fab.Sched.S*u.Buckets)
 	}
@@ -85,23 +80,5 @@ func TestComputeExactSymmetric(t *testing.T) {
 	}
 	if u.PackedSRAMBytes <= 0 || u.PackedSRAMPct <= 0 {
 		t.Fatalf("packed SRAM not filled: %d bytes, %.3f%%", u.PackedSRAMBytes, u.PackedSRAMPct)
-	}
-	// The packed layout with hop dedup must not exceed the per-entry model
-	// applied to the naive count.
-	if model := float64(u.NaiveEntriesPerToR) * entryBytes(u.AvgPathHops); float64(u.PackedSRAMBytes) > model {
-		t.Fatalf("packed bytes %d exceed naive model %.0f", u.PackedSRAMBytes, model)
-	}
-}
-
-func TestSamplingBounds(t *testing.T) {
-	cfg := topo.Scaled()
-	fab := topo.MustFabric(cfg, "round-robin", 1)
-	// Oversampling clamps to the fabric size without panicking.
-	u := Compute(fab, 0.5, Sampling{TStarts: 1000, Srcs: 1000})
-	if u.QueuesPerPort != fab.Sched.S {
-		t.Fatalf("queues/port %d", u.QueuesPerPort)
-	}
-	if u.Buckets < 2 {
-		t.Fatalf("buckets %d", u.Buckets)
 	}
 }

@@ -54,9 +54,6 @@ func (f *Fabric) AbsSlice(t sim.Time) int64 { return int64(t / f.SliceDuration) 
 // CyclicSlice reduces an absolute slice number to a cycle position.
 func (f *Fabric) CyclicSlice(abs int64) int { return int(abs % int64(f.Sched.S)) }
 
-// SliceAt returns the cyclic slice active at time t.
-func (f *Fabric) SliceAt(t sim.Time) int { return f.CyclicSlice(f.AbsSlice(t)) }
-
 // SliceStart returns the wall-clock start of an absolute slice.
 func (f *Fabric) SliceStart(abs int64) sim.Time {
 	return sim.Time(abs) * f.SliceDuration
@@ -74,8 +71,3 @@ func (f *Fabric) CycleDuration() sim.Time {
 // that starts in absolute slice start and whose last-hop circuit is in
 // absolute slice end: end - start + 1.
 func (f *Fabric) LatencySlices(start, end int64) int64 { return end - start + 1 }
-
-// LatencyTime converts an Eqn. 1 slice count to wall-clock time.
-func (f *Fabric) LatencyTime(slices int64) sim.Time {
-	return sim.Time(slices) * f.SliceDuration
-}
