@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race examples bench benchmark bench-offline bench-netsim bench-scaling scale-smoke crash-smoke
+.PHONY: check fmt vet staticcheck build test race race-run examples bench benchmark bench-offline bench-netsim bench-scaling scale-smoke crash-smoke
 
 check: fmt vet staticcheck build test race examples
 
@@ -40,11 +40,23 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/sim/...
-	$(GO) test -race -run 'TestCompiledTableBytesSymmetricVsBrute|TestSymmetricFastPathMatchesGroupPath|TestCompiledTableAgreesWithRouter|TestCongestionCanonicalMatchesBrute|TestCongestionPickZeroAlloc|TestPackedCodecRoundTrip|TestKSPStoreMatchesOracle' ./internal/routing
-	$(GO) test -race -run 'TestTrialReplicationDeterminism|TestWorkerCount|TestRunnerSimulatesEachConfigOnce|TestRunnerBuildsSharedPathSetOnce|TestRunnerReportsLowestIndexError|TestDifferentialSerialSharded|TestDifferentialCongestionSharded|TestDifferentialWarmFabric|TestDifferentialCheckpointResume|TestResumeMissingCheckpoint|TestResumeCorruptionRejected|TestSweepResume|TestRunTrialsPanicRecovery|TestCongestionSteeringChangesOutcome|TestAlphaControllerLeavesWarmFabricIntact|TestShardableGate|TestShortSliceFallsBackSerial|TestShardsValidation|TestShardedNonDividing64|TestResumeOlderVersionRejected|TestRotorPaperSizingAlloc|TestRunValidatesWorkloadInputs|TestCheckpointingIsPureRead|TestCheckpointAllocatesWhatItWrites' ./internal/harness
-	$(GO) test -race -run 'TestShardStatsFoldedWhole' ./cmd/ucmpbench
-	$(GO) test -race -run 'TestSendRunMatchesPerPacketLoop|TestHostNICMemoryIndependentOfFlowSize|TestPacketBehindRunKeepsFIFO|TestRestoreRejectsSplicedNICQueues|TestSparseIndexValidation|TestSparsePortsRoundTrip|TestRotorRecordsMatchFifoVOQ|TestRotorIndirectMatchesLinearScan|TestVOQRecordRoundTrip|TestVOQRecordRefusesLossyPacket|TestVOQChunkAccounting|TestVOQRecordSize|TestRotorDisabledMultiHopFollowsRoute|TestCalendarSlotsMatchDenseCalendar|TestNetworkBuildAllocatesNoCalendar|TestCongestionBoardStripeMatchesDenseCalendar|TestBoard|TestBoardsCheckpointOracle|TestPoisonedRunStaysClean' ./internal/netsim
-	$(GO) test -race -run 'TestRotorSenderStartsWholeOrParks|TestRotorCursorValidatedOnRestore|TestRotorTransportBackpressure' ./internal/transport
+	@$(MAKE) --no-print-directory race-run PKG=./internal/routing RUN='TestCompiledTableBytesSymmetricVsBrute|TestSymmetricFastPathMatchesGroupPath|TestCompiledTableAgreesWithRouter|TestCongestionCanonicalMatchesBrute|TestCongestionPickZeroAlloc|TestPackedCodecRoundTrip|TestKSPStoreMatchesOracle'
+	@$(MAKE) --no-print-directory race-run PKG=./internal/harness RUN='TestTrialReplicationDeterminism|TestWorkerCount|TestRunnerSimulatesEachConfigOnce|TestRunnerBuildsSharedPathSetOnce|TestRunnerReportsLowestIndexError|TestDifferentialSerialSharded|TestDifferentialCongestionSharded|TestDifferentialWarmFabric|TestDifferentialCheckpointResume|TestResumeMissingCheckpoint|TestResumeCorruptionRejected|TestSweepResume|TestRunTrialsPanicRecovery|TestCongestionSteeringChangesOutcome|TestAlphaControllerLeavesWarmFabricIntact|TestShardableGate|TestShortSliceFallsBackSerial|TestShardsValidation|TestShardedNonDividing64|TestResumeOlderVersionRejected|TestRotorPaperSizingAlloc|TestRunValidatesWorkloadInputs|TestCheckpointingIsPureRead|TestCheckpointAllocatesWhatItWrites'
+	@$(MAKE) --no-print-directory race-run PKG=./cmd/ucmpbench RUN='TestShardStatsFoldedWhole'
+	@$(MAKE) --no-print-directory race-run PKG=./internal/netsim RUN='TestSendRunMatchesPerPacketLoop|TestHostNICMemoryIndependentOfFlowSize|TestPacketBehindRunKeepsFIFO|TestRestoreRejectsSplicedNICQueues|TestSparseIndexValidation|TestSparsePortsRoundTrip|TestRotorRecordsMatchFifoVOQ|TestRotorIndirectMatchesLinearScan|TestVOQRecordRoundTrip|TestVOQRecordRefusesLossyPacket|TestVOQChunkAccounting|TestVOQRecordSize|TestRotorDisabledMultiHopFollowsRoute|TestCalendarSlotsMatchDenseCalendar|TestNetworkBuildAllocatesNoCalendar|TestCongestionBoardStripeMatchesDenseCalendar|TestBoard|TestBoardsCheckpointOracle|TestPoisonedRunStaysClean'
+	@$(MAKE) --no-print-directory race-run PKG=./internal/transport RUN='TestRotorSenderStartsWholeOrParks|TestRotorCursorValidatedOnRestore|TestRotorTransportBackpressure'
+
+# race-run runs the tests of package PKG named in RUN (a |-separated list
+# of test names, used as the -run pattern) under the race detector. It
+# first checks every name against the package's `go test -list` and fails,
+# naming it, when one matches no test, so a renamed or moved test cannot
+# drop out of the race gate silently.
+race-run:
+	@have=$$($(GO) test -list . $(PKG)) || { echo "$$have"; exit 1; }; \
+	for n in $$(echo '$(RUN)' | tr '|' ' '); do \
+		echo "$$have" | grep -qx -- "$$n" || { echo "race-run: $(PKG) has no test $$n"; exit 1; }; \
+	done
+	$(GO) test -race -run '$(RUN)' $(PKG)
 
 # examples runs every program under examples/ and fails on the first
 # non-zero exit, so an example that panics at run time cannot pass CI by

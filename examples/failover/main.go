@@ -1,6 +1,7 @@
 // Failover: a Fig 12-style drill — inject ToR, link, and circuit-switch
-// failures, classify every affected UCMP path's recovery option, then run
-// traffic over a fabric with 5% of its uplink cables physically down.
+// failures, classify every affected UCMP path's recovery with the router's
+// §5.3 policy, then run traffic over a fabric with 5% of its uplink cables
+// physically down.
 package main
 
 import (
@@ -11,6 +12,8 @@ import (
 	"ucmp/internal/core"
 	"ucmp/internal/failure"
 	"ucmp/internal/harness"
+	"ucmp/internal/netsim"
+	"ucmp/internal/routing"
 	"ucmp/internal/sim"
 	"ucmp/internal/topo"
 	"ucmp/internal/transport"
@@ -35,11 +38,12 @@ func main() {
 			return failure.NewScenario(fab).FailSwitches(0.3, rand.New(rand.NewSource(1)))
 		}},
 	} {
-		b := failure.Classify(ps, tc.mk())
-		fmt.Printf("  %-22s affected %5d/%d  shorter %.2f  same %.2f  longer %.2f  unrecoverable %.3f\n",
+		sc := tc.mk()
+		b := routing.Classify(ps, routing.StaticHealth{Path: sc.PathOK, Tor: sc.TorOK})
+		fmt.Printf("  %-22s affected %5d/%d  same %.2f  shorter %.2f  longer %.2f  backup %.2f  unrecoverable %.3f\n",
 			tc.label, b.Affected, b.Total,
-			b.Share[failure.Shorter], b.Share[failure.SameLength],
-			b.Share[failure.Longer], b.Share[failure.Unrecoverable])
+			b.Share(netsim.RecoverySameLength), b.Share(netsim.RecoveryShorter),
+			b.Share(netsim.RecoveryLonger), b.Share(netsim.RecoveryBackup), b.Share(netsim.RecoveryNone))
 	}
 
 	fmt.Println("\nlive traffic with 5% faulty links (Fig 12d):")

@@ -489,12 +489,12 @@ func TestBackupPathsExclude(t *testing.T) {
 	f := scaledFabric(t)
 	ps := BuildPathSet(f, 0.5)
 	bad := 3
-	paths := ps.BackupPaths(0, 0, 5, 4, func(tor int) bool { return tor == bad })
+	paths := ps.BackupPaths(0, 0, 5, func(tor int) bool { return tor == bad })
 	if len(paths) == 0 {
 		t.Fatal("no backup paths")
 	}
-	if len(paths) > 4 {
-		t.Fatal("k not honored")
+	if len(paths) > BackupDepth {
+		t.Fatal("BackupDepth not honored")
 	}
 	for _, p := range paths {
 		if p.Hops[0].To == bad {

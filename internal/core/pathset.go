@@ -303,11 +303,15 @@ func (ps *PathSet) RelaxedTwoHop(tstart, src, dst int, maxLatency int64) []*Path
 	return out
 }
 
+// BackupDepth is how many backup 2-hop paths BackupPaths offers: the
+// cheapest few, which §5.3 recovery tries in turn.
+const BackupDepth = 4
+
 // BackupPaths prepares backup 2-hop paths for failure recovery (§5.3).
 // They matter in the slices where a direct circuit makes the 1-hop path the
 // sole member of the group; `exclude` drops candidates traversing failed
-// ToRs. Up to k paths are returned, cheapest first.
-func (ps *PathSet) BackupPaths(tstart, src, dst, k int, exclude func(tor int) bool) []*Path {
+// ToRs. Up to BackupDepth paths are returned, cheapest first.
+func (ps *PathSet) BackupPaths(tstart, src, dst int, exclude func(tor int) bool) []*Path {
 	all := ps.RelaxedTwoHop(tstart, src, dst, 0)
 	var out []*Path
 	for _, p := range all {
@@ -315,7 +319,7 @@ func (ps *PathSet) BackupPaths(tstart, src, dst, k int, exclude func(tor int) bo
 			continue
 		}
 		out = append(out, p)
-		if len(out) == k {
+		if len(out) == BackupDepth {
 			break
 		}
 	}

@@ -1,4 +1,4 @@
-package failure
+package failure_test
 
 import (
 	"math"
@@ -7,104 +7,129 @@ import (
 	"testing/quick"
 
 	"ucmp/internal/core"
+	"ucmp/internal/failure"
+	"ucmp/internal/netsim"
+	"ucmp/internal/routing"
+	"ucmp/internal/topo"
 )
 
-// ---- pick input validation (the sampling contract) ----
+// These tests read failure scenarios through the router's §5.3 policy,
+// routing.Classify, the way Fig 12a–c does.
 
-func TestPickRejectsGarbageFractions(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, frac := range []float64{math.NaN(), -0.5, -math.Inf(1), 0} {
-		if got := pick(10, frac, rng); got != nil {
-			t.Fatalf("pick(10, %v) = %v, want nil", frac, got)
+func scaledPathSet(t testing.TB) (*topo.Fabric, *core.PathSet) {
+	t.Helper()
+	f := topo.MustFabric(topo.Scaled(), "round-robin", 1)
+	return f, core.BuildPathSet(f, 0.5)
+}
+
+func classify(ps *core.PathSet, sc *failure.Scenario) routing.Breakdown {
+	return routing.Classify(ps, routing.StaticHealth{Path: sc.PathOK, Tor: sc.TorOK})
+}
+
+// checkBreakdown pins the invariants every consumer of a Breakdown relies
+// on: Affected within [0, Total], every share in [0, 1], and shares that
+// sum to 1 over the affected paths (0 when none is affected). An affected
+// path never resolves to its own, broken, primary.
+func checkBreakdown(b routing.Breakdown) string {
+	if b.Affected < 0 || b.Affected > b.Total {
+		return "Affected outside [0, Total]"
+	}
+	if b.Count[netsim.RecoveryPrimary] != 0 {
+		return "a broken path resolved to itself"
+	}
+	var sum float64
+	for c := range b.Count {
+		s := b.Share(netsim.RecoveryClass(c))
+		if s < 0 || s > 1 {
+			return "share out of range"
+		}
+		sum += s
+	}
+	if b.Affected == 0 && sum != 0 {
+		return "shares with nothing affected"
+	}
+	if b.Affected > 0 && math.Abs(sum-1) > 1e-9 {
+		return "shares do not sum to 1"
+	}
+	return ""
+}
+
+func TestHealthyScenarioPassesEverything(t *testing.T) {
+	f, ps := scaledPathSet(t)
+	sc := failure.NewScenario(f)
+	for src := 0; src < f.NumToRs; src++ {
+		if !sc.TorOK(src) {
+			t.Fatal("healthy ToR reported failed")
 		}
 	}
-	// Garbage fractions consume no randomness: the stream is untouched.
-	want := rng.Int63()
-	rng2 := rand.New(rand.NewSource(6))
-	pick(10, math.NaN(), rng2)
-	pick(10, -1, rng2)
-	if got := rng2.Int63(); got != want {
-		t.Fatal("rejected fraction consumed randomness")
+	b := classify(ps, sc)
+	if b.Affected != 0 {
+		t.Fatalf("healthy scenario affected %d paths", b.Affected)
 	}
-	if got := pick(0, 0.5, rng); got != nil {
-		t.Fatal("pick over an empty universe selected something")
-	}
-	if got := pick(-3, 0.5, rng); got != nil {
-		t.Fatal("pick over a negative universe selected something")
+	if b.Total == 0 {
+		t.Fatal("no paths walked")
 	}
 }
 
-func TestPickClampsOvershoot(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, frac := range []float64{1.0001, 50, math.Inf(1), math.MaxFloat64} {
-		if got := pick(10, frac, rng); len(got) != 10 {
-			t.Fatalf("pick(10, %v) selected %d, want all 10", frac, len(got))
+func TestFailToRsAffectsPaths(t *testing.T) {
+	f, ps := scaledPathSet(t)
+	sc := failure.NewScenario(f).FailToRs(0.1, rand.New(rand.NewSource(1)))
+	failed := 0
+	for tor := 0; tor < f.NumToRs; tor++ {
+		if !sc.TorOK(tor) {
+			failed++
 		}
+	}
+	if failed < 1 || failed > 3 {
+		t.Fatalf("failed %d ToRs for 10%% of 16", failed)
+	}
+	b := classify(ps, sc)
+	if b.Affected == 0 {
+		t.Fatal("no affected paths")
+	}
+	var sum float64
+	for c := range b.Count {
+		sum += b.Share(netsim.RecoveryClass(c))
+	}
+	if sum < 0.999 || sum > 1.001 {
+		t.Fatalf("shares sum %v", sum)
+	}
+	// The paper's headline: the large majority recover to a same-length
+	// path, and unrecoverable stays tiny at 10% ToR failures.
+	if s := b.Share(netsim.RecoverySameLength); s < 0.4 {
+		t.Errorf("same-length share %.2f unexpectedly low", s)
+	}
+	if s := b.Share(netsim.RecoveryNone); s > 0.05 {
+		t.Errorf("unrecoverable share %.3f above 5%%", s)
 	}
 }
 
-// TestPickCeilContract pins the rounding direction: the count is
-// ceil(frac*n), so nearby small fractions stay distinguishable on small
-// fabrics and any positive fraction fails at least one element.
-func TestPickCeilContract(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, tc := range []struct {
-		n    int
-		frac float64
-		want int
-	}{
-		{48, 0.01, 1}, {48, 0.03, 2}, {48, 0.05, 3},
-		{16, 0.1, 2}, {10, 1e-9, 1}, {10, 1.0, 10},
-	} {
-		got := pick(tc.n, tc.frac, rng)
-		if len(got) != tc.want {
-			t.Fatalf("pick(%d, %v) selected %d, want ceil = %d", tc.n, tc.frac, len(got), tc.want)
-		}
-		seen := map[int]bool{}
-		for _, i := range got {
-			if i < 0 || i >= tc.n {
-				t.Fatalf("pick(%d, %v) out-of-range index %d", tc.n, tc.frac, i)
-			}
-			if seen[i] {
-				t.Fatalf("pick(%d, %v) duplicate index %d", tc.n, tc.frac, i)
-			}
-			seen[i] = true
-		}
+func TestFailSwitchesConnectivity(t *testing.T) {
+	f, ps := scaledPathSet(t)
+	// 1 of 3 switches down (the paper's 16.6% is 1 of 6).
+	sc := failure.NewScenario(f).FailSwitches(0.3, rand.New(rand.NewSource(3)))
+	b := classify(ps, sc)
+	if b.Affected == 0 {
+		t.Fatal("switch failure affected nothing")
+	}
+	// Connectivity is preserved: unrecoverable must be rare (<5%) at 1/3
+	// switches down on the scaled fabric.
+	if s := b.Share(netsim.RecoveryNone); s > 0.05 {
+		t.Errorf("unrecoverable %.3f with one switch down", s)
 	}
 }
-
-// ---- Classify properties ----
 
 func TestClassifyProperties(t *testing.T) {
-	f, ps := fixture(t)
+	f, ps := scaledPathSet(t)
 	prop := func(seed int64, torF, linkF, swF uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		sc := NewScenario(f).
+		sc := failure.NewScenario(f).
 			FailToRs(float64(torF%40)/100, rng).
 			FailLinks(float64(linkF%40)/100, rng).
 			FailSwitches(float64(swF%34)/100, rng)
-		b := Classify(ps, sc)
-		if b.Affected < 0 || b.Affected > b.Total {
-			t.Logf("Affected %d outside [0, %d]", b.Affected, b.Total)
-			return false
-		}
-		var sum float64
-		for _, s := range b.Share {
-			if s < 0 || s > 1 {
-				t.Logf("share out of range: %v", b.Share)
-				return false
-			}
-			sum += s
-		}
-		if b.Affected == 0 {
-			if sum != 0 {
-				t.Logf("no affected paths but shares %v", b.Share)
-				return false
-			}
-			return true
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Logf("shares sum to %v: %v", sum, b.Share)
+		b := classify(ps, sc)
+		if msg := checkBreakdown(b); msg != "" {
+			t.Logf("%s: %+v", msg, b)
 			return false
 		}
 		return true
@@ -116,52 +141,13 @@ func TestClassifyProperties(t *testing.T) {
 }
 
 func TestClassifyAllHealthyIsZero(t *testing.T) {
-	f, ps := fixture(t)
-	b := Classify(ps, NewScenario(f))
+	f, ps := scaledPathSet(t)
+	b := classify(ps, failure.NewScenario(f))
 	if b.Affected != 0 {
 		t.Fatalf("healthy scenario affected %d", b.Affected)
 	}
-	if b.Share != [4]float64{} {
-		t.Fatalf("healthy scenario shares %v", b.Share)
-	}
-}
-
-// TestClassifyEntryOrderInvariance: the breakdown is a function of the set
-// of healthy alternatives, not of the order Groups happen to list them.
-// Shuffling every group's entries and paths must not change the result.
-func TestClassifyEntryOrderInvariance(t *testing.T) {
-	f, _ := fixture(t)
-	psA := core.BuildPathSet(f, 0.5)
-	psB := core.BuildPathSet(f, 0.5)
-	shuffle := rand.New(rand.NewSource(13))
-	sched := f.Sched
-	for ts := 0; ts < sched.S; ts++ {
-		for src := 0; src < sched.N; src++ {
-			for dst := 0; dst < sched.N; dst++ {
-				if src == dst {
-					continue
-				}
-				g := psB.Group(ts, src, dst)
-				shuffle.Shuffle(len(g.Entries), func(i, j int) {
-					g.Entries[i], g.Entries[j] = g.Entries[j], g.Entries[i]
-				})
-				for _, e := range g.Entries {
-					shuffle.Shuffle(len(e.Paths), func(i, j int) {
-						e.Paths[i], e.Paths[j] = e.Paths[j], e.Paths[i]
-					})
-				}
-			}
-		}
-	}
-	for _, seed := range []int64{1, 2, 3} {
-		rngA := rand.New(rand.NewSource(seed))
-		rngB := rand.New(rand.NewSource(seed))
-		scA := NewScenario(f).FailToRs(0.1, rngA).FailLinks(0.05, rngA)
-		scB := NewScenario(f).FailToRs(0.1, rngB).FailLinks(0.05, rngB)
-		a, b := Classify(psA, scA), Classify(psB, scB)
-		if a.Total != b.Total || a.Affected != b.Affected || a.Share != b.Share {
-			t.Fatalf("seed %d: breakdown depends on entry order:\noriginal %+v\nshuffled %+v", seed, a, b)
-		}
+	if b.Count != (routing.Breakdown{}).Count {
+		t.Fatalf("healthy scenario counts %v", b.Count)
 	}
 }
 
@@ -172,26 +158,12 @@ func FuzzClassifyInvariants(fz *testing.F) {
 	fz.Add(int64(2), 0.0, 0.0, 0.33)
 	fz.Add(int64(3), 1.0, 1.0, 1.0)
 	fz.Add(int64(4), -0.5, math.NaN(), 2.0)
-	f, ps := fixture(fz)
+	f, ps := scaledPathSet(fz)
 	fz.Fuzz(func(t *testing.T, seed int64, torF, linkF, swF float64) {
 		rng := rand.New(rand.NewSource(seed))
-		sc := NewScenario(f).FailToRs(torF, rng).FailLinks(linkF, rng).FailSwitches(swF, rng)
-		b := Classify(ps, sc)
-		if b.Affected < 0 || b.Affected > b.Total {
-			t.Fatalf("Affected %d outside [0, %d]", b.Affected, b.Total)
-		}
-		var sum float64
-		for _, s := range b.Share {
-			if s < 0 || s > 1 {
-				t.Fatalf("share out of range: %v", b.Share)
-			}
-			sum += s
-		}
-		if b.Affected > 0 && math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("shares sum to %v with %d affected", sum, b.Affected)
-		}
-		if b.Affected == 0 && sum != 0 {
-			t.Fatalf("shares %v with nothing affected", b.Share)
+		sc := failure.NewScenario(f).FailToRs(torF, rng).FailLinks(linkF, rng).FailSwitches(swF, rng)
+		if b := classify(ps, sc); checkBreakdown(b) != "" {
+			t.Fatalf("%s: %+v", checkBreakdown(b), b)
 		}
 	})
 }

@@ -1,7 +1,8 @@
-// Package failure injects ToR, link, and circuit-switch failures and
-// classifies UCMP's recovery options (§5.3, Fig 12): an affected path can
-// transition to a shorter, same-length, or longer path within its UCMP
-// group (or a backup 2-hop path for singleton groups), or be unrecoverable.
+// Package failure is the fault model: a Scenario marks ToRs, ToR-to-switch
+// cables and circuit switches failed and answers which hops and paths
+// remain usable; a Timeline scripts scenarios over a run's time. How UCMP
+// recovers a broken path (§5.3, Fig 12a–c) is routing's: routing.Classify
+// reads a Scenario through routing.StaticHealth.
 package failure
 
 import (
@@ -137,116 +138,4 @@ func (s *Scenario) PathOK(p *core.Path) bool {
 		from = h.To
 	}
 	return true
-}
-
-// Recovery classifies the §5.3 outcome for one affected path.
-type Recovery int
-
-const (
-	// Shorter: a healthy group path with fewer hops.
-	Shorter Recovery = iota
-	// SameLength: a healthy group path with the same hop count (preserves
-	// the minimum uniform cost).
-	SameLength
-	// Longer: only healthy paths with more hops remain (backup 2-hop paths
-	// for singleton direct groups count here when they add hops).
-	Longer
-	// Unrecoverable: no healthy alternative at all.
-	Unrecoverable
-)
-
-func (r Recovery) String() string {
-	switch r {
-	case Shorter:
-		return "shorter"
-	case SameLength:
-		return "same-length"
-	case Longer:
-		return "longer"
-	default:
-		return "unrecoverable"
-	}
-}
-
-// Breakdown is the Fig 12a-c result: the share of affected paths per
-// recovery class, plus totals.
-type Breakdown struct {
-	Affected int
-	Total    int
-	Share    [4]float64
-}
-
-// Classify walks every UCMP path of the PathSet, finds the affected ones
-// (traversing a failed element, endpoints healthy), and classifies the best
-// healthy alternative: same group first, then backup 2-hop paths.
-func Classify(ps *core.PathSet, sc *Scenario) Breakdown {
-	var b Breakdown
-	var counts [4]int
-	sched := ps.F.Sched
-	for ts := 0; ts < sched.S; ts++ {
-		for src := 0; src < sched.N; src++ {
-			if !sc.TorOK(src) {
-				continue
-			}
-			for dst := 0; dst < sched.N; dst++ {
-				if dst == src || !sc.TorOK(dst) {
-					continue
-				}
-				g := ps.Group(ts, src, dst)
-				for _, e := range g.Entries {
-					for _, p := range e.Paths {
-						b.Total++
-						if sc.PathOK(p) {
-							continue
-						}
-						b.Affected++
-						counts[classifyOne(ps, sc, g, ts, p)]++
-					}
-				}
-			}
-		}
-	}
-	if b.Affected > 0 {
-		for i, c := range counts {
-			b.Share[i] = float64(c) / float64(b.Affected)
-		}
-	}
-	return b
-}
-
-func classifyOne(ps *core.PathSet, sc *Scenario, g *core.Group, ts int, broken *core.Path) Recovery {
-	// Preferred recovery preserves the hop count (and hence the minimum
-	// uniform cost for the affected buckets); otherwise any healthy group
-	// member, shorter first; finally the 2-hop backups (§5.3).
-	sawShorter, sawLonger := false, false
-	for _, e := range g.Entries {
-		for _, p := range e.Paths {
-			if p == broken || !sc.PathOK(p) {
-				continue
-			}
-			switch {
-			case p.HopCount() == broken.HopCount():
-				return SameLength
-			case p.HopCount() < broken.HopCount():
-				sawShorter = true
-			default:
-				sawLonger = true
-			}
-		}
-	}
-	if sawShorter {
-		return Shorter
-	}
-	if sawLonger {
-		return Longer
-	}
-	for _, p := range ps.BackupPaths(ts, broken.Src, broken.Dst, 8, func(tor int) bool { return !sc.TorOK(tor) }) {
-		if sc.PathOK(p) {
-			if p.HopCount() == broken.HopCount() {
-				return SameLength
-			}
-			return Longer
-		}
-	}
-	return Unrecoverable
 }

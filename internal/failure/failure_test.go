@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,53 +13,6 @@ func fixture(t testing.TB) (*topo.Fabric, *core.PathSet) {
 	t.Helper()
 	f := topo.MustFabric(topo.Scaled(), "round-robin", 1)
 	return f, core.BuildPathSet(f, 0.5)
-}
-
-func TestHealthyScenarioPassesEverything(t *testing.T) {
-	f, ps := fixture(t)
-	sc := NewScenario(f)
-	for src := 0; src < f.NumToRs; src++ {
-		if !sc.TorOK(src) {
-			t.Fatal("healthy ToR reported failed")
-		}
-	}
-	b := Classify(ps, sc)
-	if b.Affected != 0 {
-		t.Fatalf("healthy scenario affected %d paths", b.Affected)
-	}
-	if b.Total == 0 {
-		t.Fatal("no paths walked")
-	}
-}
-
-func TestFailToRsAffectsPaths(t *testing.T) {
-	f, ps := fixture(t)
-	sc := NewScenario(f).FailToRs(0.1, rand.New(rand.NewSource(1)))
-	failed := 0
-	for tor := 0; tor < f.NumToRs; tor++ {
-		if !sc.TorOK(tor) {
-			failed++
-		}
-	}
-	if failed < 1 || failed > 3 {
-		t.Fatalf("failed %d ToRs for 10%% of 16", failed)
-	}
-	b := Classify(ps, sc)
-	if b.Affected == 0 {
-		t.Fatal("no affected paths")
-	}
-	sum := b.Share[0] + b.Share[1] + b.Share[2] + b.Share[3]
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("shares sum %v", sum)
-	}
-	// The paper's headline: the large majority recover to a same-length
-	// path, and unrecoverable stays tiny at 10% ToR failures.
-	if b.Share[SameLength] < 0.4 {
-		t.Errorf("same-length share %.2f unexpectedly low", b.Share[SameLength])
-	}
-	if b.Share[Unrecoverable] > 0.05 {
-		t.Errorf("unrecoverable share %.3f above 5%%", b.Share[Unrecoverable])
-	}
 }
 
 func TestFailLinksHopOK(t *testing.T) {
@@ -94,21 +48,6 @@ func TestFailLinksHopOK(t *testing.T) {
 	}
 }
 
-func TestFailSwitchesConnectivity(t *testing.T) {
-	f, ps := fixture(t)
-	// 1 of 3 switches down (the paper's 16.6% is 1 of 6).
-	sc := NewScenario(f).FailSwitches(0.3, rand.New(rand.NewSource(3)))
-	b := Classify(ps, sc)
-	if b.Affected == 0 {
-		t.Fatal("switch failure affected nothing")
-	}
-	// Connectivity is preserved: unrecoverable must be rare (<5%) at 1/3
-	// switches down on the scaled fabric.
-	if b.Share[Unrecoverable] > 0.05 {
-		t.Errorf("unrecoverable %.3f with one switch down", b.Share[Unrecoverable])
-	}
-}
-
 func TestHopOKRequiresCircuit(t *testing.T) {
 	f, _ := fixture(t)
 	sc := NewScenario(f)
@@ -129,16 +68,6 @@ func TestHopOKRequiresCircuit(t *testing.T) {
 	}
 }
 
-func TestRecoveryString(t *testing.T) {
-	for r, want := range map[Recovery]string{
-		Shorter: "shorter", SameLength: "same-length", Longer: "longer", Unrecoverable: "unrecoverable",
-	} {
-		if r.String() != want {
-			t.Errorf("%d.String() = %q", r, r.String())
-		}
-	}
-}
-
 func TestPickBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	if got := pick(10, 0, rng); len(got) != 0 {
@@ -149,5 +78,69 @@ func TestPickBounds(t *testing.T) {
 	}
 	if got := pick(10, 5.0, rng); len(got) != 10 {
 		t.Fatal("overshoot not clamped")
+	}
+}
+
+// ---- pick input validation (the sampling contract) ----
+
+func TestPickRejectsGarbageFractions(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, frac := range []float64{math.NaN(), -0.5, -math.Inf(1), 0} {
+		if got := pick(10, frac, rng); got != nil {
+			t.Fatalf("pick(10, %v) = %v, want nil", frac, got)
+		}
+	}
+	// Garbage fractions consume no randomness: the stream is untouched.
+	want := rng.Int63()
+	rng2 := rand.New(rand.NewSource(6))
+	pick(10, math.NaN(), rng2)
+	pick(10, -1, rng2)
+	if got := rng2.Int63(); got != want {
+		t.Fatal("rejected fraction consumed randomness")
+	}
+	if got := pick(0, 0.5, rng); got != nil {
+		t.Fatal("pick over an empty universe selected something")
+	}
+	if got := pick(-3, 0.5, rng); got != nil {
+		t.Fatal("pick over a negative universe selected something")
+	}
+}
+
+func TestPickClampsOvershoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, frac := range []float64{1.0001, 50, math.Inf(1), math.MaxFloat64} {
+		if got := pick(10, frac, rng); len(got) != 10 {
+			t.Fatalf("pick(10, %v) selected %d, want all 10", frac, len(got))
+		}
+	}
+}
+
+// TestPickCeilContract pins the rounding direction: the count is
+// ceil(frac*n), so nearby small fractions stay distinguishable on small
+// fabrics and any positive fraction fails at least one element.
+func TestPickCeilContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, tc := range []struct {
+		n    int
+		frac float64
+		want int
+	}{
+		{48, 0.01, 1}, {48, 0.03, 2}, {48, 0.05, 3},
+		{16, 0.1, 2}, {10, 1e-9, 1}, {10, 1.0, 10},
+	} {
+		got := pick(tc.n, tc.frac, rng)
+		if len(got) != tc.want {
+			t.Fatalf("pick(%d, %v) selected %d, want ceil = %d", tc.n, tc.frac, len(got), tc.want)
+		}
+		seen := map[int]bool{}
+		for _, i := range got {
+			if i < 0 || i >= tc.n {
+				t.Fatalf("pick(%d, %v) out-of-range index %d", tc.n, tc.frac, i)
+			}
+			if seen[i] {
+				t.Fatalf("pick(%d, %v) duplicate index %d", tc.n, tc.frac, i)
+			}
+			seen[i] = true
+		}
 	}
 }

@@ -22,9 +22,9 @@ func AblationPolicy(r *Runner, base SimConfig) (*Report, []*Result, error) {
 	rep := &Report{Title: "Ablation: uniform cost vs its latency-only / hops-only halves"}
 	rep.Addf("%-32s %-10s %-10s %-12s %-9s", "policy", "<=10KB", ">1MB", "efficiency", "complete")
 	for i, res := range out {
-		bins := coarseBins(res.Collector)
+		bins := res.Collector.BySize(coarseEdges)
 		rep.Addf("%-32s %-10s %-10s %-12.3f %-9.2f",
-			names[i], fmtT(bins[0]), fmtT(bins[3]), res.Efficiency, res.CompletionRate)
+			names[i], fmtT(bins[0].AvgFCT), fmtT(bins[3].AvgFCT), res.Efficiency, res.CompletionRate)
 	}
 	rep.Addf("(expected: latency-only wins short-flow FCT but wastes bandwidth;")
 	rep.Addf(" hops-only maximizes efficiency but inflates short-flow FCT;")
@@ -45,9 +45,9 @@ func AblationParallel(r *Runner, base SimConfig) (*Report, []*Result, error) {
 	rep := &Report{Title: "Ablation: parallel-path tie spreading"}
 	rep.Addf("%-24s %-12s %-12s %-10s", "variant", "Jain load", "efficiency", "<=10KB")
 	for i, res := range out {
-		bins := coarseBins(res.Collector)
+		bins := res.Collector.BySize(coarseEdges)
 		jain := res.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.JainLoadIndex })
-		rep.Addf("%-24s %-12.3f %-12.3f %-10s", names[i], jain, res.Efficiency, fmtT(bins[0]))
+		rep.Addf("%-24s %-12.3f %-12.3f %-10s", names[i], jain, res.Efficiency, fmtT(bins[0].AvgFCT))
 	}
 	return rep, out, nil
 }

@@ -7,6 +7,8 @@ import (
 	"ucmp/internal/analysis"
 	"ucmp/internal/core"
 	"ucmp/internal/failure"
+	"ucmp/internal/netsim"
+	"ucmp/internal/routing"
 	"ucmp/internal/sim"
 	"ucmp/internal/switchres"
 	"ucmp/internal/topo"
@@ -225,28 +227,30 @@ func hopHist(ps *core.PathSet) map[int]int {
 	return hist
 }
 
-// Fig12abc classifies UCMP recovery options under ToR, link, and circuit
-// switch failures.
-func Fig12abc(ps *core.PathSet, seed int64) (*Report, map[string][]failure.Breakdown) {
+// Fig12abc classifies UCMP recovery under ToR, link, and circuit switch
+// failures with the router's own §5.3 policy (routing.Classify): per
+// failure fraction, the share of affected paths in each class.
+func Fig12abc(ps *core.PathSet, seed int64) (*Report, map[string][]routing.Breakdown) {
 	r := &Report{Title: "Fig 12a-c: UCMP recovery under failures"}
-	out := make(map[string][]failure.Breakdown)
+	out := make(map[string][]routing.Breakdown)
 	run := func(label string, fracs []float64, apply func(sc *failure.Scenario, frac float64, rng *rand.Rand)) {
 		r.Addf("%s failures:", label)
-		r.Addf("  %-7s %-9s %-9s %-12s %-9s %-14s", "frac", "affected", "shorter", "same-length", "longer", "unrecoverable")
+		r.Addf("  %-7s %-9s %-12s %-9s %-9s %-9s %-14s", "frac", "affected", "same-length", "shorter", "longer", "backup", "unrecoverable")
 		for _, frac := range fracs {
 			sc := failure.NewScenario(ps.F)
 			apply(sc, frac, rand.New(rand.NewSource(seed)))
-			b := failure.Classify(ps, sc)
+			b := routing.Classify(ps, routing.StaticHealth{Path: sc.PathOK, Tor: sc.TorOK})
 			out[label] = append(out[label], b)
-			r.Addf("  %-7.3f %-9d %-9.3f %-12.3f %-9.3f %-14.3f",
-				frac, b.Affected, b.Share[failure.Shorter], b.Share[failure.SameLength],
-				b.Share[failure.Longer], b.Share[failure.Unrecoverable])
+			r.Addf("  %-7.3f %-9d %-12.3f %-9.3f %-9.3f %-9.3f %-14.3f",
+				frac, b.Affected, b.Share(netsim.RecoverySameLength), b.Share(netsim.RecoveryShorter),
+				b.Share(netsim.RecoveryLonger), b.Share(netsim.RecoveryBackup), b.Share(netsim.RecoveryNone))
 		}
 	}
 	run("ToR", []float64{0.02, 0.05, 0.10}, func(sc *failure.Scenario, f float64, rng *rand.Rand) { sc.FailToRs(f, rng) })
 	run("link", []float64{0.02, 0.05, 0.10}, func(sc *failure.Scenario, f float64, rng *rand.Rand) { sc.FailLinks(f, rng) })
 	d := float64(ps.F.Sched.D)
 	run("switch", []float64{1 / d, 2 / d}, func(sc *failure.Scenario, f float64, rng *rand.Rand) { sc.FailSwitches(f, rng) })
+	r.Addf("(backup = a 2-hop backup path; the paper's \"longer\" is longer + backup)")
 	return r, out
 }
 

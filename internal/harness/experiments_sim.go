@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"ucmp/internal/metrics"
 	"ucmp/internal/netsim"
 	"ucmp/internal/plot"
 	"ucmp/internal/sim"
@@ -86,36 +85,18 @@ func Fig6FCT(results []SchemeResult, wl string) *Report {
 	r := &Report{Title: "Fig 6 FCT vs flow size, " + wl + " (avg FCT per size bin)"}
 	r.Addf("%-14s %-10s %-10s %-10s %-10s %-9s %-7s", "scheme", "<=10KB", "<=100KB", "<=1MB", ">1MB", "complete", "reroute")
 	for _, sr := range results {
-		bins := coarseBins(sr.Result.Collector)
+		bins := sr.Result.Collector.BySize(coarseEdges)
 		r.Addf("%-14s %-10s %-10s %-10s %-10s %-9.2f %-7.4f",
-			sr.Scheme.Name, fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]),
+			sr.Scheme.Name, fmtT(bins[0].AvgFCT), fmtT(bins[1].AvgFCT), fmtT(bins[2].AvgFCT), fmtT(bins[3].AvgFCT),
 			sr.Result.CompletionRate, sr.Result.ReroutedFrac)
 	}
 	return r
 }
 
-// coarseBins averages FCT within 4 coarse size classes.
-func coarseBins(c *metrics.Collector) [4]sim.Time {
-	edges := []int64{0, 10 << 10, 100 << 10, 1 << 20, 1 << 62}
-	var sums [4]sim.Time
-	var counts [4]int
-	for _, fr := range c.Flows {
-		for i := 0; i < 4; i++ {
-			if fr.Size > edges[i] && fr.Size <= edges[i+1] {
-				sums[i] += fr.FCT
-				counts[i]++
-				break
-			}
-		}
-	}
-	var out [4]sim.Time
-	for i := range out {
-		if counts[i] > 0 {
-			out[i] = sums[i] / sim.Time(counts[i])
-		}
-	}
-	return out
-}
+// coarseEdges are the four size classes the FCT tables print (<=10KB,
+// <=100KB, <=1MB, >1MB) as Collector.BySize edges: bin i holds sizes in
+// [edges[i], edges[i+1]).
+var coarseEdges = []int64{1, 10<<10 + 1, 100<<10 + 1, 1<<20 + 1, 1 << 62}
 
 func fmtT(t sim.Time) string {
 	if t == 0 {
@@ -175,9 +156,9 @@ func Fig8Bucketing(r *Runner, base SimConfig) (*Report, []*Result, error) {
 	rep := &Report{Title: "Fig 8: accurate flow size vs flow bucketing (UCMP+DCTCP, web search)"}
 	rep.Addf("%-18s %-10s %-10s %-10s %-10s %-8s", "variant", "<=10KB", "<=100KB", "<=1MB", ">1MB", "p99")
 	for i, res := range out {
-		bins := coarseBins(res.Collector)
+		bins := res.Collector.BySize(coarseEdges)
 		rep.Addf("%-18s %-10s %-10s %-10s %-10s %-8s",
-			names[i], fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]),
+			names[i], fmtT(bins[0].AvgFCT), fmtT(bins[1].AvgFCT), fmtT(bins[2].AvgFCT), fmtT(bins[3].AvgFCT),
 			res.Collector.Percentile(0.99))
 	}
 	return rep, out, nil
@@ -194,10 +175,10 @@ func Fig9Reconf(r *Runner, base SimConfig, delays []sim.Time) (*Report, []*Resul
 	rep := &Report{Title: "Fig 9: FCT under reconfiguration delays (UCMP+DCTCP)"}
 	rep.Addf("%-10s %-10s %-10s %-10s %-10s %-10s", "reconf", "duty", "<=10KB", "<=100KB", "<=1MB", ">1MB")
 	for _, res := range out {
-		bins := coarseBins(res.Collector)
+		bins := res.Collector.BySize(coarseEdges)
 		rep.Addf("%-10s %-10.3f %-10s %-10s %-10s %-10s",
 			res.Config.Topo.ReconfDelay, res.Config.Topo.DutyCycle(),
-			fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]))
+			fmtT(bins[0].AvgFCT), fmtT(bins[1].AvgFCT), fmtT(bins[2].AvgFCT), fmtT(bins[3].AvgFCT))
 	}
 	return rep, out, nil
 }
@@ -213,10 +194,10 @@ func Fig10Alpha(r *Runner, base SimConfig, alphas []float64) (*Report, []*Result
 	rep := &Report{Title: "Fig 10: weight factor alpha (UCMP+DCTCP, web search)"}
 	rep.Addf("%-7s %-14s %-12s %-10s %-10s %-10s", "alpha", "ToR-ToR util", "efficiency", "<=10KB", "<=100KB", ">1MB")
 	for _, res := range out {
-		bins := coarseBins(res.Collector)
+		bins := res.Collector.BySize(coarseEdges)
 		util := res.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.TorToTorUtil })
 		rep.Addf("%-7.2f %-14.3f %-12.3f %-10s %-10s %-10s",
-			res.Config.Alpha, util, res.Efficiency, fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[3]))
+			res.Config.Alpha, util, res.Efficiency, fmtT(bins[0].AvgFCT), fmtT(bins[1].AvgFCT), fmtT(bins[3].AvgFCT))
 	}
 	rep.Addf("(larger alpha -> shorter paths -> lower core utilization, Fig 10a)")
 	return rep, out, nil
@@ -233,10 +214,10 @@ func Fig11Slice(r *Runner, base SimConfig, durs []sim.Time) (*Report, []*Result,
 	rep := &Report{Title: "Fig 11: time slice duration (UCMP+DCTCP, web search)"}
 	rep.Addf("%-10s %-12s %-10s %-10s %-10s %-8s", "slice", "efficiency", "<=10KB", "<=100KB", ">1MB", "reroute")
 	for _, res := range out {
-		bins := coarseBins(res.Collector)
+		bins := res.Collector.BySize(coarseEdges)
 		rep.Addf("%-10s %-12.3f %-10s %-10s %-10s %-8.4f",
 			res.Config.Topo.SliceDuration, res.Efficiency,
-			fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[3]), res.ReroutedFrac)
+			fmtT(bins[0].AvgFCT), fmtT(bins[1].AvgFCT), fmtT(bins[3].AvgFCT), res.ReroutedFrac)
 	}
 	return rep, out, nil
 }
@@ -261,9 +242,9 @@ func Fig12d(r *Runner, base SimConfig, fracs []float64) (*Report, []*Result, err
 	rep := &Report{Title: "Fig 12d: FCT under faulty links (UCMP+DCTCP, web search)"}
 	rep.Addf("%-8s %-10s %-10s %-10s %-10s %-9s", "faulty", "<=10KB", "<=100KB", "<=1MB", ">1MB", "complete")
 	for i, res := range out {
-		bins := coarseBins(res.Collector)
+		bins := res.Collector.BySize(coarseEdges)
 		rep.Addf("%-8.2f %-10s %-10s %-10s %-10s %-9.2f",
-			fracs[i], fmtT(bins[0]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]),
+			fracs[i], fmtT(bins[0].AvgFCT), fmtT(bins[1].AvgFCT), fmtT(bins[2].AvgFCT), fmtT(bins[3].AvgFCT),
 			res.CompletionRate)
 	}
 	return rep, out, nil

@@ -24,9 +24,9 @@ func ExtensionCongestion(r *Runner, base SimConfig) (*Report, []*Result, error) 
 	rep := &Report{Title: "Extension (§10): congestion-aware path assignment under hotspots"}
 	rep.Addf("%-22s %-10s %-10s %-10s %-9s %-8s", "variant", "<=10KB", "<=100KB", "p99", "complete", "reroute")
 	for i, res := range out {
-		bins := coarseBins(res.Collector)
+		bins := res.Collector.BySize(coarseEdges)
 		rep.Addf("%-22s %-10s %-10s %-10s %-9.2f %-8.4f",
-			names[i], fmtT(bins[0]), fmtT(bins[1]), res.Collector.Percentile(0.99),
+			names[i], fmtT(bins[0].AvgFCT), fmtT(bins[1].AvgFCT), res.Collector.Percentile(0.99),
 			res.CompletionRate, res.ReroutedFrac)
 	}
 	rep.Addf("(steering within one bucket of slack relieves hot calendar queues)")
@@ -107,9 +107,9 @@ func ExtensionMPTCP(r *Runner, base SimConfig) (*Report, []*Result, error) {
 	rep := &Report{Title: "Extension (§10): MPTCP-style subflows over parallel UCMP paths"}
 	rep.Addf("%-14s %-10s %-10s %-10s %-12s", "transport", "<=100KB", "<=1MB", ">1MB", "efficiency")
 	for i, res := range out {
-		bins := coarseBins(res.Collector)
+		bins := res.Collector.BySize(coarseEdges)
 		rep.Addf("%-14s %-10s %-10s %-10s %-12.3f",
-			string(kinds[i]), fmtT(bins[1]), fmtT(bins[2]), fmtT(bins[3]), res.Efficiency)
+			string(kinds[i]), fmtT(bins[1].AvgFCT), fmtT(bins[2].AvgFCT), fmtT(bins[3].AvgFCT), res.Efficiency)
 	}
 	return rep, out, nil
 }

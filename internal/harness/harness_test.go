@@ -212,7 +212,10 @@ func TestFig12abcScaled(t *testing.T) {
 			if b.Affected == 0 {
 				t.Errorf("%s: no affected paths", label)
 			}
-			total := b.Share[0] + b.Share[1] + b.Share[2] + b.Share[3]
+			var total float64
+			for c := range b.Count {
+				total += b.Share(netsim.RecoveryClass(c))
+			}
 			if total < 0.999 || total > 1.001 {
 				t.Errorf("%s: shares sum to %v", label, total)
 			}
@@ -325,8 +328,8 @@ func TestFig11SliceSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Longer slices raise short-flow FCT (more circuit waiting, Fig 11b).
-	shortA := coarseBins(out[0].Collector)[0]
-	shortB := coarseBins(out[1].Collector)[0]
+	shortA := out[0].Collector.BySize(coarseEdges)[0].AvgFCT
+	shortB := out[1].Collector.BySize(coarseEdges)[0].AvgFCT
 	if shortB < shortA {
 		t.Errorf("300us slice short-flow FCT %v below 50us %v", shortB, shortA)
 	}

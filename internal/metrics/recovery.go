@@ -46,24 +46,6 @@ func (r RecoveryStats) Recovered() int64 {
 // Total is every plan that had to leave the wanted path, failed included.
 func (r RecoveryStats) Total() int64 { return r.Recovered() + r.Failed }
 
-// BreakdownShares maps the online counts onto failure.Recovery's four
-// classes — shorter, same-length, longer, unrecoverable, in that index
-// order — as fractions of Total, for side-by-side comparison with an
-// offline failure.Classify breakdown. Backup recoveries count as longer
-// (the 2-hop fallback of §5.3).
-func (r RecoveryStats) BreakdownShares() [4]float64 {
-	var s [4]float64
-	total := float64(r.Total())
-	if total == 0 {
-		return s
-	}
-	s[0] = float64(r.Shorter) / total
-	s[1] = float64(r.SameLength) / total
-	s[2] = float64(r.Longer+r.Backup) / total
-	s[3] = float64(r.Failed) / total
-	return s
-}
-
 // WaitPercentile returns an upper bound on the p-quantile time-to-reroute
 // (the upper edge of the histogram bucket containing it), or 0 when the
 // histogram is empty. p is in [0, 1].

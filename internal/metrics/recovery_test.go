@@ -22,16 +22,14 @@ func TestRecoveryExtractsCounters(t *testing.T) {
 	if r.Recovered() != 11 || r.Total() != 15 || r.FaultDrops != 7 {
 		t.Fatalf("recovered=%d total=%d faultdrops=%d", r.Recovered(), r.Total(), r.FaultDrops)
 	}
-	s := r.BreakdownShares()
-	want := [4]float64{3.0 / 15, 5.0 / 15, 3.0 / 15, 4.0 / 15} // shorter, same, longer+backup, failed
-	if s != want {
-		t.Fatalf("shares %v, want %v", s, want)
+	if r.SameLength != 5 || r.Shorter != 3 || r.Longer != 2 || r.Backup != 1 || r.Failed != 4 {
+		t.Fatalf("per-class counts %+v", r)
 	}
 }
 
 func TestRecoveryZeroIsEmpty(t *testing.T) {
 	var r RecoveryStats
-	if r.Total() != 0 || r.BreakdownShares() != [4]float64{} {
+	if r.Total() != 0 {
 		t.Fatal("zero stats not empty")
 	}
 	if r.WaitPercentile(0.99) != 0 {

@@ -127,8 +127,10 @@ type Packet struct {
 // MaxReroutes is the recirculation limit of §6.3.
 const MaxReroutes = 5
 
-// RecoveryClass is the outcome of one online §5.3 route resolution under a
-// fault view, mirroring failure.Recovery: when the wanted (primary) path is
+// RecoveryClass is the outcome of one §5.3 route resolution under a fault
+// view — a packet's plan, or an affected path in the offline Fig 12a–c
+// breakdown (routing.Classify), both decided by the router's one policy:
+// when the wanted (primary) path is
 // unhealthy, the router prefers a healthy same-length group path, then a
 // shorter one, then a longer one, then a 2-hop backup path; RecoveryNone
 // means nothing healthy remained and the plan failed.

@@ -32,8 +32,8 @@ type UCMP struct {
 	// Health, when non-nil, is the time-indexed fault view (§5.3 online
 	// recovery): when the wanted path is unhealthy at plan time, assignment
 	// prefers a healthy same-length group path, then a shorter one, then a
-	// longer one, then a 2-hop backup — the order failure.Classify scores
-	// offline — and stamps the outcome on Packet.RecoveredVia.
+	// longer one, then a 2-hop backup (resolve, the policy Classify scores
+	// offline) and stamps the outcome on Packet.RecoveredVia.
 	Health HealthView
 
 	// Backlog and CongestionThreshold enable the §10 congestion-aware
@@ -114,122 +114,34 @@ func (u *UCMP) PlanRoute(p *netsim.Packet, tor int, now sim.Time, fromAbs int64,
 // planGroup plans from the UCMP group's store view — the same code for
 // brute-force and rotation-symmetric path sets, whose views already carry
 // the +tor relabeling: congestion steering first (when engaged), then the
-// wanted path or its §5.3 recovery alternative, then a 2-hop backup. s is
-// nil in steady state, where neither the fault view nor the board is
-// consulted.
+// wanted path or its §5.3 recovery (resolve). s is nil in steady state,
+// where neither the fault view nor the board is consulted.
 func (u *UCMP) planGroup(p *netsim.Packet, s *planScratch, tor, dst, ts, bucket int, hash uint64, now sim.Time, fromAbs int64, buf []netsim.PlannedHop) ([]netsim.PlannedHop, bool) {
 	g := u.PS.View(ts, tor, dst)
 	var chk healthCheck
-	var path core.PathView
-	class, found := netsim.RecoveryPrimary, false
 	if s != nil {
 		chk = healthCheck{h: u.Health, now: now, path: &s.path}
-		var steered bool
-		if path, steered, found = u.pickUncongested(s, g, bucket, tor, now, fromAbs, hash, chk); steered {
-			class = netsim.RecoverySteered
-		}
-	}
-	if !found {
-		path, class, found = u.pickHealthy(g, bucket, hash, chk)
-	}
-	if found {
-		p.RecoveredVia = class
-		return hopsFromView(path, fromAbs, buf), true
-	}
-	// Group exhausted (a failure, or an empty group): fall back to a
-	// healthy backup 2-hop path avoiding failed ToRs (§5.3).
-	var exclude func(int) bool
-	if h := u.Health; h != nil {
-		exclude = func(t int) bool { return !h.TorOK(now, t) }
-	}
-	backups := u.PS.BackupPaths(ts, tor, dst, 4, exclude)
-	for i := range backups {
-		b := backups[(int(hash%uint64(len(backups)))+i)%len(backups)]
-		if chk.h == nil || chk.h.PathOK(now, b) {
-			p.RecoveredVia = netsim.RecoveryBackup
-			return hopsFromPath(b, fromAbs, buf), true
-		}
-	}
-	p.RecoveredVia = netsim.RecoveryNone
-	return nil, false
-}
-
-// healthCheck evaluates the fault view on store paths. HealthView takes a
-// *core.Path, so the view is copied into the plan's scratch Path first — no
-// allocation, and the predicate sees absolute labels on brute-force and
-// symmetric path sets alike. The zero check (no fault view) accepts
-// everything.
-type healthCheck struct {
-	h    HealthView
-	now  sim.Time
-	path *core.Path
-}
-
-func (c healthCheck) ok(p core.PathView) bool {
-	if c.h == nil {
-		return true
-	}
-	p.Fill(c.path)
-	return c.h.PathOK(c.now, c.path)
-}
-
-// pickHealthy resolves the bucket to a path and its §5.3 recovery class.
-// Without a fault view it is the wanted path (the steady-state hot path).
-// Under faults the preference order mirrors failure.classifyOne: the wanted
-// entry's parallel paths (same hop count), then the other entries — shorter
-// first, then longer, each resolved in group entry order (entries ascend
-// strictly in hop count, so no other entry has the wanted length).
-func (u *UCMP) pickHealthy(g core.GroupView, bucket int, hash uint64, chk healthCheck) (core.PathView, netsim.RecoveryClass, bool) {
-	if g.NumEntries() == 0 {
-		return core.PathView{}, netsim.RecoveryNone, false
-	}
-	wi := u.Ager.EntryIndex(g, bucket)
-	want := g.Entry(wi)
-	if want.NumPaths == 0 {
-		return core.PathView{}, netsim.RecoveryNone, false
-	}
-	primary := int(hash % uint64(want.NumPaths))
-	if chk.h == nil {
-		return want.Path(primary), netsim.RecoveryPrimary, true
-	}
-	j := healthyOf(want, hash, chk)
-	if j >= 0 {
-		if j == primary {
-			return want.Path(j), netsim.RecoveryPrimary, true
-		}
-		// A sibling parallel path of the wanted entry: same hop count.
-		return want.Path(j), netsim.RecoverySameLength, true
-	}
-	for i := 0; i < g.NumEntries(); i++ {
-		if i == wi {
-			continue
-		}
-		e := g.Entry(i)
-		if j := healthyOf(e, hash, chk); j >= 0 {
-			if i < wi {
-				return e.Path(j), netsim.RecoveryShorter, true
+		if path, steered, found := u.pickUncongested(s, g, bucket, tor, now, fromAbs, hash, chk); found {
+			p.RecoveredVia = netsim.RecoveryPrimary
+			if steered {
+				p.RecoveredVia = netsim.RecoverySteered
 			}
-			return e.Path(j), netsim.RecoveryLonger, true
+			return hopsFromView(path, fromAbs, buf), true
 		}
 	}
-	return core.PathView{}, netsim.RecoveryNone, false
-}
-
-// healthyOf returns the index of the hash-selected healthy path of the
-// entry, or -1 when the entry has no paths or every path is unhealthy.
-func healthyOf(e core.EntryView, hash uint64, chk healthCheck) int {
-	n := e.NumPaths
-	if n == 0 {
-		return -1
+	wi := -1
+	if g.NumEntries() > 0 {
+		wi = u.Ager.EntryIndex(g, bucket)
 	}
-	start := int(hash % uint64(n))
-	for i := 0; i < n; i++ {
-		j := (start + i) % n
-		if chk.ok(e.Path(j)) {
-			return j
-		}
+	r := resolve(u.PS, g, ts, tor, dst, wi, hash, chk)
+	p.RecoveredVia = r.class
+	switch {
+	case r.class == netsim.RecoveryNone:
+		return nil, false
+	case r.backup != nil:
+		return hopsFromPath(r.backup, fromAbs, buf), true
 	}
-	return -1
+	return hopsFromView(r.path, fromAbs, buf), true
 }
 
 // StampBucket tags a data packet with the flow's current aging bucket

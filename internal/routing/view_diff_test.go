@@ -33,7 +33,7 @@ func refPlan(u *UCMP, p *netsim.Packet, tor int, now sim.Time, fromAbs int64) ([
 		if h := u.Health; h != nil {
 			exclude = func(t int) bool { return !h.TorOK(now, t) }
 		}
-		path, class = refHealthyOf(u.PS.BackupPaths(ts, tor, p.DstToR, 4, exclude), hash, ok), netsim.RecoveryBackup
+		path, class = refHealthyOf(u.PS.BackupPaths(ts, tor, p.DstToR, exclude), hash, ok), netsim.RecoveryBackup
 		if path == nil {
 			return nil, netsim.RecoveryNone, false
 		}
