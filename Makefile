@@ -1,14 +1,7 @@
-# Standard checks for the UCMP reproduction. `make check` is what CI (and a
-# pre-commit run) should execute: gofmt, vet, staticcheck (when installed), build,
-# the full test suite, and the race detector over the packages with
-# intentional concurrency (the parallel offline build in internal/core, the
-# engine in internal/sim, and the Runner's worker pool and path-set store in
-# internal/harness, with the sharded run behind ucmpbench's per-exhibit stat
-# fold)
-# plus the queue-level differential (TestQueueDifferential, part of the
-# internal/sim run: the timing wheel against the reference heap, op for op),
-# which is the determinism pin for the scheduler, and a run of every
-# examples/ program.
+# Standard checks for the UCMP reproduction. `make check` is what CI runs:
+# gofmt, vet, staticcheck (when installed), build, the test suite, the race
+# detector over the tests listed in `race`, and every examples/ program. Why
+# the race list holds what it holds: DESIGN.md §9.
 
 GO ?= go
 
@@ -92,7 +85,7 @@ benchmark:
 bench-netsim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$|BenchmarkRotorSelectIndirect108$$|BenchmarkRotorParkUnpark$$|BenchmarkHostNICEnqueueManyFlows$$|BenchmarkNetworkBuild512$$' -benchmem ./internal/netsim
 
-# crash-smoke is the CI crash-recovery check (DESIGN.md §15): an
+# crash-smoke is the CI crash-recovery check (DESIGN.md §11): an
 # uninterrupted reference run writes its per-flow CSV; the same
 # configuration restarts with checkpointing on, is SIGKILLed mid-run, is
 # re-invoked with -resume, and the resumed run's per-flow CSV must be

@@ -49,71 +49,58 @@ func ucmpbench(t *testing.T, args ...string) (status int, stdout, stderr string)
 	return status, out.String(), errb.String()
 }
 
+// selectExps takes a list of known ids as given, offline ones included, and
+// rejects a typo anywhere in the list, naming every bad id and the valid
+// list, sched included.
 func TestSelectExps(t *testing.T) {
-	want, err := selectExps("fig9, table1,sched")
-	if err != nil || len(want) != 3 || !want["fig9"] || !want["table1"] || !want["sched"] {
-		t.Fatalf("selectExps(list) = %v, %v", want, err)
+	for _, c := range []struct {
+		spec string
+		ids  []string
+	}{
+		{"fig9, table1,sched", []string{"fig9", "table1", "sched"}},
+		{"fig14, table3", []string{"fig14", "table3"}},
+	} {
+		got, err := selectExps(c.spec)
+		if err != nil || len(got) != len(c.ids) {
+			t.Fatalf("selectExps(%q) = %v, %v", c.spec, got, err)
+		}
+		for _, id := range c.ids {
+			if !got[id] {
+				t.Fatalf("selectExps(%q) = %v, lacks %s", c.spec, got, id)
+			}
+		}
 	}
 	all, err := selectExps("all")
 	if err != nil || !all["fig6a"] || !all["sched"] || all["scale"] || len(all) != len(allExps)-len(heavyExps) {
 		t.Fatalf("selectExps(all) = %v, %v", all, err)
 	}
-	for _, spec := range []string{"bogus", "fig9,fgi8", "fig9,", ""} {
+	for _, spec := range []string{"bogus", "fig9,fgi8", "fig9,", "", "tabel2", "fig5a,", "fig12abc"} {
 		if _, err := selectExps(spec); err == nil {
 			t.Errorf("selectExps(%q) accepted an unknown id", spec)
 		}
 	}
-	_, err = selectExps("fig9,fgi8,nope")
-	if err == nil || !strings.Contains(err.Error(), `"fgi8", "nope"`) || !strings.Contains(err.Error(), "fig17") {
-		t.Fatalf("error should name every unknown id and the valid list: %v", err)
-	}
-}
-
-// A typo in -exp used to run nothing and exit 0. It must exit 2 before any
-// exhibit runs, naming the bad id on stderr.
-func TestUnknownExpExitsNonZero(t *testing.T) {
-	status, stdout, stderr := ucmpbench(t, "-exp", "table1,bogus")
-	if status != 2 {
-		t.Fatalf("exit status %d, want 2; stderr: %s", status, stderr)
-	}
-	if !strings.Contains(stderr, `"bogus"`) || !strings.Contains(stderr, "table1") {
-		t.Fatalf("stderr does not name the bad id and the valid list: %s", stderr)
-	}
-	if stdout != "" {
-		t.Fatalf("an exhibit ran before the id check: %s", stdout)
-	}
-}
-
-// The offline exhibit ids resolve like every other: a list of known ids is
-// taken as given, and a typo among them is rejected with every bad id and the
-// valid list, sched included, named.
-func TestSelectExpsOfflineIDs(t *testing.T) {
-	want, err := selectExps("fig14, table3")
-	if err != nil || len(want) != 2 || !want["fig14"] || !want["table3"] {
-		t.Fatalf("selectExps(list) = %v, %v", want, err)
-	}
-	for _, spec := range []string{"tabel2", "fig5a,", "fig12abc"} {
-		if _, err := selectExps(spec); err == nil {
-			t.Errorf("selectExps(%q) accepted an unknown id", spec)
+	for _, c := range []struct{ spec, bad, valid string }{
+		{"fig9,fgi8,nope", `"fgi8", "nope"`, "fig17"},
+		{"fig5a,fgi5b,nope", `"fgi5b", "nope"`, "sched"},
+	} {
+		_, err := selectExps(c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.bad) || !strings.Contains(err.Error(), c.valid) {
+			t.Fatalf("selectExps(%q): error should name every unknown id and the valid list: %v", c.spec, err)
 		}
-	}
-	_, err = selectExps("fig5a,fgi5b,nope")
-	if err == nil || !strings.Contains(err.Error(), `"fgi5b", "nope"`) || !strings.Contains(err.Error(), "sched") {
-		t.Fatalf("error should name every unknown id and the valid list: %v", err)
 	}
 }
 
 // A lone typo (-exp tabel2) and a typo after a valid id (-exp fig14,bogus)
-// both exit 2 before anything runs, with one stderr line naming the bad id
-// and the valid ones.
+// both exit 2 before any exhibit runs, with one stderr line naming the bad
+// id and the valid ones.
 func TestUnknownExpExitsTwo(t *testing.T) {
-	for _, spec := range []string{"tabel2", "fig14,bogus"} {
+	for _, spec := range []string{"tabel2", "fig14,bogus", "table1,bogus"} {
 		status, stdout, stderr := ucmpbench(t, "-exp", spec)
 		if status != 2 {
 			t.Fatalf("-exp %s: exit status %d, want 2; stderr: %s", spec, status, stderr)
 		}
 		bad := spec[strings.LastIndex(spec, ",")+1:]
-		if !strings.Contains(stderr, `"`+bad+`"`) || !strings.Contains(stderr, "table2") || strings.Count(stderr, "\n") != 1 {
+		if !strings.Contains(stderr, `"`+bad+`"`) || !strings.Contains(stderr, "table1") || !strings.Contains(stderr, "table2") || strings.Count(stderr, "\n") != 1 {
 			t.Fatalf("-exp %s: stderr is not one line naming the bad id and the valid list: %s", spec, stderr)
 		}
 		if stdout != "" {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -94,30 +95,38 @@ func TestCheckpointEveryWithoutDirIsNoted(t *testing.T) {
 // A negative -load walked the Poisson arrival clock backwards and generated
 // flows until the machine ran out of memory; a zero -load, -hosts or
 // -duration printed an empty FCT table with exit status 0; a negative -alpha
-// ran; a failure fraction outside [0,1] ran clamped, or not at all when
-// negative. Each is refused before anything is built, naming the field.
+// ran, with or without an explicit -flows trace; a failure fraction outside
+// [0,1] ran clamped, or not at all when negative. Each is refused before
+// anything is built, naming the field.
 func TestWorkloadInputsValidated(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "flows.csv")
+	if err := os.WriteFile(trace, []byte("id,src_host,dst_host,size_bytes,arrival_ns\n1,0,5,65536,0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
-		flag, value, field string
+		args  []string
+		field string
 	}{
-		{"-load", "-1", "Load=-1"},
-		{"-load", "0", "Load=0"},
-		{"-hosts", "0", "HostsPerToR=0"},
-		{"-duration", "0s", "Duration=0ns"},
-		{"-alpha", "-1", "Alpha=-1"},
-		{"-faillinks", "1.5", "link failure fraction 1.5"},
-		{"-failtors", "1.7", "ToR failure fraction 1.7"},
-		{"-faillinks-rt", "-0.3", "link failure fraction -0.3"},
+		{[]string{"-load", "-1"}, "Load=-1"},
+		{[]string{"-load", "0"}, "Load=0"},
+		{[]string{"-hosts", "0"}, "HostsPerToR=0"},
+		{[]string{"-duration", "0s"}, "Duration=0ns"},
+		{[]string{"-alpha", "-1"}, "Alpha=-1"},
+		{[]string{"-flows", trace, "-alpha", "-1"}, "Alpha=-1"},
+		{[]string{"-flows", trace, "-alpha", "NaN"}, "Alpha=NaN"},
+		{[]string{"-faillinks", "1.5"}, "link failure fraction 1.5"},
+		{[]string{"-failtors", "1.7"}, "ToR failure fraction 1.7"},
+		{[]string{"-faillinks-rt", "-0.3"}, "link failure fraction -0.3"},
 	} {
-		status, stdout, stderr := ucmpsim(t, c.flag, c.value)
+		status, stdout, stderr := ucmpsim(t, c.args...)
 		if status == 0 {
-			t.Errorf("%s %s: exit status 0; stdout: %s", c.flag, c.value, stdout)
+			t.Errorf("%v: exit status 0; stdout: %s", c.args, stdout)
 		}
 		if !strings.Contains(stderr, "harness: "+c.field) || strings.Contains(stderr, "goroutine") {
-			t.Errorf("%s %s: stderr does not name the field in one line: %s", c.flag, c.value, stderr)
+			t.Errorf("%v: stderr does not name the field in one line: %s", c.args, stderr)
 		}
 		if stdout != "" {
-			t.Errorf("%s %s: a run started before the input was checked: %s", c.flag, c.value, stdout)
+			t.Errorf("%v: a run started before the input was checked: %s", c.args, stdout)
 		}
 	}
 }

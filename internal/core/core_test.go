@@ -587,10 +587,6 @@ func TestPathHelpers(t *testing.T) {
 	if p.HopCount() != 2 || p.EndSlice() != 4 || p.LatencySlices() != 3 {
 		t.Fatal("basic accessors wrong")
 	}
-	nodes := p.Nodes()
-	if len(nodes) != 3 || nodes[0] != 0 || nodes[2] != 3 {
-		t.Fatalf("nodes %v", nodes)
-	}
 	edges := p.Edges()
 	if len(edges) != 2 || edges[0] != [2]int{0, 1} || edges[1] != [2]int{1, 3} {
 		t.Fatalf("edges %v", edges)

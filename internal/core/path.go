@@ -45,16 +45,6 @@ func (p *Path) EndSlice() int64 { return p.Hops[len(p.Hops)-1].Slice }
 // LatencySlices returns the Eqn. 1 latency in slices: t_end - t_start + 1.
 func (p *Path) LatencySlices() int64 { return p.EndSlice() - p.StartSlice + 1 }
 
-// Nodes returns the full node sequence src, ..., dst.
-func (p *Path) Nodes() []int {
-	nodes := make([]int, 0, len(p.Hops)+1)
-	nodes = append(nodes, p.Src)
-	for _, h := range p.Hops {
-		nodes = append(nodes, h.To)
-	}
-	return nodes
-}
-
 // Edges returns the undirected ToR pairs the path crosses, normalized with
 // the smaller ToR first, for edge-disjointness analysis (§7.2).
 func (p *Path) Edges() [][2]int {

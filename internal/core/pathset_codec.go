@@ -9,7 +9,7 @@ import (
 	"ucmp/internal/topo"
 )
 
-// Canonical path-set codec (DESIGN.md §14). A symmetric PathSet is two
+// Canonical path-set codec (DESIGN.md §11). A symmetric PathSet is two
 // blobs:
 //
 //   - the spine: a little-endian []int32 (S·N entries, -1 at Δ = 0) of

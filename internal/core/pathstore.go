@@ -10,7 +10,7 @@ import (
 	"ucmp/internal/topo"
 )
 
-// Packed path store (DESIGN.md §7). Every UCMP group of a PathSet lives as
+// Packed path store (DESIGN.md §3). Every UCMP group of a PathSet lives as
 // one pointer-free record of u16 words in the segment of its starting
 // slice; a flat u32 spine maps a (t_start, src, dst) slot to the record's
 // word offset (0 = no group: word 0 of every segment is reserved):

@@ -24,7 +24,7 @@ type Tables struct {
 // minimum-latency path src->last) and sp2 (the last hop last->dst); the
 // split is feasible when latency(sp1) <= latency(sp2), i.e. the packet
 // reaches the last intermediate ToR before (or in) the slice of the final
-// circuit. Two refinements over the paper's pseudocode, noted in DESIGN.md:
+// circuit. Two refinements over the paper's pseudocode, noted in DESIGN.md §3:
 //
 //   - instead of discarding an intermediate whose earliest last-hop circuit
 //     precedes the packet's arrival, we advance to that circuit's next

@@ -1,10 +1,10 @@
 // Package fabriccache persists compiled fabrics — the symmetric PathSet's
 // canonical spine + group store and ToR 0's CompiledTable — in a
-// versioned binary file served back via mmap (DESIGN.md §14). Since the
-// canonical build of PRs 14–15 a load is about as fast as the build it
-// replaces (1024 ToRs × 8 uplinks: ~0.35 s cold, ~0.3 s loaded; the table
-// in §14); what the file still buys is that multiple processes loading it
-// share one copy of the hot arrays through the page cache.
+// versioned binary file served back via mmap (DESIGN.md §11). A load is
+// about as fast as the canonical build it replaces (1024 ToRs × 8 uplinks:
+// ~0.35 s cold, ~0.3 s loaded); what the file still buys is that multiple
+// processes loading it share one copy of the hot arrays through the page
+// cache.
 //
 // File layout (little-endian):
 //

@@ -174,7 +174,7 @@ type epoch struct {
 // domains may consult the schedule freely and serial and sharded runs see
 // identical answers at identical local times. That is the whole determinism
 // argument for runtime fault injection: failures are not simulator events
-// at all, just a time-indexed view (DESIGN.md §11).
+// at all, just a time-indexed view (DESIGN.md §4).
 type Schedule struct {
 	epochs []epoch
 }

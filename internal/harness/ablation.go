@@ -52,7 +52,7 @@ func AblationParallel(r *Runner, base SimConfig) (*Report, []*Result, error) {
 	return rep, out, nil
 }
 
-// AblationSchedule isolates the expander-shuffled factorization (DESIGN.md):
+// AblationSchedule isolates the expander-shuffled factorization (DESIGN.md §2):
 // grouping consecutive circle-method matchings roughly doubles h_static,
 // which inflates h_max and path latencies. This is an offline comparison.
 func AblationSchedule(n, d int) *Report {

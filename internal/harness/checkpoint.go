@@ -1,4 +1,4 @@
-// Checkpoint orchestration (DESIGN.md §15): the harness decides when to
+// Checkpoint orchestration (DESIGN.md §11): the harness decides when to
 // snapshot (segmented serial runs, coordinator globals on the sharded
 // engine), what identifies a checkpoint (configKey), and how a resume
 // rebuilds the model — attach every flow cold, replay the recorded state

@@ -10,7 +10,7 @@ import (
 	"ucmp/internal/transport"
 )
 
-// congestionCase is one DESIGN.md §13 differential scenario: congestion-aware UCMP
+// congestionCase is one DESIGN.md §10 differential scenario: congestion-aware UCMP
 // planning against the slice-boundary backlog board must produce
 // byte-identical results on the serial and sharded engines. mustSteer marks
 // scenarios built to guarantee the steering actually engages, so the

@@ -443,8 +443,8 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 		{"Load=NaN", func(c *SimConfig) { c.Load = math.NaN() }, false},
 		{"HostsPerToR=0", func(c *SimConfig) { c.Topo.HostsPerToR = 0 }, false},
 		{"Duration=0ns", func(c *SimConfig) { c.Duration = 0 }, false},
-		{"Alpha=-1", func(c *SimConfig) { c.Alpha = -1 }, false},
-		{"Alpha=+Inf", func(c *SimConfig) { c.Alpha = math.Inf(1) }, false},
+		{"Alpha=-1", func(c *SimConfig) { c.Alpha = -1 }, true},
+		{"Alpha=+Inf", func(c *SimConfig) { c.Alpha = math.Inf(1) }, true},
 	} {
 		cfg := base
 		c.set(&cfg)

@@ -75,7 +75,7 @@ type SimConfig struct {
 	MaxParallel int
 
 	// FabricCacheDir, when set, persists compiled UCMP fabrics as mmap-able
-	// files in that directory (DESIGN.md §14) and serves later processes'
+	// files in that directory (DESIGN.md §11) and serves later processes'
 	// runs of the same fabric + parameters from them instead of rebuilding.
 	// A run reads only the file's symmetric path set, decoded into its own
 	// store; ToR 0's compiled table rides in the file as the switch-install
@@ -89,7 +89,7 @@ type SimConfig struct {
 
 	// CongestionAware enables the §10 extension: online assignment steers
 	// around congested calendar queues within one bucket of slack, reading
-	// the slice-boundary calendar-backlog board (DESIGN.md §10, §13).
+	// the slice-boundary calendar-backlog board (DESIGN.md §10).
 	CongestionAware bool
 	// CongestionThreshold overrides the backlog (data packets parked in the
 	// target calendar queue, as of the last slice boundary) at which
@@ -103,7 +103,7 @@ type SimConfig struct {
 	// going down (and optionally back up) at fixed simulation times. The
 	// script compiles to an immutable epoch schedule consulted by the
 	// fabric and by UCMP's §5.3 online recovery, and is fully shardable
-	// (DESIGN.md §11). Links failed from t=0 and never repaired are Fig
+	// (DESIGN.md §4). Links failed from t=0 and never repaired are Fig
 	// 12d's static failures (BuildFailureTimeline). The timeline is not
 	// mutated and may be shared between configs.
 	Failures *failure.Timeline
@@ -119,7 +119,7 @@ type SimConfig struct {
 	Shards int
 
 	// CheckpointDir, together with CheckpointEvery > 0, writes a full
-	// simulation snapshot (DESIGN.md §15) at every multiple of
+	// simulation snapshot (DESIGN.md §11) at every multiple of
 	// CheckpointEvery, one file per distinct configuration, overwritten in
 	// place with the atomic temp+rename discipline. Checkpoint instants do
 	// not perturb the run: a checkpointing run is bit-identical to a plain
@@ -331,7 +331,8 @@ func joinNote(notes, note string) string {
 
 // validateWorkload checks the run's numeric knobs before anything is built.
 // A negative horizon or sampling period would silently run no events or take
-// no samples. The rest is what the Poisson generator is fed, when it is the
+// no samples, and α shapes the path set whatever the workload source. The
+// rest is what the Poisson generator is fed, when it is the
 // one that runs (cfg.Flows == nil): a negative load walks the arrival clock
 // backwards and never returns, a zero load, duration or host count gives an
 // empty FCT table that looks like a result, and a hotspot share outside
@@ -344,12 +345,12 @@ func validateWorkload(cfg SimConfig) error {
 		return fmt.Errorf("harness: Horizon=%v must not be negative", cfg.Horizon)
 	case cfg.SampleEvery < 0:
 		return fmt.Errorf("harness: SampleEvery=%v must not be negative", cfg.SampleEvery)
+	case !finite(cfg.Alpha) || cfg.Alpha < 0:
+		return fmt.Errorf("harness: Alpha=%g must be non-negative and finite", cfg.Alpha)
 	case cfg.Flows != nil:
 		return nil
 	case !finite(cfg.Load) || cfg.Load <= 0:
 		return fmt.Errorf("harness: Load=%g must be positive and finite", cfg.Load)
-	case !finite(cfg.Alpha) || cfg.Alpha < 0:
-		return fmt.Errorf("harness: Alpha=%g must be non-negative and finite", cfg.Alpha)
 	case cfg.Duration <= 0:
 		return fmt.Errorf("harness: Duration=%v must be positive", cfg.Duration)
 	case cfg.Topo.HostsPerToR < 1:

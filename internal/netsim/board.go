@@ -7,7 +7,7 @@ import (
 	"ucmp/internal/sim"
 )
 
-// board is a slice-boundary exchange (DESIGN.md §10): the way a ToR reads
+// board is a slice-boundary exchange (DESIGN.md §6): the way a ToR reads
 // peer state without reading it live. At the top of its own boundary event
 // for absolute slice s, each ToR publishes a stripe of `stride` values into
 // ring slot s&3; readers during slice s read the stripe published at the

@@ -1,6 +1,6 @@
 package netsim
 
-// Checkpoint/restore for the fabric (DESIGN.md §15). Snapshot re-encodes the
+// Checkpoint/restore for the fabric (DESIGN.md §11). Snapshot re-encodes the
 // network's full mutable state — per-domain engine clocks, pending events as
 // pure descriptors, flow progress, every port queue with its parked packets
 // (RotorLB VOQs as the records they hold), the slice-boundary boards, and the

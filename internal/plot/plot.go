@@ -100,23 +100,3 @@ func CDF(xs []float64, probs []float64, rows, width int) []string {
 	}
 	return out
 }
-
-// Histogram renders integer-keyed counts (e.g. hop histograms) as bars.
-func Histogram(hist map[int]int, width int) []string {
-	keys := make([]int, 0, len(hist))
-	total := 0
-	for k, c := range hist {
-		keys = append(keys, k)
-		total += c
-	}
-	sort.Ints(keys)
-	var out []string
-	for _, k := range keys {
-		share := 0.0
-		if total > 0 {
-			share = float64(hist[k]) / float64(total)
-		}
-		out = append(out, Bar(fmt.Sprintf("%d", k), share, 1.0, width))
-	}
-	return out
-}

@@ -74,16 +74,3 @@ func TestCDF(t *testing.T) {
 		t.Fatal("empty input")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	rows := Histogram(map[int]int{1: 3, 2: 1}, 8)
-	if len(rows) != 2 {
-		t.Fatal("rows")
-	}
-	if !strings.HasPrefix(rows[0], "1") || !strings.HasPrefix(rows[1], "2") {
-		t.Fatalf("ordering: %v", rows)
-	}
-	if strings.Count(rows[0], "█") <= strings.Count(rows[1], "█") {
-		t.Fatalf("relative sizes: %v", rows)
-	}
-}

@@ -2,10 +2,10 @@ package topo
 
 import "fmt"
 
-// Circulant schedule family beyond round-robin (DESIGN.md §14): any schedule
+// Circulant schedule family beyond round-robin (DESIGN.md §2): any schedule
 // whose slices are unions of whole difference classes Δ(δ) = {{i, (i+δ) mod
 // N}} — and whose reconfiguration boundaries darken whole classes — passes
-// the verified rotation witness, so the §12 canonical O(S·N) offline build
+// the verified rotation witness, so the canonical O(S·N) offline build (DESIGN.md §3)
 // and the relabel-on-serve path apply. Two members live here:
 //
 //   - circulantOpera: Opera's staggered rotor schedule rebuilt from

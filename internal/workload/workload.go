@@ -75,12 +75,6 @@ func Fixed(size int64) *Dist {
 	return &Dist{Name: "fixed", Points: []CDFPoint{{Bytes: size, Prob: 1}}}
 }
 
-// Uniform returns a distribution roughly uniform (in log space) between
-// min and max bytes.
-func Uniform(min, max int64) *Dist {
-	return &Dist{Name: "uniform", Points: []CDFPoint{{Bytes: min, Prob: 1e-9}, {Bytes: max, Prob: 1}}}
-}
-
 // Validate checks monotonicity and termination at probability 1.
 func (d *Dist) Validate() error {
 	if len(d.Points) == 0 {
