@@ -49,63 +49,80 @@ func ucmpbench(t *testing.T, args ...string) (status int, stdout, stderr string)
 	return status, out.String(), errb.String()
 }
 
-// selectExps takes a list of known ids as given, offline ones included, and
-// rejects a typo anywhere in the list, naming every bad id and the valid
-// list, sched included.
-func TestSelectExps(t *testing.T) {
-	for _, c := range []struct {
-		spec string
-		ids  []string
-	}{
-		{"fig9, table1,sched", []string{"fig9", "table1", "sched"}},
-		{"fig14, table3", []string{"fig14", "table3"}},
-	} {
-		got, err := selectExps(c.spec)
-		if err != nil || len(got) != len(c.ids) {
-			t.Fatalf("selectExps(%q) = %v, %v", c.spec, got, err)
-		}
-		for _, id := range c.ids {
-			if !got[id] {
-				t.Fatalf("selectExps(%q) = %v, lacks %s", c.spec, got, id)
-			}
-		}
+// wantSelected checks that selectExps takes a list of known ids as given.
+func wantSelected(t *testing.T, spec string, ids ...string) {
+	t.Helper()
+	got, err := selectExps(spec)
+	if err != nil || len(got) != len(ids) {
+		t.Fatalf("selectExps(%q) = %v, %v", spec, got, err)
 	}
-	all, err := selectExps("all")
-	if err != nil || !all["fig6a"] || !all["sched"] || all["scale"] || len(all) != len(allExps)-len(heavyExps) {
-		t.Fatalf("selectExps(all) = %v, %v", all, err)
-	}
-	for _, spec := range []string{"bogus", "fig9,fgi8", "fig9,", "", "tabel2", "fig5a,", "fig12abc"} {
-		if _, err := selectExps(spec); err == nil {
-			t.Errorf("selectExps(%q) accepted an unknown id", spec)
-		}
-	}
-	for _, c := range []struct{ spec, bad, valid string }{
-		{"fig9,fgi8,nope", `"fgi8", "nope"`, "fig17"},
-		{"fig5a,fgi5b,nope", `"fgi5b", "nope"`, "sched"},
-	} {
-		_, err := selectExps(c.spec)
-		if err == nil || !strings.Contains(err.Error(), c.bad) || !strings.Contains(err.Error(), c.valid) {
-			t.Fatalf("selectExps(%q): error should name every unknown id and the valid list: %v", c.spec, err)
+	for _, id := range ids {
+		if !got[id] {
+			t.Fatalf("selectExps(%q) = %v, lacks %s", spec, got, id)
 		}
 	}
 }
 
+// wantRejected checks that selectExps rejects every spec in unknown, and that
+// its error for named names every bad id (bad) and the valid list (valid).
+func wantRejected(t *testing.T, unknown []string, named, bad, valid string) {
+	t.Helper()
+	for _, spec := range unknown {
+		if _, err := selectExps(spec); err == nil {
+			t.Errorf("selectExps(%q) accepted an unknown id", spec)
+		}
+	}
+	_, err := selectExps(named)
+	if err == nil || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), valid) {
+		t.Fatalf("selectExps(%q): error should name every unknown id and the valid list: %v", named, err)
+	}
+}
+
+func TestSelectExps(t *testing.T) {
+	wantSelected(t, "fig9, table1,sched", "fig9", "table1", "sched")
+	all, err := selectExps("all")
+	if err != nil || !all["fig6a"] || !all["sched"] || all["scale"] || len(all) != len(allExps)-len(heavyExps) {
+		t.Fatalf("selectExps(all) = %v, %v", all, err)
+	}
+	wantRejected(t, []string{"bogus", "fig9,fgi8", "fig9,", ""}, "fig9,fgi8,nope", `"fgi8", "nope"`, "fig17")
+}
+
+// The offline exhibit ids resolve like every other: a list of known ids is
+// taken as given, and a typo among them is rejected with every bad id and the
+// valid list, sched included, named.
+func TestSelectExpsOfflineIDs(t *testing.T) {
+	wantSelected(t, "fig14, table3", "fig14", "table3")
+	wantRejected(t, []string{"tabel2", "fig5a,", "fig12abc"}, "fig5a,fgi5b,nope", `"fgi5b", "nope"`, "sched")
+}
+
+// wantUnknownExpExitsTwo checks that -exp spec exits 2 before any exhibit
+// runs, with one stderr line naming the bad id and the valid ones.
+func wantUnknownExpExitsTwo(t *testing.T, spec string) {
+	t.Helper()
+	status, stdout, stderr := ucmpbench(t, "-exp", spec)
+	if status != 2 {
+		t.Fatalf("-exp %s: exit status %d, want 2; stderr: %s", spec, status, stderr)
+	}
+	bad := spec[strings.LastIndex(spec, ",")+1:]
+	if !strings.Contains(stderr, `"`+bad+`"`) || !strings.Contains(stderr, "table1") || !strings.Contains(stderr, "table2") || strings.Count(stderr, "\n") != 1 {
+		t.Fatalf("-exp %s: stderr is not one line naming the bad id and the valid list: %s", spec, stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("-exp %s: an exhibit ran before the id check: %s", spec, stdout)
+	}
+}
+
+// A typo in -exp must not run nothing and exit 0: it exits 2 before any
+// exhibit runs, naming the bad id on stderr.
+func TestUnknownExpExitsNonZero(t *testing.T) {
+	wantUnknownExpExitsTwo(t, "table1,bogus")
+}
+
 // A lone typo (-exp tabel2) and a typo after a valid id (-exp fig14,bogus)
-// both exit 2 before any exhibit runs, with one stderr line naming the bad
-// id and the valid ones.
+// both exit 2 in the same way.
 func TestUnknownExpExitsTwo(t *testing.T) {
-	for _, spec := range []string{"tabel2", "fig14,bogus", "table1,bogus"} {
-		status, stdout, stderr := ucmpbench(t, "-exp", spec)
-		if status != 2 {
-			t.Fatalf("-exp %s: exit status %d, want 2; stderr: %s", spec, status, stderr)
-		}
-		bad := spec[strings.LastIndex(spec, ",")+1:]
-		if !strings.Contains(stderr, `"`+bad+`"`) || !strings.Contains(stderr, "table1") || !strings.Contains(stderr, "table2") || strings.Count(stderr, "\n") != 1 {
-			t.Fatalf("-exp %s: stderr is not one line naming the bad id and the valid list: %s", spec, stderr)
-		}
-		if stdout != "" {
-			t.Fatalf("-exp %s: an exhibit ran before the id check: %s", spec, stdout)
-		}
+	for _, spec := range []string{"tabel2", "fig14,bogus"} {
+		wantUnknownExpExitsTwo(t, spec)
 	}
 }
 
