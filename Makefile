@@ -1,11 +1,12 @@
-# Standard checks for the UCMP reproduction. `make check` is what CI runs:
-# gofmt, vet, staticcheck (when installed), build, the test suite, the race
-# detector over the tests listed in `race`, and every examples/ program. Why
-# the race list holds what it holds: DESIGN.md §9.
+# Standard checks for the UCMP reproduction. CI runs `make check` — gofmt,
+# vet, staticcheck (when installed), build, the test suite, the race
+# detector over the tests listed in `race`, and every examples/ program —
+# and `make fuzz-smoke`. Why the race list holds what it holds: DESIGN.md
+# §9.
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race race-run examples bench benchmark bench-offline bench-netsim bench-scaling scale-smoke crash-smoke
+.PHONY: check fmt vet staticcheck build test race race-run examples fuzz-smoke bench benchmark bench-offline bench-netsim bench-scaling scale-smoke crash-smoke
 
 check: fmt vet staticcheck build test race examples
 
@@ -58,6 +59,19 @@ examples:
 	@for d in examples/*/; do \
 		echo "$(GO) run ./$$d"; \
 		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
+# fuzz-smoke fuzzes every Fuzz* target the module's packages list, each for
+# 10 s: `go test` runs them on their seed corpora only, and -fuzz takes one
+# target of one package per invocation. It fails when a target finds a
+# crasher (written under that package's testdata/fuzz/, where it then stays
+# a seed) or when no target is found at all.
+fuzz-smoke:
+	@targets=$$($(GO) test -list '^Fuzz' ./... 2>&1 | awk '/^Fuzz/ { n[++k] = $$1 } $$1 == "ok" { for (i = 1; i <= k; i++) print $$2, n[i]; k = 0 } $$1 == "FAIL" { print; bad = 1 } END { exit bad }') || { echo "$$targets"; exit 1; }; \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no Fuzz targets found"; exit 1; }; \
+	echo "$$targets" | while read pkg fz; do \
+		echo "$(GO) test -run '^$$' -fuzz '^$$fz$$' -fuzztime 10s $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$fz\$$" -fuzztime 10s $$pkg || exit 1; \
 	done
 
 # bench runs the per-layer `go test -bench` probes — the offline path-set

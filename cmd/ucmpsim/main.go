@@ -121,6 +121,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ucmpsim:", err)
 			os.Exit(1)
 		}
+		if len(flows) == 0 {
+			// A nil Flows list means "generate the Poisson workload".
+			fmt.Fprintf(os.Stderr, "ucmpsim: -flows %s holds no flows\n", *flowsF)
+			os.Exit(1)
+		}
 		cfg.Flows = flows
 	}
 

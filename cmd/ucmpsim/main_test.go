@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -117,6 +118,7 @@ func TestWorkloadInputsValidated(t *testing.T) {
 		{[]string{"-faillinks", "1.5"}, "link failure fraction 1.5"},
 		{[]string{"-failtors", "1.7"}, "ToR failure fraction 1.7"},
 		{[]string{"-faillinks-rt", "-0.3"}, "link failure fraction -0.3"},
+		{[]string{"-maxflow", "-5"}, "MaxFlowSize=-5"},
 	} {
 		status, stdout, stderr := ucmpsim(t, c.args...)
 		if status == 0 {
@@ -127,6 +129,39 @@ func TestWorkloadInputsValidated(t *testing.T) {
 		}
 		if stdout != "" {
 			t.Errorf("%v: a run started before the input was checked: %s", c.args, stdout)
+		}
+	}
+}
+
+// A -flows trace is outside input: a host past the fabric used to panic in
+// the transport, a negative one in the TCP sender, a repeated id in the
+// network, a flow to its own host ran and printed "0.0% completed", and a
+// header-only trace silently ran the Poisson workload instead. Each exits 1
+// before anything runs, naming the flow or the trace.
+func TestFlowTraceValidated(t *testing.T) {
+	dir := t.TempDir()
+	for i, c := range []struct {
+		rows, msg string
+	}{
+		{"1,999,3,65536,0", "harness: flow 1: src_host 999 outside [0,32)"},
+		{"1,-3,3,65536,0", "harness: flow 1: src_host -3 outside [0,32)"},
+		{"1,0,3,65536,0\n1,4,5,65536,0", "harness: flow 1: duplicate id"},
+		{"4,3,3,65536,0", "harness: flow 4: src_host and dst_host are both 3"},
+		{"", "holds no flows"},
+	} {
+		trace := filepath.Join(dir, fmt.Sprintf("flows%d.csv", i))
+		if err := os.WriteFile(trace, []byte("id,src_host,dst_host,size_bytes,arrival_ns\n"+c.rows+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		status, stdout, stderr := ucmpsim(t, "-flows", trace)
+		if status != 1 {
+			t.Errorf("%q: exit status %d, want 1; stderr: %s", c.rows, status, stderr)
+		}
+		if !strings.Contains(stderr, c.msg) || strings.Contains(stderr, "goroutine") {
+			t.Errorf("%q: stderr does not name the flow in one line: %s", c.rows, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("%q: a run started before the trace was checked: %s", c.rows, stdout)
 		}
 	}
 }

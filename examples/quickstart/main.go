@@ -24,18 +24,19 @@ func main() {
 		bound.Q, bound.HSlice, bound.HStatic, bound.CaseI)
 
 	// 3. Inspect the group for ToR 0 -> ToR 5 starting in slice 2.
-	g := ps.Group(2, 0, 5)
+	g := ps.View(2, 0, 5)
 	fmt.Printf("\nUCMP group (src=0, dst=5, t_start=2): %d paths\n", g.NumPaths())
-	for _, e := range g.Entries {
-		for _, p := range e.Paths {
-			fmt.Printf("  %d hops, latency %2d slices: %v\n", e.HopCount, e.LatencySlices, p)
-		}
+	var path core.Path
+	for i := 0; i < g.NumPaths(); i++ {
+		g.Path(i).Fill(&path)
+		fmt.Printf("  %d hops, latency %2d slices: %v\n", path.HopCount(), path.LatencySlices(), &path)
 	}
 
-	// 4. Online path assignment (§5): uniform cost picks by flow size.
+	// 4. Online path assignment (§5): uniform cost picks by flow size. A
+	//    known size's α-scaled value falls in the minimum-cost entry's bucket.
 	fmt.Println("\npath assignment by flow size (uniform cost, Eqn. 2):")
 	for _, size := range []int64{10 << 10, 1 << 20, 64 << 20} {
-		e := g.MinCostEntry(ps.Model, size)
+		e := g.Entry(g.EntryIndexForAged(ps.Model.AgedValue(size)))
 		fmt.Printf("  %8d B -> %d-hop path (latency %d slices, cost %.1f us)\n",
 			size, e.HopCount, e.LatencySlices, ps.Model.Cost(e.LatencySlices, e.HopCount, size))
 	}
@@ -46,7 +47,7 @@ func main() {
 	fmt.Printf("\nflow aging over %d global buckets:\n", ager.NumBuckets())
 	for _, sent := range []int64{0, 100 << 10, 10 << 20, 100 << 20} {
 		b := ager.Bucket(sent)
-		e := ager.EntryForBucket(g, b)
+		e := g.Entry(ager.EntryIndex(g, b))
 		fmt.Printf("  after %9d B sent -> bucket %2d -> %d-hop path\n", sent, b, e.HopCount)
 	}
 }

@@ -43,98 +43,91 @@ func Analyze(ps *core.PathSet) PathStats {
 		HopHist:       make(map[int]int),
 	}
 	sched := ps.F.Sched
-	var groups, multi, pathsTotal, disjoint int
-	var sizeSum int
-	var hopSum int
-
-	type pairKey struct{ src, dst int }
-	unique := make(map[pairKey]map[string]struct{})
-
-	for ts := 0; ts < sched.S; ts++ {
-		for src := 0; src < sched.N; src++ {
-			for dst := 0; dst < sched.N; dst++ {
-				if src == dst {
-					continue
-				}
-				g := ps.Group(ts, src, dst)
+	var groups, multi, pathsTotal, disjoint, hopSum, pairs, cycleSum int
+	// A group's paths, one after another: path k crosses the ToR pairs
+	// edges[starts[k]:starts[k+1]].
+	var edges [][2]int
+	var starts []int
+	// cycle holds a ToR pair's distinct paths over all starting slices, each
+	// by its ToR sequence (sig), slices excluded: the same trajectory counts
+	// once per cycle.
+	cycle := make(map[string]struct{})
+	var sig []byte
+	var p core.Path
+	for src := 0; src < sched.N; src++ {
+		for dst := 0; dst < sched.N; dst++ {
+			if src == dst {
+				continue
+			}
+			clear(cycle)
+			for ts := 0; ts < sched.S; ts++ {
+				g := ps.View(ts, src, dst)
 				n := g.NumPaths()
 				st.GroupSizes[n]++
 				groups++
-				sizeSum += n
+				pathsTotal += n
 				if n > 1 {
 					multi++
 				}
-				paths := g.AllPaths()
-				edgeSets := make([]map[[2]int]struct{}, len(paths))
-				for i, p := range paths {
-					es := make(map[[2]int]struct{}, p.HopCount())
-					for _, e := range p.Edges() {
-						es[e] = struct{}{}
+				edges, starts = edges[:0], starts[:0]
+				for k := 0; k < n; k++ {
+					g.Path(k).Fill(&p)
+					starts = append(starts, len(edges))
+					sig = append(sig[:0], byte(src), byte(src>>8))
+					from := src
+					for _, h := range p.Hops {
+						edges = append(edges, [2]int{min(from, h.To), max(from, h.To)})
+						sig = append(sig, byte(h.To), byte(h.To>>8))
+						from = h.To
 					}
-					edgeSets[i] = es
-					st.HopHist[p.HopCount()]++
-					hopSum += p.HopCount()
-					pathsTotal++
-
-					key := pairKey{src, dst}
-					m, ok := unique[key]
-					if !ok {
-						m = make(map[string]struct{})
-						unique[key] = m
-					}
-					m[signature(p)] = struct{}{}
+					cycle[string(sig)] = struct{}{}
+					st.HopHist[len(p.Hops)]++
+					hopSum += len(p.Hops)
 				}
-				for i := range paths {
-					shared := false
-					for j := range paths {
-						if i == j {
-							continue
-						}
-						for e := range edgeSets[i] {
-							if _, hit := edgeSets[j][e]; hit {
-								shared = true
-								break
-							}
-						}
-						if shared {
-							break
-						}
-					}
-					if !shared {
+				starts = append(starts, len(edges))
+				for k := 0; k < n; k++ {
+					if !sharesEdge(edges, starts, k) {
 						disjoint++
 					}
 				}
 			}
+			if len(cycle) > 0 {
+				st.PathsPerCycle[len(cycle)]++
+				cycleSum += len(cycle)
+				pairs++
+			}
 		}
 	}
-	var cycleSum int
-	for _, m := range unique {
-		st.PathsPerCycle[len(m)]++
-		cycleSum += len(m)
-	}
 	if groups > 0 {
-		st.MeanGroupSize = float64(sizeSum) / float64(groups)
+		st.MeanGroupSize = float64(pathsTotal) / float64(groups)
 		st.MultiPathShare = float64(multi) / float64(groups)
 	}
 	if pathsTotal > 0 {
 		st.EdgeDisjointShare = float64(disjoint) / float64(pathsTotal)
 		st.MeanHops = float64(hopSum) / float64(pathsTotal)
 	}
-	if len(unique) > 0 {
-		st.MeanPathsPerCycle = float64(cycleSum) / float64(len(unique))
+	if pairs > 0 {
+		st.MeanPathsPerCycle = float64(cycleSum) / float64(pairs)
 	}
 	return st
 }
 
-// signature renders the node sequence of a path (slices excluded: the same
-// trajectory counted once per cycle).
-func signature(p *core.Path) string {
-	b := make([]byte, 0, 2*len(p.Hops)+2)
-	b = append(b, byte(p.Src), byte(p.Src>>8))
-	for _, h := range p.Hops {
-		b = append(b, byte(h.To), byte(h.To>>8))
+// sharesEdge reports whether path k of a group crosses a ToR pair that
+// another of its paths crosses too (edges and starts as in Analyze).
+func sharesEdge(edges [][2]int, starts []int, k int) bool {
+	for j := 0; j+1 < len(starts); j++ {
+		if j == k {
+			continue
+		}
+		for _, a := range edges[starts[k]:starts[k+1]] {
+			for _, b := range edges[starts[j]:starts[j+1]] {
+				if a == b {
+					return true
+				}
+			}
+		}
 	}
-	return string(b)
+	return false
 }
 
 // HopDist is a normalized hop-count distribution (Fig 5b's stacked bars).
@@ -203,16 +196,17 @@ func Latencies(ps *core.PathSet) LatencyStats {
 				if src == dst {
 					continue
 				}
-				for _, e := range ps.Group(ts, src, dst).Entries {
-					lat := e.LatencySlices
-					h := e.HopCount
-					sums[h] += float64(lat) * float64(len(e.Paths))
-					counts[h] += len(e.Paths)
+				g := ps.View(ts, src, dst)
+				for i := 0; i < g.NumEntries(); i++ {
+					e := g.Entry(i)
+					lat, h := e.LatencySlices, e.HopCount
+					sums[h] += float64(lat) * float64(e.NumPaths)
+					counts[h] += e.NumPaths
 					if lat > maxes[h] {
 						maxes[h] = lat
 					}
-					total += float64(lat) * float64(len(e.Paths))
-					n += len(e.Paths)
+					total += float64(lat) * float64(e.NumPaths)
+					n += e.NumPaths
 				}
 			}
 		}

@@ -51,21 +51,9 @@ func (a *FlowAger) AgedMidpoint(bucket int) float64 {
 	}
 }
 
-// EntryForBucket resolves a global bucket index against a specific UCMP
-// group: several global buckets may map to the same path (§6.1).
-func (a *FlowAger) EntryForBucket(g *Group, bucket int) *Entry {
-	return g.EntryForAged(a.AgedMidpoint(bucket))
-}
-
-// EntryIndex is EntryForBucket on a packed-store view: the index of the
-// group entry a packet carrying the global bucket tag rides.
+// EntryIndex resolves a global bucket index against a specific UCMP group:
+// the index of the group entry a packet carrying the bucket tag rides.
+// Several global buckets may map to the same entry (§6.1).
 func (a *FlowAger) EntryIndex(g GroupView, bucket int) int {
 	return g.EntryIndexForAged(a.AgedMidpoint(bucket))
-}
-
-// PathForBucket picks the concrete path for a packet carrying a global
-// bucket tag, breaking parallel-path ties with the flow hash.
-func (a *FlowAger) PathForBucket(g *Group, bucket int, hash uint64) *Path {
-	e := a.EntryForBucket(g, bucket)
-	return e.Paths[hash%uint64(len(e.Paths))]
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,92 @@ func scaledFabric(t testing.TB) *topo.Fabric {
 
 func model(f *topo.Fabric, alpha float64) CostModel {
 	return CostModel{Alpha: alpha, LinkBps: float64(f.LinkBps), SliceMicros: f.SliceDuration.Micros()}
+}
+
+// validPath checks a path's internal consistency: it links Src to Dst, and
+// its hop slices are non-decreasing and not before the start.
+func validPath(p *Path) error {
+	if len(p.Hops) == 0 {
+		return fmt.Errorf("empty path %d->%d", p.Src, p.Dst)
+	}
+	if p.Hops[len(p.Hops)-1].To != p.Dst {
+		return fmt.Errorf("path %v does not end at dst %d", p, p.Dst)
+	}
+	prev := p.StartSlice
+	for i, h := range p.Hops {
+		if h.Slice < prev {
+			return fmt.Errorf("path %v hop %d goes back in time", p, i)
+		}
+		prev = h.Slice
+	}
+	return nil
+}
+
+// validateGroup checks a stored group against the §4.3 properties: entries
+// ascend in hops with strictly decreasing latency (property 3), every path
+// of an entry is valid with the entry's hop count and latency, and the
+// thresholds ascend.
+func validateGroup(g GroupView) error {
+	if g.NumEntries() == 0 {
+		return fmt.Errorf("empty group %d->%d@%d", g.Src, g.Dst, g.StartSlice)
+	}
+	var p Path
+	var prev EntryView
+	for i := 0; i < g.NumEntries(); i++ {
+		e := g.Entry(i)
+		if e.NumPaths == 0 {
+			return fmt.Errorf("entry %d has no paths", i)
+		}
+		for j := 0; j < e.NumPaths; j++ {
+			e.Path(j).Fill(&p)
+			if err := validPath(&p); err != nil {
+				return err
+			}
+			if p.HopCount() != e.HopCount || p.LatencySlices() != e.LatencySlices {
+				return fmt.Errorf("entry (%d hops, lat %d) holds path %v", e.HopCount, e.LatencySlices, &p)
+			}
+		}
+		if i > 0 && (e.HopCount <= prev.HopCount || e.LatencySlices >= prev.LatencySlices) {
+			return fmt.Errorf("property 3 violated: %d hops lat %d vs %d hops lat %d",
+				prev.HopCount, prev.LatencySlices, e.HopCount, e.LatencySlices)
+		}
+		prev = e
+	}
+	thr := g.Thresholds()
+	for i := 1; i < len(thr); i++ {
+		if thr[i] < thr[i-1] {
+			return fmt.Errorf("thresholds not ascending: %v", thr)
+		}
+	}
+	return nil
+}
+
+// shapeView packs a group record of the given (hops, latency) entries, one
+// path each with zeroed hop codes, and returns its view with the profile the
+// packer derives: enough for the bucket structure, which reads entry
+// headers alone.
+func shapeView(m CostModel, entries [][2]int64) GroupView {
+	p := &packer{model: m, words: []uint16{0}}
+	at := p.header(len(entries))
+	for i, e := range entries {
+		p.setEntry(at, i, int(e[0]), 1, e[1])
+		p.words = append(p.words, make([]uint16, e[0]-1)...)
+	}
+	rec := p.words[1:]
+	return GroupView{rec: rec, prof: &p.pool[p.poolIndex(rec)]}
+}
+
+// minCostEntry is the exact minimum-uniform-cost entry for a known flow
+// size (the "accurate flow size" variant of Fig 8); entries ascend in hops,
+// so a strict < resolves ties to fewer hops.
+func minCostEntry(g GroupView, m CostModel, size int64) EntryView {
+	best := g.Entry(0)
+	for i := 1; i < g.NumEntries(); i++ {
+		if e := g.Entry(i); m.Cost(e.LatencySlices, e.HopCount, size) < m.Cost(best.LatencySlices, best.HopCount, size) {
+			best = e
+		}
+	}
+	return best
 }
 
 // ---- Table 1 (§5.1): the worked uniform-cost example. ----
@@ -43,24 +130,17 @@ func TestTable1UniformCost(t *testing.T) {
 		}
 	}
 	// Winners per column (underlined in Table 1): 1MB->1hop, 100KB->2hop, 10KB->4hop.
-	entries := []Entry{
-		{HopCount: 1, LatencySlices: 12},
-		{HopCount: 2, LatencySlices: 3},
-		{HopCount: 3, LatencySlices: 2},
-		{HopCount: 4, LatencySlices: 1},
-	}
-	g := &Group{Entries: entries}
-	g.BuildBuckets(m)
+	g := shapeView(m, [][2]int64{{1, 12}, {2, 3}, {3, 2}, {4, 1}})
 	for _, c := range []struct {
 		size int64
 		hops int
 	}{{1e6, 1}, {1e5, 2}, {1e4, 4}} {
-		if got := g.MinCostEntry(m, c.size); got.HopCount != c.hops {
+		if got := minCostEntry(g, m, c.size); got.HopCount != c.hops {
 			t.Errorf("min-cost for %dB = %d hops, want %d", c.size, got.HopCount, c.hops)
 		}
 		// The aged mapping must agree with exact minimization at the flow's
 		// full size.
-		if got := g.EntryForAged(m.AgedValue(c.size)); got.HopCount != c.hops {
+		if got := g.Entry(g.EntryIndexForAged(m.AgedValue(c.size))); got.HopCount != c.hops {
 			t.Errorf("aged mapping for %dB = %d hops, want %d", c.size, got.HopCount, c.hops)
 		}
 	}
@@ -220,7 +300,7 @@ func TestParallelPathsShareCost(t *testing.T) {
 					found++
 				}
 				for _, p := range paths {
-					if err := p.Validate(); err != nil {
+					if err := validPath(p); err != nil {
 						t.Fatal(err)
 					}
 					if p.EndSlice() != paths[0].EndSlice() {
@@ -251,13 +331,13 @@ func TestGroupProperties(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				g := ps.Group(ts, src, dst)
-				if err := g.Validate(); err != nil {
+				g := ps.View(ts, src, dst)
+				if err := validateGroup(g); err != nil {
 					t.Fatalf("group (%d,%d,%d): %v", src, dst, ts, err)
 				}
 				groups++
 				// Property 3 plus the hull: thresholds count matches hull.
-				if len(g.Thresholds()) != len(g.hull)-1 {
+				if len(g.Thresholds()) != len(g.prof.hull)-1 {
 					t.Fatalf("threshold/hull mismatch")
 				}
 			}
@@ -307,8 +387,9 @@ func TestGroupProperty1Exhaustive(t *testing.T) {
 	}
 	for src := 0; src < 4; src++ {
 		for dst := 4; dst < 8; dst++ {
-			g := ps.Group(0, src, dst)
-			for _, e := range g.Entries {
+			g := ps.View(0, src, dst)
+			for i := 0; i < g.NumEntries(); i++ {
+				e := g.Entry(i)
 				if e.HopCount > 2 {
 					continue // keep the exhaustive walk tractable
 				}
@@ -333,13 +414,13 @@ func TestDirectSliceSingletonGroups(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				g := ps.Group(ts, src, dst)
+				g := ps.View(ts, src, dst)
 				if f.Sched.SwitchFor(ts, src, dst) >= 0 {
 					// Direct circuit in the starting slice: latency 1, hop 1
 					// dominates everything; the group must be the single
 					// direct path (§5.3).
-					if len(g.Entries) != 1 || g.Entries[0].HopCount != 1 || g.Entries[0].LatencySlices != 1 {
-						t.Fatalf("direct-slice group (%d,%d,%d) = %+v", src, dst, ts, g.Entries)
+					if e := g.Entry(0); g.NumEntries() != 1 || e.HopCount != 1 || e.LatencySlices != 1 {
+						t.Fatalf("direct-slice group (%d,%d,%d) = %s", src, dst, ts, groupString(g))
 					}
 				}
 			}
@@ -390,11 +471,11 @@ func TestAgedPathMonotonicity(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				g := ps.Group(ts, src, dst)
+				g := ps.View(ts, src, dst)
 				prevHops := 1 << 30
 				prevLat := int64(-1)
 				for b := 0; b < ager.NumBuckets(); b++ {
-					e := ager.EntryForBucket(g, b)
+					e := g.Entry(ager.EntryIndex(g, b))
 					if e.HopCount > prevHops {
 						t.Fatalf("hops increased with age: group (%d,%d,%d) bucket %d", src, dst, ts, b)
 					}
@@ -422,9 +503,9 @@ func TestAgedMatchesExactMinimization(t *testing.T) {
 		}
 		ts := int(rawTs) % f.Sched.S
 		size := int64(rawSize)%int64(2e8) + 1
-		g := ps.Group(ts, src, dst)
-		exact := g.MinCostEntry(ps.Model, size)
-		aged := g.EntryForAged(ps.Model.AgedValue(size))
+		g := ps.View(ts, src, dst)
+		exact := minCostEntry(g, ps.Model, size)
+		aged := g.Entry(g.EntryIndexForAged(ps.Model.AgedValue(size)))
 		// Both must achieve the same (minimal) cost; they may be distinct
 		// entries only if tied.
 		ce := ps.Model.Cost(exact.LatencySlices, exact.HopCount, size)
@@ -463,7 +544,7 @@ func TestRelaxedTwoHop(t *testing.T) {
 		t.Fatalf("want a 2-hop path via every intermediate, got %d", len(paths))
 	}
 	for i, p := range paths {
-		if err := p.Validate(); err != nil {
+		if err := validPath(p); err != nil {
 			t.Fatal(err)
 		}
 		if p.HopCount() != 2 {
@@ -581,29 +662,25 @@ func TestQHmaxWithinPaperBound(t *testing.T) {
 
 func TestPathHelpers(t *testing.T) {
 	p := &Path{Src: 0, Dst: 3, StartSlice: 2, Hops: []Hop{{To: 1, Slice: 2}, {To: 3, Slice: 4}}}
-	if err := p.Validate(); err != nil {
+	if err := validPath(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.HopCount() != 2 || p.EndSlice() != 4 || p.LatencySlices() != 3 {
 		t.Fatal("basic accessors wrong")
 	}
-	edges := p.Edges()
-	if len(edges) != 2 || edges[0] != [2]int{0, 1} || edges[1] != [2]int{1, 3} {
-		t.Fatalf("edges %v", edges)
-	}
-	if p.String() == "" {
-		t.Fatal("empty string rendering")
+	if got := p.String(); got != "0 -[s2]-> 1 -[s4]-> 3" {
+		t.Fatalf("string rendering %q", got)
 	}
 	bad := &Path{Src: 0, Dst: 3, StartSlice: 2, Hops: []Hop{{To: 1, Slice: 1}}}
-	if bad.Validate() == nil {
+	if validPath(bad) == nil {
 		t.Fatal("time-travel path accepted")
 	}
 	empty := &Path{Src: 0, Dst: 1}
-	if empty.Validate() == nil {
+	if validPath(empty) == nil {
 		t.Fatal("empty path accepted")
 	}
 	wrongDst := &Path{Src: 0, Dst: 3, Hops: []Hop{{To: 2, Slice: 0}}}
-	if wrongDst.Validate() == nil {
+	if validPath(wrongDst) == nil {
 		t.Fatal("wrong-destination path accepted")
 	}
 }
@@ -611,7 +688,7 @@ func TestPathHelpers(t *testing.T) {
 func TestPathSetAlphaLive(t *testing.T) {
 	f := scaledFabric(t)
 	ps := BuildPathSet(f, 0.5)
-	g := ps.Group(0, 0, 1)
+	g := ps.View(0, 0, 1)
 	thr := append([]float64(nil), g.Thresholds()...)
 	// Live retuning (§5.2) belongs to a run's own ager: the path set, which
 	// warm fabrics share between runs, keeps the α it was built with, and
@@ -675,10 +752,10 @@ func TestThresholdsAreIndifferencePoints(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				g := ps.Group(ts, src, dst)
+				g := ps.View(ts, src, dst)
 				for _, thr := range g.Thresholds() {
-					below := g.EntryForAged(thr * 0.999)
-					above := g.EntryForAged(thr * 1.001)
+					below := g.Entry(g.EntryIndexForAged(thr * 0.999))
+					above := g.Entry(g.EntryIndexForAged(thr * 1.001))
 					if below.HopCount <= above.HopCount {
 						t.Fatalf("threshold %v did not flip toward fewer hops: %d -> %d",
 							thr, below.HopCount, above.HopCount)

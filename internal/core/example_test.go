@@ -23,9 +23,9 @@ func ExampleCostModel() {
 func ExampleBuildPathSet() {
 	fab := topo.MustFabric(topo.Scaled(), "round-robin", 1)
 	ps := core.BuildPathSet(fab, 0.5)
-	g := ps.Group(2, 0, 5) // src ToR 0 -> dst ToR 5, starting slice 2
-	fmt.Println("entries:", len(g.Entries))
-	first := g.Entries[0]
+	g := ps.View(2, 0, 5) // src ToR 0 -> dst ToR 5, starting slice 2
+	fmt.Println("entries:", g.NumEntries())
+	first := g.Entry(0)
 	fmt.Printf("%d hops, latency %d slices\n", first.HopCount, first.LatencySlices)
 	// Output:
 	// entries: 3

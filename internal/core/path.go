@@ -45,22 +45,6 @@ func (p *Path) EndSlice() int64 { return p.Hops[len(p.Hops)-1].Slice }
 // LatencySlices returns the Eqn. 1 latency in slices: t_end - t_start + 1.
 func (p *Path) LatencySlices() int64 { return p.EndSlice() - p.StartSlice + 1 }
 
-// Edges returns the undirected ToR pairs the path crosses, normalized with
-// the smaller ToR first, for edge-disjointness analysis (§7.2).
-func (p *Path) Edges() [][2]int {
-	edges := make([][2]int, 0, len(p.Hops))
-	from := p.Src
-	for _, h := range p.Hops {
-		a, b := from, h.To
-		if a > b {
-			a, b = b, a
-		}
-		edges = append(edges, [2]int{a, b})
-		from = h.To
-	}
-	return edges
-}
-
 // String renders the path like "3 -[s2]-> 7 -[s4]-> 1".
 func (p *Path) String() string {
 	var b strings.Builder
@@ -69,23 +53,4 @@ func (p *Path) String() string {
 		fmt.Fprintf(&b, " -[s%d]-> %d", h.Slice, h.To)
 	}
 	return b.String()
-}
-
-// Validate checks internal consistency: the path links Src to Dst, slices
-// are non-decreasing and not before the start.
-func (p *Path) Validate() error {
-	if len(p.Hops) == 0 {
-		return fmt.Errorf("core: empty path %d->%d", p.Src, p.Dst)
-	}
-	if p.Hops[len(p.Hops)-1].To != p.Dst {
-		return fmt.Errorf("core: path %v does not end at dst %d", p, p.Dst)
-	}
-	prev := p.StartSlice
-	for i, h := range p.Hops {
-		if h.Slice < prev {
-			return fmt.Errorf("core: path %v hop %d goes back in time", p, i)
-		}
-		prev = h.Slice
-	}
-	return nil
 }

@@ -13,8 +13,7 @@ import (
 // PathSet is the complete offline output of UCMP path calculation: one
 // UCMP group per (t_start, src, dst). It is what gets compiled into the
 // per-ToR source routing tables (§6.2). The groups live in the packed,
-// pointer-free store of pathstore.go and are read through View; Group
-// materializes one on demand.
+// pointer-free store of pathstore.go and are read through View.
 type PathSet struct {
 	F     *topo.Fabric
 	Calc  *Calculator
@@ -219,13 +218,6 @@ func (ps *PathSet) View(tstart, src, dst int) GroupView {
 		Src: src, Dst: dst, StartSlice: tstart,
 		rec: rec, prof: &seg.profiles[rec[0]], hops: ps.hops, rot: int32(rot),
 	}
-}
-
-// Group materializes the UCMP group for a cyclic starting slice and ToR
-// pair (nil for src == dst). It allocates; per-packet and per-row code
-// reads View instead.
-func (ps *PathSet) Group(tstart, src, dst int) *Group {
-	return ps.View(tstart, src, dst).Materialize()
 }
 
 // Footprint reports the resident size of the packed store.

@@ -25,7 +25,7 @@ import (
 // slot by slot, so every width guard and peer check of the packer applies
 // to file contents too, and a file whose rank serves several slots still
 // loads. Profiles are NOT serialized: hulls and thresholds are
-// deterministic, α-free functions of the entries (BuildBuckets), so the
+// deterministic, α-free functions of the entries (bucketProfile), so the
 // decoder recomputes them — the file stays smaller and can never disagree
 // with the cost model it is loaded under.
 
@@ -110,8 +110,9 @@ func (r *storeReader) count(what string, minRec int) (int, error) {
 // starting slice's segment, walking the paths from canonical source 0, with
 // the profiles recomputed; a file written by this encoder ranks its groups
 // in that order, so the store streams through once. Every group, ranked or
-// not, is checked against the §4.3 invariants (Group.Validate's); any
-// structural violation is an error.
+// not, is checked against the §4.3 invariants (non-empty entries ascending
+// in hops and strictly descending in latency, every path ending at dst in
+// its entry's latency); any structural violation is an error.
 func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, storeBlob []byte) (*PathSet, error) {
 	if !f.Sched.Rotation() {
 		return nil, fmt.Errorf("core: cannot decode a canonical path set for a non-symmetric schedule")

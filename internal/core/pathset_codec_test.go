@@ -19,7 +19,7 @@ func pathSetString(ps *PathSet) string {
 				if dst == src {
 					continue
 				}
-				out = append(out, groupString(ps.Group(ts, src, dst))...)
+				out = append(out, groupString(ps.View(ts, src, dst))...)
 			}
 		}
 	}

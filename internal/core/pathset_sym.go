@@ -6,7 +6,7 @@ package core
 // DP recursion preserves that equivalence level by level, and the
 // source-relative intermediate order makes tie selection equivariant too.
 // So the build computes only the O(S·N) canonical rows (t_start, 0, Δ) and
-// serves Group(ts, src, dst) by walking the canonical group for
+// serves View(ts, src, dst) by walking the canonical group for
 // Δ = (dst-src) mod N from ToR 0 and relabeling every hop by +src. The spine
 // is a flat []uint32 indexed t_start·N+Δ — no N² spine at all — and, as on
 // a brute-force build, every starting slice has its own segment.

@@ -41,7 +41,7 @@ type segment struct {
 // profile is the bucket structure shared by every group with the same
 // (hop, latency) hull: hull indexes the group's entries on the lower convex
 // hull, thr holds the ascending α-free thresholds between consecutive hull
-// entries (see Group.BuildBuckets). A few hundred distinct profiles cover
+// entries (see bucketProfile). A few hundred distinct profiles cover
 // millions of groups.
 type profile struct {
 	hull []int
@@ -125,7 +125,7 @@ type packer struct {
 	// Profile interning. A profile is a function of its record's entry
 	// shape, so the packer computes each distinct one once, into pool, and
 	// keeps it across the segments it writes: byKey indexes pool by profile
-	// key, byShape by entry shape (recShape), so BuildBuckets and the key
+	// key, byShape by entry shape (recShape), so bucketProfile and the key
 	// run once per shape, not per group or per segment. The segment being
 	// written names the pool entries it uses by ids of its own — profiles
 	// by id, ids[id] its pool index, local[pool index] the id + 1 (0: not
@@ -136,8 +136,9 @@ type packer struct {
 	profiles []profile
 	ids      []int32
 	local    []int32
-	shape    Group  // BuildBuckets scratch: entries without paths
-	key      []byte // profile key scratch
+	hull     []int     // bucketProfile scratch
+	thr      []float64 // bucketProfile scratch
+	key      []byte    // profile key scratch
 
 	levels []int // entryLevels scratch
 }
@@ -256,7 +257,7 @@ func (p *packer) hop(prev, to int, rel int64) uint16 {
 }
 
 // group appends the record of the DP row's group for dst — straight from
-// the tables, with no intermediate Group — and returns its spine offset.
+// the tables — and returns its spine offset.
 // Properties 1 and 2 come from the per-hop-count minimality of the tables,
 // property 3 from entryLevels. The profile id is still zero: see seal.
 func (p *packer) group(t *RowTables, dst int) uint32 {
@@ -324,7 +325,7 @@ func (p *packer) seal(off uint32) {
 	shape, ok := recShape(rec)
 	g, hit := p.byShape[shape]
 	if !ok || !hit {
-		g = p.poolIndex(int(rec[1]), rec)
+		g = p.poolIndex(rec)
 		if ok {
 			if p.byShape == nil {
 				p.byShape = make(map[shapeKey]int32)
@@ -376,21 +377,49 @@ func recShape(rec []uint16) (shapeKey, bool) {
 	return shapeKey{lo, hi | uint64(e)<<56}, true
 }
 
-// poolIndex builds the bucket structure of the record's e entries and
-// returns the pool index of the equal profile, adding it first when it is
-// new.
-func (p *packer) poolIndex(e int, rec []uint16) int32 {
-	p.shape.Entries = p.shape.Entries[:0]
-	for i := 0; i < e; i++ {
+// bucketProfile appends to hull and thr the bucket structure of the
+// record's entries (§5.1). hull gets the indexes of the entries on the lower
+// convex hull of their (hop, latency) points: only those minimize the
+// linear-in-size uniform cost for some flow size. thr[j] gets the α-free
+// boundary (Eqn. 4 domain) at which a flow steps from hull[len(hull)-1-j]
+// toward fewer hops — ascending, from the most-hops end, where new flows
+// start (bucket 0).
+func bucketProfile(rec []uint16, m CostModel, hull []int, thr []float64) ([]int, []float64) {
+	point := func(i int) (int64, int64) {
 		h, _, lat := recEntry(rec, i)
-		p.shape.Entries = append(p.shape.Entries, Entry{HopCount: h, LatencySlices: lat})
+		return int64(h), lat
 	}
-	p.shape.BuildBuckets(p.model)
+	for c := 0; c < int(rec[1]); c++ {
+		hc, lc := point(c)
+		for len(hull) >= 2 {
+			ha, la := point(hull[len(hull)-2])
+			hb, lb := point(hull[len(hull)-1])
+			// Keep b only if it lies strictly below segment a–c (cross
+			// product in (hop, latency) space); otherwise it never wins.
+			if (hc-ha)*(lb-la) < (hb-ha)*(lc-la) {
+				break
+			}
+			hull = hull[:len(hull)-1]
+		}
+		hull = append(hull, c)
+	}
+	for j := len(hull) - 1; j > 0; j-- {
+		ha, la := point(hull[j-1]) // fewer hops, higher latency
+		hb, lb := point(hull[j])   // more hops, lower latency
+		thr = append(thr, m.AlphaFreeBoundary(la, int(ha), lb, int(hb)))
+	}
+	return hull, thr
+}
+
+// poolIndex builds the bucket structure of the record's entries and returns
+// the pool index of the equal profile, adding it first when it is new.
+func (p *packer) poolIndex(rec []uint16) int32 {
+	p.hull, p.thr = bucketProfile(rec, p.model, p.hull[:0], p.thr[:0])
 	key := p.key[:0]
-	for _, h := range p.shape.hull {
+	for _, h := range p.hull {
 		key = binary.LittleEndian.AppendUint16(key, uint16(h)) // an entry position: below the u16 entry count
 	}
-	for _, t := range p.shape.thrFree {
+	for _, t := range p.thr {
 		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(t))
 	}
 	p.key = key
@@ -402,8 +431,8 @@ func (p *packer) poolIndex(e int, rec []uint16) int32 {
 	}
 	g := int32(len(p.pool))
 	p.pool = append(p.pool, profile{
-		hull: append([]int(nil), p.shape.hull...),
-		thr:  append([]float64(nil), p.shape.thrFree...),
+		hull: append([]int(nil), p.hull...),
+		thr:  append([]float64(nil), p.thr...),
 	})
 	p.local = append(p.local, 0)
 	p.byKey[string(key)] = g
@@ -501,9 +530,10 @@ func (g GroupView) Path(i int) PathView {
 // 4). Shared and read-only.
 func (g GroupView) Thresholds() []float64 { return g.prof.thr }
 
-// EntryIndexForAged is Group.EntryForAged on the packed record: the index
-// of the hull entry minimizing uniform cost for a flow whose α-scaled bytes
-// sent equal aged.
+// EntryIndexForAged returns the index of the hull entry minimizing uniform
+// cost for a flow whose α-scaled bytes sent equal aged (flow aging, §5.1).
+// Bucket 0 (new flows) maps to the globally minimum-latency entry; as the
+// flow ages it steps toward fewer hops.
 func (g GroupView) EntryIndexForAged(aged float64) int {
 	// Thresholds strictly below aged = buckets stepped through so far; the
 	// lists hold a handful of values, so a scan beats a binary search.
@@ -513,32 +543,6 @@ func (g GroupView) EntryIndexForAged(aged float64) int {
 		crossed++
 	}
 	return g.prof.hull[len(g.prof.hull)-1-crossed]
-}
-
-// Materialize builds the pointerful Group for callers that want to hold or
-// walk one (analysis, failure classification, examples, tests). It
-// allocates; hull and thresholds are shared with the store and read-only.
-// The zero view materializes to nil.
-func (g GroupView) Materialize() *Group {
-	if g.rec == nil {
-		return nil
-	}
-	out := &Group{
-		Src: g.Src, Dst: g.Dst, StartSlice: g.StartSlice,
-		Entries: make([]Entry, g.NumEntries()),
-		hull:    g.prof.hull,
-		thrFree: g.prof.thr,
-	}
-	for i := range out.Entries {
-		e := g.Entry(i)
-		paths := make([]*Path, e.NumPaths)
-		for j := range paths {
-			paths[j] = &Path{}
-			e.Path(j).Fill(paths[j])
-		}
-		out.Entries[i] = Entry{HopCount: e.HopCount, LatencySlices: e.LatencySlices, Paths: paths}
-	}
-	return out
 }
 
 // EntryView is one hop-count level of a GroupView: the n-hop

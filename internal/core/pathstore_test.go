@@ -5,41 +5,94 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"ucmp/internal/topo"
 )
 
+// refEntry is one hop-count level of a reference group, its paths
+// materialized.
+type refEntry struct {
+	HopCount      int
+	LatencySlices int64
+	Paths         []*Path
+}
+
+// refGroup is a group as the reference extracts it: entries with their
+// paths, and the hull and thresholds refHull derives from them.
+type refGroup struct {
+	Src, Dst, StartSlice int
+	Entries              []refEntry
+	hull                 []int
+	thr                  []float64
+}
+
 // referenceGroup extracts a group from the DP row the way the build did
-// before the packed store: one pointerful Group per pair, nothing shared
+// before the packed store: one pointerful group per pair, nothing shared
 // with the packer. It is the reference the store's views are held to.
-func referenceGroup(t *RowTables, dst int, m CostModel) *Group {
-	g := &Group{Src: t.Src, Dst: dst, StartSlice: int(t.StartSlice)}
+func referenceGroup(t *RowTables, dst int, m CostModel) *refGroup {
+	g := &refGroup{Src: t.Src, Dst: dst, StartSlice: int(t.StartSlice)}
 	for _, n := range t.entryLevels(nil, dst) {
-		g.Entries = append(g.Entries, Entry{
+		g.Entries = append(g.Entries, refEntry{
 			HopCount:      n,
 			LatencySlices: t.end[n][dst] - t.StartSlice + 1,
 			Paths:         t.parallelPaths(n, dst),
 		})
 	}
-	g.BuildBuckets(m)
+	g.hull, g.thr = refHull(g.Entries, m)
 	return g
+}
+
+// refHull derives a group's bucket structure from the definition rather
+// than a hull walk: entry i is on the lower convex hull of the (hop,
+// latency) points iff it lies strictly below the segment between every pair
+// of entries on either side of it. thr[j] is the α-free boundary between
+// the hull entries j+1 and j+2 counted from the most-hops end.
+func refHull(es []refEntry, m CostModel) (hull []int, thr []float64) {
+	for i := range es {
+		below := true
+		for a := 0; a < i && below; a++ {
+			for c := i + 1; c < len(es) && below; c++ {
+				// i on or above segment a–c, by the cross product.
+				dh, dl := int64(es[c].HopCount-es[a].HopCount), es[c].LatencySlices-es[a].LatencySlices
+				below = dh*(es[i].LatencySlices-es[a].LatencySlices) < int64(es[i].HopCount-es[a].HopCount)*dl
+			}
+		}
+		if below {
+			hull = append(hull, i)
+		}
+	}
+	for j := len(hull) - 1; j > 0; j-- {
+		a, b := es[hull[j-1]], es[hull[j]]
+		thr = append(thr, m.AlphaFreeBoundary(a.LatencySlices, a.HopCount, b.LatencySlices, b.HopCount))
+	}
+	return hull, thr
+}
+
+// entryForAged is the reference bucket → entry mapping: a flow whose
+// α-scaled bytes sent equal aged has crossed every threshold strictly below
+// aged, each one step from the most-hops hull entry toward fewer hops.
+func (g *refGroup) entryForAged(aged float64) int {
+	return g.hull[len(g.hull)-1-sort.SearchFloat64s(g.thr, aged)]
 }
 
 // checkView compares a store view against the reference group field for
 // field: entries, latencies, parallel paths in order, hops, thresholds, and
 // the entry every global bucket maps to, out-of-range buckets included.
-func checkView(t *testing.T, where string, ager *FlowAger, v GroupView, want *Group) {
+func checkView(t *testing.T, where string, ager *FlowAger, v GroupView, want *refGroup) {
 	t.Helper()
 	if v.Src != want.Src || v.Dst != want.Dst || v.StartSlice != want.StartSlice {
 		t.Fatalf("%s: view is (%d,%d)@%d", where, v.Src, v.Dst, v.StartSlice)
 	}
-	if v.NumEntries() != len(want.Entries) || v.NumPaths() != want.NumPaths() {
-		t.Fatalf("%s: %d entries %d paths, want %d and %d", where, v.NumEntries(), v.NumPaths(), len(want.Entries), want.NumPaths())
+	if v.NumEntries() != len(want.Entries) {
+		t.Fatalf("%s: %d entries, want %d", where, v.NumEntries(), len(want.Entries))
 	}
 	var scratch Path
+	paths := 0
 	for i, we := range want.Entries {
+		paths += len(we.Paths)
 		e := v.Entry(i)
 		if e.HopCount != we.HopCount || e.LatencySlices != we.LatencySlices || e.NumPaths != len(we.Paths) {
 			t.Fatalf("%s entry %d: (%d hops, lat %d, %d paths), want (%d, %d, %d)", where, i,
@@ -61,38 +114,35 @@ func checkView(t *testing.T, where string, ager *FlowAger, v GroupView, want *Gr
 			}
 		}
 	}
-	if !reflect.DeepEqual(v.Thresholds(), want.Thresholds()) && len(want.Thresholds()) > 0 {
-		t.Fatalf("%s: thresholds %v, want %v", where, v.Thresholds(), want.Thresholds())
+	if v.NumPaths() != paths {
+		t.Fatalf("%s: %d paths, want %d", where, v.NumPaths(), paths)
+	}
+	if !reflect.DeepEqual(v.Thresholds(), want.thr) && len(want.thr) > 0 {
+		t.Fatalf("%s: thresholds %v, want %v", where, v.Thresholds(), want.thr)
+	}
+	if !reflect.DeepEqual(v.prof.hull, want.hull) {
+		t.Fatalf("%s: hull %v, want %v", where, v.prof.hull, want.hull)
 	}
 	for b := -2; b <= ager.NumBuckets()+2; b++ {
-		if got, want := ager.EntryIndex(v, b), entryIndex(want, ager.EntryForBucket(want, b)); got != want {
+		if got, want := ager.EntryIndex(v, b), want.entryForAged(ager.AgedMidpoint(b)); got != want {
 			t.Fatalf("%s global bucket %d: entry %d, want %d", where, b, got, want)
 		}
 	}
 	probes := []float64{0, math.Inf(1)}
-	for _, thr := range want.Thresholds() {
+	for _, thr := range want.thr {
 		probes = append(probes, thr/2, thr, math.Nextafter(thr, math.Inf(1)), thr*2)
 	}
 	for _, aged := range probes {
-		if got, want := v.EntryIndexForAged(aged), entryIndex(want, want.EntryForAged(aged)); got != want {
+		if got, want := v.EntryIndexForAged(aged), want.entryForAged(aged); got != want {
 			t.Fatalf("%s aged %v: entry %d, want %d", where, aged, got, want)
 		}
 	}
 }
 
-func entryIndex(g *Group, e *Entry) int {
-	for i := range g.Entries {
-		if &g.Entries[i] == e {
-			return i
-		}
-	}
-	return -1
-}
-
 // TestViewMatchesReferenceGroups: for every (t_start, src, dst) of every
-// fabric of the calc_oracle_test set, the store view and the Group materialized from it both
-// equal the group extracted independently from the DP tables — on the
-// brute-force build and, where the schedule has one, on the symmetric build.
+// fabric of the calc_oracle_test set, the store view equals the group
+// extracted independently from the DP tables — on the brute-force build
+// and, where the schedule has one, on the symmetric build.
 func TestViewMatchesReferenceGroups(t *testing.T) {
 	for _, of := range oracleFabrics() {
 		builds := []*PathSet{BuildPathSetOpts(of.f, 0.5, BuildOptions{NoSymmetry: true})}
@@ -112,17 +162,12 @@ func TestViewMatchesReferenceGroups(t *testing.T) {
 					for _, ps := range builds {
 						where := of.name + " sym=" + map[bool]string{true: "1", false: "0"}[ps.Symmetric()]
 						if dst == src {
-							if v := ps.View(ts, src, dst); v.NumEntries() != 0 || ps.Group(ts, src, dst) != nil {
+							if v := ps.View(ts, src, dst); v.NumEntries() != 0 || v.NumPaths() != 0 {
 								t.Fatalf("%s: (%d,%d,%d) has a group", where, ts, src, dst)
 							}
 							continue
 						}
-						want := referenceGroup(row, dst, ps.Model)
-						checkView(t, where, ager, ps.View(ts, src, dst), want)
-						if got := ps.Group(ts, src, dst); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: materialized group (%d,%d,%d) differs:\n%s\nwant\n%s",
-								where, ts, src, dst, groupString(got), groupString(want))
-						}
+						checkView(t, where, ager, ps.View(ts, src, dst), referenceGroup(row, dst, ps.Model))
 					}
 				}
 			}
@@ -380,7 +425,7 @@ func TestSealCachesProfilesByShape(t *testing.T) {
 				p.words = append(p.words, rec...)
 				p.words[at] = 0
 				p.seal(at)
-				if got, uncached := p.words[at], ref.localID(ref.poolIndex(int(rec[1]), rec)); got != rec[0] || uncached != rec[0] {
+				if got, uncached := p.words[at], ref.localID(ref.poolIndex(rec)); got != rec[0] || uncached != rec[0] {
 					t.Fatalf("%s ts=%d record at %d: sealed id %d, uncached %d, built %d", of.name, ts, off, got, uncached, rec[0])
 				}
 			}

@@ -28,12 +28,15 @@ func kindFabric(t *testing.T, kind string, n, d int) *topo.Fabric {
 
 // groupString renders everything observable about a group: entry structure,
 // every path's absolute hops, the hull, and the thresholds.
-func groupString(g *Group) string {
+func groupString(g GroupView) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "src=%d dst=%d ts=%d hull=%v thr=%v\n", g.Src, g.Dst, g.StartSlice, g.hull, g.thrFree)
-	for _, e := range g.Entries {
-		fmt.Fprintf(&b, " h=%d lat=%d paths=%d\n", e.HopCount, e.LatencySlices, len(e.Paths))
-		for _, p := range e.Paths {
+	var p Path
+	fmt.Fprintf(&b, "src=%d dst=%d ts=%d hull=%v thr=%v\n", g.Src, g.Dst, g.StartSlice, g.prof.hull, g.prof.thr)
+	for i := 0; i < g.NumEntries(); i++ {
+		e := g.Entry(i)
+		fmt.Fprintf(&b, " h=%d lat=%d paths=%d\n", e.HopCount, e.LatencySlices, e.NumPaths)
+		for j := 0; j < e.NumPaths; j++ {
+			e.Path(j).Fill(&p)
 			fmt.Fprintf(&b, "  %d->%d@%d:", p.Src, p.Dst, p.StartSlice)
 			for _, hp := range p.Hops {
 				fmt.Fprintf(&b, " (%d,%d)", hp.To, hp.Slice)
@@ -71,8 +74,8 @@ func TestSymmetricBuildMatchesBrute(t *testing.T) {
 							if src == dst {
 								continue
 							}
-							gs := groupString(sym.Group(ts, src, dst))
-							gb := groupString(brute.Group(ts, src, dst))
+							gs := groupString(sym.View(ts, src, dst))
+							gb := groupString(brute.View(ts, src, dst))
 							if gs != gb {
 								t.Fatalf("%s(%d,%d) mp=%d group (%d,%d,%d) differs:\nsym:\n%s\nbrute:\n%s",
 									kind, nd[0], nd[1], mp, ts, src, dst, gs, gb)
@@ -148,7 +151,7 @@ func TestCanonStats(t *testing.T) {
 			t.Fatalf("slice %d segment holds %d records, want %d", ts, found, n-1)
 		}
 		for delta := 1; delta < n; delta++ {
-			if err := ps.View(ts, 0, delta).Materialize().Validate(); err != nil {
+			if err := validateGroup(ps.View(ts, 0, delta)); err != nil {
 				t.Fatalf("slot (%d,%d): %v", ts, delta, err)
 			}
 		}

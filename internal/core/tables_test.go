@@ -104,7 +104,7 @@ func (t *Tables) validate() error {
 				if p == nil {
 					continue
 				}
-				if err := p.Validate(); err != nil {
+				if err := validPath(p); err != nil {
 					return err
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ucmp/internal/core"
 	"ucmp/internal/sim"
 )
 
@@ -137,13 +138,13 @@ func TestFromScenarioRoundTripsAndRepairs(t *testing.T) {
 			}
 		}
 	}
+	var p core.Path
 	for ts := 0; ts < f.Sched.S; ts++ {
-		g := ps.Group(ts, 0, 1)
-		for _, e := range g.Entries {
-			for _, p := range e.Paths {
-				if s.PathOK(down, p) != sc.PathOK(p) {
-					t.Fatal("PathOK mismatch during outage")
-				}
+		g := ps.View(ts, 0, 1)
+		for i := 0; i < g.NumPaths(); i++ {
+			g.Path(i).Fill(&p)
+			if s.PathOK(down, &p) != sc.PathOK(&p) {
+				t.Fatal("PathOK mismatch during outage")
 			}
 		}
 	}

@@ -31,16 +31,15 @@ func Table1() *Report {
 			m.Cost(row.lat, row.hops, sizes[1]),
 			m.Cost(row.lat, row.hops, sizes[2]))
 	}
-	g := &core.Group{Entries: []core.Entry{
-		{HopCount: 1, LatencySlices: 12},
-		{HopCount: 2, LatencySlices: 3},
-		{HopCount: 3, LatencySlices: 2},
-		{HopCount: 4, LatencySlices: 1},
-	}}
-	g.BuildBuckets(m)
 	for _, s := range sizes {
-		e := g.MinCostEntry(m, s)
-		r.Addf("min-cost path for %8d B: %d hops (latency %d slices)", s, e.HopCount, e.LatencySlices)
+		// Rows ascend in hops, so a strict < resolves ties to fewer hops.
+		best := rows[0]
+		for _, row := range rows[1:] {
+			if m.Cost(row.lat, row.hops, s) < m.Cost(best.lat, best.hops, s) {
+				best = row
+			}
+		}
+		r.Addf("min-cost path for %8d B: %d hops (latency %d slices)", s, best.hops, best.lat)
 	}
 	return r
 }

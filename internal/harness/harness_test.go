@@ -445,6 +445,7 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 		{"Duration=0ns", func(c *SimConfig) { c.Duration = 0 }, false},
 		{"Alpha=-1", func(c *SimConfig) { c.Alpha = -1 }, true},
 		{"Alpha=+Inf", func(c *SimConfig) { c.Alpha = math.Inf(1) }, true},
+		{"MaxFlowSize=-5", func(c *SimConfig) { c.MaxFlowSize = -5 }, false},
 	} {
 		cfg := base
 		c.set(&cfg)
@@ -468,6 +469,27 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 	replay.Flows = replayFlows
 	if res, err := Run(replay); err != nil || res.Launched != 1 {
 		t.Errorf("an explicit flow list with zero Load and Duration: %v", err)
+	}
+	// An explicit flow list comes from outside (ucmpsim -flows): each bad
+	// flow is refused by id before anything is built. The scaled fabric has
+	// 16 ToRs of 2 hosts.
+	for _, c := range []struct {
+		field string
+		flows []*netsim.Flow
+	}{
+		{"flow 2: src_host 999", []*netsim.Flow{netsim.NewFlow(1, 0, 3, 1<<16, 0), netsim.NewFlow(2, 999, 3, 1<<16, 0)}},
+		{"flow 1: src_host -3", []*netsim.Flow{netsim.NewFlow(1, -3, 3, 1<<16, 0)}},
+		{"flow 1: dst_host 32", []*netsim.Flow{netsim.NewFlow(1, 0, 32, 1<<16, 0)}},
+		{"flow 1: duplicate id", []*netsim.Flow{netsim.NewFlow(1, 0, 3, 1<<16, 0), netsim.NewFlow(1, 4, 5, 1<<16, 0)}},
+		{"flow 7: src_host and dst_host are both 3", []*netsim.Flow{netsim.NewFlow(7, 3, 3, 1<<16, 0)}},
+		{"flow 1: size 0", []*netsim.Flow{netsim.NewFlow(1, 0, 3, 0, 0)}},
+		{"flow 1: arrival -1 ns", []*netsim.Flow{netsim.NewFlow(1, 0, 3, 1<<16, -1)}},
+	} {
+		cfg := replay
+		cfg.Flows = c.flows
+		if res, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "harness: "+c.field) {
+			t.Errorf("%s: Run returned (%v, %v), want an error naming the flow", c.field, res != nil, err)
+		}
 	}
 }
 

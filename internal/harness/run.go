@@ -331,13 +331,14 @@ func joinNote(notes, note string) string {
 
 // validateWorkload checks the run's numeric knobs before anything is built.
 // A negative horizon or sampling period would silently run no events or take
-// no samples, and α shapes the path set whatever the workload source. The
-// rest is what the Poisson generator is fed, when it is the
-// one that runs (cfg.Flows == nil): a negative load walks the arrival clock
-// backwards and never returns, a zero load, duration or host count gives an
-// empty FCT table that looks like a result, and a hotspot share outside
-// [0,1) would be clamped or ignored. Horizon is deliberately not tied to
-// Duration — a 1 ns horizon is how set-up is timed.
+// no samples, and α shapes the path set whatever the workload source. An
+// explicit flow list is checked flow by flow (validateFlows). The rest is
+// what the Poisson generator is fed, when it is the one that runs: a
+// negative load walks the arrival clock backwards and never returns, a zero
+// load, duration or host count gives an empty FCT table that looks like a
+// result, a hotspot share outside [0,1) would be clamped or ignored, and a
+// negative size clip would run unclipped. Horizon is deliberately not tied
+// to Duration — a 1 ns horizon is how set-up is timed.
 func validateWorkload(cfg SimConfig) error {
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	switch {
@@ -348,7 +349,7 @@ func validateWorkload(cfg SimConfig) error {
 	case !finite(cfg.Alpha) || cfg.Alpha < 0:
 		return fmt.Errorf("harness: Alpha=%g must be non-negative and finite", cfg.Alpha)
 	case cfg.Flows != nil:
-		return nil
+		return validateFlows(cfg.Flows, cfg.Topo.NumHosts())
 	case !finite(cfg.Load) || cfg.Load <= 0:
 		return fmt.Errorf("harness: Load=%g must be positive and finite", cfg.Load)
 	case cfg.Duration <= 0:
@@ -357,6 +358,35 @@ func validateWorkload(cfg SimConfig) error {
 		return fmt.Errorf("harness: HostsPerToR=%d must be at least 1", cfg.Topo.HostsPerToR)
 	case !(cfg.Hotspot >= 0 && cfg.Hotspot < 1):
 		return fmt.Errorf("harness: Hotspot=%g must lie in [0,1)", cfg.Hotspot)
+	case cfg.MaxFlowSize < 0:
+		return fmt.Errorf("harness: MaxFlowSize=%d must not be negative (0 = no clip)", cfg.MaxFlowSize)
+	}
+	return nil
+}
+
+// validateFlows checks an explicit flow list, which can come from outside
+// (ucmpsim -flows), naming the first bad flow by id. A host outside the
+// fabric or a repeated id panics deep in the build, a flow to its own host
+// never crosses the fabric, and a flow of no bytes or a negative arrival is
+// not a flow a trace can mean.
+func validateFlows(flows []*netsim.Flow, hosts int) error {
+	ids := make(map[int64]bool, len(flows))
+	for _, f := range flows {
+		switch {
+		case f.SrcHost < 0 || f.SrcHost >= hosts:
+			return fmt.Errorf("harness: flow %d: src_host %d outside [0,%d)", f.ID, f.SrcHost, hosts)
+		case f.DstHost < 0 || f.DstHost >= hosts:
+			return fmt.Errorf("harness: flow %d: dst_host %d outside [0,%d)", f.ID, f.DstHost, hosts)
+		case f.SrcHost == f.DstHost:
+			return fmt.Errorf("harness: flow %d: src_host and dst_host are both %d", f.ID, f.SrcHost)
+		case f.Size <= 0:
+			return fmt.Errorf("harness: flow %d: size %d must be positive", f.ID, f.Size)
+		case f.Arrival < 0:
+			return fmt.Errorf("harness: flow %d: arrival %d ns must not be negative", f.ID, int64(f.Arrival))
+		case ids[f.ID]:
+			return fmt.Errorf("harness: flow %d: duplicate id", f.ID)
+		}
+		ids[f.ID] = true
 	}
 	return nil
 }

@@ -85,11 +85,12 @@ func TestWorkerCount(t *testing.T) {
 }
 
 // A panicking trial degrades to a PANIC line carrying its derived seed and
-// stack; every other trial still completes (the injected flow list repeats a
-// flow ID, which panics inside the simulation build).
+// stack; every other trial still completes (the injected flow list holds a
+// nil flow, a programming error that panics inside the run; a bad flow, such
+// as a repeated ID, is refused with an error before anything is built).
 func TestRunTrialsPanicRecovery(t *testing.T) {
 	_, trials := sweepForTest()
-	trials[1].Cfg.Flows = []*netsim.Flow{netsim.NewFlow(1, 0, 17, 1000, 0), netsim.NewFlow(1, 1, 18, 1000, 0)}
+	trials[1].Cfg.Flows = []*netsim.Flow{netsim.NewFlow(1, 0, 17, 1000, 0), nil}
 	res, err := new(Runner).RunTrials(trials)
 	if err != nil {
 		t.Fatal(err)

@@ -36,8 +36,10 @@ func TestObservedLatencyMatchesPlanned(t *testing.T) {
 
 			// Plan what the group says, then send one packet with that
 			// bucket at the very start of slice 0.
-			g := ps.Group(0, srcToR, dstToR)
-			want := u.Ager.PathForBucket(g, bucket, fl.Hash)
+			g := ps.View(0, srcToR, dstToR)
+			e := g.Entry(u.Ager.EntryIndex(g, bucket))
+			want := &core.Path{}
+			e.Path(int(fl.Hash % uint64(e.NumPaths))).Fill(want)
 			pkt := &netsim.Packet{Flow: fl, Type: netsim.Data, PayloadLen: 1436, WireLen: 1500, Bucket: bucket}
 			eng.At(0, func() { net.Hosts[fl.SrcHost].Send(pkt) })
 			eng.Run(f.CycleDuration() * 3)

@@ -83,8 +83,7 @@ func TestUCMPBucketControlsHops(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			g := u.PS.Group(0, src, dst)
-			if len(g.Entries) < 2 {
+			if u.PS.View(0, src, dst).NumEntries() < 2 {
 				continue
 			}
 			pNew := dataPacket(f, src, dst, 0)

@@ -18,17 +18,17 @@ func TestUCMPBackupFallback(t *testing.T) {
 	// machinery (a 2-hop backup that coincides with a group path is
 	// rejected with it, which the routed > 0 check tolerates).
 	grouped := make(map[string]bool)
+	var gp core.Path
 	for ts := 0; ts < f.Sched.S; ts++ {
 		for src := 0; src < f.NumToRs; src++ {
 			for dst := 0; dst < f.NumToRs; dst++ {
 				if src == dst {
 					continue
 				}
-				g := ps.Group(ts, src, dst)
-				for _, e := range g.Entries {
-					for _, p := range e.Paths {
-						grouped[p.String()] = true
-					}
+				g := ps.View(ts, src, dst)
+				for i := 0; i < g.NumPaths(); i++ {
+					g.Path(i).Fill(&gp)
+					grouped[gp.String()] = true
 				}
 			}
 		}

@@ -11,14 +11,44 @@ import (
 	"ucmp/internal/topo"
 )
 
-// refPlan is route planning on a materialized core.Group — the decision
-// procedure PlanRoute ran before groups moved into the packed store, kept
-// verbatim as the reference the view-based plan must reproduce: congestion
-// pick (one-bucket slack, first-hop backlog, primary on ties), then the
-// wanted path or its §5.3 alternative, then a 2-hop backup.
+// refWanted is the entry a bucket tag asks for, found from the definition
+// rather than from the group's hull and thresholds (EntryIndex): the entry
+// of least uniform cost at the bucket's representative α-scaled bytes sent,
+// ties to fewer hops.
+func refWanted(u *UCMP, g core.GroupView, bucket int) int {
+	aged, m := u.Ager.AgedMidpoint(bucket), u.PS.Model
+	cost := func(i int) float64 {
+		e := g.Entry(i)
+		return m.LatencyMicros(e.LatencySlices) + float64(e.HopCount)*aged*8/m.LinkBps*1e6
+	}
+	best := 0
+	for i := 1; i < g.NumEntries(); i++ {
+		if cost(i) < cost(best) {
+			best = i
+		}
+	}
+	return best
+}
+
+// refPaths copies an entry's paths out as *core.Path, one allocation each:
+// the form the pre-store planner held them in.
+func refPaths(e core.EntryView) []*core.Path {
+	paths := make([]*core.Path, e.NumPaths)
+	for j := range paths {
+		paths[j] = new(core.Path)
+		e.Path(j).Fill(paths[j])
+	}
+	return paths
+}
+
+// refPlan is route planning on groups copied out of the store — the
+// decision procedure PlanRoute ran before groups moved into the packed
+// store, kept as the reference the view-based plan must reproduce:
+// congestion pick (one-bucket slack, first-hop backlog, primary on ties),
+// then the wanted path or its §5.3 alternative, then a 2-hop backup.
 func refPlan(u *UCMP, p *netsim.Packet, tor int, now sim.Time, fromAbs int64) ([]netsim.PlannedHop, netsim.RecoveryClass, bool) {
 	ts := u.PS.F.CyclicSlice(fromAbs)
-	g := u.PS.Group(ts, tor, p.DstToR)
+	g := u.PS.View(ts, tor, p.DstToR)
 	hash := p.Flow.Hash
 	var ok func(*core.Path) bool
 	if h := u.Health; h != nil {
@@ -41,7 +71,7 @@ func refPlan(u *UCMP, p *netsim.Packet, tor int, now sim.Time, fromAbs int64) ([
 	return hopsFromPath(path, fromAbs, nil), class, true
 }
 
-func refPickUncongested(u *UCMP, g *core.Group, bucket, tor int, now sim.Time, fromAbs int64, hash uint64, ok func(*core.Path) bool) (*core.Path, netsim.RecoveryClass) {
+func refPickUncongested(u *UCMP, g core.GroupView, bucket, tor int, now sim.Time, fromAbs int64, hash uint64, ok func(*core.Path) bool) (*core.Path, netsim.RecoveryClass) {
 	if u.Backlog == nil || u.CongestionThreshold <= 0 {
 		return nil, 0
 	}
@@ -49,17 +79,17 @@ func refPickUncongested(u *UCMP, g *core.Group, bucket, tor int, now sim.Time, f
 		h := p.Hops[0]
 		return u.Backlog(tor, now, netsim.PlannedHop{To: h.To, AbsSlice: h.Slice + fromAbs - p.StartSlice})
 	}
-	want := u.Ager.EntryForBucket(g, bucket)
-	primary := u.Ager.PathForBucket(g, bucket, hash)
+	want := refWanted(u, g, bucket)
+	cands := refPaths(g.Entry(want))
+	primary := cands[hash%uint64(len(cands))]
 	best, bestBacklog := primary, backlog(primary)
 	if bestBacklog < u.CongestionThreshold {
 		return nil, 0
 	}
-	cands := append([]*core.Path(nil), want.Paths...)
 	for _, delta := range [2]int{-1, 1} {
 		if b := bucket + delta; b >= 0 {
-			if e := u.Ager.EntryForBucket(g, b); e != want {
-				cands = append(cands, e.Paths...)
+			if e := refWanted(u, g, b); e != want {
+				cands = append(cands, refPaths(g.Entry(e))...)
 			}
 		}
 	}
@@ -77,34 +107,35 @@ func refPickUncongested(u *UCMP, g *core.Group, bucket, tor int, now sim.Time, f
 	return best, netsim.RecoveryPrimary
 }
 
-func refPickHealthy(u *UCMP, g *core.Group, bucket int, hash uint64, ok func(*core.Path) bool) (*core.Path, netsim.RecoveryClass) {
-	want := u.Ager.EntryForBucket(g, bucket)
-	p := refHealthyOf(want.Paths, hash, ok)
+func refPickHealthy(u *UCMP, g core.GroupView, bucket int, hash uint64, ok func(*core.Path) bool) (*core.Path, netsim.RecoveryClass) {
+	wi := refWanted(u, g, bucket)
+	want, paths := g.Entry(wi), refPaths(g.Entry(wi))
+	p := refHealthyOf(paths, hash, ok)
 	if ok == nil {
 		return p, netsim.RecoveryPrimary
 	}
 	if p != nil {
-		if p == refHealthyOf(want.Paths, hash, nil) {
+		if p == refHealthyOf(paths, hash, nil) {
 			return p, netsim.RecoveryPrimary
 		}
 		return p, netsim.RecoverySameLength
 	}
 	var shorter, longer *core.Path
-	for i := range g.Entries {
-		e := &g.Entries[i]
+	for i := 0; i < g.NumEntries(); i++ {
+		e := g.Entry(i)
 		switch {
-		case e == want:
+		case i == wi:
 		case e.HopCount == want.HopCount:
-			if p := refHealthyOf(e.Paths, hash, ok); p != nil {
+			if p := refHealthyOf(refPaths(e), hash, ok); p != nil {
 				return p, netsim.RecoverySameLength
 			}
 		case e.HopCount < want.HopCount:
 			if shorter == nil {
-				shorter = refHealthyOf(e.Paths, hash, ok)
+				shorter = refHealthyOf(refPaths(e), hash, ok)
 			}
 		default:
 			if longer == nil {
-				longer = refHealthyOf(e.Paths, hash, ok)
+				longer = refHealthyOf(refPaths(e), hash, ok)
 			}
 		}
 	}
@@ -137,7 +168,7 @@ func scriptedBoard(tor int, _ sim.Time, hop netsim.PlannedHop) int {
 }
 
 // TestPlanOnViewsMatchesPlanOnGroups: on a brute-force and a symmetric path
-// set, PlanRoute (views) and refPlan (materialized groups) make the same
+// set, PlanRoute (views) and refPlan (groups copied out) make the same
 // decision — hops and recovery class — for every (tor, dst, slice, bucket)
 // and several flow hashes, in steady state, under a fault view, with
 // congestion steering engaged, and with both.
