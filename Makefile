@@ -1,12 +1,12 @@
 # Standard checks for the UCMP reproduction. CI runs `make check` — gofmt,
 # vet, staticcheck (when installed), build, the test suite, the race
 # detector over the tests listed in `race`, and every examples/ program —
-# and `make fuzz-smoke`. Why the race list holds what it holds: DESIGN.md
-# §9.
+# `make fuzz-smoke`, `make crash-smoke` and `make cache-smoke`. Why the race
+# list holds what it holds: DESIGN.md §9.
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race race-run examples fuzz-smoke bench benchmark bench-offline bench-netsim bench-scaling scale-smoke crash-smoke
+.PHONY: check fmt vet staticcheck build test race race-run examples fuzz-smoke bench benchmark bench-offline bench-netsim bench-scaling cache-smoke crash-smoke
 
 check: fmt vet staticcheck build test race examples
 
@@ -120,16 +120,16 @@ crash-smoke:
 	cmp results/.crash_ref.csv results/.crash_res.csv
 	rm -rf results/.crash_ckpt results/.crash_ref.csv results/.crash_res.csv results/.crash_sim
 
-# scale-smoke is the CI wall-clock budget check at the 512-ToR point of the
-# scaling sweep: the first pass builds the symmetric path set cold, compiles
-# the table, runs the permutation sim, and saves the compiled fabric into
-# the cache directory; the second pass must reload it warm (asserted via the
-# report's warm column) within a much tighter budget.
-scale-smoke:
-	rm -rf results/.scale_cache
-	timeout 300 $(GO) run ./cmd/ucmpbench -exp scale -scale-ns 512 -fabric-cache results/.scale_cache
-	timeout 120 $(GO) run ./cmd/ucmpbench -exp scale -scale-ns 512 -fabric-cache results/.scale_cache | tee /dev/stderr | grep -q '1/1 points loaded warm'
-	rm -rf results/.scale_cache
+# cache-smoke is the CI fabric-cache check on a 512-ToR symmetric fabric: the
+# first pass builds the path set cold, runs a short simulation and saves the
+# compiled fabric into the cache directory; the second pass must load it
+# (its `path set:` line says cache-loaded) within a much tighter budget.
+CACHE_FLAGS = -tors 512 -uplinks 8 -hosts 2 -duration 50us -fabric-cache results/.cache_smoke
+cache-smoke:
+	rm -rf results/.cache_smoke
+	timeout 300 $(GO) run ./cmd/ucmpsim $(CACHE_FLAGS)
+	timeout 120 $(GO) run ./cmd/ucmpsim $(CACHE_FLAGS) | tee /dev/stderr | grep -q '^path set: cache-loaded'
+	rm -rf results/.cache_smoke
 
 # bench-scaling runs only the multicore sweep, printing raw `go test` lines:
 # the quick local answer to "does sharding win on this machine".

@@ -50,7 +50,6 @@ import (
 	"runtime/trace"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -70,37 +69,25 @@ var allExps = []string{
 	"fig7", "fig8", "fig9", "fig10", "fig11",
 	"fig12", "fig12d", "fig13", "fig14", "fig15", "fig16", "fig17",
 	"ablation", "extension", "sweep", "failsweep", "sched",
-	"scale",
 }
 
-// heavyExps are excluded from -exp all: the 1024-ToR scaling sweep builds
-// gigabyte-class fabrics and is requested explicitly (`-exp scale`).
-var heavyExps = map[string]bool{"scale": true}
-
-// selectExps resolves the -exp value to the set of exhibits to run: "all"
-// (everything but heavyExps) or a comma-separated list of ids, every one of
-// which must be known — a typo must not turn into an empty, successful run.
+// selectExps resolves the -exp value, a comma-separated list of ids, to the
+// set of exhibits to run; the id "all" adds every one. Every id must be
+// known: a typo must not turn into an empty, successful run.
 func selectExps(spec string) (map[string]bool, error) {
 	want := map[string]bool{}
-	if spec == "all" {
-		for _, e := range allExps {
-			if !heavyExps[e] {
-				want[e] = true
-			}
-		}
-		return want, nil
-	}
-	known := map[string]bool{}
-	for _, e := range allExps {
-		known[e] = true
-	}
 	var unknown []string
 	for _, e := range strings.Split(spec, ",") {
-		e = strings.TrimSpace(e)
-		if !known[e] {
+		switch e = strings.TrimSpace(e); {
+		case e == "all":
+			for _, id := range allExps {
+				want[id] = true
+			}
+		case slices.Contains(allExps, e):
+			want[e] = true
+		default:
 			unknown = append(unknown, fmt.Sprintf("%q", e))
 		}
-		want[e] = true
 	}
 	if len(unknown) > 0 {
 		return nil, fmt.Errorf("unknown experiment id %s (valid: all, %s)",
@@ -120,7 +107,6 @@ func main() {
 		traceF   = flag.String("trace", "", "write a runtime execution trace covering the selected exhibits to this file")
 		shardsF  = flag.Int("shards", 0, "run simulations on the sharded engine with this many workers (0/1 = serial)")
 		schedF   = flag.Bool("schedstats", false, "report per-exhibit scheduler internals (pending high-water, cascades, cancels), event counts by kind and packet-memory high-water marks on stderr")
-		scaleNsF = flag.String("scale-ns", "", "comma-separated fabric sizes for -exp scale (empty = 108,256,512,1024)")
 		cacheF   = flag.String("fabric-cache", "", "directory for the warm-fabric cache: compiled UCMP fabrics are mmap-loaded from it when present and saved into it after cold builds")
 		ckptDirF = flag.String("checkpoint-dir", "", "directory for crash-recovery checkpoints: simulations snapshot there every -checkpoint-every of simulated time, and sweeps record completed trials in a sweep book")
 		ckptEvF  = flag.Duration("checkpoint-every", 0, "simulated-time interval between checkpoints (0 = off)")
@@ -134,6 +120,10 @@ func main() {
 	}
 	if *workersF < 0 {
 		fmt.Fprintf(os.Stderr, "ucmpbench: -workers: %d is negative (1 = serial, 0 = GOMAXPROCS)\n", *workersF)
+		os.Exit(2)
+	}
+	if *shardsF < 0 {
+		fmt.Fprintf(os.Stderr, "ucmpbench: -shards: %d is negative (0/1 = serial)\n", *shardsF)
 		os.Exit(2)
 	}
 
@@ -191,12 +181,6 @@ func main() {
 		ckptDir: *ckptDirF, ckptEvery: sim.Time(ckptEvF.Nanoseconds()), resume: *resumeF,
 	}
 	folded := map[*harness.Result]bool{}
-	if *scaleNsF != "" {
-		if r.scaleNs, err = parseScaleNs(*scaleNsF); err != nil {
-			fmt.Fprintf(os.Stderr, "ucmpbench: -scale-ns: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	for _, e := range allExps {
 		if !want[e] {
 			continue
@@ -236,20 +220,6 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr)
 	}
-}
-
-// parseScaleNs reads -scale-ns: comma-separated fabric sizes, each a whole
-// decimal number of at least 2 ToRs.
-func parseScaleNs(spec string) ([]int, error) {
-	var ns []int
-	for _, s := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad value %q", s)
-		}
-		ns = append(ns, n)
-	}
-	return ns, nil
 }
 
 // exhibitStats is what one exhibit's stderr lines print, folded from the
@@ -339,7 +309,6 @@ type runner struct {
 	ckptDir   string
 	ckptEvery sim.Time
 	resume    bool
-	scaleNs   []int
 
 	ps *core.PathSet
 }
@@ -396,17 +365,6 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 			rows = []harness.Table3Row{{SliceUs: 1, N: 108, D: 6}, {SliceUs: 1, N: 324, D: 6}, {SliceUs: 5, N: 1200, D: 12}}
 		}
 		fmt.Println(harness.Table3(rows))
-	case "scale":
-		rep, points, err := harness.ScaleSweep(harness.ScaleConfig{Ns: r.scaleNs, Seed: r.seed, CacheDir: r.cacheDir})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(rep)
-		var ran []*harness.Result
-		for _, p := range points {
-			ran = append(ran, p.Sim)
-		}
-		return ran, nil
 	case "fig5a":
 		rep, _ := harness.Fig5a(r.pathSet())
 		fmt.Println(rep)

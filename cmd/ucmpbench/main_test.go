@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -80,11 +79,12 @@ func wantRejected(t *testing.T, unknown []string, named, bad, valid string) {
 
 func TestSelectExps(t *testing.T) {
 	wantSelected(t, "fig9, table1,sched", "fig9", "table1", "sched")
-	all, err := selectExps("all")
-	if err != nil || !all["fig6a"] || !all["sched"] || all["scale"] || len(all) != len(allExps)-len(heavyExps) {
-		t.Fatalf("selectExps(all) = %v, %v", all, err)
-	}
-	wantRejected(t, []string{"bogus", "fig9,fgi8", "fig9,", ""}, "fig9,fgi8,nope", `"fgi8", "nope"`, "fig17")
+	// "all" is an id like any other in the list: it adds every exhibit, and
+	// naming one again beside it runs it once.
+	wantSelected(t, "all", allExps...)
+	wantSelected(t, "all,fig8", allExps...)
+	wantSelected(t, "fig8, all", allExps...)
+	wantRejected(t, []string{"bogus", "fig9,fgi8", "fig9,", "", "all,bogus", "scale"}, "fig9,fgi8,nope", `"fgi8", "nope"`, "fig17")
 }
 
 // The offline exhibit ids resolve like every other: a list of known ids is
@@ -126,12 +126,18 @@ func TestUnknownExpExitsTwo(t *testing.T) {
 	}
 }
 
-// -workers is the one parallelism flag: a negative pool size exits 2 before
-// any exhibit runs.
+// A negative -workers or -shards exits 2 before any exhibit runs, naming the
+// flag. A negative -shards used to print table1 and then exit 1 inside fig8.
 func TestNegativeWorkersExitsTwo(t *testing.T) {
-	status, stdout, stderr := ucmpbench(t, "-exp", "table1", "-workers", "-1")
-	if status != 2 || !strings.Contains(stderr, "-workers: -1") || stdout != "" {
-		t.Fatalf("exit status %d, want 2 naming -workers and no output; stdout: %s; stderr: %s", status, stdout, stderr)
+	for _, c := range []struct{ flag, value string }{
+		{"-workers", "-1"},
+		{"-shards", "-2"},
+	} {
+		status, stdout, stderr := ucmpbench(t, "-exp", "table1,fig8", c.flag, c.value)
+		if status != 2 || !strings.Contains(stderr, c.flag+": "+c.value) || stdout != "" {
+			t.Errorf("%s %s: exit status %d, want 2 naming the flag and no output; stdout: %s; stderr: %s",
+				c.flag, c.value, status, stdout, stderr)
+		}
 	}
 }
 
@@ -149,20 +155,6 @@ func TestSchedExhibit(t *testing.T) {
 	} {
 		if !strings.Contains(stdout, line) {
 			t.Errorf("stdout lacks %q:\n%s", line, stdout)
-		}
-	}
-}
-
-// -scale-ns takes whole decimal sizes only: trailing garbage used to be
-// dropped, reading "5l2" as 5.
-func TestParseScaleNs(t *testing.T) {
-	ns, err := parseScaleNs("256, 512")
-	if err != nil || !slices.Equal(ns, []int{256, 512}) {
-		t.Fatalf("parseScaleNs(\"256, 512\") = %v, %v", ns, err)
-	}
-	for _, spec := range []string{"5l2", "1024x", "2e3", "1", "256,"} {
-		if ns, err := parseScaleNs(spec); err == nil {
-			t.Errorf("parseScaleNs(%q) = %v, want an error", spec, ns)
 		}
 	}
 }

@@ -140,8 +140,12 @@ func main() {
 	if res.ResumeNote != "" {
 		fmt.Fprintf(os.Stderr, "ucmpsim: checkpoint: %s\n", res.ResumeNote)
 	}
-	fmt.Printf("ucmpsim: %s + %s on %s (%d ToRs, %d hosts, load %.0f%%)\n",
-		*routingF, *transportF, *workloadF, cfg.Topo.NumToRs, cfg.Topo.NumHosts(), *loadF*100)
+	// A trace run uses neither -workload nor -load; its header names the trace.
+	on := fmt.Sprintf("%s (%d ToRs, %d hosts, load %.0f%%)", *workloadF, cfg.Topo.NumToRs, cfg.Topo.NumHosts(), *loadF*100)
+	if cfg.Flows != nil {
+		on = fmt.Sprintf("trace %s of %d flows (%d ToRs, %d hosts)", *flowsF, len(cfg.Flows), cfg.Topo.NumToRs, cfg.Topo.NumHosts())
+	}
+	fmt.Printf("ucmpsim: %s + %s on %s\n", *routingF, *transportF, on)
 	if res.PathSet.Groups > 0 {
 		fmt.Println("path set:", res.PathSet)
 	}

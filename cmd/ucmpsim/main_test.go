@@ -165,3 +165,21 @@ func TestFlowTraceValidated(t *testing.T) {
 		}
 	}
 }
+
+// A -flows run replays the trace instead of the Poisson workload, so its
+// header names the trace and its flow count, not the -workload and -load it
+// does not use: it used to print "on datamining ... load 90%".
+func TestFlowTraceHeader(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "flows.csv")
+	if err := os.WriteFile(trace, []byte("id,src_host,dst_host,size_bytes,arrival_ns\n1,0,5,65536,0\n2,3,8,4096,1000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status, stdout, stderr := ucmpsim(t, "-flows", trace, "-workload", "datamining", "-load", "0.9")
+	if status != 0 {
+		t.Fatalf("exit status %d; stderr: %s", status, stderr)
+	}
+	header, _, _ := strings.Cut(stdout, "\n")
+	if want := "ucmpsim: ucmp + dctcp on trace " + trace + " of 2 flows (16 ToRs, 32 hosts)"; header != want {
+		t.Fatalf("header %q, want %q", header, want)
+	}
+}

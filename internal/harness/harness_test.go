@@ -434,6 +434,7 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 	}{
 		{"Horizon=-1ns", func(c *SimConfig) { c.Horizon = -1 }, true},
 		{"SampleEvery=-1ns", func(c *SimConfig) { c.SampleEvery = -1 }, true},
+		{"CheckpointEvery=-1ns", func(c *SimConfig) { c.CheckpointEvery, c.CheckpointDir = -1, t.TempDir() }, true},
 		{"Hotspot=2", func(c *SimConfig) { c.Hotspot = 2 }, false},
 		{"Hotspot=1", func(c *SimConfig) { c.Hotspot = 1 }, false},
 		{"Hotspot=-1", func(c *SimConfig) { c.Hotspot = -1 }, false},

@@ -330,15 +330,16 @@ func joinNote(notes, note string) string {
 }
 
 // validateWorkload checks the run's numeric knobs before anything is built.
-// A negative horizon or sampling period would silently run no events or take
-// no samples, and α shapes the path set whatever the workload source. An
-// explicit flow list is checked flow by flow (validateFlows). The rest is
-// what the Poisson generator is fed, when it is the one that runs: a
-// negative load walks the arrival clock backwards and never returns, a zero
-// load, duration or host count gives an empty FCT table that looks like a
-// result, a hotspot share outside [0,1) would be clamped or ignored, and a
-// negative size clip would run unclipped. Horizon is deliberately not tied
-// to Duration — a 1 ns horizon is how set-up is timed.
+// A negative horizon, sampling period or checkpoint period would silently run
+// no events, take no samples or write no checkpoint, and α shapes the path
+// set whatever the workload source. An explicit flow list is checked flow by
+// flow (validateFlows). The rest is what the Poisson generator is fed, when
+// it is the one that runs: a negative load walks the arrival clock backwards
+// and never returns, a zero load, duration or host count gives an empty FCT
+// table that looks like a result, a hotspot share outside [0,1) would be
+// clamped or ignored, and a negative size clip would run unclipped. Horizon
+// is deliberately not tied to Duration — a 1 ns horizon is how set-up is
+// timed.
 func validateWorkload(cfg SimConfig) error {
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	switch {
@@ -346,6 +347,8 @@ func validateWorkload(cfg SimConfig) error {
 		return fmt.Errorf("harness: Horizon=%v must not be negative", cfg.Horizon)
 	case cfg.SampleEvery < 0:
 		return fmt.Errorf("harness: SampleEvery=%v must not be negative", cfg.SampleEvery)
+	case cfg.CheckpointEvery < 0:
+		return fmt.Errorf("harness: CheckpointEvery=%v must not be negative (0 = off)", cfg.CheckpointEvery)
 	case !finite(cfg.Alpha) || cfg.Alpha < 0:
 		return fmt.Errorf("harness: Alpha=%g must be non-negative and finite", cfg.Alpha)
 	case cfg.Flows != nil:

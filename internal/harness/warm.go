@@ -11,7 +11,7 @@ import (
 )
 
 // PathSetInfo says where a run's path set came from and what it weighs: the
-// one `path set:` line ucmpsim and the scale sweep print.
+// `path set:` line ucmpsim prints.
 type PathSetInfo struct {
 	// Warm is set when the path set was served rather than built: loaded
 	// from the fabric cache file, or from the Runner's store. Seconds is
