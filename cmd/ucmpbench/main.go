@@ -126,6 +126,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ucmpbench: -shards: %d is negative (0/1 = serial)\n", *shardsF)
 		os.Exit(2)
 	}
+	if *ckptEvF < 0 {
+		fmt.Fprintf(os.Stderr, "ucmpbench: -checkpoint-every: %v is negative (0 = off)\n", *ckptEvF)
+		os.Exit(2)
+	}
 
 	if *cpuProfF != "" {
 		f, err := os.Create(*cpuProfF)
@@ -194,8 +198,14 @@ func main() {
 		wall := time.Since(start).Seconds()
 		f := foldResults(results, folded)
 		if f.events > 0 {
-			fmt.Fprintf(os.Stderr, "(%s took %.1fs, %d sim events, %.2fM events/s)\n",
-				e, wall, f.events, float64(f.events)/wall/1e6)
+			// Events per delivered data packet beside the rate: a design that
+			// spends fewer events on a packet is faster at a lower rate.
+			perPkt := ""
+			if f.delivered > 0 {
+				perPkt = fmt.Sprintf(", %.1f events/data pkt", float64(f.events)/float64(f.delivered))
+			}
+			fmt.Fprintf(os.Stderr, "(%s took %.1fs, %d sim events, %.2fM events/s%s)\n",
+				e, wall, f.events, float64(f.events)/wall/1e6, perPkt)
 		} else {
 			fmt.Fprintf(os.Stderr, "(%s took %.1fs)\n", e, wall)
 		}
@@ -227,12 +237,13 @@ func main() {
 // largest any run reached, and notes keeps each distinct non-empty note,
 // labelled with its field, in run order.
 type exhibitStats struct {
-	events uint64
-	kinds  sim.EventKinds
-	sched  sim.SchedStats
-	shard  sim.ShardStats
-	mem    netsim.MemStats
-	notes  []string
+	events    uint64
+	delivered int64 // data packets delivered whole (Counters.DataDelivered)
+	kinds     sim.EventKinds
+	sched     sim.SchedStats
+	shard     sim.ShardStats
+	mem       netsim.MemStats
+	notes     []string
 }
 
 // foldResults folds the results not yet in folded and adds them to it, so
@@ -246,6 +257,7 @@ func foldResults(results []*harness.Result, folded map[*harness.Result]bool) exh
 		}
 		folded[r] = true
 		f.events += r.Events
+		f.delivered += r.Counters.DataDelivered
 		f.kinds.Add(&r.EventKinds)
 
 		f.sched.PendingHighWater = max(f.sched.PendingHighWater, r.Sched.PendingHighWater)

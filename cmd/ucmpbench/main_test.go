@@ -126,12 +126,14 @@ func TestUnknownExpExitsTwo(t *testing.T) {
 	}
 }
 
-// A negative -workers or -shards exits 2 before any exhibit runs, naming the
-// flag. A negative -shards used to print table1 and then exit 1 inside fig8.
+// A negative -workers, -shards or -checkpoint-every exits 2 before any
+// exhibit runs, naming the flag and value. A negative -shards or
+// -checkpoint-every used to print table1 and then exit 1 inside fig8.
 func TestNegativeWorkersExitsTwo(t *testing.T) {
 	for _, c := range []struct{ flag, value string }{
 		{"-workers", "-1"},
 		{"-shards", "-2"},
+		{"-checkpoint-every", "-1ms"},
 	} {
 		status, stdout, stderr := ucmpbench(t, "-exp", "table1,fig8", c.flag, c.value)
 		if status != 2 || !strings.Contains(stderr, c.flag+": "+c.value) || stdout != "" {

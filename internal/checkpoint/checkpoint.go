@@ -41,7 +41,7 @@ import (
 
 const (
 	magic      = "UCMPCKP1"
-	version    = 4
+	version    = 5
 	headerSize = 40
 
 	fnvOffset = 1469598103934665603

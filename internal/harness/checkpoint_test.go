@@ -194,10 +194,11 @@ func requirePendingRuns(t *testing.T, cfg SimConfig, every sim.Time) {
 }
 
 // TestResumeOlderVersionRejected: a checkpoint written before the current
-// container version (4: calendar queues written as the slots that exist,
-// without per-queue counters, and no buffered ingress; 3 wrote RotorLB VOQs
-// as records; 2 brought the sparse ports section and NIC run records) is
-// refused whole, and the run starts cold with the reason recorded.
+// container version (5: ports' reserved wakeups recorded in the event order;
+// 4: calendar queues written as the slots that exist, without per-queue
+// counters, and no buffered ingress; 3 wrote RotorLB VOQs as records; 2
+// brought the sparse ports section and NIC run records) is refused whole,
+// and the run starts cold with the reason recorded.
 func TestResumeOlderVersionRejected(t *testing.T) {
 	cfg := ScaledConfig(VLB, transport.Rotor, "datamining")
 	cfg.Duration = sim.Millisecond
@@ -220,9 +221,9 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Version 3 in the header, with the header checksum (the container's
+	// Version 4 in the header, with the header checksum (the container's
 	// FNV-1a variant over bytes 0..32) made right again.
-	binary.LittleEndian.PutUint32(img[8:], 3)
+	binary.LittleEndian.PutUint32(img[8:], 4)
 	sum := uint64(1469598103934665603)
 	for _, c := range img[:32] {
 		sum = (sum ^ uint64(c)) * 1099511628211
@@ -236,7 +237,7 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 3, want 4") {
+	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 4, want 5") {
 		t.Fatalf("expected a cold run naming the version, got note %q", res.ResumeNote)
 	}
 	if fingerprint(res, true) != fingerprint(plain, true) {
@@ -364,5 +365,62 @@ func TestCheckpointWriteFailureNoted(t *testing.T) {
 	}
 	if fingerprint(res, true) != fingerprint(plain, true) {
 		t.Fatal("failed checkpoint writes perturbed the run")
+	}
+}
+
+// TestResumeAtManyInstants resumes a 1 ms run from a checkpoint taken every
+// 37 µs — instants that fall anywhere in a slice, in a packet's
+// serialization, or between a send and the wakeup it reserved — and requires
+// each resumed run to equal the uninterrupted one, event count included. A
+// port that sends with nothing left queued reserves its next wakeup rather
+// than scheduling it (DESIGN.md §6); a checkpoint has to carry those
+// reservations for a resumed run's same-instant order to be the original's,
+// and the test requires that some checkpoints caught ports holding one.
+func TestResumeAtManyInstants(t *testing.T) {
+	for _, tr := range []transport.Kind{transport.NDP, transport.DCTCP} {
+		t.Run(string(tr), func(t *testing.T) {
+			cfg := ScaledConfig(UCMP, tr, "websearch")
+			cfg.Duration = sim.Millisecond
+			cfg.Horizon = sim.Millisecond
+			plain, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fingerprint(plain, true)
+
+			cfg.CheckpointDir = t.TempDir()
+			st, err := (*Runner)(nil).buildSim(cfg, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := configKey(cfg, st.flows)
+			resume := cfg
+			resume.Resume = true
+			holding := 0
+			const every = 37 * sim.Microsecond
+			for at := every; at < cfg.Horizon; at += every {
+				st.eng.Run(at)
+				if st.net.ReservedWakeups() > 0 {
+					holding++
+				}
+				st.writeCheckpoint(key)
+				if st.ckptErr != nil {
+					t.Fatal(st.ckptErr)
+				}
+				res, err := Run(resume)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(res.ResumeNote, "resumed at") {
+					t.Fatalf("at %v: expected a resume, got note %q", at, res.ResumeNote)
+				}
+				if got := fingerprint(res, true); got != want {
+					t.Fatalf("resumed at %v, the run diverged:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", at, want, got)
+				}
+			}
+			if holding < 5 {
+				t.Fatalf("only %d checkpoints caught a reserved wakeup", holding)
+			}
+		})
 	}
 }

@@ -16,11 +16,11 @@ import (
 // as the commit before Host.SendRun produced it (PR 16, where the trial
 // allocated 524 MB). The event count is pinned beside it, not inside it: it
 // is what a change to how the simulator spends events moves (12,687,762
-// while a ToR's ingress drain was an event of its own), and nothing a flow
-// observes.
+// while a ToR's ingress drain was an event of its own, 10,968,665 while
+// every send scheduled its port's next wakeup), and nothing a flow observes.
 const (
 	rotorPaperFingerprint = "3669f963a701a22e"
-	rotorPaperEvents      = 10_968_665
+	rotorPaperEvents      = 10_704_643
 )
 
 // The paper's own RotorLB sizing — 108 ToRs × 6 uplinks × 6 hosts, VLB over

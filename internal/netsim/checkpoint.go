@@ -95,7 +95,7 @@ func (n *Network) Snapshot(w *checkpoint.Writer) error {
 	ev := w.Section("events")
 	ev.Len(len(n.doms))
 	for _, d := range n.doms {
-		descs, err := d.eng.SnapshotEvents(n.snapDescs[:0])
+		descs, err := d.eng.SnapshotEvents(n.snapDescs[:0], n.reservations(d)...)
 		if err == nil {
 			err = encodeEvents(ev, descs)
 		}
@@ -558,6 +558,7 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 	flags := dec.U8()
 	timer := flags&1 != 0
 	armed := flags&2 != 0
+	reserved := flags&8 != 0
 	var deadline sim.Time
 	if timer {
 		deadline = sim.Time(dec.I64())
@@ -572,6 +573,9 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 	}
 	if err := dec.Err(); err != nil {
 		return err
+	}
+	if reserved && (p != nil || tag.Kind != checkpoint.KindPumpDown && tag.Kind != checkpoint.KindPumpHost && tag.Kind != checkpoint.KindWakeUplink) {
+		return fmt.Errorf("checkpoint: event kind %d recorded as a reservation", tag.Kind)
 	}
 
 	tor := func() (*ToR, error) {
@@ -606,14 +610,22 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 		if err != nil {
 			return err
 		}
-		t := n.ToRs[h.tor]
-		d.eng.AtTag(at, tag, t.down[h.id-h.tor*n.F.HostsPerToR].pumpFn)
+		dp := n.ToRs[h.tor].down[h.id-h.tor*n.F.HostsPerToR]
+		if reserved {
+			dp.idle = d.eng.Reserve(at)
+		} else {
+			d.eng.AtTag(at, tag, dp.pumpFn)
+		}
 	case checkpoint.KindPumpHost:
 		h, err := host()
 		if err != nil {
 			return err
 		}
-		d.eng.AtTag(at, tag, h.port.pumpFn)
+		if reserved {
+			h.port.idle = d.eng.Reserve(at)
+		} else {
+			d.eng.AtTag(at, tag, h.port.pumpFn)
+		}
 	case checkpoint.KindDeliverHost:
 		h, err := host()
 		if err != nil {
@@ -652,7 +664,11 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 		if int(tag.B) < 0 || int(tag.B) >= len(t.up) {
 			return fmt.Errorf("checkpoint: uplink wake references unknown port %d at ToR %d", tag.B, tag.A)
 		}
-		t.up[tag.B].wake.RestoreOccurrence(at, deadline, armed)
+		if reserved {
+			t.up[tag.B].wake.RestoreReservation(at, deadline, armed)
+		} else {
+			t.up[tag.B].wake.RestoreOccurrence(at, deadline, armed)
+		}
 	default:
 		if p != nil {
 			return fmt.Errorf("checkpoint: packet attached to foreign event kind %d", tag.Kind)
@@ -663,6 +679,42 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 		return ext(d.eng, at, tag, timer, armed, deadline)
 	}
 	return nil
+}
+
+// reservations lists the descriptors of the pump events domain d's ports
+// hold a place for without having scheduled them (DESIGN.md §6), for
+// SnapshotEvents to merge into the event order. The list is scratch kept on
+// the network.
+func (n *Network) reservations(d *domain) []sim.ReservedDesc {
+	rs := n.snapReserved[:0]
+	for _, t := range d.tors {
+		for _, dp := range t.down {
+			if !d.eng.Passed(dp.idle) {
+				rs = append(rs, dp.idle.Desc(dp.pumpTag()))
+			}
+			if hp := n.Hosts[dp.host].port; !d.eng.Passed(hp.idle) {
+				rs = append(rs, hp.idle.Desc(hp.pumpTag()))
+			}
+		}
+		for _, u := range t.up {
+			if r, ok := u.wake.Reserved(); ok {
+				rs = append(rs, r)
+			}
+		}
+	}
+	n.snapReserved = rs[:0]
+	return rs
+}
+
+// ReservedWakeups counts the port wakeups the fabric holds a place in the
+// event order for without having scheduled them: what a snapshot taken now
+// records as reservations.
+func (n *Network) ReservedWakeups() int {
+	c := 0
+	for _, d := range n.doms {
+		c += len(n.reservations(d))
+	}
+	return c
 }
 
 // encodeEvents writes one domain's pending-event descriptors, count first.
@@ -685,6 +737,9 @@ func encodeEventDesc(e *checkpoint.Encoder, desc *sim.EventDesc) error {
 	}
 	if desc.Armed {
 		flags |= 2
+	}
+	if desc.Reserved {
+		flags |= 8
 	}
 	var p *Packet
 	if desc.Arg != nil {

@@ -122,6 +122,7 @@ func (h *Host) SendRun(f *Flow, from, to int64, mss int) {
 			hp.ring = append(hp.ring, f)
 		}
 		f.run = run
+		hp.wake()
 	}
 }
 

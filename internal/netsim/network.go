@@ -189,6 +189,8 @@ type Network struct {
 	// snapDescs is Snapshot's event-descriptor buffer, kept between
 	// checkpoints and cleared after each use so it pins no packet.
 	snapDescs []sim.EventDesc
+	// snapReserved is Snapshot's buffer of the ports' reservations.
+	snapReserved []sim.ReservedDesc
 }
 
 // New wires up a serial network. Call Start before Run to arm the slice

@@ -43,9 +43,24 @@ type downPort struct {
 	// pumpFn is pump bound once, so re-arming the port schedules without
 	// allocating a method-value closure per packet.
 	pumpFn func()
+	// idle is the place of the pump event a send left the port with nothing
+	// queued reserved instead of scheduling (DESIGN.md §6): enqueue schedules
+	// it there unless it has passed.
+	idle sim.Reservation
+}
+
+func (d *downPort) pumpTag() sim.EventTag {
+	return sim.EventTag{Kind: checkpoint.KindPumpDown, A: int32(d.host)}
+}
+
+// wake schedules the pump event the last send reserved: work has arrived.
+func (d *downPort) wake() {
+	d.dom.eng.AtReserved(d.idle, d.pumpTag(), d.pumpFn)
+	d.idle = sim.Reservation{}
 }
 
 func (d *downPort) enqueue(p *Packet) {
+	d.wake()
 	if d.room > 0 && p.Type == Data && p.Flow != nil && p.Flow.RotorClass {
 		// FIFO within the rotor class: once anything is staged, everything
 		// stages behind it.
@@ -81,8 +96,11 @@ func (d *downPort) pump() {
 	host := d.net.Hosts[d.host]
 	d.dom.eng.At1Tag(now+ser+d.net.F.HostPropDelay,
 		sim.EventTag{Kind: checkpoint.KindDeliverHost, A: int32(d.host)}, host.recvFn, p)
-	d.dom.eng.AtTag(d.busyUntil,
-		sim.EventTag{Kind: checkpoint.KindPumpDown, A: int32(d.host)}, d.pumpFn)
+	if d.queue.Len() == 0 && d.stage.len() == 0 {
+		d.idle = d.dom.eng.Reserve(d.busyUntil)
+	} else {
+		d.dom.eng.AtTag(d.busyUntil, d.pumpTag(), d.pumpFn)
+	}
 }
 
 func (d *downPort) takeBytes() int64 { return d.meter.take() }
@@ -110,6 +128,17 @@ type hostPort struct {
 	rr   int
 
 	pumpFn func()
+	idle   sim.Reservation // as downPort.idle; enqueue and SendRun wake it
+}
+
+func (h *hostPort) pumpTag() sim.EventTag {
+	return sim.EventTag{Kind: checkpoint.KindPumpHost, A: int32(h.host)}
+}
+
+// wake schedules the pump event the last send reserved: work has arrived.
+func (h *hostPort) wake() {
+	h.dom.eng.AtReserved(h.idle, h.pumpTag(), h.pumpFn)
+	h.idle = sim.Reservation{}
 }
 
 // queueFor resolves a ring entry to its fifo.
@@ -126,6 +155,7 @@ func (h *hostPort) queued(f *Flow) bool {
 }
 
 func (h *hostPort) enqueue(p *Packet) {
+	h.wake()
 	if p.IsControl() {
 		h.high.push(p)
 		h.pump()
@@ -215,8 +245,11 @@ func (h *hostPort) pump() {
 	tor := h.net.ToRs[h.tor]
 	h.dom.eng.At1Tag(now+ser+h.net.F.HostPropDelay,
 		sim.EventTag{Kind: checkpoint.KindRecvHost, A: int32(h.tor)}, tor.recvHostFn, p)
-	h.dom.eng.AtTag(h.busyUntil,
-		sim.EventTag{Kind: checkpoint.KindPumpHost, A: int32(h.host)}, h.pumpFn)
+	if h.high.len() == 0 && len(h.ring) == 0 {
+		h.idle = h.dom.eng.Reserve(h.busyUntil)
+	} else {
+		h.dom.eng.AtTag(h.busyUntil, h.pumpTag(), h.pumpFn)
+	}
 }
 
 func (h *hostPort) takeBytes() int64 { return h.meter.take() }
@@ -280,7 +313,8 @@ type uplinkPort struct {
 	// wake coalesces the port's self-wakeups (circuit-open waits and
 	// post-send re-arms) into one cancelable timer, where the heap engine
 	// used to accumulate a duplicate pump event per call while a circuit
-	// was closed.
+	// was closed. A send that leaves the port nothing it could send before
+	// the slice ends arms it lazily (DESIGN.md §6); pump wakes it.
 	wake *sim.Timer
 
 	// Cached per-slice state, valid while now < sliceEnd. Keyed on the
@@ -404,21 +438,29 @@ func (u *uplinkPort) refreshSlice(now sim.Time) {
 
 // wakeAt arms the port's wake timer at t unless an earlier wakeup is
 // already pending. Every pump path that still has work re-declares its
-// wakeup, so earliest-wins coalescing never loses one.
-func (u *uplinkPort) wakeAt(t sim.Time) {
+// wakeup, so earliest-wins coalescing never loses one. lazy arms it for a
+// wakeup that finds nothing to send unless pump is called first.
+func (u *uplinkPort) wakeAt(t sim.Time, lazy bool) {
 	if !u.wake.Armed() || u.wake.When() > t {
-		u.wake.Reset(t)
+		if lazy {
+			u.wake.ResetLazy(t)
+		} else {
+			u.wake.Reset(t)
+		}
 	}
 }
 
 // pump transmits at most one packet and re-arms itself. It is idempotent:
-// extra pump calls are harmless.
+// extra pump calls are harmless. Every call but the timer's own is work
+// arriving (a calendar enqueue, a rotor push, a slice boundary), so it first
+// wakes a lazily armed timer.
 func (u *uplinkPort) pump() {
+	u.wake.Wake()
 	now := u.tor.dom.eng.Now()
 	if now < u.busyUntil {
 		// An early wakeup (e.g. a rotor retry) landed mid-serialization:
 		// re-arm for when the port frees up.
-		u.wakeAt(u.busyUntil)
+		u.wakeAt(u.busyUntil, false)
 		return
 	}
 	if fs := u.net.Faults; fs != nil && (!fs.TorOK(now, u.tor.id) || !fs.LinkOK(now, u.tor.id, u.sw)) {
@@ -433,7 +475,7 @@ func (u *uplinkPort) pump() {
 	}
 	c := u.sliceC
 	if now < u.sliceOpen {
-		u.wakeAt(u.sliceOpen)
+		u.wakeAt(u.sliceOpen, false)
 		return
 	}
 	peer := u.slicePeer
@@ -470,7 +512,9 @@ func (u *uplinkPort) pump() {
 	} else {
 		u.tor.dom.eng.At1Tag(at, tag, dst.ingressFn, p)
 	}
-	u.wakeAt(u.busyUntil)
+	// The wakeup at busyUntil can only send what the slice's calendar queue
+	// or the rotor VOQs hold by then; with both empty now, it waits on work.
+	u.wakeAt(u.busyUntil, u.busyUntil < end && u.find(c) < 0 && (u.tor.rotor == nil || u.tor.rotor.empty()))
 }
 
 // queuedBytes reports the data bytes parked across all calendar queues.

@@ -138,6 +138,9 @@ func (r *rotorState) pushNonlocal(p *Packet) {
 	r.tor.pumpFor(dst)
 }
 
+// empty reports whether no VOQ of the ToR holds a record.
+func (r *rotorState) empty() bool { return r.localPkts == 0 && r.nonlocalPkts == 0 }
+
 // selectPacket picks the next rotor packet to send toward peer. budget is
 // the serialization time remaining in the slice: a candidate fits when its
 // uplink serialization delay is within it, and a first candidate that does
@@ -149,7 +152,7 @@ func (r *rotorState) pushNonlocal(p *Packet) {
 // arrivals above its downlink threshold (downPort.stage), so losslessness
 // holds without a cross-ToR occupancy read on the send path.
 func (r *rotorState) selectPacket(peer int, budget sim.Time, abs int64) *Packet {
-	if r.localPkts == 0 && r.nonlocalPkts == 0 {
+	if r.empty() {
 		return nil
 	}
 	net := r.tor.net

@@ -357,9 +357,14 @@ func (t *ToR) enqueueUplink(p *Packet, hop PlannedHop) bool {
 	if !u.slotFor(c).Enqueue(p) {
 		return false
 	}
-	now := t.dom.eng.Now()
-	if t.net.F.AbsSlice(now) == hop.AbsSlice {
+	switch abs := t.net.F.AbsSlice(t.dom.eng.Now()); {
+	case abs == hop.AbsSlice:
 		u.pump()
+	case c == t.net.F.CyclicSlice(abs):
+		// Planned for a later cycle of the slice under way: the port serves
+		// its calendar queues by cyclic slice, so its next wakeup in this
+		// slice sends it, and a lazily armed one has to happen.
+		u.wake.Wake()
 	}
 	return true
 }

@@ -11,7 +11,10 @@ import (
 // TestQueueDifferential is the pin for the timing wheel's (at, seq)
 // contract: one seeded op script drives the wheel and the reference heap
 // with identical pushes, limit-bounded pops and peekMin probes, and the two
-// must agree on every pop, every probe and the sorted pending set.
+// must agree on every pop, every probe and the sorted pending set. Some
+// pushes carry a seq reserved earlier (Engine.Reserve), so they land behind
+// events already queued at their instant, in an upper level that cascades,
+// or in the overflow heap.
 func TestQueueDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { queueScript(t, seed) })
@@ -35,6 +38,35 @@ func queueScript(t *testing.T, seed int64) {
 		seq++
 		ev := event{at: at, seq: seq}
 		w.push(ev)
+		h.push(ev)
+	}
+	// reserved holds places taken but not yet scheduled under; one whose
+	// time the clock has passed lapses unscheduled, as in the engine.
+	var reserved []event
+	reserve := func(at Time) {
+		seq++
+		reserved = append(reserved, event{at: at, seq: seq})
+	}
+	var behind, upper, overflow int // where reserved schedules landed
+	schedule := func() {
+		reserved = slices.DeleteFunc(reserved, func(ev event) bool { return ev.at < now })
+		if len(reserved) == 0 {
+			return
+		}
+		i := rng.Intn(len(reserved))
+		ev := reserved[i]
+		reserved = slices.Delete(reserved, i, i+1)
+		switch d := uint64(ev.at ^ w.cur); {
+		case d >= 1<<horizonBits:
+			overflow++
+		case d >= l0Slots:
+			upper++
+		default:
+			if tail := w.slots0[int(uint64(ev.at))&l0Mask].tail; tail >= 0 && w.nodes[tail].ev.seq > ev.seq {
+				behind++
+			}
+		}
+		w.insert(ev)
 		h.push(ev)
 	}
 	probe := func(op int) {
@@ -117,6 +149,22 @@ func queueScript(t *testing.T, seed int64) {
 			for k := 2 + rng.Intn(4); k > 0; k-- {
 				push(at)
 			}
+		case r < 13: // a reservation, then (sometimes) later events at its instant
+			var at Time
+			switch rng.Intn(3) {
+			case 0:
+				at = now + Time(rng.Int63n(l0Slots))
+			case 1:
+				at = now + boundaries[rng.Intn(len(boundaries)-1)] + Time(rng.Intn(3)) - 1
+			default:
+				at = now + 1<<horizonBits + Time(rng.Int63n(l0Slots))
+			}
+			reserve(at)
+			for k := rng.Intn(3); k > 0; k-- {
+				push(at)
+			}
+		case r < 14: // schedule under an earlier reservation
+			schedule()
 		case r < 18: // a partial drain under a limit
 			limit := now + limitAhead()
 			for k := rng.Intn(8); k > 0 && pop(op, limit); k-- {
@@ -131,6 +179,10 @@ func queueScript(t *testing.T, seed int64) {
 	probe(-1)
 	if w.cascades == 0 || w.overflowPushes == 0 {
 		t.Fatalf("script too tame: %d cascades, %d overflow pushes", w.cascades, w.overflowPushes)
+	}
+	if behind == 0 || upper == 0 || overflow == 0 {
+		t.Fatalf("script too tame: reserved schedules %d behind later seqs at level 0, %d at upper levels, %d into overflow",
+			behind, upper, overflow)
 	}
 }
 
@@ -312,5 +364,35 @@ func TestWheelZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state scheduling allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestReservedInsertAfterMigration: an overflow window migrates into the
+// wheel in seq order, so a slot it fills stays seq-sorted and an event
+// scheduled under an older reservation finds its place by walking back from
+// the tail. Placed in (at, seq) order instead, the slot would hold B (seq 9)
+// ahead of A (seq 5), and the reserved event (seq 7) at B's instant would
+// land behind B.
+func TestReservedInsertAfterMigration(t *testing.T) {
+	w := newTimingWheel()
+	var h eventHeap
+	x0 := Time(1<<horizonBits + 3*l0Slots)
+	x, y := x0+2*l0Slots+10, x0+2*l0Slots+20 // one level-1 slot once x0 is the cursor's
+	for _, ev := range []event{{at: x0, seq: 1}, {at: y, seq: 5}, {at: x, seq: 9}} {
+		w.push(ev)
+		h.push(ev)
+	}
+	var got event
+	if !w.popLE(x0, &got) || got.seq != h.pop().seq {
+		t.Fatalf("first pop (%d, %d), want the migrated head", got.at, got.seq)
+	}
+	reserved := event{at: x, seq: 7}
+	w.insert(reserved)
+	h.push(reserved)
+	for len(h) > 0 {
+		want := h.pop()
+		if !w.popLE(maxTime, &got) || got.at != want.at || got.seq != want.seq {
+			t.Fatalf("wheel popped (%d, %d), heap (%d, %d)", got.at, got.seq, want.at, want.seq)
+		}
 	}
 }

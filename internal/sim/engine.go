@@ -33,14 +33,19 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// String formats the time with an adaptive unit.
+// String formats the time with an adaptive unit, chosen by magnitude so a
+// negative time reads in the unit its absolute value would.
 func (t Time) String() string {
+	mag := t
+	if mag < 0 {
+		mag = -mag
+	}
 	switch {
-	case t >= Second:
+	case mag >= Second:
 		return fmt.Sprintf("%.3fs", float64(t)/float64(Second))
-	case t >= Millisecond:
+	case mag >= Millisecond:
 		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
-	case t >= Microsecond:
+	case mag >= Microsecond:
 		return fmt.Sprintf("%.3fus", float64(t)/float64(Microsecond))
 	default:
 		return fmt.Sprintf("%dns", int64(t))
@@ -94,9 +99,20 @@ type EventDesc struct {
 	Tag EventTag
 	Arg any // fn1 argument (nil for plain closures and timers)
 
-	Timer    bool
-	Armed    bool // timer armed flag at snapshot time
+	Timer bool
+	Armed bool // timer armed flag at snapshot time
+	// Reserved marks an outstanding reservation (see Reserve): the event
+	// holds a place in the order at At but is not queued. A restore reserves
+	// it again rather than scheduling it.
+	Reserved bool
 	Deadline Time // timer deadline (fires then if armed), when Timer
+}
+
+// ReservedDesc is an outstanding reservation as SnapshotEvents takes it:
+// the descriptor of the event it stands for, and its place in the order.
+type ReservedDesc struct {
+	Desc EventDesc
+	r    Reservation
 }
 
 // NumEventKinds bounds the EventTag.Kind values an engine counts apart; the
@@ -254,9 +270,69 @@ func (e *Engine) At1Tag(t Time, tag EventTag, fn func(any), arg any) {
 	e.push(event{at: t, seq: e.seq, fn1: fn, arg: arg, tag: tag})
 }
 
+// Reservation is a place in the event order taken ahead of the event that
+// may fill it: an instant and the sequence number an event scheduled there
+// at Reserve time would have got. The zero Reservation has always passed.
+type Reservation struct {
+	at  Time
+	seq uint64
+}
+
+// Desc returns the reservation as SnapshotEvents takes it, standing for an
+// event with the given tag.
+func (r Reservation) Desc(tag EventTag) ReservedDesc {
+	return ReservedDesc{Desc: EventDesc{At: r.at, Tag: tag, Reserved: true}, r: r}
+}
+
+// Reserve takes the sequence number an event scheduled at t now would get,
+// without scheduling one. An event later scheduled under the reservation
+// (AtReserved) runs exactly where it would have run had it been scheduled
+// now; one never scheduled costs nothing. It is for an event that is only
+// needed if something happens before its instant — a port's wake-up after
+// a send, which finds nothing to do unless work arrives meanwhile.
+func (e *Engine) Reserve(t Time) Reservation {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: reserving at %v before now %v", t, e.now))
+	}
+	e.seq++
+	return Reservation{at: t, seq: e.seq}
+}
+
+// Passed reports whether the run has gone past r's place in the order: an
+// event scheduled under it would already have run. Inside an event that is
+// every place before the event's (at, seq); once the events of an instant
+// are over — in its deferred calls, and after Run(until) returns at until —
+// it is every place at or before that instant taken so far. A run stopped
+// by Stop has passed only the places before the event that stopped it.
+func (e *Engine) Passed(r Reservation) bool {
+	return r.at < e.now || r.at == e.now && r.seq <= e.cur.seq
+}
+
+// AtReserved schedules fn, tagged, under r, and reports true; when r has
+// passed it schedules nothing and reports false.
+func (e *Engine) AtReserved(r Reservation, tag EventTag, fn func()) bool {
+	if e.Passed(r) {
+		return false
+	}
+	e.pushReserved(event{at: r.at, seq: r.seq, fn: fn, tag: tag})
+	return true
+}
+
+// pushReserved inserts an event carrying a reserved, hence possibly not the
+// largest, sequence number.
+func (e *Engine) pushReserved(ev event) {
+	e.wheel.insert(ev)
+	if p := e.wheel.size; p > e.stats.PendingHighWater {
+		e.stats.PendingHighWater = p
+	}
+}
+
 // SnapshotEvents appends every pending event, re-encoded as an EventDesc, to
 // buf in (at, seq) order — the order the events would pop in — and returns
-// the extended slice. It is a pure read: the queue is walked where it lies,
+// the extended slice. reserved lists the caller's outstanding reservations
+// (Reservation.Desc, Timer.Reserved), which the engine does not track: those
+// that have not passed are merged into the order as Reserved descriptors,
+// the rest dropped. It is a pure read: the queue is walked where it lies,
 // nothing is popped or re-placed, and the continuing run, its SchedStats
 // included, is exactly what it would have been without the snapshot. Dead
 // timer occurrences (generation superseded by a Reset) produce no
@@ -267,15 +343,25 @@ func (e *Engine) At1Tag(t Time, tag EventTag, fn func(any), arg any) {
 // An untagged pending event (or timer) makes the snapshot unusable — the
 // restore side could not rebuild its closure — so an error is returned; the
 // engine is untouched either way.
-func (e *Engine) SnapshotEvents(buf []EventDesc) ([]EventDesc, error) {
+func (e *Engine) SnapshotEvents(buf []EventDesc, reserved ...ReservedDesc) ([]EventDesc, error) {
 	var err error
 	if len(e.deferred) > 0 {
 		// Run drains them before it returns, so only a Defer made between
 		// runs gets here; a closure is nothing a descriptor can carry.
 		err = fmt.Errorf("sim: %d deferred call(s) outstanding at %v cannot be checkpointed", len(e.deferred), e.now)
 	}
+	reserved = slices.DeleteFunc(reserved, func(d ReservedDesc) bool { return e.Passed(d.r) })
+	slices.SortFunc(reserved, func(a, b ReservedDesc) int {
+		if c := cmp.Compare(a.r.at, b.r.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.r.seq, b.r.seq)
+	})
 	pending := e.pendingInOrder()
 	for _, ev := range pending {
+		for len(reserved) > 0 && (reserved[0].r.at < ev.at || reserved[0].r.at == ev.at && reserved[0].r.seq < ev.seq) {
+			buf, reserved = append(buf, reserved[0].Desc), reserved[1:]
+		}
 		switch {
 		case ev.fn != nil, ev.fn1 != nil:
 			if ev.tag.Kind == 0 && err == nil {
@@ -295,6 +381,9 @@ func (e *Engine) SnapshotEvents(buf []EventDesc) ([]EventDesc, error) {
 				Timer: true, Armed: tm.armed, Deadline: tm.at,
 			})
 		}
+	}
+	for _, d := range reserved {
+		buf = append(buf, d.Desc)
 	}
 	clear(pending) // the scratch must not pin a queue array the run replaces
 	e.snap = pending[:0]
@@ -316,9 +405,10 @@ func (e *Engine) pendingInOrder() []*event {
 }
 
 // Restore positions a freshly built engine at a checkpoint's virtual time
-// and executed-event counts. Pending events are replayed separately by the
-// owning layers (via the tagged scheduling calls and Timer.RestoreOccurrence),
-// receiving fresh sequence numbers in recorded (at, seq) order — which
+// and executed-event counts. Pending events and reservations are replayed
+// separately by the owning layers (via the tagged scheduling calls, Reserve,
+// Timer.RestoreOccurrence and Timer.RestoreReservation), receiving fresh
+// sequence numbers in recorded (at, seq) order — which
 // preserves same-instant tie-breaking exactly, since all post-restore
 // scheduling gets strictly higher sequence numbers, just as it would have in
 // the uninterrupted run.
@@ -350,6 +440,9 @@ func (e *Engine) endInstant() {
 	if at, ok := e.NextAt(); ok && at <= e.now && !e.stopped {
 		return
 	}
+	if !e.stopped {
+		e.passInstant()
+	}
 	for i := 0; i < len(e.deferred); i++ {
 		fn := e.deferred[i]
 		e.deferred[i] = nil
@@ -357,6 +450,11 @@ func (e *Engine) endInstant() {
 	}
 	e.deferred = e.deferred[:0]
 }
+
+// passInstant marks every place in the order taken so far at or before now
+// as passed (see Passed): the instant's events are over. The dispatch slot's
+// seq is what Passed compares against; its event has run already.
+func (e *Engine) passInstant() { e.cur.seq = e.seq }
 
 // dispatch runs the event's callback, reporting whether one actually ran
 // (lazily-deleted timer events surface here and are discarded).
@@ -388,8 +486,7 @@ func (e *Engine) Run(until Time) Time {
 	}
 	for e.Pending() > 0 && !e.stopped {
 		if !e.wheel.popLE(until, &e.cur) {
-			e.now = until
-			return e.now
+			break
 		}
 		e.now = e.cur.at
 		if e.dispatch(&e.cur) {
@@ -399,13 +496,15 @@ func (e *Engine) Run(until Time) Time {
 			e.endInstant()
 		}
 	}
-	if e.now < until && !e.stopped {
+	if !e.stopped && e.now <= until {
 		e.now = until
+		e.passInstant()
 	}
 	return e.now
 }
 
-// RunAll executes every pending event regardless of horizon.
+// RunAll executes every pending event regardless of horizon. A reservation
+// nothing was scheduled under does not hold it back.
 func (e *Engine) RunAll() Time {
 	e.stopped = false
 	if len(e.deferred) > 0 {
@@ -422,6 +521,9 @@ func (e *Engine) RunAll() Time {
 		if len(e.deferred) > 0 {
 			e.endInstant()
 		}
+	}
+	if !e.stopped {
+		e.passInstant()
 	}
 	return e.now
 }

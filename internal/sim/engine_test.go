@@ -143,15 +143,36 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 }
 
+// TestTimeString covers each unit boundary from both sides, for positive
+// and negative times: the unit follows the magnitude, so a negative time
+// reads as its absolute value would, with a minus sign.
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		t    Time
 		want string
 	}{
+		{0, "0ns"},
+		{1, "1ns"},
+		{-1, "-1ns"},
 		{500, "500ns"},
+		{-500, "-500ns"},
+		{Microsecond - 1, "999ns"},
+		{-(Microsecond - 1), "-999ns"},
+		{Microsecond, "1.000us"},
+		{-Microsecond, "-1.000us"},
 		{1500, "1.500us"},
+		{-1500, "-1.500us"},
+		{Millisecond - 1, "999.999us"},
+		{-(Millisecond - 1), "-999.999us"},
+		{Millisecond, "1.000ms"},
+		{-Millisecond, "-1.000ms"},
 		{2 * Millisecond, "2.000ms"},
+		{Second - Microsecond, "999.999ms"},
+		{-(Second - Microsecond), "-999.999ms"},
+		{Second, "1.000s"},
+		{-Second, "-1.000s"},
 		{3 * Second, "3.000s"},
+		{-3 * Second, "-3.000s"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {

@@ -1,6 +1,10 @@
 package sim
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // timingWheel is a hierarchical timing wheel in the Linux-kernel/Netty
 // style, with a widened ground level tuned for packet simulation: level 0
@@ -23,12 +27,17 @@ import "math/bits"
 //     higher bits cannot coexist: the cursor never passes a pending event,
 //     so when the later one was inserted its higher bits matched the
 //     cursor's, which still bounded the earlier one.)
-//  2. Cascade-before-insert: an upper slot is cascaded into lower levels
-//     exactly when the cursor enters its window, and any direct insertion
-//     of a time in that window can only happen afterwards (the placement
-//     rule sends it to a higher level until then). Appends therefore occur
-//     in ascending seq order, and popping slot heads yields (at, seq)
-//     order.
+//  2. Seq-sorted slots: every slot list is in ascending seq order, so a
+//     level-0 slot pops in (at, seq) order. A fresh event has the largest
+//     seq yet and is appended. A cascade re-places a sorted list into
+//     lower slots that are empty — an upper slot is cascaded exactly when
+//     the cursor enters its window, with the levels below drained, and any
+//     direct insertion of a time in that window can only happen afterwards
+//     (the placement rule sends it to a higher level until then). An
+//     overflow window migrates in seq order. An event scheduled under a
+//     reservation (Engine.Reserve) carries an older seq: insert walks back
+//     from the slot's tail to its place, past the few events scheduled
+//     since the reservation was taken.
 //
 // Scheduling and popping are amortized O(1): insertion is a bitmap-set and
 // a list append; level-0 scans go through a one-word summary bitmap (64
@@ -57,11 +66,12 @@ type wslot struct {
 	head, tail int32
 }
 
-// wnode is one queued event plus its intrusive list link (also reused as
-// the free-list link).
+// wnode is one queued event plus its intrusive list links (next is also
+// the free-list link). prev costs no space: the node pads to 80 bytes either
+// way.
 type wnode struct {
-	ev   event
-	next int32
+	ev         event
+	next, prev int32
 }
 
 type timingWheel struct {
@@ -120,9 +130,10 @@ func (w *timingWheel) release(n int32) {
 	w.free = n
 }
 
-// placeNode links node n into the slot its event time selects relative to
+// placeNode appends node n to the slot its event time selects relative to
 // the current cursor. The caller guarantees ev.at is within the wheel
-// horizon (same top-level window as cur).
+// horizon (same top-level window as cur) and that n's seq is the slot's
+// largest.
 func (w *timingWheel) placeNode(n int32) {
 	t := w.nodes[n].ev.at
 	d := uint64(t ^ w.cur)
@@ -130,6 +141,7 @@ func (w *timingWheel) placeNode(n int32) {
 	if d < l0Slots {
 		slot := int(uint64(t)) & l0Mask
 		sl := &w.slots0[slot]
+		w.nodes[n].prev = sl.tail
 		if sl.tail >= 0 {
 			w.nodes[sl.tail].next = n
 		} else {
@@ -143,6 +155,7 @@ func (w *timingWheel) placeNode(n int32) {
 	level := (bits.Len64(d) - l0Bits - 1) >> 3
 	slot := int(uint64(t)>>(l0Bits+level*wheelBits)) & wheelMask
 	sl := &w.slots[level][slot]
+	w.nodes[n].prev = sl.tail
 	if sl.tail >= 0 {
 		w.nodes[sl.tail].next = n
 	} else {
@@ -150,6 +163,50 @@ func (w *timingWheel) placeNode(n int32) {
 		w.occ[level][slot>>6] |= 1 << (uint(slot) & 63)
 	}
 	sl.tail = n
+}
+
+// slotOf returns the slot list ev.at selects relative to the cursor, as
+// placeNode would append to it.
+func (w *timingWheel) slotOf(t Time) *wslot {
+	d := uint64(t ^ w.cur)
+	if d < l0Slots {
+		return &w.slots0[int(uint64(t))&l0Mask]
+	}
+	level := (bits.Len64(d) - l0Bits - 1) >> 3
+	return &w.slots[level][int(uint64(t)>>(l0Bits+level*wheelBits))&wheelMask]
+}
+
+// insert queues an event whose seq may be below that of events already
+// queued (one scheduled under a reservation): it goes where its seq sorts in
+// its slot, found by walking back from the tail.
+func (w *timingWheel) insert(ev event) {
+	if uint64(ev.at^w.cur) >= 1<<horizonBits {
+		w.size++
+		w.overflow.push(ev)
+		w.overflowPushes++
+		return
+	}
+	sl := w.slotOf(ev.at)
+	after := sl.tail
+	for after >= 0 && w.nodes[after].ev.seq > ev.seq {
+		after = w.nodes[after].prev
+	}
+	if after == sl.tail {
+		w.push(ev) // the common case: nothing later was scheduled there
+		return
+	}
+	w.size++
+	n := w.alloc()
+	w.nodes[n].ev = ev
+	w.nodes[n].prev = after
+	if after >= 0 {
+		w.nodes[n].next = w.nodes[after].next
+		w.nodes[after].next = n
+	} else {
+		w.nodes[n].next = sl.head
+		sl.head = n
+	}
+	w.nodes[w.nodes[n].next].prev = n
 }
 
 // push inserts an event. The engine guarantees ev.at >= engine.now >= cur.
@@ -243,17 +300,22 @@ func (w *timingWheel) appendPending(evs []*event) []*event {
 }
 
 // migrate moves the overflow events of the next top-level window into the
-// wheels. Only called when every wheel level is empty, so list order in
-// the target slots is exactly the (at, seq) order the heap pops in.
+// wheels. Only called when every wheel level is empty; the window is placed
+// in seq order, so every slot list it fills is seq-sorted.
 func (w *timingWheel) migrate() {
 	h := w.overflow[0].at
 	if base := h &^ Time(l0Mask); base > w.cur {
 		w.cur = base
 	}
 	win := uint64(h) >> horizonBits
+	var evs []event
 	for len(w.overflow) > 0 && uint64(w.overflow[0].at)>>horizonBits == win {
+		evs = append(evs, w.overflow.pop())
+	}
+	slices.SortFunc(evs, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
+	for i := range evs {
 		n := w.alloc()
-		w.nodes[n].ev = w.overflow.pop()
+		w.nodes[n].ev = evs[i]
 		w.placeNode(n)
 	}
 }
@@ -321,7 +383,9 @@ func (w *timingWheel) popLE(limit Time, out *event) bool {
 			n := sl.head
 			*out = w.nodes[n].ev
 			sl.head = w.nodes[n].next
-			if sl.head < 0 {
+			if sl.head >= 0 {
+				w.nodes[sl.head].prev = -1
+			} else {
 				sl.tail = -1
 				if w.occ0[s>>6] &^= 1 << (uint(s) & 63); w.occ0[s>>6] == 0 {
 					w.sum0 &^= 1 << (uint(s) >> 6)
