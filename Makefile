@@ -37,7 +37,7 @@ race:
 	@$(MAKE) --no-print-directory race-run PKG=./internal/routing RUN='TestCompiledTableBytesSymmetricVsBrute|TestSymmetricFastPathMatchesGroupPath|TestCompiledTableAgreesWithRouter|TestCongestionCanonicalMatchesBrute|TestCongestionPickZeroAlloc|TestPackedCodecRoundTrip|TestKSPStoreMatchesOracle'
 	@$(MAKE) --no-print-directory race-run PKG=./internal/harness RUN='TestTrialReplicationDeterminism|TestWorkerCount|TestRunnerSimulatesEachConfigOnce|TestRunnerBuildsSharedPathSetOnce|TestRunnerReportsLowestIndexError|TestDifferentialSerialSharded|TestDifferentialCongestionSharded|TestDifferentialWarmFabric|TestDifferentialCheckpointResume|TestResumeMissingCheckpoint|TestResumeCorruptionRejected|TestSweepResume|TestRunTrialsPanicRecovery|TestCongestionSteeringChangesOutcome|TestAlphaControllerLeavesWarmFabricIntact|TestShardableGate|TestShortSliceFallsBackSerial|TestShardsValidation|TestShardedNonDividing64|TestResumeOlderVersionRejected|TestRotorPaperSizingAlloc|TestRunValidatesWorkloadInputs|TestCheckpointingIsPureRead|TestCheckpointAllocatesWhatItWrites|TestResultsPinned|TestResumeAtManyInstants'
 	@$(MAKE) --no-print-directory race-run PKG=./cmd/ucmpbench RUN='TestShardStatsFoldedWhole'
-	@$(MAKE) --no-print-directory race-run PKG=./internal/netsim RUN='TestSendRunMatchesPerPacketLoop|TestHostNICMemoryIndependentOfFlowSize|TestPacketBehindRunKeepsFIFO|TestRestoreRejectsSplicedNICQueues|TestSparseIndexValidation|TestSparsePortsRoundTrip|TestRotorRecordsMatchFifoVOQ|TestRotorIndirectMatchesLinearScan|TestVOQRecordRoundTrip|TestVOQRecordRefusesLossyPacket|TestVOQChunkAccounting|TestVOQRecordSize|TestRotorDisabledMultiHopFollowsRoute|TestCalendarSlotsMatchDenseCalendar|TestNetworkBuildAllocatesNoCalendar|TestCongestionBoardStripeMatchesDenseCalendar|TestBoard|TestBoardsCheckpointOracle|TestPoisonedRunStaysClean|TestNICWakesOnlyForWork|TestReservedWakeupSurvivesCheckpoint'
+	@$(MAKE) --no-print-directory race-run PKG=./internal/netsim RUN='TestSendRunMatchesPerPacketLoop|TestHostNICMemoryIndependentOfFlowSize|TestPacketBehindRunKeepsFIFO|TestRestoreRejectsSplicedNICQueues|TestSparseIndexValidation|TestSparsePortsRoundTrip|TestRotorRecordsMatchFifoVOQ|TestRotorIndirectMatchesLinearScan|TestVOQRecordRoundTrip|TestVOQRecordRefusesLossyPacket|TestVOQChunkAccounting|TestVOQRecordSize|TestRotorDisabledMultiHopFollowsRoute|TestCalendarSlotsMatchDenseCalendar|TestNetworkBuildAllocatesNoCalendar|TestCongestionBoardStripeMatchesDenseCalendar|TestBoard|TestBoardsCheckpointOracle|TestPoisonedRunStaysClean|TestNICWakesOnlyForWork|TestReservedWakeupSurvivesCheckpoint|TestWakeupReservation'
 	@$(MAKE) --no-print-directory race-run PKG=./internal/transport RUN='TestRotorSenderStartsWholeOrParks|TestRotorCursorValidatedOnRestore|TestRotorTransportBackpressure'
 
 # race-run runs the tests of package PKG named in RUN (a |-separated list

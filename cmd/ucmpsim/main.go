@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -80,6 +81,12 @@ func main() {
 	if *paper {
 		cfg.Topo = topo.PaperDefault()
 	} else {
+		// NaN, ±Inf and rates past int64 bits per second would convert to a
+		// meaningless LinkBps.
+		if bps := *bpsF * 1e9; !(bps > 0 && bps < math.MaxInt64) {
+			fmt.Fprintf(os.Stderr, "ucmpsim: -gbps %g must be positive, finite and below %.3g\n", *bpsF, math.MaxInt64/1e9)
+			os.Exit(1)
+		}
 		cfg.Topo = topo.Config{
 			NumToRs:       *torsF,
 			Uplinks:       *uplinksF,

@@ -97,34 +97,42 @@ func TestCheckpointEveryWithoutDirIsNoted(t *testing.T) {
 // flows until the machine ran out of memory; a zero -load, -hosts or
 // -duration printed an empty FCT table with exit status 0; a negative -alpha
 // ran, with or without an explicit -flows trace; a failure fraction outside
-// [0,1] ran clamped, or not at all when negative. Each is refused before
-// anything is built, naming the field.
+// [0,1] ran clamped, or not at all when negative; a negative -failat ran as
+// 0; a window too short to draw a flow reported "100.0% completed"; a -gbps
+// of NaN, Inf or 1e30 overflowed into "LinkBps=-9223372036854775808". Each
+// is refused before anything runs, naming the field.
 func TestWorkloadInputsValidated(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "flows.csv")
 	if err := os.WriteFile(trace, []byte("id,src_host,dst_host,size_bytes,arrival_ns\n1,0,5,65536,0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		args  []string
-		field string
+		args []string
+		msg  string
 	}{
-		{[]string{"-load", "-1"}, "Load=-1"},
-		{[]string{"-load", "0"}, "Load=0"},
-		{[]string{"-hosts", "0"}, "HostsPerToR=0"},
-		{[]string{"-duration", "0s"}, "Duration=0ns"},
-		{[]string{"-alpha", "-1"}, "Alpha=-1"},
-		{[]string{"-flows", trace, "-alpha", "-1"}, "Alpha=-1"},
-		{[]string{"-flows", trace, "-alpha", "NaN"}, "Alpha=NaN"},
-		{[]string{"-faillinks", "1.5"}, "link failure fraction 1.5"},
-		{[]string{"-failtors", "1.7"}, "ToR failure fraction 1.7"},
-		{[]string{"-faillinks-rt", "-0.3"}, "link failure fraction -0.3"},
-		{[]string{"-maxflow", "-5"}, "MaxFlowSize=-5"},
+		{[]string{"-load", "-1"}, "harness: Load=-1"},
+		{[]string{"-load", "0"}, "harness: Load=0"},
+		{[]string{"-hosts", "0"}, "harness: HostsPerToR=0"},
+		{[]string{"-duration", "0s"}, "harness: Duration=0ns"},
+		{[]string{"-alpha", "-1"}, "harness: Alpha=-1"},
+		{[]string{"-flows", trace, "-alpha", "-1"}, "harness: Alpha=-1"},
+		{[]string{"-flows", trace, "-alpha", "NaN"}, "harness: Alpha=NaN"},
+		{[]string{"-faillinks", "1.5"}, "harness: link failure fraction 1.5"},
+		{[]string{"-failtors", "1.7"}, "harness: ToR failure fraction 1.7"},
+		{[]string{"-faillinks-rt", "-0.3"}, "harness: link failure fraction -0.3"},
+		{[]string{"-maxflow", "-5"}, "harness: MaxFlowSize=-5"},
+		{[]string{"-duration", "1us"}, "harness: Workload=websearch Duration=1.000us Load=0.4 generated no flow"},
+		{[]string{"-failtors", "0.1", "-failat", "-1ms"}, "harness: failure at -1.000ms must not be negative"},
+		{[]string{"-gbps", "NaN"}, "ucmpsim: -gbps NaN must be positive"},
+		{[]string{"-gbps", "Inf"}, "ucmpsim: -gbps +Inf must be positive"},
+		{[]string{"-gbps", "1e30"}, "ucmpsim: -gbps 1e+30 must be positive"},
+		{[]string{"-gbps", "0"}, "ucmpsim: -gbps 0 must be positive"},
 	} {
 		status, stdout, stderr := ucmpsim(t, c.args...)
 		if status == 0 {
 			t.Errorf("%v: exit status 0; stdout: %s", c.args, stdout)
 		}
-		if !strings.Contains(stderr, "harness: "+c.field) || strings.Contains(stderr, "goroutine") {
+		if !strings.Contains(stderr, c.msg) || strings.Contains(stderr, "goroutine") {
 			t.Errorf("%v: stderr does not name the field in one line: %s", c.args, stderr)
 		}
 		if stdout != "" {

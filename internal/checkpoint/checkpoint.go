@@ -41,7 +41,7 @@ import (
 
 const (
 	magic      = "UCMPCKP1"
-	version    = 5
+	version    = 6
 	headerSize = 40
 
 	fnvOffset = 1469598103934665603
@@ -62,7 +62,7 @@ const (
 	KindDeliverHost                  // downlink delivery; A = host, +packet
 	KindRecvHost                     // NIC arrival at ToR; A = ToR, +packet
 	KindIngress                      // ToR↔ToR link arrival; A = dst ToR, +packet
-	KindWakeUplink                   // uplink pump timer; A = ToR, B = uplink index
+	KindWakeUplink                   // uplink pump; A = ToR, B = uplink index
 
 	// transport
 	KindFlowStart // sender start; A = flow dense index

@@ -221,9 +221,9 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Version 4 in the header, with the header checksum (the container's
+	// Version 5 in the header, with the header checksum (the container's
 	// FNV-1a variant over bytes 0..32) made right again.
-	binary.LittleEndian.PutUint32(img[8:], 4)
+	binary.LittleEndian.PutUint32(img[8:], 5)
 	sum := uint64(1469598103934665603)
 	for _, c := range img[:32] {
 		sum = (sum ^ uint64(c)) * 1099511628211
@@ -237,7 +237,7 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 4, want 5") {
+	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 5, want 6") {
 		t.Fatalf("expected a cold run naming the version, got note %q", res.ResumeNote)
 	}
 	if fingerprint(res, true) != fingerprint(plain, true) {

@@ -14,10 +14,14 @@ import (
 // BuildFailureTimeline samples a failure scenario on the config's fabric
 // (sampleFailures) and scripts it to go down at `down` and, when `repair`
 // is non-negative, come back at `repair`. It is the declarative front end
-// for SimConfig.Failures. A repair that is not after the failure is an
-// error (Compile would apply a same-instant repair together with its
-// failure, and an earlier one before it).
+// for SimConfig.Failures. A negative failure time, or a repair that is not
+// after the failure, is an error (Compile would clamp the failure to time 0,
+// apply a same-instant repair together with its failure, and an earlier one
+// before it).
 func BuildFailureTimeline(cfg SimConfig, torFrac, linkFrac, switchFrac float64, down, repair sim.Time) (*failure.Timeline, error) {
+	if down < 0 {
+		return nil, fmt.Errorf("harness: failure at %v must not be negative", down)
+	}
 	if repair >= 0 && repair <= down {
 		return nil, fmt.Errorf("harness: repair at %v must come after the failure at %v", repair, down)
 	}

@@ -447,6 +447,7 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 		{"Alpha=-1", func(c *SimConfig) { c.Alpha = -1 }, true},
 		{"Alpha=+Inf", func(c *SimConfig) { c.Alpha = math.Inf(1) }, true},
 		{"MaxFlowSize=-5", func(c *SimConfig) { c.MaxFlowSize = -5 }, false},
+		{"Workload=websearch Duration=1.000us Load=0.4 generated no flow", func(c *SimConfig) { c.Duration = sim.Microsecond }, false},
 	} {
 		cfg := base
 		c.set(&cfg)
@@ -517,6 +518,7 @@ func TestBuildFailureTimelineValidates(t *testing.T) {
 		{"switch=-0.3", 0, 0, -0.3, 0, -1, "switch failure fraction -0.3 must lie in [0,1]"},
 		{"repair at the failure", 0.25, 0, 0, 500 * us, 500 * us, "repair at 500.000us must come after the failure at 500.000us"},
 		{"repair before the failure", 0.25, 0, 0, 500 * us, 100 * us, "repair at 100.000us must come after the failure at 500.000us"},
+		{"failure before the start", 0.1, 0, 0, -sim.Millisecond, -1, "failure at -1.000ms must not be negative"},
 		{"all of every kind", 1, 1, 1, 0, -1, ""},
 		{"repair after the failure", 0.25, 0, 0, 500 * us, 600 * us, ""},
 		{"no repair", 0, 0.05, 0, 500 * us, -1, ""},

@@ -32,6 +32,18 @@ func TestResultsPinned(t *testing.T) {
 	sharded := ScaledConfig(UCMP, transport.DCTCP, "websearch")
 	sharded.Shards = 2
 
+	// Uplink wake paths the five above miss: circuit-open waits under
+	// staggered reconfiguration (Opera), a reconfiguration delay, KSP plans,
+	// congestion steering, and relaxed rotor-class data.
+	reconf := ScaledConfig(UCMP, transport.DCTCP, "websearch")
+	reconf.Topo.ReconfDelay = 10 * sim.Microsecond
+
+	steered := ScaledConfig(UCMP, transport.DCTCP, "websearch")
+	steered.CongestionAware = true
+
+	relaxed := ScaledConfig(UCMP, transport.DCTCP, "datamining")
+	relaxed.Relax = true
+
 	cases := []struct {
 		name string
 		cfg  SimConfig
@@ -42,6 +54,11 @@ func TestResultsPinned(t *testing.T) {
 		{"vlb-rotor", rotor, "88083b268b40ee67"},
 		{"ucmp-dctcp-linkfail", failing, "940f9811c754a2e6"},
 		{"ucmp-dctcp-shards2", sharded, "f7dbea8169b8fcbe"},
+		{"opera5-ndp", ScaledConfig(Opera5, transport.NDP, "websearch"), "d88a3a5d60e611c3"},
+		{"ksp5-ndp", ScaledConfig(KSP5, transport.NDP, "websearch"), "d3d895e86d45c0b2"},
+		{"ucmp-dctcp-reconf10us", reconf, "ff71cb975da48f46"},
+		{"ucmp-dctcp-steered", steered, "e8965ad8ec4fd7b2"},
+		{"ucmp-dctcp-relaxed-datamining", relaxed, "c42aad205ca632d4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

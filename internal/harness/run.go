@@ -613,7 +613,9 @@ func newFabricFor(cfg SimConfig) (*topo.Fabric, error) {
 }
 
 // poissonFlows generates the Poisson workload cfg names, the flows a run
-// without an explicit Flows list launches.
+// without an explicit Flows list launches. A window too short for the load to
+// draw one flow is refused: the run would report an empty FCT table as 100%
+// completed.
 func poissonFlows(cfg SimConfig) ([]*netsim.Flow, error) {
 	var dist *workload.Dist
 	switch cfg.Workload {
@@ -624,7 +626,7 @@ func poissonFlows(cfg SimConfig) ([]*netsim.Flow, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown workload %q", cfg.Workload)
 	}
-	return workload.Generate(workload.PoissonConfig{
+	flows := workload.Generate(workload.PoissonConfig{
 		Dist:        dist,
 		NumHosts:    cfg.Topo.NumHosts(),
 		LinkBps:     cfg.Topo.LinkBps,
@@ -634,5 +636,9 @@ func poissonFlows(cfg SimConfig) ([]*netsim.Flow, error) {
 		HostsPerToR: cfg.Topo.HostsPerToR,
 		MaxFlowSize: cfg.MaxFlowSize,
 		Hotspot:     cfg.Hotspot,
-	}), nil
+	})
+	if len(flows) == 0 {
+		return nil, fmt.Errorf("harness: Workload=%s Duration=%v Load=%g generated no flow", cfg.Workload, cfg.Duration, cfg.Load)
+	}
+	return flows, nil
 }

@@ -12,9 +12,9 @@ package netsim
 //
 // Closures are never serialized: pending events carry sim.EventTags naming
 // what the closure does, and restore re-binds the model's own pre-bound
-// method values (boundaryFn, pumpFn, recvFn, ...) in recorded (at, seq)
-// order, which hands out fresh sequence numbers with identical same-instant
-// tie-breaking. Event kinds netsim does not own (transport timers, metrics
+// method values (boundaryFn, recvFn, the ports' wakeups, ...) in recorded
+// (at, seq) order, which hands out fresh sequence numbers with identical
+// same-instant tie-breaking. Event kinds netsim does not own (transport timers, metrics
 // ticks) are delegated to the ext callback.
 //
 // On any decode error the target network is left partially restored and must
@@ -574,7 +574,11 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if reserved && (p != nil || tag.Kind != checkpoint.KindPumpDown && tag.Kind != checkpoint.KindPumpHost && tag.Kind != checkpoint.KindWakeUplink) {
+	// A port's pump is a plain event or a reservation (wakeup), and only it
+	// can be reserved.
+	if pump := tag.Kind == checkpoint.KindPumpDown || tag.Kind == checkpoint.KindPumpHost || tag.Kind == checkpoint.KindWakeUplink; pump && (timer || p != nil) {
+		return fmt.Errorf("checkpoint: port wakeup kind %d recorded as a timer occurrence or with a packet", tag.Kind)
+	} else if reserved && !pump {
 		return fmt.Errorf("checkpoint: event kind %d recorded as a reservation", tag.Kind)
 	}
 
@@ -610,22 +614,13 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 		if err != nil {
 			return err
 		}
-		dp := n.ToRs[h.tor].down[h.id-h.tor*n.F.HostsPerToR]
-		if reserved {
-			dp.idle = d.eng.Reserve(at)
-		} else {
-			d.eng.AtTag(at, tag, dp.pumpFn)
-		}
+		n.ToRs[h.tor].down[h.id-h.tor*n.F.HostsPerToR].wake.restore(at, reserved)
 	case checkpoint.KindPumpHost:
 		h, err := host()
 		if err != nil {
 			return err
 		}
-		if reserved {
-			h.port.idle = d.eng.Reserve(at)
-		} else {
-			d.eng.AtTag(at, tag, h.port.pumpFn)
-		}
+		h.port.wake.restore(at, reserved)
 	case checkpoint.KindDeliverHost:
 		h, err := host()
 		if err != nil {
@@ -658,17 +653,10 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 		if err != nil {
 			return err
 		}
-		if !timer {
-			return fmt.Errorf("checkpoint: uplink wake event is not a timer occurrence")
-		}
 		if int(tag.B) < 0 || int(tag.B) >= len(t.up) {
 			return fmt.Errorf("checkpoint: uplink wake references unknown port %d at ToR %d", tag.B, tag.A)
 		}
-		if reserved {
-			t.up[tag.B].wake.RestoreReservation(at, deadline, armed)
-		} else {
-			t.up[tag.B].wake.RestoreOccurrence(at, deadline, armed)
-		}
+		t.up[tag.B].wake.restore(at, reserved)
 	default:
 		if p != nil {
 			return fmt.Errorf("checkpoint: packet attached to foreign event kind %d", tag.Kind)
@@ -687,19 +675,18 @@ func (n *Network) restoreEvent(d *domain, dec *checkpoint.Decoder, ext RestoreEx
 // the network.
 func (n *Network) reservations(d *domain) []sim.ReservedDesc {
 	rs := n.snapReserved[:0]
+	add := func(w *wakeup) {
+		if r, ok := w.reserved(); ok {
+			rs = append(rs, r)
+		}
+	}
 	for _, t := range d.tors {
 		for _, dp := range t.down {
-			if !d.eng.Passed(dp.idle) {
-				rs = append(rs, dp.idle.Desc(dp.pumpTag()))
-			}
-			if hp := n.Hosts[dp.host].port; !d.eng.Passed(hp.idle) {
-				rs = append(rs, hp.idle.Desc(hp.pumpTag()))
-			}
+			add(&dp.wake)
+			add(&n.Hosts[dp.host].port.wake)
 		}
 		for _, u := range t.up {
-			if r, ok := u.wake.Reserved(); ok {
-				rs = append(rs, r)
-			}
+			add(&u.wake)
 		}
 	}
 	n.snapReserved = rs[:0]

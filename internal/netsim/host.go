@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 
+	"ucmp/internal/checkpoint"
 	"ucmp/internal/sim"
 )
 
@@ -30,7 +31,7 @@ func newHost(n *Network, id int, dom *domain) *Host {
 		tor:  tor,
 		port: &hostPort{net: n, dom: dom, host: id, tor: tor},
 	}
-	h.port.pumpFn = h.port.pump
+	h.port.wake = wakeup{eng: dom.eng, tag: sim.EventTag{Kind: checkpoint.KindPumpHost, A: int32(id)}, fn: h.port.pump}
 	h.recvFn = func(a any) { h.receive(a.(*Packet)) }
 	return h
 }
@@ -122,7 +123,7 @@ func (h *Host) SendRun(f *Flow, from, to int64, mss int) {
 			hp.ring = append(hp.ring, f)
 		}
 		f.run = run
-		hp.wake()
+		hp.wake.wake()
 	}
 }
 

@@ -18,6 +18,64 @@ func (m *byteMeter) take() int64 {
 	return d
 }
 
+// wakeup is a port's next pump event, queued or only reserved (DESIGN.md
+// §6). A send that leaves the port work schedules the pump for when the port
+// frees up; one that leaves it nothing to send only reserves the pump's place
+// in the event order, and the work that arrives first schedules it there.
+// Never woken, a reservation costs nothing: once its place has passed, the
+// port reads as having pumped. Every port kind wakes through one, so a
+// checkpoint records and restores their pumps the same way.
+type wakeup struct {
+	eng  *sim.Engine
+	tag  sim.EventTag // checkpoint identity of the pump event
+	idle bool         // next is only reserved
+	// fn is the port's pump bound once, so re-arming the port schedules
+	// without allocating a method-value closure per packet.
+	fn   func()
+	next sim.Reservation // place of the latest pump scheduled or reserved
+}
+
+// at schedules the pump at t.
+func (w *wakeup) at(t sim.Time) {
+	w.next, w.idle = w.eng.Reserve(t), false
+	w.eng.AtReserved(w.next, w.tag, w.fn)
+}
+
+// reserve takes the pump's place at t without scheduling it: the pump would
+// find nothing to send there unless work arrives first.
+func (w *wakeup) reserve(t sim.Time) { w.next, w.idle = w.eng.Reserve(t), true }
+
+// wake schedules a reserved pump in its place, unless that has passed: work
+// has arrived.
+func (w *wakeup) wake() {
+	if w.idle {
+		w.idle = false
+		w.eng.AtReserved(w.next, w.tag, w.fn)
+	}
+}
+
+// pending reports whether the latest pump scheduled or reserved has yet to
+// reach its place.
+func (w *wakeup) pending() bool { return !w.eng.Passed(w.next) }
+
+// restore re-takes a checkpointed pump's place, called in recorded event
+// order: reserved again, or scheduled.
+func (w *wakeup) restore(at sim.Time, reserved bool) {
+	w.reserve(at)
+	if !reserved {
+		w.wake()
+	}
+}
+
+// reserved returns the descriptor of a reserved pump whose place has not
+// passed, for the snapshot's reserved list.
+func (w *wakeup) reserved() (sim.ReservedDesc, bool) {
+	if !w.idle || !w.pending() {
+		return sim.ReservedDesc{}, false
+	}
+	return w.next.Desc(w.tag), true
+}
+
 // downPort is a ToR egress port toward one host: a plain queue and a link.
 // A downlink never leaves its ToR's domain (the host is in it), so the pump
 // schedules on the domain engine directly.
@@ -39,28 +97,11 @@ type downPort struct {
 	room      int  // admission threshold; 0 disables staging
 	busyUntil sim.Time
 	meter     byteMeter
-
-	// pumpFn is pump bound once, so re-arming the port schedules without
-	// allocating a method-value closure per packet.
-	pumpFn func()
-	// idle is the place of the pump event a send left the port with nothing
-	// queued reserved instead of scheduling (DESIGN.md §6): enqueue schedules
-	// it there unless it has passed.
-	idle sim.Reservation
-}
-
-func (d *downPort) pumpTag() sim.EventTag {
-	return sim.EventTag{Kind: checkpoint.KindPumpDown, A: int32(d.host)}
-}
-
-// wake schedules the pump event the last send reserved: work has arrived.
-func (d *downPort) wake() {
-	d.dom.eng.AtReserved(d.idle, d.pumpTag(), d.pumpFn)
-	d.idle = sim.Reservation{}
+	wake      wakeup // enqueue wakes it
 }
 
 func (d *downPort) enqueue(p *Packet) {
-	d.wake()
+	d.wake.wake()
 	if d.room > 0 && p.Type == Data && p.Flow != nil && p.Flow.RotorClass {
 		// FIFO within the rotor class: once anything is staged, everything
 		// stages behind it.
@@ -97,9 +138,9 @@ func (d *downPort) pump() {
 	d.dom.eng.At1Tag(now+ser+d.net.F.HostPropDelay,
 		sim.EventTag{Kind: checkpoint.KindDeliverHost, A: int32(d.host)}, host.recvFn, p)
 	if d.queue.Len() == 0 && d.stage.len() == 0 {
-		d.idle = d.dom.eng.Reserve(d.busyUntil)
+		d.wake.reserve(d.busyUntil)
 	} else {
-		d.dom.eng.AtTag(d.busyUntil, d.pumpTag(), d.pumpFn)
+		d.wake.at(d.busyUntil)
 	}
 }
 
@@ -117,7 +158,7 @@ func (d *downPort) takeBytes() int64 { return d.meter.take() }
 type hostPort struct {
 	net       *Network
 	dom       *domain
-	host      int // global host id (checkpoint identity of the pump event)
+	host      int // global host id
 	tor       int
 	busyUntil sim.Time
 	meter     byteMeter
@@ -127,18 +168,7 @@ type hostPort struct {
 	ring []*Flow // flows with a non-empty queue, round-robin; nil is anon
 	rr   int
 
-	pumpFn func()
-	idle   sim.Reservation // as downPort.idle; enqueue and SendRun wake it
-}
-
-func (h *hostPort) pumpTag() sim.EventTag {
-	return sim.EventTag{Kind: checkpoint.KindPumpHost, A: int32(h.host)}
-}
-
-// wake schedules the pump event the last send reserved: work has arrived.
-func (h *hostPort) wake() {
-	h.dom.eng.AtReserved(h.idle, h.pumpTag(), h.pumpFn)
-	h.idle = sim.Reservation{}
+	wake wakeup // enqueue and SendRun wake it
 }
 
 // queueFor resolves a ring entry to its fifo.
@@ -155,7 +185,7 @@ func (h *hostPort) queued(f *Flow) bool {
 }
 
 func (h *hostPort) enqueue(p *Packet) {
-	h.wake()
+	h.wake.wake()
 	if p.IsControl() {
 		h.high.push(p)
 		h.pump()
@@ -246,9 +276,9 @@ func (h *hostPort) pump() {
 	h.dom.eng.At1Tag(now+ser+h.net.F.HostPropDelay,
 		sim.EventTag{Kind: checkpoint.KindRecvHost, A: int32(h.tor)}, tor.recvHostFn, p)
 	if h.high.len() == 0 && len(h.ring) == 0 {
-		h.idle = h.dom.eng.Reserve(h.busyUntil)
+		h.wake.reserve(h.busyUntil)
 	} else {
-		h.dom.eng.AtTag(h.busyUntil, h.pumpTag(), h.pumpFn)
+		h.wake.at(h.busyUntil)
 	}
 }
 
@@ -311,11 +341,10 @@ type uplinkPort struct {
 	meter     byteMeter
 
 	// wake coalesces the port's self-wakeups (circuit-open waits and
-	// post-send re-arms) into one cancelable timer, where the heap engine
-	// used to accumulate a duplicate pump event per call while a circuit
-	// was closed. A send that leaves the port nothing it could send before
-	// the slice ends arms it lazily (DESIGN.md §6); pump wakes it.
-	wake *sim.Timer
+	// post-send re-arms) into one pending pump (wakeAt). A send that leaves
+	// the port nothing it could send before the slice ends only reserves it;
+	// pump wakes it.
+	wake wakeup
 
 	// Cached per-slice state, valid while now < sliceEnd. Keyed on the
 	// time window — not on the slice-boundary callback, which can run
@@ -330,8 +359,7 @@ type uplinkPort struct {
 
 func newUplinkPort(n *Network, tor *ToR, sw int) *uplinkPort {
 	u := &uplinkPort{net: n, tor: tor, sw: sw}
-	u.wake = tor.dom.eng.NewTimerTag(
-		sim.EventTag{Kind: checkpoint.KindWakeUplink, A: int32(tor.id), B: int32(sw)}, u.pump)
+	u.wake = wakeup{eng: tor.dom.eng, tag: sim.EventTag{Kind: checkpoint.KindWakeUplink, A: int32(tor.id), B: int32(sw)}, fn: u.pump}
 	return u
 }
 
@@ -436,26 +464,33 @@ func (u *uplinkPort) refreshSlice(now sim.Time) {
 	u.slicePeer = f.Sched.PeerOf(u.sliceC, u.tor.id, u.sw)
 }
 
-// wakeAt arms the port's wake timer at t unless an earlier wakeup is
-// already pending. Every pump path that still has work re-declares its
-// wakeup, so earliest-wins coalescing never loses one. lazy arms it for a
-// wakeup that finds nothing to send unless pump is called first.
+// wakeAt schedules the port's pump at t unless one is already pending; lazy
+// only reserves it, for a pump that finds nothing to send unless pump is
+// called first. Every pump path that still has work re-declares its wakeup,
+// so keeping the pending one never loses one.
+//
+// A pending pump is never later than t, so it is kept without a compare.
+// Asked for busyUntil, the port is busy or has just sent: a pump armed since
+// the send is at busyUntil, and one armed before it was due by the send's
+// instant (the port had freed and its circuit was up). Asked for the open
+// instant of the slice under way, the port is free before it: a pump armed
+// for a send is due by now, and one armed for the circuit is at that instant.
 func (u *uplinkPort) wakeAt(t sim.Time, lazy bool) {
-	if !u.wake.Armed() || u.wake.When() > t {
-		if lazy {
-			u.wake.ResetLazy(t)
-		} else {
-			u.wake.Reset(t)
-		}
+	switch {
+	case u.wake.pending(): // kept: it is never later than t
+	case lazy:
+		u.wake.reserve(t)
+	default:
+		u.wake.at(t)
 	}
 }
 
 // pump transmits at most one packet and re-arms itself. It is idempotent:
-// extra pump calls are harmless. Every call but the timer's own is work
+// extra pump calls are harmless. Every call but the pump event's own is work
 // arriving (a calendar enqueue, a rotor push, a slice boundary), so it first
-// wakes a lazily armed timer.
+// wakes a reserved pump.
 func (u *uplinkPort) pump() {
-	u.wake.Wake()
+	u.wake.wake()
 	now := u.tor.dom.eng.Now()
 	if now < u.busyUntil {
 		// An early wakeup (e.g. a rotor retry) landed mid-serialization:

@@ -1,6 +1,9 @@
 package netsim
 
-import "ucmp/internal/sim"
+import (
+	"ucmp/internal/checkpoint"
+	"ucmp/internal/sim"
+)
 
 // ToR is a top-of-rack switch: HostsPerToR downlink ports, Uplinks
 // circuit-facing ports with calendar queues, optional RotorLB VOQs, and the
@@ -63,7 +66,7 @@ func newToR(n *Network, id int, dom *domain) *ToR {
 				Trim:           n.DownQueue.Trim,
 			},
 		}
-		d.pumpFn = d.pump
+		d.wake = wakeup{eng: dom.eng, tag: sim.EventTag{Kind: checkpoint.KindPumpDown, A: int32(d.host)}, fn: d.pump}
 		t.down[i] = d
 	}
 	t.up = make([]*uplinkPort, n.F.Uplinks)
@@ -363,8 +366,8 @@ func (t *ToR) enqueueUplink(p *Packet, hop PlannedHop) bool {
 	case c == t.net.F.CyclicSlice(abs):
 		// Planned for a later cycle of the slice under way: the port serves
 		// its calendar queues by cyclic slice, so its next wakeup in this
-		// slice sends it, and a lazily armed one has to happen.
-		u.wake.Wake()
+		// slice sends it, and a reserved one has to happen.
+		u.wake.wake()
 	}
 	return true
 }

@@ -41,7 +41,7 @@ func queueScript(t *testing.T, seed int64) {
 		h.push(ev)
 	}
 	// reserved holds places taken but not yet scheduled under; one whose
-	// time the clock has passed lapses unscheduled, as in the engine.
+	// time the clock has passed is dropped unscheduled, as in the engine.
 	var reserved []event
 	reserve := func(at Time) {
 		seq++
@@ -252,7 +252,9 @@ func runScript(t *testing.T, seed int64) {
 			plain(e.Now()+Time(rng.Int63n(8*int64(Second))), nil)
 		case 1, 2: // cancelable timer
 			at := e.Now() + Time(rng.Int63n(int64(Millisecond)))
-			timers = append(timers, e.AtCancelable(at, chk.fired))
+			tm := e.NewTimer(chk.fired)
+			tm.Reset(at)
+			timers = append(timers, tm)
 		case 3: // same-instant burst
 			for j := 0; j < 1+rng.Intn(4); j++ {
 				plain(e.Now()+Time(rng.Int63n(1000)), nil)

@@ -314,25 +314,21 @@ func (e *Engine) AtReserved(r Reservation, tag EventTag, fn func()) bool {
 	if e.Passed(r) {
 		return false
 	}
-	e.pushReserved(event{at: r.at, seq: r.seq, fn: fn, tag: tag})
-	return true
-}
-
-// pushReserved inserts an event carrying a reserved, hence possibly not the
-// largest, sequence number.
-func (e *Engine) pushReserved(ev event) {
-	e.wheel.insert(ev)
+	// The reserved, hence possibly not the largest, sequence number needs
+	// the wheel's ordered insert.
+	e.wheel.insert(event{at: r.at, seq: r.seq, fn: fn, tag: tag})
 	if p := e.wheel.size; p > e.stats.PendingHighWater {
 		e.stats.PendingHighWater = p
 	}
+	return true
 }
 
 // SnapshotEvents appends every pending event, re-encoded as an EventDesc, to
 // buf in (at, seq) order — the order the events would pop in — and returns
 // the extended slice. reserved lists the caller's outstanding reservations
-// (Reservation.Desc, Timer.Reserved), which the engine does not track: those
-// that have not passed are merged into the order as Reserved descriptors,
-// the rest dropped. It is a pure read: the queue is walked where it lies,
+// (Reservation.Desc), which the engine does not track: those that have not
+// passed are merged into the order as Reserved descriptors, the rest
+// dropped. It is a pure read: the queue is walked where it lies,
 // nothing is popped or re-placed, and the continuing run, its SchedStats
 // included, is exactly what it would have been without the snapshot. Dead
 // timer occurrences (generation superseded by a Reset) produce no
@@ -406,12 +402,11 @@ func (e *Engine) pendingInOrder() []*event {
 
 // Restore positions a freshly built engine at a checkpoint's virtual time
 // and executed-event counts. Pending events and reservations are replayed
-// separately by the owning layers (via the tagged scheduling calls, Reserve,
-// Timer.RestoreOccurrence and Timer.RestoreReservation), receiving fresh
-// sequence numbers in recorded (at, seq) order — which
-// preserves same-instant tie-breaking exactly, since all post-restore
-// scheduling gets strictly higher sequence numbers, just as it would have in
-// the uninterrupted run.
+// separately by the owning layers (via the tagged scheduling calls, Reserve
+// and Timer.RestoreOccurrence), receiving fresh sequence numbers in recorded
+// (at, seq) order — which preserves same-instant tie-breaking exactly, since
+// all post-restore scheduling gets strictly higher sequence numbers, just as
+// it would have in the uninterrupted run.
 func (e *Engine) Restore(now Time, executed EventKinds) {
 	e.now = now
 	e.kinds = executed

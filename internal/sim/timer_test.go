@@ -10,7 +10,8 @@ func TestTimerFires(t *testing.T) { t.Run("wheel", testTimerFires) }
 func testTimerFires(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	tm := e.AtCancelable(100, func() { fired++ })
+	tm := e.NewTimer(func() { fired++ })
+	tm.Reset(100)
 	if !tm.Armed() || tm.When() != 100 {
 		t.Fatalf("armed=%v when=%v, want true/100", tm.Armed(), tm.When())
 	}
@@ -28,7 +29,8 @@ func TestTimerCancel(t *testing.T) { t.Run("wheel", testTimerCancel) }
 func testTimerCancel(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	tm := e.AtCancelable(100, func() { fired++ })
+	tm := e.NewTimer(func() { fired++ })
+	tm.Reset(100)
 	tm.Cancel()
 	if tm.Armed() {
 		t.Fatal("armed after Cancel")
@@ -52,7 +54,8 @@ func TestTimerResetLaterChases(t *testing.T) { t.Run("wheel", testTimerResetLate
 func testTimerResetLaterChases(t *testing.T) {
 	e := NewEngine()
 	var firedAt Time = -1
-	tm := e.AtCancelable(100, func() { firedAt = e.Now() })
+	tm := e.NewTimer(func() { firedAt = e.Now() })
+	tm.Reset(100)
 	// Slide the deadline out repeatedly: no new events should be queued.
 	tm.Reset(200)
 	tm.Reset(300)
@@ -73,7 +76,8 @@ func TestTimerResetEarlier(t *testing.T) { t.Run("wheel", testTimerResetEarlier)
 func testTimerResetEarlier(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	tm := e.AtCancelable(300, func() { fired = append(fired, e.Now()) })
+	tm := e.NewTimer(func() { fired = append(fired, e.Now()) })
+	tm.Reset(300)
 	tm.Reset(100)
 	if e.Pending() != 2 {
 		t.Fatalf("pending=%d, want 2 (old event lazily deleted)", e.Pending())
@@ -92,7 +96,8 @@ func TestTimerCancelThenResetSameTime(t *testing.T) { t.Run("wheel", testTimerCa
 func testTimerCancelThenResetSameTime(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	tm := e.AtCancelable(100, func() { fired++ })
+	tm := e.NewTimer(func() { fired++ })
+	tm.Reset(100)
 	tm.Cancel()
 	tm.Reset(100)
 	e.RunAll()
@@ -151,7 +156,8 @@ func testTimerChaseOrdering(t *testing.T) {
 	var trace []string
 	var tm *Timer
 	e.At(100, func() { trace = append(trace, "ev100"); tm.Reset(150) })
-	tm = e.AtCancelable(100, func() { trace = append(trace, "timer") })
+	tm = e.NewTimer(func() { trace = append(trace, "timer") })
+	tm.Reset(100)
 	e.At(150, func() { trace = append(trace, "ev150") })
 	e.RunAll()
 	// ev100 slides the deadline before the timer's occurrence surfaces;

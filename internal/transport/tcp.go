@@ -125,7 +125,7 @@ func (s *tcpSender) progress(acked int64, echoECN bool) {
 			}
 			s.alpha = (1-dctcpG)*s.alpha + dctcpG*f
 			if s.markedBytes > 0 {
-				s.cwnd = maxF(s.cwnd*(1-s.alpha/2), MSS)
+				s.cwnd = max(s.cwnd*(1-s.alpha/2), MSS)
 				s.ssthresh = s.cwnd
 			}
 			s.ackedBytes, s.markedBytes = 0, 0
@@ -142,7 +142,7 @@ func (s *tcpSender) progress(acked int64, echoECN bool) {
 // fastRetransmit resends the lost segment and halves the window.
 func (s *tcpSender) fastRetransmit() {
 	s.recover = s.sndNxt
-	s.ssthresh = maxF(s.cwnd/2, 2*MSS)
+	s.ssthresh = max(s.cwnd/2, 2*MSS)
 	s.cwnd = s.ssthresh
 	length := int64(MSS)
 	if s.sndUna+length > s.f.Size {
@@ -169,7 +169,7 @@ func (s *tcpSender) onTimeout() {
 		return
 	}
 	// Go-back-N: restart from the first unacked byte.
-	s.ssthresh = maxF(s.cwnd/2, 2*MSS)
+	s.ssthresh = max(s.cwnd/2, 2*MSS)
 	s.cwnd = MSS
 	s.sndNxt = s.sndUna
 	s.dupacks = 0
@@ -200,11 +200,4 @@ func (r *tcpReceiver) Deliver(p *netsim.Packet) {
 	ack.WireLen = netsim.HeaderBytes
 	ack.EchoECN = p.ECNMarked
 	r.host.Send(ack)
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

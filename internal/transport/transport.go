@@ -182,7 +182,7 @@ func (s *intervalSet) add(start, end int64) int64 {
 		default:
 			// Overlapping or adjacent: absorb into the merged range and
 			// discount the overlap with the original [start, end).
-			if os, oe := max64(iv[0], start), min64(iv[1], end); oe > os {
+			if os, oe := max(iv[0], start), min(iv[1], end); oe > os {
 				newBytes -= oe - os
 			}
 			if iv[0] < ns {
@@ -226,18 +226,4 @@ func (s *intervalSet) holes(limit int, size int64) [][2]int64 {
 		out = append(out, [2]int64{cursor, size})
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
