@@ -82,11 +82,12 @@ bench: bench-offline bench-netsim
 # The 16-ToR builds are the quick ones; the paper-size set covers what they
 # cannot — fabrics whose N is not a power of two and that take the
 # brute-force build ((108,6) and (324,12) whole, with the store's B/group,
-# one (324,12) source row, and the (324,12) calculator set-up — h_static and
-# the peer table — that runs serially before the build's worker pool).
+# one (324,12) and one (768,24) source row, and the (324,12) calculator
+# set-up — h_static and the peer table — that runs serially before the
+# build's worker pool).
 bench-offline:
 	$(GO) test -run '^$$' -bench 'BenchmarkOffline_PathSetBuild(Serial)?$$' -benchmem -benchtime 200x .
-	$(GO) test -run '^$$' -bench 'BenchmarkOffline_(PathSetBuild108|ComputeRow324|NewCalculator324)$$' -benchmem -benchtime 20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOffline_(PathSetBuild108|ComputeRow324|ComputeRow768|NewCalculator324)$$' -benchmem -benchtime 20x .
 	$(GO) test -run '^$$' -bench 'BenchmarkOffline_PathSetBuild324$$' -benchmem -benchtime 3x .
 
 # benchmark runs the repository's benchmark (BENCHMARK.json): every

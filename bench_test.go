@@ -303,12 +303,15 @@ func BenchmarkOffline_ComputeRow(b *testing.B) {
 	benchComputeRow(b, topo.PaperDefault())
 }
 
+// benchComputeRow times one source row of the DP on one reused scratch, as
+// the brute build runs it: the kernel, not the tables' allocation.
 func benchComputeRow(b *testing.B, cfg topo.Config) {
 	fab := topo.MustFabric(cfg, "round-robin", 1)
 	calc := core.NewCalculator(fab)
+	row := calc.ComputeRow(0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		calc.ComputeRow(i%fab.Sched.S, i%cfg.NumToRs)
+		row = calc.ComputeRowInto(i%fab.Sched.S, i%cfg.NumToRs, row)
 	}
 }
 
@@ -322,6 +325,15 @@ func BenchmarkOffline_PathSetBuild108(b *testing.B) { benchPathSetBuild(b, topo.
 func BenchmarkOffline_PathSetBuild324(b *testing.B) {
 	cfg := topo.PaperDefault()
 	cfg.NumToRs, cfg.Uplinks = 324, 12
+	benchPathSetBuild(b, cfg)
+}
+
+// BenchmarkOffline_PathSetBuild768 is Table 2's largest brute-force build,
+// (768,24): seconds per build and ~0.5 GB resident, so it is left out of
+// `make bench-offline`.
+func BenchmarkOffline_PathSetBuild768(b *testing.B) {
+	cfg := topo.PaperDefault()
+	cfg.NumToRs, cfg.Uplinks = 768, 24
 	benchPathSetBuild(b, cfg)
 }
 
@@ -346,6 +358,17 @@ func BenchmarkOffline_ComputeRow324(b *testing.B) {
 	}
 	cfg := topo.PaperDefault()
 	cfg.NumToRs, cfg.Uplinks = 324, 12
+	benchComputeRow(b, cfg)
+}
+
+// BenchmarkOffline_ComputeRow768 is one source row of Table 2's largest
+// brute-force fabric, (768,24).
+func BenchmarkOffline_ComputeRow768(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-size fabric")
+	}
+	cfg := topo.PaperDefault()
+	cfg.NumToRs, cfg.Uplinks = 768, 24
 	benchComputeRow(b, cfg)
 }
 

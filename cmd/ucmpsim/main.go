@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"time"
 
 	"ucmp/internal/failure"
@@ -79,6 +80,19 @@ func main() {
 		Resume:          *resumeF,
 	}
 	if *paper {
+		// -paper fixes the whole fabric; a topology flag next to it would
+		// be silently ignored.
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "tors", "uplinks", "hosts", "gbps", "slice", "reconf":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "ucmpsim: -paper fixes the fabric; drop %s\n", strings.Join(ignored, ", "))
+			os.Exit(1)
+		}
 		cfg.Topo = topo.PaperDefault()
 	} else {
 		// NaN, ±Inf and rates past int64 bits per second would convert to a

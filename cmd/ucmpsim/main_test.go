@@ -127,6 +127,9 @@ func TestWorkloadInputsValidated(t *testing.T) {
 		{[]string{"-gbps", "Inf"}, "ucmpsim: -gbps +Inf must be positive"},
 		{[]string{"-gbps", "1e30"}, "ucmpsim: -gbps 1e+30 must be positive"},
 		{[]string{"-gbps", "0"}, "ucmpsim: -gbps 0 must be positive"},
+		{[]string{"-paper", "-tors", "7", "-gbps", "NaN"}, "ucmpsim: -paper fixes the fabric; drop -gbps, -tors"},
+		{[]string{"-paper", "-uplinks", "6"}, "ucmpsim: -paper fixes the fabric; drop -uplinks"},
+		{[]string{"-paper", "-hosts", "6", "-slice", "50us", "-reconf", "10ns"}, "ucmpsim: -paper fixes the fabric; drop -hosts, -reconf, -slice"},
 	} {
 		status, stdout, stderr := ucmpsim(t, c.args...)
 		if status == 0 {

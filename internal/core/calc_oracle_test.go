@@ -228,6 +228,12 @@ func oracleFabrics() []oracleFabric {
 		add(n, 4, "round-robin", 0, true)
 	}
 	add(10, 2, "round-robin", 0, false)
+	// The kernel's eligibility mask at the paper's widths (d = 6, the
+	// (324,12) Table 2 row's d = 12) and on both sides of its 64-bit word.
+	add(38, 6, "round-robin", 0, false)
+	add(50, 12, "round-robin", 0, false)
+	add(66, 64, "round-robin", 0, false)
+	add(68, 65, "round-robin", 0, false)
 	return out
 }
 
@@ -245,8 +251,13 @@ func TestKernelMatchesFullScanOracle(t *testing.T) {
 			t.Fatalf("%s: Rotation() = %v", of.name, sched.Rotation())
 		}
 		base := NewCalculator(of.f)
-		for _, hSlice := range []int{1, 2, base.HSlice} {
-			for _, maxPar := range []int{1, 2, 4} {
+		hSlices, maxPars := []int{1, 2, base.HSlice}, []int{1, 2, 4}
+		if sched.D >= 6 {
+			// The mask-width fabrics are the large ones: the grid's corners.
+			hSlices, maxPars = []int{1, base.HSlice}, []int{1, 4}
+		}
+		for _, hSlice := range hSlices {
+			for _, maxPar := range maxPars {
 				calc := NewCalculator(of.f)
 				calc.HSlice, calc.MaxParallel = hSlice, maxPar
 				// A binding hop budget needs more hops than the fabric's

@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RowTables holds the Alg. 1 DP of a single source ToR: the recursion
 // p^n(src, dst) only consults p^(n-1)(src, ·), so one source's row is
@@ -29,6 +32,12 @@ type RowTables struct {
 	hLast [][]int8    // hops taken within the final slice
 	up    [][]uint16  // switch of the primary's last link: the lowest one realizing it
 	par   [][][]int32 // tied alternative last hops (excluding primary)
+
+	// Scratch of extendRow: per level, the first slice (relative to
+	// t_start) in which each intermediate is eligible; per slice, the
+	// eligible circuit ends of one destination's run.
+	ready []int32
+	mask  []uint64
 }
 
 // ComputeRow runs the DP for a single source ToR and starting slice.
@@ -47,7 +56,8 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 	if t == nil {
 		t = &RowTables{}
 	}
-	if t.N != n || t.HMax != c.HMax {
+	words := (c.F.Sched.D + 63) / 64
+	if t.N != n || t.HMax != c.HMax || len(t.mask) != words {
 		*t = RowTables{N: n, HMax: c.HMax}
 		t.end = make([][]int64, c.HMax+1)
 		t.last = make([][]int32, c.HMax+1)
@@ -61,6 +71,8 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 			t.up[h] = make([]uint16, n)
 			t.par[h] = make([][]int32, n)
 		}
+		t.ready = make([]int32, n)
+		t.mask = make([]uint64, words)
 	}
 	t.Src = src
 	t.StartSlice = int64(tstart)
@@ -121,36 +133,45 @@ func (t *RowTables) inStart(n, dst int) bool { return t.end[n][dst] == t.StartSl
 // adjacency instead of intermediates. The n-hop path src->dst through
 // intermediate m ends in the first slice t >= end[h-1][m] in which the
 // (m, dst) circuit is up — strictly later when m's arrival already used the
-// whole slice hop budget. So walking t upward from t_start and looking, in
-// each slice, only at the <= d ToRs holding a circuit to dst, the first
-// slice with an eligible neighbour (arrived before t, or in t with budget
-// left) is the minimum end slice, and that slice's eligible neighbours are
-// exactly the tied intermediates: every other m ends later, every one of
-// them ends in t by minimality. Cost per pair: (latency in slices)·d
-// checks instead of N-2. At h = HMax, destinations a lower level reaches in
-// t_start are skipped (see RowTables).
+// whole slice hop budget. So each intermediate has a first slice it can
+// extend in, ready[m] (relative to t_start): its level-(h-1) end slice, +1
+// when that path spent the budget, and MaxInt32 when level h-1 does not
+// reach m (src among them). m is eligible in slice t exactly when
+// ready[m] <= t, so walking t upward from t_start and looking, in each
+// slice, only at the <= d ToRs holding a circuit to dst, the first slice
+// with an eligible neighbour is the minimum end slice, and that slice's
+// eligible neighbours are exactly the tied intermediates: every other m
+// ends later, every one of them ends in t by minimality. ready is computed
+// once per level; per (dst, slice) the test is a branch-free mask of the
+// neighbours with ready[m] <= t, one bit per circuit end and one word per
+// 64 ends (one word unless d > 64), and a slice whose mask is empty is
+// skipped. Cost per pair: (latency in slices)·d compares instead of N-2.
+// At h = HMax, destinations a lower level reaches in t_start are skipped
+// (see RowTables).
 //
 // Tie selection replays the rule of a scan over all intermediates in
 // source-relative order (src+1, src+2, ... mod N): the first tied
 // intermediate is the primary; a later one leaving more slack in the final
 // slice (smaller hl) demotes the primary into the tie list; the rest join
 // the tie list under the MaxParallel-1 cap. A slice's neighbours of dst are
-// sorted ascending (NewCalculator), so that order is the run walked from its
-// first peer >= src, wrapping around; a pair two switches realize in the
-// slice is the same peer twice, adjacent in the run with the lower switch
-// first, and counts once. That order is what makes tie selection
-// equivariant under ToR rotation — on a rotation-symmetric schedule the row
-// of src is exactly the rotated row of ToR 0, which the symmetric PathSet
-// build relies on.
+// sorted ascending (NewCalculator), so that order is the mask's bits of
+// peers >= src, then those of peers < src, each ascending; a pair two
+// switches realize in the slice is the same peer twice, adjacent in the run
+// with the lower switch first, and counts once. A mask with one bit set has
+// one order, so the peers are compared with src only when more bits are
+// set. That order is what makes tie selection equivariant under ToR
+// rotation — on a rotation-symmetric schedule the row of src is exactly the
+// rotated row of ToR 0, which the symmetric PathSet build relies on.
 func (c *Calculator) extendRow(t *RowTables, h int) {
 	n, d, s := t.N, c.F.Sched.D, c.F.Sched.S
 	src := t.Src
 	prevEnd, prevHL := t.end[h-1], t.hLast[h-1]
 	curEnd, curLast, curHL, curUp, par := t.end[h], t.last[h], t.hLast[h], t.up[h], t.par[h]
-	hSlice, maxTies := c.HSlice, c.MaxParallel-1
+	maxTies := c.MaxParallel - 1
+	ready, mask := t.readySlices(prevEnd, prevHL, c.HSlice), t.mask
 	// Every level-(h-1) path ends within (h-1)·S slices and every circuit
 	// reappears within S.
-	limit := t.StartSlice + int64(h)*int64(s)
+	limit := int32(h) * int32(s)
 	cyc0 := int(t.StartSlice % int64(s))
 dsts:
 	for dst := 0; dst < n; dst++ {
@@ -165,61 +186,74 @@ dsts:
 				}
 			}
 		}
-		// Reuse the tie list's backing array from the previous starting
-		// slice computed on this scratch.
-		ties := par[dst][:0]
-		bestLast, bestHL, bestUp := int32(-1), int8(0), uint16(0)
-		at, cyc := t.StartSlice, cyc0
+		base, rel, cyc := 0, int32(0), cyc0
 		for {
-			base := (cyc*n + dst) * d
+			base = (cyc*n + dst) * d
 			run := c.peers[base : base+d]
-			i := 0
-			for i < d && int(run[i]) < src {
-				i++
-			}
-			prevMid := int32(-1)
-			for j := 0; j < d; j, i = j+1, i+1 {
-				if i == d {
-					i = 0
+			if len(mask) == 1 { // d <= 64: one word, without readyMask's word loop
+				if mask[0] = readyWord(run, ready, rel); mask[0] != 0 {
+					break
 				}
-				mid := run[i]
-				e1 := prevEnd[mid]
-				if uint64(e1) > uint64(at) {
-					continue // not there by slice at (-1: no path at all)
-				}
-				hl := int8(1)
-				if e1 == at {
-					if int(prevHL[mid]) >= hSlice {
-						// Slice hop budget exhausted: wait for the next
-						// appearance of the circuit.
-						continue
-					}
-					hl = prevHL[mid] + 1
-				}
-				if mid == prevMid {
-					continue // the second switch realizing this pair
-				}
-				prevMid = mid
-				switch {
-				case bestLast < 0:
-					bestLast, bestHL, bestUp = mid, hl, c.peerUp[base+i]
-				case hl < bestHL:
-					// Prefer the variant leaving slack in the final slice;
-					// demote the old primary to a tie.
-					ties = appendTie(ties, bestLast, maxTies)
-					bestLast, bestHL, bestUp = mid, hl, c.peerUp[base+i]
-				default:
-					ties = appendTie(ties, mid, maxTies)
-				}
-			}
-			if bestLast >= 0 {
+			} else if readyMask(mask, run, ready, rel) {
 				break
 			}
-			if at++; at >= limit {
+			if rel++; rel >= limit {
 				panic("core: pair never connected in schedule")
 			}
 			if cyc++; cyc == s {
 				cyc = 0
+			}
+		}
+		at := t.StartSlice + int64(rel)
+		// Reuse the tie list's backing array from the previous starting
+		// slice computed on this scratch.
+		ties := par[dst][:0]
+		bestLast, bestHL, bestUp := int32(-1), int8(0), uint16(0)
+		prevMid := int32(-1)
+		set := 0
+		for _, w := range mask {
+			set += bits.OnesCount64(w)
+		}
+		// Pass 0 takes the eligible peers >= src, pass 1 those below it;
+		// one eligible end needs no order. Each word's peers ascend, so
+		// those below src are the word's lowest set bits.
+		for pass := 0; pass < min(set, 2); pass++ {
+			for k, w := range mask {
+				lo := base + k*64
+				if set > 1 {
+					from := w
+					for from != 0 && int(c.peers[lo+bits.TrailingZeros64(from)]) < src {
+						from &= from - 1
+					}
+					if pass == 0 {
+						w = from
+					} else {
+						w &^= from
+					}
+				}
+				for ; w != 0; w &= w - 1 {
+					i := lo + bits.TrailingZeros64(w)
+					mid := c.peers[i]
+					if mid == prevMid {
+						continue // the second switch realizing this pair
+					}
+					prevMid = mid
+					hl := int8(1)
+					if prevEnd[mid] == at {
+						hl = prevHL[mid] + 1
+					}
+					switch {
+					case bestLast < 0:
+						bestLast, bestHL, bestUp = mid, hl, c.peerUp[i]
+					case hl < bestHL:
+						// Prefer the variant leaving slack in the final
+						// slice; demote the old primary to a tie.
+						ties = appendTie(ties, bestLast, maxTies)
+						bestLast, bestHL, bestUp = mid, hl, c.peerUp[i]
+					default:
+						ties = appendTie(ties, mid, maxTies)
+					}
+				}
 			}
 		}
 		curEnd[dst] = at
@@ -228,6 +262,49 @@ dsts:
 		curUp[dst] = bestUp
 		par[dst] = ties
 	}
+}
+
+// readySlices fills the scratch's ready array for one level: for each
+// intermediate m, the first slice relative to t_start in which the
+// level-(h-1) path to m can take one more hop, MaxInt32 where it has none
+// (see extendRow).
+func (t *RowTables) readySlices(prevEnd []int64, prevHL []int8, hSlice int) []int32 {
+	ready := t.ready
+	for m, e := range prevEnd {
+		switch {
+		case e < 0:
+			ready[m] = math.MaxInt32
+		case int(prevHL[m]) >= hSlice:
+			ready[m] = int32(e-t.StartSlice) + 1
+		default:
+			ready[m] = int32(e - t.StartSlice)
+		}
+	}
+	return ready
+}
+
+// readyMask fills mask, one word per 64 circuit ends of run, with the ends
+// eligible in slice rel — bit k of word j is set when ready[run[64j+k]] <=
+// rel — and reports whether any bit is set.
+func readyMask(mask []uint64, run, ready []int32, rel int32) bool {
+	var any uint64
+	for j := range mask {
+		mask[j] = readyWord(run[j*64:min(j*64+64, len(run))], ready, rel)
+		any |= mask[j]
+	}
+	return any != 0
+}
+
+// readyWord is one word of readyMask: the eligible ends of a run of at most
+// 64. ready and rel are non-negative int32, so ready-rel-1 cannot overflow
+// and its sign bit is the test.
+func readyWord(run, ready []int32, rel int32) uint64 {
+	var w uint64
+	for k, m := range run {
+		// k < 64; the mask spares the shift its out-of-range guard.
+		w |= uint64(uint32(ready[m]-rel-1)>>31) << (k & 63)
+	}
+	return w
 }
 
 // appendTie retains v unless the tie list is at its cap.

@@ -59,3 +59,28 @@ func TestBoundHmaxTestbedUplinks(t *testing.T) {
 		t.Fatalf("h_slice = %d, want 29", got)
 	}
 }
+
+// ComputeRowInto on a warm scratch allocates nothing: the brute build runs
+// every source row of every starting slice on one scratch, so its cost is
+// the kernel's, tie lists included once they have reached their size. Both
+// kinds of eligibility mask are covered: one word (d <= 64) and several.
+func TestComputeRowIntoWarmAllocatesNothing(t *testing.T) {
+	for _, shape := range [][2]int{{16, 3}, {68, 65}} {
+		cfg := topo.Scaled()
+		cfg.NumToRs, cfg.Uplinks = shape[0], shape[1]
+		f := topo.MustFabric(cfg, "round-robin", 1)
+		calc := NewCalculator(f)
+		var row *RowTables
+		every := func() {
+			for ts := 0; ts < f.Sched.S; ts++ {
+				for src := 0; src < f.Sched.N; src++ {
+					row = calc.ComputeRowInto(ts, src, row)
+				}
+			}
+		}
+		every() // sizes the scratch and every tie list
+		if allocs := testing.AllocsPerRun(3, every); allocs != 0 {
+			t.Errorf("(%d,%d): %v allocations per pass over a warm scratch", shape[0], shape[1], allocs)
+		}
+	}
+}
