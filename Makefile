@@ -82,13 +82,14 @@ bench: bench-offline bench-netsim
 # The 16-ToR builds are the quick ones; the paper-size set covers what they
 # cannot — fabrics whose N is not a power of two and that take the
 # brute-force build ((108,6) and (324,12) whole, with the store's B/group,
-# one (324,12) and one (768,24) source row, and the (324,12) calculator
-# set-up — h_static and the peer table — that runs serially before the
-# build's worker pool).
+# the (324,12) build again on one worker, apart from contention between
+# cores, one (324,12) and one (768,24) source row, and the (324,12)
+# calculator set-up — h_static and the peer table — that runs serially
+# before the build's worker pool).
 bench-offline:
 	$(GO) test -run '^$$' -bench 'BenchmarkOffline_PathSetBuild(Serial)?$$' -benchmem -benchtime 200x .
 	$(GO) test -run '^$$' -bench 'BenchmarkOffline_(PathSetBuild108|ComputeRow324|ComputeRow768|NewCalculator324)$$' -benchmem -benchtime 20x .
-	$(GO) test -run '^$$' -bench 'BenchmarkOffline_PathSetBuild324$$' -benchmem -benchtime 3x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOffline_PathSetBuild324(Serial)?$$' -benchmem -benchtime 3x .
 
 # benchmark runs the repository's benchmark (BENCHMARK.json): every
 # paper-scale workload end to end, five interleaved rounds, the record in

@@ -328,6 +328,21 @@ func BenchmarkOffline_PathSetBuild324(b *testing.B) {
 	benchPathSetBuild(b, cfg)
 }
 
+// BenchmarkOffline_PathSetBuild324Serial is the (324,12) build on one
+// worker: its single-threaded cost, apart from contention between cores.
+func BenchmarkOffline_PathSetBuild324Serial(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-size fabric")
+	}
+	cfg := topo.PaperDefault()
+	cfg.NumToRs, cfg.Uplinks = 324, 12
+	fab := topo.MustFabric(cfg, "round-robin", 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.BuildPathSetOpts(fab, 0.5, core.BuildOptions{Workers: 1})
+	}
+}
+
 // BenchmarkOffline_PathSetBuild768 is Table 2's largest brute-force build,
 // (768,24): seconds per build and ~0.5 GB resident, so it is left out of
 // `make bench-offline`.

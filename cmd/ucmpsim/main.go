@@ -182,9 +182,14 @@ func main() {
 		fmt.Printf("time to reroute: p50=%s p99=%s   histogram: %s\n",
 			rec.WaitPercentile(0.50), rec.WaitPercentile(0.99), rec.WaitHistogram())
 	}
-	fmt.Printf("mean ToR-to-host util: %.3f   mean ToR-to-ToR util: %.3f\n",
-		res.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.TorToHostUtil }),
-		res.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.TorToTorUtil }))
+	if len(res.Collector.Samples) == 0 {
+		// A mean over no samples reads 0, which is not a measurement.
+		fmt.Println("mean ToR-to-host util: n/a   mean ToR-to-ToR util: n/a (no sample before the horizon)")
+	} else {
+		fmt.Printf("mean ToR-to-host util: %.3f   mean ToR-to-ToR util: %.3f\n",
+			res.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.TorToHostUtil }),
+			res.Collector.MeanUtil(1, func(s netsim.Sample) float64 { return s.TorToTorUtil }))
+	}
 	if *fctOutF != "" {
 		if err := writeFCTs(*fctOutF, res); err != nil {
 			fmt.Fprintln(os.Stderr, "ucmpsim:", err)

@@ -98,7 +98,8 @@ func TestCheckpointEveryWithoutDirIsNoted(t *testing.T) {
 // -duration printed an empty FCT table with exit status 0; a negative -alpha
 // ran, with or without an explicit -flows trace; a failure fraction outside
 // [0,1] ran clamped, or not at all when negative; a negative -failat ran as
-// 0; a window too short to draw a flow reported "100.0% completed"; a -gbps
+// 0; a runtime failure after the horizon ran as if none had been asked for;
+// a window too short to draw a flow reported "100.0% completed"; a -gbps
 // of NaN, Inf or 1e30 overflowed into "LinkBps=-9223372036854775808". Each
 // is refused before anything runs, naming the field.
 func TestWorkloadInputsValidated(t *testing.T) {
@@ -123,6 +124,8 @@ func TestWorkloadInputsValidated(t *testing.T) {
 		{[]string{"-maxflow", "-5"}, "harness: MaxFlowSize=-5"},
 		{[]string{"-duration", "1us"}, "harness: Workload=websearch Duration=1.000us Load=0.4 generated no flow"},
 		{[]string{"-failtors", "0.1", "-failat", "-1ms"}, "harness: failure at -1.000ms must not be negative"},
+		{[]string{"-failtors", "0.5", "-failat", "5ms", "-duration", "20us"}, "harness: failure at 5.000ms is not before the horizon 80.000us"},
+		{[]string{"-faillinks-rt", "0.1", "-failat", "80us", "-duration", "20us"}, "harness: failure at 80.000us is not before the horizon 80.000us"},
 		{[]string{"-gbps", "NaN"}, "ucmpsim: -gbps NaN must be positive"},
 		{[]string{"-gbps", "Inf"}, "ucmpsim: -gbps +Inf must be positive"},
 		{[]string{"-gbps", "1e30"}, "ucmpsim: -gbps 1e+30 must be positive"},
@@ -140,6 +143,25 @@ func TestWorkloadInputsValidated(t *testing.T) {
 		}
 		if stdout != "" {
 			t.Errorf("%v: a run started before the input was checked: %s", c.args, stdout)
+		}
+	}
+}
+
+// A run whose horizon ends before the first 500 µs utilization sample used
+// to print a mean utilization of 0.000; it prints n/a and says why.
+func TestUtilizationWithoutSamples(t *testing.T) {
+	for _, c := range []struct {
+		duration, want string
+	}{
+		{"20us", "mean ToR-to-host util: n/a   mean ToR-to-ToR util: n/a (no sample before the horizon)\n"},
+		{"300us", "mean ToR-to-host util: 0."},
+	} {
+		status, stdout, stderr := ucmpsim(t, "-duration", c.duration)
+		if status != 0 {
+			t.Fatalf("-duration %s: exit status %d; stderr: %s", c.duration, status, stderr)
+		}
+		if !strings.Contains(stdout, c.want) {
+			t.Fatalf("-duration %s: stdout does not hold %q:\n%s", c.duration, c.want, stdout)
 		}
 	}
 }

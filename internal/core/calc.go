@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"ucmp/internal/topo"
@@ -38,6 +39,7 @@ const DefaultMaxParallel = 4
 // a calculator with default parallel retention of DefaultMaxParallel paths.
 func NewCalculator(f *topo.Fabric) *Calculator {
 	b := BoundHmax(f.Config, f.Sched)
+	checkInvolutions(f.Sched.Peers(), f.Sched.N, f.Sched.D)
 	peers, d := slices.Clone(f.Sched.Peers()), f.Sched.D
 	ups := make([]uint16, len(peers))
 	for at := 0; at < len(peers); at += d {
@@ -53,4 +55,21 @@ func NewCalculator(f *topo.Fabric) *Calculator {
 	}
 	return &Calculator{F: f, HMax: b.Q, HSlice: b.HSlice, MaxParallel: DefaultMaxParallel, Bound: b,
 		peers: peers, peerUp: ups}
+}
+
+// checkInvolutions panics unless every switch's matching in every slice of
+// the flat peer table is an involution: PeerOf(sl, PeerOf(sl, a, u), u) = a.
+// The DP relies on it to check a recorded uplink from the destination's side
+// (extendRow).
+func checkInvolutions(peers []int32, n, d int) {
+	for sl := 0; sl*n*d < len(peers); sl++ {
+		slice := peers[sl*n*d : (sl+1)*n*d]
+		for tor := 0; tor < n; tor++ {
+			for u, m := range slice[tor*d : (tor+1)*d] {
+				if uint(m) >= uint(n) || int(slice[int(m)*d+u]) != tor {
+					panic(fmt.Sprintf("core: switch %d's matching in slice %d is not an involution at ToR %d", u, sl, tor))
+				}
+			}
+		}
+	}
 }

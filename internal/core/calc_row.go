@@ -38,6 +38,11 @@ type RowTables struct {
 	// eligible circuit ends of one destination's run.
 	ready []int32
 	mask  []uint64
+
+	// err is the first level-h ≥ 2 cell whose recorded uplink does not join
+	// its last intermediate to its destination in its end slice (extendRow);
+	// the packer fails with it.
+	err error
 }
 
 // ComputeRow runs the DP for a single source ToR and starting slice.
@@ -76,6 +81,7 @@ func (c *Calculator) ComputeRowInto(tstart, src int, t *RowTables) *RowTables {
 	}
 	t.Src = src
 	t.StartSlice = int64(tstart)
+	t.err = nil
 	// Every other column is rewritten below; the source's own is "not
 	// computed" at every level, which is also what keeps src out of the
 	// intermediates in extendRow.
@@ -162,9 +168,16 @@ func (t *RowTables) inStart(n, dst int) bool { return t.end[n][dst] == t.StartSl
 // set. That order is what makes tie selection equivariant under ToR
 // rotation — on a rotation-symmetric schedule the row of src is exactly the
 // rotated row of ToR 0, which the symmetric PathSet build relies on.
+//
+// Every cell it records is checked against the schedule once, here, where
+// its slice's circuits were just read: the primary's uplink must reach it from
+// dst in that slice, read off the schedule's own run of (slice, dst), which
+// sits at the index of the sorted run just scanned. Every switch's matching
+// is an involution (NewCalculator asserts it), so that is the uplink joining
+// the primary to dst. A cell that fails sets the row's sticky error.
 func (c *Calculator) extendRow(t *RowTables, h int) {
 	n, d, s := t.N, c.F.Sched.D, c.F.Sched.S
-	src := t.Src
+	src, sched := t.Src, c.F.Sched.Peers()
 	prevEnd, prevHL := t.end[h-1], t.hLast[h-1]
 	curEnd, curLast, curHL, curUp, par := t.end[h], t.last[h], t.hLast[h], t.up[h], t.par[h]
 	maxTies := c.MaxParallel - 1
@@ -255,6 +268,9 @@ dsts:
 					}
 				}
 			}
+		}
+		if sched[base+int(bestUp)] != bestLast && t.err == nil {
+			t.err = notPeerError(dst, int(bestLast), int(bestUp), cyc, n, d, s)
 		}
 		curEnd[dst] = at
 		curLast[dst] = bestLast

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"ucmp/internal/topo"
@@ -83,4 +86,64 @@ func TestComputeRowIntoWarmAllocatesNothing(t *testing.T) {
 			t.Errorf("(%d,%d): %v allocations per pass over a warm scratch", shape[0], shape[1], allocs)
 		}
 	}
+}
+
+// TestRowChecksUplinks: the DP checks every level-h ≥ 2 cell it records
+// against the schedule, which is what lets the row writer store the cell's
+// uplink as it is. One (slice, dst) run of the calculator's sorted peerUp,
+// its uplinks shifted by one, must fail the brute build and the symmetric
+// build alike with the error naming both ToRs, the uplink and the slice.
+func TestRowChecksUplinks(t *testing.T) {
+	for _, build := range []string{"brute", "symmetric"} {
+		ps := newPathSet(symFabric(t, 16, 4), 0.5, 0)
+		calc, sched := ps.Calc, ps.F.Sched
+		n, d, s := sched.N, sched.D, sched.S
+		row := calc.ComputeRow(0, 0)
+		dst, mid, up, cyc := -1, int32(0), 0, 0
+		for cand := 1; cand < n && dst < 0; cand++ {
+			if row.end[2][cand] < 0 {
+				continue
+			}
+			mid, cyc = row.last[2][cand], int(row.end[2][cand]%int64(s))
+			up = (int(row.up[2][cand]) + 1) % d
+			if sched.PeerOf(cyc, cand, up) != int(mid) {
+				dst = cand
+			}
+		}
+		if dst < 0 {
+			t.Fatal("no 2-hop cell whose next uplink reaches another ToR")
+		}
+		run := calc.peerUp[(cyc*n+dst)*d:][:d]
+		for i := range run {
+			run[i] = uint16((int(run[i]) + 1) % d)
+		}
+		var err error
+		if build == "brute" {
+			err = ps.buildBrute(1)
+		} else {
+			err = ps.buildSymmetric(1)
+		}
+		want := fmt.Sprintf(`core: path store field "hop code": ToR %d is not a circuit peer of ToR %d on uplink %d in slice %d on fabric N=%d d=%d S=%d`,
+			dst, mid, up, cyc, n, d, s)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s build: err = %v, want %s", build, err, want)
+		}
+	}
+}
+
+// TestCalculatorRefusesNonInvolution: the DP checks an uplink from the
+// destination's side, which holds only when every switch's matching is an
+// involution; a peer table where one is not is refused.
+func TestCalculatorRefusesNonInvolution(t *testing.T) {
+	sched := symFabric(t, 8, 4).Sched
+	peers := slices.Clone(sched.Peers())
+	checkInvolutions(peers, sched.N, sched.D) // the schedule's own table passes
+	// ToR 0's switch-0 circuit in slice 0 now ends at a ToR matched elsewhere.
+	peers[0] = peers[sched.D]
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "not an involution") {
+			t.Fatalf("panic %q, want the involution refused", msg)
+		}
+	}()
+	checkInvolutions(peers, sched.N, sched.D)
 }

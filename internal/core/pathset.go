@@ -126,13 +126,7 @@ func (ps *PathSet) buildBrute(workers int) error {
 					words, p.levels = row.groupWords(p.levels)
 					p.words = slices.Grow(p.words, words*n)
 				}
-				spine := ps.spine[(ts*n+src)*n : (ts*n+src+1)*n]
-				for dst := range spine {
-					if dst != src {
-						spine[dst] = p.group(row, dst)
-						p.seal(spine[dst])
-					}
-				}
+				p.row(row, ps.spine[(ts*n+src)*n:(ts*n+src+1)*n])
 			}
 			seg := p.segment()
 			seg.words = slices.Clone(seg.words)

@@ -43,11 +43,7 @@ func (ps *PathSet) buildSymmetric(workers int) error {
 			var words int
 			words, p.levels = row.groupWords(p.levels)
 			p.begin(make([]uint16, 0, 1+words), ts)
-			spine := ps.spine[ts*n : (ts+1)*n]
-			for dst := 1; dst < n; dst++ {
-				spine[dst] = p.group(row, dst)
-				p.seal(spine[dst])
-			}
+			p.row(row, ps.spine[ts*n:(ts+1)*n])
 			ps.segs[ts] = p.segment()
 		}
 	})

@@ -109,10 +109,14 @@ func (h *hopTable) peer(start, rel int64, tor int32, u uint16) int32 {
 }
 
 // packer writes group records. Every field narrower than its source is
-// range-checked where it is written, and every hop code is checked against
-// the schedule: the first value that does not fit becomes the packer's
-// sticky error, naming the field and the fabric, and the build fails with
-// it — nothing is ever truncated.
+// range-checked where it is written. Every hop code is checked against the
+// schedule once: a code written from hops (hop, code) here, a code the row
+// writer (row) takes from a DP cell where the DP recorded the cell
+// (extendRow; directRow reads level 1 off the schedule), since every stored
+// code is some level's cell. The first value that does not fit, or the
+// first cell off the schedule, becomes the packer's sticky error, naming the
+// field and the fabric, and the build fails with it — nothing is ever
+// truncated.
 type packer struct {
 	n, d, s int // fabric identity, for error text
 	model   CostModel
@@ -125,14 +129,14 @@ type packer struct {
 	// Profile interning. A profile is a function of its record's entry
 	// shape, so the packer computes each distinct one once, into pool, and
 	// keeps it across the segments it writes: byKey indexes pool by profile
-	// key, byShape by entry shape (recShape), so bucketProfile and the key
-	// run once per shape, not per group or per segment. The segment being
-	// written names the pool entries it uses by ids of its own — profiles
-	// by id, ids[id] its pool index, local[pool index] the id + 1 (0: not
-	// used yet) — numbered in the order they are first sealed.
+	// key, shapes by entry shape, so bucketProfile and the key run once
+	// per shape, not per group or per segment. The segment being written names the pool
+	// entries it uses by ids of its own — profiles by id, ids[id] its pool
+	// index, local[pool index] the id + 1 (0: not used yet) — numbered in
+	// the order they are first sealed.
 	pool     []profile
 	byKey    map[string]int32
-	byShape  map[shapeKey]int32
+	shapes   shapeTable
 	profiles []profile
 	ids      []int32
 	local    []int32
@@ -223,13 +227,19 @@ func (p *packer) code(prev, to int, rel int64, u int) uint16 {
 		p.fail("hop code", rel<<p.hops.shift, math.MaxUint16)
 	case uint(prev) >= uint(p.n) || uint(u) >= uint(p.d) || int(p.hops.peer(p.start, rel, int32(prev), uint16(u))) != to:
 		if p.err == nil {
-			p.err = fmt.Errorf("core: path store field %q: ToR %d is not a circuit peer of ToR %d on uplink %d in slice %d on fabric N=%d d=%d S=%d",
-				"hop code", to, prev, u, (p.start+rel)%int64(p.s), p.n, p.d, p.s)
+			p.err = notPeerError(to, prev, u, int((p.start+rel)%int64(p.s)), p.n, p.d, p.s)
 		}
 	default:
 		return uint16(rel)<<p.hops.shift | uint16(u)
 	}
 	return 0
+}
+
+// notPeerError is the hop-code error for a hop from ToR from to ToR to on
+// an uplink that does not join them in that cyclic slice.
+func notPeerError(to, from, u, slice, n, d, s int) error {
+	return fmt.Errorf("core: path store field %q: ToR %d is not a circuit peer of ToR %d on uplink %d in slice %d on fabric N=%d d=%d S=%d",
+		"hop code", to, from, u, slice, n, d, s)
 }
 
 // fits reports whether a hop code has room for relative slice rel.
@@ -256,84 +266,108 @@ func (p *packer) hop(prev, to int, rel int64) uint16 {
 	return uint16(rel)<<p.hops.shift | uint16(u)
 }
 
-// group appends the record of the DP row's group for dst — straight from
-// the tables — and returns its spine offset.
-// Properties 1 and 2 come from the per-hop-count minimality of the tables,
-// property 3 from entryLevels. The profile id is still zero: see seal.
-func (p *packer) group(t *RowTables, dst int) uint32 {
+// row appends the records of DP row t's groups, one per destination but the
+// source, and points spine[dst] at each: how both UCMP builds pack a row. A
+// cell the DP found off the schedule (RowTables.err) fails the packer.
+func (p *packer) row(t *RowTables, spine []uint32) {
+	if t.err != nil && p.err == nil {
+		p.err = t.err
+	}
+	for dst := range spine {
+		if dst != t.Src {
+			spine[dst] = p.record(t, dst)
+		}
+	}
+}
+
+// record appends the record of the row's group for dst, in one pass straight
+// from the DP cells, and returns its spine offset. Properties 1 and 2 come
+// from the per-hop-count minimality of the tables, property 3 from
+// entryLevels. An entry's stored hops are written before its header, so the
+// first field out of range is the one the error names; the headers give the
+// record's shape as they are written, and the shape its profile (profileID).
+func (p *packer) record(t *RowTables, dst int) uint32 {
 	off := p.offset()
 	p.levels = t.entryLevels(p.levels[:0], dst)
-	at := p.header(len(p.levels))
-	for i, n := range p.levels {
-		p.setEntry(at, i, n, p.paths(t, n, dst), t.end[n][dst]-t.StartSlice+1)
+	e := len(p.levels)
+	size := recHeaderWords + 2*e
+	for _, n := range p.levels {
+		size += (n - 1) * (1 + len(t.par[n][dst]))
 	}
+	at := len(p.words)
+	p.words = slices.Grow(p.words, size)[:at+size]
+	rec := p.words[at:]
+	rec[1] = p.narrow("entry count", int64(e), math.MaxUint16)
+	var shape shapeKey
+	codes := recHeaderWords + 2*e
+	for i, n := range p.levels {
+		paths := 1
+		if n > 1 {
+			codes = p.prefix(rec, codes, t, n-1, t.last[n][dst])
+			for _, m := range t.par[n][dst] {
+				codes = p.prefix(rec, codes, t, n-1, m)
+			}
+			paths += len(t.par[n][dst])
+		}
+		h := p.narrow("entry hop count", int64(n), maxEntryHops)
+		rec[recHeaderWords+2*i] = h | p.narrow("entry path count", int64(paths), maxEntryPaths)<<8
+		rec[recHeaderWords+2*i+1] = p.narrow("entry latency", t.end[n][dst]-t.StartSlice+1, math.MaxUint16)
+		shape.push(h, rec[recHeaderWords+2*i+1])
+	}
+	rec[0] = p.profileID(rec, shape)
 	return off
 }
 
-// paths appends every retained n-hop minimum-latency path of the row for
-// dst (the primary plus its ties), each without its final hop, and returns
-// how many were written. What a path stores is the whole (n−1)-hop primary
-// path to its last intermediate.
-func (p *packer) paths(t *RowTables, n, dst int) int {
-	if t.end[n][dst] < 0 {
-		return 0
-	}
-	if n == 1 {
-		return 1
-	}
-	if !p.prefix(t, n-1, int(t.last[n][dst])) {
-		return 0
-	}
-	count := 1
-	for _, alt := range t.par[n][dst] {
-		if p.prefix(t, n-1, int(alt)) {
-			count++
-		}
-	}
-	return count
-}
-
-// prefix appends the k hop codes of the row's k-hop primary path to m,
-// walking its last links back from m (iterative: it runs once per stored
-// path, so it must not pay call overhead per hop), and reports whether the
-// row holds that path; when it does not, nothing is appended. Each last
-// link's uplink is the one the DP recorded (RowTables.up): finding it with
-// hop's scan costs the (324,12) build ~10% more CPU.
-func (p *packer) prefix(t *RowTables, k, m int) bool {
-	at := len(p.words)
-	p.words = slices.Grow(p.words, k)[:at+k]
+// prefix writes at rec[at:] the k hop codes of the row's k-hop primary path
+// to m, walking its last links back from m, and returns the index past them.
+// A code is its cell's end slice relative to t_start and its uplink, which
+// the DP took off the schedule (directRow) or checked against it
+// (extendRow), so only the code's width is checked here.
+func (p *packer) prefix(rec []uint16, at int, t *RowTables, k int, m int32) int {
+	next := at + k
 	for ; k >= 1; k-- {
-		if m < 0 || t.end[k][m] < 0 {
-			p.words = p.words[:at]
-			return false
+		code := uint16(0)
+		if rel := t.end[k][m] - t.StartSlice; !p.fits(rel) {
+			p.fail("hop code", rel<<p.hops.shift, math.MaxUint16)
+		} else {
+			code = uint16(rel)<<p.hops.shift | t.up[k][m]
 		}
-		prev := t.Src
-		if k > 1 {
-			prev = int(t.last[k][m])
-		}
-		p.words[at+k-1] = p.code(prev, m, t.end[k][m]-t.StartSlice, int(t.up[k][m]))
-		m = prev
+		rec[at+k-1] = code
+		m = t.last[k][m]
 	}
-	return true
+	return next
 }
 
 // seal finds the bucket structure of the finished record at off (§5.1: the
 // lower hull of its (hop, latency) points and the α-free thresholds) and
-// stores its segment id in word 0.
+// stores its segment id in word 0: how records packed from hops rather than
+// from a DP row (the baselines, the codec) get their profile.
 func (p *packer) seal(off uint32) {
 	rec := p.words[off:]
-	shape, ok := recShape(rec)
-	g, hit := p.byShape[shape]
-	if !ok || !hit {
-		g = p.poolIndex(rec)
-		if ok {
-			if p.byShape == nil {
-				p.byShape = make(map[shapeKey]int32)
-			}
-			p.byShape[shape] = g
-		}
+	var shape shapeKey
+	for i := 0; i < min(int(rec[1]), maxShapeEntries); i++ {
+		shape.push(rec[recHeaderWords+2*i], rec[recHeaderWords+2*i+1])
 	}
-	rec[0] = p.localID(g)
+	rec[0] = p.profileID(rec, shape)
+}
+
+// profileID returns the current segment's id of the profile of rec, whose
+// headers are written and whose shape holds its first maxShapeEntries
+// entries. The shape table caches the pool index per shape; a miss computes
+// the profile (poolIndex) and fills the shape's line. A record with more
+// entries than a shape holds is sealed uncached.
+func (p *packer) profileID(rec []uint16, shape shapeKey) uint16 {
+	e := int(rec[1])
+	if e > maxShapeEntries {
+		return p.localID(p.poolIndex(rec))
+	}
+	shape[1] |= uint64(e) << 56
+	line := p.shapes.line(shape)
+	if line.g == 0 {
+		line.key, line.g = shape, p.poolIndex(rec)+1
+		p.shapes.used++
+	}
+	return p.localID(line.g - 1)
 }
 
 // localID returns the current segment's id of pool profile g, giving it the
@@ -353,28 +387,60 @@ func (p *packer) localID(g int32) uint16 {
 
 // shapeKey is a record's entry shape, the whole input of its profile: per
 // entry the hop count (8 bits) and latency (16 bits) of its header — the
-// path count masked off — packed entry 0 lowest, and the entry count in the
-// top byte.
+// path count masked off — pushed in entry order, the last entry lowest, and
+// the entry count in the top byte.
 type shapeKey [2]uint64
 
 // maxShapeEntries is the most entries a shapeKey holds: 5 × 24 bits below
 // the count byte.
 const maxShapeEntries = 5
 
-// recShape returns the record's shape key, or false when the record has more
-// entries than a key holds; those records are sealed uncached.
-func recShape(rec []uint16) (shapeKey, bool) {
-	e := int(rec[1])
-	if e > maxShapeEntries {
-		return shapeKey{}, false
+// push appends an entry's header words to the key.
+func (k *shapeKey) push(hops, latency uint16) {
+	k[1] = k[1]<<24 | k[0]>>40
+	k[0] = k[0]<<24 | uint64(hops&0xff)<<16 | uint64(latency)
+}
+
+// shapeTable maps entry shapes to pool indexes: open-addressed lines,
+// a power of two of them, doubled before they are 3/4 used, so a probe
+// always ends at the key's line or an empty one. A few hundred shapes fit
+// in its first 512 lines; the (512,8) symmetric build, the most varied
+// store measured, has ~3,300.
+type shapeTable struct {
+	lines []shapeLine
+	shift uint // 64 − log2(len(lines)): the hash's top bits index a line
+	used  int
+}
+
+// shapeLine caches one shape's profile: g is its pool index + 1, 0 on an
+// empty line.
+type shapeLine struct {
+	key shapeKey
+	g   int32
+}
+
+// line returns the line holding key, or the empty line it would take.
+func (t *shapeTable) line(key shapeKey) *shapeLine {
+	if t.used >= len(t.lines)/4*3 {
+		t.grow()
 	}
-	var lo, hi uint64
-	for i := e - 1; i >= 0; i-- {
-		v := uint64(rec[recHeaderWords+2*i]&0xff)<<16 | uint64(rec[recHeaderWords+2*i+1])
-		hi = hi<<24 | lo>>40
-		lo = lo<<24 | v
+	for i := (key[0]*0x9e3779b97f4a7c15 ^ key[1]) * 0xbf58476d1ce4e5b9 >> t.shift; ; i = (i + 1) & uint64(len(t.lines)-1) {
+		if line := &t.lines[i]; line.g == 0 || line.key == key {
+			return line
+		}
 	}
-	return shapeKey{lo, hi | uint64(e)<<56}, true
+}
+
+// grow doubles the lines (256 at first) and re-inserts the used ones.
+func (t *shapeTable) grow() {
+	old := t.lines
+	n := max(2*len(old), 256)
+	t.lines, t.shift = make([]shapeLine, n), uint(64-bits.TrailingZeros(uint(n)))
+	for _, l := range old {
+		if l.g != 0 {
+			*t.line(l.key) = l
+		}
+	}
 }
 
 // bucketProfile appends to hull and thr the bucket structure of the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -281,8 +282,8 @@ func TestPackerRefusesHops(t *testing.T) {
 }
 
 // TestPackerGuardsDPRows: the guards sit on the path the build takes — a
-// DP row whose slices do not fit fails group(), and with it the build,
-// naming the first field written out of range.
+// DP row whose slices do not fit fails the row writer's record, and with it
+// the build, naming the first field written out of range.
 func TestPackerGuardsDPRows(t *testing.T) {
 	f := symFabric(t, 8, 4)
 	calc := NewCalculator(f)
@@ -315,9 +316,16 @@ func TestPackerGuardsDPRows(t *testing.T) {
 		row.StartSlice = c.start
 		p := newPacker(f, CostModel{Alpha: 0.5, LinkBps: 1, SliceMicros: 1})
 		p.begin(nil, 0)
-		p.group(row, c.dst)
+		p.record(row, c.dst)
 		if p.err == nil || !strings.Contains(p.err.Error(), `"`+c.field+`"`) {
-			t.Fatalf("group(%d) from t_start %d: err = %v, want field %q", c.dst, c.start, p.err, c.field)
+			t.Fatalf("record(%d) from t_start %d: err = %v, want field %q", c.dst, c.start, p.err, c.field)
+		}
+		// The whole row fails too.
+		p = newPacker(f, CostModel{Alpha: 0.5, LinkBps: 1, SliceMicros: 1})
+		p.begin(nil, 0)
+		p.row(row, make([]uint32, f.Sched.N))
+		if p.err == nil {
+			t.Fatalf("row from t_start %d: no error", c.start)
 		}
 	}
 }
@@ -390,47 +398,68 @@ func TestHopCodesUseLowestUplink(t *testing.T) {
 	}
 }
 
-// TestSealCachesProfilesByShape re-seals every record of every brute-force
-// segment of the calc_oracle_test fabrics, one packer per fabric, segment
-// after segment. The shape cache must hold one line per distinct (hop count,
+// TestSealCachesProfilesByShape re-packs every DP row of every brute-force
+// segment of the calc_oracle_test fabrics with the row writer, one packer
+// per fabric, segment after segment. Each record must come out as the build
+// stored it. The shape table must hold one line per distinct (hop count,
 // latency) entry sequence — records that differ only in path counts share a
 // line — and every id must be the one the build stored and the one a fresh
-// packer without the cache interns, in order: a profile pooled in an earlier
-// segment takes its id in the later one afresh. A record with more entries
-// than a shape key holds is sealed uncached.
+// packer without the table interns, in order: a profile pooled in an earlier
+// segment takes its id in the later one afresh. Sealing a written record
+// again finds its line: the writer and seal key a shape alike. A record
+// with more entries than a shape key holds is sealed uncached.
 func TestSealCachesProfilesByShape(t *testing.T) {
 	sharedShapes := 0
 	for _, of := range oracleFabrics() {
 		ps := BuildPathSetOpts(of.f, 0.5, BuildOptions{NoSymmetry: true})
+		n := of.f.Sched.N
 		p := newPacker(of.f, ps.Model)
+		var row *RowTables
 		counts := map[string]string{} // shape -> path counts of its first record
 		for ts, seg := range ps.segs {
 			ref := newPacker(of.f, ps.Model)
 			p.begin(nil, ts)
 			ref.begin(nil, ts)
-			for off := 1; off < len(seg.words); off += recLen(seg.words[off:]) {
-				rec := seg.words[off:][:recLen(seg.words[off:])]
-				var shape, paths string
-				for i := 0; i < int(rec[1]); i++ {
-					h, n, lat := recEntry(rec, i)
-					shape += fmt.Sprintf("%d/%d ", h, lat)
-					paths += fmt.Sprintf("%d ", n)
-				}
-				if first, ok := counts[shape]; !ok {
-					counts[shape] = paths
-				} else if first != paths {
-					sharedShapes++
-				}
-				at := p.offset()
-				p.words = append(p.words, rec...)
-				p.words[at] = 0
-				p.seal(at)
-				if got, uncached := p.words[at], ref.localID(ref.poolIndex(rec)); got != rec[0] || uncached != rec[0] {
-					t.Fatalf("%s ts=%d record at %d: sealed id %d, uncached %d, built %d", of.name, ts, off, got, uncached, rec[0])
+			for src := 0; src < n; src++ {
+				row = ps.Calc.ComputeRowInto(ts, src, row)
+				spine := make([]uint32, n)
+				p.row(row, spine)
+				for dst, off := range spine {
+					if dst == src {
+						continue
+					}
+					rec := p.words[off:][:recLen(p.words[off:])]
+					built := seg.words[off:][:len(rec)]
+					if want := ps.spine[(ts*n+src)*n+dst]; off != want || !slices.Equal(rec, built) {
+						t.Fatalf("%s (%d,%d,%d): record %v at %d, built %v at %d", of.name, ts, src, dst, rec, off, built, want)
+					}
+					var shape, paths string
+					for i := 0; i < int(rec[1]); i++ {
+						h, n, lat := recEntry(rec, i)
+						shape += fmt.Sprintf("%d/%d ", h, lat)
+						paths += fmt.Sprintf("%d ", n)
+					}
+					if first, ok := counts[shape]; !ok {
+						counts[shape] = paths
+					} else if first != paths {
+						sharedShapes++
+					}
+					if uncached := ref.localID(ref.poolIndex(rec)); uncached != rec[0] {
+						t.Fatalf("%s (%d,%d,%d): written id %d, uncached %d", of.name, ts, src, dst, rec[0], uncached)
+					}
+					lines, at := p.shapes.used, p.offset()
+					p.words = append(p.words, rec...)
+					p.words[at] = 0
+					p.seal(at)
+					if got := p.words[at]; got != rec[0] || p.shapes.used != lines {
+						t.Fatalf("%s (%d,%d,%d): resealed id %d, written %d; shape lines %d, were %d",
+							of.name, ts, src, dst, got, rec[0], p.shapes.used, lines)
+					}
+					p.words = p.words[:at]
 				}
 			}
-			if len(p.byShape) != len(counts) {
-				t.Fatalf("%s ts=%d: shape cache holds %d lines for %d entry shapes", of.name, ts, len(p.byShape), len(counts))
+			if p.shapes.used != len(counts) {
+				t.Fatalf("%s ts=%d: shape table holds %d lines for %d entry shapes", of.name, ts, p.shapes.used, len(counts))
 			}
 			if len(p.profiles) != len(ref.pool) {
 				t.Fatalf("%s ts=%d: segment names %d profiles, a fresh packer %d", of.name, ts, len(p.profiles), len(ref.pool))
@@ -455,9 +484,9 @@ func TestSealCachesProfilesByShape(t *testing.T) {
 		p.seal(off)
 		ids = append(ids, p.words[off])
 	}
-	if p.err != nil || len(p.byShape) != 0 || len(p.profiles) != 1 || ids[0] != 0 || ids[1] != 0 {
+	if p.err != nil || p.shapes.used != 0 || len(p.profiles) != 1 || ids[0] != 0 || ids[1] != 0 {
 		t.Fatalf("two %d-entry records of one shape: ids %v, %d profiles, %d cached shapes, err %v",
-			maxShapeEntries+1, ids, len(p.profiles), len(p.byShape), p.err)
+			maxShapeEntries+1, ids, len(p.profiles), p.shapes.used, p.err)
 	}
 }
 

@@ -115,7 +115,7 @@ func (t *Tables) validate() error {
 
 // parallelPaths returns every retained n-hop minimum-latency path (the
 // primary plus ties) for src->dst as materialized Paths; the PathSet build
-// packs the same paths straight into the store instead (packer.paths).
+// packs the same paths straight into the store instead (packer.record).
 func (t *RowTables) parallelPaths(n, dst int) []*Path {
 	if n < 1 || n > t.HMax || t.end[n][dst] < 0 {
 		return nil

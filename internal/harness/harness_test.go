@@ -495,6 +495,40 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 	}
 }
 
+// A failure that strikes at or after the resolved horizon never happens,
+// and the run used to read as one without failures; Run refuses it before
+// anything is built. A repair past the horizon, an empty timeline and no
+// timeline at all run.
+func TestRunRefusesFailureAfterHorizon(t *testing.T) {
+	const us = sim.Microsecond
+	cfg := ScaledConfig(UCMP, transport.DCTCP, "websearch")
+	cfg.Duration = 20 * us // horizon 80 µs
+	for _, c := range []struct {
+		name    string
+		horizon sim.Time
+		tl      *failure.Timeline
+		err     string // "" = runs
+	}{
+		{"ToR down past the horizon", 0, failure.NewTimeline().TorDown(5*sim.Millisecond, 3), "failure at 5.000ms is not before the horizon 80.000us"},
+		{"link down at the horizon", 0, failure.NewTimeline().LinkDown(80*us, 1, 0), "failure at 80.000us is not before the horizon 80.000us"},
+		{"second failure past a set horizon", 50 * us, failure.NewTimeline().SwitchDown(10*us, 0).SwitchDown(60*us, 1),
+			"failure at 60.000us is not before the horizon 50.000us"},
+		{"repair past the horizon", 0, failure.NewTimeline().TorDown(10*us, 3).TorUp(5*sim.Millisecond, 3), ""},
+		{"empty timeline", 0, failure.NewTimeline(), ""},
+		{"no timeline", 0, nil, ""},
+	} {
+		run := cfg
+		run.Horizon, run.Failures = c.horizon, c.tl
+		_, err := Run(run)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.err != "" && (err == nil || err.Error() != "harness: "+c.err):
+			t.Errorf("%s: error %v, want %q", c.name, err, "harness: "+c.err)
+		}
+	}
+}
+
 // A failure script that would silently run a different experiment is
 // refused: a fraction that is NaN or outside [0,1] (the sampler clamps it
 // to all or none), and a repair at or before the failure (Compile applies a

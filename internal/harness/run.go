@@ -339,12 +339,17 @@ func joinNote(notes, note string) string {
 // table that looks like a result, a hotspot share outside [0,1) would be
 // clamped or ignored, and a negative size clip would run unclipped. Horizon
 // is deliberately not tied to Duration — a 1 ns horizon is how set-up is
-// timed.
+// timed — but a scripted failure must strike before it: one at or after the
+// horizon never happens, and the run would read as one without failures.
 func validateWorkload(cfg SimConfig) error {
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	switch {
-	case cfg.Horizon < 0:
+	if cfg.Horizon < 0 {
 		return fmt.Errorf("harness: Horizon=%v must not be negative", cfg.Horizon)
+	}
+	if e := lateFailure(cfg.Failures, horizonOf(cfg)); e != nil {
+		return fmt.Errorf("harness: failure at %v is not before the horizon %v", e.At, horizonOf(cfg))
+	}
+	switch {
 	case cfg.SampleEvery < 0:
 		return fmt.Errorf("harness: SampleEvery=%v must not be negative", cfg.SampleEvery)
 	case cfg.CheckpointEvery < 0:
@@ -363,6 +368,17 @@ func validateWorkload(cfg SimConfig) error {
 		return fmt.Errorf("harness: Hotspot=%g must lie in [0,1)", cfg.Hotspot)
 	case cfg.MaxFlowSize < 0:
 		return fmt.Errorf("harness: MaxFlowSize=%d must not be negative (0 = no clip)", cfg.MaxFlowSize)
+	}
+	return nil
+}
+
+// lateFailure returns the first event of tl that takes an element down at
+// or after the horizon, or nil. A repair may fall after it.
+func lateFailure(tl *failure.Timeline, horizon sim.Time) *failure.Event {
+	for _, e := range tl.Events() {
+		if e.At >= horizon && (e.Kind == failure.EvTorDown || e.Kind == failure.EvLinkDown || e.Kind == failure.EvSwitchDown) {
+			return &e
+		}
 	}
 	return nil
 }
@@ -525,18 +541,22 @@ func (r *Runner) buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 		}
 	}
 
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = 4 * cfg.Duration
-		if horizon == 0 {
-			horizon = 20 * sim.Millisecond
-		}
-	}
 	return &simState{
 		cfg: cfg, eng: eng, sh: sh, net: net, ucmp: ucmpRouter, stack: stack, col: col,
 		flows: flows, sharded: sharded, shards: shards, shardNote: shardNote, pathSet: pathSet,
-		horizon: horizon,
+		horizon: horizonOf(cfg),
 	}, nil
+}
+
+// horizonOf resolves the run's horizon: Horizon, else 4·Duration, else 20 ms.
+func horizonOf(cfg SimConfig) sim.Time {
+	switch {
+	case cfg.Horizon != 0:
+		return cfg.Horizon
+	case cfg.Duration != 0:
+		return 4 * cfg.Duration
+	}
+	return 20 * sim.Millisecond
 }
 
 // run executes the wired simulation to its horizon — writing checkpoints
