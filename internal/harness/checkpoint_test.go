@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -68,34 +67,24 @@ func ckptCases() []ckptCase {
 	return cases
 }
 
-// fingerprint renders everything observable about a run — per-flow FCT
-// trace, the full counter set (packet-conservation ledger included),
-// fairness, efficiency and, when events is set, the event count — as one
-// string, so "the same run" is a bytewise comparison. Compare without
-// events across engines: a sharded run executes one slice-boundary event
-// per domain per slice where the serial run executes one total, so event
-// counts legitimately differ while every simulation observable must not.
-func fingerprint(r *Result, events bool) string {
-	out := fmt.Sprintf("counters=%+v\n", r.Counters)
-	if events {
-		out += fmt.Sprintf("events=%d\n", r.Events)
-	}
-	out += fmt.Sprintf("jain=%.12f\nefficiency=%.12f\nlaunched=%d\n", r.JainCumulative, r.Efficiency, r.Launched)
-	fl := append(r.Flows[:0:0], r.Flows...)
-	sort.Slice(fl, func(i, j int) bool { return fl[i].ID < fl[j].ID })
-	for _, f := range fl {
-		out += fmt.Sprintf("flow %d: sent=%d delivered=%d finished=%v at=%d\n",
-			f.ID, f.BytesSent, f.BytesDelivered, f.Finished, int64(f.FinishedAt))
-	}
-	return out
+// withEvents is Fingerprint with the event count in front, for comparing
+// two runs on one engine. Compare without it across engines: a sharded run
+// executes one slice-boundary event per domain per slice where the serial
+// run executes one total, so event counts legitimately differ while every
+// simulation observable must not.
+func withEvents(r *Result) string {
+	return fmt.Sprintf("events=%d\n", r.Events) + Fingerprint(r)
 }
 
-// ckptFingerprint is fingerprint — without the event count on a sharded
-// run — plus the collector's samples and flow records, so restored metrics
+// ckptFingerprint is Fingerprint — with the event count unless the run is
+// sharded — plus the collector's samples and flow records, so restored metrics
 // state is covered too.
 func ckptFingerprint(t *testing.T, r *Result) string {
 	t.Helper()
-	out := fingerprint(r, !r.Sharded)
+	out := Fingerprint(r)
+	if !r.Sharded {
+		out = withEvents(r)
+	}
 	out += "\nsamples:"
 	for _, s := range r.Collector.Samples {
 		out += fmt.Sprintf(" %d/%.12f/%.12f/%.12f/%.12f/%.12f",
@@ -240,7 +229,7 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 5, want 6") {
 		t.Fatalf("expected a cold run naming the version, got note %q", res.ResumeNote)
 	}
-	if fingerprint(res, true) != fingerprint(plain, true) {
+	if withEvents(res) != withEvents(plain) {
 		t.Fatal("cold fallback diverged from a plain run")
 	}
 }
@@ -264,7 +253,7 @@ func TestResumeMissingCheckpoint(t *testing.T) {
 	if !strings.Contains(res.ResumeNote, "cold run") {
 		t.Fatalf("expected a cold-run note, got %q", res.ResumeNote)
 	}
-	if fingerprint(res, true) != fingerprint(plain, true) {
+	if withEvents(res) != withEvents(plain) {
 		t.Fatal("cold fallback diverged from a plain run")
 	}
 }
@@ -281,7 +270,7 @@ func TestResumeCorruptionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fingerprint(plain, true)
+	want := withEvents(plain)
 
 	dir := t.TempDir()
 	ck := cfg
@@ -326,7 +315,7 @@ func TestResumeCorruptionRejected(t *testing.T) {
 		if !strings.Contains(res.ResumeNote, "cold run") {
 			t.Fatalf("offset %d: corruption not rejected, note %q", off, res.ResumeNote)
 		}
-		if fingerprint(res, true) != want {
+		if withEvents(res) != want {
 			t.Fatalf("offset %d: cold fallback diverged", off)
 		}
 	}
@@ -363,7 +352,7 @@ func TestCheckpointWriteFailureNoted(t *testing.T) {
 	if want := "15 checkpoint writes failed, the first: "; !strings.HasPrefix(res.ResumeNote, want) {
 		t.Fatalf("ResumeNote %q, want prefix %q", res.ResumeNote, want)
 	}
-	if fingerprint(res, true) != fingerprint(plain, true) {
+	if withEvents(res) != withEvents(plain) {
 		t.Fatal("failed checkpoint writes perturbed the run")
 	}
 }
@@ -386,7 +375,7 @@ func TestResumeAtManyInstants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := fingerprint(plain, true)
+			want := withEvents(plain)
 
 			cfg.CheckpointDir = t.TempDir()
 			st, err := (*Runner)(nil).buildSim(cfg, false)
@@ -414,7 +403,7 @@ func TestResumeAtManyInstants(t *testing.T) {
 				if !strings.Contains(res.ResumeNote, "resumed at") {
 					t.Fatalf("at %v: expected a resume, got note %q", at, res.ResumeNote)
 				}
-				if got := fingerprint(res, true); got != want {
+				if got := withEvents(res); got != want {
 					t.Fatalf("resumed at %v, the run diverged:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", at, want, got)
 				}
 			}

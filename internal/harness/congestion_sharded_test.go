@@ -105,9 +105,9 @@ func TestDifferentialCongestionSharded(t *testing.T) {
 			if tc.mustSteer && serialRes.Counters.CongestionSteered == 0 {
 				t.Fatal("congestion steering never engaged; the differential is vacuous")
 			}
-			serial := fingerprint(serialRes, false)
+			serial := Fingerprint(serialRes)
 			for _, shards := range []int{2, 5, tc.cfg.Topo.NumToRs} { // 5 divides neither ToR count
-				if got := fingerprint(run(shards), false); got != serial {
+				if got := Fingerprint(run(shards)); got != serial {
 					t.Fatalf("congestion-aware sharded(shards=%d) diverges from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
 						shards, serial, got)
 				}
@@ -146,7 +146,7 @@ func TestCongestionSteeringChangesOutcome(t *testing.T) {
 	if unawareRes.Counters.CongestionSteered != 0 {
 		t.Fatalf("steering-off run recorded %d steered packets", unawareRes.Counters.CongestionSteered)
 	}
-	if fingerprint(awareRes, false) == fingerprint(unawareRes, false) {
+	if Fingerprint(awareRes) == Fingerprint(unawareRes) {
 		t.Fatal("congestion-aware run is byte-identical to the unaware run; steering had no effect")
 	}
 }

@@ -11,11 +11,11 @@ import (
 )
 
 // TestResultsPinned pins what a run computes — every flow's progress and
-// completion, and the fabric Counters — to hashes of fingerprint without the
-// event count, one per engine feature the packet path exercises. A change to
-// when the simulator schedules its own bookkeeping events (port wake-ups,
-// timer occurrences) must leave every hash where it is; one that means to
-// move a result updates the hash and says why.
+// completion, and the fabric Counters — to hashes of Fingerprint, one per
+// engine feature the packet path exercises. A change to when the simulator
+// schedules its own bookkeeping events (port wake-ups, timer occurrences)
+// must leave every hash where it is; one that means to move a result
+// updates the hash and says why.
 func TestResultsPinned(t *testing.T) {
 	dctcp := ScaledConfig(UCMP, transport.DCTCP, "websearch")
 
@@ -49,16 +49,16 @@ func TestResultsPinned(t *testing.T) {
 		cfg  SimConfig
 		want string
 	}{
-		{"ucmp-dctcp", dctcp, "f7dbea8169b8fcbe"},
-		{"ucmp-ndp-16x4", ndp, "5159d4036edf3245"},
-		{"vlb-rotor", rotor, "88083b268b40ee67"},
-		{"ucmp-dctcp-linkfail", failing, "940f9811c754a2e6"},
-		{"ucmp-dctcp-shards2", sharded, "f7dbea8169b8fcbe"},
-		{"opera5-ndp", ScaledConfig(Opera5, transport.NDP, "websearch"), "d88a3a5d60e611c3"},
-		{"ksp5-ndp", ScaledConfig(KSP5, transport.NDP, "websearch"), "d3d895e86d45c0b2"},
-		{"ucmp-dctcp-reconf10us", reconf, "ff71cb975da48f46"},
-		{"ucmp-dctcp-steered", steered, "e8965ad8ec4fd7b2"},
-		{"ucmp-dctcp-relaxed-datamining", relaxed, "c42aad205ca632d4"},
+		{"ucmp-dctcp", dctcp, "1d7efd5dba90ac16"},
+		{"ucmp-ndp-16x4", ndp, "f0247aae8dd527ab"},
+		{"vlb-rotor", rotor, "311435fd1d68e856"},
+		{"ucmp-dctcp-linkfail", failing, "fb4174030a822109"},
+		{"ucmp-dctcp-shards2", sharded, "1d7efd5dba90ac16"},
+		{"opera5-ndp", ScaledConfig(Opera5, transport.NDP, "websearch"), "fa12e54b765163a4"},
+		{"ksp5-ndp", ScaledConfig(KSP5, transport.NDP, "websearch"), "cdfd80b26edc8a1d"},
+		{"ucmp-dctcp-reconf10us", reconf, "ac951ca0b6eedda8"},
+		{"ucmp-dctcp-steered", steered, "6a3e0d79838d9f60"},
+		{"ucmp-dctcp-relaxed-datamining", relaxed, "9ad3a1d0d31716d8"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,7 +70,7 @@ func TestResultsPinned(t *testing.T) {
 				t.Fatalf("sharded run fell back to serial: %s", res.ShardNote)
 			}
 			h := fnv.New64a()
-			fmt.Fprint(h, fingerprint(res, false))
+			fmt.Fprint(h, Fingerprint(res))
 			if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.want {
 				t.Errorf("results hash %s, pinned %s", got, tc.want)
 			}

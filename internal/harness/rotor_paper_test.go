@@ -11,7 +11,7 @@ import (
 	"ucmp/internal/transport"
 )
 
-// rotorPaperFingerprint is FNV-1a over fingerprint(res, false) of the trial
+// rotorPaperFingerprint is FNV-1a over Fingerprint(res) of the trial
 // below — every flow's bytes and completion instant and the full Counters —
 // as the commit before Host.SendRun produced it (PR 16, where the trial
 // allocated 524 MB). The event count is pinned beside it, not inside it: it
@@ -19,7 +19,7 @@ import (
 // while a ToR's ingress drain was an event of its own, 10,968,665 while
 // every send scheduled its port's next wakeup), and nothing a flow observes.
 const (
-	rotorPaperFingerprint = "3669f963a701a22e"
+	rotorPaperFingerprint = "56f8eb7bb74cb877"
 	rotorPaperEvents      = 10_704_643
 )
 
@@ -45,7 +45,7 @@ func TestRotorPaperSizingAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	h.Write([]byte(fingerprint(res, false)))
+	h.Write([]byte(Fingerprint(res)))
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != rotorPaperFingerprint {
 		t.Errorf("fingerprint %s, want %s", got, rotorPaperFingerprint)
 	}

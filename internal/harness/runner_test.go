@@ -186,7 +186,7 @@ func TestStoreServedRunMatchesNilRunner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := fingerprint(out[1], true), fingerprint(ref, true); got != want {
+		if got, want := withEvents(out[1]), withEvents(ref); got != want {
 			t.Fatalf("%s: store-served run diverges from a nil-Runner run:\n--- nil Runner ---\n%s\n--- store ---\n%s", rk, want, got)
 		}
 	}

@@ -24,7 +24,7 @@ func requireShards2Equal(t *testing.T, cfg SimConfig, serial *Result) {
 	if !sh.Sharded {
 		t.Fatalf("Shards=2 fell back to the serial engine: %s", sh.ShardNote)
 	}
-	if fingerprint(sh, false) != fingerprint(serial, false) {
+	if Fingerprint(sh) != Fingerprint(serial) {
 		t.Error("Shards=2 diverges from the serial run")
 	}
 }
@@ -81,8 +81,8 @@ func shardedCases() []shardedCase {
 	// Runtime fault injection mid-run: cable and switch failures strike and
 	// partially repair, exercising epoch transitions, parked-packet expiry,
 	// and online §5.3 recovery under the sharded engine. The recovery
-	// counters and reroute-wait histogram ride in fingerprint's %+v of
-	// Counters, so any serial/sharded divergence in fault handling fails the
+	// counters and reroute-wait histogram are counters Fingerprint hashes
+	// by name, so any serial/sharded divergence in fault handling fails the
 	// differential, not just the FCT trace.
 	faulty := ScaledConfig(UCMP, transport.DCTCP, "websearch")
 	faulty.Duration = sim.Millisecond
@@ -154,7 +154,7 @@ func TestDifferentialSerialSharded(t *testing.T) {
 				if cfg.Routing == VLB && res.Mem.PeakParked == 0 {
 					t.Fatalf("Shards=%d: no ToR VOQ ever held a record; the rotor case is vacuous", shards)
 				}
-				return fingerprint(res, false)
+				return Fingerprint(res)
 			}
 			serial := run(0)
 			// 5 and 3 divide no case's domain count: the blocks are uneven.
@@ -327,7 +327,7 @@ func TestShardedNonDividing64(t *testing.T) {
 		if shards > 1 && (!res.Sharded || res.Shards != shards) {
 			t.Fatalf("Shards=%d ran with sharded=%v shards=%d", shards, res.Sharded, res.Shards)
 		}
-		return fingerprint(res, false)
+		return Fingerprint(res)
 	}
 	serial := run(0)
 	for _, shards := range []int{3, 5, 7} {

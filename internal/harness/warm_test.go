@@ -54,7 +54,7 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldFP := fingerprint(coldRes, true)
+	coldFP := withEvents(coldRes)
 
 	populate := base
 	populate.FabricCacheDir = dir
@@ -62,7 +62,7 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(popRes, true) != coldFP {
+	if withEvents(popRes) != coldFP {
 		t.Fatal("populating run diverges from the cold run")
 	}
 	wantGroups := 4 * 15 // S·(N−1) canonical rows of the (16,4) fabric
@@ -74,9 +74,9 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(warmRes, true) != coldFP {
+	if withEvents(warmRes) != coldFP {
 		t.Fatalf("warm run diverges from cold:\n--- cold ---\n%s\n--- warm ---\n%s",
-			coldFP, fingerprint(warmRes, true))
+			coldFP, withEvents(warmRes))
 	}
 	if i := warmRes.PathSet; !i.Warm || i.Footprint != popRes.PathSet.Footprint {
 		t.Fatalf("warm run reports path set %q, want the populating run's footprint, cache-loaded", i)
@@ -107,7 +107,7 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	}
 
 	// Serial vs sharded on the warm path set: the engines must still agree on
-	// every simulation observable (fingerprint without events — event counts
+	// every simulation observable (Fingerprint, which leaves out events — event counts
 	// legitimately differ between the engines).
 	sharded := populate
 	sharded.Shards = 4
@@ -118,9 +118,9 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	if !shRes.Sharded {
 		t.Fatalf("sharded run fell back to serial: %s", shRes.ShardNote)
 	}
-	if fingerprint(shRes, false) != fingerprint(coldRes, false) {
+	if Fingerprint(shRes) != Fingerprint(coldRes) {
 		t.Fatalf("sharded warm run diverges from cold:\n--- cold ---\n%s\n--- sharded ---\n%s",
-			fingerprint(coldRes, false), fingerprint(shRes, false))
+			Fingerprint(coldRes), Fingerprint(shRes))
 	}
 
 	// A corrupted cache file must be rebuilt, not served.
@@ -130,7 +130,7 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(reRes, true) != coldFP {
+	if withEvents(reRes) != coldFP {
 		t.Fatal("run after cache corruption diverges from cold")
 	}
 	if _, warm, _ := warmPathSet(fab, populate); !warm {
