@@ -252,23 +252,7 @@ func BenchmarkAblation_ScheduleGrouping(b *testing.B) {
 	}
 }
 
-// Extension benchmarks (§10 congestion awareness, §5.2 live alpha tuning).
-
-func BenchmarkExtension_CongestionAware(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.ExtensionCongestion(nil, benchBase()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExtension_AlphaController(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.ExtensionAlphaController(nil, benchBase(), 0.06); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// Extension benchmark (§10 MPTCP-style striping).
 
 func BenchmarkExtension_MPTCP(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -451,20 +451,7 @@ func (r *runner) run(exp string) ([]*harness.Result, error) {
 		fmt.Println(harness.AblationSchedule(108, 6))
 		return append(out, out2...), nil
 	case "extension":
-		out, err := show(harness.ExtensionCongestion(r.sims, r.simBase()))
-		if err != nil {
-			return nil, err
-		}
-		rep, res, err := harness.ExtensionAlphaController(r.sims, r.simBase(), 0.06)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(rep)
-		out3, err := show(harness.ExtensionMPTCP(r.sims, r.simBase()))
-		if err != nil {
-			return nil, err
-		}
-		return append(append(out, res), out3...), nil
+		return show(harness.ExtensionMPTCP(r.sims, r.simBase()))
 	case "failsweep":
 		return show(harness.FailureSweep(r.sims, r.simBase(), []float64{0, 0.02, 0.05, 0.1}))
 	case "sweep":

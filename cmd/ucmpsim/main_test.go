@@ -122,6 +122,7 @@ func TestWorkloadInputsValidated(t *testing.T) {
 		{[]string{"-failtors", "1.7"}, "harness: ToR failure fraction 1.7"},
 		{[]string{"-faillinks-rt", "-0.3"}, "harness: link failure fraction -0.3"},
 		{[]string{"-maxflow", "-5"}, "harness: MaxFlowSize=-5"},
+		{[]string{"-duration", "20us", "-relax", "-routing", "vlb"}, "harness: Relax is UCMP-only; Routing=vlb would ignore it"},
 		{[]string{"-duration", "1us"}, "harness: Workload=websearch Duration=1.000us Load=0.4 generated no flow"},
 		{[]string{"-failtors", "0.1", "-failat", "-1ms"}, "harness: failure at -1.000ms must not be negative"},
 		{[]string{"-failtors", "0.5", "-failat", "5ms", "-duration", "20us"}, "harness: failure at 5.000ms is not before the horizon 80.000us"},

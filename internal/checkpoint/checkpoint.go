@@ -41,7 +41,7 @@ import (
 
 const (
 	magic      = "UCMPCKP1"
-	version    = 6
+	version    = 7
 	headerSize = 40
 
 	fnvOffset = 1469598103934665603

@@ -18,10 +18,6 @@ func NewFlowAger(ps *PathSet) *FlowAger {
 	return &FlowAger{thresholds: ps.GlobalThresholds(), alpha: ps.Model.Alpha}
 }
 
-// SetAlpha applies a live α update broadcast by the operator (§5.2). The
-// thresholds are α-free, so only the mapping function changes.
-func (a *FlowAger) SetAlpha(alpha float64) { a.alpha = alpha }
-
 // Alpha returns the current weight factor.
 func (a *FlowAger) Alpha() float64 { return a.alpha }
 

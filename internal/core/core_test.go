@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -518,18 +519,16 @@ func TestAgedMatchesExactMinimization(t *testing.T) {
 	}
 }
 
+// Retuning α (§5.2: the operator broadcasts a new α to the hosts) maps the
+// same bytes sent to a later bucket when α grows.
 func TestAlphaRetuneShiftsBuckets(t *testing.T) {
 	f := scaledFabric(t)
-	ps := BuildPathSet(f, 0.5)
-	ager := NewFlowAger(ps)
+	ager, retuned := NewFlowAger(BuildPathSet(f, 0.5)), NewFlowAger(BuildPathSet(f, 2.0))
 	bytes := int64(5e6)
-	low := ager.Bucket(bytes)
-	ager.SetAlpha(2.0)
-	high := ager.Bucket(bytes)
-	if high < low {
+	if low, high := ager.Bucket(bytes), retuned.Bucket(bytes); high < low {
 		t.Fatalf("larger α must age flows faster: bucket %d -> %d", low, high)
 	}
-	if ager.Alpha() != 2.0 {
+	if retuned.Alpha() != 2.0 {
 		t.Fatal("alpha not stored")
 	}
 }
@@ -688,19 +687,19 @@ func TestPathHelpers(t *testing.T) {
 func TestPathSetAlphaLive(t *testing.T) {
 	f := scaledFabric(t)
 	ps := BuildPathSet(f, 0.5)
-	g := ps.View(0, 0, 1)
-	thr := append([]float64(nil), g.Thresholds()...)
-	// Live retuning (§5.2) belongs to a run's own ager: the path set, which
-	// warm fabrics share between runs, keeps the α it was built with, and
-	// its thresholds are α-free.
-	NewFlowAger(ps).SetAlpha(1.5)
-	if ps.Model.Alpha != 0.5 {
-		t.Fatalf("retuning an ager moved the path set's alpha to %v", ps.Model.Alpha)
+	thr := ps.View(0, 0, 1).Thresholds()
+	// A retune (§5.2) needs no new bucket boundaries: a path set built at
+	// another α has the same α-free thresholds (Eqn. 4), so only the hosts'
+	// α-scaling of bytes sent changes.
+	other := BuildPathSet(f, 1.5)
+	if other.Model.Alpha != 1.5 || ps.Model.Alpha != 0.5 {
+		t.Fatalf("path sets built at 0.5 and 1.5 carry alpha %v and %v", ps.Model.Alpha, other.Model.Alpha)
 	}
-	for i, v := range g.Thresholds() {
-		if v != thr[i] {
-			t.Fatal("thresholds changed with alpha; Eqn 4 violated")
-		}
+	if got := other.View(0, 0, 1).Thresholds(); !slices.Equal(got, thr) {
+		t.Fatalf("thresholds changed with alpha (%v, want %v); Eqn 4 violated", got, thr)
+	}
+	if !slices.Equal(other.GlobalThresholds(), ps.GlobalThresholds()) {
+		t.Fatal("global thresholds changed with alpha; Eqn 4 violated")
 	}
 }
 

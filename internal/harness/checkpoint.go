@@ -29,9 +29,7 @@ func configKey(cfg SimConfig, flows []*netsim.Flow) string {
 		cfg.Topo, cfg.Routing, cfg.Transport, cfg.Alpha, cfg.Relax)
 	fmt.Fprintf(&b, "wl=%q load=%v maxsize=%d dur=%d horizon=%d sample=%d seed=%d ",
 		cfg.Workload, cfg.Load, cfg.MaxFlowSize, cfg.Duration, cfg.Horizon, cfg.SampleEvery, cfg.Seed)
-	fmt.Fprintf(&b, "afs=%v pin=%q maxpar=%d cong=%v cthr=%d hot=%v ",
-		cfg.AccurateFlowSize, cfg.PinPolicy, cfg.MaxParallel,
-		cfg.CongestionAware, cfg.CongestionThreshold, cfg.Hotspot)
+	fmt.Fprintf(&b, "afs=%v pin=%q maxpar=%d ", cfg.AccurateFlowSize, cfg.PinPolicy, cfg.MaxParallel)
 	fmt.Fprintf(&b, "shards=%d ", cfg.Shards)
 	if !cfg.Failures.Empty() {
 		fmt.Fprintf(&b, "failures=%+v ", cfg.Failures.Events())

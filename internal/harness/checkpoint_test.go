@@ -210,9 +210,9 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Version 5 in the header, with the header checksum (the container's
+	// Version 6 in the header, with the header checksum (the container's
 	// FNV-1a variant over bytes 0..32) made right again.
-	binary.LittleEndian.PutUint32(img[8:], 5)
+	binary.LittleEndian.PutUint32(img[8:], 6)
 	sum := uint64(1469598103934665603)
 	for _, c := range img[:32] {
 		sum = (sum ^ uint64(c)) * 1099511628211
@@ -226,7 +226,7 @@ func TestResumeOlderVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 5, want 6") {
+	if !strings.Contains(res.ResumeNote, "cold run") || !strings.Contains(res.ResumeNote, "file version 6, want 7") {
 		t.Fatalf("expected a cold run naming the version, got note %q", res.ResumeNote)
 	}
 	if withEvents(res) != withEvents(plain) {

@@ -75,11 +75,6 @@ func TestRunUnknownRouting(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("bogus workload accepted")
 	}
-	cfg = quickBase()
-	cfg.CongestionThreshold = -5
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative congestion threshold accepted")
-	}
 	// An unknown transport used to panic inside Stack.Attach, after the
 	// fabric and path set were built.
 	cfg = quickBase()
@@ -377,18 +372,6 @@ func TestFig15Runner(t *testing.T) {
 	_ = rep.String()
 }
 
-func TestRunWithHotspot(t *testing.T) {
-	cfg := quickBase()
-	cfg.Hotspot = 0.6
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched == 0 {
-		t.Fatal("no flows")
-	}
-}
-
 func TestRunBadPinPolicy(t *testing.T) {
 	cfg := quickBase()
 	cfg.PinPolicy = "nonsense"
@@ -418,7 +401,7 @@ func TestReportRendering(t *testing.T) {
 // What feeds the Poisson generator is checked before anything is built: a
 // negative load never returned (the arrival clock walked backwards), a zero
 // load, duration or host count produced an empty result, a negative alpha
-// ran, a hotspot share outside [0,1) was clamped or ignored. An explicit flow
+// ran, and a UCMP-only knob on another routing was ignored. An explicit flow
 // list skips those checks — the fields are then unused — and a horizon
 // shorter than the duration stays legal. A negative horizon or sampling
 // period ran silently with or without explicit flows and is refused either
@@ -435,10 +418,6 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 		{"Horizon=-1ns", func(c *SimConfig) { c.Horizon = -1 }, true},
 		{"SampleEvery=-1ns", func(c *SimConfig) { c.SampleEvery = -1 }, true},
 		{"CheckpointEvery=-1ns", func(c *SimConfig) { c.CheckpointEvery, c.CheckpointDir = -1, t.TempDir() }, true},
-		{"Hotspot=2", func(c *SimConfig) { c.Hotspot = 2 }, false},
-		{"Hotspot=1", func(c *SimConfig) { c.Hotspot = 1 }, false},
-		{"Hotspot=-1", func(c *SimConfig) { c.Hotspot = -1 }, false},
-		{"Hotspot=NaN", func(c *SimConfig) { c.Hotspot = math.NaN() }, false},
 		{"Load=-1", func(c *SimConfig) { c.Load = -1 }, false},
 		{"Load=0", func(c *SimConfig) { c.Load = 0 }, false},
 		{"Load=NaN", func(c *SimConfig) { c.Load = math.NaN() }, false},
@@ -447,6 +426,12 @@ func TestRunValidatesWorkloadInputs(t *testing.T) {
 		{"Alpha=-1", func(c *SimConfig) { c.Alpha = -1 }, true},
 		{"Alpha=+Inf", func(c *SimConfig) { c.Alpha = math.Inf(1) }, true},
 		{"MaxFlowSize=-5", func(c *SimConfig) { c.MaxFlowSize = -5 }, false},
+		{"Relax is UCMP-only; Routing=vlb", func(c *SimConfig) { c.Routing, c.Relax = VLB, true }, true},
+		{"Relax is UCMP-only; Routing=vlb", func(c *SimConfig) { c.Routing, c.Relax, c.Shards = VLB, true, 2 }, true},
+		{`PinPolicy="bogus" is UCMP-only; Routing=vlb`, func(c *SimConfig) { c.Routing, c.PinPolicy = VLB, "bogus" }, true},
+		{`PinPolicy="min-latency" is UCMP-only; Routing=ksp5`, func(c *SimConfig) { c.Routing, c.PinPolicy = KSP5, "min-latency" }, true},
+		{"AccurateFlowSize is UCMP-only; Routing=opera1", func(c *SimConfig) { c.Routing, c.AccurateFlowSize = Opera1, true }, true},
+		{"MaxParallel=1 is UCMP-only; Routing=ksp1", func(c *SimConfig) { c.Routing, c.MaxParallel = KSP1, 1 }, true},
 		{"Workload=websearch Duration=1.000us Load=0.4 generated no flow", func(c *SimConfig) { c.Duration = sim.Microsecond }, false},
 	} {
 		cfg := base

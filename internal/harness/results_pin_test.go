@@ -34,12 +34,9 @@ func TestResultsPinned(t *testing.T) {
 
 	// Uplink wake paths the five above miss: circuit-open waits under
 	// staggered reconfiguration (Opera), a reconfiguration delay, KSP plans,
-	// congestion steering, and relaxed rotor-class data.
+	// and relaxed rotor-class data.
 	reconf := ScaledConfig(UCMP, transport.DCTCP, "websearch")
 	reconf.Topo.ReconfDelay = 10 * sim.Microsecond
-
-	steered := ScaledConfig(UCMP, transport.DCTCP, "websearch")
-	steered.CongestionAware = true
 
 	relaxed := ScaledConfig(UCMP, transport.DCTCP, "datamining")
 	relaxed.Relax = true
@@ -57,7 +54,6 @@ func TestResultsPinned(t *testing.T) {
 		{"opera5-ndp", ScaledConfig(Opera5, transport.NDP, "websearch"), "fa12e54b765163a4"},
 		{"ksp5-ndp", ScaledConfig(KSP5, transport.NDP, "websearch"), "cdfd80b26edc8a1d"},
 		{"ucmp-dctcp-reconf10us", reconf, "ac951ca0b6eedda8"},
-		{"ucmp-dctcp-steered", steered, "6a3e0d79838d9f60"},
 		{"ucmp-dctcp-relaxed-datamining", relaxed, "9ad3a1d0d31716d8"},
 	}
 	for _, tc := range cases {

@@ -87,18 +87,6 @@ type SimConfig struct {
 	// which Result.PathSet notes.
 	FabricCacheDir string
 
-	// CongestionAware enables the §10 extension: online assignment steers
-	// around congested calendar queues within one bucket of slack, reading
-	// the slice-boundary calendar-backlog board (DESIGN.md §10).
-	CongestionAware bool
-	// CongestionThreshold overrides the backlog (data packets parked in the
-	// target calendar queue, as of the last slice boundary) at which
-	// steering engages. 0 keeps the default of 32; negative values are
-	// rejected. Ignored unless CongestionAware is set.
-	CongestionThreshold int
-	// Hotspot skews that probability mass of flows onto a few hot hosts.
-	Hotspot float64
-
 	// Failures scripts runtime faults: ToRs, cables, and circuit switches
 	// going down (and optionally back up) at fixed simulation times. The
 	// script compiles to an immutable epoch schedule consulted by the
@@ -142,13 +130,13 @@ type SimConfig struct {
 // or an error naming the first obstacle. UCMP latency relaxation consults
 // fabric-wide backlog synchronously — a zero-lookahead cross-domain read the
 // bulk-synchronous windows cannot order deterministically. Everything else
-// shards, rotor-class traffic and congestion-aware UCMP included: they read
-// peer state only through the slice-boundary boards (DESIGN.md §10), which
-// every harness network publishes. A board is race-free only when slices
-// are at least one lookahead window long, so no boundary write shares an
-// engine window with a read; that holds for every realistic fabric
-// (microsecond slices vs sub-microsecond lookahead) and is checked here, for
-// every configuration, as netsim checks it when the board is built.
+// shards, rotor-class traffic included: it reads peer state only through the
+// slice-boundary board (DESIGN.md §10), which every harness network
+// publishes. A board is race-free only when slices are at least one
+// lookahead window long, so no boundary write shares an engine window with a
+// read; that holds for every realistic fabric (microsecond slices vs
+// sub-microsecond lookahead) and is checked here, for every configuration,
+// as netsim checks it when the board is built.
 func Shardable(cfg SimConfig) error {
 	if cfg.Relax {
 		return fmt.Errorf("harness: UCMP latency relaxation is not shardable")
@@ -260,7 +248,6 @@ type simState struct {
 	eng       *sim.Engine
 	sh        *sim.ShardedEngine
 	net       *netsim.Network
-	ucmp      *routing.UCMP // nil unless cfg.Routing is UCMP
 	stack     *transport.Stack
 	col       *metrics.Collector
 	flows     []*netsim.Flow
@@ -331,13 +318,14 @@ func joinNote(notes, note string) string {
 
 // validateWorkload checks the run's numeric knobs before anything is built.
 // A negative horizon, sampling period or checkpoint period would silently run
-// no events, take no samples or write no checkpoint, and α shapes the path
-// set whatever the workload source. An explicit flow list is checked flow by
+// no events, take no samples or write no checkpoint, α shapes the path set
+// whatever the workload source, and a UCMP-only knob (Relax, PinPolicy,
+// AccurateFlowSize, MaxParallel) on another routing would be ignored. An explicit flow list is checked flow by
 // flow (validateFlows). The rest is what the Poisson generator is fed, when
 // it is the one that runs: a negative load walks the arrival clock backwards
 // and never returns, a zero load, duration or host count gives an empty FCT
-// table that looks like a result, a hotspot share outside [0,1) would be
-// clamped or ignored, and a negative size clip would run unclipped. Horizon
+// table that looks like a result, and a negative size clip would run
+// unclipped. Horizon
 // is deliberately not tied to Duration — a 1 ns horizon is how set-up is
 // timed — but a scripted failure must strike before it: one at or after the
 // horizon never happens, and the run would read as one without failures.
@@ -356,6 +344,14 @@ func validateWorkload(cfg SimConfig) error {
 		return fmt.Errorf("harness: CheckpointEvery=%v must not be negative (0 = off)", cfg.CheckpointEvery)
 	case !finite(cfg.Alpha) || cfg.Alpha < 0:
 		return fmt.Errorf("harness: Alpha=%g must be non-negative and finite", cfg.Alpha)
+	case cfg.Routing != UCMP && cfg.Relax:
+		return fmt.Errorf("harness: Relax is UCMP-only; Routing=%s would ignore it", cfg.Routing)
+	case cfg.Routing != UCMP && cfg.PinPolicy != "":
+		return fmt.Errorf("harness: PinPolicy=%q is UCMP-only; Routing=%s would ignore it", cfg.PinPolicy, cfg.Routing)
+	case cfg.Routing != UCMP && cfg.AccurateFlowSize:
+		return fmt.Errorf("harness: AccurateFlowSize is UCMP-only; Routing=%s would ignore it", cfg.Routing)
+	case cfg.Routing != UCMP && cfg.MaxParallel != 0:
+		return fmt.Errorf("harness: MaxParallel=%d is UCMP-only; Routing=%s would ignore it", cfg.MaxParallel, cfg.Routing)
 	case cfg.Flows != nil:
 		return validateFlows(cfg.Flows, cfg.Topo.NumHosts())
 	case !finite(cfg.Load) || cfg.Load <= 0:
@@ -364,8 +360,6 @@ func validateWorkload(cfg SimConfig) error {
 		return fmt.Errorf("harness: Duration=%v must be positive", cfg.Duration)
 	case cfg.Topo.HostsPerToR < 1:
 		return fmt.Errorf("harness: HostsPerToR=%d must be at least 1", cfg.Topo.HostsPerToR)
-	case !(cfg.Hotspot >= 0 && cfg.Hotspot < 1):
-		return fmt.Errorf("harness: Hotspot=%g must lie in [0,1)", cfg.Hotspot)
 	case cfg.MaxFlowSize < 0:
 		return fmt.Errorf("harness: MaxFlowSize=%d must not be negative (0 = no clip)", cfg.MaxFlowSize)
 	}
@@ -425,9 +419,6 @@ func (r *Runner) buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("harness: Shards=%d is negative", cfg.Shards)
 	}
-	if cfg.CongestionThreshold < 0 {
-		return nil, fmt.Errorf("harness: CongestionThreshold=%d is negative", cfg.CongestionThreshold)
-	}
 	shards := cfg.Shards
 	var shardNote string
 	if shards > fab.NumToRs {
@@ -486,14 +477,6 @@ func (r *Runner) buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 		net = netsim.New(eng, fab, router, qs, qs, netsim.DefaultRotor())
 	}
 
-	if ucmpRouter != nil && cfg.CongestionAware {
-		net.EnableCongestionBoard()
-		ucmpRouter.Backlog = net.CongestionBacklog
-		ucmpRouter.CongestionThreshold = cfg.CongestionThreshold
-		if ucmpRouter.CongestionThreshold == 0 {
-			ucmpRouter.CongestionThreshold = 32
-		}
-	}
 	if ucmpRouter != nil {
 		if cfg.AccurateFlowSize {
 			ager := ucmpRouter.Ager
@@ -542,7 +525,7 @@ func (r *Runner) buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 	}
 
 	return &simState{
-		cfg: cfg, eng: eng, sh: sh, net: net, ucmp: ucmpRouter, stack: stack, col: col,
+		cfg: cfg, eng: eng, sh: sh, net: net, stack: stack, col: col,
 		flows: flows, sharded: sharded, shards: shards, shardNote: shardNote, pathSet: pathSet,
 		horizon: horizonOf(cfg),
 	}, nil
@@ -655,7 +638,6 @@ func poissonFlows(cfg SimConfig) ([]*netsim.Flow, error) {
 		Seed:        cfg.Seed,
 		HostsPerToR: cfg.Topo.HostsPerToR,
 		MaxFlowSize: cfg.MaxFlowSize,
-		Hotspot:     cfg.Hotspot,
 	})
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("harness: Workload=%s Duration=%v Load=%g generated no flow", cfg.Workload, cfg.Duration, cfg.Load)

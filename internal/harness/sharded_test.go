@@ -176,14 +176,11 @@ func TestDifferentialSerialSharded(t *testing.T) {
 // — are refused: Run falls back to serial for those and records why in
 // Result.ShardNote.
 func TestShardableGate(t *testing.T) {
-	congestion := ScaledConfig(UCMP, transport.DCTCP, "websearch")
-	congestion.CongestionAware = true
 	good := []SimConfig{
 		ScaledConfig(UCMP, transport.DCTCP, "websearch"),
 		ScaledConfig(VLB, transport.Rotor, "websearch"),
 		ScaledConfig(Opera1, transport.NDP, "websearch"),
 		ScaledConfig(Opera5, transport.NDP, "websearch"),
-		congestion,
 	}
 	for _, cfg := range good {
 		if err := Shardable(cfg); err != nil {
@@ -207,12 +204,11 @@ func TestShardableGate(t *testing.T) {
 	bad := []SimConfig{
 		short(ScaledConfig(UCMP, transport.DCTCP, "websearch")),
 		short(ScaledConfig(VLB, transport.Rotor, "websearch")),
-		short(congestion),
 		func() SimConfig { c := ScaledConfig(UCMP, transport.DCTCP, "websearch"); c.Relax = true; return c }(),
 	}
 	for _, cfg := range bad {
 		if err := Shardable(cfg); err == nil {
-			t.Fatalf("Shardable accepted %v/%v relax=%v ca=%v", cfg.Routing, cfg.Transport, cfg.Relax, cfg.CongestionAware)
+			t.Fatalf("Shardable accepted %v/%v relax=%v", cfg.Routing, cfg.Transport, cfg.Relax)
 		}
 		cfg.Duration = 100 * sim.Microsecond
 		cfg.Shards = 4

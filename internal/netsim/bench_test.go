@@ -173,101 +173,6 @@ func BenchmarkShardScaling(b *testing.B) {
 	}
 }
 
-// congestion64 is the congestion-aware ladder scenario: the 64-ToR ring
-// permutation with an incast overlaid onto rack 0 (the second host of racks
-// 1..16 each push 256 KB to host 0), so calendar queues build and the
-// board-backed steering engages at a low threshold.
-func congestion64() (topo.Config, func() []*netsim.Flow, sim.Time) {
-	cfg, mkRing, _ := saturation64()
-	flows := func() []*netsim.Flow {
-		fl := mkRing()
-		for t := 1; t <= 16; t++ {
-			src := t*cfg.HostsPerToR + 1
-			fl = append(fl, netsim.NewFlow(int64(1000+t), src, 0, 256<<10, 0))
-		}
-		return fl
-	}
-	return cfg, flows, 80 * sim.Millisecond
-}
-
-// runCongestion64 executes one congestion64 iteration — board enabled,
-// UCMP steering on at threshold 2 — on the serial engine (workers == 0) or
-// the sharded engine, and fails the benchmark if the steering never
-// engaged (an idle congestion path would make the ladder meaningless).
-func (e *benchEnv) runCongestion64(b *testing.B, workers int, flows []*netsim.Flow, horizon sim.Time) uint64 {
-	b.Helper()
-	qs := transport.QueueSpec(transport.DCTCP)
-	var eng *sim.Engine
-	var sh *sim.ShardedEngine
-	var net *netsim.Network
-	if workers == 0 {
-		eng = sim.NewEngine()
-		net = netsim.New(eng, e.fab, e.router, qs, qs, netsim.DefaultRotor())
-	} else {
-		sh = sim.NewShardedEngine(e.fab.NumToRs, workers, netsim.ShardLookahead(e.fab))
-		net = netsim.NewSharded(sh, e.fab, e.router, qs, qs, netsim.DefaultRotor())
-	}
-	net.EnableCongestionBoard()
-	e.router.Backlog = net.CongestionBacklog
-	e.router.CongestionThreshold = 2
-	defer func() { e.router.Backlog = nil; e.router.CongestionThreshold = 0 }()
-	net.Stamper = e.router.StampBucket
-	net.Start()
-	stack := transport.NewStack(net, transport.DCTCP)
-	for _, f := range flows {
-		stack.Launch(f)
-	}
-	var events uint64
-	if workers == 0 {
-		eng.Run(horizon)
-		events = eng.Processed()
-	} else {
-		sh.Run(horizon)
-		net.FinalizeSharded()
-		events = sh.Processed()
-	}
-	for _, f := range flows {
-		if !f.Finished {
-			b.Fatalf("flow %d unfinished: %d/%d bytes delivered (drops=%d)",
-				f.ID, f.BytesDelivered, f.Size, net.Counters.DroppedPackets)
-		}
-	}
-	if net.Counters.CongestionSteered == 0 {
-		b.Fatal("congestion steering never engaged")
-	}
-	return events
-}
-
-// BenchmarkCongestionSharded is the congestion-aware multicore ladder: the
-// congestion64 scenario on the serial engine and at 1/2/4/8/16 workers.
-// Like BenchmarkShardScaling it wants all cores (the committed >1x-at-4+-
-// workers numbers come from the CI bench job); under GOMAXPROCS=1 the
-// sharded rungs record overhead, not speedup. The serial rung doubles as
-// the engaged-steering hot-path exhibit for the regression gate.
-func BenchmarkCongestionSharded(b *testing.B) {
-	cfg, mkFlows, horizon := congestion64()
-	env := newBenchEnv(cfg)
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		var events uint64
-		for i := 0; i < b.N; i++ {
-			events += env.runCongestion64(b, 0, mkFlows(), horizon)
-		}
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-	})
-	for _, workers := range []int{1, 2, 4, 8, 16} {
-		workers := workers
-		b.Run(fmt.Sprintf("shards=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				events += env.runCongestion64(b, workers, mkFlows(), horizon)
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
 // BenchmarkSaturationFailover is the fault-path exhibit: the saturation
 // scenario with an active failure schedule — two uplink cables blink off and
 // back mid-transfer — so every route plan pays the epoch lookup and some

@@ -894,7 +894,6 @@ func encodeCounters(e *checkpoint.Encoder, c *Counters) {
 	e.I64(c.RecoveredBackup)
 	e.I64(c.RecoveryFailed)
 	e.I64(c.FaultDrops)
-	e.I64(c.CongestionSteered)
 	for i := range c.RerouteWait {
 		e.I64(c.RerouteWait[i])
 	}
@@ -923,7 +922,6 @@ func decodeCounters(dec *checkpoint.Decoder, c *Counters) {
 	c.RecoveredBackup = dec.I64()
 	c.RecoveryFailed = dec.I64()
 	c.FaultDrops = dec.I64()
-	c.CongestionSteered = dec.I64()
 	for i := range c.RerouteWait {
 		c.RerouteWait[i] = dec.I64()
 	}

@@ -88,7 +88,6 @@ func (c *Counters) add(o *Counters) {
 	c.RecoveredBackup += o.RecoveredBackup
 	c.RecoveryFailed += o.RecoveryFailed
 	c.FaultDrops += o.FaultDrops
-	c.CongestionSteered += o.CongestionSteered
 	for i := range c.RerouteWait {
 		c.RerouteWait[i] += o.RerouteWait[i]
 	}

@@ -38,8 +38,7 @@ func (n *Network) TapHostArrivals(fn func(tor int, p *Packet)) {
 }
 
 // CalendarBacklog reports the number of data packets parked right now at a
-// ToR for the calendar queue a planned hop would use: the live view the
-// congestion board's publications are checked against.
+// ToR for the calendar queue a planned hop would use.
 func (n *Network) CalendarBacklog(tor int, hop PlannedHop) int {
 	c := n.F.CyclicSlice(hop.AbsSlice)
 	sw := n.F.Sched.SwitchFor(c, tor, hop.To)
@@ -91,7 +90,7 @@ func (n *Network) CalendarPoolCheck() error {
 // board encoder, or with encodeBoardsByHand when byHand is set.
 func (n *Network) EncodeBoards(e *checkpoint.Encoder, byHand bool) {
 	if byHand {
-		encodeBoardsByHand(e, n.rotorBoard.ring, n.congBoard.ring)
+		encodeBoardsByHand(e, n.rotorBoard.ring)
 	} else {
 		n.encodeBoards(e)
 	}
@@ -100,8 +99,5 @@ func (n *Network) EncodeBoards(e *checkpoint.Encoder, byHand bool) {
 // DecodeBoards restores a "boards" section onto the network.
 func (n *Network) DecodeBoards(d *checkpoint.Decoder) error { return n.decodeBoards(d) }
 
-// BoardRings returns copies of the rotor and congestion board rings (nil for
-// a board that is off).
-func (n *Network) BoardRings() ([]int64, []int32) {
-	return slices.Clone(n.rotorBoard.ring), slices.Clone(n.congBoard.ring)
-}
+// BoardRing returns a copy of the rotor board's ring (nil when it is off).
+func (n *Network) BoardRing() []int64 { return slices.Clone(n.rotorBoard.ring) }

@@ -85,14 +85,6 @@ type Counters struct {
 	RecoveryFailed      int64
 	FaultDrops          int64
 
-	// CongestionSteered counts data-packet route plans the §10
-	// congestion-aware extension steered off the primary path (the
-	// board-read backlog crossed the threshold and a less-congested
-	// candidate within one bucket of slack won). It is the engagement
-	// signal the congestion differential asserts on: a run where it stays
-	// zero never exercised the steering logic.
-	CongestionSteered int64
-
 	// RerouteWait is the time-to-reroute histogram: the delay between a
 	// data packet hitting a dead element (calendar expiry on a failed link
 	// or ToR) and its replacement circuit opening. Bucket 0 counts
@@ -128,9 +120,9 @@ type FaultState interface {
 // domain, the classic single-threaded event loop. Sharded (NewSharded):
 // one lookahead domain per ToR on a sim.ShardedEngine; Eng is nil, and
 // cross-ToR packet arrivals route through the engine's mailboxes. Rotor-
-// class flows (VLB/RotorLB) and the congestion-aware extension read peer
-// state only through the slice-boundary boards (board.go), so they shard
-// when slices are at least one lookahead long.
+// class flows (VLB/RotorLB) read peer state only through the slice-boundary
+// board (board.go), so they shard when slices are at least one lookahead
+// long.
 type Network struct {
 	Eng    *sim.Engine // serial engine; nil when sharded
 	F      *topo.Fabric
@@ -171,11 +163,9 @@ type Network struct {
 	sharded *sim.ShardedEngine
 	doms    []*domain
 
-	// rotorBoard carries each ToR's nonlocal VOQ bytes (on when the rotor
-	// is enabled); congBoard each ToR's calendar backlog per (uplink, cyclic
-	// slice), on after EnableCongestionBoard (board.go).
-	rotorBoard board[int64]
-	congBoard  board[int32]
+	// rotorBoard carries each ToR's nonlocal VOQ bytes, on when the rotor
+	// is enabled (board.go).
+	rotorBoard board
 
 	// Memoized serialization delays for the two wire lengths that cover
 	// nearly all traffic (full MTU frames and bare control headers), so the
@@ -213,9 +203,8 @@ func New(eng *sim.Engine, f *topo.Fabric, router Router, up, down QueueSpec, rot
 // NewSharded wires up a network over a sharded engine: one domain per ToR,
 // owning the ToR, its hosts, their NICs, and its uplink ports. The engine
 // must have exactly NumToRs domains and a window no larger than
-// ShardLookahead(f); a network that carries a slice-boundary board (the
-// rotor's, or the congestion one) also needs slices at least one window
-// long (board.go). Cross-ToR packet arrivals are routed through the
+// ShardLookahead(f); a network that carries the rotor's slice-boundary
+// board also needs slices at least one window long (board.go). Cross-ToR packet arrivals are routed through the
 // engine's mailboxes; everything else stays domain-local. Run the engine,
 // then call FinalizeSharded before reading Counters or flow completions.
 func NewSharded(sh *sim.ShardedEngine, f *topo.Fabric, router Router, up, down QueueSpec, rotor RotorConfig) *Network {
@@ -252,7 +241,7 @@ func newNetworkShell(sh *sim.ShardedEngine, f *topo.Fabric, router Router, up, d
 	n.serUpMTU = f.UplinkSerialization(f.MTU)
 	n.serUpHdr = f.UplinkSerialization(HeaderBytes)
 	if rotor.Enabled {
-		n.rotorBoard = newBoard[int64](n, 1)
+		n.rotorBoard = newBoard(n)
 	}
 	return n
 }

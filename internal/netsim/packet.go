@@ -143,12 +143,6 @@ const (
 	RecoveryLonger
 	RecoveryBackup
 	RecoveryNone
-	// RecoverySteered marks a plan the §10 congestion-aware extension moved
-	// off the primary path onto a less-congested candidate within one
-	// bucket of uniform-cost slack. It is not a fault-recovery outcome —
-	// the primary was healthy, just congested — so it feeds
-	// Counters.CongestionSteered rather than the §5.3 recovery breakdown.
-	RecoverySteered
 )
 
 func (c RecoveryClass) String() string {
@@ -165,8 +159,6 @@ func (c RecoveryClass) String() string {
 		return "backup"
 	case RecoveryNone:
 		return "none"
-	case RecoverySteered:
-		return "congestion-steered"
 	default:
 		return "?"
 	}

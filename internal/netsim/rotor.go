@@ -174,7 +174,7 @@ func (r *rotorState) selectPacket(peer int, budget sim.Time, abs int64) *Packet 
 	// 3. Indirect: spare capacity carries other destinations via peer,
 	// bounded by the peer's nonlocal backlog as of the last published slice
 	// boundary (lossless stand-in for RotorLB's offer/accept).
-	if net.rotorBoard.read(abs, peer)[0] >= net.Rotor.NonlocalCapBytes {
+	if net.rotorBoard.read(abs, peer) >= net.Rotor.NonlocalCapBytes {
 		return nil
 	}
 	dst := r.nextIndirect(peer)

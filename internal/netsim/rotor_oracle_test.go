@@ -108,7 +108,7 @@ func (r *fifoRotor) selectPacket(peer int, budget sim.Time, abs int64) *Packet {
 	// 3. Indirect: spare capacity carries other destinations via peer,
 	// bounded by the peer's nonlocal backlog as of the last published slice
 	// boundary (lossless stand-in for RotorLB's offer/accept).
-	if net.rotorBoard.read(abs, peer)[0] >= net.Rotor.NonlocalCapBytes {
+	if net.rotorBoard.read(abs, peer) >= net.Rotor.NonlocalCapBytes {
 		return nil
 	}
 	dst := r.nextIndirect(peer)
@@ -206,7 +206,7 @@ func (r *fifoRotor) selectPacketLinear(peer int, budget sim.Time, abs int64) *Pa
 		return p
 	}
 	// 3. Indirect.
-	if r.tor.net.rotorBoard.read(abs, peer)[0] >= r.tor.net.Rotor.NonlocalCapBytes {
+	if r.tor.net.rotorBoard.read(abs, peer) >= r.tor.net.Rotor.NonlocalCapBytes {
 		return nil
 	}
 	n := len(r.local)

@@ -97,9 +97,6 @@ func (t *ToR) onSliceStart(abs int64, expired int) {
 	if t.rotor != nil {
 		t.publishRotorBacklog(abs)
 	}
-	if t.net.congBoard.ring != nil {
-		t.publishCongestionBacklog(abs)
-	}
 	if expired >= 0 {
 		fs := t.net.Faults
 		now := t.dom.eng.Now()
@@ -282,7 +279,7 @@ func (t *ToR) routeAndForward(p *Packet, fromAbs int64) {
 		p.Route, p.RouteIdx = route, 0
 		hop := route[0]
 		if t.enqueueUplink(p, hop) {
-			if p.Type == Data && (t.net.Faults != nil || p.RecoveredVia == RecoverySteered) {
+			if p.Type == Data && t.net.Faults != nil {
 				t.noteRecovery(p, hop)
 			}
 			return
@@ -324,8 +321,6 @@ func (t *ToR) noteRecovery(p *Packet, first PlannedHop) {
 		ctr.RecoveredLonger++
 	case RecoveryBackup:
 		ctr.RecoveredBackup++
-	case RecoverySteered:
-		ctr.CongestionSteered++
 	}
 	if p.FaultAt > 0 {
 		ctr.RerouteWait[rerouteWaitBucket(t.net.F.SliceStart(first.AbsSlice)-p.FaultAt)]++

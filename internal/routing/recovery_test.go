@@ -63,7 +63,7 @@ func TestClassifyMatchesPlanner(t *testing.T) {
 							p := dataPacket(f, src, dst, 1<<20)
 							p.Bucket, p.Flow.Hash = b, uint64(j)
 							hops, routed := u.PlanRoute(p, src, 0, int64(ts), nil)
-							if c := p.RecoveredVia; c == netsim.RecoveryPrimary || c == netsim.RecoverySteered {
+							if c := p.RecoveredVia; c == netsim.RecoveryPrimary {
 								t.Fatalf("%s: broken path (%d,%d->%d) entry %d path %d planned as %v", tc.name, ts, src, dst, i, j, c)
 							}
 							if routed != (p.RecoveredVia != netsim.RecoveryNone) {

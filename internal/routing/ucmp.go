@@ -36,40 +36,19 @@ type UCMP struct {
 	// offline) and stamps the outcome on Packet.RecoveredVia.
 	Health HealthView
 
-	// Backlog and CongestionThreshold enable the §10 congestion-aware
-	// extension (see congestion.go): when the primary candidate's
-	// first-hop calendar queue held at least CongestionThreshold data
-	// packets as of the last slice boundary, assignment steers to the
-	// least-congested path within one bucket of the minimum uniform cost.
-	// Backlog is usually netsim.Network.CongestionBacklog, the
-	// slice-boundary board view (stale by one slice, identical in serial
-	// and sharded runs); now is the plan instant, which anchors the board
-	// slot read.
-	Backlog             func(tor int, now sim.Time, hop netsim.PlannedHop) int
-	CongestionThreshold int
-
-	// scratch recycles the working set of a plan that consults the fault
-	// view or the congestion board (planScratch). A pool rather than a plain
-	// field: PlanRoute is called concurrently from every lookahead domain of
-	// a sharded run, and the router must stay safe for concurrent use.
+	// scratch recycles the *core.Path a fault-aware plan shows the health
+	// predicate, keeping those plans allocation-free once warm, the same
+	// discipline as the packet Route buffers PlanRoute appends into. A pool
+	// rather than a plain field: PlanRoute is called concurrently from every
+	// lookahead domain of a sharded run, and the router must stay safe for
+	// concurrent use.
 	scratch sync.Pool
-}
-
-// planScratch is what a fault-aware or congestion-aware plan needs beyond
-// the packet's own route buffer: the congestion pick's candidate list and
-// per-(peer, slice) backlog memo (congestion.go), and the Path the health
-// predicate is shown. Pooling keeps those plans allocation-free once warm,
-// the same discipline as the packet Route buffers PlanRoute appends into.
-type planScratch struct {
-	cands []core.PathView
-	memo  []backlogMemo
-	path  core.Path
 }
 
 // NewUCMP builds the router from an offline PathSet.
 func NewUCMP(ps *core.PathSet) *UCMP {
 	u := &UCMP{PS: ps, Ager: core.NewFlowAger(ps), RelaxCutoff: FlowCutoff15MB, ForceBucket: -1}
-	u.scratch.New = func() any { return new(planScratch) }
+	u.scratch.New = func() any { return new(core.Path) }
 	return u
 }
 
@@ -100,34 +79,26 @@ func (u *UCMP) PlanRoute(p *netsim.Packet, tor int, now sim.Time, fromAbs int64,
 	if u.ForceBucket >= 0 {
 		bucket = u.ForceBucket
 	}
-	if u.Health == nil && (u.Backlog == nil || u.CongestionThreshold <= 0) {
+	if u.Health == nil {
 		// Steady state: the wanted entry's hash-selected path, read off the
 		// packed store without touching the pool.
 		return u.planGroup(p, nil, tor, dst, ts, bucket, hash, now, fromAbs, buf)
 	}
-	s := u.scratch.Get().(*planScratch)
-	hops, ok := u.planGroup(p, s, tor, dst, ts, bucket, hash, now, fromAbs, buf)
-	u.scratch.Put(s)
+	path := u.scratch.Get().(*core.Path)
+	hops, ok := u.planGroup(p, path, tor, dst, ts, bucket, hash, now, fromAbs, buf)
+	u.scratch.Put(path)
 	return hops, ok
 }
 
 // planGroup plans from the UCMP group's store view — the same code for
 // brute-force and rotation-symmetric path sets, whose views already carry
-// the +tor relabeling: congestion steering first (when engaged), then the
-// wanted path or its §5.3 recovery (resolve). s is nil in steady state,
-// where neither the fault view nor the board is consulted.
-func (u *UCMP) planGroup(p *netsim.Packet, s *planScratch, tor, dst, ts, bucket int, hash uint64, now sim.Time, fromAbs int64, buf []netsim.PlannedHop) ([]netsim.PlannedHop, bool) {
+// the +tor relabeling: the wanted path or its §5.3 recovery (resolve).
+// scratch is nil in steady state, where the fault view is not consulted.
+func (u *UCMP) planGroup(p *netsim.Packet, scratch *core.Path, tor, dst, ts, bucket int, hash uint64, now sim.Time, fromAbs int64, buf []netsim.PlannedHop) ([]netsim.PlannedHop, bool) {
 	g := u.PS.View(ts, tor, dst)
 	var chk healthCheck
-	if s != nil {
-		chk = healthCheck{h: u.Health, now: now, path: &s.path}
-		if path, steered, found := u.pickUncongested(s, g, bucket, tor, now, fromAbs, hash, chk); found {
-			p.RecoveredVia = netsim.RecoveryPrimary
-			if steered {
-				p.RecoveredVia = netsim.RecoverySteered
-			}
-			return hopsFromView(path, fromAbs, buf), true
-		}
+	if scratch != nil {
+		chk = healthCheck{h: u.Health, now: now, path: scratch}
 	}
 	wi := -1
 	if g.NumEntries() > 0 {

@@ -43,9 +43,8 @@ func refPaths(e core.EntryView) []*core.Path {
 
 // refPlan is route planning on groups copied out of the store — the
 // decision procedure PlanRoute ran before groups moved into the packed
-// store, kept as the reference the view-based plan must reproduce:
-// congestion pick (one-bucket slack, first-hop backlog, primary on ties),
-// then the wanted path or its §5.3 alternative, then a 2-hop backup.
+// store, kept as the reference the view-based plan must reproduce: the
+// wanted path or its §5.3 alternative, then a 2-hop backup.
 func refPlan(u *UCMP, p *netsim.Packet, tor int, now sim.Time, fromAbs int64) ([]netsim.PlannedHop, netsim.RecoveryClass, bool) {
 	ts := u.PS.F.CyclicSlice(fromAbs)
 	g := u.PS.View(ts, tor, p.DstToR)
@@ -54,10 +53,7 @@ func refPlan(u *UCMP, p *netsim.Packet, tor int, now sim.Time, fromAbs int64) ([
 	if h := u.Health; h != nil {
 		ok = func(p *core.Path) bool { return h.PathOK(now, p) }
 	}
-	path, class := refPickUncongested(u, g, p.Bucket, tor, now, fromAbs, hash, ok)
-	if path == nil {
-		path, class = refPickHealthy(u, g, p.Bucket, hash, ok)
-	}
+	path, class := refPickHealthy(u, g, p.Bucket, hash, ok)
 	if path == nil {
 		var exclude func(int) bool
 		if h := u.Health; h != nil {
@@ -69,42 +65,6 @@ func refPlan(u *UCMP, p *netsim.Packet, tor int, now sim.Time, fromAbs int64) ([
 		}
 	}
 	return hopsFromPath(path, fromAbs, nil), class, true
-}
-
-func refPickUncongested(u *UCMP, g core.GroupView, bucket, tor int, now sim.Time, fromAbs int64, hash uint64, ok func(*core.Path) bool) (*core.Path, netsim.RecoveryClass) {
-	if u.Backlog == nil || u.CongestionThreshold <= 0 {
-		return nil, 0
-	}
-	backlog := func(p *core.Path) int {
-		h := p.Hops[0]
-		return u.Backlog(tor, now, netsim.PlannedHop{To: h.To, AbsSlice: h.Slice + fromAbs - p.StartSlice})
-	}
-	want := refWanted(u, g, bucket)
-	cands := refPaths(g.Entry(want))
-	primary := cands[hash%uint64(len(cands))]
-	best, bestBacklog := primary, backlog(primary)
-	if bestBacklog < u.CongestionThreshold {
-		return nil, 0
-	}
-	for _, delta := range [2]int{-1, 1} {
-		if b := bucket + delta; b >= 0 {
-			if e := refWanted(u, g, b); e != want {
-				cands = append(cands, refPaths(g.Entry(e))...)
-			}
-		}
-	}
-	for _, p := range cands {
-		if ok != nil && !ok(p) {
-			continue
-		}
-		if b := backlog(p); b < bestBacklog {
-			best, bestBacklog = p, b
-		}
-	}
-	if best != primary {
-		return best, netsim.RecoverySteered
-	}
-	return best, netsim.RecoveryPrimary
 }
 
 func refPickHealthy(u *UCMP, g core.GroupView, bucket int, hash uint64, ok func(*core.Path) bool) (*core.Path, netsim.RecoveryClass) {
@@ -158,20 +118,10 @@ func refHealthyOf(paths []*core.Path, hash uint64, ok func(*core.Path) bool) *co
 	return nil
 }
 
-// scriptedBoard is a deterministic congestion board: a hash of (tor, peer,
-// slice) picks a backlog in [0, 8), so with threshold 4 about half the
-// picks engage and neighbours differ often enough to steer.
-func scriptedBoard(tor int, _ sim.Time, hop netsim.PlannedHop) int {
-	x := uint64(tor)*0x9e3779b97f4a7c15 ^ uint64(hop.To)*0xbf58476d1ce4e5b9 ^ uint64(hop.AbsSlice)*0x94d049bb133111eb
-	x ^= x >> 29
-	return int(x % 8)
-}
-
 // TestPlanOnViewsMatchesPlanOnGroups: on a brute-force and a symmetric path
 // set, PlanRoute (views) and refPlan (groups copied out) make the same
 // decision — hops and recovery class — for every (tor, dst, slice, bucket)
-// and several flow hashes, in steady state, under a fault view, with
-// congestion steering engaged, and with both.
+// and several flow hashes, in steady state and under a fault view.
 func TestPlanOnViewsMatchesPlanOnGroups(t *testing.T) {
 	symCfg := topo.Scaled()
 	symCfg.Uplinks = 4
@@ -183,15 +133,12 @@ func TestPlanOnViewsMatchesPlanOnGroups(t *testing.T) {
 		sc.FailLinks(0.15, rng)
 		health := StaticHealth{Path: sc.PathOK, Tor: sc.TorOK}
 		for _, mode := range []struct {
-			name          string
-			health, steer bool
-		}{{"steady", false, false}, {"faults", true, false}, {"steering", false, true}, {"faults+steering", true, true}} {
+			name   string
+			health bool
+		}{{"steady", false}, {"faults", true}} {
 			u := NewUCMP(ps)
 			if mode.health {
 				u.Health = health
-			}
-			if mode.steer {
-				u.Backlog, u.CongestionThreshold = scriptedBoard, 4
 			}
 			classes := map[netsim.RecoveryClass]int{}
 			for tor := 0; tor < f.NumToRs; tor++ {
@@ -222,10 +169,7 @@ func TestPlanOnViewsMatchesPlanOnGroups(t *testing.T) {
 					}
 				}
 			}
-			// The differential must not be vacuous in any mode.
-			if mode.steer && classes[netsim.RecoverySteered] == 0 {
-				t.Fatalf("%s sym=%v: the scripted board never steered", mode.name, ps.Symmetric())
-			}
+			// The differential must not be vacuous under faults.
 			if mode.health && classes[netsim.RecoverySameLength]+classes[netsim.RecoveryShorter]+
 				classes[netsim.RecoveryLonger]+classes[netsim.RecoveryBackup] == 0 {
 				t.Fatalf("%s sym=%v: the fault view never forced a recovery", mode.name, ps.Symmetric())

@@ -150,10 +150,6 @@ type PoissonConfig struct {
 	// cannot finish gigabyte flows). The arrival rate is calibrated against
 	// the clipped mean so the offered load stays at the target.
 	MaxFlowSize int64
-	// Hotspot, in (0,1), sends that probability mass of flows toward a
-	// small set of hot destination hosts (one per 8 hosts), creating the
-	// hot spots the §10 congestion-aware extension targets.
-	Hotspot float64
 }
 
 // Generate draws the flow set: Poisson arrivals at aggregate rate
@@ -196,23 +192,10 @@ func Generate(cfg PoissonConfig) []*netsim.Flow {
 	return flows
 }
 
-// drawDst picks a destination, honoring rack exclusion and the hotspot
-// skew.
+// drawDst picks a uniform destination, honoring rack exclusion.
 func (cfg PoissonConfig) drawDst(rng *rand.Rand, src int) int {
-	hotCount := cfg.NumHosts / 8
-	if hotCount < 1 {
-		hotCount = 1
-	}
 	for {
-		var dst int
-		if cfg.Hotspot > 0 && rng.Float64() < cfg.Hotspot {
-			dst = rng.Intn(hotCount) * 8 // spread hot hosts across racks
-			if dst >= cfg.NumHosts {
-				dst = cfg.NumHosts - 1
-			}
-		} else {
-			dst = rng.Intn(cfg.NumHosts)
-		}
+		dst := rng.Intn(cfg.NumHosts)
 		if dst == src {
 			continue
 		}
