@@ -83,7 +83,7 @@ func ckptFingerprint(t *testing.T, r *Result) string {
 	t.Helper()
 	out := Fingerprint(r)
 	if !r.Sharded {
-		out = withEvents(r)
+		out = fmt.Sprintf("events=%d\n", r.Events) + out
 	}
 	out += "\nsamples:"
 	for _, s := range r.Collector.Samples {

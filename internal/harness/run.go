@@ -317,17 +317,17 @@ func joinNote(notes, note string) string {
 }
 
 // validateWorkload checks the run's numeric knobs before anything is built.
-// A negative horizon, sampling period or checkpoint period would silently run
-// no events, take no samples or write no checkpoint, α shapes the path set
-// whatever the workload source, and a UCMP-only knob (Relax, PinPolicy,
-// AccurateFlowSize, MaxParallel) on another routing would be ignored. An explicit flow list is checked flow by
-// flow (validateFlows). The rest is what the Poisson generator is fed, when
-// it is the one that runs: a negative load walks the arrival clock backwards
-// and never returns, a zero load, duration or host count gives an empty FCT
-// table that looks like a result, and a negative size clip would run
-// unclipped. Horizon
-// is deliberately not tied to Duration — a 1 ns horizon is how set-up is
-// timed — but a scripted failure must strike before it: one at or after the
+// A negative horizon, sampling period or checkpoint period would silently
+// run no events, take no samples or write no checkpoint, α shapes the path
+// set whatever the workload source, and a UCMP-only knob (Relax, PinPolicy,
+// AccurateFlowSize, MaxParallel) on another routing would be ignored. An
+// explicit flow list is checked flow by flow (validateFlows). The rest is
+// what the Poisson generator is fed, when it is the one that runs: a
+// negative load walks the arrival clock backwards and never returns, a zero
+// load, duration or host count gives an empty FCT table that looks like a
+// result, and a negative size clip would run unclipped. Horizon is
+// deliberately not tied to Duration — a 1 ns horizon is how set-up is timed
+// — but a scripted failure must strike before it: one at or after the
 // horizon never happens, and the run would read as one without failures.
 func validateWorkload(cfg SimConfig) error {
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -168,13 +168,12 @@ func TestDifferentialSerialSharded(t *testing.T) {
 	}
 }
 
-// TestShardableGate pins both sides of the gate: plain UCMP, the rotor-class
-// baselines (VLB, Opera, RotorLB transport) and congestion-aware UCMP pass it
-// whenever the slice duration covers the lookahead window, while latency
-// relaxation and any config whose slice is shorter than the lookahead —
-// every harness network publishes the slice-boundary boards (DESIGN.md §10)
-// — are refused: Run falls back to serial for those and records why in
-// Result.ShardNote.
+// TestShardableGate pins both sides of the gate: plain UCMP and the
+// rotor-class baselines (VLB, Opera, RotorLB transport) pass it whenever the
+// slice duration covers the lookahead window, while latency relaxation and
+// any config whose slice is shorter than the lookahead — every harness
+// network publishes the slice-boundary board (DESIGN.md §10) — are refused:
+// Run falls back to serial for those and records why in Result.ShardNote.
 func TestShardableGate(t *testing.T) {
 	good := []SimConfig{
 		ScaledConfig(UCMP, transport.DCTCP, "websearch"),

@@ -107,8 +107,8 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	}
 
 	// Serial vs sharded on the warm path set: the engines must still agree on
-	// every simulation observable (Fingerprint, which leaves out events — event counts
-	// legitimately differ between the engines).
+	// every simulation observable (Fingerprint, which leaves out events —
+	// event counts legitimately differ between the engines).
 	sharded := populate
 	sharded.Shards = 4
 	shRes, err := Run(sharded)

@@ -3,9 +3,8 @@ package netsim
 // Checkpoint/restore for the fabric (DESIGN.md §11). Snapshot re-encodes the
 // network's full mutable state — per-domain engine clocks, pending events as
 // pure descriptors, flow progress, every port queue with its parked packets
-// (RotorLB VOQs as the records they hold), the slice-boundary boards, and the
-// counter shards — into named sections of
-// a checkpoint.Writer. RestoreFrom rebuilds that state onto a freshly
+// (RotorLB VOQs as the records they hold), the slice-boundary board, and the
+// counter shards — into named sections of a checkpoint.Writer. RestoreFrom rebuilds that state onto a freshly
 // constructed Network whose flows have been re-registered (the deterministic
 // workload regeneration reproduces registration order, so dense indices are
 // the stable identity packets and endpoints are serialized under).

@@ -203,10 +203,11 @@ func New(eng *sim.Engine, f *topo.Fabric, router Router, up, down QueueSpec, rot
 // NewSharded wires up a network over a sharded engine: one domain per ToR,
 // owning the ToR, its hosts, their NICs, and its uplink ports. The engine
 // must have exactly NumToRs domains and a window no larger than
-// ShardLookahead(f); a network that carries the rotor's slice-boundary
-// board also needs slices at least one window long (board.go). Cross-ToR packet arrivals are routed through the
-// engine's mailboxes; everything else stays domain-local. Run the engine,
-// then call FinalizeSharded before reading Counters or flow completions.
+// ShardLookahead(f); a network that carries the rotor's slice-boundary board
+// also needs slices at least one window long (board.go). Cross-ToR packet
+// arrivals are routed through the engine's mailboxes; everything else stays
+// domain-local. Run the engine, then call FinalizeSharded before reading
+// Counters or flow completions.
 func NewSharded(sh *sim.ShardedEngine, f *topo.Fabric, router Router, up, down QueueSpec, rotor RotorConfig) *Network {
 	if sh.Domains() != f.NumToRs {
 		panic(fmt.Sprintf("netsim: sharded engine has %d domains, fabric has %d ToRs", sh.Domains(), f.NumToRs))
