@@ -3,6 +3,7 @@ package ucmp_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -13,13 +14,14 @@ import (
 )
 
 // BenchmarkFabricColdVsWarm measures the warm-fabric cache end to end at
-// scale (DESIGN.md §11): one cold iteration builds the symmetric path set,
-// compiles ToR 0's table, and saves the fabric file; each warm iteration
-// mmap-loads and validates it. The cold-s and warm-s metrics are the
-// README's "warm fabrics" numbers; the byte-compare keeps the benchmark
-// honest about warm == cold. Run with -benchtime 1x: the cold iteration
-// (build, compile, save) is a few seconds at N=1024, and the cache file
-// makes every further iteration measure only the warm path.
+// scale (DESIGN.md §11): one cold iteration builds the symmetric path set
+// and saves the fabric file; each warm iteration loads it — map, checksum,
+// decode — into a path set of its own. The cold-s and warm-s metrics are
+// the README's "warm fabrics" numbers, file-MB the file's size; the store
+// fingerprint and a ToR-0 table compiled from the loaded path set keep the
+// benchmark honest about warm == cold. Run with -benchtime 1x: the cold
+// iteration is a few seconds at N=1024, and the cache file makes every
+// further iteration measure only the warm path.
 func BenchmarkFabricColdVsWarm(b *testing.B) {
 	for _, n := range []int{512, 1024} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
@@ -31,30 +33,40 @@ func BenchmarkFabricColdVsWarm(b *testing.B) {
 
 			t0 := time.Now()
 			ps := core.BuildPathSet(fab, 0.5)
-			table := routing.CompileTable(ps, core.NewFlowAger(ps), 0)
 			cold := time.Since(t0).Seconds()
-			if err := fabriccache.Save(path, ps, table); err != nil {
+			if err := fabriccache.Save(path, ps, nil); err != nil {
 				b.Fatal(err)
 			}
-			want := table.Bytes()
+			st, err := os.Stat(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			want := core.StoreFingerprint(ps)
 
 			var warm float64
+			var wf *fabriccache.Fabric
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 = time.Now()
-				wf, err := fabriccache.Load(path, fab, params, fabriccache.Options{})
+				wf, err = fabriccache.Load(path, fab, params, fabriccache.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				warm = time.Since(t0).Seconds()
-				if !bytes.Equal(wf.Table.Bytes(), want) {
-					b.Fatal("warm table differs from cold")
+				if core.StoreFingerprint(wf.PS) != want {
+					b.Fatal("warm store differs from cold")
 				}
-				wf.Close()
+			}
+			b.StopTimer()
+			w := routing.CompileTable(wf.PS, core.NewFlowAger(wf.PS), 0)
+			c := routing.CompileTable(ps, core.NewFlowAger(ps), 0)
+			if !bytes.Equal(w.Bytes(), c.Bytes()) {
+				b.Fatal("ToR 0's table compiled from the warm path set differs from cold")
 			}
 			b.ReportMetric(cold, "cold-s")
 			b.ReportMetric(warm, "warm-s")
 			b.ReportMetric(cold/warm, "speedup")
+			b.ReportMetric(float64(st.Size())/1e6, "file-MB")
 		})
 	}
 }

@@ -1,10 +1,9 @@
-// Package fabriccache persists compiled fabrics — the symmetric PathSet's
-// canonical spine + group store and ToR 0's CompiledTable — in a
-// versioned binary file served back via mmap (DESIGN.md §11). A load is
-// about as fast as the canonical build it replaces (1024 ToRs × 8 uplinks:
-// ~0.35 s cold, ~0.3 s loaded); what the file still buys is that multiple
-// processes loading it share one copy of the hot arrays through the page
-// cache.
+// Package fabriccache persists the compiled UCMP fabric a run plans from —
+// a symmetric PathSet's canonical spine and group store — in a versioned,
+// checksummed binary file (DESIGN.md §11), so a later process can skip the
+// path-set build. Load maps (or reads) the file, decodes the store into the
+// PathSet's own memory and releases the file before it returns: nothing a
+// caller holds aliases the file, and each process decodes its own copy.
 //
 // File layout (little-endian):
 //
@@ -13,7 +12,8 @@
 //	16  u64 schedule fingerprint (topo.Schedule.Fingerprint)
 //	24  u64 alpha bits, u64 linkBps bits, u64 sliceMicros bits (float64)
 //	48  u32 maxParallel, u32 n, u32 d, u32 s
-//	64  3 × {u64 offset, u64 length}: spine, store, table sections
+//	64  2 × {u64 offset, u64 length}: spine, store sections
+//	96  16 reserved zero bytes
 //	112 u64 payload checksum (FNV-1a over bytes 128..EOF)
 //	120 u64 header checksum (FNV-1a over bytes 0..120)
 //	128 payload; section offsets are absolute and 8-byte aligned
@@ -24,13 +24,6 @@
 // never silently serve a different fabric. Cache file NAMES also embed the
 // fingerprint (FileName), so rebuilding a changed fabric writes a new file
 // instead of fighting over one.
-//
-// Ownership: Load returns a Fabric handle owning the underlying mapping.
-// The PathSet is always decoded into its own packed store, but all four
-// CompiledTable arrays may alias the mapping, so the handle must outlive
-// every use of Table; Close unmaps and invalidates it. A caller that wants
-// only the path set (harness: no run reads the table) takes PS and Closes
-// the handle at once — the PathSet stays valid.
 package fabriccache
 
 import (
@@ -49,7 +42,7 @@ import (
 
 const (
 	magic      = "UCMPFAB1"
-	version    = 1
+	version    = 2
 	headerSize = 128
 
 	fnvOffset = 1469598103934665603
@@ -75,26 +68,10 @@ func effMaxParallel(mp int) int {
 	return mp
 }
 
-// Fabric is a warm compiled fabric loaded from a cache file. Table may
-// alias the underlying file mapping; see the package comment for the
-// lifetime rule.
+// Fabric is a compiled fabric loaded from a cache file. PS owns its store;
+// Load has released the file by the time it returns one.
 type Fabric struct {
-	PS    *core.PathSet
-	Table *routing.CompiledTable // ToR 0's table; other ToRs compile lazily
-
-	data   []byte
-	mapped bool
-}
-
-// Close releases the file mapping and clears the handle. Table must not be
-// used afterward; a PathSet taken from PS stays valid, as it owns its store.
-func (f *Fabric) Close() error {
-	data, mapped := f.data, f.mapped
-	f.PS, f.Table, f.data, f.mapped = nil, nil, nil, false
-	if mapped {
-		return unmap(data)
-	}
-	return nil
+	PS *core.PathSet
 }
 
 func fnv64(h uint64, b []byte) uint64 {
@@ -123,12 +100,9 @@ func FileName(dir string, f *topo.Fabric, p Params) string {
 }
 
 // Encode assembles the complete file image for a compiled fabric. The path
-// set must be a symmetric build (the canonical form is the only one worth
-// persisting — brute spines are O(S·N²)) and the table must be ToR 0's.
-func Encode(ps *core.PathSet, table *routing.CompiledTable) ([]byte, error) {
-	if table.Tor != 0 {
-		return nil, fmt.Errorf("fabriccache: table is for ToR %d, want 0", table.Tor)
-	}
+// set must be a symmetric build: the canonical form is the only one worth
+// persisting (brute spines are O(S·N²)).
+func Encode(ps *core.PathSet) ([]byte, error) {
 	spine, store, err := ps.EncodeCanonical()
 	if err != nil {
 		return nil, err
@@ -139,14 +113,11 @@ func Encode(ps *core.PathSet, table *routing.CompiledTable) ([]byte, error) {
 		}
 		return b
 	}
-	out := make([]byte, headerSize, headerSize+len(spine)+len(store)+len(store)/2)
+	out := make([]byte, headerSize, headerSize+len(spine)+len(store)+16)
 	spineOff := len(out)
 	out = align(append(out, spine...))
 	storeOff := len(out)
 	out = align(append(out, store...))
-	tableOff := len(out)
-	out = table.AppendPacked(out)
-	tableLen := len(out) - tableOff
 
 	h := out[:0:headerSize]
 	h = append(h, magic...)
@@ -162,9 +133,9 @@ func Encode(ps *core.PathSet, table *routing.CompiledTable) ([]byte, error) {
 	u32(uint32(ps.F.NumToRs))
 	u32(uint32(ps.F.Uplinks))
 	u32(uint32(ps.F.Sched.S))
-	for _, sec := range [][2]int{{spineOff, len(spine)}, {storeOff, len(store)}, {tableOff, tableLen}} {
-		u64(uint64(sec[0]))
-		u64(uint64(sec[1]))
+	// The spine and store sections, then the 16 reserved bytes.
+	for _, v := range []int{spineOff, len(spine), storeOff, len(store), 0, 0} {
+		u64(uint64(v))
 	}
 	u64(fnv64(fnvOffset, out[headerSize:]))
 	u64(fnv64(fnvOffset, h))
@@ -175,9 +146,10 @@ func Encode(ps *core.PathSet, table *routing.CompiledTable) ([]byte, error) {
 }
 
 // Save writes the compiled fabric to path atomically (temp file + rename),
-// creating the directory if needed.
-func Save(path string, ps *core.PathSet, table *routing.CompiledTable) error {
-	img, err := Encode(ps, table)
+// creating the directory if needed. The table argument is ignored: the file
+// holds only what a run loads, and no run routes by a compiled table.
+func Save(path string, ps *core.PathSet, _ *routing.CompiledTable) error {
+	img, err := Encode(ps)
 	if err != nil {
 		return err
 	}
@@ -234,49 +206,35 @@ func cleanStaleTemps(dir string) {
 
 // Options tunes Load.
 type Options struct {
-	// NoAlias forces the copying table decode: Table owns its arrays and the
-	// mapping is released before Load returns. Slower and bigger, but the
-	// result outlives the handle — and it is the differential path that
-	// keeps the copying decoder honest in tests.
-	NoAlias bool
-	// NoMmap reads the file into memory instead of mapping it (aliasing
-	// still applies to the heap copy). Mostly for tests.
+	// NoMmap reads the file into memory instead of mapping it. Mostly for
+	// tests.
 	NoMmap bool
 }
 
 // Load maps (or reads) a compiled-fabric file and rebuilds the warm PathSet
-// and ToR-0 table for the given fabric. Every mismatch — magic, version,
-// checksums, schedule fingerprint, cost-model params, dimensions, any
-// structural defect in the payload — is an error and never a partial or
-// wrong fabric. The caller owns the returned handle (see package comment).
+// for the given fabric. Every mismatch — magic, version, checksums,
+// schedule fingerprint, cost-model params, dimensions, any structural
+// defect in the payload — is an error and never a partial or wrong fabric.
+// The mapping is released before Load returns.
 func Load(path string, fab *topo.Fabric, p Params, opt Options) (*Fabric, error) {
 	cleanStaleTemps(filepath.Dir(path))
 	data, mapped, err := readFile(path, opt.NoMmap)
 	if err != nil {
 		return nil, err
 	}
-	release := func() {
-		if mapped {
-			unmap(data)
-		}
+	ps, err := decode(data, fab, p)
+	if mapped {
+		unmap(data)
 	}
-	ld, err := decode(data, fab, p, opt)
 	if err != nil {
-		release()
 		return nil, err
 	}
-	if opt.NoAlias {
-		// Nothing references the file image; drop it eagerly.
-		release()
-		return &Fabric{PS: ld.PS, Table: ld.Table}, nil
-	}
-	ld.data, ld.mapped = data, mapped
-	return ld, nil
+	return &Fabric{PS: ps}, nil
 }
 
 // decode validates the file image against the expected fabric and params
-// and rebuilds the path set and table.
-func decode(data []byte, fab *topo.Fabric, p Params, opt Options) (*Fabric, error) {
+// and rebuilds the path set into memory of its own.
+func decode(data []byte, fab *topo.Fabric, p Params) (*core.PathSet, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("fabriccache: file is %d bytes, shorter than the %d-byte header", len(data), headerSize)
 	}
@@ -319,7 +277,7 @@ func decode(data []byte, fab *topo.Fabric, p Params, opt Options) (*Fabric, erro
 	if got := binary.LittleEndian.Uint64(data[112:]); got != fnv64(fnvOffset, data[headerSize:]) {
 		return nil, fmt.Errorf("fabriccache: payload checksum mismatch")
 	}
-	sections := make([][]byte, 3)
+	var sections [2][]byte
 	for i := range sections {
 		off := binary.LittleEndian.Uint64(data[64+16*i:])
 		ln := binary.LittleEndian.Uint64(data[72+16*i:])
@@ -328,21 +286,7 @@ func decode(data []byte, fab *topo.Fabric, p Params, opt Options) (*Fabric, erro
 		}
 		sections[i] = data[off : off+ln]
 	}
-	ps, err := core.DecodeCanonical(fab, p.Alpha, p.MaxParallel, sections[0], sections[1])
-	if err != nil {
-		return nil, err
-	}
-	table, err := routing.DecodePacked(sections[2], routing.DecodeOptions{NoAlias: opt.NoAlias})
-	if err != nil {
-		return nil, err
-	}
-	if table.Tor != 0 {
-		return nil, fmt.Errorf("fabriccache: table is for ToR %d, want 0", table.Tor)
-	}
-	if err := table.Validate(ps); err != nil {
-		return nil, err
-	}
-	return &Fabric{PS: ps, Table: table}, nil
+	return core.DecodeCanonical(fab, p.Alpha, p.MaxParallel, sections[0], sections[1])
 }
 
 // readFile maps the file read-only, falling back to a plain read when

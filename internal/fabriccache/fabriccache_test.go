@@ -2,8 +2,10 @@ package fabriccache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,36 +24,83 @@ func testFabric(t testing.TB, kind string, n, d int) *topo.Fabric {
 	return f
 }
 
-func compile(t testing.TB, f *topo.Fabric, p Params) (*core.PathSet, *routing.CompiledTable) {
+func compile(t testing.TB, f *topo.Fabric, p Params) *core.PathSet {
 	ps := core.BuildPathSetWith(f, p.Alpha, p.MaxParallel)
 	if !ps.Symmetric() {
 		t.Fatalf("build not symmetric")
 	}
-	return ps, routing.CompileTable(ps, core.NewFlowAger(ps), 0)
+	return ps
 }
 
-// TestSaveLoadRoundTrip: a saved fabric loads back — mmap'd/aliased, plain
-// read, and fully copying — with the exact same compiled table bytes and an
-// equivalent path set, across schedule kinds.
+// walkViews reads every group of ps through its views — every entry, path
+// and hop of every (t_start, src, dst) — and digests what it read, so a
+// store that still aliased released memory would fault here.
+func walkViews(ps *core.PathSet) uint64 {
+	n, s := ps.F.Sched.N, ps.F.Sched.S
+	var b []byte
+	var path core.Path
+	for ts := 0; ts < s; ts++ {
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if dst == src {
+					continue
+				}
+				g := ps.View(ts, src, dst)
+				for i := 0; i < g.NumEntries(); i++ {
+					e := g.Entry(i)
+					b = binary.LittleEndian.AppendUint64(b, uint64(e.LatencySlices))
+					for j := 0; j < e.NumPaths; j++ {
+						e.Path(j).Fill(&path)
+						for _, h := range path.Hops {
+							b = binary.LittleEndian.AppendUint64(b, uint64(h.To))
+							b = binary.LittleEndian.AppendUint64(b, uint64(h.Slice))
+						}
+					}
+				}
+				for _, thr := range g.Thresholds() {
+					b = binary.LittleEndian.AppendUint64(b, uint64(thr))
+				}
+			}
+		}
+	}
+	return fnv64(fnvOffset, b)
+}
+
+// sameTables fails unless every ToR's compiled table built from warm is
+// byte-identical to the one built from cold.
+func sameTables(t *testing.T, what string, warm, cold *core.PathSet) {
+	t.Helper()
+	for tor := 0; tor < cold.F.NumToRs; tor++ {
+		w := routing.CompileTable(warm, core.NewFlowAger(warm), tor)
+		c := routing.CompileTable(cold, core.NewFlowAger(cold), tor)
+		if !bytes.Equal(w.Bytes(), c.Bytes()) {
+			t.Fatalf("%s: ToR %d's table compiled from the warm path set differs from cold", what, tor)
+		}
+	}
+}
+
+// TestSaveLoadRoundTrip: a saved fabric loads back — mapped and plain read —
+// to a path set with the cold build's store bytes, from which every ToR
+// compiles the cold build's table, across schedule kinds.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for _, kind := range []string{"round-robin", "opera", "random-circulant"} {
 		f := testFabric(t, kind, 16, 4)
 		p := Params{Alpha: 0.5}
-		ps, table := compile(t, f, p)
+		ps := compile(t, f, p)
 		path := FileName(dir, f, p)
-		if err := Save(path, ps, table); err != nil {
+		if err := Save(path, ps, nil); err != nil {
 			t.Fatalf("%s: save: %v", kind, err)
 		}
-		wantTable := table.Bytes()
+		wantStore := core.StoreFingerprint(ps)
 		wantRows, wantCanon := ps.CanonStats()
-		for _, opt := range []Options{{}, {NoMmap: true}, {NoAlias: true}} {
+		for _, opt := range []Options{{}, {NoMmap: true}} {
 			warm, err := Load(path, f, p, opt)
 			if err != nil {
 				t.Fatalf("%s %+v: load: %v", kind, opt, err)
 			}
-			if !bytes.Equal(warm.Table.Bytes(), wantTable) {
-				t.Fatalf("%s %+v: warm table differs from cold", kind, opt)
+			if got := core.StoreFingerprint(warm.PS); got != wantStore {
+				t.Fatalf("%s %+v: warm store fingerprint %016x, cold %016x", kind, opt, got, wantStore)
 			}
 			if rows, canon := warm.PS.CanonStats(); rows != wantRows || canon != wantCanon {
 				t.Fatalf("%s %+v: warm CanonStats (%d,%d), want (%d,%d)", kind, opt, rows, canon, wantRows, wantCanon)
@@ -59,15 +108,40 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if warm.PS.Calc.MaxParallel != core.DefaultMaxParallel {
 				t.Fatalf("%s: warm MaxParallel %d, want default %d", kind, warm.PS.Calc.MaxParallel, core.DefaultMaxParallel)
 			}
-			// Recompiling ToR 0 from the warm path set must reproduce the
-			// loaded table exactly — the differential that pins warm == cold.
-			re := routing.CompileTable(warm.PS, core.NewFlowAger(warm.PS), 0)
-			if !bytes.Equal(re.Bytes(), wantTable) {
-				t.Fatalf("%s %+v: table recompiled from warm path set differs", kind, opt)
-			}
-			if err := warm.Close(); err != nil {
-				t.Fatalf("%s: close: %v", kind, err)
-			}
+			sameTables(t, kind, warm.PS, ps)
+		}
+	}
+}
+
+// TestPathSetOutlivesFile: Load hands back a path set that holds nothing of
+// the file. Truncating and removing the file after Load, mapped or read,
+// leaves every view readable and the store's bytes those of the cold build;
+// a view still aliasing the mapping would raise SIGBUS or SIGSEGV here.
+func TestPathSetOutlivesFile(t *testing.T) {
+	f := testFabric(t, "round-robin", 16, 4)
+	p := Params{Alpha: 0.5}
+	ps := compile(t, f, p)
+	wantStore, wantWalk := core.StoreFingerprint(ps), walkViews(ps)
+	for _, opt := range []Options{{}, {NoMmap: true}} {
+		path := FileName(t.TempDir(), f, p)
+		if err := Save(path, ps, nil); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := Load(path, f, p, opt)
+		if err != nil {
+			t.Fatalf("%+v: %v", opt, err)
+		}
+		if err := os.Truncate(path, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if got := core.StoreFingerprint(warm.PS); got != wantStore {
+			t.Fatalf("%+v: store fingerprint %016x after the file went, want %016x", opt, got, wantStore)
+		}
+		if got := walkViews(warm.PS); got != wantWalk {
+			t.Fatalf("%+v: views read %016x after the file went, want %016x", opt, got, wantWalk)
 		}
 	}
 }
@@ -105,9 +179,8 @@ func TestLoadRejections(t *testing.T) {
 	dir := t.TempDir()
 	f := testFabric(t, "round-robin", 16, 4)
 	p := Params{Alpha: 0.5}
-	ps, table := compile(t, f, p)
 	path := FileName(dir, f, p)
-	if err := Save(path, ps, table); err != nil {
+	if err := Save(path, compile(t, f, p), nil); err != nil {
 		t.Fatal(err)
 	}
 	img, err := os.ReadFile(path)
@@ -119,10 +192,7 @@ func TestLoadRejections(t *testing.T) {
 		if err := os.WriteFile(mut, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		warm, err := Load(mut, f, p, Options{NoMmap: true})
-		if err == nil {
-			warm.Close()
-		}
+		_, err := Load(mut, f, p, Options{NoMmap: true})
 		return err
 	}
 
@@ -164,7 +234,7 @@ func TestSaveOverwrites(t *testing.T) {
 	dir := t.TempDir()
 	f := testFabric(t, "round-robin", 8, 4)
 	p := Params{Alpha: 0.5}
-	ps, table := compile(t, f, p)
+	ps := compile(t, f, p)
 	path := FileName(dir, f, p)
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
@@ -172,41 +242,42 @@ func TestSaveOverwrites(t *testing.T) {
 	if _, err := Load(path, f, p, Options{}); err == nil {
 		t.Fatal("garbage file must fail to load")
 	}
-	if err := Save(path, ps, table); err != nil {
+	if err := Save(path, ps, nil); err != nil {
 		t.Fatal(err)
 	}
 	warm, err := Load(path, f, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer warm.Close()
-	if !bytes.Equal(warm.Table.Bytes(), table.Bytes()) {
-		t.Fatal("reloaded table differs after overwrite")
+	if core.StoreFingerprint(warm.PS) != core.StoreFingerprint(ps) {
+		t.Fatal("reloaded store differs after overwrite")
 	}
 }
 
-// FuzzLoad: arbitrary file images never panic the loader.
+// FuzzLoad: arbitrary file images never panic the loader, and whatever it
+// accepts is a whole path set.
 func FuzzLoad(f *testing.F) {
 	fab := testFabric(f, "round-robin", 8, 4)
 	p := Params{Alpha: 0.5}
-	ps, table := compile(f, fab, p)
-	img, err := Encode(ps, table)
+	img, err := Encode(compile(f, fab, p))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1, err := os.ReadFile("testdata/pr14-round-robin-16x4.ucmpfab")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(img)
 	f.Add(img[:headerSize])
 	f.Add([]byte{})
+	f.Add(v1)
 	f.Fuzz(func(t *testing.T, img []byte) {
-		warm, err := decode(img, fab, p, Options{NoAlias: true})
+		ps, err := decode(img, fab, p)
 		if err == nil {
-			// Anything the loader accepts must be a complete, valid fabric.
-			if warm.PS == nil || warm.Table == nil {
+			if ps == nil {
 				t.Fatal("accepted fabric is partial")
 			}
-			if err := warm.Table.Validate(warm.PS); err != nil {
-				t.Fatal(err)
-			}
+			walkViews(ps)
 		}
 	})
 }
@@ -216,8 +287,7 @@ func FuzzLoad(f *testing.F) {
 // turns that into a warning plus a cold build.
 func TestSaveUnwritableDegrades(t *testing.T) {
 	fab := testFabric(t, "round-robin", 16, 4)
-	p := Params{Alpha: 0.5}
-	ps, table := compile(t, fab, p)
+	ps := compile(t, fab, Params{Alpha: 0.5})
 
 	// A regular file where the cache directory should be: MkdirAll fails
 	// with ENOTDIR on every platform, even running as root (where a chmod'd
@@ -228,7 +298,7 @@ func TestSaveUnwritableDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(blocker, "sub", "fabric.ucmpfab")
-	if err := Save(path, ps, table); err == nil {
+	if err := Save(path, ps, nil); err == nil {
 		t.Fatal("Save into an unwritable path succeeded")
 	}
 	if _, err := os.Stat(path); err == nil {
@@ -242,11 +312,10 @@ func TestSaveUnwritableDegrades(t *testing.T) {
 func TestStaleTempCleanup(t *testing.T) {
 	fab := testFabric(t, "round-robin", 16, 4)
 	p := Params{Alpha: 0.5}
-	ps, table := compile(t, fab, p)
 
 	dir := t.TempDir()
 	path := FileName(dir, fab, p)
-	if err := Save(path, ps, table); err != nil {
+	if err := Save(path, compile(t, fab, p), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -262,11 +331,9 @@ func TestStaleTempCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wf, err := Load(path, fab, p, Options{NoMmap: true, NoAlias: true})
-	if err != nil {
+	if _, err := Load(path, fab, p, Options{NoMmap: true}); err != nil {
 		t.Fatal(err)
 	}
-	wf.Close()
 
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale temp survived Load: %v", err)
@@ -279,38 +346,43 @@ func TestStaleTempCleanup(t *testing.T) {
 	}
 }
 
-// TestLoadsFileWrittenBeforePackedStore: the file format is independent of
-// the in-memory group representation. testdata holds a (16,4) round-robin
-// fabric written by the last commit whose PathSet was a graph of *Group
-// (PR 14); it must load, yield the cold build's table, and be exactly the
-// image today's build encodes — so files travel both ways across the change.
-func TestLoadsFileWrittenBeforePackedStore(t *testing.T) {
+// TestVersion1FileRefused: testdata holds a (16,4) round-robin fabric in the
+// version-1 format, written before the packed in-memory store, whose third
+// section was ToR 0's compiled table. It is refused by its version, mapped
+// or read, and never served. Its header fields up to the section table and
+// its spine and store sections are byte-equal to the image today's build
+// encodes: dropping the table moved neither the header layout nor the
+// store encoding.
+func TestVersion1FileRefused(t *testing.T) {
 	const golden = "testdata/pr14-round-robin-16x4.ucmpfab"
 	f := testFabric(t, "round-robin", 16, 4)
 	p := Params{Alpha: 0.5}
-	ps, table := compile(t, f, p)
-	for _, opt := range []Options{{}, {NoMmap: true, NoAlias: true}} {
-		warm, err := Load(golden, f, p, opt)
-		if err != nil {
-			t.Fatalf("%+v: %v", opt, err)
-		}
-		re := routing.CompileTable(warm.PS, core.NewFlowAger(warm.PS), 0)
-		if !bytes.Equal(re.Bytes(), table.Bytes()) || !bytes.Equal(warm.Table.Bytes(), table.Bytes()) {
-			t.Fatalf("%+v: tables from the PR 14 file differ from the cold build", opt)
-		}
-		if err := warm.Close(); err != nil {
-			t.Fatal(err)
+	for _, opt := range []Options{{}, {NoMmap: true}} {
+		_, err := Load(golden, f, p, opt)
+		if err == nil || !strings.Contains(err.Error(), "file version 1, want 2") {
+			t.Fatalf("%+v: loading the version-1 file: %v, want a version refusal", opt, err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	old, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := Encode(ps, table)
+	img, err := Encode(compile(t, f, p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(img, want) {
-		t.Fatalf("today's image (%d bytes) differs from the PR 14 file (%d bytes)", len(img), len(want))
+	oldHead := append([]byte(nil), old[:64]...)
+	binary.LittleEndian.PutUint32(oldHead[8:], version)
+	if !bytes.Equal(oldHead, img[:64]) {
+		t.Fatal("header fields before the section table differ from the version-1 file's")
+	}
+	section := func(b []byte, i int) []byte {
+		off := binary.LittleEndian.Uint64(b[64+16*i:])
+		return b[off : off+binary.LittleEndian.Uint64(b[72+16*i:])]
+	}
+	for i, name := range []string{"spine", "store"} {
+		if !bytes.Equal(section(old, i), section(img, i)) {
+			t.Fatalf("%s section differs from the version-1 file's", name)
+		}
 	}
 }

@@ -26,6 +26,7 @@ func mapPath(path string) (data []byte, ok bool) {
 	return data, true
 }
 
-func unmap(data []byte) error {
-	return syscall.Munmap(data)
-}
+// unmap releases a mapping mapPath made. Munmap of such a region fails only
+// on a bug, and nothing the caller holds points into it, so the error is
+// dropped.
+func unmap(data []byte) { _ = syscall.Munmap(data) }

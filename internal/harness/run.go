@@ -74,17 +74,16 @@ type SimConfig struct {
 	// keeps the default (4). 1 ablates ECMP-style tie spreading.
 	MaxParallel int
 
-	// FabricCacheDir, when set, persists compiled UCMP fabrics as mmap-able
-	// files in that directory (DESIGN.md §11) and serves later processes'
-	// runs of the same fabric + parameters from them instead of rebuilding.
-	// A run reads only the file's symmetric path set, decoded into its own
-	// store; ToR 0's compiled table rides in the file as the switch-install
-	// artifact (§6.2) and for Validate, and nothing in a simulation looks it
-	// up. Within one process, reuse is the Runner's: it loads or builds each
-	// path set once. Plans are byte-identical warm vs cold; a stale,
-	// foreign, or corrupted file is rebuilt and overwritten. Ignored for
-	// non-UCMP routing; a schedule with no rotation symmetry builds cold,
-	// which Result.PathSet notes.
+	// FabricCacheDir, when set, persists compiled UCMP fabrics — the
+	// symmetric path set's canonical spine and group store — as files in
+	// that directory (DESIGN.md §11) and serves later processes' runs of the
+	// same fabric + parameters from them instead of rebuilding. A load
+	// decodes the store into memory of its own and releases the file. Within
+	// one process, reuse is the Runner's: it loads or builds each path set
+	// once. Plans are byte-identical warm vs cold; a stale, foreign, or
+	// corrupted file is rebuilt and overwritten, and Result.PathSet notes
+	// why. Ignored for non-UCMP routing; a schedule with no rotation
+	// symmetry builds cold, which Result.PathSet notes.
 	FabricCacheDir string
 
 	// Failures scripts runtime faults: ToRs, cables, and circuit switches

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"time"
 
 	"ucmp/internal/core"
@@ -18,8 +20,8 @@ type PathSetInfo struct {
 	// the wall time of that build, load or store lookup.
 	Warm    bool
 	Seconds float64
-	// Note says why a requested fabric cache was not used or not written;
-	// empty otherwise. A store hit carries the note of the build it serves.
+	// Note says why a requested fabric cache was not used, was refused and
+	// rebuilt, or was not written; empty otherwise. A store hit carries the note of the build it serves.
 	Note string
 	core.Footprint
 }
@@ -68,18 +70,16 @@ func buildPaths(fab *topo.Fabric, cfg SimConfig) paths {
 
 // warmPathSet returns the compiled path set for cfg's fabric, whether it was
 // warm (loaded from the fabric cache file), and a note when FabricCacheDir
-// was set but unusable or not written. With FabricCacheDir unset it simply
-// builds cold; so does a schedule with no rotation symmetry (the cache file
-// holds the canonical form only), which the note records. Otherwise it loads
-// the cache file and only then builds cold — saving the result (best-effort)
-// so the next process starts warm. In-process reuse is the Runner's, not
-// this function's: a loaded path set owns its store, so the handle, whose
-// table is the one part aliasing the file mapping, is closed at once. The
-// file also carries ToR 0's compiled table, written here and read by nothing
-// in a run: it is the switch-install artifact (§6.2) that Validate and
-// Table 2 inspect. Warm and cold results are byte-identical by construction:
-// the codec round-trips the canonical arena exactly, and the differential
-// tests pin it.
+// was set but unusable, refused or not written. With FabricCacheDir unset it
+// simply builds cold; so does a schedule with no rotation symmetry (the
+// cache file holds the canonical form only), which the note records.
+// Otherwise it loads the cache file and only then builds cold — saving the
+// result (best-effort) so the next process starts warm. A file that exists
+// but is refused (corrupt, stale, another format version) is rebuilt, and
+// the note says why; a missing one is the ordinary cold start and says
+// nothing. In-process reuse is the Runner's, not this function's. Warm and
+// cold results are byte-identical by construction: the codec round-trips
+// the canonical arena exactly, and the differential tests pin it.
 func warmPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, bool, string) {
 	if cfg.FabricCacheDir == "" {
 		return core.BuildPathSetWith(fab, cfg.Alpha, cfg.MaxParallel), false, ""
@@ -91,22 +91,21 @@ func warmPathSet(fab *topo.Fabric, cfg SimConfig) (*core.PathSet, bool, string) 
 	params := fabriccache.Params{Alpha: cfg.Alpha, MaxParallel: cfg.MaxParallel}
 	path := fabriccache.FileName(cfg.FabricCacheDir, fab, params)
 
-	if wf, err := fabriccache.Load(path, fab, params, fabriccache.Options{}); err == nil {
-		ps := wf.PS
-		wf.Close()
-		return ps, true, ""
+	wf, err := fabriccache.Load(path, fab, params, fabriccache.Options{})
+	if err == nil {
+		return wf.PS, true, ""
 	}
-	// Missing, stale, or corrupted file: rebuild and overwrite.
+	var notes []string
+	if _, serr := os.Stat(path); serr == nil {
+		notes = append(notes, fmt.Sprintf("fabric cache rebuilt: %v", err))
+	}
 	ps := core.BuildPathSetWith(fab, cfg.Alpha, cfg.MaxParallel)
-	if !ps.Symmetric() {
-		return ps, false, ""
-	}
-	table := routing.CompileTable(ps, core.NewFlowAger(ps), 0)
 	// Best-effort: a full disk or read-only cache dir degrades to cold
 	// builds with a note, not errors — the cold result is still correct.
-	var note string
-	if err := fabriccache.Save(path, ps, table); err != nil {
-		note = fmt.Sprintf("fabric cache not written: %v", err)
+	if ps.Symmetric() {
+		if err := fabriccache.Save(path, ps, nil); err != nil {
+			notes = append(notes, fmt.Sprintf("fabric cache not written: %v", err))
+		}
 	}
-	return ps, false, note
+	return ps, false, strings.Join(notes, "; ")
 }

@@ -37,10 +37,10 @@ func corruptFile(t *testing.T, path string) {
 }
 
 // TestDifferentialWarmFabric is the warm-vs-cold determinism pin: a run
-// served from a fabric cache file's mmap'd path set produces byte-identical
-// results to the cold build and still agrees between the serial and sharded
-// engines, and the ToR-0 table the file carries is byte-identical to a cold
-// compile.
+// served from a fabric cache file's path set produces byte-identical results
+// to the cold build and still agrees between the serial and sharded engines;
+// the loaded store holds the cold build's bytes, and the tables compiled
+// from it are the cold build's.
 func TestDifferentialWarmFabric(t *testing.T) {
 	dir := t.TempDir()
 	base := ScaledConfig(UCMP, transport.DCTCP, "websearch")
@@ -82,23 +82,18 @@ func TestDifferentialWarmFabric(t *testing.T) {
 		t.Fatalf("warm run reports path set %q, want the populating run's footprint, cache-loaded", i)
 	}
 
-	// The table the file carries must be byte-identical to one compiled cold.
+	// The loaded store must hold the cold build's bytes, and compile to the
+	// cold build's tables.
 	fab := topo.MustFabric(base.Topo, ScheduleFor(base.Routing), base.Seed)
 	ps, warm, note := warmPathSet(fab, populate)
 	if !warm || note != "" {
 		t.Fatalf("fabric not served warm after a cached run (note %q)", note)
 	}
-	loaded, err := fabriccache.Load(warmCachePathFor(t, fab, populate), fab,
-		fabriccache.Params{Alpha: base.Alpha, MaxParallel: base.MaxParallel}, fabriccache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	coldPS := core.BuildPathSetWith(fab, base.Alpha, base.MaxParallel)
-	coldTable := routing.CompileTable(coldPS, core.NewFlowAger(coldPS), 0)
-	if !bytes.Equal(loaded.Table.Bytes(), coldTable.Bytes()) {
-		t.Fatal("loaded ToR-0 table differs from a cold compile")
+	if w, c := core.StoreFingerprint(ps), core.StoreFingerprint(coldPS); w != c {
+		t.Fatalf("warm store fingerprint %016x, cold %016x", w, c)
 	}
-	for _, tor := range []int{1, 7} {
+	for _, tor := range []int{0, 1, 7} {
 		w := routing.CompileTable(ps, core.NewFlowAger(ps), tor)
 		c := routing.CompileTable(coldPS, core.NewFlowAger(coldPS), tor)
 		if !bytes.Equal(w.Bytes(), c.Bytes()) {
@@ -132,6 +127,9 @@ func TestDifferentialWarmFabric(t *testing.T) {
 	}
 	if withEvents(reRes) != coldFP {
 		t.Fatal("run after cache corruption diverges from cold")
+	}
+	if i := reRes.PathSet; i.Warm || !strings.HasPrefix(i.Note, "fabric cache rebuilt: ") {
+		t.Fatalf("path set %q after cache corruption, want a cold build noting the rebuild", i)
 	}
 	if _, warm, _ := warmPathSet(fab, populate); !warm {
 		t.Fatal("rebuild did not overwrite the corrupted cache file")
@@ -170,5 +168,56 @@ func TestFabricCacheSaveFailureNoted(t *testing.T) {
 	}
 	if i := res.PathSet; i.Warm || !strings.HasPrefix(i.Note, "fabric cache not written: ") {
 		t.Fatalf("path set %q, want a cold build noting the unwritten cache", i)
+	}
+}
+
+// A cache file that exists but is refused is rebuilt, and the path set's
+// note says why; a missing file is the ordinary cold start and says nothing.
+// Either way the rebuilt file serves the next run warm.
+func TestFabricCacheRefusedNoted(t *testing.T) {
+	cfg := quickBase()
+	cfg.Topo.Uplinks = 4 // a rotation-symmetric schedule, so the cache is used
+	cfg.FabricCacheDir = t.TempDir()
+	fab := topo.MustFabric(cfg.Topo, ScheduleFor(cfg.Routing), cfg.Seed)
+
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := res.PathSet; i.Warm || i.Note != "" {
+		t.Fatalf("missing cache file: path set %q, want a silent cold build", i)
+	}
+	path := warmCachePathFor(t, fab, cfg)
+	// A (16,4) round-robin fabric file in the format's version 1.
+	const v1File = "../fabriccache/testdata/pr14-round-robin-16x4.ucmpfab"
+	for _, c := range []struct {
+		name, want string
+		spoil      func()
+	}{
+		{"corrupted", "fabric cache rebuilt: fabriccache: payload checksum mismatch", func() { corruptFile(t, path) }},
+		{"version 1", "fabric cache rebuilt: fabriccache: file version 1, want 2", func() { copyFile(t, v1File, path) }},
+	} {
+		c.spoil()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := res.PathSet; i.Warm || i.Note != c.want {
+			t.Fatalf("%s cache file: path set %q, want a cold build noting %q", c.name, i, c.want)
+		}
+		if _, warm, note := warmPathSet(fab, cfg); !warm || note != "" {
+			t.Fatalf("%s cache file was not rewritten: warm %v, note %q", c.name, warm, note)
+		}
+	}
+}
+
+func copyFile(t *testing.T, from, to string) {
+	t.Helper()
+	b, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(to, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
