@@ -14,6 +14,10 @@ import (
 	"ucmp/internal/topo"
 )
 
+// v1File is a (16,4) round-robin fabric at alpha 0.5 in the format's version
+// 1, which also carried ToR 0's compiled table.
+const v1File = "testdata/v1-round-robin-16x4.ucmpfab"
+
 func testFabric(t testing.TB, kind string, n, d int) *topo.Fabric {
 	cfg := topo.Scaled()
 	cfg.NumToRs, cfg.Uplinks = n, d
@@ -263,7 +267,7 @@ func FuzzLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1, err := os.ReadFile("testdata/pr14-round-robin-16x4.ucmpfab")
+	v1, err := os.ReadFile(v1File)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -346,24 +350,21 @@ func TestStaleTempCleanup(t *testing.T) {
 	}
 }
 
-// TestVersion1FileRefused: testdata holds a (16,4) round-robin fabric in the
-// version-1 format, written before the packed in-memory store, whose third
-// section was ToR 0's compiled table. It is refused by its version, mapped
-// or read, and never served. Its header fields up to the section table and
-// its spine and store sections are byte-equal to the image today's build
-// encodes: dropping the table moved neither the header layout nor the
-// store encoding.
+// TestVersion1FileRefused: v1File, written before the packed in-memory
+// store, is refused by its version, mapped or read, and never served. Its
+// header fields up to the section table and its spine and store sections
+// are byte-equal to the image today's build encodes: dropping the table
+// moved neither the header layout nor the store encoding.
 func TestVersion1FileRefused(t *testing.T) {
-	const golden = "testdata/pr14-round-robin-16x4.ucmpfab"
 	f := testFabric(t, "round-robin", 16, 4)
 	p := Params{Alpha: 0.5}
 	for _, opt := range []Options{{}, {NoMmap: true}} {
-		_, err := Load(golden, f, p, opt)
+		_, err := Load(v1File, f, p, opt)
 		if err == nil || !strings.Contains(err.Error(), "file version 1, want 2") {
 			t.Fatalf("%+v: loading the version-1 file: %v, want a version refusal", opt, err)
 		}
 	}
-	old, err := os.ReadFile(golden)
+	old, err := os.ReadFile(v1File)
 	if err != nil {
 		t.Fatal(err)
 	}

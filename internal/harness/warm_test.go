@@ -189,7 +189,7 @@ func TestFabricCacheRefusedNoted(t *testing.T) {
 	}
 	path := warmCachePathFor(t, fab, cfg)
 	// A (16,4) round-robin fabric file in the format's version 1.
-	const v1File = "../fabriccache/testdata/pr14-round-robin-16x4.ucmpfab"
+	const v1File = "../fabriccache/testdata/v1-round-robin-16x4.ucmpfab"
 	for _, c := range []struct {
 		name, want string
 		spoil      func()
